@@ -17,7 +17,7 @@
 use drink_bench::{banner, overhead_pct, row, scale_from_args};
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
 use drink_core::policy::PolicyParams;
-use drink_core::support::NullSupport;
+use drink_core::support::PaperModel;
 use drink_runtime::Event;
 use drink_workloads::{run_kind, run_workload, runtime_for, EngineKind, WorkloadSpec};
 
@@ -77,9 +77,12 @@ fn main() {
         ("RdExRLock (unsound)", SelfReadMode::RdExRLockUnsound),
     ] {
         let rt = runtime_for(&spec);
+        // The self-read modes differ only in which lock `WrExPess(T) R by T`
+        // takes; under `NullSupport` that read validates and takes none
+        // (DESIGN.md §12), so the comparison runs on the paper's model.
         let engine = HybridEngine::with_config(
             rt,
-            NullSupport,
+            PaperModel,
             HybridConfig {
                 policy,
                 self_read: mode,

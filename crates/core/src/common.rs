@@ -28,12 +28,12 @@ use drink_runtime::{
 use crate::policy::AdaptivePolicy;
 use crate::support::{Support, SupportCx};
 use crate::tstate::{OwnedByThread, ThreadState};
-use crate::word::{Kind, StateWord, VersionWord};
+use crate::word::{StateWord, VersionWord};
 
 /// Seqlock revalidation failures tolerated before a read gives up and takes
-/// the engine's coordinated path. Retrying once or twice rides out a single
-/// in-flight install; under a genuine write burst the coordinated path is
-/// the right place to be anyway.
+/// the engine's ordinary read path (the lock its Table 3 row prescribes).
+/// Retrying once or twice rides out a single in-flight install; under a
+/// genuine write burst the locking path is the right place to be anyway.
 const SEQLOCK_MAX_RETRIES: u64 = 2;
 
 /// Protocol-independent engine state shared by all tracking engines.
@@ -219,8 +219,20 @@ impl<S: Support> EngineCommon<S> {
         let obj = self.rt.obj(o);
         let state = obj.state();
         let mut cur = state.load(Ordering::Acquire);
+        let mut spin = None;
         loop {
             let w = StateWord(cur);
+            if w.is_int() {
+                // A second reader is upgrading our read-locked exclusive
+                // state to RdShRLock(2) under a pre-publishing support: its
+                // claim parks the word at Int while the support hook runs.
+                // Our hold survives that window; release it once the new
+                // state is published.
+                spin.get_or_insert_with(|| self.rt.spinner_for(ts.tid, "second reader's publish"))
+                    .spin();
+                cur = state.load(Ordering::Acquire);
+                continue;
+            }
             debug_assert!(
                 w.is_pess_locked(),
                 "lock buffer entry {o:?} not locked: {w:?}"
@@ -391,28 +403,28 @@ impl<S: Support> EngineCommon<S> {
         }
     }
 
-    /// The coordination-free read protocol for read-mostly RdSh objects
-    /// (DESIGN.md §12). The caller has just decoded `o`'s state word as
-    /// `RdSh` and decided (via [`AdaptivePolicy::read_mostly`]) that the
-    /// object is read-mostly; this attempts the read with **no state
-    /// transition**:
+    /// The validated read (DESIGN.md §12): read `o` with **no state
+    /// transition**. The caller has just decoded `o`'s state word and found
+    /// [`StateWord::validated_read_ok`] for this thread — a state in which
+    /// the read creates no dependence and every writer must install (and
+    /// bump the version) before it writes the payload:
     ///
     /// 1. load the version word (acquire) — `v0`;
-    /// 2. re-load the state word (acquire); anything other than `RdSh`
-    ///    means a writer is in flight — give up immediately;
+    /// 2. re-load the state word (acquire); if the predicate no longer
+    ///    holds a writer is in flight — give up immediately;
     /// 3. load the payload;
     /// 4. acquire fence, then re-load the version — `v1`;
     /// 5. `v0 == v1` validates: no install overlapped the window, so the
-    ///    payload is exactly what a coordinated RdSh read would have
-    ///    returned, and the standing RdSh epoch already covers the
-    ///    dependence. Otherwise retry, falling back to the engine's
-    ///    coordinated path (`None`) after [`SEQLOCK_MAX_RETRIES`] failures.
+    ///    payload is exactly what the read's Table 3 row would have
+    ///    returned under its lock. Otherwise retry, falling back to the
+    ///    engine's ordinary read path (`None`) after
+    ///    [`SEQLOCK_MAX_RETRIES`] failures.
     ///
-    /// The acquire load of the `RdSh` state word synchronizes with the
-    /// epoch creator's release install, so pre-epoch writes are visible
-    /// without the fence transition's global fence; `ts.rd_sh_count` is
-    /// deliberately **not** updated (this path makes no claim about other
-    /// objects' epochs).
+    /// The acquire load of the state word synchronizes with the release
+    /// install that published it, so the installer's earlier writes are
+    /// visible without a fence transition; `ts.rd_sh_count` is deliberately
+    /// **not** updated (this path makes no claim about other objects'
+    /// epochs).
     pub fn seqlock_read(&self, ts: &mut ThreadState, o: ObjId) -> Option<u64> {
         let obj = self.rt.obj(o);
         let mut retries = 0u64;
@@ -431,9 +443,9 @@ impl<S: Support> EngineCommon<S> {
                  state-word installs are not advancing the version counter"
             );
             let w = StateWord(obj.state().load(Ordering::Acquire));
-            if w.kind() != Kind::RdSh {
-                // A writer claimed the object (or it left RdSh) between the
-                // caller's decode and ours: coordinated path.
+            if !w.validated_read_ok(ts.tid) {
+                // A writer claimed the object (or it left the eligible
+                // states) between the caller's decode and ours.
                 if retries > 0 {
                     self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
                 }

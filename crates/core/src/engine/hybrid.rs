@@ -163,10 +163,11 @@ impl<S: Support> HybridEngine<S> {
         o: ObjId,
         w: StateWord,
     ) -> Option<CoordMode> {
-        let rt = self.common.rt.clone();
+        let rt = &self.common.rt;
         let t = ts.tid;
         let deadline = rt.coord_deadline();
-        let t0 = std::time::Instant::now();
+        // Only the demotion controller consumes the roundtrip's duration.
+        let timed = self.common.adapt.as_ref().map(|a| (a, std::time::Instant::now()));
         let mut scratch = std::mem::take(&mut ts.src_scratch);
         let mut pending = std::mem::take(&mut ts.fanout_scratch);
         scratch.clear();
@@ -175,7 +176,7 @@ impl<S: Support> HybridEngine<S> {
             let mut respond = self.common.respond_closure(ts);
             if fanout {
                 coordinate_many_deadline(
-                    &rt,
+                    rt,
                     t,
                     Some(o),
                     &mut respond,
@@ -184,7 +185,7 @@ impl<S: Support> HybridEngine<S> {
                     deadline,
                 )
             } else {
-                coordinate_one_deadline(&rt, t, w.owner(), Some(o), &mut respond, deadline).map(
+                coordinate_one_deadline(rt, t, w.owner(), Some(o), &mut respond, deadline).map(
                     |out| {
                         scratch.push((w.owner(), out.source_clock));
                         out.mode
@@ -195,14 +196,14 @@ impl<S: Support> HybridEngine<S> {
         if fanout && mode.is_some() {
             ts.stats.bump(Event::CoordFanout);
             ts.stats.add(Event::CoordFanoutPeers, scratch.len() as u64);
-            note_fanout_skips(&rt, ts, scratch.len());
+            note_fanout_skips(rt, ts, scratch.len());
         }
         ts.src_scratch = scratch;
         ts.fanout_scratch = pending;
         match mode {
             Some(m) => {
                 ts.stats.bump(Event::CoordinationRoundtrip);
-                if let Some(a) = &self.common.adapt {
+                if let Some((a, t0)) = timed {
                     let ev = a.record_coord(o.0, t0.elapsed().as_nanos() as u64);
                     self.note_adapt_event(ts, o, ev);
                 }
@@ -313,7 +314,7 @@ impl<S: Support> HybridEngine<S> {
     /// retry loop re-examines the state either way, and the holder may well
     /// have flushed in the meantime.
     fn contended_coordinate(&self, ts: &mut ThreadState, o: ObjId, w: StateWord) {
-        let rt = self.common.rt.clone();
+        let rt = &self.common.rt;
         let t = ts.tid;
         let deadline = rt.coord_deadline();
         let fanout = w.kind() == Kind::RdSh;
@@ -329,7 +330,7 @@ impl<S: Support> HybridEngine<S> {
                 // Read-locked by unknown threads: conservatively coordinate
                 // with everyone (the state word does not name RdSh holders).
                 coordinate_many_deadline(
-                    &rt,
+                    rt,
                     t,
                     Some(o),
                     &mut respond,
@@ -339,14 +340,14 @@ impl<S: Support> HybridEngine<S> {
                 )
                 .is_some()
             } else {
-                coordinate_one_deadline(&rt, t, w.owner(), Some(o), &mut respond, deadline)
+                coordinate_one_deadline(rt, t, w.owner(), Some(o), &mut respond, deadline)
                     .is_some()
             }
         };
         if fanout && done {
             ts.stats.bump(Event::CoordFanout);
             ts.stats.add(Event::CoordFanoutPeers, sink.len() as u64);
-            note_fanout_skips(&rt, ts, sink.len());
+            note_fanout_skips(rt, ts, sink.len());
         }
         ts.src_scratch = sink;
         ts.fanout_scratch = pending;
@@ -1008,13 +1009,12 @@ impl<S: Support> Tracker for HybridEngine<S> {
         {
             ts.stats.bump(Event::OptSameState);
         } else {
-            // Read-mostly RdSh (§7.3 profile gate): attempt the
-            // coordination-free seqlock read (DESIGN.md §12) before taking
-            // any transition. Applies to pessimistic RdSh too — a validated
-            // window proves no conflicting install overlapped, which is what
-            // the read lock would have enforced — but the policy gate
-            // excludes objects the valve currently holds pessimistic.
-            if S::SEQLOCK_READS && w.kind() == Kind::RdSh && self.common.policy.read_mostly(obj.profile()) {
+            // A read whose Table 3 row is non-conflicting, of a state nobody
+            // holds write-locked, needs no transition: validate it against
+            // the version word instead of taking the row's read lock
+            // (DESIGN.md §12). On repeated invalidation it falls through to
+            // `read_slow`, which takes that lock as before.
+            if S::SEQLOCK_READS && w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o) {
                     self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
                     ts.op_index += 1;
@@ -1082,21 +1082,35 @@ impl<S: Support> Tracker for HybridEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drink_runtime::RuntimeConfig;
+    use crate::policy::{Phase, Profile};
+    use crate::support::PaperModel;
+    use drink_runtime::{RuntimeConfig, StatsReport};
+
+    fn test_rt() -> Arc<Runtime> {
+        Arc::new(Runtime::new(
+            RuntimeConfig::builder()
+                .max_threads(8)
+                .heap_objects(32)
+                .monitors(4)
+                .build(),
+        ))
+    }
 
     fn engine_with(policy: PolicyParams) -> HybridEngine {
         HybridEngine::with_config(
-            Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(8)
-        .heap_objects(32)
-        .monitors(4)
-        .build())),
+            test_rt(),
             NullSupport,
             HybridConfig {
                 policy,
                 ..HybridConfig::default()
             },
         )
+    }
+
+    /// The engine on the paper's own model (no validated reads), for the
+    /// tests that pin which lock a Table 3 read row takes.
+    fn paper_engine(cfg: HybridConfig) -> HybridEngine<PaperModel> {
+        HybridEngine::with_config(test_rt(), PaperModel, cfg)
     }
 
     fn engine() -> HybridEngine {
@@ -1114,15 +1128,15 @@ mod tests {
         }
     }
 
-    fn state_of(e: &HybridEngine, o: ObjId) -> StateWord {
+    fn state_of<S: Support>(e: &HybridEngine<S>, o: ObjId) -> StateWord {
         StateWord(e.rt().obj(o).state().load(Ordering::SeqCst))
     }
 
     /// Run `victim_ops` on a second thread while the caller's thread `t`
     /// keeps polling safe points (responding to coordination) until it
     /// finishes.
-    fn with_responsive_main<R: Send>(
-        e: &HybridEngine,
+    fn with_responsive_main<S: Support, R: Send>(
+        e: &HybridEngine<S>,
         t: ThreadId,
         victim_ops: impl FnOnce(ThreadId) -> R + Send,
     ) -> R {
@@ -1279,7 +1293,10 @@ mod tests {
         // §3.2: "The read-locked write-exclusive state enables a second
         // concurrent reader to upgrade to RdShRLock(2), instead of
         // encountering contention."
-        let e = engine_with(eager_pess());
+        let e = paper_engine(HybridConfig {
+            policy: eager_pess(),
+            ..HybridConfig::default()
+        });
         let t0 = e.attach();
         let o = ObjId(5);
         e.alloc_init(o, t0);
@@ -1316,19 +1333,11 @@ mod tests {
         // §7.1 "Extraneous contention": with the prototype's self-read mode,
         // a read of WrExPess(T1) by T1 write-locks, so a second reader
         // contends even without an object-level data race.
-        let e = HybridEngine::with_config(
-            Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(8)
-        .heap_objects(32)
-        .monitors(4)
-        .build())),
-            NullSupport,
-            HybridConfig {
-                policy: eager_pess(),
-                self_read: SelfReadMode::WrExWLock,
-                ..HybridConfig::default()
-            },
-        );
+        let e = paper_engine(HybridConfig {
+            policy: eager_pess(),
+            self_read: SelfReadMode::WrExWLock,
+            ..HybridConfig::default()
+        });
         let t0 = e.attach();
         let o = ObjId(6);
         e.alloc_init(o, t0);
@@ -1387,7 +1396,10 @@ mod tests {
 
     #[test]
     fn self_rdsh_upgrade_in_place_when_sole_locker() {
-        let e = engine_with(eager_pess());
+        let e = paper_engine(HybridConfig {
+            policy: eager_pess(),
+            ..HybridConfig::default()
+        });
         let t0 = e.attach();
         let o = ObjId(8);
         // Construct RdShPess directly (unlocked, epoch 1).
@@ -1395,10 +1407,6 @@ mod tests {
             .obj(o)
             .state()
             .store(StateWord::rd_sh_pess(1, 0).0, Ordering::SeqCst);
-        // Drive the valve profile to Pess so `read_mostly` rejects the
-        // seqlock path and the read exercises the join-as-sole-locker
-        // protocol this test pins (eager_pess: one conflict flips).
-        AdaptivePolicy::new(eager_pess()).on_explicit_conflict(e.rt().obj(o).profile());
         // Read: joins as sole locker.
         let _ = e.read(t0, o);
         assert_eq!(state_of(&e, o).read_locks(), 1);
@@ -1455,40 +1463,80 @@ mod tests {
         assert_eq!(r.pess_contended(), 0, "object-level DRF ⇒ no contention");
     }
 
-    #[test]
-    fn racy_inc_pattern_completes_and_counts_contention() {
-        // The racyInc microbenchmark shape (Figure 8(b)): unsynchronized
-        // increments. Hybrid tracking's worst case — contended transitions
-        // trigger coordination repeatedly — but it must remain live and
-        // preserve instrumentation–access atomicity.
-        const ITERS: u64 = 2_000;
-        let e = engine();
-        let counter = ObjId(10);
-        let barrier = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let er = &e;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let t = er.attach();
-                    barrier.wait();
-                    for _ in 0..ITERS {
-                        let v = er.read(t, counter);
-                        er.write(t, counter, v + 1);
-                        er.safepoint(t);
-                    }
-                    er.detach(t);
-                });
-            }
+    /// One run of the racyInc microbenchmark shape (Figure 8(b)): four
+    /// threads, `iters` unsynchronised read-then-write increments each of one
+    /// counter. Hybrid tracking's worst case — contended transitions trigger
+    /// coordination repeatedly. Two runs of it schedule differently, so this
+    /// asserts only what holds under *every* schedule, and returns the report
+    /// and the counter's final profile for policy-specific checks of the
+    /// same kind.
+    fn racy_inc_run(params: PolicyParams, iters: u64, counter: ObjId) -> (StatsReport, Profile) {
+        const THREADS: u64 = 4;
+        let e = engine_with(params);
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        let last_writes: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (er, barrier) = (&e, &barrier);
+                    s.spawn(move || {
+                        let t = er.attach();
+                        barrier.wait();
+                        let mut last = 0;
+                        for _ in 0..iters {
+                            last = er.read(t, counter) + 1;
+                            er.write(t, counter, last);
+                            er.safepoint(t);
+                        }
+                        er.detach(t);
+                        last
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let r = e.rt().stats().report();
-        assert_eq!(r.accesses(), 4 * ITERS * 2);
-        // Racy increments lose updates; the final value is between ITERS and
-        // the total. (Atomicity of each instrumented access still held.)
+
+        // Access partition: every access completed and was classified once.
+        assert_eq!(r.accesses(), THREADS * iters * 2);
+        let classified = r.opt_same_state()
+            + r.get(Event::OptUpgrading)
+            + r.get(Event::OptFence)
+            + r.opt_conflicting()
+            + r.pess_uncontended()
+            + r.validated_reads();
+        assert_eq!(classified, r.accesses(), "an access was dropped or double-counted");
+
+        // Racy increments lose updates — a thread descheduled between its
+        // read and its write legally resets the counter — so the final value
+        // is bounded below by 2, not by `iters`. No *write* is lost, though:
+        // the counter ends at some thread's last write.
         let v = e.rt().obj(counter).data_read();
-        assert!((ITERS..=4 * ITERS).contains(&v), "final counter {v}");
+        assert!((2..=THREADS * iters).contains(&v), "final counter {v}");
+        assert!(
+            last_writes.contains(&v),
+            "final counter {v} is nobody's last write {last_writes:?}"
+        );
+
+        // Quiescent state: unlocked, on the side of the valve its profile
+        // names, having crossed the valve at most once each way.
         let w = state_of(&e, counter);
+        let profile = AdaptivePolicy::profile(e.rt().obj(counter).profile());
         assert!(!w.is_int() && !w.is_pess_locked(), "quiescent state: {w:?}");
+        assert_eq!(w.is_pess(), profile.phase == Phase::Pess, "{w:?} in {profile:?}");
+        assert_eq!(r.opt_to_pess(), u64::from(profile.phase != Phase::OptInitial));
+        assert_eq!(r.pess_to_opt(), u64::from(profile.phase == Phase::OptFinal));
+        (r, profile)
+    }
+
+    #[test]
+    fn racy_inc_pattern_completes_and_counts_contention() {
+        let (r, _) = racy_inc_run(PolicyParams::default(), 2_000, ObjId(10));
+        // A contended transition is the only pessimistic path to a roundtrip.
+        if r.pess_contended() > 0 {
+            let coordinated =
+                r.get(Event::CoordinationRoundtrip) + r.get(Event::CoordDeadlineExceeded);
+            assert!(coordinated > 0);
+        }
     }
 
     #[test]
@@ -1534,42 +1582,24 @@ mod tests {
         // §7.5: "Hybrid tracking could alleviate this deficiency by modifying
         // the adaptive policy to switch a pessimistic object back to
         // optimistic states if accesses to it trigger coordination
-        // frequently."
-        const ITERS: u64 = 400;
-        let run = |params: PolicyParams| {
-            let e = engine_with(params);
-            let counter = ObjId(11);
-            let barrier = std::sync::Barrier::new(4);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let er = &e;
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let t = er.attach();
-                        barrier.wait();
-                        for _ in 0..ITERS {
-                            let v = er.read(t, counter);
-                            er.write(t, counter, v + 1);
-                            er.safepoint(t);
-                        }
-                        er.detach(t);
-                    });
-                }
-            });
-            e.rt().stats().report()
-        };
-        let base = run(PolicyParams::default());
-        let ext = run(PolicyParams::default().with_contended_cutoff(8));
-        // With the extension the object flips back to optimistic, so it can
-        // flip at most... once (one-way valve) — and contended transitions
-        // stop accumulating after the flip.
-        assert!(ext.pess_to_opt() <= 1);
-        if base.pess_contended() > 0 {
+        // frequently." How much contention either run sees is up to the
+        // scheduler; what the extension guarantees under every schedule is
+        // that an object whose contended count reached the cutoff has left
+        // pessimistic states for good (`racy_inc_run` checks that the state
+        // word agrees with the phase).
+        const CUTOFF: u32 = 8;
+        let (_, base) = racy_inc_run(PolicyParams::default(), 400, ObjId(11));
+        let (_, ext) =
+            racy_inc_run(PolicyParams::default().with_contended_cutoff(CUTOFF), 400, ObjId(11));
+        assert!(ext.pess_contended < CUTOFF || ext.phase == Phase::OptFinal, "{ext:?}");
+        // Without the extension the contended count moves nothing: only
+        // inequality (5) returns the object.
+        if base.phase == Phase::OptFinal {
+            let p = PolicyParams::default();
             assert!(
-                ext.pess_contended() <= base.pess_contended(),
-                "extension should not increase contention (base {}, ext {})",
-                base.pess_contended(),
-                ext.pess_contended()
+                u64::from(base.pess_non_confl)
+                    >= u64::from(p.k_confl) * u64::from(base.pess_confl) + u64::from(p.inertia),
+                "{base:?}"
             );
         }
     }

@@ -62,22 +62,20 @@ impl<S: Support> PessimisticEngine<S> {
         let obj = self.common.rt.obj(o);
         let state = obj.state();
 
-        // Read-mostly RdSh: a read of a standing RdSh state keeps the state
-        // (Table 1's RdSh→old row), so the coordination-free seqlock read
-        // (DESIGN.md §12) can skip the CAS-lock critical section entirely —
-        // validation proves no install overlapped the read window, which is
-        // exactly what the critical section would have guaranteed.
-        if S::SEQLOCK_READS && write.is_none() {
-            let w = StateWord(state.load(Ordering::Acquire));
-            if w.kind() == Kind::RdSh
-                && !w.is_locked_sentinel()
-                && self.common.policy.read_mostly(obj.profile())
-            {
-                if let Some(v) = self.common.seqlock_read(ts, o) {
-                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
-                    ts.op_index += 1;
-                    return v;
-                }
+        // A read of a standing RdSh state keeps the state (Table 1's
+        // RdSh→old row), so the validated read (DESIGN.md §12) can skip the
+        // CAS-lock critical section entirely — validation proves no install
+        // overlapped the read window, which is exactly what the critical
+        // section would have guaranteed. (This engine's exclusive states use
+        // the optimistic encodings, so RdSh is the only eligible kind.)
+        if S::SEQLOCK_READS
+            && write.is_none()
+            && StateWord(state.load(Ordering::Acquire)).validated_read_ok(t)
+        {
+            if let Some(v) = self.common.seqlock_read(ts, o) {
+                self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
+                ts.op_index += 1;
+                return v;
             }
         }
 

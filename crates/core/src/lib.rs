@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::engine::{AnyEngine, DynTracker, EngineKind, Tracker};
     pub use crate::policy::{AdaptivePolicy, PolicyParams};
     pub use crate::session::Session;
-    pub use crate::support::{NullSupport, Support};
+    pub use crate::support::{NullSupport, PaperModel, Support};
 }
 
 pub use engine::{AnyEngine, DynTracker, EngineKind, Tracker};

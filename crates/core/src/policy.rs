@@ -285,31 +285,6 @@ impl AdaptivePolicy {
     pub fn unlock_to_optimistic(&self, word: &AtomicU64) -> bool {
         decode(word.load(Ordering::Relaxed)).phase == Phase::OptFinal
     }
-
-    /// Is this object *read-mostly* enough for the coordination-free seqlock
-    /// read path (DESIGN.md §12)? Reuses the same per-object profile the
-    /// valve maintains: an object that has crossed (or is near) the conflict
-    /// cutoff is conflict-heavy, and one the valve has moved to pessimistic
-    /// states must take the locking path for its dependence edges. Only a
-    /// heuristic — the version validation, not this gate, is what keeps the
-    /// seqlock path sound — so a stale read of the profile word is fine.
-    #[inline]
-    pub fn read_mostly(&self, word: &AtomicU64) -> bool {
-        let p = decode(word.load(Ordering::Relaxed));
-        match p.phase {
-            // The valve holds the object in pessimistic states: reads must
-            // take read locks there, not bypass them.
-            Phase::Pess => false,
-            // The valve concluded the conflict burst is over and returned the
-            // object to optimistic states for good (it never re-enters Pess),
-            // so the historical conflict count no longer disqualifies it.
-            Phase::OptFinal => true,
-            Phase::OptInitial => {
-                self.params.cutoff_confl == u32::MAX
-                    || p.num_conflicts < self.params.cutoff_confl
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -474,33 +449,6 @@ mod tests {
         }
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
         assert!(policy.unlock_to_optimistic(&w));
-    }
-
-    #[test]
-    fn read_mostly_tracks_the_valve_phases() {
-        let policy = AdaptivePolicy::default(); // cutoff 4
-        let w = word();
-        assert!(policy.read_mostly(&w), "fresh objects are read-mostly");
-        // Conflicts approaching the cutoff disqualify the object...
-        for _ in 0..3 {
-            policy.on_explicit_conflict(&w);
-        }
-        assert!(policy.read_mostly(&w), "below cutoff still qualifies");
-        policy.on_explicit_conflict(&w); // 4th → Pess
-        assert!(!policy.read_mostly(&w), "Pess phase must lock, not seqlock");
-        // ...until the valve returns it to optimistic states.
-        for _ in 0..100 {
-            policy.on_pess_transition(&w, false, false);
-        }
-        assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
-        assert!(policy.read_mostly(&w), "OptFinal is read-mostly again");
-        // Infinite cutoff: conflicts never disqualify.
-        let policy = AdaptivePolicy::new(PolicyParams::infinite_cutoff());
-        let w = word();
-        for _ in 0..10 {
-            policy.on_explicit_conflict(&w);
-        }
-        assert!(policy.read_mostly(&w));
     }
 
     #[test]

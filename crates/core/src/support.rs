@@ -141,14 +141,15 @@ pub trait Support: Send + Sync + 'static {
     /// per-object recorder state.
     const PREPUBLISH: bool = false;
 
-    /// If true, engines may serve read-mostly RdSh reads through the
-    /// coordination-free seqlock protocol (DESIGN.md §12), which performs
-    /// **no state transition and therefore fires no support hook**. Off by
-    /// default because it is only sound for supports that don't consume
-    /// per-read events: the recorder needs the `Fence` transition to order
-    /// replayed RdSh reads, and the RS enforcer needs reads to take read
-    /// locks for its two-phase-locking argument. Tracking-only
-    /// ([`NullSupport`]) turns it on.
+    /// If true, engines may serve a read by seqlock validation (DESIGN.md
+    /// §12) whenever the state word says
+    /// [`validated_read_ok`](crate::word::StateWord::validated_read_ok) —
+    /// which performs **no state transition and therefore fires no support
+    /// hook**. Off by default because it is only sound for supports that
+    /// don't consume per-read events: the recorder needs the `Fence`
+    /// transition to order replayed RdSh reads, and the RS enforcer needs
+    /// reads to take read locks for its two-phase-locking argument.
+    /// Tracking-only ([`NullSupport`]) turns it on.
     const SEQLOCK_READS: bool = false;
 
     /// A non-same-state transition of `obj` completed on thread `cx.t`.
@@ -215,6 +216,16 @@ pub struct NullSupport;
 impl Support for NullSupport {
     const SEQLOCK_READS: bool = true;
 }
+
+/// Tracking alone on the paper's own model: every hook is a no-op, as with
+/// [`NullSupport`], but no read is served by validation, so every access
+/// takes exactly the transition its Table 3 row prescribes. The tests that
+/// pin those rows, and the ablations that compare them (E9's self-read
+/// modes), run on this.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PaperModel;
+
+impl Support for PaperModel {}
 
 #[cfg(test)]
 mod tests {

@@ -246,6 +246,28 @@ impl StateWord {
         self.is_pess() && self.lock_mode() == LockMode::Unlocked
     }
 
+    /// May thread `t` read an object in this state by seqlock validation
+    /// alone (DESIGN.md §12) — no transition, no lock?
+    ///
+    /// True exactly for the states in which a read by `t` creates no
+    /// dependence and every writer must install a new state word (and bump
+    /// the version) before it touches the payload: any RdSh state, and the
+    /// pessimistic exclusive states owned by `t` that nobody holds
+    /// write-locked. `WrExOpt(T)` and `WrExWLock(T)` are excluded because
+    /// their owner writes the payload with no install; `Int` and the
+    /// [`StateWord::LOCKED`] sentinel (which decodes as `Int`) because a
+    /// transition is in flight.
+    #[inline(always)]
+    pub fn validated_read_ok(self, t: ThreadId) -> bool {
+        // On every read's path, so two masked compares rather than a decode.
+        // The second reads: kind WrEx or RdEx (kind bit 1 clear), pessimistic,
+        // write-lock bit clear, owner `t`.
+        const WLOCK_BIT: u64 = (LockMode::Write as u64) << LOCK_SHIFT;
+        const OWN_UNWRITTEN: u64 = 0b10 | PESS_BIT | WLOCK_BIT | (OWNER_MASK << OWNER_SHIFT);
+        self.0 & KIND_MASK == Kind::RdSh as u64
+            || self.0 & OWN_UNWRITTEN == PESS_BIT | ((t.raw() as u64) << OWNER_SHIFT)
+    }
+
     // --- Derived helpers used by the engines ---
 
     /// The unlocked pessimistic version of a locked pessimistic state, after
@@ -484,6 +506,41 @@ mod tests {
     }
 
     #[test]
+    fn validated_read_ok_is_the_non_conflicting_unwritten_rows() {
+        let (me, other) = (t(1), t(2));
+        // Any RdSh, for any reader.
+        for w in [
+            StateWord::rd_sh_opt(3),
+            StateWord::rd_sh_pess(3, 0),
+            StateWord::rd_sh_pess(3, 2),
+        ] {
+            assert!(w.validated_read_ok(me), "{w:?}");
+        }
+        // Pessimistic exclusive states: the owner only, and never under a
+        // write lock.
+        for w in [
+            StateWord::wr_ex_pess(me, LockMode::Unlocked),
+            StateWord::wr_ex_pess(me, LockMode::Read),
+            StateWord::rd_ex_pess(me, LockMode::Unlocked),
+            StateWord::rd_ex_pess(me, LockMode::Read),
+        ] {
+            assert!(w.validated_read_ok(me), "{w:?}");
+            assert!(!w.validated_read_ok(other), "{w:?} read by a non-owner");
+        }
+        // States whose owner writes without installing, and in-flight ones.
+        for w in [
+            StateWord::wr_ex_pess(me, LockMode::Write),
+            StateWord::wr_ex_opt(me),
+            StateWord::rd_ex_opt(me),
+            StateWord::int(me),
+            StateWord::LOCKED,
+        ] {
+            assert!(!w.validated_read_ok(me), "{w:?}");
+            assert!(!w.validated_read_ok(other), "{w:?}");
+        }
+    }
+
+    #[test]
     fn unlock_one_steps_through_rdsh_counts() {
         let s2 = StateWord::rd_sh_pess(4, 2);
         let s1 = s2.unlock_one();
@@ -710,6 +767,37 @@ mod proptests {
             prop_assert_eq!(locked.unlock_one().validate(), Ok(()));
             prop_assert_eq!(StateWord::rd_sh_pess(c, 0).to_optimistic().validate(), Ok(()));
             prop_assert_eq!(StateWord::wr_ex_opt(tid).to_pess_unlocked().validate(), Ok(()));
+        }
+
+        /// The masked compares of `validated_read_ok` agree with the decoded
+        /// statement of the predicate on every constructible word.
+        #[test]
+        fn validated_read_ok_matches_its_decoded_statement(owner in arb_tid(), reader in arb_tid(), c in 0u64..=MAX_RDSH_COUNT, n in 0u64..=MAX_READ_LOCKS) {
+            for w in [
+                StateWord::wr_ex_opt(owner),
+                StateWord::rd_ex_opt(owner),
+                StateWord::rd_sh_opt(c),
+                StateWord::int(owner),
+                StateWord::wr_ex_pess(owner, LockMode::Write),
+                StateWord::wr_ex_pess(owner, LockMode::Read),
+                StateWord::wr_ex_pess(owner, LockMode::Unlocked),
+                StateWord::rd_ex_pess(owner, LockMode::Read),
+                StateWord::rd_ex_pess(owner, LockMode::Unlocked),
+                StateWord::rd_sh_pess(c, n),
+                StateWord::LOCKED,
+            ] {
+                for t in [reader, owner] {
+                    let decoded = !w.is_locked_sentinel()
+                        && match w.kind() {
+                            Kind::RdSh => true,
+                            Kind::WrEx | Kind::RdEx => {
+                                w.is_pess() && w.lock_mode() != LockMode::Write && w.owner() == t
+                            }
+                            Kind::Int => false,
+                        };
+                    prop_assert_eq!(w.validated_read_ok(t), decoded, "{:?} read by {}", w, t);
+                }
+            }
         }
 
         /// `validate` on an arbitrary u64 accepts only words that re-encode

@@ -141,7 +141,9 @@ fn bitmap_counts_match_hashset_reference_model() {
         .heap_objects(OBJECTS as usize)
         .monitors(1)
         .build())),
-        NullSupport,
+        // The reference model predicts which lock every read takes, so the
+        // reads must take them: no validated reads (DESIGN.md §12).
+        PaperModel,
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExRLock,

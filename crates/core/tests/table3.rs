@@ -17,15 +17,11 @@ use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, ThreadId};
 
 const O: ObjId = ObjId(0);
 
-/// Table 3 pins the *transition protocol*, so the seqlock read path — which
-/// serves read-mostly RdSh reads with no transition at all (DESIGN.md §12) —
-/// must stay off here. Any support without `SEQLOCK_READS` does that; this
-/// one is otherwise identical to [`NullSupport`]. The seqlock path itself is
-/// covered by the engines' unit tests and the chaos harness.
-struct TransitionsOnly;
-impl drink_core::support::Support for TransitionsOnly {}
-
-type Engine = HybridEngine<TransitionsOnly>;
+/// Table 3 pins the *transition protocol*, so validated reads — which take
+/// no transition at all (DESIGN.md §12) — must stay off here: the rows are
+/// pinned on [`PaperModel`]. The validated path itself is covered by
+/// `validated_reads.rs` and the chaos harness.
+type Engine = HybridEngine<PaperModel>;
 
 /// Policy that never moves objects between models on its own, so injected
 /// states stay put (pessimistic stays pessimistic at unlock).
@@ -45,7 +41,7 @@ fn engine() -> Engine {
         .heap_objects(8)
         .monitors(2)
         .build())),
-        TransitionsOnly,
+        PaperModel,
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExRLock,
@@ -516,7 +512,7 @@ fn prototype_self_read_mode_write_locks() {
         .heap_objects(4)
         .monitors(1)
         .build())),
-        TransitionsOnly,
+        PaperModel,
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExWLock,
@@ -540,7 +536,7 @@ fn unsound_self_read_mode_downgrades() {
         .heap_objects(4)
         .monitors(1)
         .build())),
-        TransitionsOnly,
+        PaperModel,
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::RdExRLockUnsound,

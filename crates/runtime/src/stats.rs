@@ -115,14 +115,15 @@ pub enum Event {
     RegionRestart,
 
     // --- Seqlock read path (DESIGN.md §12) ---
-    /// A coordination-free RdSh read whose version revalidation succeeded:
-    /// no state transition, no fence-count update, no fan-out.
+    /// A read served by validation alone — its version revalidation
+    /// succeeded: no state transition, no lock, no fence-count update, no
+    /// fan-out.
     SeqlockValidated,
     /// A seqlock read attempt whose revalidation failed (a writer installed
     /// a new state word inside the read window); the read retried.
     SeqlockRetry,
     /// A seqlock read that exhausted its retries and fell back to the
-    /// engine's coordinated slow path.
+    /// engine's ordinary read path (the transition its state prescribes).
     SeqlockFallback,
 
     // --- Degradation ladder (DESIGN.md §13) ---
@@ -609,7 +610,7 @@ impl StatsReport {
         derived::Metric::FanoutWidth.eval(self)
     }
 
-    /// Coordination-free RdSh reads whose seqlock validation succeeded
+    /// Reads served by seqlock validation alone — no transition, no lock
     /// (DESIGN.md §12). The chaos oracles assert this is non-zero on
     /// read-mostly specs.
     pub fn validated_reads(&self) -> u64 {

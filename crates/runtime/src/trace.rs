@@ -526,8 +526,18 @@ mod tests {
                 i
             })
         };
+        // Count a snapshot only once the writer is running — on a busy host
+        // it may not be scheduled before any fixed number of snapshots of
+        // the still-empty ring has finished — and go on until it has wrapped
+        // the ring and some records survived the discard.
         let mut checked = 0usize;
-        for _ in 0..2000 {
+        let mut concurrent = 0usize;
+        while concurrent < 2000 || ring.written() < ring.capacity() as u64 || checked == 0 {
+            if ring.written() == 0 {
+                std::thread::yield_now();
+                continue;
+            }
+            concurrent += 1;
             let snap = ring.snapshot();
             for pair in snap.windows(2) {
                 assert!(pair[0].arg < pair[1].arg, "out of order: {pair:?}");
@@ -538,9 +548,7 @@ mod tests {
             checked += snap.len();
         }
         stop.store(true, Ordering::Release);
-        let written = writer.join().unwrap();
-        assert!(written > 0);
-        assert!(checked > 0);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -1,0 +1,49 @@
+#!/bin/bash
+# Flake hunt: run the given tier-1 tests N times, stop at the first failure.
+#
+#   scripts/flake_hunt.sh [N] [cargo-test-filter...]
+#
+# N defaults to 50. Each filter is passed to `cargo test` as a test-name
+# substring; with several filters (or none) every workspace test binary runs
+# the tests matching any of them (or all of its tests). Filters are matched
+# by the test binaries, so a name that matches nothing runs nothing — the
+# script refuses a round that ran zero tests.
+#
+#   scripts/flake_hunt.sh 50 racy_inc_pattern contended_cutoff_extension
+#
+# The first failing round's full output is kept under target/flake-hunt/
+# and the script exits non-zero; a clean hunt leaves nothing behind.
+set -uo pipefail
+cd "$(dirname "$0")/.."
+
+rounds=50
+if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
+  rounds="$1"
+  shift
+fi
+filters=("$@")
+
+out_dir=target/flake-hunt
+mkdir -p "$out_dir"
+log="$out_dir/round.log"
+
+# Build once, outside the loop, so a compile error is not reported as a flake.
+cargo test -q --offline --no-run || exit 2
+
+for ((i = 1; i <= rounds; i++)); do
+  if ! cargo test -q --offline --no-fail-fast -- "${filters[@]}" >"$log" 2>&1; then
+    kept="$out_dir/failure-round$i.log"
+    mv "$log" "$kept"
+    echo "flake_hunt: FAIL in round $i of $rounds — output kept in $kept" >&2
+    grep -E -- '--- FAILED|panicked at' "$kept" | sort | uniq -c >&2
+    exit 1
+  fi
+  ran=$(grep -E '^test result: ok\. ' "$log" | awk '{s += $4} END {print s + 0}')
+  if ((ran == 0)); then
+    echo "flake_hunt: filters (${filters[*]}) matched no test" >&2
+    exit 2
+  fi
+  echo "flake_hunt: round $i/$rounds ok ($ran tests)"
+done
+rm -f "$log"
+echo "flake_hunt: OK — $rounds/$rounds rounds green"
