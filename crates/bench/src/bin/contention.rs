@@ -20,12 +20,13 @@
 //! 2. **engine-level conflicting-transition throughput** — the RdSh-heavy
 //!    `chaosRdsh` op mix (no chaos scheduler here: plain timed runs) on
 //!    Pess/Opt/Adaptive/Hybrid at 2/4/8 threads, reported as ns per tracked
-//!    access. The `opt_access_*` and `adapt_access_*` rows are gated: both
-//!    configurations run the online demotion controller (DESIGN.md §13),
-//!    which demotes the coordination-storm hot set to the pessimistic
-//!    protocol and collapses the scheduler-rotation-bound roundtrip tail
-//!    that used to make the always-optimistic rows bimodal on single-core
-//!    hosts.
+//!    access. The `adapt_access_*` rows are gated like `hybrid_access_*`:
+//!    the policy (DESIGN.md §13) moves the coordination-storm hot set to the
+//!    pessimistic protocol after `Cutoff_confl` conflicts per object. The
+//!    `opt_access_*` rows are pure Octet — no deadline is configured here, so
+//!    nothing ever demotes — and every one of their conflicts is an all-peer
+//!    roundtrip bound by scheduler rotation once threads outnumber cores
+//!    (bimodal, 0.1–8 µs per access at 8 threads on 2 cores): advisory.
 //!
 //! Like `hotpath`, iteration counts are fixed so runs are comparable across
 //! commits; every row takes the **minimum** of `--trials` (default 5)
@@ -252,9 +253,9 @@ fn contention_spec(threads: usize, steps: usize) -> WorkloadSpec {
 /// wall time over the same deterministic op streams, reported per tracked
 /// access.
 fn engine_throughput(rows: &mut Vec<Row>, scale: f64, trials: usize) {
-    // Long enough that the adaptive controller's warm-up — one measured
-    // roundtrip per hot object before demotion can fire — is amortized into
-    // the per-access figure rather than dominating it.
+    // Long enough that the policy's warm-up — `Cutoff_confl` roundtrips per
+    // hot object before it demotes — is amortized into the per-access figure
+    // rather than dominating it.
     let steps = ((12_000.0 * scale) as usize).max(200);
     for n in WIDTHS {
         let spec = contention_spec(n, steps);
@@ -282,10 +283,12 @@ fn engine_throughput(rows: &mut Vec<Row>, scale: f64, trials: usize) {
             }
             let ns = best.as_nanos() as f64 / accesses as f64;
             push_row(rows, format!("{tag}_access_t{n}"), accesses, ns, n);
-            // Diagnostic only: where the wall time went. Scheduler-bound
-            // all-peer roundtrips are exactly what the controller's EWMA
-            // measures; once the hot set demotes, the remaining fan-outs
-            // are the pre-demotion warm-up (DESIGN.md §10, §13).
+            if kind == EngineKind::Optimistic {
+                rows.last_mut().expect("just pushed").advisory = true;
+            }
+            // Diagnostic only: where the wall time went. Once the hot set
+            // demotes, the remaining fan-outs are the pre-demotion warm-up
+            // (DESIGN.md §10, §13); under pure Octet they never stop.
             println!(
                 "  {tag}_access_t{n}: {} fan-outs, complete p50={:.0}ns p99={:.0}ns",
                 fanout_p.2, fanout_p.0, fanout_p.1

@@ -16,7 +16,7 @@
 
 use drink_bench::{
     banner, model_overhead_pct, overhead_pct, row, run_trials, scale_from_args, scaled_spec,
-    DEFAULT_WORK_PER_ACCESS,
+    trials_spread, DEFAULT_WORK_PER_ACCESS,
 };
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
 use drink_core::support::NullSupport;
@@ -76,18 +76,10 @@ fn main() {
         let mut reentrant = 0;
         let mut eager_unlocks = 0;
         for eager in [false, true] {
-            let mut walls = Vec::new();
-            let mut last = None;
-            for _ in 0..trials {
-                let r = run_hybrid(&spec, eager);
-                walls.push(r.wall);
-                last = Some(r);
-            }
-            walls.sort();
-            let r = last.unwrap();
+            let (wall, _, r) = trials_spread(trials, || run_hybrid(&spec, eager));
             let cell = format!(
                 "{:.0}/{:.0}",
-                overhead_pct(walls[walls.len() / 2], base_wall),
+                overhead_pct(wall, base_wall),
                 model_overhead_pct(&r.report, DEFAULT_WORK_PER_ACCESS)
             );
             if eager {

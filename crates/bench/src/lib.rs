@@ -73,11 +73,20 @@ pub fn run_trials_spread(
     spec: &WorkloadSpec,
     trials: usize,
 ) -> (Duration, Duration, RunResult) {
+    trials_spread(trials, || run_kind(kind, spec))
+}
+
+/// [`run_trials_spread`] over any way of producing a run (an engine
+/// configuration no [`EngineKind`] names).
+pub fn trials_spread(
+    trials: usize,
+    mut run: impl FnMut() -> RunResult,
+) -> (Duration, Duration, RunResult) {
     assert!(trials >= 1);
     let mut walls = Vec::with_capacity(trials);
     let mut last = None;
     for _ in 0..trials {
-        let r = run_kind(kind, spec);
+        let r = run();
         walls.push(r.wall);
         last = Some(r);
     }

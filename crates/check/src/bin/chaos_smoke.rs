@@ -6,8 +6,8 @@
 //! `chaosAdapt`, the 16-thread sharded `chaosShard`), plus — per seed — the
 //! differential oracle on the schedule-independent `chaosDisjoint` spec, the
 //! seqlock read oracle on `chaosReadMostly`, the degradation-ladder oracle
-//! on `chaosAdapt` (static matrix + adaptive engine agree while the online
-//! controller performs real demotions), the shard-skip oracle on
+//! on `chaosAdapt` (static matrix + adaptive engine agree while the policy
+//! performs real demotions), the shard-skip oracle on
 //! `chaosShard` (epoch stamps match the spec's implied access footprint
 //! exactly), the serve-store oracle on `chaosServe` (every completed PUT
 //! visible at quiescence, final key values identical across engines), the

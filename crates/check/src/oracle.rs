@@ -252,13 +252,15 @@ pub fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureAr
 /// write-heavy and read-mostly phases:
 ///
 /// * **engine agreement** — access counts match across the static matrix
-///   *and* the adaptive engine: the controller redistributes accesses
-///   between the optimistic and pessimistic protocols but must not lose or
-///   invent any;
-/// * **the controller is live** — the adaptive cell demoted at least one
-///   object (`adapt.demotion > 0`): chaos sleeps at coordination points
-///   push measured roundtrip cost past the hysteresis band, and a spec
-///   whose controller never fires is not testing the ladder;
+///   *and* the adaptive engine: the policy redistributes accesses between
+///   the optimistic and pessimistic protocols but must not lose or invent
+///   any;
+/// * **the policy is live** — the adaptive cell demoted at least one object
+///   (`adapt.demotion > 0`, a phase change into `Pess`): the write phases
+///   hand every hot object `Cutoff_confl` explicit conflicts many times
+///   over, and a stalled responder's expired deadline demotes without
+///   waiting for them; a spec whose policy never fires is not testing the
+///   ladder;
 /// * **deadline discipline** — any `coord.deadline_exceeded` events are
 ///   recoverable by construction (the run completed, so none escalated to
 ///   a watchdog panic); they are reported for visibility.
@@ -300,7 +302,7 @@ pub fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact
             if demotions == 0 {
                 return Err(fail(
                     format!(
-                        "controller never demoted on a phase-shifted hot set \
+                        "policy never demoted on a phase-shifted hot set \
                          (coord roundtrips={}, deadline expiries={}) — the \
                          degradation ladder is not being exercised",
                         r.get(Event::CoordinationRoundtrip),
@@ -740,7 +742,7 @@ mod tests {
 
     /// The degradation-ladder oracle on its intended spec: the static
     /// matrix and the adaptive engine agree on access counts while the
-    /// controller performs real demotions under perturbation.
+    /// policy performs real demotions under perturbation.
     #[test]
     fn adapt_oracle_holds_under_chaos() {
         for seed in [0x51u64, 0x52] {

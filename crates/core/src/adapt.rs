@@ -1,512 +1,201 @@
-//! Online opt→pess demotion controller (DESIGN.md §13).
+//! The valve: which phase steps the §6 policy may take (DESIGN.md §13).
 //!
-//! The §6 adaptive policy is a *one-way valve*: once an object's conflict
-//! count crosses `Cutoff_confl` it goes pessimistic, and once inequality (5)
-//! sends it back it stays optimistic forever. That is the right shape for the
+//! The paper's policy is a *one-way valve*: once an object's conflict count
+//! crosses `Cutoff_confl` it goes pessimistic, and once inequality (5) sends
+//! it back it stays optimistic forever. That is the right shape for the
 //! paper's steady-state benchmarks, but it degrades badly when contention is
-//! *phased*: a burst of cross-thread conflicts early in a run permanently
-//! wires the policy one way, and an object that only becomes hot late never
-//! demotes at all under the ∞-cutoff configurations (plain Octet, "hybrid w/
-//! infinite cutoff").
+//! *phased*: an object that was sent back during a quiet spell and turns hot
+//! again pays a coordination roundtrip per conflict for the rest of the run.
 //!
-//! [`AdaptController`] is the reversible companion: it tracks an EWMA of the
-//! observed *coordination cost* per object shard and demotes an object from
-//! optimistic to pessimistic states when roundtrips get expensive, re-promoting
-//! after a cooldown once the cost signal decays. It never touches the §6
-//! phase machine (the one-way valve stays intact — see
-//! [`crate::policy::Phase`]); instead it is a separate overlay consulted by
-//! the engines at the two decision points the valve owns:
+//! The adaptive configuration is the same policy, over the same profile
+//! word, with a valve that **re-opens**: an object in `OptFinal` keeps
+//! counting explicit conflicts and returns to `Pess` when it collects
+//! `Cutoff_confl` of them. Nothing else differs, and nothing is timed — the
+//! evidence is counts, as in §6:
 //!
-//! * **conflict time**: a demoted object's conflicting transition installs a
-//!   pessimistic (locked) state instead of an optimistic one;
-//! * **unlock time** (lock-buffer flush): a demoted object stays in
-//!   pessimistic states; a promoted one transfers back to optimistic states.
+//! * **demotion** needs `Cutoff_confl` explicit conflicts *since the object
+//!   last turned optimistic* — inequality (4) over a counter that restarts
+//!   at every phase change;
+//! * **promotion** needs inequality (5) over the pessimistic transitions
+//!   *since the object last turned pessimistic*, with `Inertia` doubled once
+//!   per earlier promotion of that object (capped at
+//!   [`MAX_INERTIA_DOUBLINGS`](crate::policy::MAX_INERTIA_DOUBLINGS)). Those
+//!   two sample counts are the policy's cooldown — no phase change can
+//!   follow another sooner — and the doubling is what makes an oscillating
+//!   object settle pessimistic instead of flapping;
+//! * a **coordination-deadline expiry** is the one catastrophic sample: it
+//!   enters `Pess` at once ([`AdaptivePolicy::force_pess`]), because waiting
+//!   for `Cutoff_confl` conflicts of evidence means eating that many more
+//!   expired deadlines. It is a phase step like any other, so the valve
+//!   still has the last word (a one-way valve refuses it from `OptFinal`),
+//!   and the promotion that follows needs its full inertia.
 //!
-//! ## Cost signal
-//!
-//! Three kinds of samples feed each shard's EWMA:
-//!
-//! * a measured coordination roundtrip/fan-out, in nanoseconds
-//!   ([`AdaptController::record_coord`]) — the real price of optimism under
-//!   conflicts;
-//! * a *conflicting* pessimistic transition
-//!   ([`AdaptController::record_pess`] with `conflicting = true`), sampled at
-//!   [`AdaptConfig::conflict_proxy_ns`]: the ownership is still bouncing
-//!   between threads, so promoting would bring the roundtrips right back;
-//! * a *non-conflicting* pessimistic transition, sampled at
-//!   [`AdaptConfig::pess_sample_ns`]: cheap, decays the EWMA toward
-//!   promotion.
-//!
-//! Demotion fires when the EWMA crosses [`AdaptConfig::demote_ns`] from
-//! below; promotion when it falls under [`AdaptConfig::promote_ns`]. The two
-//! thresholds form a hysteresis band, and every transition (in either
-//! direction) resets the shard's sample counter: no further transition can
-//! fire until [`AdaptConfig::cooldown`] more samples arrive. One exception
-//! cuts through the cooldown: a *single* roundtrip at or above
-//! [`AdaptConfig::demote_now_ns`] (a scheduler-quantum stall, ~20× the
-//! demotion threshold) demotes immediately — waiting for `cooldown` more
-//! samples of evidence would mean eating `cooldown` more quanta. Promotions
-//! are never exempt, so a full demote→promote cycle still spans at least one
-//! cooldown window — see the proptests at the bottom, which assert both
-//! bounds for *any* input sequence.
-//!
-//! A coordination-deadline expiry bypasses the EWMA entirely
-//! ([`AdaptController::force_demote`]): a responder so slow that the deadline
-//! fired is exactly the situation pessimistic states exist for, and waiting
-//! for `cooldown` samples of evidence would mean `cooldown` more expired
-//! deadlines.
+//! Why no time constant survives: a roundtrip's *duration* depends on the
+//! host (≈50 µs on the 1-core guest the old EWMA thresholds were tuned on,
+//! ≈1 µs on a 2-core one), so a nanosecond threshold encodes the machine,
+//! while the *ratio* inequality (5) prices — one roundtrip is worth hundreds
+//! of pessimistic CASes — holds on both. And a per-roundtrip cost is blind
+//! to how often the object conflicts, which is the only thing the
+//! cost–benefit model asks.
 //!
 //! ## Memory ordering
 //!
-//! The demotion flag only *steers* which of two independently-correct
-//! protocols an access takes; it never guards data. A reader that sees a
-//! stale flag value takes the other protocol, which is equally sound — the
-//! flag is a performance hint with correctness-irrelevant staleness. Relaxed
-//! loads would therefore suffice; the flag still uses Acquire/Release so that
-//! a demotion's *cause* (the EWMA value and sample count that triggered it)
-//! is visible to whoever observes the demotion, keeping diagnostics coherent.
-//! EWMA updates are Relaxed read-modify-write races by design: a lost update
-//! under contention skews the estimate by one sample, nothing more.
+//! The phase only *steers* which of two independently-correct protocols an
+//! access takes; it never guards data. A thread that reads a stale phase
+//! takes the other protocol, which is equally sound, so every profile-word
+//! access is Relaxed.
+//!
+//! [`AdaptivePolicy::force_pess`]: crate::policy::AdaptivePolicy::force_pess
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::policy::Phase;
 
-use drink_runtime::{CachePadded, ShardMap};
-
-/// Tuning parameters of the demotion controller.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct AdaptConfig {
-    /// Number of object shards (rounded up to a power of two; `0` = auto:
-    /// one shard per heap object, capped at 4096). Objects hash to shards by
-    /// id, so unrelated objects may share a demotion decision when the heap
-    /// outgrows the shard table — acceptable: the decision is a hint.
-    pub shards: usize,
-    /// Demote when the coordination-cost EWMA reaches this many nanoseconds.
-    pub demote_ns: u64,
-    /// Promote when the EWMA falls to this many nanoseconds. Must be below
-    /// `demote_ns` (the hysteresis band).
-    pub promote_ns: u64,
-    /// Samples that must accumulate on a shard after a transition (and after
-    /// startup) before the next transition may fire. This gates the *first*
-    /// demotion too: an object needs `cooldown` samples of evidence before
-    /// the controller overrides the default.
-    pub cooldown: u64,
-    /// EWMA weight as a right-shift: `alpha = 1 / 2^alpha_shift`.
-    pub alpha_shift: u32,
-    /// Cost charged for a conflicting pessimistic transition (the ownership
-    /// bounce that *would* have been a roundtrip under optimism). Keeping it
-    /// at or above `demote_ns` makes demotion sticky while cross-thread
-    /// traffic continues.
-    pub conflict_proxy_ns: u64,
-    /// Cost charged for a non-conflicting pessimistic transition. Keeping it
-    /// below `promote_ns` lets a quiet object's EWMA decay to promotion.
-    pub pess_sample_ns: u64,
-    /// Catastrophic single-sample demotion threshold: one measured
-    /// coordination roundtrip at or above this cost demotes the shard
-    /// immediately, bypassing the cooldown. A roundtrip this expensive is a
-    /// scheduler-quantum stall (the responder was not running), and waiting
-    /// for `cooldown` more samples of evidence means eating `cooldown` more
-    /// quanta — the same reasoning as the deadline's
-    /// [`AdaptController::force_demote`], triggered by measurement instead of
-    /// expiry. `u64::MAX` disables the path (pure-EWMA mode).
-    pub demote_now_ns: u64,
+/// Which phase steps the adaptive policy may publish.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Valve {
+    /// The paper's "checks and balances" (§6.2): `OptInitial → Pess` and
+    /// `Pess → OptFinal`, after which the object stays optimistic.
+    #[default]
+    OneWay,
+    /// Additionally `OptFinal → Pess`: an object that turns hot again is
+    /// demoted again.
+    Reopening,
 }
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            shards: 0,
-            demote_ns: 5_000,
-            promote_ns: 1_000,
-            cooldown: 64,
-            alpha_shift: 2,
-            conflict_proxy_ns: 8_000,
-            pess_sample_ns: 200,
-            demote_now_ns: 100_000,
-        }
-    }
-}
-
-/// A state transition the controller decided on while absorbing a sample.
-/// The caller bumps the matching [`drink_runtime::Event`] and trace record —
-/// the controller itself has no runtime handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdaptEvent {
-    /// The shard crossed the demotion threshold: conflicting transitions on
-    /// its objects now install pessimistic states, and flushes keep them
-    /// there.
-    Demoted,
-    /// The shard's cost signal decayed below the promotion threshold:
-    /// flushes return its objects to optimistic states.
-    Promoted,
-}
-
-/// One shard's controller state. `demoted` is the steering flag (bit 0);
-/// `ewma_ns` and `samples` are the evidence behind it.
-#[derive(Debug, Default)]
-struct Shard {
-    ewma_ns: AtomicU64,
-    /// Samples absorbed since the last transition (reset on demote/promote).
-    samples: AtomicU64,
-    demoted: AtomicU64,
-}
-
-/// The online demotion controller. One instance per engine; all methods are
-/// callable from any mutator thread.
-#[derive(Debug)]
-pub struct AdaptController {
-    cfg: AdaptConfig,
-    shards: Box<[CachePadded<Shard>]>,
-    /// The object-id → shard mapping. The same [`ShardMap`] type (and
-    /// therefore the same mapping function) the registry and the heap's
-    /// access-epoch table use, so skip decisions (thread-sharded) and
-    /// demotion decisions (object-sharded) are computed from one mapping,
-    /// not two that can drift.
-    map: ShardMap,
-    demotions: AtomicU64,
-    promotions: AtomicU64,
-}
-
-impl AdaptController {
-    /// Build a controller for a heap of `heap_objects` objects.
-    pub fn new(cfg: AdaptConfig, heap_objects: usize) -> Self {
-        assert!(
-            cfg.promote_ns < cfg.demote_ns,
-            "hysteresis band inverted: promote_ns {} >= demote_ns {}",
-            cfg.promote_ns,
-            cfg.demote_ns
-        );
-        assert!(cfg.cooldown >= 1, "cooldown must be at least one sample");
-        let n = if cfg.shards == 0 {
-            heap_objects.clamp(1, 4096)
-        } else {
-            cfg.shards
-        };
-        let map = ShardMap::new(n);
-        let shards = (0..map.shards())
-            .map(|_| CachePadded::new(Shard::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        AdaptController {
-            cfg,
-            shards,
-            map,
-            demotions: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    /// This controller's configuration.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.cfg
-    }
-
-    /// The object-id → shard mapping this controller steers by.
-    pub fn shard_map(&self) -> ShardMap {
-        self.map
-    }
-
-    #[inline(always)]
-    fn shard(&self, obj: u32) -> &Shard {
-        &self.shards[self.map.shard_of(obj as usize)]
-    }
-
-    /// Is `obj`'s shard currently demoted? The engines' steering load — one
-    /// Acquire read on the slow paths only (conflicts and flushes).
+impl Valve {
+    /// May an object step `from → to` under this valve?
     #[inline]
-    pub fn is_demoted(&self, obj: u32) -> bool {
-        self.shard(obj).demoted.load(Ordering::Acquire) & 1 == 1
-    }
-
-    /// Absorb a measured coordination cost (a roundtrip or fan-out that took
-    /// `ns` nanoseconds) for `obj`.
-    #[inline]
-    pub fn record_coord(&self, obj: u32, ns: u64) -> Option<AdaptEvent> {
-        self.record(obj, ns)
-    }
-
-    /// Absorb a pessimistic transition on `obj`: conflicting transitions are
-    /// charged [`AdaptConfig::conflict_proxy_ns`] (the roundtrip they stand
-    /// in for), non-conflicting ones [`AdaptConfig::pess_sample_ns`]. No
-    /// clock read — this runs on the pessimistic CAS path.
-    #[inline]
-    pub fn record_pess(&self, obj: u32, conflicting: bool) -> Option<AdaptEvent> {
-        let ns = if conflicting {
-            self.cfg.conflict_proxy_ns
-        } else {
-            self.cfg.pess_sample_ns
-        };
-        self.record(obj, ns)
-    }
-
-    fn record(&self, obj: u32, ns: u64) -> Option<AdaptEvent> {
-        let s = self.shard(obj);
-        // Racy EWMA: a concurrent writer may clobber one sample's worth of
-        // signal, which is fine for a hint (see module docs).
-        let prev = s.ewma_ns.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            ns
-        } else {
-            prev - (prev >> self.cfg.alpha_shift) + (ns >> self.cfg.alpha_shift)
-        };
-        s.ewma_ns.store(next.max(1), Ordering::Relaxed);
-        let n = s.samples.fetch_add(1, Ordering::Relaxed) + 1;
-        let demoted = s.demoted.load(Ordering::Relaxed) & 1 == 1;
-        // Catastrophic sample: demote on this single measurement, cooldown
-        // notwithstanding (see `AdaptConfig::demote_now_ns`). The EWMA is
-        // stamped to at least the demotion threshold so re-promotion needs a
-        // full cooldown of genuinely cheap traffic, exactly like a
-        // deadline-forced demotion.
-        if !demoted && ns >= self.cfg.demote_now_ns {
-            s.ewma_ns
-                .store(next.max(self.cfg.demote_ns), Ordering::Relaxed);
-            return self.transition(s, 0, 1).then(|| {
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                AdaptEvent::Demoted
-            });
+    pub fn allows(self, from: Phase, to: Phase) -> bool {
+        match (from, to) {
+            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal) => true,
+            (Phase::OptFinal, Phase::Pess) => self == Valve::Reopening,
+            _ => false,
         }
-        if n < self.cfg.cooldown {
-            return None;
-        }
-        if !demoted && next >= self.cfg.demote_ns {
-            self.transition(s, 0, 1).then(|| {
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                AdaptEvent::Demoted
-            })
-        } else if demoted && next <= self.cfg.promote_ns {
-            self.transition(s, 1, 0).then(|| {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                AdaptEvent::Promoted
-            })
-        } else {
-            None
-        }
-    }
-
-    /// CAS the steering flag `from → to`; exactly one racing caller wins and
-    /// resets the cooldown window. Release so the EWMA/sample evidence
-    /// written above is visible to any Acquire reader of the new flag value.
-    fn transition(&self, s: &Shard, from: u64, to: u64) -> bool {
-        if s.demoted
-            .compare_exchange(from, to, Ordering::Release, Ordering::Relaxed)
-            .is_ok()
-        {
-            s.samples.store(0, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Demote `obj`'s shard immediately, bypassing the EWMA and the cooldown:
-    /// a coordination deadline expired, which is direct evidence that
-    /// optimistic roundtrips on this object are not being answered. The EWMA
-    /// is stamped to at least the demotion threshold so the subsequent
-    /// promotion needs `cooldown` samples of genuinely cheap traffic.
-    /// Returns true iff this call performed the demotion (it was not already
-    /// demoted).
-    pub fn force_demote(&self, obj: u32) -> bool {
-        let s = self.shard(obj);
-        let prev = s.ewma_ns.load(Ordering::Relaxed);
-        s.ewma_ns.store(prev.max(self.cfg.demote_ns), Ordering::Relaxed);
-        if s.demoted.swap(1, Ordering::AcqRel) & 1 == 0 {
-            s.samples.store(0, Ordering::Relaxed);
-            self.demotions.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total demotions performed (EWMA-driven and forced).
-    pub fn demotions(&self) -> u64 {
-        self.demotions.load(Ordering::Relaxed)
-    }
-
-    /// Total promotions performed.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
-    }
-
-    /// Current EWMA of `obj`'s shard, for diagnostics and the sweep harness.
-    pub fn ewma_ns(&self, obj: u32) -> u64 {
-        self.shard(obj).ewma_ns.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
+    use crate::policy::{AdaptivePolicy, PolicyParams, MAX_INERTIA_DOUBLINGS};
 
-    fn cfg() -> AdaptConfig {
-        AdaptConfig {
-            shards: 4,
-            demote_ns: 10_000,
-            promote_ns: 1_000,
-            cooldown: 8,
-            alpha_shift: 1, // fast EWMA so tests converge in a few samples
-            conflict_proxy_ns: 20_000,
-            pess_sample_ns: 100,
-            // Pure-EWMA mode: the cooldown/hysteresis tests below feed
-            // million-ns samples and must not trip the catastrophic path.
-            demote_now_ns: u64::MAX,
+    const CUTOFF: u32 = 4;
+    const INERTIA: u32 = 8;
+
+    /// Small thresholds, so that a few hundred random samples cross them
+    /// several times in both directions.
+    fn params() -> PolicyParams {
+        PolicyParams {
+            cutoff_confl: CUTOFF,
+            k_confl: 4,
+            inertia: INERTIA,
         }
     }
 
-    fn ctl() -> AdaptController {
-        AdaptController::new(cfg(), 16)
+    fn policy(valve: Valve) -> AdaptivePolicy {
+        AdaptivePolicy::with_valve(params(), valve)
     }
 
-    #[test]
-    fn fresh_controller_is_promoted_everywhere() {
-        let c = ctl();
-        for o in 0..16 {
-            assert!(!c.is_demoted(o));
-        }
-        assert_eq!(c.demotions(), 0);
-        assert_eq!(c.promotions(), 0);
+    fn phase(w: &AtomicU64) -> Phase {
+        AdaptivePolicy::profile(w).phase
+    }
+
+    /// Non-conflicting pessimistic samples until one promotes; how many it
+    /// took.
+    fn clean_samples_to_promotion(p: &AdaptivePolicy, w: &AtomicU64) -> u64 {
+        (1..).find(|_| p.on_pess_transition(w, false, false).promoted).unwrap()
     }
 
     #[test]
     fn cooldown_gates_the_first_demotion() {
-        let c = ctl();
-        // 7 expensive samples: EWMA far above demote_ns, but under cooldown.
-        for i in 0..7 {
-            assert_eq!(c.record_coord(0, 1_000_000), None, "sample #{i}");
-            assert!(!c.is_demoted(0));
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
+        // CUTOFF − 1 explicit conflicts: not enough evidence yet.
+        for i in 1..CUTOFF {
+            assert!(!p.on_explicit_conflict(&w), "conflict #{i}");
+            assert_eq!(phase(&w), Phase::OptInitial);
         }
-        // The 8th sample completes the cooldown window and demotes.
-        assert_eq!(c.record_coord(0, 1_000_000), Some(AdaptEvent::Demoted));
-        assert!(c.is_demoted(0));
-        assert_eq!(c.demotions(), 1);
+        // The CUTOFF-th completes the window and demotes.
+        assert!(p.on_explicit_conflict(&w));
+        assert_eq!(phase(&w), Phase::Pess);
     }
 
     #[test]
     fn cheap_traffic_promotes_after_cooldown() {
-        let c = ctl();
-        for _ in 0..8 {
-            c.record_coord(3, 1_000_000);
-        }
-        assert!(c.is_demoted(3));
-        // Non-conflicting pessimistic samples decay the EWMA; promotion may
-        // not fire before the cooldown re-elapses.
-        let mut promoted_at = None;
-        for i in 1..=64 {
-            if c.record_pess(3, false) == Some(AdaptEvent::Promoted) {
-                promoted_at = Some(i);
-                break;
-            }
-        }
-        let at = promoted_at.expect("cheap traffic must eventually promote");
-        assert!(at >= 8, "promotion inside the cooldown window (at sample {at})");
-        assert!(!c.is_demoted(3));
-        assert_eq!(c.promotions(), 1);
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
+        assert!(p.force_pess(&w));
+        // Non-conflicting pessimistic samples promote, but not before the
+        // inertia has elapsed.
+        assert_eq!(clean_samples_to_promotion(&p, &w), u64::from(INERTIA));
+        assert_eq!(phase(&w), Phase::OptFinal);
+        assert_eq!(AdaptivePolicy::profile(&w).promotions, 1);
     }
 
     #[test]
     fn conflicting_pess_traffic_keeps_demotion_sticky() {
-        let c = ctl();
-        for _ in 0..8 {
-            c.record_coord(1, 1_000_000);
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
+        assert!(p.force_pess(&w));
+        // Ownership keeps bouncing: conflicting samples never satisfy (5),
+        // however many arrive (the counters saturate, they do not wrap).
+        for _ in 0..100_000 {
+            assert!(!p.on_pess_transition(&w, true, false).promoted);
         }
-        assert!(c.is_demoted(1));
-        // Ownership keeps bouncing: the conflict proxy holds the EWMA above
-        // the promotion threshold indefinitely.
-        for _ in 0..1_000 {
-            assert_eq!(c.record_pess(1, true), None);
-        }
-        assert!(c.is_demoted(1));
+        assert_eq!(phase(&w), Phase::Pess);
     }
 
     #[test]
     fn catastrophic_sample_demotes_without_cooldown() {
-        let c = AdaptController::new(
-            AdaptConfig {
-                demote_now_ns: 100_000,
-                ..cfg()
-            },
-            16,
-        );
-        // A mildly-expensive sample does not bypass the cooldown...
-        assert_eq!(c.record_coord(0, 50_000), None);
-        assert!(!c.is_demoted(0));
-        // ...but a single quantum-scale stall does, and stamps the EWMA so
-        // promotion needs a full cooldown of genuinely cheap samples.
-        assert_eq!(c.record_coord(0, 100_000), Some(AdaptEvent::Demoted));
-        assert!(c.is_demoted(0));
-        assert!(c.ewma_ns(0) >= cfg().demote_ns);
-        assert_eq!(c.demotions(), 1);
-        for i in 0..7 {
-            assert_eq!(c.record_pess(0, false), None, "sample #{i}");
-        }
+        // A deadline expiry needs no conflict count behind it — not on a
+        // fresh object, and not on one that was promoted a sample ago...
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
+        assert!(p.force_pess(&w));
+        clean_samples_to_promotion(&p, &w);
+        assert_eq!(AdaptivePolicy::profile(&w).num_conflicts, 0);
+        assert!(p.force_pess(&w), "re-opening valve: OptFinal → Pess");
+        assert_eq!(phase(&w), Phase::Pess);
+
+        // ...but it is a phase step, and a one-way valve refuses the second.
+        let p = policy(Valve::OneWay);
+        let w = AtomicU64::new(0);
+        assert!(p.force_pess(&w));
+        clean_samples_to_promotion(&p, &w);
+        assert!(!p.force_pess(&w));
+        assert_eq!(phase(&w), Phase::OptFinal);
     }
 
     #[test]
-    fn force_demote_bypasses_cooldown_and_stamps_ewma() {
-        let c = ctl();
-        assert!(c.force_demote(2));
-        assert!(c.is_demoted(2));
-        assert!(c.ewma_ns(2) >= cfg().demote_ns);
-        // Idempotent: a second force reports false and counts nothing new.
-        assert!(!c.force_demote(2));
-        assert_eq!(c.demotions(), 1);
-        // Promotion afterwards still needs a full cooldown of cheap samples.
-        for i in 0..7 {
-            assert_eq!(c.record_pess(2, false), None, "sample #{i}");
-        }
-    }
-
-    #[test]
-    fn shards_are_independent() {
-        let c = ctl();
-        for _ in 0..8 {
-            c.record_coord(0, 1_000_000);
-        }
-        assert!(c.is_demoted(0));
-        assert!(!c.is_demoted(1), "other shards unaffected");
-        // Object 4 aliases shard 0 (4 shards): the hint is shared.
-        assert!(c.is_demoted(4));
-    }
-
-    #[test]
-    fn controller_and_registry_share_one_mapping() {
-        // The tentpole's "one mapping" guarantee: the controller's shard
-        // function IS ShardMap::shard_of, so for every object id the shard
-        // the skip logic would consult and the shard the demotion flag lives
-        // in are computed identically.
-        let c = AdaptController::new(AdaptConfig { shards: 4, ..cfg() }, 64);
-        let m = c.shard_map();
-        assert_eq!(m, ShardMap::new(4));
-        c.force_demote(6); // shard_of(6) == 2
-        for p in 0u32..64 {
-            assert_eq!(
-                c.is_demoted(p),
-                m.shard_of(p as usize) == m.shard_of(6),
-                "object {p}: demotion flag must follow the shared ShardMap"
-            );
-        }
-    }
-
-    #[test]
-    fn hysteresis_band_is_validated() {
-        let bad = AdaptConfig {
-            promote_ns: 10_000,
-            demote_ns: 10_000,
-            ..AdaptConfig::default()
-        };
-        assert!(std::panic::catch_unwind(|| AdaptController::new(bad, 16)).is_err());
+    fn force_demote_bypasses_cooldown_and_restarts_counters() {
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
+        assert!(!p.on_explicit_conflict(&w));
+        assert!(p.force_pess(&w));
+        assert_eq!(phase(&w), Phase::Pess);
+        assert_eq!(AdaptivePolicy::profile(&w).num_conflicts, 0);
+        // Idempotent: a second expiry reports false and restarts nothing.
+        assert!(!p.on_pess_transition(&w, false, false).promoted);
+        assert!(!p.force_pess(&w));
+        assert_eq!(AdaptivePolicy::profile(&w).pess_non_confl, 1);
+        // Promotion afterwards still needs the full inertia.
+        assert_eq!(clean_samples_to_promotion(&p, &w), u64::from(INERTIA) - 1);
     }
 
     #[test]
     fn concurrent_demotion_elects_one_winner() {
-        let c = std::sync::Arc::new(AdaptController::new(cfg(), 16));
+        let p = policy(Valve::Reopening);
+        let w = AtomicU64::new(0);
         let winners = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = c.clone();
-                let winners = &winners;
+            for i in 0..8 {
+                let (w, winners) = (&w, &winners);
                 s.spawn(move || {
                     for _ in 0..1_000 {
-                        if c.record_coord(0, 1_000_000) == Some(AdaptEvent::Demoted) {
+                        // Counted and forced demotions race for one step.
+                        let won = if i % 2 == 0 { p.on_explicit_conflict(w) } else { p.force_pess(w) };
+                        if won {
                             winners.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -514,113 +203,153 @@ mod tests {
             }
         });
         assert_eq!(winners.load(Ordering::Relaxed), 1);
-        assert_eq!(c.demotions(), 1);
+        assert_eq!(phase(&w), Phase::Pess);
     }
 
-    // --- Oscillation bound (ISSUE 7 satellite) ---
-    //
-    // Property: for ANY sequence of samples, consecutive controller
-    // transitions are separated by at least `cooldown` samples — so a
-    // demote→promote→demote cycle needs at least 2×cooldown samples, and the
-    // oscillation frequency is bounded by the sample rate over the cooldown.
+    // --- Arbitrary sample sequences on one profile word ---
 
-    /// Replay a sample sequence, returning `(index, event, effective_ns)`
-    /// (1-based indices) for every transition that fired.
-    fn transitions(
-        c: &AdaptController,
-        samples: &[(u8, u32)],
-    ) -> Vec<(usize, AdaptEvent, u64)> {
-        let mut out = Vec::new();
-        for (i, &(kind, ns)) in samples.iter().enumerate() {
-            let (ev, eff) = match kind % 3 {
-                0 => (c.record_coord(0, ns as u64 * 100), ns as u64 * 100),
-                1 => (c.record_pess(0, true), c.config().conflict_proxy_ns),
-                _ => (c.record_pess(0, false), c.config().pess_sample_ns),
+    /// One policy input.
+    #[derive(Clone, Copy, Debug)]
+    enum Sample {
+        ExplicitConflict,
+        Pess { conflicting: bool, contended: bool },
+        DeadlineExpiry,
+    }
+
+    /// What the policy made of the sample at (1-based) index `at`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Step {
+        Demoted { at: usize, forced: bool },
+        Promoted { at: usize },
+    }
+
+    /// Feed `samples` to `p` on a fresh word, checking after every sample
+    /// that the phase moved only by a step the valve allows and that every
+    /// phase change restarted the counters. Returns the steps taken.
+    fn replay(p: &AdaptivePolicy, samples: &[(u8, u8, bool)]) -> Vec<Step> {
+        let w = AtomicU64::new(0);
+        let mut steps = Vec::new();
+        for (i, &(kind, die, contended)) in samples.iter().enumerate() {
+            let at = i + 1;
+            // One pessimistic sample in 16 conflicts: inequality (5) drifts
+            // towards promotion, and is set back often enough to matter.
+            let sample = match kind {
+                0..=2 => Sample::ExplicitConflict,
+                3..=6 => Sample::Pess { conflicting: die == 0, contended },
+                _ => Sample::DeadlineExpiry,
             };
-            if let Some(ev) = ev {
-                out.push((i + 1, ev, eff));
+            let before = AdaptivePolicy::profile(&w);
+            let step = match sample {
+                Sample::ExplicitConflict => {
+                    p.on_explicit_conflict(&w).then_some(Step::Demoted { at, forced: false })
+                }
+                Sample::DeadlineExpiry => {
+                    let moved = p.force_pess(&w);
+                    // Idempotent: the repeat moves nothing and restarts nothing.
+                    let after = w.load(Ordering::Relaxed);
+                    assert!(!p.force_pess(&w));
+                    assert_eq!(w.load(Ordering::Relaxed), after);
+                    moved.then_some(Step::Demoted { at, forced: true })
+                }
+                Sample::Pess { conflicting, contended } => p
+                    .on_pess_transition(&w, conflicting, contended)
+                    .promoted
+                    .then_some(Step::Promoted { at }),
+            };
+            let after = AdaptivePolicy::profile(&w);
+            match step {
+                None => assert_eq!(before.phase, after.phase, "{sample:?} moved the phase silently"),
+                Some(_) => {
+                    assert!(
+                        p.valve.allows(before.phase, after.phase),
+                        "{:?} → {:?} under {:?}",
+                        before.phase,
+                        after.phase,
+                        p.valve
+                    );
+                    assert_eq!(
+                        (after.num_conflicts, after.pess_non_confl, after.pess_confl, after.pess_contended),
+                        (0, 0, 0, 0),
+                        "counters survived {step:?}"
+                    );
+                    assert_eq!(
+                        after.promotions,
+                        before.promotions + u32::from(after.phase == Phase::OptFinal)
+                    );
+                }
             }
+            steps.extend(step);
         }
-        out
+        steps
     }
 
     mod oscillation {
         use super::*;
         use proptest::prelude::*;
 
+        fn samples() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
+            proptest::collection::vec((0u8..8, 0u8..16, any::<bool>()), 0..768)
+        }
+
         proptest! {
             #[test]
             fn oscillation_cannot_beat_the_cooldown(
-                samples in proptest::collection::vec((0u8..3, 0u32..10_000), 0..512),
-                cooldown in 1u64..64,
+                samples in samples(),
+                reopening in any::<bool>(),
             ) {
-                // Pure-EWMA mode (cfg() disables demote_now_ns): every
-                // transition without exception respects the cooldown.
-                let c = AdaptController::new(
-                    AdaptConfig { cooldown, shards: 1, ..cfg() },
-                    1,
-                );
-                let idx = transitions(&c, &samples);
-                // First transition needs a full cooldown of samples...
-                if let Some(&(first, _, _)) = idx.first() {
-                    prop_assert!(
-                        first as u64 >= cooldown,
-                        "first transition at sample {} < cooldown {}", first, cooldown
-                    );
+                let valve = if reopening { Valve::Reopening } else { Valve::OneWay };
+                let steps = replay(&policy(valve), &samples);
+                // Steps alternate, starting with a demotion...
+                for (i, step) in steps.iter().enumerate() {
+                    prop_assert_eq!(matches!(step, Step::Demoted { .. }), i % 2 == 0, "{:?}", steps);
                 }
-                // ...and every subsequent one a full cooldown after the
-                // previous: demote→promote→demote needs ≥ 2×cooldown samples.
-                for pair in idx.windows(2) {
-                    prop_assert!(
-                        (pair[1].0 - pair[0].0) as u64 >= cooldown,
-                        "transitions at {} and {} violate cooldown {}",
-                        pair[0].0, pair[1].0, cooldown
-                    );
+                // ...a one-way valve takes at most one of each...
+                if valve == Valve::OneWay {
+                    prop_assert!(steps.len() <= 2, "{:?}", steps);
+                }
+                // ...and no step follows the previous one sooner than its
+                // sample count: CUTOFF conflicts before a counted demotion,
+                // INERTIA · 2^r clean transitions before the r-th promotion.
+                let mut last = 0;
+                let mut promotions = 0u32;
+                for &step in &steps {
+                    match step {
+                        Step::Demoted { at, forced: false } => {
+                            prop_assert!(at - last >= CUTOFF as usize, "{:?}", steps);
+                            last = at;
+                        }
+                        Step::Demoted { at, forced: true } => last = at,
+                        Step::Promoted { at } => {
+                            let need = (INERTIA as usize) << promotions.min(MAX_INERTIA_DOUBLINGS);
+                            prop_assert!(at - last >= need, "promotion #{}: {:?}", promotions, steps);
+                            promotions += 1;
+                            last = at;
+                        }
+                    }
                 }
             }
 
             #[test]
             fn catastrophic_path_cannot_speed_up_promotion(
-                samples in proptest::collection::vec((0u8..3, 0u32..10_000), 0..512),
-                cooldown in 1u64..64,
+                samples in samples(),
+                expiries in proptest::collection::vec(0usize..768, 0..32),
             ) {
-                // With the catastrophic path armed, only demotions justified
-                // by a quantum-scale sample may beat the cooldown; every
-                // promotion still needs a full window, so a complete
-                // demote→promote cycle spans at least one cooldown.
-                let demote_now = 500_000u64;
-                let c = AdaptController::new(
-                    AdaptConfig {
-                        cooldown,
-                        shards: 1,
-                        demote_now_ns: demote_now,
-                        ..cfg()
-                    },
-                    1,
-                );
-                let idx = transitions(&c, &samples);
-                let mut last = 0usize;
-                for &(at, ev, eff) in &idx {
-                    let gap = (at - last) as u64;
-                    match ev {
-                        AdaptEvent::Promoted => prop_assert!(
-                            gap >= cooldown,
-                            "promotion at {} only {} sample(s) after previous transition",
-                            at, gap
-                        ),
-                        AdaptEvent::Demoted => prop_assert!(
-                            gap >= cooldown || eff >= demote_now,
-                            "early demotion at {} without a catastrophic sample ({} ns)",
-                            at, eff
-                        ),
-                    }
-                    last = at;
+                // Splice extra deadline expiries into the sequence: they may
+                // add demotions, but every promotion still counts its full
+                // inertia from the demotion before it.
+                let mut samples = samples;
+                for at in expiries {
+                    let at = at.min(samples.len());
+                    samples.insert(at, (7, 0, false));
                 }
-                // Alternation is structural (a demote requires !demoted), so
-                // any two catastrophic demotions still have a full-cooldown
-                // promotion between them.
-                for pair in idx.windows(2) {
-                    prop_assert!(pair[0].1 != pair[1].1, "non-alternating transitions");
+                let steps = replay(&policy(Valve::Reopening), &samples);
+                let mut promotions = 0u32;
+                for pair in steps.windows(2) {
+                    if let (Step::Demoted { at: down, .. }, Step::Promoted { at: up }) = (pair[0], pair[1]) {
+                        let need = (INERTIA as usize) << promotions.min(MAX_INERTIA_DOUBLINGS);
+                        prop_assert!(up - down >= need, "promotion #{}: {:?}", promotions, steps);
+                        promotions += 1;
+                    }
                 }
             }
         }

@@ -45,12 +45,6 @@ pub struct EngineCommon<S: Support> {
     /// The adaptive policy (only the hybrid engine consults it on accesses,
     /// but flushes are shared).
     pub policy: AdaptivePolicy,
-    /// The online opt→pess demotion controller (DESIGN.md §13), if this
-    /// engine runs one. When present it *owns* the unlock-time valve
-    /// decision: engines attach it to infinite-cutoff configurations, where
-    /// the §6 phase machine never advances past `OptInitial` and its valve
-    /// would otherwise pin every demoted object pessimistic forever.
-    pub adapt: Option<crate::adapt::AdaptController>,
     /// One slot per mutator, each padded to its own cache line so thread
     /// A's hot bookkeeping (lock buffer, stats) never false-shares with
     /// thread B's.
@@ -75,16 +69,8 @@ impl<S: Support> EngineCommon<S> {
             rt,
             support,
             policy,
-            adapt: None,
             per_thread,
         }
-    }
-
-    /// Attach (or omit) an online demotion controller. Builder-style so the
-    /// engines that don't run one never mention it.
-    pub fn with_adapt(mut self, adapt: Option<crate::adapt::AdaptController>) -> Self {
-        self.adapt = adapt;
-        self
     }
 
     /// Receiver-side epoch-skip invariant (DESIGN.md §14): an explicit
@@ -214,8 +200,10 @@ impl<S: Support> EngineCommon<S> {
         ts.check_set_invariants();
     }
 
-    /// Unlock this thread's hold on object `o` (one flush step).
-    fn unlock_one_object(&self, ts: &mut ThreadState, o: ObjId) {
+    /// Unlock this thread's hold on object `o`: one flush step, or the whole
+    /// release of a lock that is not deferred. The caller has already dropped
+    /// `o` from the lock bookkeeping.
+    pub(crate) fn unlock_one_object(&self, ts: &mut ThreadState, o: ObjId) {
         let obj = self.rt.obj(o);
         let state = obj.state();
         let mut cur = state.load(Ordering::Acquire);
@@ -240,13 +228,7 @@ impl<S: Support> EngineCommon<S> {
             #[cfg(feature = "check-invariants")]
             w.validate()
                 .unwrap_or_else(|e| panic!("ill-formed state word on {o:?}: {w:?} — {e}"));
-            // With a demotion controller attached, *it* is the valve: a
-            // demoted object stays pessimistic until the controller promotes
-            // it back (the §6 phase valve is vacuous at infinite cutoff).
-            let to_opt = match &self.adapt {
-                Some(a) => !a.is_demoted(o.0),
-                None => self.policy.unlock_to_optimistic(obj.profile()),
-            };
+            let to_opt = self.policy.unlock_to_optimistic(obj.profile());
             let unlocked = w.unlock_one();
             // An exclusive state (or the last RdSh share) may transfer to
             // optimistic states at unlock time (Figure 3's upper diamond).
@@ -708,7 +690,6 @@ mod tests {
                 cutoff_confl: 1,
                 k_confl: 1,
                 inertia: 1,
-                contended_cutoff: u32::MAX,
             }),
         );
         let t = e.attach();

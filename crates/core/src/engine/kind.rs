@@ -30,24 +30,32 @@ use crate::support::NullSupport;
 /// erased form is just the trait object.
 pub type DynTracker = dyn Tracker;
 
-/// The engine configurations of Figure 7 (plus the online-adaptive overlay).
+/// The engine configurations of Figure 7, plus the adaptive one. The four
+/// tracked kinds built on the hybrid engine are the 2 × 2 of two values —
+/// `Cutoff_confl` (4 or ∞) and the valve (one-way or re-opening, see
+/// [`crate::adapt`]):
+///
+/// | | one-way | re-opening |
+/// |---|---|---|
+/// | 4 | [`Hybrid`](EngineKind::Hybrid) | [`Adaptive`](EngineKind::Adaptive) |
+/// | ∞ | [`HybridInfiniteCutoff`](EngineKind::HybridInfiniteCutoff) | [`Optimistic`](EngineKind::Optimistic) |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Unmodified runtime (overhead baseline).
     Baseline,
     /// Pessimistic tracking (§2.1).
     Pessimistic,
-    /// Optimistic tracking (§2.2).
+    /// Optimistic tracking (§2.2): pure Octet, unless a configured
+    /// coordination deadline expires on an object.
     Optimistic,
     /// Hybrid tracking with the paper's default policy (§3/§6).
     Hybrid,
     /// Hybrid tracking with `Cutoff_confl = ∞` (costs-only configuration).
     HybridInfiniteCutoff,
-    /// Optimistic tracking steered by the online EWMA demotion controller
-    /// (`crate::adapt`): starts everywhere-optimistic like
-    /// [`EngineKind::Optimistic`], but per-object coordination-cost feedback
-    /// demotes hot objects to the pessimistic protocol (and promotes them
-    /// back when the mix turns read-mostly).
+    /// Hybrid tracking with the paper's policy and a valve that re-opens: an
+    /// object the policy returned to optimistic states goes pessimistic again
+    /// when it collects `Cutoff_confl` more explicit conflicts, and each
+    /// return doubles the `Inertia` its next one must meet.
     Adaptive,
     /// The unsound "Ideal" upper-bound estimate (§7.5).
     Ideal,
@@ -203,8 +211,8 @@ impl Tracker for AnyEngine {
 
     /// The configuration name under which results report. The adaptive kind
     /// shares the hybrid engine's machinery but must report under its own
-    /// label so bench tables and chaos matrices can gate the controller
-    /// separately (previously patched up by the workload driver post-run).
+    /// label so bench tables and chaos matrices can gate it separately
+    /// (previously patched up by the workload driver post-run).
     fn name(&self) -> &'static str {
         match self.kind {
             EngineKind::Adaptive => "adaptive",

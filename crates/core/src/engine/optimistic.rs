@@ -17,25 +17,30 @@
 //! RdSh conflicts coordinate with every other registered thread
 //! (footnote 4).
 //!
-//! ## Implementation: the infinite-cutoff hybrid, plus the §13 controller
+//! ## Implementation: the infinite-cutoff hybrid
 //!
 //! Since the hybrid engine at infinite cutoff *is* Octet (no object ever
 //! crosses the conflict cutoff, so every state stays optimistic — Figure 7's
 //! "w/ infinite cutoff" row), this engine is a thin wrapper over
-//! [`HybridEngine`] with [`HybridConfig::adaptive`]: pure Octet behaviour on
-//! every object, **until** the online demotion controller (`adapt.rs`,
-//! DESIGN.md §13) measures an object's coordination cost crossing the
-//! hysteresis band. Such an object is demoted to the pessimistic protocol —
-//! whose conflicting acquires need no roundtrips — and re-promoted once
-//! pessimistic traffic proves cheap again. This is what bounds the
-//! coordination-storm pathology (all threads fighting over one object, each
-//! conflict a cross-thread roundtrip) that made pure Octet two orders of
-//! magnitude slower than pessimistic tracking under the `contention`
-//! bench's `opt_access_t8` row.
+//! [`HybridEngine`] at `Cutoff_confl = ∞` — by default under the re-opening
+//! valve, the fourth cell of the 2 × 2 that [`EngineKind`] tabulates
+//! (`HybridInfiniteCutoff` is the same cutoff under the one-way valve).
+//!
+//! At infinite cutoff no count ever moves an object, so both ∞ cells are
+//! pure Octet on every object — **unless** the runtime has a coordination
+//! deadline configured and one expires (DESIGN.md §13): the expiry forces the
+//! object's phase to `Pess`, its traffic runs the pessimistic protocol —
+//! whose conflicting acquires need no roundtrips — and inequality (5)
+//! returns it once that traffic proves cheap. The valve then decides whether
+//! a later expiry may demote the same object again. No figure bin configures
+//! a deadline; the chaos matrix does, which is how this engine survives a
+//! stalled responder.
 //!
 //! The per-object conflict histogram (Figure 6's CDF, §7.3 limit study)
-//! still works: the infinite-cutoff policy counts every explicit conflict
-//! in the profile word without ever advancing the §6 phase machine.
+//! works as before: the infinite-cutoff policy counts every explicit
+//! conflict in the profile word without ever leaving `OptInitial`.
+//!
+//! [`EngineKind`]: crate::engine::EngineKind
 
 use std::sync::Arc;
 
@@ -44,10 +49,11 @@ use drink_runtime::{MonitorId, ObjId, Runtime, ThreadId};
 use crate::common::EngineCommon;
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
 use crate::engine::Tracker;
+use crate::policy::Valve;
 use crate::support::{NullSupport, Support};
 
-/// The Octet engine (degrading to pessimistic states under measured
-/// contention; see the module docs).
+/// The Octet engine (degrading to pessimistic states only past an expired
+/// coordination deadline; see the module docs).
 pub struct OptimisticEngine<S: Support = NullSupport> {
     inner: HybridEngine<S>,
 }
@@ -62,31 +68,19 @@ impl OptimisticEngine<NullSupport> {
 impl<S: Support> OptimisticEngine<S> {
     /// Optimistic tracking with runtime support `support`.
     pub fn with_support(rt: Arc<Runtime>, support: S) -> Self {
-        OptimisticEngine {
-            inner: HybridEngine::with_config(rt, support, HybridConfig::adaptive()),
-        }
+        OptimisticEngine::with_valve(rt, support, Valve::Reopening)
     }
 
-    /// Optimistic tracking with an explicit demotion-controller
-    /// configuration — `None` is pure Octet (no controller, no degradation;
-    /// every state stays optimistic forever). The protocol-shape tests use
-    /// `None` so their post-conflict state assertions cannot flake when a
-    /// loaded host pushes one roundtrip past
-    /// [`crate::adapt::AdaptConfig::demote_now_ns`].
-    pub fn with_adapt(
-        rt: Arc<Runtime>,
-        support: S,
-        adapt: Option<crate::adapt::AdaptConfig>,
-    ) -> Self {
+    /// Optimistic tracking under an explicit valve. It only matters to
+    /// objects an expired coordination deadline demoted: under
+    /// [`Valve::OneWay`] each can be demoted once, ever.
+    pub fn with_valve(rt: Arc<Runtime>, support: S, valve: Valve) -> Self {
+        let cfg = HybridConfig {
+            valve,
+            ..HybridConfig::infinite_cutoff()
+        };
         OptimisticEngine {
-            inner: HybridEngine::with_config(
-                rt,
-                support,
-                HybridConfig {
-                    adapt,
-                    ..HybridConfig::infinite_cutoff()
-                },
-            ),
+            inner: HybridEngine::with_config(rt, support, cfg),
         }
     }
 
@@ -164,22 +158,19 @@ mod tests {
     use drink_runtime::{Event, RuntimeConfig};
     use std::sync::atomic::Ordering;
 
-    /// Pure-Octet engine (controller disabled) for the protocol-shape
-    /// tests: their post-conflict assertions (`wr_ex_opt`, conflict
-    /// counters) describe the *optimistic* protocol, and must not flake
-    /// when a loaded host stretches one roundtrip past the controller's
-    /// catastrophic demote-now threshold. The controller itself is
-    /// exercised by `hot_object_demotes_under_deadline` and the adapt
-    /// module's own tests.
+    /// The one-way ∞ configuration for the protocol-shape tests. (No
+    /// deadline is configured, so no object of theirs ever leaves optimistic
+    /// states under either valve; the degradation path is exercised by
+    /// `hot_object_demotes_under_deadline`.)
     fn engine() -> OptimisticEngine {
-        OptimisticEngine::with_adapt(
+        OptimisticEngine::with_valve(
             Arc::new(Runtime::new(RuntimeConfig::builder()
                 .max_threads(8)
                 .heap_objects(16)
                 .monitors(2)
                 .build())),
             NullSupport,
-            None,
+            Valve::OneWay,
         )
     }
 
@@ -345,9 +336,6 @@ mod tests {
         // Two threads repeatedly write each other's object: every access is a
         // conflicting transition, and both threads constantly coordinate with
         // each other. Deadlock freedom comes from responding-while-waiting.
-        // (Under heavy measured contention the demotion controller may move
-        // the objects to pessimistic states mid-run; the access counts and
-        // conflict counters below hold either way.)
         let e = engine();
         let oa = ObjId(6);
         let ob = ObjId(7);

@@ -68,7 +68,7 @@ impl<S: Support> PessimisticEngine<S> {
         // overlapped the read window, which is exactly what the critical
         // section would have guaranteed. (This engine's exclusive states use
         // the optimistic encodings, so RdSh is the only eligible kind.)
-        if S::SEQLOCK_READS
+        if S::RELAXED_LOCKING
             && write.is_none()
             && StateWord(state.load(Ordering::Acquire)).validated_read_ok(t)
         {

@@ -12,9 +12,9 @@
 //!   model (§3.2, Appendix B);
 //! * five [`engine`]s: untracked baseline, pessimistic (§2.1), optimistic
 //!   (Octet, §2.2), hybrid (§3), and the unsound "Ideal" estimate (§7.5);
-//! * the profile-guided [`policy::AdaptivePolicy`] (§6) and its reversible
-//!   overlay, the online [`adapt::AdaptController`] demotion controller
-//!   (DESIGN.md §13);
+//! * the profile-guided [`policy::AdaptivePolicy`] (§6) over one profile
+//!   word per object, and the [`adapt::Valve`] that says whether its
+//!   decisions are final (the paper's) or re-open (DESIGN.md §13);
 //! * the [`support::Support`] observer interface that the dependence
 //!   recorder (`drink-replay`) and the region-serializability enforcer
 //!   (`drink-rs`) build on;
@@ -62,14 +62,13 @@ pub mod word;
 
 /// The names most users need.
 pub mod prelude {
-    pub use crate::adapt::{AdaptConfig, AdaptController, AdaptEvent};
     pub use crate::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
     pub use crate::engine::ideal::IdealEngine;
     pub use crate::engine::none::NoTracking;
     pub use crate::engine::optimistic::OptimisticEngine;
     pub use crate::engine::pessimistic::PessimisticEngine;
     pub use crate::engine::{AnyEngine, DynTracker, EngineKind, Tracker};
-    pub use crate::policy::{AdaptivePolicy, PolicyParams};
+    pub use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
     pub use crate::session::Session;
     pub use crate::support::{NullSupport, PaperModel, Support};
 }

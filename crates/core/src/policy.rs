@@ -6,36 +6,48 @@
 //! N_nonConfl ≥ K_confl × N_confl          (3)
 //! ```
 //!
-//! The online policy (§6.2) approximates this with per-object profiling kept
-//! in the object's **profile word**:
+//! The online policy (§6.2) approximates this by *counting*, per object, in
+//! the object's **profile word** — the only policy state there is:
 //!
 //! * every object starts in optimistic states (phase `OptInitial`);
 //! * for optimistic objects, only conflicting transitions that used
 //!   **explicit** coordination are counted (implicit coordination costs about
 //!   as much as a pessimistic transition — footnote 7). Once
-//!   `numConflicts ≥ Cutoff_confl` the object moves to pessimistic states
+//!   `numConflicts ≥ Cutoff_confl` (4) the object moves to pessimistic states
 //!   (phase `Pess`);
 //! * for pessimistic objects, *every* transition is categorized as
 //!   conflicting or non-conflicting. Once
 //!   `N_nonConfl ≥ K_confl × N_confl + Inertia` (5) the object moves back to
 //!   optimistic states at its next unlock (phase `OptFinal`);
-//! * "checks and balances": after returning to optimistic, the object must
-//!   stay optimistic — the phase machine is a one-way valve
-//!   `OptInitial → Pess → OptFinal`.
+//! * every counter restarts at every phase change, so each inequality reads
+//!   the samples since the object last changed sides;
+//! * "checks and balances": which phase steps are legal is the
+//!   [`Valve`]'s call — the paper's is one-way
+//!   (`OptInitial → Pess → OptFinal`, then optimistic for good), the
+//!   adaptive configuration's re-opens (see [`crate::adapt`]). Each return
+//!   to optimistic states doubles (up to [`MAX_INERTIA_DOUBLINGS`] times)
+//!   the `Inertia` the object's next return must meet.
 //!
-//! As an extension the paper sketches in §7.5 (for the `racyInc` worst case),
-//! the policy can optionally force a pessimistic object back to optimistic
-//! when its accesses keep triggering *contended* transitions (i.e. the
-//! object-level-data-race-freedom assumption of deferred unlocking is being
-//! violated). This is off by default to match the paper's configuration.
+//! Two samples bypass the counting. A coordination deadline that expires on
+//! an object ([`AdaptivePolicy::force_pess`]) is direct evidence that its
+//! roundtrips are not being answered, and enters `Pess` at once. And the
+//! §3.1 insight that makes pessimistic states cheap — *deferred* unlocking —
+//! rests on object-level data-race freedom, which `pessContended` counts the
+//! violations of: once that count reaches `Cutoff_confl` too, the object is
+//! **racy** ([`PessVerdict::racy`]) and, where the support allows it, an
+//! access that locks it gives the lock back right after the program access
+//! until the object next leaves `Pess`. (§7.5 sketches sending such objects
+//! back to optimistic states instead — the protocol where each of their
+//! accesses is a roundtrip.)
 //!
 //! Profile word layout (LSB first):
 //!
 //! ```text
-//! bits  0..=15  numConflicts        (optimistic explicit conflicts, saturating)
+//! bits  0..=15  numConflicts        (explicit conflicts while optimistic, saturating)
 //! bits 16..=35  pessNonConfl        (saturating)
-//! bits 36..=53  pessConfl           (saturating)
-//! bits 54..=61  pessContended       (saturating; §7.5 extension)
+//! bits 36..=49  pessConfl           (saturating)
+//! bits 50..=53  promotions          (returns to optimistic so far, saturating)
+//! bits 54..=61  pessContended       (saturating)
 //! bits 62..=63  phase               0 OptInitial, 1 Pess, 2 OptFinal
 //! ```
 
@@ -43,21 +55,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+pub use crate::adapt::Valve;
+
 /// Tuning parameters of the adaptive policy (§6.2, §7.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyParams {
-    /// Conflicts before an optimistic object moves to pessimistic states.
-    /// `u32::MAX` means never (the paper's "hybrid tracking w/ infinite
-    /// cutoff" configuration).
+    /// Explicit conflicts before an optimistic object moves to pessimistic
+    /// states, and contended transitions before a pessimistic object stops
+    /// deferring its unlocks. `u32::MAX` means never (the paper's "hybrid
+    /// tracking w/ infinite cutoff" configuration).
     pub cutoff_confl: u32,
     /// The cost-ratio constant of inequality (5).
     pub k_confl: u32,
     /// Hysteresis of inequality (5): prevents returning to optimistic before
     /// significant profiling has occurred.
     pub inertia: u32,
-    /// §7.5 extension, off (`u32::MAX`) by default: contended pessimistic
-    /// transitions before the object is forced back to optimistic states.
-    pub contended_cutoff: u32,
 }
 
 impl Default for PolicyParams {
@@ -68,7 +80,6 @@ impl Default for PolicyParams {
             cutoff_confl: 4,
             k_confl: 200,
             inertia: 100,
-            contended_cutoff: u32::MAX,
         }
     }
 }
@@ -83,12 +94,6 @@ impl PolicyParams {
             ..PolicyParams::default()
         }
     }
-
-    /// Enable the §7.5 anti-`racyInc` extension.
-    pub fn with_contended_cutoff(mut self, n: u32) -> Self {
-        self.contended_cutoff = n;
-        self
-    }
 }
 
 /// Lifecycle phase of one object under the adaptive policy.
@@ -99,16 +104,25 @@ pub enum Phase {
     OptInitial = 0,
     /// Pessimistic phase: categorizing every transition.
     Pess = 1,
-    /// Final optimistic phase: profiling disabled, stays optimistic forever.
+    /// Optimistic again after a stay in `Pess`: for good under the one-way
+    /// valve, counting explicit conflicts anew under the re-opening one.
     OptFinal = 2,
 }
+
+/// Returns to optimistic states after which an object's `Inertia` stops
+/// doubling (×1024: with the paper's `Inertia = 100` that is 102 400
+/// non-conflicting transitions, still within `pessNonConfl`'s range, so the
+/// valve never welds shut).
+pub const MAX_INERTIA_DOUBLINGS: u32 = 10;
 
 const NC_SHIFT: u32 = 0;
 const NC_MASK: u64 = 0xFFFF;
 const PNON_SHIFT: u32 = 16;
 const PNON_MASK: u64 = 0xF_FFFF;
 const PCON_SHIFT: u32 = 36;
-const PCON_MASK: u64 = 0x3_FFFF;
+const PCON_MASK: u64 = 0x3FFF;
+const PROMO_SHIFT: u32 = 50;
+const PROMO_MASK: u64 = 0xF;
 const PCONT_SHIFT: u32 = 54;
 const PCONT_MASK: u64 = 0xFF;
 const PHASE_SHIFT: u32 = 62;
@@ -117,16 +131,33 @@ const PHASE_MASK: u64 = 0b11;
 /// Decoded profile-word fields (snapshot).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Profile {
-    /// Explicit optimistic conflicts observed in `OptInitial`.
+    /// Explicit optimistic conflicts since the object last turned optimistic.
     pub num_conflicts: u32,
-    /// Non-conflicting pessimistic transitions observed in `Pess`.
+    /// Non-conflicting pessimistic transitions since it last entered `Pess`.
     pub pess_non_confl: u32,
-    /// Conflicting pessimistic transitions observed in `Pess`.
+    /// Conflicting pessimistic transitions since it last entered `Pess`.
     pub pess_confl: u32,
-    /// Contended pessimistic transitions observed in `Pess`.
+    /// Contended pessimistic transitions since it last entered `Pess`.
     pub pess_contended: u32,
+    /// Times the object has returned from `Pess` to optimistic states.
+    pub promotions: u32,
     /// Current phase.
     pub phase: Phase,
+}
+
+impl Profile {
+    /// This profile after a step to `to`: every counter restarts, and a step
+    /// out of `Pess` is one more promotion.
+    fn enter(self, to: Phase) -> Profile {
+        Profile {
+            num_conflicts: 0,
+            pess_non_confl: 0,
+            pess_confl: 0,
+            pess_contended: 0,
+            promotions: self.promotions + u32::from(self.phase == Phase::Pess),
+            phase: to,
+        }
+    }
 }
 
 #[inline(always)]
@@ -136,6 +167,7 @@ fn decode(w: u64) -> Profile {
         pess_non_confl: ((w >> PNON_SHIFT) & PNON_MASK) as u32,
         pess_confl: ((w >> PCON_SHIFT) & PCON_MASK) as u32,
         pess_contended: ((w >> PCONT_SHIFT) & PCONT_MASK) as u32,
+        promotions: ((w >> PROMO_SHIFT) & PROMO_MASK) as u32,
         phase: match (w >> PHASE_SHIFT) & PHASE_MASK {
             0 => Phase::OptInitial,
             1 => Phase::Pess,
@@ -149,21 +181,21 @@ fn encode(p: Profile) -> u64 {
     ((p.num_conflicts as u64).min(NC_MASK) << NC_SHIFT)
         | ((p.pess_non_confl as u64).min(PNON_MASK) << PNON_SHIFT)
         | ((p.pess_confl as u64).min(PCON_MASK) << PCON_SHIFT)
+        | ((p.promotions as u64).min(PROMO_MASK) << PROMO_SHIFT)
         | ((p.pess_contended as u64).min(PCONT_MASK) << PCONT_SHIFT)
         | ((p.phase as u64) << PHASE_SHIFT)
 }
 
-/// The one-way valve (`check-invariants` builds): the only phase changes the
-/// policy may ever publish are `OptInitial → Pess` and `Pess → OptFinal`.
+/// The valve (`check-invariants` builds): the only phase changes the policy
+/// may ever publish are the ones its [`Valve`] allows — under the one-way
+/// valve, `OptInitial → Pess` and `Pess → OptFinal`.
 #[cfg(feature = "check-invariants")]
 #[inline]
-fn assert_legal_phase_step(from: Phase, to: Phase) {
-    let legal = from == to
-        || matches!(
-            (from, to),
-            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal)
-        );
-    assert!(legal, "adaptive valve violated: {from:?} → {to:?}");
+fn assert_legal_phase_step(valve: Valve, from: Phase, to: Phase) {
+    assert!(
+        from == to || valve.allows(from, to),
+        "adaptive valve violated: {from:?} → {to:?} under {valve:?}"
+    );
 }
 
 #[inline(always)]
@@ -173,6 +205,19 @@ fn sat_inc(v: u32, mask: u64) -> u32 {
     } else {
         v
     }
+}
+
+/// What one pessimistic transition's sample decided
+/// ([`AdaptivePolicy::on_pess_transition`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PessVerdict {
+    /// This sample satisfied inequality (5): the object left `Pess` just now
+    /// and transfers to optimistic states at its next unlock.
+    pub promoted: bool,
+    /// The object is in `Pess` with `pessContended ≥ Cutoff_confl`: its
+    /// accesses keep racing with each other's deferred locks, so the lock
+    /// this access took should not be deferred.
+    pub racy: bool,
 }
 
 /// The adaptive policy: a stateless decision procedure over per-object
@@ -197,12 +242,20 @@ fn sat_inc(v: u32, mask: u64) -> u32 {
 pub struct AdaptivePolicy {
     /// Parameters (the paper's defaults unless overridden).
     pub params: PolicyParams,
+    /// Which phase steps are legal (the paper's one-way valve unless
+    /// overridden).
+    pub valve: Valve,
 }
 
 impl AdaptivePolicy {
-    /// Policy with explicit parameters.
+    /// The paper's policy (one-way valve) with explicit parameters.
     pub fn new(params: PolicyParams) -> Self {
-        AdaptivePolicy { params }
+        AdaptivePolicy::with_valve(params, Valve::OneWay)
+    }
+
+    /// Policy with explicit parameters and valve.
+    pub fn with_valve(params: PolicyParams, valve: Valve) -> Self {
+        AdaptivePolicy { params, valve }
     }
 
     /// Decode an object's profile word (diagnostics, Figure 6 harness).
@@ -210,31 +263,54 @@ impl AdaptivePolicy {
         decode(word.load(Ordering::Relaxed))
     }
 
+    /// Publish `cur → next` on `word`; on a lost race, hand back the word to
+    /// re-decide from.
+    #[inline]
+    fn publish(&self, word: &AtomicU64, cur: u64, next: Profile) -> Result<(), u64> {
+        #[cfg(feature = "check-invariants")]
+        assert_legal_phase_step(self.valve, decode(cur).phase, next.phase);
+        word.compare_exchange_weak(cur, encode(next), Ordering::Relaxed, Ordering::Relaxed)
+            .map(drop)
+    }
+
     /// Record an explicit optimistic conflicting transition on `word`.
-    /// Returns true iff the policy decides the object should move to
-    /// pessimistic states now (the caller performs the state change). At most
-    /// one caller ever receives `true` for a given object (phase CAS).
-    ///
-    /// This is the paper's inequality (4): `numConflicts ≥ Cutoff_confl`.
+    /// Returns true iff this sample moved the object to `Pess` — the paper's
+    /// inequality (4), `numConflicts ≥ Cutoff_confl`, over the conflicts
+    /// since the object last turned optimistic. At most one caller receives
+    /// `true` per stay in optimistic states (phase CAS).
     pub fn on_explicit_conflict(&self, word: &AtomicU64) -> bool {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
             let mut p = decode(cur);
-            if p.phase != Phase::OptInitial {
-                // Pess (already moved) or OptFinal (one-way valve): stop
-                // counting; never move to pessimistic again.
+            if !self.valve.allows(p.phase, Phase::Pess) {
+                // Already `Pess`, or the valve is shut: stop counting.
                 return false;
             }
             p.num_conflicts = sat_inc(p.num_conflicts, NC_MASK);
-            let go_pess =
-                self.params.cutoff_confl != u32::MAX && p.num_conflicts >= self.params.cutoff_confl;
+            let go_pess = p.num_conflicts >= self.params.cutoff_confl;
             if go_pess {
-                p.phase = Phase::Pess;
+                p = p.enter(Phase::Pess);
             }
-            #[cfg(feature = "check-invariants")]
-            assert_legal_phase_step(decode(cur).phase, p.phase);
-            match word.compare_exchange_weak(cur, encode(p), Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return go_pess,
+            match self.publish(word, cur, p) {
+                Ok(()) => return go_pess,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// A coordination deadline expired on this object: move it to `Pess` now,
+    /// whatever its conflict count, if the valve allows the step from where
+    /// it stands. Returns true iff this call moved it (so a repeat is a
+    /// no-op).
+    pub fn force_pess(&self, word: &AtomicU64) -> bool {
+        let mut cur = word.load(Ordering::Relaxed);
+        loop {
+            let p = decode(cur);
+            if !self.valve.allows(p.phase, Phase::Pess) {
+                return false;
+            }
+            match self.publish(word, cur, p.enter(Phase::Pess)) {
+                Ok(()) => return true,
                 Err(actual) => cur = actual,
             }
         }
@@ -242,17 +318,24 @@ impl AdaptivePolicy {
 
     /// Record a pessimistic transition on `word`. `conflicting` categorizes
     /// the transition per the cost–benefit model; `contended` marks
-    /// transitions that fell back to coordination (§7.5 extension).
+    /// transitions that fell back to coordination.
     ///
-    /// Returns true iff the policy decides the object should return to
-    /// optimistic states at its next unlock — the paper's inequality (5):
-    /// `N_nonConfl ≥ K_confl × N_confl + Inertia`.
-    pub fn on_pess_transition(&self, word: &AtomicU64, conflicting: bool, contended: bool) -> bool {
+    /// The object is promoted when the samples since it entered `Pess`
+    /// satisfy the paper's inequality (5),
+    /// `N_nonConfl ≥ K_confl × N_confl + Inertia`, with `Inertia` doubled
+    /// once per earlier promotion (at most [`MAX_INERTIA_DOUBLINGS`] times).
+    /// Outside `Pess` nothing is counted.
+    pub fn on_pess_transition(
+        &self,
+        word: &AtomicU64,
+        conflicting: bool,
+        contended: bool,
+    ) -> PessVerdict {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
             let mut p = decode(cur);
             if p.phase != Phase::Pess {
-                return p.phase == Phase::OptFinal;
+                return PessVerdict::default();
             }
             if conflicting {
                 p.pess_confl = sat_inc(p.pess_confl, PCON_MASK);
@@ -262,21 +345,25 @@ impl AdaptivePolicy {
             if contended {
                 p.pess_contended = sat_inc(p.pess_contended, PCONT_MASK);
             }
-            let to_opt = p.pess_non_confl as u64
-                >= (self.params.k_confl as u64) * (p.pess_confl as u64)
-                    + self.params.inertia as u64
-                || (self.params.contended_cutoff != u32::MAX
-                    && p.pess_contended >= self.params.contended_cutoff);
-            if to_opt {
-                p.phase = Phase::OptFinal;
+            let inertia = (self.params.inertia as u64) << p.promotions.min(MAX_INERTIA_DOUBLINGS);
+            let promoted = p.pess_non_confl as u64
+                >= (self.params.k_confl as u64) * (p.pess_confl as u64) + inertia;
+            let racy = !promoted && p.pess_contended >= self.params.cutoff_confl;
+            if promoted {
+                p = p.enter(Phase::OptFinal);
             }
-            #[cfg(feature = "check-invariants")]
-            assert_legal_phase_step(decode(cur).phase, p.phase);
-            match word.compare_exchange_weak(cur, encode(p), Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return to_opt,
+            match self.publish(word, cur, p) {
+                Ok(()) => return PessVerdict { promoted, racy },
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Is the object in its pessimistic phase — should a conflicting
+    /// transition install a pessimistic state? (Figure 3's lower diamond.)
+    #[inline]
+    pub fn in_pess(&self, word: &AtomicU64) -> bool {
+        decode(word.load(Ordering::Relaxed)).phase == Phase::Pess
     }
 
     /// Should an unlock (lock-buffer flush) move this object to optimistic
@@ -301,6 +388,7 @@ mod tests {
         let p = AdaptivePolicy::profile(&w);
         assert_eq!(p.phase, Phase::OptInitial);
         assert_eq!(p.num_conflicts, 0);
+        assert_eq!(p.promotions, 0);
     }
 
     #[test]
@@ -312,6 +400,7 @@ mod tests {
         assert!(!policy.on_explicit_conflict(&w)); // 3
         assert!(policy.on_explicit_conflict(&w)); // 4 → Pess
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::Pess);
+        assert!(policy.in_pess(&w));
         // Further conflicts (e.g. raced) never re-trigger.
         assert!(!policy.on_explicit_conflict(&w));
     }
@@ -334,26 +423,30 @@ mod tests {
         }
     }
 
+    /// One non-contended pessimistic sample; true iff it promoted the object.
+    fn pess_sample(policy: &AdaptivePolicy, w: &AtomicU64, conflicting: bool) -> bool {
+        policy.on_pess_transition(w, conflicting, false).promoted
+    }
+
     #[test]
     fn inequality_5_returns_object_to_optimistic() {
         let policy = AdaptivePolicy::new(PolicyParams {
             cutoff_confl: 1,
             k_confl: 10,
             inertia: 5,
-            contended_cutoff: u32::MAX,
         });
         let w = word();
         drive_to_pess(&policy, &w);
         // One conflicting transition: threshold = 10*1 + 5 = 15 non-conflicting.
-        assert!(!policy.on_pess_transition(&w, true, false));
+        assert!(!pess_sample(&policy, &w, true));
         for i in 1..15 {
-            assert!(
-                !policy.on_pess_transition(&w, false, false),
-                "flipped early at non-confl #{i}"
-            );
+            assert!(!pess_sample(&policy, &w, false), "flipped early at non-confl #{i}");
         }
-        assert!(policy.on_pess_transition(&w, false, false)); // #15 → OptFinal
-        assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
+        assert!(pess_sample(&policy, &w, false)); // #15 → OptFinal
+        let p = AdaptivePolicy::profile(&w);
+        assert_eq!((p.phase, p.promotions), (Phase::OptFinal, 1));
+        // Counters restart with the phase.
+        assert_eq!((p.num_conflicts, p.pess_non_confl, p.pess_confl), (0, 0, 0));
         assert!(policy.unlock_to_optimistic(&w));
     }
 
@@ -363,31 +456,47 @@ mod tests {
             cutoff_confl: 1,
             k_confl: 1,
             inertia: 1,
-            contended_cutoff: u32::MAX,
         });
         let w = word();
         drive_to_pess(&policy, &w);
         // inertia 1, no conflicts: first non-conflicting transition flips back.
-        assert!(policy.on_pess_transition(&w, false, false));
+        assert!(pess_sample(&policy, &w, false));
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
-        // Conflicts after OptFinal never send it back to Pess.
+        // Neither conflicts nor an expired deadline send it back to Pess.
         for _ in 0..1_000 {
             assert!(!policy.on_explicit_conflict(&w));
         }
+        assert!(!policy.force_pess(&w));
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
-        // Pessimistic profiling in OptFinal keeps reporting "unlock to opt".
-        assert!(policy.on_pess_transition(&w, false, false));
+        // Pessimistic transitions in OptFinal decide nothing; the unlock
+        // keeps sending the object to optimistic states.
+        assert_eq!(policy.on_pess_transition(&w, false, false), PessVerdict::default());
+        assert!(policy.unlock_to_optimistic(&w));
     }
 
     #[test]
-    fn contended_cutoff_extension_flips_racy_objects_back() {
-        let policy = AdaptivePolicy::new(PolicyParams::default().with_contended_cutoff(3));
+    fn contended_cutoff_marks_racy_objects_until_they_leave_pess() {
+        let policy = AdaptivePolicy::new(PolicyParams {
+            cutoff_confl: 3,
+            k_confl: 1,
+            inertia: 4,
+        });
         let w = word();
         drive_to_pess(&policy, &w);
-        assert!(!policy.on_pess_transition(&w, true, true)); // contended 1
-        assert!(!policy.on_pess_transition(&w, true, true)); // contended 2
-        assert!(policy.on_pess_transition(&w, true, true)); // contended 3 → OptFinal
-        assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
+        assert!(!policy.on_pess_transition(&w, true, true).racy); // contended 1
+        assert!(!policy.on_pess_transition(&w, true, true).racy); // contended 2
+        assert!(policy.on_pess_transition(&w, true, true).racy); // contended 3 → racy
+        // Racy sticks to every later sample of this stay in Pess, contended
+        // or not, and moves the phase nowhere...
+        for _ in 0..6 {
+            let v = policy.on_pess_transition(&w, false, false);
+            assert_eq!(v, PessVerdict { promoted: false, racy: true });
+        }
+        // ...until inequality (5) — 3 conflicting + 4 inertia = 7 — promotes
+        // the object: the count restarts, so the next stay starts deferring.
+        let v = policy.on_pess_transition(&w, false, false);
+        assert_eq!(v, PessVerdict { promoted: true, racy: false });
+        assert_eq!(AdaptivePolicy::profile(&w).pess_contended, 0);
     }
 
     #[test]
@@ -412,25 +521,25 @@ mod tests {
         drive_to_pess(&policy, &w);
         for i in 1..100 {
             assert!(
-                !policy.on_pess_transition(&w, false, false),
+                !pess_sample(&policy, &w, false),
                 "flipped early at non-confl #{i} (threshold is 100)"
             );
         }
-        assert!(policy.on_pess_transition(&w, false, false), "#100 must flip");
+        assert!(pess_sample(&policy, &w, false), "#100 must flip");
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
 
         // With one conflicting transition first, the threshold moves to
         // 200 × 1 + 100 = 300.
         let w = word();
         drive_to_pess(&policy, &w);
-        assert!(!policy.on_pess_transition(&w, true, false));
+        assert!(!pess_sample(&policy, &w, true));
         for i in 1..300 {
             assert!(
-                !policy.on_pess_transition(&w, false, false),
+                !pess_sample(&policy, &w, false),
                 "flipped early at non-confl #{i} (threshold is 300)"
             );
         }
-        assert!(policy.on_pess_transition(&w, false, false), "#300 must flip");
+        assert!(pess_sample(&policy, &w, false), "#300 must flip");
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
     }
 
@@ -445,10 +554,10 @@ mod tests {
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
         for _ in 0..1_000 {
             assert!(!policy.on_explicit_conflict(&w));
-            assert!(policy.on_pess_transition(&w, true, true), "OptFinal keeps reporting to-opt");
+            assert_eq!(policy.on_pess_transition(&w, true, true), PessVerdict::default());
+            assert!(policy.unlock_to_optimistic(&w), "OptFinal keeps unlocking to optimistic");
         }
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
-        assert!(policy.unlock_to_optimistic(&w));
     }
 
     #[test]
@@ -457,7 +566,7 @@ mod tests {
         assert_eq!(p.cutoff_confl, 4);
         assert_eq!(p.k_confl, 200);
         assert_eq!(p.inertia, 100);
-        assert_eq!(p.contended_cutoff, u32::MAX);
+        assert_eq!(AdaptivePolicy::default().valve, Valve::OneWay);
     }
 
     #[test]
@@ -488,23 +597,29 @@ mod tests {
             cutoff_confl: u32::MAX,
             k_confl: u32::MAX,
             inertia: u32::MAX,
-            contended_cutoff: u32::MAX,
         });
         let w = word();
-        // Drive to Pess manually to exercise pessimistic counters.
-        w.store(encode(Profile {
+        // Drive to Pess manually to exercise pessimistic counters, with the
+        // promotion count already at its mask.
+        let start = Profile {
             num_conflicts: 0,
             pess_non_confl: 0,
             pess_confl: 0,
             pess_contended: 0,
+            promotions: PROMO_MASK as u32,
             phase: Phase::Pess,
-        }), Ordering::Relaxed);
+        };
+        w.store(encode(start), Ordering::Relaxed);
         for _ in 0..2_000_000 {
-            policy.on_pess_transition(&w, false, false);
+            policy.on_pess_transition(&w, false, true);
         }
         let p = AdaptivePolicy::profile(&w);
         assert_eq!(p.pess_non_confl as u64, PNON_MASK);
+        assert_eq!(p.pess_contended as u64, PCONT_MASK);
         assert_eq!(p.pess_confl, 0);
+        assert_eq!(p.promotions as u64, PROMO_MASK);
         assert_eq!(p.phase, Phase::Pess);
+        // One more promotion keeps the saturated count and touches nothing else.
+        assert_eq!(decode(encode(p.enter(Phase::OptFinal))).promotions as u64, PROMO_MASK);
     }
 }

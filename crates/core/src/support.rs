@@ -141,16 +141,26 @@ pub trait Support: Send + Sync + 'static {
     /// per-object recorder state.
     const PREPUBLISH: bool = false;
 
-    /// If true, engines may serve a read by seqlock validation (DESIGN.md
-    /// §12) whenever the state word says
-    /// [`validated_read_ok`](crate::word::StateWord::validated_read_ok) —
-    /// which performs **no state transition and therefore fires no support
-    /// hook**. Off by default because it is only sound for supports that
-    /// don't consume per-read events: the recorder needs the `Fence`
-    /// transition to order replayed RdSh reads, and the RS enforcer needs
-    /// reads to take read locks for its two-phase-locking argument.
-    /// Tracking-only ([`NullSupport`]) turns it on.
-    const SEQLOCK_READS: bool = false;
+    /// If true, the support does not depend on Table 3's lock discipline —
+    /// every pessimistic access locks, every lock is held until the next
+    /// PSRO — and engines may depart from it where tracking alone stays
+    /// sound:
+    ///
+    /// * a read whose state word says
+    ///   [`validated_read_ok`](crate::word::StateWord::validated_read_ok) is
+    ///   served by seqlock validation (DESIGN.md §12), which performs **no
+    ///   state transition and therefore fires no support hook**;
+    /// * an access that locks an object the policy found *racy* releases the
+    ///   lock right after the program access instead of deferring it
+    ///   (DESIGN.md §13), so no release-clock edge covers it.
+    ///
+    /// Off by default because neither is sound for supports that consume
+    /// those events: the recorder needs the `Fence` transition to order
+    /// replayed RdSh reads and deferred unlocking's release-clock edges, and
+    /// the RS enforcer needs reads to take read locks, and keep them, for its
+    /// two-phase-locking argument. Tracking-only ([`NullSupport`]) turns it
+    /// on.
+    const RELAXED_LOCKING: bool = false;
 
     /// A non-same-state transition of `obj` completed on thread `cx.t`.
     /// Called with the final state already decided; if
@@ -214,14 +224,15 @@ pub trait Support: Send + Sync + 'static {
 pub struct NullSupport;
 
 impl Support for NullSupport {
-    const SEQLOCK_READS: bool = true;
+    const RELAXED_LOCKING: bool = true;
 }
 
 /// Tracking alone on the paper's own model: every hook is a no-op, as with
-/// [`NullSupport`], but no read is served by validation, so every access
-/// takes exactly the transition its Table 3 row prescribes. The tests that
-/// pin those rows, and the ablations that compare them (E9's self-read
-/// modes), run on this.
+/// [`NullSupport`], but no read is served by validation and every lock is
+/// deferred, so every access takes exactly the transition its Table 3 row
+/// prescribes. The tests that pin those rows, and the experiments that
+/// reproduce the paper's shape (E9's self-read modes, Figure 8's racyInc
+/// worst case), run on this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PaperModel;
 

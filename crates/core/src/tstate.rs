@@ -112,11 +112,11 @@ impl DenseObjSet {
     }
 
     /// Bitmask of the shards (per `map`, the same [`drink_runtime::ShardMap`]
-    /// the registry / epoch table / adapt controller share) that contain at
-    /// least one id in this set. Shards beyond 64 fold into bit 63, matching
+    /// the registry and epoch table share) that contain at least one id in
+    /// this set. Shards beyond 64 fold into bit 63, matching
     /// `Heap::stamp_snapshot`'s convention. Lets check-invariants oracles ask
-    /// "does this thread's touched-object footprint agree with the demotion
-    /// and skip decisions?" against one mapping function.
+    /// "does this thread's touched-object footprint agree with the skip
+    /// decisions?" against one mapping function.
     pub fn shards_touched(&self, map: drink_runtime::ShardMap) -> u64 {
         let mut mask = 0u64;
         for (w, &word) in self.words.iter().enumerate() {
@@ -286,10 +286,10 @@ impl ThreadState {
         self.rd_set.insert(o.0);
     }
 
-    /// Drop `o` from the lock buffer if present (eager-unlock ablation
-    /// path). The bitmap check makes the common "nothing to pop" case O(1);
-    /// the Vec scan only runs when the entry exists, and the buffer holds at
-    /// most a handful of entries under eager unlocking.
+    /// Drop `o` from the lock buffer if present (a lock released right after
+    /// its access instead of at the next flush). The bitmap check makes the
+    /// "nothing to pop" case O(1); otherwise the entry is found from the back,
+    /// where the access that is releasing it just pushed it.
     pub fn remove_lock(&mut self, o: ObjId) -> bool {
         if !self.locked.remove(o.0) {
             return false;

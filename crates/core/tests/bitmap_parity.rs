@@ -126,7 +126,6 @@ fn inert_policy() -> PolicyParams {
         cutoff_confl: u32::MAX,
         k_confl: u32::MAX,
         inertia: u32::MAX,
-        contended_cutoff: u32::MAX,
     }
 }
 
@@ -147,8 +146,7 @@ fn bitmap_counts_match_hashset_reference_model() {
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExRLock,
-            eager_unlock: false,
-            adapt: None,
+            ..HybridConfig::default()
         },
     );
     let t = e.attach();

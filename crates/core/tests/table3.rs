@@ -30,7 +30,6 @@ fn inert_policy() -> PolicyParams {
         cutoff_confl: u32::MAX,
         k_confl: u32::MAX,
         inertia: u32::MAX,
-        contended_cutoff: u32::MAX,
     }
 }
 
@@ -45,8 +44,7 @@ fn engine() -> Engine {
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExRLock,
-            eager_unlock: false,
-            adapt: None,
+            ..HybridConfig::default()
         },
     )
 }
@@ -516,8 +514,7 @@ fn prototype_self_read_mode_write_locks() {
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::WrExWLock,
-            eager_unlock: false,
-            adapt: None,
+            ..HybridConfig::default()
         },
     );
     let t0 = e.attach();
@@ -540,8 +537,7 @@ fn unsound_self_read_mode_downgrades() {
         HybridConfig {
             policy: inert_policy(),
             self_read: SelfReadMode::RdExRLockUnsound,
-            eager_unlock: false,
-            adapt: None,
+            ..HybridConfig::default()
         },
     );
     let t0 = e.attach();

@@ -41,7 +41,6 @@ fn engine_on(rt: Arc<Runtime>) -> HybridEngine {
                 cutoff_confl: u32::MAX,
                 k_confl: u32::MAX,
                 inertia: u32::MAX,
-                contended_cutoff: u32::MAX,
             },
             ..HybridConfig::default()
         },

@@ -97,6 +97,10 @@ pub enum SchedPoint {
     /// coordination-free read path: a writer's claim landing here must make
     /// the revalidation fail.
     SeqlockReadValidate,
+    /// A hybrid slow path has locked a pessimistic state that it will release
+    /// right after the program access, and that access is about to run. A
+    /// foreign access landing here must find the state still locked.
+    LockedAccess,
 }
 
 /// A deterministic schedule-perturbation layer, registered on a [`Runtime`]

@@ -13,10 +13,9 @@
 //! * the heap's per-object access-epoch table (DESIGN.md §14) is indexed by
 //!   the same thread-shard mapping, which is what lets `coordinate_many`
 //!   skip whole shards no thread of which ever touched the object;
-//! * `drink-core`'s adapt controller and `DenseObjSet` reuse [`ShardMap`]
-//!   for their **object**-indexed sharding, so demotion decisions and skip
-//!   decisions are computed from one mapping function, not two that can
-//!   drift.
+//! * `drink-core`'s `DenseObjSet` reuses [`ShardMap`] for its
+//!   **object**-indexed sharding, so footprint checks and skip decisions are
+//!   computed from one mapping function, not two that can drift.
 //!
 //! Shard count comes from `RuntimeConfig::builder().shards()`; the default
 //! is `next_pow2(max_threads / 8)` — one shard per 8 threads, i.e. existing
@@ -34,9 +33,9 @@ use crate::monitor::Monitor;
 /// `i & (shards - 1)` (round-robin striping).
 ///
 /// Everything that shards by a dense id — the registry (thread ids), the
-/// heap's access-epoch table (thread ids), the adapt controller and
-/// `DenseObjSet` (object ids) — goes through this one type, so "does the
-/// skip decision agree with the demotion decision" is true by construction.
+/// heap's access-epoch table (thread ids) and `DenseObjSet` (object ids) —
+/// goes through this one type, so "does the skip decision agree with the
+/// footprint" is true by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     mask: usize,

@@ -131,11 +131,13 @@ pub enum Event {
     /// requester abandoned the roundtrip, falling back to the pessimistic
     /// protocol for that object instead of spinning on.
     CoordDeadlineExceeded,
-    /// The online controller demoted an object shard opt→pess (observed
-    /// coordination cost crossed the hysteresis band's upper edge).
+    /// Under the adaptive policy's re-opening valve, an object's phase
+    /// changed into `Pess` (it collected `Cutoff_confl` explicit conflicts
+    /// since it last turned optimistic, or a coordination deadline expired
+    /// on it).
     AdaptDemotion,
-    /// The online controller re-promoted an object shard pess→opt after its
-    /// cooldown (observed coordination cost fell below the band's lower edge).
+    /// Under the re-opening valve, an object's phase changed out of `Pess`
+    /// (its transitions since it turned pessimistic satisfied inequality (5)).
     AdaptPromotion,
 
     // --- Sharded substrate (DESIGN.md §14) ---

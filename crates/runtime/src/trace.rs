@@ -103,11 +103,11 @@ pub enum TraceKind {
     /// fell back to the pessimistic protocol (arg = object id, or the remote
     /// thread id for objectless waits).
     CoordDeadline,
-    /// The online controller demoted an object shard opt→pess
-    /// (arg = shard index).
+    /// Re-opening valve: an object's policy phase changed into `Pess`
+    /// (arg = object id).
     AdaptDemote,
-    /// The online controller re-promoted an object shard pess→opt after its
-    /// cooldown (arg = shard index).
+    /// Re-opening valve: an object's policy phase changed out of `Pess`
+    /// (arg = object id).
     AdaptPromote,
 }
 

@@ -329,10 +329,8 @@ mod tests {
             .steps_per_thread(8_000)
             .build()
             .unwrap();
-        // The comparison is against *static* Octet (∞ cutoff): the default
-        // Optimistic kind now runs the demotion controller (DESIGN.md §13),
-        // which cuts the same conflicts this test credits to the §6 valve —
-        // and does so by a host-load-dependent amount.
+        // The comparison is against Octet with the one-way valve (∞ cutoff;
+        // no deadline is configured, so nothing ever turns pessimistic).
         let opt = run_kind(EngineKind::HybridInfiniteCutoff, &spec);
         let hyb = run_kind(EngineKind::Hybrid, &spec);
         let opt_confl = opt.report.opt_conflicting();

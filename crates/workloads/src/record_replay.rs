@@ -42,12 +42,12 @@ pub fn record(kind: RecorderKind, spec: &WorkloadSpec) -> RecordOutcome {
     let recorder = Recorder::for_runtime(&rt, kind.name());
     let run = match kind {
         RecorderKind::Optimistic => {
-            // Controller disabled: this recorder's identity is that *every*
-            // cross-thread edge is coordination-derived. Letting the demotion
-            // controller (DESIGN.md §13) turn hot objects pessimistic would
-            // silently mix in release-clock edges and make the recorded log's
-            // shape depend on host load.
-            let engine = OptimisticEngine::with_adapt(rt, recorder.clone(), None);
+            // The one-way ∞ configuration: this recorder's identity is that
+            // *every* cross-thread edge is coordination-derived, which holds
+            // as long as no object turns pessimistic — i.e. unless the spec
+            // configures a coordination deadline and one expires (DESIGN.md
+            // §13), and then at most once per object.
+            let engine = OptimisticEngine::with_valve(rt, recorder.clone(), Valve::OneWay);
             run_workload(&engine, spec)
         }
         RecorderKind::Hybrid => {

@@ -1,11 +1,11 @@
 //! The adaptive policy at work (§6): the same high-conflict workload under
 //! optimistic tracking, hybrid tracking with the paper's policy, the
-//! infinite-cutoff configuration, and the §7.5 contended-cutoff extension.
+//! infinite-cutoff configuration, a custom policy with a re-opening valve.
 //!
 //! Run: `cargo run --release -p drink-examples --bin adaptive_tuning`
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
-use drink_core::policy::PolicyParams;
+use drink_core::policy::{PolicyParams, Valve};
 use drink_core::support::NullSupport;
 use drink_runtime::Event;
 use drink_workloads::{run_kind, run_workload, runtime_for, EngineKind, WorkloadSpec};
@@ -42,7 +42,8 @@ fn main() {
     let hyb = run_kind(EngineKind::Hybrid, &spec);
     show("hybrid, paper defaults", &hyb.report);
 
-    // Custom policy: eager cutoff, quick return to optimistic.
+    // Custom policy: eager cutoff, quick return to optimistic — and a valve
+    // that re-opens, so a quick return that proves wrong is not final.
     let rt = runtime_for(&spec);
     let engine = HybridEngine::with_config(
         rt,
@@ -52,13 +53,13 @@ fn main() {
                 cutoff_confl: 2,
                 k_confl: 50,
                 inertia: 50,
-                contended_cutoff: 16, // the §7.5 anti-racyInc extension
             },
+            valve: Valve::Reopening,
             ..HybridConfig::default()
         },
     );
     let custom = run_workload(&engine, &spec);
-    show("hybrid, custom (+§7.5 extension)", &custom.report);
+    show("hybrid, custom (re-opening valve)", &custom.report);
 
     println!(
         "\ncoordination roundtrips: optimistic {} vs hybrid {}",

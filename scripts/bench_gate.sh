@@ -52,10 +52,10 @@ run_and_compare() {
 # Advisory status lives in the reports themselves (schema v4): each bench
 # binary marks its known-unstable rows (e.g. trace_on_opt_write) at the
 # emission site, and `bench_compare` refuses (exit 2) if a previously-gated
-# baseline row arrives marked advisory. The opt_access_*/adapt_access_* rows
-# that PR 6 kept advisory (bimodal 278ns-16.9us under coordination storms)
-# are gated since the online demotion controller (DESIGN.md §13) collapsed
-# them to stable near-pessimistic values.
+# baseline row arrives marked advisory. The adapt_access_* rows that PR 6 kept
+# advisory (bimodal 278ns-16.9us under coordination storms) are gated since
+# the policy (DESIGN.md §13) moves the storm's hot set to pessimistic states;
+# the opt_access_* rows are pure Octet again since PR 13 and advisory again.
 #
 # --scaling gates the thread-width curves (DESIGN.md §14) on doubling
 # ratios, an absolute property of the fresh run:

@@ -32,14 +32,18 @@
 #      freezes for <ms> whenever it has pending coordination requests.
 #        - Degradation leg: a 200 ms stall — longer than chaosAdapt's 150 ms
 #          coordination deadline — against one full matrix seed. The run
-#          must PASS: deadlines fire, the controller force-demotes the
-#          stalled objects to the pessimistic protocol (which needs no
-#          responder), and every oracle still agrees. A hang or oracle
+#          must PASS: deadlines fire, each expiry moves the stalled object
+#          to the pessimistic protocol (which needs no responder), and every
+#          oracle still agrees. A hang or oracle
 #          failure here means the degradation ladder is broken.
 #        - Catch leg: a 4 s stall with a 3 s spin budget and no deadline
 #          relief on most workloads. The watchdog must CATCH the wedged
 #          roundtrip (nonzero exit, artifact), and `--reproduce` under the
 #          same fault must fail again.
+#   5. Short flake hunt: the policy's tests (profile-word proptests, the
+#      racy-object tests) and the replay-elision oracle, ten times over. Any
+#      red round fails the gate and keeps its output under
+#      target/flake-hunt/ (`scripts/flake_hunt.sh 50 ...` is the long form).
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -174,4 +178,7 @@ if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
   exit 1
 fi
 
-echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully)"
+echo "=== check_gate: flake hunt (policy, racy objects, replay elision; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects policy replay_elision
+
+echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

@@ -5,11 +5,12 @@
 #
 # N defaults to 50. Each filter is passed to `cargo test` as a test-name
 # substring; with several filters (or none) every workspace test binary runs
-# the tests matching any of them (or all of its tests). Filters are matched
-# by the test binaries, so a name that matches nothing runs nothing — the
-# script refuses a round that ran zero tests.
+# the tests matching any of them (or all of its tests). A filter that also
+# names a test file (`<package>/tests/<filter>.rs`) runs that whole file
+# besides. Names are matched by the test binaries, so a filter that matches
+# nothing runs nothing — the script refuses a round that ran zero tests.
 #
-#   scripts/flake_hunt.sh 50 racy_inc_pattern contended_cutoff_extension
+#   scripts/flake_hunt.sh 50 racy_objects policy replay_elision
 #
 # The first failing round's full output is kept under target/flake-hunt/
 # and the script exits non-zero; a clean hunt leaves nothing behind.
@@ -22,6 +23,12 @@ if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
   shift
 fi
 filters=("$@")
+files=()
+for f in "${filters[@]}"; do
+  if compgen -G "crates/*/tests/$f.rs" >/dev/null || [[ -f "tests/tests/$f.rs" ]]; then
+    files+=(--test "$f")
+  fi
+done
 
 out_dir=target/flake-hunt
 mkdir -p "$out_dir"
@@ -30,8 +37,17 @@ log="$out_dir/round.log"
 # Build once, outside the loop, so a compile error is not reported as a flake.
 cargo test -q --offline --no-run || exit 2
 
+round() {
+  local status=0
+  cargo test -q --offline --no-fail-fast -- "${filters[@]}" || status=1
+  if ((${#files[@]})); then
+    cargo test -q --offline --no-fail-fast "${files[@]}" || status=1
+  fi
+  return $status
+}
+
 for ((i = 1; i <= rounds; i++)); do
-  if ! cargo test -q --offline --no-fail-fast -- "${filters[@]}" >"$log" 2>&1; then
+  if ! round >"$log" 2>&1; then
     kept="$out_dir/failure-round$i.log"
     mv "$log" "$kept"
     echo "flake_hunt: FAIL in round $i of $rounds — output kept in $kept" >&2

@@ -49,7 +49,6 @@ fn arb_policy() -> impl Strategy<Value = PolicyParams> {
         cutoff_confl: cutoff,
         k_confl: k,
         inertia,
-        contended_cutoff: u32::MAX,
     })
 }
 
