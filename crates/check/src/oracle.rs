@@ -149,7 +149,7 @@ pub fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureA
 /// * **engine agreement** — access counts match across the matrix (a
 ///   seqlock-validated read is still exactly one tracked access);
 /// * **the path is live** — `validated_reads > 0` in every cell: a
-///   read-mostly spec that never validates means the gate or the version
+///   read-mostly spec that never validates means the gate or the validation
 ///   protocol regressed to always-fallback;
 /// * **validation survives the valve** — the hybrid cell moves at least one
 ///   object to pessimistic states (`OptToPess > 0`) and its validated reads

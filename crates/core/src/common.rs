@@ -28,7 +28,7 @@ use drink_runtime::{
 use crate::policy::AdaptivePolicy;
 use crate::support::{Support, SupportCx};
 use crate::tstate::{OwnedByThread, ThreadState};
-use crate::word::{StateWord, VersionWord};
+use crate::word::StateWord;
 
 /// Seqlock revalidation failures tolerated before a read gives up and takes
 /// the engine's ordinary read path (the lock its Table 3 row prescribes).
@@ -239,7 +239,6 @@ impl<S: Support> EngineCommon<S> {
             };
             match state.compare_exchange_weak(cur, new.0, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    obj.bump_version();
                     ts.stats.bump(Event::StateUnlocked);
                     if unlocked.is_pess_unlocked() {
                         // Policy-valve decision: released to optimistic, or
@@ -351,10 +350,6 @@ impl<S: Support> EngineCommon<S> {
     /// it parks the state at `Int(t)` so the caller can run support hooks
     /// before making the final state observable via
     /// [`EngineCommon::publish`].
-    ///
-    /// Takes the whole header (not just the state word) because every
-    /// successful install must bump the object's seqlock version before the
-    /// claimant's payload access (DESIGN.md §12).
     #[inline(always)]
     pub fn claim(&self, obj: &ObjHeader, cur: u64, t: ThreadId, final_w: StateWord) -> bool {
         let target = if S::PREPUBLISH {
@@ -362,14 +357,9 @@ impl<S: Support> EngineCommon<S> {
         } else {
             final_w.0
         };
-        let ok = obj
-            .state()
+        obj.state()
             .compare_exchange(cur, target, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        if ok {
-            obj.bump_version();
-        }
-        ok
+            .is_ok()
     }
 
     /// Second half of [`EngineCommon::claim`]: publish the final state.
@@ -381,63 +371,41 @@ impl<S: Support> EngineCommon<S> {
             .unwrap_or_else(|e| panic!("publishing ill-formed state word {final_w:?} — {e}"));
         if S::PREPUBLISH {
             obj.state().store(final_w.0, Ordering::Release);
-            obj.bump_version();
         }
     }
 
     /// The validated read (DESIGN.md §12): read `o` with **no state
-    /// transition**. The caller has just decoded `o`'s state word and found
-    /// [`StateWord::validated_read_ok`] for this thread — a state in which
-    /// the read creates no dependence and every writer must install (and
-    /// bump the version) before it writes the payload:
+    /// transition**. `w0` is the state word the caller just loaded (acquire)
+    /// and found [`StateWord::validated_read_ok`] for this thread — a state
+    /// in which the read creates no dependence, and which the object never
+    /// returns to once a foreign writer has installed its way out of it:
     ///
-    /// 1. load the version word (acquire) — `v0`;
-    /// 2. re-load the state word (acquire); if the predicate no longer
-    ///    holds a writer is in flight — give up immediately;
-    /// 3. load the payload;
-    /// 4. acquire fence, then re-load the version — `v1`;
-    /// 5. `v0 == v1` validates: no install overlapped the window, so the
-    ///    payload is exactly what the read's Table 3 row would have
-    ///    returned under its lock. Otherwise retry, falling back to the
-    ///    engine's ordinary read path (`None`) after
-    ///    [`SEQLOCK_MAX_RETRIES`] failures.
+    /// 1. load the payload;
+    /// 2. acquire fence, then re-load the state word;
+    /// 3. the same word validates: no foreign write overlapped the window,
+    ///    so the payload is exactly what the read's Table 3 row would have
+    ///    returned under its lock. A different word that is still eligible
+    ///    (a reader joined or left the read lock) retries from it; anything
+    ///    else, or [`SEQLOCK_MAX_RETRIES`] failures, falls back to the
+    ///    engine's ordinary read path (`None`).
     ///
-    /// The acquire load of the state word synchronizes with the release
-    /// install that published it, so the installer's earlier writes are
-    /// visible without a fence transition; `ts.rd_sh_count` is deliberately
-    /// **not** updated (this path makes no claim about other objects'
-    /// epochs).
-    pub fn seqlock_read(&self, ts: &mut ThreadState, o: ObjId) -> Option<u64> {
+    /// The fence pairs, through the payload word, with the release fence
+    /// every writer issues between its write-enabling install and its first
+    /// payload store: a reader that saw the store sees the install at the
+    /// re-load. The caller's acquire load of `w0` synchronizes with the
+    /// release install that published it, so the installer's earlier writes
+    /// are visible without a fence transition; `ts.rd_sh_count` is
+    /// deliberately **not** updated (this path makes no claim about other
+    /// objects' epochs).
+    pub fn seqlock_read(&self, ts: &mut ThreadState, o: ObjId, mut w0: StateWord) -> Option<u64> {
         let obj = self.rt.obj(o);
         let mut retries = 0u64;
         loop {
-            let v0 = VersionWord(obj.version().load(Ordering::Acquire));
-            // Liveness invariant: alloc-init is an install and bumps, so a
-            // live object's version is never 0 (modulo a full u64 wrap —
-            // unreachable in any real run). A zero here means installs are
-            // not bumping, which is exactly what the `skip-version-bump`
-            // injected bug does; the chaos matrix relies on this check to
-            // catch it deterministically.
-            #[cfg(feature = "check-invariants")]
-            assert!(
-                v0.0 != 0,
-                "seqlock read of {o:?}: version word never bumped — \
-                 state-word installs are not advancing the version counter"
-            );
-            let w = StateWord(obj.state().load(Ordering::Acquire));
-            if !w.validated_read_ok(ts.tid) {
-                // A writer claimed the object (or it left the eligible
-                // states) between the caller's decode and ours.
-                if retries > 0 {
-                    self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
-                }
-                return None;
-            }
             let value = obj.data_read();
             self.rt.sched_point(ts.tid, SchedPoint::SeqlockReadValidate);
             fence(Ordering::Acquire);
-            let v1 = VersionWord(obj.version().load(Ordering::Relaxed));
-            if v0.validates(v1) {
+            let w1 = StateWord(obj.state().load(Ordering::Relaxed));
+            if w1 == w0 {
                 ts.stats.bump(Event::SeqlockValidated);
                 if retries > 0 {
                     self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
@@ -447,12 +415,21 @@ impl<S: Support> EngineCommon<S> {
             }
             ts.stats.bump(Event::SeqlockRetry);
             retries += 1;
-            if retries > SEQLOCK_MAX_RETRIES {
-                ts.stats.bump(Event::SeqlockFallback);
+            let give_up = retries > SEQLOCK_MAX_RETRIES;
+            if give_up || !w1.validated_read_ok(ts.tid) {
+                // A write burst, or a writer claimed the object (or it left
+                // the eligible states) inside the window.
+                if give_up {
+                    ts.stats.bump(Event::SeqlockFallback);
+                    self.rt.trace(ts.tid, TraceKind::SeqlockFallback, o.0 as u64);
+                }
                 self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
-                self.rt.trace(ts.tid, TraceKind::SeqlockFallback, o.0 as u64);
                 return None;
             }
+            // The re-load was relaxed; order the next payload load after the
+            // install that published `w1`.
+            fence(Ordering::Acquire);
+            w0 = w1;
         }
     }
 

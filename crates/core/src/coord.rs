@@ -276,12 +276,6 @@ pub fn coordinate_all_seq(
             CoordMode::Mixed => unreachable!("coordinate_one never returns Mixed"),
         }
     }
-    // Coordination-induced state change: the requester will install the new
-    // state next, but bump here too so a seqlock reader that raced the whole
-    // fan-out cannot validate across it (DESIGN.md §12).
-    if let Some(o) = obj {
-        rt.obj(o).bump_version();
-    }
     rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
     rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);
     combine_modes(any_explicit, any_implicit)
@@ -364,10 +358,8 @@ pub fn coordinate_many(
 /// *whole* fan-out. Returns `None` if the deadline elapsed with peers still
 /// outstanding; `sources` may then hold partial resolutions, and the caller
 /// must discard them (engines use cleared scratch, so abandoning the vec is
-/// enough). No completion version bump happens on expiry — the caller's
-/// abort path restores the state word and bumps, which is what seqlock
-/// readers key on. Outstanding stale tokens are answered by their peers'
-/// next safe point, as ever.
+/// enough). The caller's abort path restores the state word. Outstanding
+/// stale tokens are answered by their peers' next safe point, as ever.
 pub fn coordinate_many_deadline(
     rt: &Runtime,
     me: ThreadId,
@@ -470,11 +462,6 @@ pub fn coordinate_many_deadline(
                 return None;
             }
         }
-    }
-    // Same completion bump as the sequential protocol: no seqlock read may
-    // validate across a coordination window (DESIGN.md §12).
-    if let Some(o) = obj {
-        rt.obj(o).bump_version();
     }
     rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
     rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);

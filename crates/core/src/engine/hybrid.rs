@@ -39,7 +39,7 @@ use crate::common::EngineCommon;
 use crate::coord::{coordinate_many_deadline, coordinate_one_deadline};
 use crate::engine::Tracker;
 use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
-use crate::support::{CoordMode, NullSupport, Support, SupportCx, TransitionEv};
+use crate::support::{CoordMode, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
 use crate::tstate::ThreadState;
 use crate::word::{Kind, LockMode, StateWord};
 
@@ -295,41 +295,11 @@ impl<S: Support> HybridEngine<S> {
         );
     }
 
-    /// Fill `ts.src_scratch` with one remote thread's release clock.
-    fn read_source_one(&self, ts: &mut ThreadState, remote: ThreadId) {
-        ts.src_scratch.clear();
-        ts.src_scratch
-            .push((remote, self.common.rt.control(remote).release_clock()));
-    }
-
-    /// Fill `ts.src_scratch` with every other registered thread's clock
-    /// (conservative RdSh sources).
-    fn read_sources_all(&self, ts: &mut ThreadState) {
-        ts.src_scratch.clear();
-        let n = self.common.rt.registered_threads();
-        for i in 0..n {
-            let r = ThreadId(i as u16);
-            if r != ts.tid {
-                ts.src_scratch
-                    .push((r, self.common.rt.control(r).release_clock()));
-            }
-        }
-    }
-
-    fn emit_pess_acquire(&self, ts: &mut ThreadState, o: ObjId, write: bool) {
-        let cx = SupportCx {
-            rt: &self.common.rt,
-            t: ts.tid,
-            op: ts.op_index,
-        };
-        self.common.support.on_transition(
-            cx,
-            o,
-            TransitionEv::PessConflictingAcquire {
-                sources: &ts.src_scratch,
-                write,
-            },
-        );
+    fn emit_pess_acquire(&self, ts: &mut ThreadState, o: ObjId, prev: PrevHolders, write: bool) {
+        let cx = self.common.cx(ts);
+        self.common
+            .support
+            .on_transition(cx, o, TransitionEv::PessConflictingAcquire { prev, write });
     }
 
     /// Contended transition (Figure 2(b)): coordinate with the holder(s) so
@@ -478,7 +448,6 @@ impl<S: Support> HybridEngine<S> {
                         )
                         .is_ok()
                     {
-                        obj.bump_version();
                         ts.stats.bump(Event::OptUpgrading);
                         self.common.rt.trace(ts.tid, TraceKind::OptUpgrade, o.0 as u64);
                         let cx = self.common.cx(ts);
@@ -494,20 +463,17 @@ impl<S: Support> HybridEngine<S> {
                 {
                     continue;
                 }
-                obj.bump_version();
                 let Some(mode) = self.conflict_coordinate(ts, o, w) else {
                     // Coordination deadline: restore the pre-claim state and
                     // retry. The object was force-demoted, so once the stall
                     // clears (one successful coordination, or the holder
                     // blocks) it runs the pessimistic protocol.
                     state.store(cur, Ordering::Release);
-                    obj.bump_version();
                     continue;
                 };
                 if abortable && self.common.support.should_abort(t) {
                     // Yielded mid-coordination: restore and abort.
                     state.store(cur, Ordering::Release);
-                    obj.bump_version();
                     return Access::Aborted;
                 }
                 let to_pess = self.conflict_to_pess(ts, o, mode);
@@ -516,14 +482,12 @@ impl<S: Support> HybridEngine<S> {
                 self.finish_opt_conflict(ts, o, mode, true);
                 if to_pess {
                     state.store(StateWord::wr_ex_pess(t, LockMode::Write).0, Ordering::Release);
-                    obj.bump_version();
                     ts.push_lock(o);
                     ts.stats.bump(Event::OptToPess);
                     self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
                     return self.hold(false);
                 }
                 state.store(StateWord::wr_ex_opt(t).0, Ordering::Release);
-                obj.bump_version();
                 return Access::Proceed;
             }
 
@@ -533,19 +497,17 @@ impl<S: Support> HybridEngine<S> {
                 //   WrExPess(T)/RdExPess(T)   W by T  → WrExWLock(T)   (non-confl)
                 //   WrExPess(T1)/RdExPess(T1) W by T2 → WrExWLock(T2)  (confl, clock edge)
                 //   RdShPess(c)               W by T  → WrExWLock(T)   (confl, clock edges)
-                let own = w.kind() != Kind::RdSh && w.owner() == t;
-                let prev_owner = w.owner();
-                let was_rdsh = w.kind() == Kind::RdSh;
+                let prev = if w.kind() == Kind::RdSh {
+                    PrevHolders::AllOthers
+                } else {
+                    PrevHolders::One(w.owner())
+                };
+                let own = prev == PrevHolders::One(t);
                 let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
                 if self.common.claim(obj, cur, t, final_w) {
                     let conflicting = !own;
                     if conflicting {
-                        if was_rdsh {
-                            self.read_sources_all(ts);
-                        } else {
-                            self.read_source_one(ts, prev_owner);
-                        }
-                        self.emit_pess_acquire(ts, o, true);
+                        self.emit_pess_acquire(ts, o, prev, true);
                     }
                     self.common.publish(obj, final_w);
                     ts.push_lock(o);
@@ -574,7 +536,6 @@ impl<S: Support> HybridEngine<S> {
                     )
                     .is_ok()
                 {
-                    obj.bump_version();
                     // Already in the lock buffer from the read-lock.
                     ts.rd_set.remove(o.0);
                     return self.bump_pess(ts, o, false, contended);
@@ -591,8 +552,7 @@ impl<S: Support> HybridEngine<S> {
                     ts.rd_set.remove(o.0);
                     // Write after other threads' past reads: conservative
                     // clock edges to everyone.
-                    self.read_sources_all(ts);
-                    self.emit_pess_acquire(ts, o, true);
+                    self.emit_pess_acquire(ts, o, PrevHolders::AllOthers, true);
                     self.common.publish(obj, final_w);
                     return self.bump_pess(ts, o, true, contended);
                 }
@@ -627,10 +587,17 @@ impl<S: Support> HybridEngine<S> {
         if obj.state().load(Ordering::Acquire) == StateWord::wr_ex_opt(t).0 {
             ts.stats.bump(Event::OptSameState);
         } else {
-            match self.write_slow(ts, o, abortable) {
-                Access::Aborted => return None,
-                Access::Proceed => {}
-                Access::ThenRelease => return Some(self.write_then_release(ts, o, v)),
+            let access = self.write_slow(ts, o, abortable);
+            if access == Access::Aborted {
+                return None;
+            }
+            // The one writer fence of DESIGN.md §12, between whatever state
+            // the slow path installed and the payload store: a validating
+            // reader that sees the store sees the install at its re-load.
+            // Same-state writes need none — their install is behind them.
+            fence(Ordering::Release);
+            if access == Access::ThenRelease {
+                return Some(self.write_then_release(ts, o, v));
             }
         }
         Some(self.program_write(ts, obj, o, v))
@@ -756,11 +723,9 @@ impl<S: Support> HybridEngine<S> {
                         {
                             continue;
                         }
-                        obj.bump_version();
                         let Some(mode) = self.conflict_coordinate(ts, o, w) else {
                             // Deadline: restore and retry (see write_slow).
                             state.store(cur, Ordering::Release);
-                            obj.bump_version();
                             continue;
                         };
                         let to_pess = self.conflict_to_pess(ts, o, mode);
@@ -770,14 +735,12 @@ impl<S: Support> HybridEngine<S> {
                                 StateWord::rd_ex_pess(t, LockMode::Read).0,
                                 Ordering::Release,
                             );
-                            obj.bump_version();
                             ts.push_read_lock(o);
                             ts.stats.bump(Event::OptToPess);
                             self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
                             return self.hold(false);
                         }
                         state.store(StateWord::rd_ex_opt(t).0, Ordering::Release);
-                        obj.bump_version();
                         return Access::Proceed;
                     }
                     Kind::Int => unreachable!("handled above"),
@@ -824,7 +787,6 @@ impl<S: Support> HybridEngine<S> {
                         )
                         .is_ok()
                     {
-                        obj.bump_version();
                         ts.push_read_lock(o);
                         self.note_rdsh_read(ts, o, c);
                         return self.bump_pess(ts, o, false, contended);
@@ -918,8 +880,7 @@ impl<S: Support> HybridEngine<S> {
                 let prev_owner = w.owner();
                 let final_w = StateWord::rd_ex_pess(t, LockMode::Read);
                 if self.common.claim(obj, cur, t, final_w) {
-                    self.read_source_one(ts, prev_owner);
-                    self.emit_pess_acquire(ts, o, false);
+                    self.emit_pess_acquire(ts, o, PrevHolders::One(prev_owner), false);
                     self.common.publish(obj, final_w);
                     ts.push_read_lock(o);
                     return Some(self.bump_pess(ts, o, true, contended));
@@ -976,7 +937,6 @@ impl<S: Support> HybridEngine<S> {
                     )
                     .is_ok()
                 {
-                    obj.bump_version();
                     ts.push_read_lock(o);
                     self.note_rdsh_read(ts, o, c);
                     return Some(self.bump_pess(ts, o, false, contended));
@@ -1040,11 +1000,11 @@ impl<S: Support> Tracker for HybridEngine<S> {
         } else {
             // A read whose Table 3 row is non-conflicting, of a state nobody
             // holds write-locked, needs no transition: validate it against
-            // the version word instead of taking the row's read lock
+            // the state word just loaded instead of taking the row's read lock
             // (DESIGN.md §12). On repeated invalidation it falls through to
             // `read_slow`, which takes that lock as before.
             if S::RELAXED_LOCKING && w.validated_read_ok(t) {
-                if let Some(v) = self.common.seqlock_read(ts, o) {
+                if let Some(v) = self.common.seqlock_read(ts, o, w) {
                     self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
                     ts.op_index += 1;
                     return v;
@@ -1074,7 +1034,6 @@ impl<S: Support> Tracker for HybridEngine<S> {
         self.common.rt.stamp_access(owner, o);
         let obj = self.common.rt.obj(o);
         obj.state().store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
-        obj.bump_version();
     }
 
     #[inline]

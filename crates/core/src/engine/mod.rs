@@ -78,10 +78,10 @@ pub trait Tracker: Send + Sync {
     /// window, so that one-time initialization conflicts don't swamp the
     /// steady-state conflict rate the paper's multi-minute runs measure.
     fn alloc_init_read_shared(&self, o: ObjId) {
-        let obj = self.rt().obj(o);
-        obj.state()
+        self.rt()
+            .obj(o)
+            .state()
             .store(crate::word::StateWord::rd_sh_opt(1).0, std::sync::atomic::Ordering::SeqCst);
-        obj.bump_version();
     }
 
     /// Non-blocking safe point poll (loop back edges).

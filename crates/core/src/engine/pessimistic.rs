@@ -19,7 +19,7 @@
 //! ("pessimistic tracking alone is slower than both optimistic and hybrid
 //! runtime support", §7.6), so this engine reports no transition events.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use drink_runtime::{Event, MonitorId, ObjId, Runtime, ThreadId, TraceKind};
@@ -64,18 +64,18 @@ impl<S: Support> PessimisticEngine<S> {
 
         // A read of a standing RdSh state keeps the state (Table 1's
         // RdSh→old row), so the validated read (DESIGN.md §12) can skip the
-        // CAS-lock critical section entirely — validation proves no install
+        // CAS-lock critical section entirely — validation proves no write
         // overlapped the read window, which is exactly what the critical
         // section would have guaranteed. (This engine's exclusive states use
         // the optimistic encodings, so RdSh is the only eligible kind.)
-        if S::RELAXED_LOCKING
-            && write.is_none()
-            && StateWord(state.load(Ordering::Acquire)).validated_read_ok(t)
-        {
-            if let Some(v) = self.common.seqlock_read(ts, o) {
-                self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
-                ts.op_index += 1;
-                return v;
+        if S::RELAXED_LOCKING && write.is_none() {
+            let w = StateWord(state.load(Ordering::Acquire));
+            if w.validated_read_ok(t) {
+                if let Some(v) = self.common.seqlock_read(ts, o, w) {
+                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
+                    ts.op_index += 1;
+                    return v;
+                }
             }
         }
 
@@ -93,7 +93,6 @@ impl<S: Support> PessimisticEngine<S> {
                     )
                     .is_ok()
             {
-                obj.bump_version();
                 break StateWord(cur);
             }
             spin.spin();
@@ -117,6 +116,9 @@ impl<S: Support> PessimisticEngine<S> {
         // Program access inside the critical section.
         let value = match write {
             Some(v) => {
+                // The writer fence of DESIGN.md §12: a validating reader that
+                // sees this store sees the LOCKED install at its re-load.
+                fence(Ordering::Release);
                 obj.data_write(v);
                 v
             }
@@ -125,7 +127,6 @@ impl<S: Support> PessimisticEngine<S> {
 
         // Unlock + update metadata (release = the paper's memfence).
         state.store(new.0, Ordering::Release);
-        obj.bump_version();
         ts.stats.bump(Event::PessUncontended);
         self.common.rt.trace(
             t,
@@ -176,9 +177,8 @@ impl<S: Support> Tracker for PessimisticEngine<S> {
     fn alloc_init(&self, o: ObjId, owner: ThreadId) {
         // The state word names the owner from here on: stamp its shard.
         self.common.rt.stamp_access(owner, o);
-        let obj = self.common.rt.obj(o);
-        obj.state().store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
-        obj.bump_version();
+        let state = self.common.rt.obj(o).state();
+        state.store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
     }
 
     #[inline]

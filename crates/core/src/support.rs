@@ -7,7 +7,9 @@
 //! engines knowing anything about them. [`Support`] is that observer
 //! interface; every method has an empty inline default so the
 //! tracking-alone configurations ([`NullSupport`]) compile to exactly the
-//! uninstrumented engine.
+//! uninstrumented engine — happens-before sources included: an event carries
+//! only what the protocol already has in hand, and a support that wants a
+//! remote clock reads it itself.
 //!
 //! ## How transition events carry happens-before information
 //!
@@ -17,9 +19,10 @@
 //!   read from responses or from blocked threads' release clocks — these
 //!   dominate the remote thread's last access (Figure 4(b));
 //! * **pessimistic uncontended transitions involving conflicting states**
-//!   yield remote release clocks read without communication — sound because
-//!   deferred unlocking means an *unlocked* pessimistic state was flushed at
-//!   a PSRO no later than the clock value read (§4.2);
+//!   name the previous holder(s); the recorder reads their release clocks
+//!   inside the hook, without communication — sound because deferred
+//!   unlocking means an *unlocked* pessimistic state was flushed at a PSRO no
+//!   later than the clock value read (§4.2);
 //! * **upgrades and fences** carry no protocol source. The recorder closes
 //!   the gap with a per-object *last-transition* side table: every recorded
 //!   transition deposits `(thread, clock)` for the next accessor. This is
@@ -40,6 +43,16 @@ pub enum CoordMode {
     /// Mixed (RdSh conflicts coordinate with every thread; some responded
     /// explicitly, some were blocked).
     Mixed,
+}
+
+/// Whom a pessimistic conflicting acquire took the state from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrevHolders {
+    /// The owner named by the exclusive state.
+    One(ThreadId),
+    /// The state was read-shared, which names no one: conservatively, every
+    /// other registered thread.
+    AllOthers,
 }
 
 /// A non-same-state transition, as reported to [`Support::on_transition`].
@@ -81,11 +94,13 @@ pub enum TransitionEv<'a> {
         write: bool,
     },
     /// Pessimistic uncontended transition involving conflicting states
-    /// (e.g. `WrExPess(T1)` read by T2): sources are remote release clocks
-    /// read without communication.
+    /// (e.g. `WrExPess(T1)` read by T2). The happens-before sources are the
+    /// previous holders' release clocks, read without communication; a
+    /// support that records them reads them here — after the claim, before
+    /// the publish (§4.2).
     PessConflictingAcquire {
-        /// `(thread, release clock)` pairs.
-        sources: &'a [(ThreadId, u64)],
+        /// The previous holder(s) of the state.
+        prev: PrevHolders,
         /// Is the triggering access a write?
         write: bool,
     },
@@ -247,12 +262,17 @@ mod tests {
     #[derive(Default)]
     struct Probe {
         transitions: std::sync::atomic::AtomicUsize,
+        /// Every `PessConflictingAcquire`, as `(object, holders named, write)`.
+        acquires: std::sync::Mutex<Vec<(ObjId, PrevHolders, bool)>>,
     }
 
     impl Support for Probe {
-        fn on_transition(&self, _cx: SupportCx<'_>, _obj: ObjId, _ev: TransitionEv<'_>) {
+        fn on_transition(&self, _cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {
             self.transitions
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if let TransitionEv::PessConflictingAcquire { prev, write } = ev {
+                self.acquires.lock().unwrap().push((obj, prev, write));
+            }
         }
     }
 
@@ -273,5 +293,47 @@ mod tests {
         p.on_transition(cx, ObjId(1), TransitionEv::UpgradeOwn);
         p.on_release(cx, 3); // default no-op
         assert_eq!(p.transitions.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    /// A pessimistic conflicting acquire names whom it took the state from
+    /// and reads no clock on the support's behalf: the owner of an exclusive
+    /// state, everyone else for a read-shared one.
+    #[test]
+    fn pess_conflicting_acquires_name_the_previous_holders() {
+        use crate::engine::hybrid::{HybridConfig, HybridEngine};
+        use crate::engine::Tracker;
+        use crate::word::{LockMode, StateWord};
+        use std::sync::atomic::Ordering;
+
+        let rt = std::sync::Arc::new(Runtime::new(
+            drink_runtime::RuntimeConfig::builder().max_threads(4).heap_objects(8).build(),
+        ));
+        let e = HybridEngine::with_config(rt, Probe::default(), HybridConfig::default());
+        let (t, other) = (e.attach(), e.attach());
+        let inject = |o: ObjId, w: StateWord| e.rt().obj(o).state().store(w.0, Ordering::SeqCst);
+
+        // WrExPess(T1) R by T → RdExRLock(T), W by T → WrExWLock(T).
+        inject(ObjId(0), StateWord::wr_ex_pess(other, LockMode::Unlocked));
+        e.read(t, ObjId(0));
+        inject(ObjId(1), StateWord::wr_ex_pess(other, LockMode::Unlocked));
+        e.write(t, ObjId(1), 7);
+        // RdShPess(c) W by T → WrExWLock(T).
+        inject(ObjId(2), StateWord::rd_sh_pess(3, 0));
+        e.write(t, ObjId(2), 7);
+        // RdShRLock(1)(c), read-locked by T alone, W by T: upgrade in place.
+        inject(ObjId(3), StateWord::rd_sh_pess(3, 0));
+        e.read(t, ObjId(3));
+        e.write(t, ObjId(3), 7);
+
+        assert_eq!(
+            *e.common().support.acquires.lock().unwrap(),
+            [
+                (ObjId(0), PrevHolders::One(other), false),
+                (ObjId(1), PrevHolders::One(other), true),
+                (ObjId(2), PrevHolders::AllOthers, true),
+                (ObjId(3), PrevHolders::AllOthers, true),
+            ]
+        );
+        e.detach(t);
     }
 }

@@ -75,8 +75,10 @@ const C_MASK: u64 = 0xFFFF_FFFF;
 /// asserts thread counts stay below this.
 pub const MAX_READ_LOCKS: u64 = N_MASK;
 
-/// Maximum representable RdSh counter value (32-bit field).
+/// Maximum representable RdSh counter value (32-bit field): the runtime's
+/// counter refuses to go past it.
 pub const MAX_RDSH_COUNT: u64 = C_MASK;
+const _: () = assert!(MAX_RDSH_COUNT == drink_runtime::MAX_RDSH_COUNT);
 
 /// A decoded-on-demand view of the per-object state word.
 ///
@@ -246,15 +248,17 @@ impl StateWord {
         self.is_pess() && self.lock_mode() == LockMode::Unlocked
     }
 
-    /// May thread `t` read an object in this state by seqlock validation
-    /// alone (DESIGN.md §12) — no transition, no lock?
+    /// May thread `t` read an object in this state by validation alone
+    /// (DESIGN.md §12) — no transition, no lock?
     ///
     /// True exactly for the states in which a read by `t` creates no
-    /// dependence and every writer must install a new state word (and bump
-    /// the version) before it touches the payload: any RdSh state, and the
-    /// pessimistic exclusive states owned by `t` that nobody holds
-    /// write-locked. `WrExOpt(T)` and `WrExWLock(T)` are excluded because
-    /// their owner writes the payload with no install; `Int` and the
+    /// dependence and every foreign writer must install a different state
+    /// word before it touches the payload — one the object never leaves for
+    /// this word again: any RdSh state (a later RdSh word carries a fresh
+    /// epoch), and the pessimistic exclusive states owned by `t` that nobody
+    /// holds write-locked (only `t` installs a word naming `t`).
+    /// `WrExOpt(T)` and `WrExWLock(T)` are excluded because their owner
+    /// writes the payload with no install; `Int` and the
     /// [`StateWord::LOCKED`] sentinel (which decodes as `Int`) because a
     /// transition is in flight.
     #[inline(always)]
@@ -375,38 +379,6 @@ impl StateWord {
             }
         }
         Ok(())
-    }
-}
-
-/// The per-object seqlock version (DESIGN.md §12): the value of the sibling
-/// version word in the heap header (`ObjHeader::version`). Writers advance it
-/// (wrapping) at every state-word install; a coordination-free reader
-/// validates by loading it before and after the payload read and demanding
-/// equality. Unlike a classic seqlock there is no odd/even "writer present"
-/// phase — the state word itself is the write intent (a claim installs
-/// LOCKED/Int *and* bumps), so equality of the version across the read
-/// window is the whole protocol.
-///
-/// Wraparound is benign: a false validation would need exactly 2⁶⁴ installs
-/// inside one read window, and `validates` is pure equality, so the
-/// arithmetic is total.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct VersionWord(pub u64);
-
-impl VersionWord {
-    /// The version a freshly allocated (or reset) object starts at.
-    pub const INITIAL: VersionWord = VersionWord(0);
-
-    /// The version after one more state-word install (wrapping).
-    #[inline(always)]
-    pub fn bumped(self) -> VersionWord {
-        VersionWord(self.0.wrapping_add(1))
-    }
-
-    /// Seqlock validation: did the version stay put across the read window?
-    #[inline(always)]
-    pub fn validates(self, reread: VersionWord) -> bool {
-        self.0 == reread.0
     }
 }
 
@@ -622,15 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn version_word_wraps_and_never_validates_across_a_bump() {
-        assert_eq!(VersionWord::INITIAL.bumped(), VersionWord(1));
-        let top = VersionWord(u64::MAX);
-        assert_eq!(top.bumped(), VersionWord(0), "wraps to zero, no overflow panic");
-        assert!(!top.validates(top.bumped()));
-        assert!(top.validates(top));
-    }
-
-    #[test]
     fn fields_do_not_interfere() {
         // Set every field to its max and read each back.
         let w = StateWord::rd_sh_pess(MAX_RDSH_COUNT, MAX_READ_LOCKS);
@@ -819,45 +782,26 @@ mod proptests {
             }
         }
 
-        /// A single bump never validates against the version it started
-        /// from, at any starting point — including the wraparound at
-        /// `u64::MAX` (a bumped version only re-validates after exactly 2⁶⁴
-        /// installs inside one read window).
+        /// RdSh encodings are injective in the epoch `c` over its whole
+        /// range, for every read-lock count and both protocols: a validated
+        /// read compares state words, so two epochs must never share one
+        /// (DESIGN.md §12).
         #[test]
-        fn version_bump_always_invalidates(raw in any::<u64>()) {
-            let v = VersionWord(raw);
-            prop_assert!(v.validates(v));
-            prop_assert!(!v.validates(v.bumped()));
-            prop_assert!(!v.bumped().validates(v));
-            prop_assert_eq!(v.bumped().0, raw.wrapping_add(1));
-        }
-
-        /// Bumping is injective over any window shorter than the full 2⁶⁴
-        /// cycle: k bumps (k in 1..=256) never return to the start.
-        #[test]
-        fn version_short_windows_never_alias(raw in any::<u64>(), k in 1u64..=256) {
-            let start = VersionWord(raw);
-            let mut v = start;
-            for _ in 0..k {
-                v = v.bumped();
+        fn rdsh_words_are_injective_in_the_epoch(
+            c1 in 0u64..=MAX_RDSH_COUNT,
+            c2 in 0u64..=MAX_RDSH_COUNT,
+            n in 0u64..=MAX_READ_LOCKS,
+        ) {
+            prop_assert_eq!(StateWord::rd_sh_opt(c1) == StateWord::rd_sh_opt(c2), c1 == c2);
+            prop_assert_eq!(StateWord::rd_sh_pess(c1, n) == StateWord::rd_sh_pess(c2, n), c1 == c2);
+            // The edges of the range, against an arbitrary epoch.
+            for edge in [0, MAX_RDSH_COUNT] {
+                prop_assert_eq!(StateWord::rd_sh_opt(edge) == StateWord::rd_sh_opt(c1), edge == c1);
+                prop_assert_eq!(
+                    StateWord::rd_sh_pess(edge, n) == StateWord::rd_sh_pess(c1, n),
+                    edge == c1
+                );
             }
-            prop_assert!(!start.validates(v), "aliased after {k} bumps");
-        }
-
-        /// The version word is layout-independent of the state word: any
-        /// state word re-encodes identically regardless of the version
-        /// beside it (they are separate heap-header words, not bitfields of
-        /// one word — this pins that no future packing change silently
-        /// steals StateWord bits).
-        #[test]
-        fn version_and_state_words_do_not_interfere(tid in arb_tid(), c in 0u64..=MAX_RDSH_COUNT, raw in any::<u64>()) {
-            let w = StateWord::rd_sh_opt(c);
-            let v = VersionWord(raw);
-            prop_assert_eq!(w.rdsh_count(), c);
-            prop_assert_eq!(v.0, raw);
-            let x = StateWord::wr_ex_opt(tid);
-            prop_assert_eq!(x.owner(), tid);
-            prop_assert_eq!(v.bumped().0, raw.wrapping_add(1));
         }
 
         /// Distinct logical states encode to distinct words.

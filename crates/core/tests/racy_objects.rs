@@ -288,7 +288,6 @@ fn the_release_follows_the_access_it_guards() {
     let obj = e.rt().obj(O);
     obj.state()
         .store(StateWord::wr_ex_pess(T0, LockMode::Unlocked).0, Ordering::SeqCst);
-    obj.bump_version();
 
     std::thread::scope(|s| {
         let second = s.spawn(|| {

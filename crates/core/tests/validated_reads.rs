@@ -2,10 +2,14 @@
 //!
 //! Under a support that allows them (`NullSupport`), a read whose Table 3 row
 //! is non-conflicting, of a state nobody holds write-locked, takes **no
-//! transition**: it validates against the version word and leaves the state
+//! transition**: it validates against the state word itself and leaves that
 //! word, the lock buffer and the read set alone — so a later writer finds
 //! nothing to contend with. Every other read takes the lock its row
 //! prescribes (those rows are pinned on `PaperModel` in `table3.rs`).
+//!
+//! Validation by the state word rests on the object never returning to the
+//! word the reader started from once a foreign write has happened; the last
+//! two tests force both sides of that through `SeqlockReadValidate`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -14,9 +18,12 @@ use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
 use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
 use drink_core::word::{LockMode, StateWord};
-use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId};
+use drink_runtime::{
+    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId,
+};
 
 const O: ObjId = ObjId(0);
+const M: MonitorId = MonitorId(0);
 const T0: ThreadId = ThreadId(0);
 const T1: ThreadId = ThreadId(1);
 
@@ -47,19 +54,12 @@ fn engine_on(rt: Arc<Runtime>) -> HybridEngine {
     )
 }
 
-/// Install `w` the way the engines do: store, then bump the version.
 fn inject(e: &HybridEngine, w: StateWord) {
-    let obj = e.rt().obj(O);
-    obj.state().store(w.0, Ordering::SeqCst);
-    obj.bump_version();
+    e.rt().obj(O).state().store(w.0, Ordering::SeqCst);
 }
 
 fn state(e: &HybridEngine) -> StateWord {
     StateWord(e.rt().obj(O).state().load(Ordering::SeqCst))
-}
-
-fn version(e: &HybridEngine) -> u64 {
-    e.rt().obj(O).version().load(Ordering::SeqCst)
 }
 
 /// T0 reads `old`; then T1 writes. Returns the merged report.
@@ -69,11 +69,9 @@ fn read_then_foreign_write(old: StateWord) -> drink_runtime::StatsReport {
     assert_eq!(t0, T0);
     e.rt().obj(O).data_write(41);
     inject(&e, old);
-    let v_before = version(&e);
 
     assert_eq!(e.read(t0, O), 41);
     assert_eq!(state(&e), old, "a validated read is not a transition");
-    assert_eq!(version(&e), v_before, "and installs nothing");
     // SAFETY: this is the OS thread attached as t0.
     let ts = unsafe { e.common().ts(t0) };
     assert!(ts.lock_buffer.is_empty() && ts.rd_set.is_empty() && ts.holds_no_locks());
@@ -121,9 +119,8 @@ fn read_locked_states_validate_without_joining_the_lock() {
         let e = engine_on(Arc::new(runtime()));
         let t0 = e.attach();
         inject(&e, old);
-        let v_before = version(&e);
         let _ = e.read(t0, O);
-        assert_eq!((state(&e), version(&e)), (old, v_before), "{old:?}");
+        assert_eq!(state(&e), old, "{old:?}");
         // SAFETY: this is the OS thread attached as t0.
         let ts = unsafe { e.common().ts(t0) };
         assert!(ts.lock_buffer.is_empty() && ts.rd_set.is_empty(), "{old:?}");
@@ -233,12 +230,14 @@ fn write_locked_and_in_flight_states_never_validate() {
 }
 
 /// Lands an install inside the first `left` validation windows: a foreign
-/// reader joining the read lock, which bumps the version but keeps the state
-/// eligible — so the reader retries rather than bailing out.
+/// reader joining the read lock — and, if `leave`, flushing it again before
+/// the window closes. A join alone changes the word but keeps it eligible, so
+/// the reader retries rather than bailing out.
 #[derive(Debug)]
 struct InstallInWindow {
     rt: OnceLock<Weak<Runtime>>,
     left: AtomicU32,
+    leave: bool,
 }
 
 impl SchedHooks for InstallInWindow {
@@ -256,32 +255,37 @@ impl SchedHooks for InstallInWindow {
             .get()
             .and_then(Weak::upgrade)
             .expect("runtime registered");
-        let obj = rt.obj(O);
-        let w = StateWord(obj.state().load(Ordering::SeqCst));
-        obj.state().store(
-            StateWord::rd_sh_pess(w.rdsh_count(), w.read_locks() + 1).0,
-            Ordering::SeqCst,
-        );
-        obj.bump_version();
+        let state = rt.obj(O).state();
+        let w = StateWord(state.load(Ordering::SeqCst));
+        let joined = StateWord::rd_sh_pess(w.rdsh_count(), w.read_locks() + 1);
+        state.store(joined.0, Ordering::SeqCst);
+        if self.leave {
+            state.store(joined.unlock_one().0, Ordering::SeqCst);
+        }
     }
 }
 
-fn engine_with_installs_in_window(installs: u32) -> HybridEngine {
+fn engine_with_hooks(hook: Arc<dyn SchedHooks>) -> HybridEngine {
+    let mut rt = runtime();
+    rt.set_sched_hooks(hook);
+    engine_on(Arc::new(rt))
+}
+
+fn engine_with_installs_in_window(installs: u32, leave: bool) -> HybridEngine {
     let hook = Arc::new(InstallInWindow {
         rt: OnceLock::new(),
         left: AtomicU32::new(installs),
+        leave,
     });
-    let mut rt = runtime();
-    rt.set_sched_hooks(hook.clone());
-    let rt = Arc::new(rt);
-    hook.rt.set(Arc::downgrade(&rt)).expect("set once");
-    engine_on(rt)
+    let e = engine_with_hooks(hook.clone());
+    hook.rt.set(Arc::downgrade(e.rt())).expect("set once");
+    e
 }
 
 #[test]
 fn invalidated_window_retries_then_falls_back_to_the_read_lock() {
     // One install in the window: one retry, then the read validates.
-    let e = engine_with_installs_in_window(1);
+    let e = engine_with_installs_in_window(1, false);
     let t0 = e.attach();
     inject(&e, StateWord::rd_sh_pess(3, 0));
     let _ = e.read(t0, O);
@@ -300,7 +304,7 @@ fn invalidated_window_retries_then_falls_back_to_the_read_lock() {
     // An install in every window: the read gives up after the retry budget
     // and takes the lock its Table 3 row prescribes — RdShRLock(n) R by T →
     // RdShRLock(n+1) — by CAS. It never coordinates.
-    let e = engine_with_installs_in_window(u32::MAX);
+    let e = engine_with_installs_in_window(u32::MAX, false);
     let t0 = e.attach();
     inject(&e, StateWord::rd_sh_pess(3, 0));
     let _ = e.read(t0, O);
@@ -319,4 +323,105 @@ fn invalidated_window_retries_then_falls_back_to_the_read_lock() {
     assert_eq!(ts.stats.get(Event::PessUncontended), 1);
     assert_eq!(ts.stats.get(Event::PessContended), 0);
     assert_eq!(ts.stats.get(Event::CoordinationRoundtrip), 0);
+}
+
+/// The benign ABA: a foreign reader joins the read lock and flushes it again
+/// inside the window, restoring the word bit for bit. No payload write lies
+/// between two equal words, so the read validates first time.
+#[test]
+fn a_read_lock_join_and_leave_in_the_window_validates() {
+    let e = engine_with_installs_in_window(1, true);
+    let t0 = e.attach();
+    e.rt().obj(O).data_write(41);
+    let old = StateWord::rd_sh_pess(3, 0);
+    inject(&e, old);
+    assert_eq!(e.read(t0, O), 41);
+    assert_eq!(state(&e), old);
+    // SAFETY: this is the OS thread attached as t0.
+    let ts = unsafe { e.common().ts(t0) };
+    assert_eq!(ts.stats.get(Event::SeqlockRetry), 0);
+    assert_eq!(ts.stats.get(Event::SeqlockValidated), 1);
+    e.detach(t0);
+}
+
+/// Runs a whole foreign write cycle inside T0's first validation window, on
+/// two helper mutators that step through `phase` in turn:
+///
+/// 1. T1 writes 99 (`RdShPess(3)` → `WrExWLock(T1)`, by CAS) and flushes;
+/// 2. T2 reads (`WrExPess(T1)` → `RdExRLock(T2)`) and flushes;
+/// 3. T1 reads (`RdExPess(T2)` → `RdShRLock(1)(c)`, a fresh epoch) and
+///    flushes, which leaves `RdShPess(c)` — the word T0 started from in every
+///    bit but the epoch.
+#[derive(Debug, Default)]
+struct WriteCycleInWindow {
+    phase: AtomicU32,
+}
+
+impl WriteCycleInWindow {
+    /// One step of the cycle: wait for `phase`, access, flush at a PSRO.
+    fn step(&self, e: &HybridEngine, t: ThreadId, phase: u32, access: impl FnOnce()) {
+        let mut spin = e.rt().spinner_for(t, "the write cycle's previous step");
+        while self.phase.load(Ordering::Acquire) != phase {
+            spin.spin();
+        }
+        access();
+        e.lock(t, M);
+        e.unlock(t, M);
+        self.phase.store(phase + 1, Ordering::Release);
+    }
+}
+
+impl SchedHooks for WriteCycleInWindow {
+    fn perturb(&self, _t: ThreadId, point: SchedPoint) {
+        if point == SchedPoint::SeqlockReadValidate
+            && self
+                .phase
+                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+        {
+            while self.phase.load(Ordering::Acquire) != 4 {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_foreign_write_cycle_that_ends_read_shared_again_never_validates() {
+    let hook = Arc::new(WriteCycleInWindow::default());
+    let e = engine_with_hooks(hook.clone());
+    let t0 = e.attach();
+    e.rt().obj(O).data_write(41);
+    let old = StateWord::rd_sh_pess(3, 0);
+    inject(&e, old);
+
+    let attached = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let t1 = e.attach();
+            attached.wait();
+            hook.step(&e, t1, 1, || e.write(t1, O, 99));
+            hook.step(&e, t1, 3, || assert_eq!(e.read(t1, O), 99));
+            e.detach(t1);
+        });
+        s.spawn(|| {
+            let t2 = e.attach();
+            attached.wait();
+            hook.step(&e, t2, 2, || assert_eq!(e.read(t2, O), 99));
+            e.detach(t2);
+        });
+        attached.wait();
+        assert_eq!(e.read(t0, O), 99, "the window's 41 must not validate");
+    });
+
+    let now = state(&e);
+    assert_eq!(now, StateWord::rd_sh_pess(now.rdsh_count(), 0), "read-shared and unlocked again");
+    assert_ne!(now.rdsh_count(), old.rdsh_count(), "under an epoch of its own");
+    // SAFETY: this is the OS thread attached as t0.
+    let ts = unsafe { e.common().ts(t0) };
+    assert_eq!(ts.stats.get(Event::SeqlockRetry), 1);
+    assert_eq!(ts.stats.get(Event::SeqlockValidated), 1, "the retry, from the new word");
+    assert_eq!(ts.stats.get(Event::SeqlockFallback), 0);
+    assert!(ts.lock_buffer.is_empty());
+    e.detach(t0);
 }

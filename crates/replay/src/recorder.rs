@@ -6,7 +6,7 @@
 //! | event | sink wait(s) recorded | soundness argument |
 //! |---|---|---|
 //! | `Conflict` | the coordination-derived `(thread, clock)` pairs | the responder bumped at a safe point after its last access (Figure 4(b)); a blocked thread bumped before publishing BLOCKED |
-//! | `PessConflictingAcquire` | remote release clocks read after the CAS | deferred unlocking: an unlocked pessimistic state was flushed at a bump that precedes any clock value read afterwards (§4.2) |
+//! | `PessConflictingAcquire` | the previous holders' release clocks, read here between the engine's claim and its publish | deferred unlocking: an unlocked pessimistic state was flushed at a bump that precedes any clock value read afterwards (§4.2) |
 //! | `RdShCreate` | the object's last-transition side-table entry, plus the global previous-RdSh-creation entry | the previous holder has performed only *reads* of the object since its recorded transition, so ordering after that transition covers every write; the creation chain makes Octet's counter-based fence reasoning explicit for replay |
 //! | `Fence` | the creating entry of epoch `c` | the creation is (transitively) after every write that preceded the object becoming read-shared |
 //! | monitor acquire | the previous releaser's `(thread, clock)` | the release bump is a PSRO |
@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use drink_core::support::{Support, SupportCx, TransitionEv};
+use drink_core::support::{PrevHolders, Support, SupportCx, TransitionEv};
 use drink_runtime::{Event, MonitorId, ObjId, ThreadId};
 
 use crate::log::{RecordingLog, ThreadLog};
@@ -207,10 +207,24 @@ impl Support for Recorder {
                 self.inner.rdsh_last.store(pack(cx.t, clock), Ordering::Release);
                 self.inner.next_epoch.store(c + 1, Ordering::Release);
             }
-            TransitionEv::Conflict { sources, .. }
-            | TransitionEv::PessConflictingAcquire { sources, .. } => {
+            TransitionEv::Conflict { sources, .. } => {
                 for &(src, clock) in sources {
                     self.wait_for(&cx, src, clock);
+                }
+                let clock = self.bump_here(&cx);
+                self.update_side_table(&cx, obj, clock);
+            }
+            TransitionEv::PessConflictingAcquire { prev, .. } => {
+                // The state is claimed (parked at Int) and not yet published:
+                // the point at which §4.2 reads the remote release counters.
+                let edge_from =
+                    |src: ThreadId| self.wait_for(&cx, src, cx.rt.control(src).release_clock());
+                match prev {
+                    PrevHolders::One(src) => edge_from(src),
+                    // `wait_for` drops the acquirer's own entry.
+                    PrevHolders::AllOthers => (0..cx.rt.registered_threads())
+                        .map(|i| ThreadId(i as u16))
+                        .for_each(edge_from),
                 }
                 let clock = self.bump_here(&cx);
                 self.update_side_table(&cx, obj, clock);
@@ -310,6 +324,43 @@ mod tests {
         // t1 bumped once (its transition); t0's create waits for that bump.
         assert_eq!(log.threads[t1.index()].total_bumps(), 1);
         assert_eq!(log.threads[t0.index()].sinks[0].waits, vec![(t1, 1)]);
+        assert_eq!(log.validate(), Ok(()));
+    }
+
+    /// §4.2: the recorder reads the previous holders' release counters
+    /// itself. Whatever it reads after a holder's PSRO is at least that
+    /// PSRO's bump — the value that dominates the holder's last access.
+    #[test]
+    fn pess_conflicting_acquire_reads_the_holders_clocks_itself() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let (t0, t1, t2) = (rt.register_thread(), rt.register_thread(), rt.register_thread());
+        let rec = Recorder::new(4, 8, "test", 1);
+
+        // t0 and t2 each flush at a PSRO (the engine bumps, the recorder
+        // mirrors the bump into the log); t0 then flushes once more.
+        let psro = |t: ThreadId| {
+            let clock = rt.control(t).bump_release_clock();
+            rec.on_release(SupportCx { rt: &rt, t, op: 0 }, clock);
+            clock
+        };
+        let (first, _) = (psro(t0), psro(t2));
+        let second = psro(t0);
+        assert!(second > first);
+
+        let acquire = |op, prev| {
+            let cx1 = SupportCx { rt: &rt, t: t1, op };
+            let ev = TransitionEv::PessConflictingAcquire { prev, write: true };
+            rec.on_transition(cx1, ObjId(op as u32), ev)
+        };
+        acquire(2, PrevHolders::One(t0));
+        acquire(3, PrevHolders::AllOthers);
+
+        let log = rec.into_log();
+        let sinks = &log.threads[t1.index()].sinks;
+        // One(t0): an edge from t0 alone, at a clock no older than its PSROs.
+        assert_eq!(sinks[0].waits, vec![(t0, second)]);
+        // AllOthers: every registered thread but the acquirer.
+        assert_eq!(sinks[1].waits, vec![(t0, second), (t2, 1)]);
         assert_eq!(log.validate(), Ok(()));
     }
 

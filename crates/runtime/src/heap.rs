@@ -18,13 +18,12 @@
 //!
 //! The heap supports two storage layouts behind one access path:
 //!
-//! * **compact** (default): headers are packed back to back (32 bytes each),
-//!   matching the seed layout so Table 2 / Figure 7 numbers stay comparable.
-//!   Neighboring objects share cache lines, so concurrent state-word CASes on
-//!   adjacent `ObjId`s false-share.
+//! * **compact** (default): headers are packed back to back (32 bytes each).
+//!   Two neighboring objects share a cache line, so concurrent state-word
+//!   CASes on adjacent `ObjId`s false-share.
 //! * **padded**: each header is padded to its own 64-byte cache line
 //!   ([`RuntimeConfig::padded_headers`](crate::runtime::RuntimeConfig)),
-//!   eliminating that false sharing at 2.7× the memory cost.
+//!   eliminating that false sharing at 2× the memory cost.
 //!
 //! The layout is fully encapsulated here: [`Heap::obj`] computes the header
 //! address from a base pointer and a stride, so engine code is identical
@@ -35,24 +34,16 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use crate::ids::ObjId;
 use crate::registry::ShardMap;
 
-/// One tracked shared object: state word + profile word + seqlock version +
-/// payload.
+/// One tracked shared object: state word + profile word + payload.
 ///
 /// `repr(C)` so the padded layout can rely on the header sitting at offset 0
-/// of its padded slot.
+/// of its padded slot; `align(32)` keeps the compact layout's stride at half
+/// a cache line, so no header straddles one.
 #[derive(Debug)]
-#[repr(C)]
+#[repr(C, align(32))]
 pub struct ObjHeader {
     state: AtomicU64,
     profile: AtomicU64,
-    /// Seqlock version counter for the coordination-free read path: bumped
-    /// (wrapping) at every state-word install, validated by optimistic
-    /// readers of read-mostly RdSh objects (DESIGN.md §12). A sibling word
-    /// rather than spare state-word bits: the state word has only three free
-    /// bits, far too few for a counter that must not alias within a read
-    /// window. Interpretation (and the version arithmetic) lives in
-    /// `drink-core`'s `word::VersionWord`.
-    version: AtomicU64,
     data: AtomicU64,
 }
 
@@ -71,7 +62,6 @@ impl ObjHeader {
         ObjHeader {
             state: AtomicU64::new(0),
             profile: AtomicU64::new(0),
-            version: AtomicU64::new(0),
             data: AtomicU64::new(0),
         }
     }
@@ -88,34 +78,6 @@ impl ObjHeader {
         &self.profile
     }
 
-    /// The seqlock version word (see the field docs).
-    #[inline(always)]
-    pub fn version(&self) -> &AtomicU64 {
-        &self.version
-    }
-
-    /// Advance the version counter (wrapping). Called at **every**
-    /// state-word install — claim, publish, unlock, coordination-induced
-    /// change — immediately after the installing CAS/store and before the
-    /// installer's payload write.
-    ///
-    /// Ordering (the full argument is DESIGN.md §12): the `AcqRel` RMW's
-    /// acquire half keeps the installer's subsequent payload store from
-    /// sinking above the bump, and the trailing **release fence** is the
-    /// seqlock writer fence — it pairs with the validating reader's acquire
-    /// fence *through the payload word itself*, so a reader whose payload
-    /// load observed any post-bump write is guaranteed to observe the bump
-    /// at revalidation and retry.
-    #[inline(always)]
-    pub fn bump_version(&self) {
-        #[cfg(feature = "check-invariants")]
-        if crate::injected_bug("skip-version-bump") {
-            return;
-        }
-        self.version.fetch_add(1, Ordering::AcqRel);
-        fence(Ordering::Release);
-    }
-
     /// Program-level read of the payload (relaxed; races allowed).
     #[inline(always)]
     pub fn data_read(&self) -> u64 {
@@ -128,11 +90,10 @@ impl ObjHeader {
         self.data.store(v, Ordering::Relaxed);
     }
 
-    /// Reset all four words (object re-allocation between runs).
+    /// Reset all three words (object re-allocation between runs).
     pub fn reset(&self, state: u64) {
         self.state.store(state, Ordering::SeqCst);
         self.profile.store(0, Ordering::SeqCst);
-        self.version.store(0, Ordering::SeqCst);
         self.data.store(0, Ordering::SeqCst);
     }
 
@@ -141,7 +102,6 @@ impl ObjHeader {
     fn reset_relaxed(&self, state: u64) {
         self.state.store(state, Ordering::Relaxed);
         self.profile.store(0, Ordering::Relaxed);
-        self.version.store(0, Ordering::Relaxed);
         self.data.store(0, Ordering::Relaxed);
     }
 }
@@ -472,41 +432,6 @@ mod tests {
         assert_eq!(gap(&padded), 64);
         // Padded headers never share a cache line.
         assert_eq!(padded.obj(ObjId(1)) as *const _ as usize % 64, 0);
-    }
-
-    /// The sibling version word is invisible to the layout knob: it behaves
-    /// identically under both strides, sits inside the header (same cache
-    /// line as the state word in the padded layout), and bumping it never
-    /// disturbs its neighbors.
-    #[test]
-    fn version_word_is_layout_invisible() {
-        for padded in [false, true] {
-            let h = Heap::with_layout(3, padded);
-            let o = h.obj(ObjId(1));
-            o.state().store(123, Ordering::SeqCst);
-            o.profile().store(9, Ordering::SeqCst);
-            o.data_write(5);
-            assert_eq!(o.version().load(Ordering::SeqCst), 0);
-            for _ in 0..4 {
-                o.bump_version();
-            }
-            assert_eq!(o.version().load(Ordering::SeqCst), 4, "padded={padded}");
-            // Neighboring words are untouched by bumps...
-            assert_eq!(o.state().load(Ordering::SeqCst), 123);
-            assert_eq!(o.profile().load(Ordering::SeqCst), 9);
-            assert_eq!(o.data_read(), 5);
-            // ...and neighboring *objects* have their own counters.
-            assert_eq!(h.obj(ObjId(0)).version().load(Ordering::SeqCst), 0);
-            assert_eq!(h.obj(ObjId(2)).version().load(Ordering::SeqCst), 0);
-            // The version word lives inside the header span under both
-            // layouts (no out-of-header sidecar that padding could miss).
-            let base = o as *const ObjHeader as usize;
-            let v = o.version() as *const _ as usize;
-            assert!(v >= base && v < base + std::mem::size_of::<ObjHeader>());
-            // reset_all clears it like the other words.
-            h.reset_all(0);
-            assert_eq!(o.version().load(Ordering::SeqCst), 0);
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use ids::{MonitorId, ObjId, ThreadId};
 pub use monitor::Monitor;
 pub use pad::CachePadded;
 pub use registry::{Registry, ShardMap};
-pub use runtime::{Runtime, RuntimeConfig, RuntimeConfigBuilder};
+pub use runtime::{Runtime, RuntimeConfig, RuntimeConfigBuilder, MAX_RDSH_COUNT};
 pub use spin::{Spin, SpinOutcome};
 pub use stats::{Event, GlobalStats, HistogramSnapshot, LatencyKind, LocalStats, StatsReport};
 pub use trace::{RingTraceSink, ThreadTrace, TraceKind, TraceRecord, TraceSink, TraceSnapshot};
@@ -92,8 +92,8 @@ pub enum SchedPoint {
     CoordFanoutPoll,
     /// About to publish BLOCKED at a generic blocking safe point.
     BlockedPublish,
-    /// A seqlock reader has loaded the payload and is about to revalidate
-    /// the version word (DESIGN.md §12). This is the race window of the
+    /// A validating reader has loaded the payload and is about to re-load
+    /// the state word (DESIGN.md §12). This is the race window of the
     /// coordination-free read path: a writer's claim landing here must make
     /// the revalidation fail.
     SeqlockReadValidate,

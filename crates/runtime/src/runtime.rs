@@ -164,6 +164,11 @@ impl RuntimeConfigBuilder {
     }
 }
 
+/// Largest RdSh counter value [`Runtime::next_rdsh_count`] hands out: the
+/// state word's epoch field is 32 bits wide, so one `Runtime` supports 2³² − 2
+/// RdSh creations.
+pub const MAX_RDSH_COUNT: u64 = u32::MAX as u64;
+
 /// One execution environment: a thread registry, a tracked heap, a monitor
 /// table, the global RdSh counter, and aggregate statistics.
 ///
@@ -338,9 +343,18 @@ impl Runtime {
     /// AcqRel: the RMW chain on this counter is what orders RdSh epoch
     /// creations, which Octet's fence transitions (and the recorder's epoch
     /// chain) rely on.
+    ///
+    /// Panics once the counter would pass [`MAX_RDSH_COUNT`]: a truncated
+    /// epoch aliases an old one, after which fence transitions are skipped
+    /// and validated reads (DESIGN.md §12) accept a stale state word.
     #[inline]
     pub fn next_rdsh_count(&self) -> u64 {
-        self.g_rdsh_count.fetch_add(1, Ordering::AcqRel) + 1
+        let c = self.g_rdsh_count.fetch_add(1, Ordering::AcqRel) + 1;
+        assert!(
+            c <= MAX_RDSH_COUNT,
+            "gRdShCount exhausted: a Runtime supports at most {MAX_RDSH_COUNT} RdSh epochs"
+        );
+        c
     }
 
     /// Current RdSh counter value without claiming.
@@ -351,9 +365,11 @@ impl Runtime {
     // --- Monitor convenience wrappers ---
 
     /// Acquire monitor `m` for thread `t` (see [`Monitor::acquire`]). Feeds
-    /// the acquire-latency histogram and the event trace; with neither
-    /// enabled the extra cost is two clock reads on a path that already
-    /// spins or parks.
+    /// the acquire-latency histogram and the event trace. The histogram is
+    /// always on, so every acquire — the uncontended one included, under
+    /// every engine, `NoTracking` too — pays two clock reads and two RMWs on
+    /// the process-global `MonitorAcquire` histogram (DESIGN.md §8 has the
+    /// figure).
     pub fn monitor_acquire<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
         let t0 = Instant::now();
         let info = self
@@ -584,6 +600,15 @@ mod tests {
         assert!(a >= 2, "0 is reserved for 'no epoch', counter starts at 1");
         assert!(b > a);
         assert_eq!(rt.current_rdsh_count(), b);
+    }
+
+    #[test]
+    #[should_panic(expected = "gRdShCount exhausted")]
+    fn rdsh_counter_refuses_to_pass_the_epoch_field() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        rt.g_rdsh_count.store(MAX_RDSH_COUNT - 1, Ordering::SeqCst);
+        assert_eq!(rt.next_rdsh_count(), MAX_RDSH_COUNT, "the last epoch is usable");
+        rt.next_rdsh_count();
     }
 
     #[test]

@@ -115,12 +115,14 @@ pub enum Event {
     RegionRestart,
 
     // --- Seqlock read path (DESIGN.md §12) ---
-    /// A read served by validation alone — its version revalidation
-    /// succeeded: no state transition, no lock, no fence-count update, no
-    /// fan-out.
+    /// A read served by validation alone — the state word it re-loaded after
+    /// the payload was the one it started from: no state transition, no
+    /// lock, no fence-count update, no fan-out.
     SeqlockValidated,
-    /// A seqlock read attempt whose revalidation failed (a writer installed
-    /// a new state word inside the read window); the read retried.
+    /// A seqlock read attempt whose revalidation failed (somebody installed
+    /// a new state word inside the read window); the read retried from the
+    /// new word, or took the ordinary read path if that word rules
+    /// validation out.
     SeqlockRetry,
     /// A seqlock read that exhausted its retries and fell back to the
     /// engine's ordinary read path (the transition its state prescribes).

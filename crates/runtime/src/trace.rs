@@ -93,8 +93,8 @@ pub enum TraceKind {
     MonitorRelease,
     /// Monitor wait: released, parked, reacquired (arg = monitor id).
     MonitorWait,
-    /// Coordination-free RdSh read: seqlock version validation succeeded
-    /// (arg = object id).
+    /// Coordination-free read: the state word revalidated (arg = object
+    /// id).
     SeqlockRead,
     /// Seqlock read exhausted its retries and fell back to the coordinated
     /// read path (arg = object id).
