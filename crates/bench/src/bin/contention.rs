@@ -1,10 +1,10 @@
 //! Multi-thread contention benchmark for the coordination layer:
 //!
 //! 1. **raw all-peer coordination** — a requester fans out to N−1 polling
-//!    responders through `coordinate_many` (overlapped roundtrips, latency =
-//!    max of peers) and through the sequential reference
-//!    `coordinate_all_seq` (one full roundtrip per peer, latency = sum of
-//!    peers). Fan-out rows run at 2/4/8/16/32/64 registered threads (the
+//!    responders through `coordinate(.., AllOthers, ..)` (overlapped
+//!    roundtrips, latency = max of peers) and through the sequential
+//!    reference [`coordinate_all_seq`] (one full roundtrip per peer, latency
+//!    = sum of peers). Fan-out rows run at 2/4/8/16/32/64 registered threads (the
 //!    scaling curve `bench_compare --scaling` checks); the sequential
 //!    reference stops at 8, where the fanout-vs-seq comparison is already
 //!    decided and a 63-roundtrip-sum row would only burn CI minutes;
@@ -46,7 +46,8 @@ use std::time::Instant;
 
 use drink_bench::report::{Report, Row};
 use drink_bench::{scale_from_args, trials_from_args};
-use drink_core::coord::{coordinate_all_seq, coordinate_many, PendingPeer};
+use drink_core::coord::{coordinate, PendingPeer};
+use drink_core::support::{CoordMode, PrevHolders};
 use drink_runtime::stats::derived::Metric;
 use drink_runtime::{Event, Runtime, RuntimeConfig, Spin, ThreadId};
 use drink_workloads::{chaos_rdsh, chaos_read_mostly, run_kind, EngineKind, WorkloadSpec};
@@ -86,6 +87,37 @@ fn push_row(rows: &mut Vec<Row>, name: String, iters: u64, ns: f64, threads: usi
 /// as much wall time as an 8-thread one (best-of-trials still smooths it).
 fn fanout_iters(base: u64, n: usize) -> u64 {
     (base / (n as u64 / 8).max(1)).max(50)
+}
+
+/// Sequential reference implementation of the conservative RdSh protocol:
+/// one full single-peer roundtrip per registered peer, in thread-id order.
+/// Worst-case latency is the *sum* of per-peer roundtrips, and every
+/// registered thread is visited. The baseline the `fanout_seq` rows measure;
+/// engine paths fan out.
+fn coordinate_all_seq(
+    rt: &Runtime,
+    me: ThreadId,
+    sources: &mut Vec<(ThreadId, u64)>,
+    pending: &mut Vec<PendingPeer>,
+) -> CoordMode {
+    let (mut any_explicit, mut any_implicit) = (false, false);
+    for i in 0..rt.registered_threads() {
+        let peer = ThreadId(i as u16);
+        if peer == me {
+            continue;
+        }
+        let one = PrevHolders::One(peer);
+        match coordinate(rt, me, one, None, &mut || {}, sources, pending, None) {
+            Some(CoordMode::Explicit) => any_explicit = true,
+            Some(_) => any_implicit = true,
+            None => unreachable!("undeadlined coordination cannot expire"),
+        }
+    }
+    match (any_explicit, any_implicit) {
+        (true, true) => CoordMode::Mixed,
+        (true, false) => CoordMode::Explicit,
+        (false, _) => CoordMode::Implicit,
+    }
 }
 
 /// Raw all-peer coordination latency against `n - 1` polling responders.
@@ -134,9 +166,11 @@ fn raw_all_peer(rows: &mut Vec<Row>, n: usize, iters: u64, trials: usize, fanout
             for _ in 0..iters {
                 sources.clear();
                 let mode = if fanout {
-                    coordinate_many(&rt, me, None, &mut || {}, &mut sources, &mut pending)
+                    let all = PrevHolders::AllOthers;
+                    coordinate(&rt, me, all, None, &mut || {}, &mut sources, &mut pending, None)
+                        .expect("undeadlined coordination cannot expire")
                 } else {
-                    coordinate_all_seq(&rt, me, None, &mut || {}, &mut sources)
+                    coordinate_all_seq(&rt, me, &mut sources, &mut pending)
                 };
                 debug_assert_eq!(sources.len(), n - 1);
                 black_box(mode);
@@ -212,8 +246,9 @@ fn epoch_skip_fanout(rows: &mut Vec<Row>, n: usize, iters: u64, trials: usize) -
             let start = Instant::now();
             for _ in 0..iters {
                 sources.clear();
+                let all = PrevHolders::AllOthers;
                 let mode =
-                    coordinate_many(&rt, me, Some(obj), &mut || {}, &mut sources, &mut pending);
+                    coordinate(&rt, me, all, Some(obj), &mut || {}, &mut sources, &mut pending, None);
                 // The soundness half is the receiver-side stamped-request
                 // invariant and the shard-skip oracle; this is the
                 // *effectiveness* half — the skip really did confine the
@@ -396,4 +431,46 @@ fn main() {
         std::process::exit(2);
     });
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One blocked and one responding peer: the sequential reference
+    /// aggregates to `Mixed` and cites both, like the fan-out it is the
+    /// baseline for.
+    #[test]
+    fn coordinate_all_seq_aggregates_modes() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let me = rt.register_thread();
+        let (r1, r2) = (rt.register_thread(), rt.register_thread());
+        rt.control(r1).publish_blocked();
+
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ctl = rt.control(r2);
+                while !stop.load(Ordering::Relaxed) {
+                    for req in ctl.take_requests() {
+                        req.token.complete(ctl.bump_release_clock());
+                    }
+                    std::thread::yield_now();
+                }
+            });
+            let (mut sources, mut pending) = (Vec::new(), Vec::new());
+            let mode = coordinate_all_seq(&rt, me, &mut sources, &mut pending);
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(mode, CoordMode::Mixed);
+            sources.sort();
+            assert_eq!(sources.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [r1, r2]);
+        });
+
+        // No peers at all: vacuously implicit.
+        let rt = Runtime::new(RuntimeConfig::default());
+        let me = rt.register_thread();
+        let (mut sources, mut pending) = (Vec::new(), Vec::new());
+        assert_eq!(coordinate_all_seq(&rt, me, &mut sources, &mut pending), CoordMode::Implicit);
+        assert!(sources.is_empty());
+    }
 }

@@ -52,7 +52,7 @@ fn explicit_ns(iters: u64) -> f64 {
         .heap_objects(4)
         .monitors(1)
         .build()));
-    let engine = OptimisticEngine::new(rt);
+    let engine = HybridEngine::with_config(rt, NullSupport, HybridConfig::optimistic());
     let o = ObjId(0);
     let stop = AtomicBool::new(false);
     let mut per = 0.0;
@@ -106,7 +106,7 @@ fn implicit_ns(iters: u64) -> f64 {
         .heap_objects(4096)
         .monitors(1)
         .build()));
-    let engine = OptimisticEngine::new(rt);
+    let engine = HybridEngine::with_config(rt, NullSupport, HybridConfig::optimistic());
     let n = engine.rt().heap().len();
     std::thread::scope(|s| {
         let e = &engine;
@@ -166,7 +166,7 @@ fn main() {
         .heap_objects(4)
         .monitors(1)
         .build()));
-        per_access_ns(&OptimisticEngine::new(rt), iters)
+        per_access_ns(&HybridEngine::with_config(rt, NullSupport, HybridConfig::optimistic()), iters)
     };
     let expl = explicit_ns((iters / 100).clamp(500, 20_000));
     let impl_ = implicit_ns((iters / 10).max(5_000));

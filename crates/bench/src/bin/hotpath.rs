@@ -8,8 +8,7 @@
 //!    (enqueue + drain) and end-to-end (explicit roundtrip against a
 //!    polling responder).
 //!
-//! Unlike the criterion benches (which auto-size their sample counts), this
-//! binary runs **fixed** iteration counts so runs are comparable across
+//! This binary runs **fixed** iteration counts so runs are comparable across
 //! commits — each row is the minimum of `--trials` (default 3) back-to-back
 //! measurements, since host-load noise on shared CI boxes is strictly
 //! additive — and emits machine-readable `BENCH_hotpath.json` for the bench
@@ -26,6 +25,7 @@ use std::time::Instant;
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
 use drink_core::prelude::*;
+use drink_core::support::PrevHolders;
 use drink_core::word::{LockMode, StateWord};
 use drink_bench::report::{Report, Row};
 use drink_runtime::{
@@ -232,8 +232,8 @@ fn fanout_snapshot(rows: &mut Vec<Row>) {
         let mut row = measure(&format!("fanout_snapshot_blocked_t{n}"), N, || {
             for _ in 0..N {
                 sources.clear();
-                black_box(drink_core::coord::coordinate_many(
-                    &rt, me, None, &mut || {}, &mut sources, &mut pending,
+                black_box(drink_core::coord::coordinate(
+                    &rt, me, PrevHolders::AllOthers, None, &mut || {}, &mut sources, &mut pending, None,
                 ));
             }
         });
@@ -261,8 +261,8 @@ fn fanout_snapshot(rows: &mut Vec<Row>) {
         let mut row = measure(&format!("fanout_snapshot_skip_t{n}"), N, || {
             for _ in 0..N {
                 sources.clear();
-                black_box(drink_core::coord::coordinate_many(
-                    &rt, me, Some(obj), &mut || {}, &mut sources, &mut pending,
+                black_box(drink_core::coord::coordinate(
+                    &rt, me, PrevHolders::AllOthers, Some(obj), &mut || {}, &mut sources, &mut pending, None,
                 ));
             }
         });

@@ -1,8 +1,9 @@
 //! # drink-bench: the evaluation harness
 //!
 //! One binary per table/figure of the paper's §7 (see `DESIGN.md`'s
-//! experiment index, E1–E9), plus Criterion micro-benchmarks. This library
-//! holds the shared measurement and reporting plumbing.
+//! experiment index, E1–E9), plus the gated `hotpath` and `contention`
+//! microbenchmarks. This library holds the shared measurement and reporting
+//! plumbing.
 //!
 //! ## Two overhead metrics
 //!

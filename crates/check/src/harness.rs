@@ -33,17 +33,7 @@ pub const MATRIX_ENGINES: [EngineKind; 3] = [
 /// Parse an [`EngineKind::label`] back into the kind (artifacts store the
 /// label string).
 pub fn kind_from_label(label: &str) -> Option<EngineKind> {
-    [
-        EngineKind::Baseline,
-        EngineKind::Pessimistic,
-        EngineKind::Optimistic,
-        EngineKind::Hybrid,
-        EngineKind::HybridInfiniteCutoff,
-        EngineKind::Adaptive,
-        EngineKind::Ideal,
-    ]
-    .into_iter()
-    .find(|k| k.label() == label)
+    EngineKind::ALL.into_iter().find(|k| k.label() == label)
 }
 
 static PANIC_MESSAGES: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -291,7 +281,7 @@ mod tests {
 
     #[test]
     fn kind_labels_roundtrip() {
-        for kind in MATRIX_ENGINES {
+        for kind in EngineKind::ALL {
             assert_eq!(kind_from_label(kind.label()), Some(kind));
         }
         assert_eq!(kind_from_label("nope"), None);

@@ -361,7 +361,7 @@ pub fn expected_stamps(spec: &WorkloadSpec, shards: usize) -> Vec<u64> {
 /// * **stamp completeness** — every (object, shard) pair the spec's op
 ///   streams and allocation owners imply is stamped in the run's epoch
 ///   snapshot. A missing bit means a shard accessed an object without
-///   stamping — the precise lie that would let `coordinate_many` skip a
+///   stamping — the precise lie that would let a fan-out skip a
 ///   shard that *did* have business with the object (and exactly what the
 ///   `DRINK_INJECT_BUG=skip-epoch-stamp` canary injects);
 /// * **stamp soundness** — no stamped bit the spec does not imply: a
@@ -702,8 +702,8 @@ mod tests {
             .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
     }
 
-    /// The fan-out oracle: with `coordinate_many` driving every RdSh
-    /// conflict, the engine matrix must still agree on access counts (and
+    /// The fan-out oracle: with the all-others `coordinate` driving every
+    /// RdSh conflict, the engine matrix must still agree on access counts (and
     /// the schedule-independent baseline-heap oracle must still hold — the
     /// disjoint spec runs the same fan-out-enabled engines). The second half
     /// proves the spec actually exercises the fan-out window rather than
@@ -722,7 +722,7 @@ mod tests {
         let report = &cell.run.report;
         assert!(
             report.get(Event::CoordFanout) > 0,
-            "chaosRdsh must drive RdSh conflicts through coordinate_many"
+            "chaosRdsh must drive RdSh conflicts through the fan-out"
         );
         assert!(
             report.fanout_width() > 1.0,

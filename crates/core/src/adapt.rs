@@ -1,84 +1,12 @@
-//! The valve: which phase steps the §6 policy may take (DESIGN.md §13).
-//!
-//! The paper's policy is a *one-way valve*: once an object's conflict count
-//! crosses `Cutoff_confl` it goes pessimistic, and once inequality (5) sends
-//! it back it stays optimistic forever. That is the right shape for the
-//! paper's steady-state benchmarks, but it degrades badly when contention is
-//! *phased*: an object that was sent back during a quiet spell and turns hot
-//! again pays a coordination roundtrip per conflict for the rest of the run.
-//!
-//! The adaptive configuration is the same policy, over the same profile
-//! word, with a valve that **re-opens**: an object in `OptFinal` keeps
-//! counting explicit conflicts and returns to `Pess` when it collects
-//! `Cutoff_confl` of them. Nothing else differs, and nothing is timed — the
-//! evidence is counts, as in §6:
-//!
-//! * **demotion** needs `Cutoff_confl` explicit conflicts *since the object
-//!   last turned optimistic* — inequality (4) over a counter that restarts
-//!   at every phase change;
-//! * **promotion** needs inequality (5) over the pessimistic transitions
-//!   *since the object last turned pessimistic*, with `Inertia` doubled once
-//!   per earlier promotion of that object (capped at
-//!   [`MAX_INERTIA_DOUBLINGS`](crate::policy::MAX_INERTIA_DOUBLINGS)). Those
-//!   two sample counts are the policy's cooldown — no phase change can
-//!   follow another sooner — and the doubling is what makes an oscillating
-//!   object settle pessimistic instead of flapping;
-//! * a **coordination-deadline expiry** is the one catastrophic sample: it
-//!   enters `Pess` at once ([`AdaptivePolicy::force_pess`]), because waiting
-//!   for `Cutoff_confl` conflicts of evidence means eating that many more
-//!   expired deadlines. It is a phase step like any other, so the valve
-//!   still has the last word (a one-way valve refuses it from `OptFinal`),
-//!   and the promotion that follows needs its full inertia.
-//!
-//! Why no time constant survives: a roundtrip's *duration* depends on the
-//! host (≈50 µs on the 1-core guest the old EWMA thresholds were tuned on,
-//! ≈1 µs on a 2-core one), so a nanosecond threshold encodes the machine,
-//! while the *ratio* inequality (5) prices — one roundtrip is worth hundreds
-//! of pessimistic CASes — holds on both. And a per-roundtrip cost is blind
-//! to how often the object conflicts, which is the only thing the
-//! cost–benefit model asks.
-//!
-//! ## Memory ordering
-//!
-//! The phase only *steers* which of two independently-correct protocols an
-//! access takes; it never guards data. A thread that reads a stale phase
-//! takes the other protocol, which is equally sound, so every profile-word
-//! access is Relaxed.
-//!
-//! [`AdaptivePolicy::force_pess`]: crate::policy::AdaptivePolicy::force_pess
-
-use crate::policy::Phase;
-
-/// Which phase steps the adaptive policy may publish.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Valve {
-    /// The paper's "checks and balances" (§6.2): `OptInitial → Pess` and
-    /// `Pess → OptFinal`, after which the object stays optimistic.
-    #[default]
-    OneWay,
-    /// Additionally `OptFinal → Pess`: an object that turns hot again is
-    /// demoted again.
-    Reopening,
-}
-
-impl Valve {
-    /// May an object step `from → to` under this valve?
-    #[inline]
-    pub fn allows(self, from: Phase, to: Phase) -> bool {
-        match (from, to) {
-            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal) => true,
-            (Phase::OptFinal, Phase::Pess) => self == Valve::Reopening,
-            _ => false,
-        }
-    }
-}
-
 #[cfg(test)]
+/// Tests of the [`Valve`](crate::policy::Valve) and of the policy's phase
+/// steps under it: which steps each valve allows, and how soon one can follow
+/// another. The valve itself lives in `policy.rs`; this test-only file keeps
+/// the module path (`adapt::tests`) its tests' ids were recorded under.
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use super::*;
-    use crate::policy::{AdaptivePolicy, PolicyParams, MAX_INERTIA_DOUBLINGS};
+    use crate::policy::*;
 
     const CUTOFF: u32 = 4;
     const INERTIA: u32 = 8;

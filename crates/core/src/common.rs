@@ -771,10 +771,17 @@ mod tests {
             drink_runtime::ThreadStatus::Blocked { .. }
         ));
         // Post-detach coordination resolves implicitly.
-        let ts_req = unsafe { e.ts(requester) };
-        let out = crate::coord::coordinate_one(&e.rt, requester, t, None, &mut || {});
-        assert_eq!(out.mode, crate::support::CoordMode::Implicit);
-        let _ = ts_req;
+        let mode = crate::coord::coordinate(
+            &e.rt,
+            requester,
+            crate::support::PrevHolders::One(t),
+            None,
+            &mut || {},
+            &mut Vec::new(),
+            &mut Vec::new(),
+            None,
+        );
+        assert_eq!(mode, Some(crate::support::CoordMode::Implicit));
     }
 
     #[test]

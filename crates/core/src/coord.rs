@@ -33,23 +33,23 @@
 //!
 //! The wait is bounded two ways:
 //!
-//! * the `*_deadline` variants take a **recoverable deadline** (the
-//!   runtime's `coord_deadline` knob): on expiry they return `None` and the
-//!   engine falls back to the pessimistic protocol for that object — a
-//!   *policy* decision, not a failure;
-//! * the plain variants keep the **hard-panic spin watchdog**: a
-//!   coordination that never completes with no deadline configured is a
-//!   protocol bug, and hiding it would be worse than crashing.
+//! * with a **recoverable deadline** (the runtime's `coord_deadline` knob)
+//!   [`coordinate`] returns `None` on expiry and the engine falls back to the
+//!   pessimistic protocol for that object — a *policy* decision, not a
+//!   failure;
+//! * without one it keeps the **hard-panic spin watchdog**: a coordination
+//!   that never completes with no deadline configured is a protocol bug, and
+//!   hiding it would be worse than crashing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drink_runtime::{
-    CoordRequest, LatencyKind, ResponseToken, Runtime, SchedPoint, Spin, SpinOutcome, ThreadId,
-    ThreadStatus, TraceKind, Waker,
+    CoordRequest, LatencyKind, ObjId, ResponseToken, Runtime, SchedPoint, Spin, SpinOutcome,
+    ThreadId, ThreadStatus, TraceKind, Waker,
 };
 
-use crate::support::CoordMode;
+use crate::support::{CoordMode, PrevHolders};
 
 /// Consecutive no-progress wait steps before a requester escalates from
 /// spinning/yielding to parking on its [`Waker`]. Matches the tail of the
@@ -65,10 +65,10 @@ const PARK_INITIAL: Duration = Duration::from_micros(50);
 const PARK_MAX: Duration = Duration::from_millis(1);
 
 /// The coordination wait ladder: spin → yield → park, with an optional
-/// recoverable deadline. One instance per coordination episode; fan-outs
-/// reset it via [`CoordWait::progressed`] whenever a poll pass resolves at
-/// least one peer, so the ladder measures *time since last progress*, not
-/// total episode length.
+/// recoverable deadline. One instance per coordination episode, reset via
+/// [`CoordWait::progressed`] whenever a poll pass resolves at least one
+/// peer, so the ladder measures *time since last progress*, not total
+/// episode length.
 struct CoordWait<'rt> {
     spin: Spin<'rt>,
     waker: &'rt Arc<Waker>,
@@ -80,12 +80,8 @@ struct CoordWait<'rt> {
 }
 
 impl<'rt> CoordWait<'rt> {
-    fn new(
-        rt: &'rt Runtime,
-        me: ThreadId,
-        what: &'static str,
-        deadline: Option<Duration>,
-    ) -> Self {
+    fn new(rt: &'rt Runtime, me: ThreadId, deadline: Option<Duration>) -> Self {
+        let what = "coordination responses";
         let (spin, expires_at) = match deadline {
             // Exact budget: a DRINK_SPIN_BUDGET_MS override bounds hangs,
             // not clean deadline expiries.
@@ -109,7 +105,7 @@ impl<'rt> CoordWait<'rt> {
 
     /// One no-progress wait step. Returns [`SpinOutcome::Expired`] only for
     /// deadline-bounded waits; without a deadline a wait that exhausts the
-    /// watchdog budget panics (protocol bug), exactly as before.
+    /// watchdog budget panics (protocol bug).
     fn step(&mut self) -> SpinOutcome {
         self.idle += 1;
         if self.idle > PARK_AFTER_STEPS {
@@ -141,170 +137,20 @@ impl<'rt> CoordWait<'rt> {
     }
 }
 
-/// Outcome of coordinating with one remote thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoordOutcome {
-    /// Explicit (roundtrip) or implicit (epoch CAS)?
-    pub mode: CoordMode,
-    /// The remote thread's release clock dominating its last access: the
-    /// responder's post-bump clock for explicit coordination, or the clock
-    /// read after the epoch CAS for implicit coordination (the remote bumped
-    /// it when it flushed before blocking).
-    pub source_clock: u64,
-}
-
-/// Coordinate with `remote` on behalf of `me`. `respond_self` is invoked on
-/// every wait step so the requester acts as a safe point while waiting.
-///
-/// Panics (via the runtime's spin watchdog) if the remote thread never
-/// responds — always a protocol bug.
-pub fn coordinate_one(
-    rt: &Runtime,
-    me: ThreadId,
-    remote: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
-    respond_self: &mut impl FnMut(),
-) -> CoordOutcome {
-    match coordinate_one_deadline(rt, me, remote, obj, respond_self, None) {
-        Some(out) => out,
-        // Without a deadline the wait either completes or the watchdog
-        // panics inside the loop; it cannot expire.
-        None => unreachable!("undeadlined coordination cannot expire"),
-    }
-}
-
-/// [`coordinate_one`] with an optional recoverable deadline. Returns `None`
-/// if `deadline` elapsed without a resolution: the requester stops waiting
-/// and the caller falls back to the pessimistic protocol for this object
-/// (DESIGN.md §13). Any enqueued token simply goes stale — the remote
-/// answers it at its next safe point or wake, and nobody reads it, the same
-/// closure as the blocked-fallback race above.
-pub fn coordinate_one_deadline(
-    rt: &Runtime,
-    me: ThreadId,
-    remote: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
-    respond_self: &mut impl FnMut(),
-    deadline: Option<Duration>,
-) -> Option<CoordOutcome> {
-    debug_assert_ne!(me, remote, "a thread never coordinates with itself");
-    let ctl = rt.control(remote);
-    let t0 = Instant::now();
-    let mut pending: Option<Arc<ResponseToken>> = None;
-    let mut wait = CoordWait::new(rt, me, "coordination response", deadline);
-    loop {
-        if let Some(tok) = &pending {
-            if tok.is_done() {
-                rt.stats()
-                    .record_latency(LatencyKind::CoordRoundtrip, t0.elapsed().as_nanos() as u64);
-                return Some(CoordOutcome {
-                    mode: CoordMode::Explicit,
-                    source_clock: tok.responder_clock(),
-                });
-            }
-        }
-        match ctl.status() {
-            ThreadStatus::Blocked { epoch } => {
-                if ctl.try_implicit(epoch) {
-                    // The remote flushed and bumped its clock before it
-                    // published BLOCKED, so this read dominates its last
-                    // access. (If we also enqueued an explicit request, the
-                    // remote answers the stale token on wake; nobody reads it.)
-                    rt.trace(me, TraceKind::CoordImplicit, remote.raw() as u64);
-                    return Some(CoordOutcome {
-                        mode: CoordMode::Implicit,
-                        source_clock: ctl.release_clock(),
-                    });
-                }
-                // Status changed under us; retry the whole protocol.
-            }
-            ThreadStatus::Running { .. } => {
-                if pending.is_none() {
-                    // The token carries our waker so the responder's
-                    // `complete` can unpark us if we escalated to parking.
-                    let token = ResponseToken::with_waker(rt.control(me).waker().clone());
-                    ctl.enqueue_request(CoordRequest {
-                        from: me,
-                        obj,
-                        token: token.clone(),
-                    });
-                    rt.trace(me, TraceKind::CoordRequest, remote.raw() as u64);
-                    rt.sched_point(me, SchedPoint::CoordRequest);
-                    pending = Some(token);
-                }
-            }
-        }
-        // Act as a safe point while waiting (deadlock freedom).
-        respond_self();
-        if wait.step() == SpinOutcome::Expired {
-            rt.trace(me, TraceKind::CoordDeadline, remote.raw() as u64);
-            return None;
-        }
-    }
-}
-
-/// Sequential reference implementation of the conservative RdSh protocol:
-/// one full [`coordinate_one`] roundtrip per registered peer, in thread-id
-/// order. Worst-case latency is the *sum* of per-peer roundtrips, and every
-/// registered thread is visited — even detached ones (resolved by an epoch
-/// CAS against their permanently-blocked status word).
-///
-/// Kept benchable as the baseline the `contention` bench's `fanout_seq` rows
-/// measure; engine hot paths use [`coordinate_many`].
-pub fn coordinate_all_seq(
-    rt: &Runtime,
-    me: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
-    respond_self: &mut impl FnMut(),
-    sources: &mut Vec<(ThreadId, u64)>,
-) -> CoordMode {
-    let n = rt.registered_threads();
-    let t0 = Instant::now();
-    let mut any_explicit = false;
-    let mut any_implicit = false;
-    let before = sources.len();
-    for i in 0..n {
-        let remote = ThreadId(i as u16);
-        if remote == me {
-            continue;
-        }
-        let out = coordinate_one(rt, me, remote, obj, respond_self);
-        sources.push((remote, out.source_clock));
-        match out.mode {
-            CoordMode::Explicit => any_explicit = true,
-            CoordMode::Implicit => any_implicit = true,
-            CoordMode::Mixed => unreachable!("coordinate_one never returns Mixed"),
-        }
-    }
-    rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
-    rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);
-    combine_modes(any_explicit, any_implicit)
-}
-
-/// Mode aggregation shared by the sequential and fan-out all-peer protocols:
-/// `Explicit` iff every resolved peer was explicit, `Implicit` if every peer
-/// was implicit *or there were no peers* (vacuous), `Mixed` otherwise.
-fn combine_modes(any_explicit: bool, any_implicit: bool) -> CoordMode {
-    match (any_explicit, any_implicit) {
-        (true, false) => CoordMode::Explicit,
-        (false, _) => CoordMode::Implicit,
-        (true, true) => CoordMode::Mixed,
-    }
-}
-
-/// One peer of an in-flight [`coordinate_many`] fan-out: scratch state the
-/// caller provides (and reuses across conflicts) so a fan-out allocates
-/// nothing beyond the explicit-request inbox nodes themselves.
+/// One outstanding peer of an in-flight [`coordinate`] call: scratch state
+/// the caller provides (and reuses across conflicts) so a coordination
+/// allocates nothing beyond the explicit-request inbox nodes themselves.
 #[derive(Debug)]
 pub struct PendingPeer {
     remote: ThreadId,
-    token: Option<std::sync::Arc<ResponseToken>>,
+    token: Option<Arc<ResponseToken>>,
 }
 
-/// Coordinate with every live registered thread except `me` — the
-/// conservative protocol for RdSh conflicts ("T conservatively coordinates
-/// with every other thread", §2.2 footnote 4) — with the per-peer roundtrips
-/// overlapped instead of serialized:
+/// Coordinate, on behalf of `me`, with the threads `whom` names: the one
+/// owner an exclusive state word names, or — the conservative protocol for
+/// RdSh conflicts ("T conservatively coordinates with every other thread",
+/// §2.2 footnote 4) — every live registered thread except `me`. One owner is
+/// a fan-out of width one; either way the per-peer roundtrips overlap:
 ///
 /// 1. **snapshot + implicit sweep**: detached peers are resolved from their
 ///    (final) release clocks without touching their status words; blocked
@@ -319,71 +165,82 @@ pub struct PendingPeer {
 /// Latency is therefore the *max* of the per-peer response times, not their
 /// sum. A peer that blocks (or detaches) after its request was enqueued is
 /// resolved implicitly and its stale token answered harmlessly on the peer's
-/// wake/detach path — the same lost-wakeup closure [`coordinate_one`]
-/// documents, re-checked for every peer on every loop iteration.
+/// wake/detach path — the lost-wakeup closure of the module docs, re-checked
+/// for every peer on every loop iteration.
 ///
-/// Appends `(thread, clock)` pairs to `sources`; `pending` is caller-owned
-/// scratch (cleared here). Returns the combined mode under the same
-/// aggregation as [`coordinate_all_seq`] (detached peers count as implicit).
+/// Appends one `(thread, clock)` pair per resolved peer to `sources` — the
+/// peer's release clock dominating its last access: the responder's
+/// post-bump clock for an explicit resolution, the clock read after the
+/// epoch CAS for an implicit one (the peer bumped it when it flushed before
+/// blocking). `pending` is caller-owned scratch (cleared here). Returns the
+/// combined mode (detached peers count as implicit).
+///
+/// ## Deadline
+///
+/// Without a `deadline` a wait that never completes panics through the
+/// runtime's spin watchdog — always a protocol bug. With one, covering the
+/// *whole* call, `None` is returned if it elapsed with peers still
+/// outstanding: `sources` may then hold partial resolutions, which the
+/// caller must discard (engines use cleared scratch, so abandoning the vec is
+/// enough), and the caller falls back to the pessimistic protocol for this
+/// object (DESIGN.md §13). Outstanding tokens simply go stale — each peer
+/// answers its own at its next safe point or wake, and nobody reads them.
+///
+/// ## What each peer set reports
+///
+/// [`PrevHolders::One`] records [`LatencyKind::CoordRoundtrip`] when its
+/// peer answers explicitly and traces [`TraceKind::CoordImplicit`] when it
+/// is resolved implicitly. [`PrevHolders::AllOthers`] brackets the call with
+/// the `Fanout*` trace events, the `CoordFanout*` sched points and
+/// [`LatencyKind::FanoutComplete`].
 ///
 /// ## Epoch skip (DESIGN.md §14)
 ///
-/// When the runtime is sharded (`thread_shards() > 1`) and the fan-out names
-/// an object, the snapshot pass consults the heap's per-shard access-epoch
-/// table and **skips entire shards** whose epoch proves no thread of the
-/// shard ever accessed the object: zero roundtrip, zero enqueue. Skipped
-/// peers are *vacuous* — they contribute neither a source nor a mode flag,
-/// exactly like the no-peers case, so the `Mode` aggregation semantics are
-/// unchanged (all peers skipped ⇒ `Implicit`). A peer whose first access
-/// races the snapshot either stamps before our epoch load (we visit it) or
-/// stamps after (its access is ordered after this coordination — the same
-/// already-tolerated window as a thread registering mid-fan-out). Unsharded
-/// runtimes and `obj == None` fan-outs visit every peer, byte-for-byte as
-/// before.
-pub fn coordinate_many(
+/// When the runtime is sharded (`thread_shards() > 1`) and an all-others
+/// call names an object, the snapshot pass consults the heap's per-shard
+/// access-epoch table and **skips entire shards** whose epoch proves no
+/// thread of the shard ever accessed the object: zero roundtrip, zero
+/// enqueue. Skipped peers are *vacuous* — they contribute neither a source
+/// nor a mode flag, exactly like the no-peers case, so the `Mode`
+/// aggregation semantics are unchanged (all peers skipped ⇒ `Implicit`). A
+/// peer whose first access races the snapshot either stamps before our epoch
+/// load (we visit it) or stamps after (its access is ordered after this
+/// coordination — the same already-tolerated window as a thread registering
+/// mid-fan-out). Unsharded runtimes and `obj == None` calls visit every
+/// peer; a named owner is always visited.
+#[allow(clippy::too_many_arguments)]
+pub fn coordinate(
     rt: &Runtime,
     me: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
-    respond_self: &mut impl FnMut(),
-    sources: &mut Vec<(ThreadId, u64)>,
-    pending: &mut Vec<PendingPeer>,
-) -> CoordMode {
-    match coordinate_many_deadline(rt, me, obj, respond_self, sources, pending, None) {
-        Some(mode) => mode,
-        None => unreachable!("undeadlined fan-out cannot expire"),
-    }
-}
-
-/// [`coordinate_many`] with an optional recoverable deadline covering the
-/// *whole* fan-out. Returns `None` if the deadline elapsed with peers still
-/// outstanding; `sources` may then hold partial resolutions, and the caller
-/// must discard them (engines use cleared scratch, so abandoning the vec is
-/// enough). The caller's abort path restores the state word. Outstanding
-/// stale tokens are answered by their peers' next safe point, as ever.
-pub fn coordinate_many_deadline(
-    rt: &Runtime,
-    me: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
+    whom: PrevHolders,
+    obj: Option<ObjId>,
     respond_self: &mut impl FnMut(),
     sources: &mut Vec<(ThreadId, u64)>,
     pending: &mut Vec<PendingPeer>,
     deadline: Option<Duration>,
 ) -> Option<CoordMode> {
-    let n = rt.registered_threads();
     let t0 = Instant::now();
     let mut any_explicit = false;
     let mut any_implicit = false;
     let before = sources.len();
     pending.clear();
 
-    // Epoch skip setup: only a sharded runtime with a named object can skip
-    // (obj == None callers are the conservative visit-everyone paths).
     let heap = rt.heap();
     let map = heap.thread_shard_map();
-    let skip_obj = if heap.thread_shards() > 1 { obj } else { None };
+    let (peers, fanout) = match whom {
+        PrevHolders::One(remote) => {
+            debug_assert_ne!(me, remote, "a thread never coordinates with itself");
+            let i = remote.raw() as usize;
+            (i..i + 1, false)
+        }
+        PrevHolders::AllOthers => (0..rt.registered_threads(), true),
+    };
+    // Only a sharded runtime with a named object can skip (obj == None
+    // callers are the conservative visit-everyone paths).
+    let skip_obj = if fanout && heap.thread_shards() > 1 { obj } else { None };
 
     // Phase 1: snapshot the live peers, resolving what needs no roundtrip.
-    for i in 0..n {
+    for i in peers {
         let remote = ThreadId(i as u16);
         if remote == me {
             continue;
@@ -398,53 +255,54 @@ pub fn coordinate_many_deadline(
             }
         }
         let ctl = rt.control(remote);
-        if ctl.is_detached() {
-            // Permanently blocked: detach flushed, bumped the clock, then
-            // set the flag (SeqCst), so this read dominates the peer's last
-            // access. No epoch CAS — nobody is left to observe it.
+        // Detached is permanently blocked: detach flushed, bumped the clock,
+        // then set the flag (SeqCst), so the clock read below dominates the
+        // peer's last access. No epoch CAS — nobody is left to observe it.
+        let resolved = ctl.is_detached()
+            || matches!(ctl.status(), ThreadStatus::Blocked { epoch } if ctl.try_implicit(epoch));
+        if resolved {
+            if !fanout {
+                rt.trace(me, TraceKind::CoordImplicit, remote.raw() as u64);
+            }
             sources.push((remote, ctl.release_clock()));
             any_implicit = true;
-            continue;
-        }
-        match ctl.status() {
-            ThreadStatus::Blocked { epoch } if ctl.try_implicit(epoch) => {
-                sources.push((remote, ctl.release_clock()));
-                any_implicit = true;
-            }
+        } else {
             // Running, or a blocked/running race: handled by the poll loop.
-            _ => pending.push(PendingPeer {
-                remote,
-                token: None,
-            }),
+            pending.push(PendingPeer { remote, token: None });
         }
     }
 
     if !pending.is_empty() {
-        // Phase 2 happens inside the first `advance` pass over `pending`:
-        // every still-running peer gets its request enqueued before any
-        // backoff, so all responders work concurrently.
-        rt.trace(me, TraceKind::FanoutEnqueue, pending.len() as u64);
-        rt.sched_point(me, SchedPoint::CoordFanoutEnqueue);
-        let mut wait = CoordWait::new(rt, me, "fan-out coordination responses", deadline);
+        // Phase 2 happens inside the first `advance_peer` pass over
+        // `pending`: every still-running peer gets its request enqueued
+        // before any backoff, so all responders work concurrently.
+        if fanout {
+            rt.trace(me, TraceKind::FanoutEnqueue, pending.len() as u64);
+            rt.sched_point(me, SchedPoint::CoordFanoutEnqueue);
+        }
+        let mut wait = CoordWait::new(rt, me, deadline);
         loop {
             // Phase 3: one combined poll pass over all outstanding peers.
             let outstanding = pending.len();
             pending.retain_mut(|p| {
-                match advance_peer(rt, me, obj, p) {
-                    Some((clock, CoordMode::Explicit)) => {
-                        rt.trace(me, TraceKind::FanoutPeerDone, p.remote.raw() as u64);
-                        sources.push((p.remote, clock));
-                        any_explicit = true;
-                        false
-                    }
-                    Some((clock, _)) => {
-                        rt.trace(me, TraceKind::FanoutPeerDone, p.remote.raw() as u64);
-                        sources.push((p.remote, clock));
-                        any_implicit = true;
-                        false
-                    }
-                    None => true,
+                let Some((clock, mode)) = advance_peer(rt, me, obj, p) else {
+                    return true;
+                };
+                if fanout {
+                    rt.trace(me, TraceKind::FanoutPeerDone, p.remote.raw() as u64);
+                } else if mode == CoordMode::Explicit {
+                    rt.stats()
+                        .record_latency(LatencyKind::CoordRoundtrip, t0.elapsed().as_nanos() as u64);
+                } else {
+                    rt.trace(me, TraceKind::CoordImplicit, p.remote.raw() as u64);
                 }
+                sources.push((p.remote, clock));
+                if mode == CoordMode::Explicit {
+                    any_explicit = true;
+                } else {
+                    any_implicit = true;
+                }
+                false
             });
             if pending.is_empty() {
                 break;
@@ -454,7 +312,9 @@ pub fn coordinate_many_deadline(
                 // de-escalate the ladder back to spinning.
                 wait.progressed();
             }
-            rt.sched_point(me, SchedPoint::CoordFanoutPoll);
+            if fanout {
+                rt.sched_point(me, SchedPoint::CoordFanoutPoll);
+            }
             // Act as a safe point while waiting (deadlock freedom).
             respond_self();
             if wait.step() == SpinOutcome::Expired {
@@ -463,18 +323,25 @@ pub fn coordinate_many_deadline(
             }
         }
     }
-    rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
-    rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);
-    Some(combine_modes(any_explicit, any_implicit))
+    if fanout {
+        rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
+        rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);
+    }
+    // `Explicit` iff every resolved peer was explicit, `Implicit` if every
+    // peer was implicit *or there were no peers* (vacuous), `Mixed` otherwise.
+    Some(match (any_explicit, any_implicit) {
+        (true, false) => CoordMode::Explicit,
+        (false, _) => CoordMode::Implicit,
+        (true, true) => CoordMode::Mixed,
+    })
 }
 
-/// One peer's step of the fan-out state machine — the body of
-/// [`coordinate_one`]'s loop, minus the spin. Returns the resolution, or
+/// One outstanding peer's step of the poll loop. Returns the resolution, or
 /// `None` if the peer is still outstanding.
 fn advance_peer(
     rt: &Runtime,
     me: ThreadId,
-    obj: Option<drink_runtime::ObjId>,
+    obj: Option<ObjId>,
     p: &mut PendingPeer,
 ) -> Option<(u64, CoordMode)> {
     if let Some(tok) = &p.token {
@@ -486,16 +353,18 @@ fn advance_peer(
     match ctl.status() {
         ThreadStatus::Blocked { epoch } => {
             if ctl.try_implicit(epoch) {
-                // Peer blocked mid-wait: fall back to implicit. Any enqueued
-                // token goes stale and is answered on the peer's wake.
+                // The peer flushed and bumped its clock before it published
+                // BLOCKED, so this read dominates its last access. Any
+                // enqueued token goes stale and is answered on the peer's
+                // wake; nobody reads it.
                 return Some((ctl.release_clock(), CoordMode::Implicit));
             }
             None // epoch raced; re-examine next iteration
         }
         ThreadStatus::Running { .. } => {
             if p.token.is_none() {
-                // Waker-carrying, like coordinate_one's: completions unpark
-                // a requester that escalated to parking.
+                // The token carries our waker so the responder's `complete`
+                // can unpark us if we escalated to parking.
                 let token = ResponseToken::with_waker(rt.control(me).waker().clone());
                 ctl.enqueue_request(CoordRequest {
                     from: me,
@@ -517,6 +386,34 @@ mod tests {
     use drink_runtime::RuntimeConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    /// [`coordinate`] with fresh scratch and no deadline: the mode and the
+    /// sources it resolved.
+    fn coordinate_with(
+        rt: &Runtime,
+        me: ThreadId,
+        whom: PrevHolders,
+        obj: Option<ObjId>,
+        respond_self: &mut impl FnMut(),
+    ) -> (CoordMode, Vec<(ThreadId, u64)>) {
+        let (mut sources, mut pending) = (Vec::new(), Vec::new());
+        let mode = coordinate(rt, me, whom, obj, respond_self, &mut sources, &mut pending, None)
+            .expect("undeadlined coordination cannot expire");
+        (mode, sources)
+    }
+
+    /// Answer `peer`'s coordination requests like a polling safe point until
+    /// `stop` is set.
+    fn respond_until(rt: &Runtime, peer: ThreadId, stop: &AtomicBool) {
+        let ctl = rt.control(peer);
+        let mut spin = rt.spinner("requests in test");
+        while !stop.load(Ordering::Relaxed) {
+            for req in ctl.take_requests() {
+                req.token.complete(ctl.bump_release_clock());
+            }
+            spin.spin();
+        }
+    }
+
     #[test]
     fn implicit_against_blocked_thread() {
         let rt = Runtime::new(RuntimeConfig::default());
@@ -527,9 +424,9 @@ mod tests {
         rt.control(remote).publish_blocked();
 
         let mut responded = 0u32;
-        let out = coordinate_one(&rt, me, remote, None, &mut || responded += 1);
-        assert_eq!(out.mode, CoordMode::Implicit);
-        assert_eq!(out.source_clock, 1);
+        let out =
+            coordinate_with(&rt, me, PrevHolders::One(remote), None, &mut || responded += 1);
+        assert_eq!(out, (CoordMode::Implicit, vec![(remote, 1)]));
         assert_eq!(responded, 0, "implicit coordination completes immediately");
     }
 
@@ -557,9 +454,8 @@ mod tests {
                 }
             });
 
-            let out = coordinate_one(&rt, me, remote, None, &mut || {});
-            assert_eq!(out.mode, CoordMode::Explicit);
-            assert_eq!(out.source_clock, 1);
+            let out = coordinate_with(&rt, me, PrevHolders::One(remote), None, &mut || {});
+            assert_eq!(out, (CoordMode::Explicit, vec![(remote, 1)]));
             stop.store(true, Ordering::Relaxed);
         });
     }
@@ -583,9 +479,10 @@ mod tests {
                 }
             });
 
-            let out = coordinate_one(&rt, me, remote, None, &mut || {});
+            let (_, sources) =
+                coordinate_with(&rt, me, PrevHolders::One(remote), None, &mut || {});
             // Either path is legal depending on the race; both carry clock 1.
-            assert_eq!(out.source_clock, 1);
+            assert_eq!(sources, vec![(remote, 1)]);
         });
     }
 
@@ -601,7 +498,7 @@ mod tests {
         // answers raced requests so the peer can always finish.
         let run = |me: ThreadId, other: ThreadId| {
             let ctl = rt.control(me);
-            let out = coordinate_one(&rt, me, other, None, &mut || {
+            let (mode, _) = coordinate_with(&rt, me, PrevHolders::One(other), None, &mut || {
                 for req in ctl.take_requests() {
                     req.token.complete(ctl.bump_release_clock());
                 }
@@ -611,7 +508,7 @@ mod tests {
                 req.token.complete(ctl.bump_release_clock());
             }
             done.fetch_add(1, Ordering::Relaxed);
-            out
+            mode
         };
 
         std::thread::scope(|s| {
@@ -622,15 +519,16 @@ mod tests {
             // Depending on the interleaving either roundtrip may have been
             // answered explicitly or resolved implicitly post-block; the
             // property under test is completion, not the mode.
-            assert!(matches!(o1.mode, CoordMode::Explicit | CoordMode::Implicit));
-            assert!(matches!(o2.mode, CoordMode::Explicit | CoordMode::Implicit));
+            assert!(matches!(o1, CoordMode::Explicit | CoordMode::Implicit));
+            assert!(matches!(o2, CoordMode::Explicit | CoordMode::Implicit));
         });
         assert_eq!(done.load(Ordering::Relaxed), 2);
     }
 
-    /// Run an all-peer coordination with one blocked and one responding
-    /// peer, through either implementation, and assert the Mixed outcome.
-    fn all_peers_mixed(fanout: bool) {
+    /// An all-others coordination with one blocked and one responding peer
+    /// is `Mixed`, and cites both.
+    #[test]
+    fn fanout_aggregates_modes() {
         let rt = Runtime::new(RuntimeConfig::default());
         let me = rt.register_thread();
         let r1 = rt.register_thread();
@@ -638,27 +536,11 @@ mod tests {
         // r1 blocked, r2 answered by a polling helper → Mixed.
         rt.control(r1).publish_blocked();
 
-        let stop_flag = AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let rtr = &rt;
-            let stop = &stop_flag;
-            s.spawn(move || {
-                let ctl = rtr.control(r2);
-                let mut spin = rtr.spinner("requests in test");
-                while !stop.load(Ordering::Relaxed) {
-                    for req in ctl.take_requests() {
-                        req.token.complete(ctl.bump_release_clock());
-                    }
-                    spin.spin();
-                }
-            });
-            let mut sources = Vec::new();
-            let mode = if fanout {
-                let mut pending = Vec::new();
-                coordinate_many(&rt, me, None, &mut || {}, &mut sources, &mut pending)
-            } else {
-                coordinate_all_seq(&rt, me, None, &mut || {}, &mut sources)
-            };
+            s.spawn(|| respond_until(&rt, r2, &stop));
+            let (mode, sources) =
+                coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {});
             stop.store(true, Ordering::Relaxed);
             assert_eq!(mode, CoordMode::Mixed);
             assert_eq!(sources.len(), 2);
@@ -668,31 +550,15 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_all_seq_aggregates_modes() {
-        all_peers_mixed(false);
-    }
-
-    #[test]
-    fn coordinate_many_aggregates_modes() {
-        all_peers_mixed(true);
-    }
-
-    #[test]
     fn all_peer_protocols_with_no_peers_are_vacuous() {
         let rt = Runtime::new(RuntimeConfig::default());
         let me = rt.register_thread();
-        let mut sources = Vec::new();
-        let mode = coordinate_all_seq(&rt, me, None, &mut || {}, &mut sources);
-        assert_eq!(mode, CoordMode::Implicit);
-        assert!(sources.is_empty());
-        let mut pending = Vec::new();
-        let mode = coordinate_many(&rt, me, None, &mut || {}, &mut sources, &mut pending);
-        assert_eq!(mode, CoordMode::Implicit);
-        assert!(sources.is_empty());
+        let out = coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {});
+        assert_eq!(out, (CoordMode::Implicit, vec![]));
     }
 
     #[test]
-    fn coordinate_many_skips_detached_peer_without_epoch_cas() {
+    fn fanout_skips_detached_peer_without_epoch_cas() {
         let rt = Runtime::new(RuntimeConfig::default());
         let me = rt.register_thread();
         let gone = rt.register_thread();
@@ -701,9 +567,7 @@ mod tests {
         let epoch = rt.control(gone).publish_blocked();
         rt.control(gone).mark_detached();
 
-        let mut sources = Vec::new();
-        let mut pending = Vec::new();
-        let mode = coordinate_many(&rt, me, None, &mut || {}, &mut sources, &mut pending);
+        let (mode, sources) = coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {});
         assert_eq!(mode, CoordMode::Implicit);
         assert_eq!(sources, vec![(gone, 1)], "final clock cited as the source");
         // The snapshot dropped the peer without an epoch CAS: a detached
@@ -720,7 +584,7 @@ mod tests {
     /// back to implicit — and the abandoned token must still be answered by
     /// the peer's wake-side drain, leaving no stranded request behind.
     #[test]
-    fn coordinate_many_stale_token_is_answered_on_wake() {
+    fn fanout_stale_token_is_answered_on_wake() {
         let rt = Runtime::new(RuntimeConfig::default());
         let me = rt.register_thread();
         let remote = rt.register_thread();
@@ -742,9 +606,8 @@ mod tests {
                 ctl.publish_blocked();
             });
 
-            let mut sources = Vec::new();
-            let mut pending = Vec::new();
-            let mode = coordinate_many(&rt, me, None, &mut || {}, &mut sources, &mut pending);
+            let (mode, sources) =
+                coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {});
             assert!(enqueued.load(Ordering::Relaxed), "request did go stale");
             assert_eq!(mode, CoordMode::Implicit, "resolved by the fallback");
             assert_eq!(sources, vec![(remote, 1)]);
@@ -771,12 +634,14 @@ mod tests {
         let stalled = rt.register_thread();
 
         let t0 = Instant::now();
-        let out = coordinate_one_deadline(
+        let out = coordinate(
             &rt,
             me,
-            stalled,
+            PrevHolders::One(stalled),
             None,
             &mut || {},
+            &mut Vec::new(),
+            &mut Vec::new(),
             Some(Duration::from_millis(30)),
         );
         assert_eq!(out, None, "stalled peer must trip the deadline");
@@ -806,24 +671,14 @@ mod tests {
 
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let rtr = &rt;
-            let stop_r = &stop;
-            s.spawn(move || {
-                let ctl = rtr.control(good);
-                let mut spin = rtr.spinner("requests in test");
-                while !stop_r.load(Ordering::Relaxed) {
-                    for req in ctl.take_requests() {
-                        req.token.complete(ctl.bump_release_clock());
-                    }
-                    spin.spin();
-                }
-            });
+            s.spawn(|| respond_until(&rt, good, &stop));
 
             let mut sources = Vec::new();
             let mut pending = Vec::new();
-            let mode = coordinate_many_deadline(
+            let mode = coordinate(
                 &rt,
                 me,
+                PrevHolders::AllOthers,
                 None,
                 &mut || {},
                 &mut sources,
@@ -865,9 +720,8 @@ mod tests {
                 }
             });
 
-            let out = coordinate_one(&rt, me, remote, None, &mut || {});
-            assert_eq!(out.mode, CoordMode::Explicit);
-            assert_eq!(out.source_clock, 1);
+            let out = coordinate_with(&rt, me, PrevHolders::One(remote), None, &mut || {});
+            assert_eq!(out, (CoordMode::Explicit, vec![(remote, 1)]));
         });
     }
 
@@ -890,21 +744,23 @@ mod tests {
                 // 300ms deadline expires.
                 std::thread::sleep(Duration::from_millis(60));
                 let t0 = Instant::now();
-                let out = coordinate_one(rtr, third, me, None, &mut || {});
-                (out.mode, t0.elapsed())
+                let (mode, _) = coordinate_with(rtr, third, PrevHolders::One(me), None, &mut || {});
+                (mode, t0.elapsed())
             });
 
             let ctl = rt.control(me);
-            let out = coordinate_one_deadline(
+            let out = coordinate(
                 &rt,
                 me,
-                ThreadId(1),
+                PrevHolders::One(ThreadId(1)),
                 None,
                 &mut || {
                     for req in ctl.take_requests() {
                         req.token.complete(ctl.bump_release_clock());
                     }
                 },
+                &mut Vec::new(),
+                &mut Vec::new(),
                 Some(Duration::from_millis(300)),
             );
             assert_eq!(out, None, "the stalled peer still trips our deadline");
@@ -929,7 +785,7 @@ mod tests {
         let stamped = rt.register_thread();
         let cold = rt.register_thread();
         assert_eq!(rt.heap().thread_shards(), 16, "per-thread shard granularity");
-        let o = drink_runtime::ObjId(3);
+        let o = ObjId(3);
         // Only `stamped`'s shard has ever touched `o`. `cold` never did; it
         // also never polls, so visiting it would hang or trip a deadline.
         rt.stamp_access(stamped, o);
@@ -938,9 +794,8 @@ mod tests {
         rt.control(stamped).publish_blocked();
         let _ = cold;
 
-        let mut sources = Vec::new();
-        let mut pending = Vec::new();
-        let mode = coordinate_many(&rt, me, Some(o), &mut || {}, &mut sources, &mut pending);
+        let (mode, sources) =
+            coordinate_with(&rt, me, PrevHolders::AllOthers, Some(o), &mut || {});
         assert_eq!(mode, CoordMode::Implicit);
         assert_eq!(sources, vec![(stamped, 1)], "only the stamped shard visited");
         assert!(
@@ -950,22 +805,20 @@ mod tests {
 
         // A fan-out on a *different*, wholly-unstamped object skips everyone:
         // vacuous, Implicit, and it completes instantly despite `cold`.
-        let o2 = drink_runtime::ObjId(7);
-        sources.clear();
-        let mode = coordinate_many(&rt, me, Some(o2), &mut || {}, &mut sources, &mut pending);
-        assert_eq!(mode, CoordMode::Implicit, "all-skipped aggregates like no-peers");
-        assert!(sources.is_empty());
+        let o2 = ObjId(7);
+        let out = coordinate_with(&rt, me, PrevHolders::AllOthers, Some(o2), &mut || {});
+        assert_eq!(out, (CoordMode::Implicit, vec![]), "all-skipped aggregates like no-peers");
 
         // obj = None keeps the conservative visit-everyone behavior: `cold`
         // would now be visited, so its inbox must receive a request.
-        sources.clear();
-        let _ = coordinate_many_deadline(
+        let _ = coordinate(
             &rt,
             me,
+            PrevHolders::AllOthers,
             None,
             &mut || {},
-            &mut sources,
-            &mut pending,
+            &mut Vec::new(),
+            &mut Vec::new(),
             Some(Duration::from_millis(20)),
         );
         assert!(
@@ -1012,23 +865,14 @@ mod tests {
 
                 // Requester: repeated fan-outs while peers register.
                 let ctl = rt.control(me);
-                let mut sources = Vec::new();
-                let mut pending = Vec::new();
                 for _ in 0..20 {
-                    sources.clear();
                     let seen = rt.registered_threads();
-                    let mode = coordinate_many(
-                        &rt,
-                        me,
-                        None,
-                        &mut || {
+                    let (mode, sources) =
+                        coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {
                             for req in ctl.take_requests() {
                                 req.token.complete(ctl.bump_release_clock());
                             }
-                        },
-                        &mut sources,
-                        &mut pending,
-                    );
+                        });
                     // Every source is a distinct, registered, non-self peer.
                     assert!(matches!(
                         mode,
@@ -1061,26 +905,17 @@ mod tests {
         // answer raced requests.
         let run = |me: ThreadId| {
             let ctl = rt.control(me);
-            let mut sources = Vec::new();
-            let mut pending = Vec::new();
-            let mode = coordinate_many(
-                &rt,
-                me,
-                None,
-                &mut || {
-                    for req in ctl.take_requests() {
-                        req.token.complete(ctl.bump_release_clock());
-                    }
-                },
-                &mut sources,
-                &mut pending,
-            );
+            let out = coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || {
+                for req in ctl.take_requests() {
+                    req.token.complete(ctl.bump_release_clock());
+                }
+            });
             ctl.publish_blocked();
             for req in ctl.take_requests() {
                 req.token.complete(ctl.bump_release_clock());
             }
             done.fetch_add(1, Ordering::Relaxed);
-            (mode, sources)
+            out
         };
 
         std::thread::scope(|s| {
@@ -1092,5 +927,75 @@ mod tests {
             }
         });
         assert_eq!(done.load(Ordering::Relaxed), 3);
+    }
+
+    /// With exactly one registered peer the two peer sets are the same
+    /// protocol: `One(p)` and `AllOthers` resolve `p` the same way, to the
+    /// same mode and the same `(p, clock)` source, whatever `p` is doing.
+    #[test]
+    fn one_peer_and_all_others_agree_on_a_single_peer() {
+        type Outcome = Option<(CoordMode, Vec<(ThreadId, u64)>)>;
+        let deadline = Some(Duration::from_millis(30));
+        let run = |whom: fn(ThreadId) -> PrevHolders| -> [Outcome; 4] {
+            let call = |rt: &Runtime, me, peer, deadline| {
+                let (mut sources, mut pending) = (Vec::new(), Vec::new());
+                coordinate(rt, me, whom(peer), None, &mut || {}, &mut sources, &mut pending, deadline)
+                    .map(|mode| (mode, sources))
+            };
+            let fresh = || {
+                let rt = Runtime::new(RuntimeConfig::default());
+                let (me, peer) = (rt.register_thread(), rt.register_thread());
+                (rt, me, peer)
+            };
+
+            // A running peer that polls: explicit.
+            let (rt, me, peer) = fresh();
+            let stop = AtomicBool::new(false);
+            let running = std::thread::scope(|s| {
+                s.spawn(|| respond_until(&rt, peer, &stop));
+                let out = call(&rt, me, peer, None);
+                stop.store(true, Ordering::Relaxed);
+                out
+            });
+
+            // A blocked peer: implicit, by the epoch CAS.
+            let (rt, me, peer) = fresh();
+            rt.control(peer).bump_release_clock();
+            let epoch = rt.control(peer).publish_blocked();
+            let blocked = call(&rt, me, peer, None);
+            assert_ne!(rt.control(peer).status(), ThreadStatus::Blocked { epoch });
+
+            // A detached peer: implicit, its epoch untouched and nothing
+            // left in an inbox nobody will ever drain.
+            let (rt, me, peer) = fresh();
+            rt.control(peer).bump_release_clock();
+            let epoch = rt.control(peer).publish_blocked();
+            rt.control(peer).mark_detached();
+            let detached = call(&rt, me, peer, None);
+            assert_eq!(rt.control(peer).status(), ThreadStatus::Blocked { epoch });
+            assert!(!rt.control(peer).has_pending_requests(), "no token left queued");
+
+            // A running peer that never polls, under a deadline: expiry, and
+            // the one request it was sent stays answerable.
+            let (rt, me, peer) = fresh();
+            let stalled = call(&rt, me, peer, deadline);
+            assert_eq!(rt.control(peer).take_requests().len(), 1);
+
+            [running, blocked, detached, stalled]
+        };
+
+        let one = run(PrevHolders::One);
+        let all = run(|_| PrevHolders::AllOthers);
+        assert_eq!(one, all);
+        let peer = ThreadId(1);
+        assert_eq!(
+            one,
+            [
+                Some((CoordMode::Explicit, vec![(peer, 1)])),
+                Some((CoordMode::Implicit, vec![(peer, 1)])),
+                Some((CoordMode::Implicit, vec![(peer, 1)])),
+                None,
+            ]
+        );
     }
 }

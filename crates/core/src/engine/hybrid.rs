@@ -36,24 +36,12 @@ use drink_runtime::{
 };
 
 use crate::common::EngineCommon;
-use crate::coord::{coordinate_many_deadline, coordinate_one_deadline};
+use crate::coord;
 use crate::engine::Tracker;
 use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
 use crate::support::{CoordMode, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
 use crate::tstate::ThreadState;
 use crate::word::{Kind, LockMode, StateWord};
-
-/// Count the peers a completed fan-out *skipped* via the epoch table
-/// (DESIGN.md §14): every registered peer that contributed no source was
-/// resolved vacuously by the shard-skip. Computed post-hoc so the fan-out's
-/// hot loop carries no extra state; only meaningful on sharded runtimes
-/// (unsharded fan-outs visit every peer and the difference is zero).
-pub(crate) fn note_fanout_skips(rt: &Runtime, ts: &mut ThreadState, sources: usize) {
-    if rt.heap().thread_shards() > 1 {
-        let peers = rt.registered_threads().saturating_sub(1);
-        ts.stats.add(Event::CoordFanoutSkipped, peers.saturating_sub(sources) as u64);
-    }
-}
 
 /// What state a read by the owner of a `WrExPess` object produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -125,6 +113,20 @@ impl HybridConfig {
             ..HybridConfig::default()
         }
     }
+
+    /// Optimistic tracking (§2.2, Octet): `Cutoff_confl = ∞` under the
+    /// re-opening valve. No count ever moves an object, so every state stays
+    /// optimistic — unless the runtime has a coordination deadline configured
+    /// and one expires on an object (DESIGN.md §13), which sends it to
+    /// pessimistic states until inequality (5) returns it; the valve lets a
+    /// later expiry do so again, where [`HybridConfig::infinite_cutoff`]'s
+    /// one-way valve allows each object one such trip.
+    pub fn optimistic() -> Self {
+        HybridConfig {
+            valve: Valve::Reopening,
+            ..HybridConfig::infinite_cutoff()
+        }
+    }
 }
 
 /// The hybrid tracking engine.
@@ -164,65 +166,57 @@ impl<S: Support> HybridEngine<S> {
         &self.cfg
     }
 
-    // --- Shared conflict helpers (same as the optimistic engine) ---
+    // --- Coordination ---
 
-    /// Coordinate an optimistic conflict on `o`. Returns `None` iff the
-    /// runtime's coordination deadline expired first (DESIGN.md §13): the
-    /// deadline event is recorded, the object's phase forced to `Pess` (valve
-    /// permitting), and the caller restores the pre-claim state and retries —
-    /// subsequent traffic on the object runs the pessimistic protocol, whose
-    /// conflicting acquires need no roundtrip at all.
-    fn conflict_coordinate(
-        &self,
-        ts: &mut ThreadState,
-        o: ObjId,
-        w: StateWord,
-    ) -> Option<CoordMode> {
+    /// Coordinate with the holder(s) the state word `w` of `o` names: the
+    /// previous owner(s) of an optimistic conflicting transition, or the
+    /// locker(s) a contended pessimistic transition (Figure 2(b)) needs to
+    /// flush. Returns `None` iff the runtime's coordination deadline expired
+    /// first (DESIGN.md §13): the deadline event is recorded and the object's
+    /// phase forced to `Pess` (valve permitting), so its subsequent traffic
+    /// runs the pessimistic protocol, whose conflicting acquires need no
+    /// roundtrip at all. A conflicting caller then restores the pre-claim
+    /// state and retries; a contended caller ignores the result — its retry
+    /// loop re-examines the state either way, and the holder may well have
+    /// flushed in the meantime.
+    ///
+    /// On success the `(thread, clock)` sources are in `ts.src_scratch`; the
+    /// scratch buffers are reused so that no coordination allocates.
+    fn coordinate(&self, ts: &mut ThreadState, o: ObjId, w: StateWord) -> Option<CoordMode> {
         let rt = &self.common.rt;
-        let t = ts.tid;
-        let deadline = rt.coord_deadline();
-        let mut scratch = std::mem::take(&mut ts.src_scratch);
+        let whom = w.holders();
+        let mut sources = std::mem::take(&mut ts.src_scratch);
         let mut pending = std::mem::take(&mut ts.fanout_scratch);
-        scratch.clear();
-        let fanout = w.kind() == Kind::RdSh;
-        let mode = {
-            let mut respond = self.common.respond_closure(ts);
-            if fanout {
-                coordinate_many_deadline(
-                    rt,
-                    t,
-                    Some(o),
-                    &mut respond,
-                    &mut scratch,
-                    &mut pending,
-                    deadline,
-                )
-            } else {
-                coordinate_one_deadline(rt, t, w.owner(), Some(o), &mut respond, deadline).map(
-                    |out| {
-                        scratch.push((w.owner(), out.source_clock));
-                        out.mode
-                    },
-                )
-            }
-        };
-        if fanout && mode.is_some() {
+        sources.clear();
+        let mode = coord::coordinate(
+            rt,
+            ts.tid,
+            whom,
+            Some(o),
+            &mut self.common.respond_closure(ts),
+            &mut sources,
+            &mut pending,
+            rt.coord_deadline(),
+        );
+        if whom == PrevHolders::AllOthers && mode.is_some() {
             ts.stats.bump(Event::CoordFanout);
-            ts.stats.add(Event::CoordFanoutPeers, scratch.len() as u64);
-            note_fanout_skips(rt, ts, scratch.len());
+            ts.stats.add(Event::CoordFanoutPeers, sources.len() as u64);
+            // Every registered peer that contributed no source was resolved
+            // vacuously by the epoch skip (DESIGN.md §14). Counted post-hoc
+            // so the fan-out's loop carries no extra state; only meaningful
+            // on sharded runtimes (unsharded fan-outs visit every peer).
+            if rt.heap().thread_shards() > 1 {
+                let peers = rt.registered_threads().saturating_sub(1);
+                ts.stats.add(Event::CoordFanoutSkipped, peers.saturating_sub(sources.len()) as u64);
+            }
         }
-        ts.src_scratch = scratch;
+        ts.src_scratch = sources;
         ts.fanout_scratch = pending;
         match mode {
-            Some(m) => {
-                ts.stats.bump(Event::CoordinationRoundtrip);
-                Some(m)
-            }
-            None => {
-                self.note_coord_deadline(ts, o);
-                None
-            }
+            Some(_) => ts.stats.bump(Event::CoordinationRoundtrip),
+            None => self.note_coord_deadline(ts, o),
         }
+        mode
     }
 
     /// Bookkeeping for a tripped coordination deadline: stats, trace, and a
@@ -300,56 +294,6 @@ impl<S: Support> HybridEngine<S> {
         self.common
             .support
             .on_transition(cx, o, TransitionEv::PessConflictingAcquire { prev, write });
-    }
-
-    /// Contended transition (Figure 2(b)): coordinate with the holder(s) so
-    /// they flush their lock buffers, then the caller retries. A tripped
-    /// coordination deadline is recorded and simply returns — the caller's
-    /// retry loop re-examines the state either way, and the holder may well
-    /// have flushed in the meantime.
-    fn contended_coordinate(&self, ts: &mut ThreadState, o: ObjId, w: StateWord) {
-        let rt = &self.common.rt;
-        let t = ts.tid;
-        let deadline = rt.coord_deadline();
-        let fanout = w.kind() == Kind::RdSh;
-        // The sources are not recorded here (the caller just retries), but
-        // the scratch buffers are still reused so a contended RdSh
-        // transition allocates nothing.
-        let mut sink = std::mem::take(&mut ts.src_scratch);
-        let mut pending = std::mem::take(&mut ts.fanout_scratch);
-        sink.clear();
-        let done = {
-            let mut respond = self.common.respond_closure(ts);
-            if fanout {
-                // Read-locked by unknown threads: conservatively coordinate
-                // with everyone (the state word does not name RdSh holders).
-                coordinate_many_deadline(
-                    rt,
-                    t,
-                    Some(o),
-                    &mut respond,
-                    &mut sink,
-                    &mut pending,
-                    deadline,
-                )
-                .is_some()
-            } else {
-                coordinate_one_deadline(rt, t, w.owner(), Some(o), &mut respond, deadline)
-                    .is_some()
-            }
-        };
-        if fanout && done {
-            ts.stats.bump(Event::CoordFanout);
-            ts.stats.add(Event::CoordFanoutPeers, sink.len() as u64);
-            note_fanout_skips(rt, ts, sink.len());
-        }
-        ts.src_scratch = sink;
-        ts.fanout_scratch = pending;
-        if done {
-            ts.stats.bump(Event::CoordinationRoundtrip);
-        } else {
-            self.note_coord_deadline(ts, o);
-        }
     }
 
     /// Does the lock this access just took on an object go back right after
@@ -463,7 +407,7 @@ impl<S: Support> HybridEngine<S> {
                 {
                     continue;
                 }
-                let Some(mode) = self.conflict_coordinate(ts, o, w) else {
+                let Some(mode) = self.coordinate(ts, o, w) else {
                     // Coordination deadline: restore the pre-claim state and
                     // retry. The object was force-demoted, so once the stall
                     // clears (one successful coordination, or the holder
@@ -497,11 +441,7 @@ impl<S: Support> HybridEngine<S> {
                 //   WrExPess(T)/RdExPess(T)   W by T  → WrExWLock(T)   (non-confl)
                 //   WrExPess(T1)/RdExPess(T1) W by T2 → WrExWLock(T2)  (confl, clock edge)
                 //   RdShPess(c)               W by T  → WrExWLock(T)   (confl, clock edges)
-                let prev = if w.kind() == Kind::RdSh {
-                    PrevHolders::AllOthers
-                } else {
-                    PrevHolders::One(w.owner())
-                };
+                let prev = w.holders();
                 let own = prev == PrevHolders::One(t);
                 let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
                 if self.common.claim(obj, cur, t, final_w) {
@@ -552,7 +492,7 @@ impl<S: Support> HybridEngine<S> {
                     ts.rd_set.remove(o.0);
                     // Write after other threads' past reads: conservative
                     // clock edges to everyone.
-                    self.emit_pess_acquire(ts, o, PrevHolders::AllOthers, true);
+                    self.emit_pess_acquire(ts, o, w.holders(), true);
                     self.common.publish(obj, final_w);
                     return self.bump_pess(ts, o, true, contended);
                 }
@@ -565,7 +505,7 @@ impl<S: Support> HybridEngine<S> {
                 ts.stats.bump(Event::PessContended);
                 self.common.rt.trace(ts.tid, TraceKind::PessContended, o.0 as u64);
             }
-            self.contended_coordinate(ts, o, w);
+            self.coordinate(ts, o, w);
             if abortable && self.common.support.should_abort(t) {
                 return Access::Aborted;
             }
@@ -723,7 +663,7 @@ impl<S: Support> HybridEngine<S> {
                         {
                             continue;
                         }
-                        let Some(mode) = self.conflict_coordinate(ts, o, w) else {
+                        let Some(mode) = self.coordinate(ts, o, w) else {
                             // Deadline: restore and retry (see write_slow).
                             state.store(cur, Ordering::Release);
                             continue;
@@ -829,7 +769,7 @@ impl<S: Support> HybridEngine<S> {
                         ts.stats.bump(Event::PessContended);
                         self.common.rt.trace(ts.tid, TraceKind::PessContended, o.0 as u64);
                     }
-                    self.contended_coordinate(ts, o, w);
+                    self.coordinate(ts, o, w);
                     spin.spin();
                 }
             }
@@ -877,10 +817,9 @@ impl<S: Support> HybridEngine<S> {
             (Kind::WrEx, false) => {
                 // WrExPess(T1) R by T2 → RdExRLock(T2): conflicting (w→r),
                 // happens-before edge from T1's release clock (§4.2).
-                let prev_owner = w.owner();
                 let final_w = StateWord::rd_ex_pess(t, LockMode::Read);
                 if self.common.claim(obj, cur, t, final_w) {
-                    self.emit_pess_acquire(ts, o, PrevHolders::One(prev_owner), false);
+                    self.emit_pess_acquire(ts, o, w.holders(), false);
                     self.common.publish(obj, final_w);
                     ts.push_read_lock(o);
                     return Some(self.bump_pess(ts, o, true, contended));

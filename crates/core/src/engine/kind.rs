@@ -1,17 +1,15 @@
-//! Runtime engine selection: one [`EngineKind`] enum, one CLI parser, one
-//! constructor — and the object-safe erasure ([`AnyEngine`]) that lets a
-//! binary hold "some tracking engine" without monomorphizing per kind.
+//! Runtime engine selection: one [`EngineKind`] enum over one table of
+//! configurations, one CLI parser, one constructor — and the object-safe
+//! erasure ([`AnyEngine`]) that lets a binary hold "some tracking engine"
+//! without monomorphizing per kind.
 //!
-//! Before this module every binary carried its own copy of the
-//! string-to-engine match (`contention`, `custom_workload`, `trace`) and the
-//! workload driver duplicated a seven-arm constructor match. A server-shaped
-//! consumer (`drink-serve`) cannot afford either: its store holds *one*
-//! engine chosen at startup and must route every tracked access through it
-//! with zero per-engine code. [`Tracker`] was already object-safe, so the
-//! erasure is a thin box: [`EngineKind::build`] returns an [`AnyEngine`]
-//! (a `Box<dyn Tracker>` plus the kind that built it), which itself
-//! implements [`Tracker`] — so `Session<'_, AnyEngine>` works unchanged and
-//! generic drivers accept erased engines without a separate code path.
+//! A server-shaped consumer (`drink-serve`) holds *one* engine chosen at
+//! startup and must route every tracked access through it with zero
+//! per-engine code. [`Tracker`] is object-safe, so the erasure is a thin box:
+//! [`EngineKind::build`] returns an [`AnyEngine`] (a `Box<dyn Tracker>` plus
+//! the kind that built it), which itself implements [`Tracker`] — so
+//! `Session<'_, AnyEngine>` works unchanged and generic drivers accept erased
+//! engines without a separate code path.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -21,7 +19,6 @@ use drink_runtime::{MonitorId, ObjId, Runtime, RuntimeConfig, ThreadId};
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
 use crate::engine::ideal::IdealEngine;
 use crate::engine::none::NoTracking;
-use crate::engine::optimistic::OptimisticEngine;
 use crate::engine::pessimistic::PessimisticEngine;
 use crate::engine::Tracker;
 use crate::support::NullSupport;
@@ -32,8 +29,8 @@ pub type DynTracker = dyn Tracker;
 
 /// The engine configurations of Figure 7, plus the adaptive one. The four
 /// tracked kinds built on the hybrid engine are the 2 × 2 of two values —
-/// `Cutoff_confl` (4 or ∞) and the valve (one-way or re-opening, see
-/// [`crate::adapt`]):
+/// `Cutoff_confl` (4 or ∞) and the [`Valve`](crate::policy::Valve) (one-way
+/// or re-opening):
 ///
 /// | | one-way | re-opening |
 /// |---|---|---|
@@ -61,6 +58,62 @@ pub enum EngineKind {
     Ideal,
 }
 
+/// Which engine type a kind builds (see the [module table](crate::engine)).
+enum Engine {
+    NoTracking,
+    Pessimistic,
+    /// [`HybridEngine`] under the configuration the constructor returns.
+    Hybrid(fn() -> HybridConfig),
+    Ideal,
+}
+
+/// One row of [`KINDS`]: everything that distinguishes a kind.
+struct KindRow {
+    kind: EngineKind,
+    /// Canonical short name: table tags, metric suffixes, preferred CLI
+    /// spelling.
+    short: &'static str,
+    /// Other CLI spellings [`EngineKind::parse`] accepts.
+    aliases: &'static [&'static str],
+    /// Display name matching the paper's legend.
+    label: &'static str,
+    /// The name results report under ([`Tracker::name`] of the built engine).
+    name: &'static str,
+    engine: Engine,
+}
+
+/// The engine table, in [`EngineKind`]'s declaration order (checked below).
+#[rustfmt::skip]
+const KINDS: [KindRow; 7] = {
+    use {Engine as E, EngineKind as K, HybridConfig as H};
+    const fn row(
+        kind: K, short: &'static str, aliases: &'static [&'static str],
+        label: &'static str, name: &'static str, engine: E,
+    ) -> KindRow {
+        KindRow { kind, short, aliases, label, name, engine }
+    }
+    [
+        row(K::Baseline, "baseline", &["none"], "Baseline", "baseline", E::NoTracking),
+        row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", E::Pessimistic),
+        row(K::Optimistic, "opt", &["optimistic"], "Optimistic tracking", "optimistic", E::Hybrid(H::optimistic)),
+        row(K::Hybrid, "hybrid", &[], "Hybrid tracking", "hybrid", E::Hybrid(H::default)),
+        row(K::HybridInfiniteCutoff, "hybrid-inf", &["hybrid-infinite"],
+            "Hybrid tracking w/infinite cutoff", "hybrid-inf", E::Hybrid(H::infinite_cutoff)),
+        row(K::Adaptive, "adapt", &["adaptive"], "Adaptive (online demotion)", "adaptive", E::Hybrid(H::adaptive)),
+        row(K::Ideal, "ideal", &[], "Ideal", "ideal", E::Ideal),
+    ]
+};
+
+// `EngineKind::row` indexes the table by discriminant.
+const _: () = {
+    assert!(KINDS.len() == EngineKind::Ideal as usize + 1, "a kind has no row");
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].kind as usize == i, "KINDS is not in EngineKind's declaration order");
+        i += 1;
+    }
+};
+
 impl EngineKind {
     /// All configurations, in Figure 7's legend order (baseline excluded).
     pub const FIGURE7: [EngineKind; 5] = [
@@ -72,84 +125,52 @@ impl EngineKind {
     ];
 
     /// Every kind, for parsers and exhaustive sweeps.
-    pub const ALL: [EngineKind; 7] = [
-        EngineKind::Baseline,
-        EngineKind::Pessimistic,
-        EngineKind::Optimistic,
-        EngineKind::Hybrid,
-        EngineKind::HybridInfiniteCutoff,
-        EngineKind::Adaptive,
-        EngineKind::Ideal,
-    ];
+    pub const ALL: [EngineKind; KINDS.len()] = {
+        let mut all = [EngineKind::Baseline; KINDS.len()];
+        let mut i = 0;
+        while i < KINDS.len() {
+            all[i] = KINDS[i].kind;
+            i += 1;
+        }
+        all
+    };
 
-    /// The CLI spellings [`EngineKind::parse`] accepts, for usage strings.
+    /// The CLI spellings [`EngineKind::parse`] accepts, for usage strings
+    /// (`a[b]` stands for both `a` and `ab`).
     pub const CLI_NAMES: &'static str =
-        "baseline|pess[imistic]|opt[imistic]|hybrid|hybrid-inf|adapt[ive]|ideal";
+        "baseline|none|pess[imistic]|opt[imistic]|hybrid|hybrid-inf[inite]|adapt[ive]|ideal";
+
+    fn row(self) -> &'static KindRow {
+        &KINDS[self as usize]
+    }
 
     /// Display name matching the paper's legend.
     pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Baseline => "Baseline",
-            EngineKind::Pessimistic => "Pessimistic tracking",
-            EngineKind::Optimistic => "Optimistic tracking",
-            EngineKind::Hybrid => "Hybrid tracking",
-            EngineKind::HybridInfiniteCutoff => "Hybrid tracking w/infinite cutoff",
-            EngineKind::Adaptive => "Adaptive (online demotion)",
-            EngineKind::Ideal => "Ideal",
-        }
+        self.row().label
     }
 
     /// Canonical short name: stable row/table tags and the preferred CLI
     /// spelling. Round-trips through [`EngineKind::parse`].
     pub fn short_name(self) -> &'static str {
-        match self {
-            EngineKind::Baseline => "baseline",
-            EngineKind::Pessimistic => "pess",
-            EngineKind::Optimistic => "opt",
-            EngineKind::Hybrid => "hybrid",
-            EngineKind::HybridInfiniteCutoff => "hybrid-inf",
-            EngineKind::Adaptive => "adapt",
-            EngineKind::Ideal => "ideal",
-        }
+        self.row().short
     }
 
     /// Parse a CLI engine name. This is the *only* string-to-engine mapping
     /// in the workspace; binaries must not grow private copies. Accepts the
-    /// canonical short names plus the long spellings the older per-bin
-    /// parsers took (`pessimistic`, `optimistic`, `adaptive`).
+    /// canonical short names plus each kind's long spellings.
     pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "baseline" | "none" => Some(EngineKind::Baseline),
-            "pess" | "pessimistic" => Some(EngineKind::Pessimistic),
-            "opt" | "optimistic" => Some(EngineKind::Optimistic),
-            "hybrid" => Some(EngineKind::Hybrid),
-            "hybrid-inf" | "hybrid-infinite" => Some(EngineKind::HybridInfiniteCutoff),
-            "adapt" | "adaptive" => Some(EngineKind::Adaptive),
-            "ideal" => Some(EngineKind::Ideal),
-            _ => None,
-        }
+        KINDS.iter().find(|r| r.short == s || r.aliases.contains(&s)).map(|r| r.kind)
     }
 
     /// Construct the engine behind an object-safe box. The one constructor
     /// match in the workspace; everything downstream goes through the erased
     /// interface.
     pub fn build_boxed(self, rt: Arc<Runtime>) -> Box<DynTracker> {
-        match self {
-            EngineKind::Baseline => Box::new(NoTracking::new(rt)),
-            EngineKind::Pessimistic => Box::new(PessimisticEngine::new(rt)),
-            EngineKind::Optimistic => Box::new(OptimisticEngine::new(rt)),
-            EngineKind::Hybrid => Box::new(HybridEngine::new(rt)),
-            EngineKind::HybridInfiniteCutoff => Box::new(HybridEngine::with_config(
-                rt,
-                NullSupport,
-                HybridConfig::infinite_cutoff(),
-            )),
-            EngineKind::Adaptive => Box::new(HybridEngine::with_config(
-                rt,
-                NullSupport,
-                HybridConfig::adaptive(),
-            )),
-            EngineKind::Ideal => Box::new(IdealEngine::new(rt)),
+        match self.row().engine {
+            Engine::NoTracking => Box::new(NoTracking::new(rt)),
+            Engine::Pessimistic => Box::new(PessimisticEngine::new(rt)),
+            Engine::Hybrid(cfg) => Box::new(HybridEngine::with_config(rt, NullSupport, cfg())),
+            Engine::Ideal => Box::new(IdealEngine::new(rt)),
         }
     }
 
@@ -209,15 +230,11 @@ impl Tracker for AnyEngine {
         self.inner.rt()
     }
 
-    /// The configuration name under which results report. The adaptive kind
-    /// shares the hybrid engine's machinery but must report under its own
-    /// label so bench tables and chaos matrices can gate it separately
-    /// (previously patched up by the workload driver post-run).
+    /// The name this kind's results report under: its own, so that the
+    /// kinds sharing the hybrid engine's machinery stay distinguishable in
+    /// bench tables and chaos matrices.
     fn name(&self) -> &'static str {
-        match self.kind {
-            EngineKind::Adaptive => "adaptive",
-            _ => self.inner.name(),
-        }
+        self.kind.row().name
     }
 
     #[inline]
@@ -323,28 +340,63 @@ mod tests {
 
     #[test]
     fn adaptive_reports_its_own_name() {
-        assert_eq!(EngineKind::Adaptive.build(tiny_rt()).name(), "adaptive");
+        // Every kind reports under its own row's name, the four that share
+        // the hybrid engine included...
+        for row in &KINDS {
+            assert_eq!(row.kind.build(tiny_rt()).name(), row.name, "{:?}", row.kind);
+        }
+        // ...and the names `benchmark/` keys its results on stay put.
+        assert_eq!(EngineKind::Baseline.build(tiny_rt()).name(), "baseline");
+        assert_eq!(EngineKind::Pessimistic.build(tiny_rt()).name(), "pessimistic");
         assert_eq!(EngineKind::Hybrid.build(tiny_rt()).name(), "hybrid");
-        assert_eq!(EngineKind::HybridInfiniteCutoff.build(tiny_rt()).name(), "hybrid");
+        assert_eq!(EngineKind::Adaptive.build(tiny_rt()).name(), "adaptive");
     }
 
     #[test]
     fn parse_roundtrips_short_names_and_accepts_long_forms() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(kind.short_name()), Some(kind));
+        for row in &KINDS {
+            assert_eq!(EngineKind::parse(row.kind.short_name()), Some(row.kind));
+            for alias in row.aliases {
+                assert_eq!(EngineKind::parse(alias), Some(row.kind), "{alias}");
+            }
         }
-        assert_eq!(EngineKind::parse("pessimistic"), Some(EngineKind::Pessimistic));
-        assert_eq!(EngineKind::parse("optimistic"), Some(EngineKind::Optimistic));
-        assert_eq!(EngineKind::parse("adaptive"), Some(EngineKind::Adaptive));
+        assert_eq!(EngineKind::ALL.len(), KINDS.len());
         assert_eq!(EngineKind::parse("nonsense"), None);
         assert!("nope".parse::<EngineKind>().unwrap_err().contains("unknown engine"));
     }
 
+    /// `CLI_NAMES` cannot be derived from the table in const context, so it
+    /// is pinned to it here: it lists every spelling `parse` accepts, and
+    /// nothing else.
+    #[test]
+    fn cli_names_lists_every_spelling() {
+        let mut listed = Vec::new();
+        for alt in EngineKind::CLI_NAMES.split('|') {
+            match alt.split_once('[') {
+                None => listed.push(alt.to_string()),
+                Some((stem, rest)) => {
+                    listed.push(stem.to_string());
+                    listed.push(format!("{stem}{}", rest.trim_end_matches(']')));
+                }
+            }
+        }
+        let mut accepted: Vec<String> = KINDS
+            .iter()
+            .flat_map(|r| std::iter::once(&r.short).chain(r.aliases))
+            .map(|s| s.to_string())
+            .collect();
+        listed.sort();
+        accepted.sort();
+        assert_eq!(listed, accepted);
+    }
+
     #[test]
     fn labels_are_unique() {
-        let mut labels: Vec<&str> = EngineKind::ALL.iter().map(|k| k.label()).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), EngineKind::ALL.len());
+        for field in [|r: &KindRow| r.label, |r: &KindRow| r.name, |r: &KindRow| r.short] {
+            let mut values: Vec<&str> = KINDS.iter().map(field).collect();
+            values.sort();
+            values.dedup();
+            assert_eq!(values.len(), KINDS.len());
+        }
     }
 }

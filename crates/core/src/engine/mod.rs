@@ -1,14 +1,31 @@
 //! The tracking engines.
 //!
-//! Five engines implement the [`Tracker`] interface:
+//! Four engine types implement the [`Tracker`] interface:
 //!
-//! | engine | paper configuration |
+//! | engine type | what it is |
 //! |---|---|
 //! | [`NoTracking`](none::NoTracking) | unmodified JVM (the overhead baseline) |
-//! | [`PessimisticEngine`](pessimistic::PessimisticEngine) | "Pessimistic tracking" (§2.1) |
-//! | [`OptimisticEngine`](optimistic::OptimisticEngine) | "Optimistic tracking" (§2.2, Octet) |
-//! | [`HybridEngine`](hybrid::HybridEngine) | "Hybrid tracking" (§3); with `PolicyParams::infinite_cutoff()` it is the "w/ infinite cutoff" configuration |
+//! | [`PessimisticEngine`](pessimistic::PessimisticEngine) | "Pessimistic tracking" (§2.1): the flat protocol |
+//! | [`HybridEngine`](hybrid::HybridEngine) | the hybrid state word (§3), driven by the optimistic protocol (§2.2), the deferred-unlocking pessimistic one (§3.1) and the policy that picks between them per object (§6) |
 //! | [`IdealEngine`](ideal::IdealEngine) | the unsound "Ideal" estimate of Figure 7 |
+//!
+//! [`EngineKind`] names the configurations that get built and measured: one
+//! for each of the first, second and fourth type, and four that are a
+//! [`HybridConfig`](hybrid::HybridConfig) of the third:
+//!
+//! | [`EngineKind`] | [`HybridConfig`](hybrid::HybridConfig) | paper configuration |
+//! |---|---|---|
+//! | `Optimistic` | `optimistic()`: `Cutoff_confl = ∞`, re-opening valve | "Optimistic tracking" (§2.2, Octet) |
+//! | `HybridInfiniteCutoff` | `infinite_cutoff()`: `Cutoff_confl = ∞`, one-way valve | "Hybrid tracking w/ infinite cutoff" |
+//! | `Hybrid` | `default()`: `Cutoff_confl = 4`, one-way valve | "Hybrid tracking" (§3) |
+//! | `Adaptive` | `adaptive()`: `Cutoff_confl = 4`, re-opening valve | — (DESIGN.md §13) |
+//!
+//! The other three are not configurations of it. §2.1's flat protocol — a
+//! `LOCKED` critical section per access, no lock buffer, no coordination, no
+//! policy — is the paper's baseline and the benchmark's `pess` column, not a
+//! policy of the hybrid state machine (an always-`Pess` hybrid would still
+//! defer its unlocks); `IdealEngine` is unsound by construction and takes no
+//! `Support`, and `NoTracking` has no state word to drive.
 //!
 //! All methods that take a `ThreadId` must be called from the OS thread that
 //! attached as that mutator (checked in debug builds); the `Session` façade
@@ -18,7 +35,6 @@ pub mod hybrid;
 pub mod ideal;
 pub mod kind;
 pub mod none;
-pub mod optimistic;
 pub mod pessimistic;
 
 pub use kind::{AnyEngine, DynTracker, EngineKind};
@@ -98,4 +114,268 @@ pub trait Tracker: Send + Sync {
 
     /// Monitor notify-all, performed by thread `t`.
     fn notify_all(&self, t: ThreadId, m: MonitorId);
+}
+
+/// Octet's protocol shape (§2.2, Figure 1) on the `Cutoff_confl = ∞`
+/// configurations of [`hybrid::HybridEngine`], which *are* Octet: no object
+/// ever crosses the cutoff, so every state stays optimistic. (The module
+/// path is the one these tests had when a wrapper type built that
+/// configuration, so their ids — and the runs recorded under them — carry
+/// over.)
+#[cfg(test)]
+mod optimistic {
+    mod tests {
+        use std::sync::atomic::Ordering;
+        use std::sync::Arc;
+
+        use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
+
+        use crate::engine::hybrid::{HybridConfig, HybridEngine};
+        use crate::engine::Tracker;
+        use crate::support::NullSupport;
+        use crate::word::{Kind, StateWord};
+
+        /// The one-way ∞ configuration for the protocol-shape tests. (No
+        /// deadline is configured, so no object of theirs ever leaves optimistic
+        /// states under either valve; the degradation path is exercised by
+        /// `hot_object_demotes_under_deadline`.)
+        fn engine() -> HybridEngine {
+            HybridEngine::with_config(
+                Arc::new(Runtime::new(RuntimeConfig::builder()
+                    .max_threads(8)
+                    .heap_objects(16)
+                    .monitors(2)
+                    .build())),
+                NullSupport,
+                HybridConfig::infinite_cutoff(),
+            )
+        }
+
+        fn state_of(e: &HybridEngine, o: ObjId) -> StateWord {
+            StateWord(e.rt().obj(o).state().load(Ordering::SeqCst))
+        }
+
+        #[test]
+        fn owner_accesses_take_fast_path() {
+            let e = engine();
+            let t = e.attach();
+            let o = ObjId(0);
+            e.alloc_init(o, t);
+            e.write(t, o, 1);
+            e.write(t, o, 2);
+            assert_eq!(e.read(t, o), 2);
+            e.detach(t);
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::OptSameState), 3);
+            assert_eq!(r.opt_conflicting(), 0);
+        }
+
+        #[test]
+        fn own_read_then_write_is_upgrading() {
+            let e = engine();
+            let t = e.attach();
+            let o = ObjId(1);
+            // Make the object RdEx(t): start owned elsewhere conceptually by
+            // initializing directly.
+            e.rt()
+                .obj(o)
+                .state()
+                .store(StateWord::rd_ex_opt(t).0, Ordering::SeqCst);
+            e.write(t, o, 5);
+            assert_eq!(state_of(&e, o), StateWord::wr_ex_opt(t));
+            e.detach(t);
+            assert_eq!(e.rt().stats().get(Event::OptUpgrading), 1);
+        }
+
+        #[test]
+        fn second_reader_upgrades_to_rdsh_and_fences() {
+            let e = engine();
+            let t0 = e.attach();
+            let o = ObjId(2);
+            e.rt()
+                .obj(o)
+                .state()
+                .store(StateWord::rd_ex_opt(t0).0, Ordering::SeqCst);
+            e.rt().obj(o).data_write(42);
+
+            std::thread::scope(|s| {
+                let er = &e;
+                s.spawn(move || {
+                    let t1 = er.attach();
+                    assert_eq!(er.read(t1, o), 42); // RdEx(t0) → RdSh(c)
+                    er.detach(t1);
+                });
+            });
+            let w = state_of(&e, o);
+            assert_eq!(w.kind(), Kind::RdSh);
+            // t0's first read of the RdSh epoch now takes the coordination-free
+            // seqlock path (DESIGN.md §12): validated, no fence transition.
+            assert_eq!(e.read(t0, o), 42);
+            e.detach(t0);
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::OptUpgrading), 1);
+            assert_eq!(r.get(Event::SeqlockValidated), 1);
+            assert_eq!(r.get(Event::OptFence), 0);
+        }
+
+        #[test]
+        fn conflicting_write_coordinates_and_transfers_ownership() {
+            let e = engine();
+            let t0 = e.attach();
+            let o = ObjId(3);
+            e.alloc_init(o, t0);
+            e.write(t0, o, 7);
+
+            std::thread::scope(|s| {
+                let er = &e;
+                let writer = s.spawn(move || {
+                    let t1 = er.attach();
+                    er.write(t1, o, 8); // conflicts with WrEx(t0)
+                    er.detach(t1);
+                    t1
+                });
+                // t0 keeps polling safe points until the writer finishes,
+                // responding to the coordination request.
+                let mut spin = e.rt().spinner("writer to finish");
+                while !writer.is_finished() {
+                    e.safepoint(t0);
+                    spin.spin();
+                }
+                let t1 = writer.join().unwrap();
+                assert_eq!(state_of(&e, o), StateWord::wr_ex_opt(t1));
+            });
+            assert_eq!(e.read(t0, o), 8); // conflicting read back: WrEx(t1) → RdEx(t0)
+            assert_eq!(state_of(&e, o), StateWord::rd_ex_opt(t0));
+            e.detach(t0);
+            let r = e.rt().stats().report();
+            assert!(r.opt_conflicting() >= 2, "write + read-back both conflict");
+            assert!(r.get(Event::RespondedExplicit) >= 1);
+        }
+
+        #[test]
+        fn conflict_with_detached_thread_resolves_implicitly() {
+            let e = engine();
+            let o = ObjId(4);
+            std::thread::scope(|s| {
+                let er = &e;
+                s.spawn(move || {
+                    let t0 = er.attach();
+                    er.alloc_init(o, t0);
+                    er.write(t0, o, 11);
+                    er.detach(t0); // permanently blocked from now on
+                })
+                .join()
+                .unwrap();
+
+                s.spawn(move || {
+                    let t1 = er.attach();
+                    assert_eq!(er.read(t1, o), 11);
+                    er.detach(t1);
+                });
+            });
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::OptConflictImplicit), 1);
+            assert_eq!(r.get(Event::OptConflictExplicit), 0);
+        }
+
+        #[test]
+        fn rdsh_write_coordinates_with_all_threads() {
+            let e = engine();
+            let t0 = e.attach();
+            let o = ObjId(5);
+            e.rt()
+                .obj(o)
+                .state()
+                .store(StateWord::rd_sh_opt(1).0, Ordering::SeqCst);
+
+            std::thread::scope(|s| {
+                let er = &e;
+                let h = s.spawn(move || {
+                    let t1 = er.attach();
+                    er.write(t1, o, 9); // RdSh conflict: coordinate with t0
+                    er.detach(t1);
+                    t1
+                });
+                let mut spin = e.rt().spinner("rdsh writer to finish");
+                while !h.is_finished() {
+                    e.safepoint(t0);
+                    spin.spin();
+                }
+                let t1 = h.join().unwrap();
+                assert_eq!(state_of(&e, o), StateWord::wr_ex_opt(t1));
+            });
+            e.detach(t0);
+            assert_eq!(e.rt().stats().report().opt_conflicting(), 1);
+        }
+
+        #[test]
+        fn symmetric_conflicts_do_not_deadlock() {
+            // Two threads repeatedly write each other's object: every access is a
+            // conflicting transition, and both threads constantly coordinate with
+            // each other. Deadlock freedom comes from responding-while-waiting.
+            let e = engine();
+            let oa = ObjId(6);
+            let ob = ObjId(7);
+            std::thread::scope(|s| {
+                let er = &e;
+                s.spawn(move || {
+                    let t = er.attach();
+                    er.alloc_init(oa, t);
+                    for i in 0..2_000 {
+                        er.write(t, oa, i);
+                        er.write(t, ob, i);
+                    }
+                    er.detach(t);
+                });
+                s.spawn(move || {
+                    let t = er.attach();
+                    er.alloc_init(ob, t);
+                    for i in 0..2_000 {
+                        er.write(t, ob, i);
+                        er.write(t, oa, i);
+                    }
+                    er.detach(t);
+                });
+            });
+            let r = e.rt().stats().report();
+            assert_eq!(r.accesses(), 8_000);
+            assert!(r.opt_conflicting() > 0);
+        }
+
+        /// The degradation path end to end: a hot object under a coordination
+        /// deadline demotes, runs pessimistic, and the engines still agree on
+        /// the data (writes are never lost).
+        #[test]
+        fn hot_object_demotes_under_deadline() {
+            let rt = Arc::new(Runtime::new(
+                RuntimeConfig::builder()
+                    .max_threads(4)
+                    .heap_objects(16)
+                    .monitors(2)
+                    .coord_deadline(std::time::Duration::from_millis(50))
+                    .build(),
+            ));
+            let e = HybridEngine::with_config(rt, NullSupport, HybridConfig::optimistic());
+            let o = ObjId(8);
+            std::thread::scope(|s| {
+                let er = &e;
+                for _ in 0..2 {
+                    s.spawn(move || {
+                        let t = er.attach();
+                        for i in 0..20_000 {
+                            er.write(t, o, i);
+                            if i % 64 == 0 {
+                                er.safepoint(t);
+                            }
+                        }
+                        er.detach(t);
+                    });
+                }
+            });
+            // Completion itself is the property: no watchdog panic, no hang,
+            // every write performed whichever protocol served it.
+            let r = e.rt().stats().report();
+            assert_eq!(r.accesses(), 40_000);
+        }
+    }
 }

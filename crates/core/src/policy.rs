@@ -24,9 +24,9 @@
 //! * "checks and balances": which phase steps are legal is the
 //!   [`Valve`]'s call — the paper's is one-way
 //!   (`OptInitial → Pess → OptFinal`, then optimistic for good), the
-//!   adaptive configuration's re-opens (see [`crate::adapt`]). Each return
-//!   to optimistic states doubles (up to [`MAX_INERTIA_DOUBLINGS`] times)
-//!   the `Inertia` the object's next return must meet.
+//!   adaptive configuration's re-opens (see below). Each return to
+//!   optimistic states doubles (up to [`MAX_INERTIA_DOUBLINGS`] times) the
+//!   `Inertia` the object's next return must meet.
 //!
 //! Two samples bypass the counting. A coordination deadline that expires on
 //! an object ([`AdaptivePolicy::force_pess`]) is direct evidence that its
@@ -50,12 +50,57 @@
 //! bits 54..=61  pessContended       (saturating)
 //! bits 62..=63  phase               0 OptInitial, 1 Pess, 2 OptFinal
 //! ```
+//!
+//! ## The valve (DESIGN.md §13)
+//!
+//! The paper's policy is a *one-way valve*: once an object's conflict count
+//! crosses `Cutoff_confl` it goes pessimistic, and once inequality (5) sends
+//! it back it stays optimistic forever. That is the right shape for the
+//! paper's steady-state benchmarks, but it degrades badly when contention is
+//! *phased*: an object that was sent back during a quiet spell and turns hot
+//! again pays a coordination roundtrip per conflict for the rest of the run.
+//!
+//! The adaptive configuration is the same policy, over the same profile
+//! word, with a valve that **re-opens**: an object in `OptFinal` keeps
+//! counting explicit conflicts and returns to `Pess` when it collects
+//! `Cutoff_confl` of them. Nothing else differs, and nothing is timed — the
+//! evidence is counts, as in §6:
+//!
+//! * **demotion** needs `Cutoff_confl` explicit conflicts *since the object
+//!   last turned optimistic* — inequality (4) over a counter that restarts
+//!   at every phase change;
+//! * **promotion** needs inequality (5) over the pessimistic transitions
+//!   *since the object last turned pessimistic*, with `Inertia` doubled once
+//!   per earlier promotion of that object (capped at
+//!   [`MAX_INERTIA_DOUBLINGS`]). Those two sample counts are the policy's
+//!   cooldown — no phase change can follow another sooner — and the doubling
+//!   is what makes an oscillating object settle pessimistic instead of
+//!   flapping;
+//! * a **coordination-deadline expiry** is the one catastrophic sample: it
+//!   enters `Pess` at once ([`AdaptivePolicy::force_pess`]), because waiting
+//!   for `Cutoff_confl` conflicts of evidence means eating that many more
+//!   expired deadlines. It is a phase step like any other, so the valve
+//!   still has the last word (a one-way valve refuses it from `OptFinal`),
+//!   and the promotion that follows needs its full inertia.
+//!
+//! Why no time constant survives: a roundtrip's *duration* depends on the
+//! host (≈50 µs on the 1-core guest the old EWMA thresholds were tuned on,
+//! ≈1 µs on a 2-core one), so a nanosecond threshold encodes the machine,
+//! while the *ratio* inequality (5) prices — one roundtrip is worth hundreds
+//! of pessimistic CASes — holds on both. And a per-roundtrip cost is blind
+//! to how often the object conflicts, which is the only thing the
+//! cost–benefit model asks.
+//!
+//! ## Memory ordering
+//!
+//! The phase only *steers* which of two independently-correct protocols an
+//! access takes; it never guards data. A thread that reads a stale phase
+//! takes the other protocol, which is equally sound, so every profile-word
+//! access is Relaxed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
-
-pub use crate::adapt::Valve;
 
 /// Tuning parameters of the adaptive policy (§6.2, §7.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,6 +152,30 @@ pub enum Phase {
     /// Optimistic again after a stay in `Pess`: for good under the one-way
     /// valve, counting explicit conflicts anew under the re-opening one.
     OptFinal = 2,
+}
+
+/// Which phase steps the adaptive policy may publish.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Valve {
+    /// The paper's "checks and balances" (§6.2): `OptInitial → Pess` and
+    /// `Pess → OptFinal`, after which the object stays optimistic.
+    #[default]
+    OneWay,
+    /// Additionally `OptFinal → Pess`: an object that turns hot again is
+    /// demoted again.
+    Reopening,
+}
+
+impl Valve {
+    /// May an object step `from → to` under this valve?
+    #[inline]
+    pub fn allows(self, from: Phase, to: Phase) -> bool {
+        match (from, to) {
+            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal) => true,
+            (Phase::OptFinal, Phase::Pess) => self == Valve::Reopening,
+            _ => false,
+        }
+    }
 }
 
 /// Returns to optimistic states after which an object's `Inertia` stops

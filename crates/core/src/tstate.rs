@@ -236,9 +236,9 @@ pub struct ThreadState {
     /// Scratch buffer for happens-before sources, reused across transitions
     /// to keep the hot path allocation-free.
     pub src_scratch: Vec<(ThreadId, u64)>,
-    /// Scratch for [`crate::coord::coordinate_many`]'s outstanding-peer set,
-    /// reused across RdSh conflicts (like the lock buffer, it lives for the
-    /// session) so a fan-out never allocates per conflict.
+    /// Scratch for [`crate::coord::coordinate`]'s outstanding-peer set,
+    /// reused across conflicts (like the lock buffer, it lives for the
+    /// session) so a coordination never allocates per conflict.
     pub fanout_scratch: Vec<crate::coord::PendingPeer>,
     /// Scratch for the responder side: requests drained at a responding safe
     /// point land here (via `ThreadControl::drain_requests_into`) instead of

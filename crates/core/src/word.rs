@@ -33,6 +33,8 @@ use std::fmt;
 
 use drink_runtime::ThreadId;
 
+use crate::support::PrevHolders;
+
 /// State kind: the four top-level shapes a state word can take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -209,6 +211,19 @@ impl StateWord {
     #[inline(always)]
     pub fn owner(self) -> ThreadId {
         ThreadId::from_raw(((self.0 >> OWNER_SHIFT) & OWNER_MASK) as u16)
+    }
+
+    /// Whom the state names as holding it: the owner of an exclusive state,
+    /// or — a read-shared state names no one — every other thread. This is
+    /// whom a conflicting access coordinates with, and whom a pessimistic
+    /// conflicting acquire cites as its happens-before sources.
+    #[inline]
+    pub fn holders(self) -> PrevHolders {
+        if self.kind() == Kind::RdSh {
+            PrevHolders::AllOthers
+        } else {
+            PrevHolders::One(self.owner())
+        }
     }
 
     /// Read-lock count `n` (meaningful for pessimistic RdSh).

@@ -5,8 +5,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
-use drink_core::engine::optimistic::OptimisticEngine;
 use drink_core::prelude::*;
 use drink_core::support::{Support, SupportCx, YieldInfo};
 use drink_core::word::StateWord;
@@ -39,24 +37,21 @@ const O: ObjId = ObjId(0);
 
 /// Two threads contend on one object; the victim's support is armed so its
 /// first yield dooms its in-flight write.
-fn run_abort_scenario<F>(make_engine: F)
-where
-    F: FnOnce(Arc<Runtime>, AbortOnYield) -> Box<dyn EngineOps>,
-{
+fn run_abort_scenario(cfg: HybridConfig) {
     let rt = Arc::new(Runtime::new(RuntimeConfig::builder()
         .max_threads(2)
         .heap_objects(4)
         .monitors(1)
         .build()));
     let support = AbortOnYield::default();
-    let engine = make_engine(rt, support.clone());
+    let engine = HybridEngine::with_config(rt, support.clone(), cfg);
 
     let t0 = engine.attach();
     engine.alloc_init(O, t0);
     engine.write(t0, O, 10); // t0 owns O
 
     std::thread::scope(|s| {
-        let e = &*engine;
+        let e = &engine;
         let sup = &support;
         let h = s.spawn(move || {
             let t1 = e.attach();
@@ -101,75 +96,14 @@ where
     engine.detach(t0);
 }
 
-/// Object-safe subset of `Tracker` used by the scenario driver.
-trait EngineOps: Send + Sync {
-    fn attach(&self) -> ThreadId;
-    fn detach(&self, t: ThreadId);
-    fn alloc_init(&self, o: ObjId, owner: ThreadId);
-    fn write(&self, t: ThreadId, o: ObjId, v: u64);
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64>;
-    fn safepoint(&self, t: ThreadId);
-    fn rt(&self) -> &Arc<Runtime>;
-}
-
-impl<S: Support> EngineOps for HybridEngine<S> {
-    fn attach(&self) -> ThreadId {
-        Tracker::attach(self)
-    }
-    fn detach(&self, t: ThreadId) {
-        Tracker::detach(self, t)
-    }
-    fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        Tracker::alloc_init(self, o, owner)
-    }
-    fn write(&self, t: ThreadId, o: ObjId, v: u64) {
-        Tracker::write(self, t, o, v)
-    }
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
-        Tracker::try_write(self, t, o, v)
-    }
-    fn safepoint(&self, t: ThreadId) {
-        Tracker::safepoint(self, t)
-    }
-    fn rt(&self) -> &Arc<Runtime> {
-        Tracker::rt(self)
-    }
-}
-
-impl<S: Support> EngineOps for OptimisticEngine<S> {
-    fn attach(&self) -> ThreadId {
-        Tracker::attach(self)
-    }
-    fn detach(&self, t: ThreadId) {
-        Tracker::detach(self, t)
-    }
-    fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        Tracker::alloc_init(self, o, owner)
-    }
-    fn write(&self, t: ThreadId, o: ObjId, v: u64) {
-        Tracker::write(self, t, o, v)
-    }
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
-        Tracker::try_write(self, t, o, v)
-    }
-    fn safepoint(&self, t: ThreadId) {
-        Tracker::safepoint(self, t)
-    }
-    fn rt(&self) -> &Arc<Runtime> {
-        Tracker::rt(self)
-    }
-}
-
 #[test]
 fn hybrid_doomed_write_aborts_cleanly() {
-    run_abort_scenario(|rt, sup| {
-        Box::new(HybridEngine::with_config(rt, sup, HybridConfig::default()))
-    });
+    run_abort_scenario(HybridConfig::default());
 }
 
 #[test]
 fn optimistic_doomed_write_aborts_cleanly() {
-    run_abort_scenario(|rt, sup| Box::new(OptimisticEngine::with_support(rt, sup)));
+    run_abort_scenario(HybridConfig::optimistic());
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! change nothing the engines can observe. This test runs the identical
 //! deterministic two-thread workload under both layouts and asserts the
 //! engines produce identical payloads and identical event counts — the
-//! executable form of the acceptance criterion "flipping the knob requires
+//! executable form of the acceptance condition "flipping the knob requires
 //! no engine-code changes".
 
 use std::sync::Arc;

@@ -6,10 +6,9 @@
 //! exactly those edges.
 //!
 //! * [`Recorder`] is a [`drink_core::support::Support`] implementation;
-//!   attach it to an [`OptimisticEngine`](drink_core::prelude::OptimisticEngine)
-//!   for the *optimistic recorder* or to a
-//!   [`HybridEngine`](drink_core::prelude::HybridEngine) for the paper's
-//!   *hybrid recorder*. The hybrid recorder exploits deferred unlocking: for
+//!   attach it to a [`HybridEngine`](drink_core::prelude::HybridEngine) —
+//!   under `HybridConfig::infinite_cutoff()` for the *optimistic recorder*,
+//!   under the default configuration for the paper's *hybrid recorder*. The hybrid recorder exploits deferred unlocking: for
 //!   pessimistic conflicting transitions it names edge sources by reading
 //!   the previous holder's **release clock** — no communication — which is
 //!   the §4.2 contribution.

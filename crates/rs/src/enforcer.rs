@@ -1,7 +1,8 @@
 //! The region-serializability enforcer façade (§5).
 //!
-//! [`RsEnforcer`] wraps a tracking engine (optimistic or hybrid, both
-//! carrying [`RsSupport`]) and executes *statically bounded regions*
+//! [`RsEnforcer`] wraps the hybrid tracking engine carrying [`RsSupport`] —
+//! in its optimistic configuration for §5.1's enforcer, in the paper's
+//! default one for §5.2's — and executes *statically bounded regions*
 //! atomically:
 //!
 //! * every access inside a region acquires (and keeps) ownership of the
@@ -22,7 +23,6 @@
 use std::sync::Arc;
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
-use drink_core::engine::optimistic::OptimisticEngine;
 use drink_core::engine::Tracker;
 use drink_runtime::{Event, MonitorId, ObjId, Runtime, ThreadId};
 
@@ -32,38 +32,30 @@ use crate::support::{RegionTable, RsSupport};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Restart;
 
-/// The two enforcer configurations of Figure 9(b).
-pub enum RsEnforcer {
-    /// The optimistic enforcer (§5.1), per prior work.
-    Optimistic(OptimisticEngine<RsSupport>, Arc<RegionTable>),
-    /// The hybrid enforcer (§5.2), the paper's contribution.
-    Hybrid(HybridEngine<RsSupport>, Arc<RegionTable>),
+/// The region-serializability enforcer; Figure 9(b)'s two configurations are
+/// [`RsEnforcer::optimistic`] and [`RsEnforcer::hybrid`].
+pub struct RsEnforcer {
+    engine: HybridEngine<RsSupport>,
+    table: Arc<RegionTable>,
+    name: &'static str,
 }
 
 impl RsEnforcer {
-    /// Build the optimistic enforcer over `rt`.
+    /// Build the optimistic enforcer (§5.1, per prior work) over `rt`.
     pub fn optimistic(rt: Arc<Runtime>) -> Self {
-        let table = RegionTable::new(rt.clone());
-        let engine = OptimisticEngine::with_support(rt, RsSupport::new(table.clone()));
-        RsEnforcer::Optimistic(engine, table)
+        RsEnforcer::build(rt, HybridConfig::optimistic(), "opt-rs")
     }
 
-    /// Build the hybrid enforcer over `rt` (paper-default policy).
+    /// Build the hybrid enforcer (§5.2, the paper's contribution) over `rt`
+    /// (paper-default policy).
     pub fn hybrid(rt: Arc<Runtime>) -> Self {
-        RsEnforcer::hybrid_with(rt, HybridConfig::default())
+        RsEnforcer::build(rt, HybridConfig::default(), "hybrid-rs")
     }
 
-    /// Build the hybrid enforcer with an explicit hybrid configuration.
-    pub fn hybrid_with(rt: Arc<Runtime>, cfg: HybridConfig) -> Self {
+    fn build(rt: Arc<Runtime>, cfg: HybridConfig, name: &'static str) -> Self {
         let table = RegionTable::new(rt.clone());
         let engine = HybridEngine::with_config(rt, RsSupport::new(table.clone()), cfg);
-        RsEnforcer::Hybrid(engine, table)
-    }
-
-    fn table(&self) -> &Arc<RegionTable> {
-        match self {
-            RsEnforcer::Optimistic(_, t) | RsEnforcer::Hybrid(_, t) => t,
-        }
+        RsEnforcer { engine, table, name }
     }
 
     /// Execute `body` as an atomic region on mutator `t`, retrying on
@@ -83,7 +75,7 @@ impl RsEnforcer {
                 // SAFETY: region() is called from the attached mutator
                 // thread; the borrow is scoped so it never overlaps the
                 // body's own slot accesses.
-                let slot = unsafe { self.table().slot(t) };
+                let slot = unsafe { self.table.slot(t) };
                 slot.in_region = true;
                 slot.must_restart = false;
                 slot.undo.clear();
@@ -96,7 +88,7 @@ impl RsEnforcer {
 
             let doomed = {
                 // SAFETY: as above.
-                let slot = unsafe { self.table().slot(t) };
+                let slot = unsafe { self.table.slot(t) };
                 let doomed = slot.must_restart;
                 slot.in_region = false;
                 if !doomed {
@@ -131,11 +123,54 @@ impl RsEnforcer {
 
     fn bump(&self, t: ThreadId, e: Event) {
         // Reuse the engine's per-thread stats.
-        match self {
-            // SAFETY: acting thread.
-            RsEnforcer::Optimistic(eng, _) => unsafe { eng.common().ts(t) }.stats.bump(e),
-            RsEnforcer::Hybrid(eng, _) => unsafe { eng.common().ts(t) }.stats.bump(e),
-        }
+        // SAFETY: acting thread.
+        unsafe { self.engine.common().ts(t) }.stats.bump(e)
+    }
+
+    // The mutator lifecycle + non-region operations, forwarded so the
+    // enforcer can be driven like any engine between regions.
+
+    /// The runtime.
+    pub fn rt(&self) -> &Arc<Runtime> {
+        self.engine.rt()
+    }
+
+    /// Configuration name ("opt-rs" / "hybrid-rs").
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Attach the calling thread.
+    pub fn attach(&self) -> ThreadId {
+        let t = self.engine.attach();
+        self.table.reset_owner(t);
+        t
+    }
+
+    /// Detach (must be outside any region).
+    pub fn detach(&self, t: ThreadId) {
+        debug_assert!(!unsafe { self.table.slot(t) }.in_region);
+        self.engine.detach(t)
+    }
+
+    /// Safe point poll between regions.
+    pub fn safepoint(&self, t: ThreadId) {
+        self.engine.safepoint(t)
+    }
+
+    /// Program lock acquire (between regions; sync ops bound regions).
+    pub fn lock(&self, t: ThreadId, m: MonitorId) {
+        self.engine.lock(t, m)
+    }
+
+    /// Program lock release.
+    pub fn unlock(&self, t: ThreadId, m: MonitorId) {
+        self.engine.unlock(t, m)
+    }
+
+    /// Initialize `o` as allocated by `owner`.
+    pub fn alloc_init(&self, o: ObjId, owner: ThreadId) {
+        self.engine.alloc_init(o, owner)
     }
 }
 
@@ -149,17 +184,14 @@ impl RegionCx<'_> {
     /// Tracked read within the region.
     pub fn read(&self, o: ObjId) -> Result<u64, Restart> {
         // SAFETY: acting thread.
-        let slot = unsafe { self.enforcer.table().slot(self.t) };
+        let slot = unsafe { self.enforcer.table.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
-        let v = match self.enforcer {
-            RsEnforcer::Optimistic(e, _) => e.read(self.t, o),
-            RsEnforcer::Hybrid(e, _) => e.read(self.t, o),
-        };
+        let v = self.enforcer.engine.read(self.t, o);
         // The read may have yielded (and rolled back) while acquiring
         // ownership; its value is then from a doomed schedule.
-        let slot = unsafe { self.enforcer.table().slot(self.t) };
+        let slot = unsafe { self.enforcer.table.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
@@ -172,95 +204,18 @@ impl RegionCx<'_> {
     /// Tracked write within the region (undo-logged).
     pub fn write(&self, o: ObjId, v: u64) -> Result<(), Restart> {
         // SAFETY: acting thread.
-        let slot = unsafe { self.enforcer.table().slot(self.t) };
+        let slot = unsafe { self.enforcer.table.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
-        let prev = match self.enforcer {
-            RsEnforcer::Optimistic(e, _) => e.try_write(self.t, o, v),
-            RsEnforcer::Hybrid(e, _) => e.try_write(self.t, o, v),
+        let Some(old) = self.enforcer.engine.try_write(self.t, o, v) else {
+            return Err(Restart);
         };
-        match prev {
-            Some(old) => {
-                let slot = unsafe { self.enforcer.table().slot(self.t) };
-                slot.undo.push((o, old));
-                if !slot.accessed.contains(&o.0) {
-                    slot.accessed.push(o.0);
-                }
-                Ok(())
-            }
-            None => Err(Restart),
+        let slot = unsafe { self.enforcer.table.slot(self.t) };
+        slot.undo.push((o, old));
+        if !slot.accessed.contains(&o.0) {
+            slot.accessed.push(o.0);
         }
-    }
-}
-
-// Forward the mutator lifecycle + non-region operations so the enforcer can
-// be driven like any engine between regions.
-impl RsEnforcer {
-    /// The runtime.
-    pub fn rt(&self) -> &Arc<Runtime> {
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.rt(),
-            RsEnforcer::Hybrid(e, _) => e.rt(),
-        }
-    }
-
-    /// Configuration name ("opt-rs" / "hybrid-rs").
-    pub fn name(&self) -> &'static str {
-        match self {
-            RsEnforcer::Optimistic(..) => "opt-rs",
-            RsEnforcer::Hybrid(..) => "hybrid-rs",
-        }
-    }
-
-    /// Attach the calling thread.
-    pub fn attach(&self) -> ThreadId {
-        let t = match self {
-            RsEnforcer::Optimistic(e, _) => e.attach(),
-            RsEnforcer::Hybrid(e, _) => e.attach(),
-        };
-        self.table().reset_owner(t);
-        t
-    }
-
-    /// Detach (must be outside any region).
-    pub fn detach(&self, t: ThreadId) {
-        debug_assert!(!unsafe { self.table().slot(t) }.in_region);
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.detach(t),
-            RsEnforcer::Hybrid(e, _) => e.detach(t),
-        }
-    }
-
-    /// Safe point poll between regions.
-    pub fn safepoint(&self, t: ThreadId) {
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.safepoint(t),
-            RsEnforcer::Hybrid(e, _) => e.safepoint(t),
-        }
-    }
-
-    /// Program lock acquire (between regions; sync ops bound regions).
-    pub fn lock(&self, t: ThreadId, m: MonitorId) {
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.lock(t, m),
-            RsEnforcer::Hybrid(e, _) => e.lock(t, m),
-        }
-    }
-
-    /// Program lock release.
-    pub fn unlock(&self, t: ThreadId, m: MonitorId) {
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.unlock(t, m),
-            RsEnforcer::Hybrid(e, _) => e.unlock(t, m),
-        }
-    }
-
-    /// Initialize `o` as allocated by `owner`.
-    pub fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        match self {
-            RsEnforcer::Optimistic(e, _) => e.alloc_init(o, owner),
-            RsEnforcer::Hybrid(e, _) => e.alloc_init(o, owner),
-        }
+        Ok(())
     }
 }

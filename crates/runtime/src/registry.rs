@@ -11,8 +11,8 @@
 //! * the registry maps **thread** ids to shards (round-robin striping, so
 //!   dense registration fills shards evenly);
 //! * the heap's per-object access-epoch table (DESIGN.md §14) is indexed by
-//!   the same thread-shard mapping, which is what lets `coordinate_many`
-//!   skip whole shards no thread of which ever touched the object;
+//!   the same thread-shard mapping, which is what lets a coordination
+//!   fan-out skip whole shards no thread of which ever touched the object;
 //! * `drink-core`'s `DenseObjSet` reuses [`ShardMap`] for its
 //!   **object**-indexed sharding, so footprint checks and skip decisions are
 //!   computed from one mapping function, not two that can drift.

@@ -83,7 +83,7 @@ pub enum Event {
     /// `CoordBatchRequests / RespondedExplicit` is the mean batch occupancy
     /// (the coalescing rate Table-2-style reports can show).
     CoordBatchRequests,
-    /// Coordination fan-outs initiated (one `coordinate_many` call: the
+    /// Coordination fan-outs initiated (one all-others `coordinate` call: the
     /// conservative RdSh protocol that coordinates with every live peer).
     CoordFanout,
     /// Total peers covered by fan-outs; `CoordFanoutPeers / CoordFanout` is

@@ -1,15 +1,10 @@
 //! `drink-serve`: CLI for the open-loop KV-store macro-benchmark.
 //!
-//! Three modes:
+//! Two modes (capacity and latency per engine are measured by
+//! `benchmark/run.sh`, not here):
 //!
 //! * **default (CLI)** — one run with the flags below, printing throughput
 //!   and the service/sojourn percentile table;
-//! * **`--bench [out.json]`** — the gated matrix: four engine kinds ×
-//!   {8, 16} worker sessions, each contributing a throughput row
-//!   (`higher_is_better`, requests/sec) and a p99-sojourn row to the
-//!   schema-v5 report `scripts/bench_gate.sh` compares (best-of-trials:
-//!   max throughput, min p99 — the run-to-run-stable extremes on a noisy
-//!   shared host);
 //! * **`--smoke [out.json]`** — a short fixed-rate run asserting nonzero
 //!   throughput, a clean quiescent store check, and a report
 //!   export/parse round trip. Exit 0 clean, 1 check failure, 2 usage.
@@ -17,7 +12,6 @@
 //! ```bash
 //! drink-serve [--engine KIND] [--threads N] [--rate RPS] [--requests N]
 //!             [--zipf S] [--read-frac F] [--keys N] [--users N] [--seed N]
-//! drink-serve --bench [out.json] [--trials N]
 //! drink-serve --smoke [out.json]
 //! ```
 
@@ -104,72 +98,6 @@ fn print_result(r: &ServeResult) {
     );
 }
 
-/// The gated matrix. Worker widths cover one step past the default-shard
-/// boundary; the engine set is the four runtime-selectable production kinds.
-const BENCH_WIDTHS: [usize; 2] = [8, 16];
-const BENCH_ENGINES: [EngineKind; 4] = [
-    EngineKind::Pessimistic,
-    EngineKind::Optimistic,
-    EngineKind::Hybrid,
-    EngineKind::Adaptive,
-];
-
-fn bench_config(kind: EngineKind, workers: usize) -> ServeConfig {
-    ServeConfig {
-        engine: kind,
-        workers,
-        keys: 256,
-        monitors: 16,
-        users: 2_000_000,
-        zipf_s: 1.1,
-        read_frac: 0.9,
-        // Offered far above single-host capacity: the rows measure the
-        // store's saturated service rate and its queueing tail, which is
-        // what regresses when tracked-access costs grow.
-        offered_rate: 5e8,
-        requests_per_worker: 400,
-        seed: 0x5e4e_b4c4,
-    }
-}
-
-fn bench(out: &str, trials: usize) {
-    let mut report = Report::new("drink-serve/serve");
-    for n in BENCH_WIDTHS {
-        for kind in BENCH_ENGINES {
-            let cfg = bench_config(kind, n);
-            let mut best_tput = 0.0f64;
-            let mut best_p99 = u64::MAX;
-            let mut completions = 0u64;
-            for _ in 0..trials {
-                let r = run_serve(&cfg);
-                r.check_quiescent().unwrap_or_else(|e| {
-                    eprintln!("drink-serve: {kind:?} t={n}: {e}");
-                    std::process::exit(1);
-                });
-                completions = r.accounting.completions;
-                best_tput = best_tput.max(r.throughput_rps);
-                best_p99 = best_p99.min(r.sojourn_pct(99.0));
-            }
-            let tag = kind.short_name();
-            println!(
-                "serve {tag:<6} t={n:<2} {best_tput:>10.0} req/s  p99 sojourn {best_p99:>10} ns"
-            );
-            report.push_throughput(format!("serve_tput_{tag}_t{n}"), completions, best_tput, n as u64);
-            report.push_threaded(
-                format!("serve_sojourn_p99_{tag}_t{n}"),
-                completions,
-                best_p99 as f64,
-                n as u64,
-            );
-        }
-    }
-    report.write(out).unwrap_or_else(|e| {
-        eprintln!("drink-serve: cannot write: {e}");
-        std::process::exit(2);
-    });
-    println!("wrote {out}");
-}
-
 fn smoke(out: &str) {
     // Short but genuinely rate-limited: the smoke leg also proves the
     // open-loop pacing path (idle-wait + safepoint) works end to end.
@@ -211,22 +139,9 @@ fn smoke(out: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_or = |default: &str| {
-        args.iter()
-            .skip(1)
-            .find(|a| !a.starts_with("--") && a.ends_with(".json"))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-    if args.first().map(String::as_str) == Some("--bench") {
-        let trials = arg_after(&args, "--trials")
-            .map(|v| parse_or_usage(v, "--trials"))
-            .unwrap_or(3);
-        bench(&out_or("BENCH_serve.json"), trials);
-        return;
-    }
     if args.first().map(String::as_str) == Some("--smoke") {
-        smoke(&out_or("SERVE_smoke.json"));
+        let out = args.get(1).cloned().unwrap_or_else(|| "SERVE_smoke.json".to_string());
+        smoke(&out);
         return;
     }
     let cfg = config_from_args(&args);

@@ -1,6 +1,5 @@
 //! Record & replay drivers over workload specs (Figure 9(a)'s harness).
 
-use drink_core::engine::hybrid::HybridConfig;
 use drink_core::prelude::*;
 use drink_replay::{Recorder, RecordingLog, ReplayEngine};
 
@@ -11,6 +10,11 @@ use crate::spec::WorkloadSpec;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecorderKind {
     /// The optimistic recorder: Octet tracking + coordination-derived edges.
+    /// The one-way ∞ configuration: this recorder's identity is that *every*
+    /// cross-thread edge is coordination-derived, which holds as long as no
+    /// object turns pessimistic — i.e. unless the spec configures a
+    /// coordination deadline and one expires (DESIGN.md §13), and then at
+    /// most once per object.
     Optimistic,
     /// The hybrid recorder: hybrid tracking + release-clock edges for
     /// pessimistic conflicting transitions.
@@ -23,6 +27,14 @@ impl RecorderKind {
         match self {
             RecorderKind::Optimistic => "optimistic",
             RecorderKind::Hybrid => "hybrid",
+        }
+    }
+
+    /// The hybrid-engine configuration the recorder attaches to.
+    fn config(self) -> HybridConfig {
+        match self {
+            RecorderKind::Optimistic => HybridConfig::infinite_cutoff(),
+            RecorderKind::Hybrid => HybridConfig::default(),
         }
     }
 }
@@ -40,21 +52,8 @@ pub struct RecordOutcome {
 pub fn record(kind: RecorderKind, spec: &WorkloadSpec) -> RecordOutcome {
     let rt = runtime_for(spec);
     let recorder = Recorder::for_runtime(&rt, kind.name());
-    let run = match kind {
-        RecorderKind::Optimistic => {
-            // The one-way ∞ configuration: this recorder's identity is that
-            // *every* cross-thread edge is coordination-derived, which holds
-            // as long as no object turns pessimistic — i.e. unless the spec
-            // configures a coordination deadline and one expires (DESIGN.md
-            // §13), and then at most once per object.
-            let engine = OptimisticEngine::with_valve(rt, recorder.clone(), Valve::OneWay);
-            run_workload(&engine, spec)
-        }
-        RecorderKind::Hybrid => {
-            let engine = HybridEngine::with_config(rt, recorder.clone(), HybridConfig::default());
-            run_workload(&engine, spec)
-        }
-    };
+    let engine = HybridEngine::with_config(rt, recorder.clone(), kind.config());
+    let run = run_workload(&engine, spec);
     let log = recorder.into_log();
     log.validate().expect("recorder produced a malformed log");
     RecordOutcome { run, log }

@@ -38,9 +38,9 @@
 #          roundtrip (nonzero exit, artifact), and `--reproduce` under the
 #          same fault must fail again.
 #   5. Short flake hunt: the policy's tests (profile-word proptests, the
-#      racy-object tests), the replay-elision oracle and the validated-read
-#      windows of DESIGN.md s12, ten times over. Any
-#      red round fails the gate and keeps its output under
+#      racy-object tests), the replay-elision oracle, the validated-read
+#      windows of DESIGN.md s12 and the recording-log oracles, ten times
+#      over. Any red round fails the gate and keeps its output under
 #      target/flake-hunt/ (`scripts/flake_hunt.sh 50 ...` is the long form).
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
@@ -150,7 +150,7 @@ if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
   exit 1
 fi
 
-echo "=== check_gate: flake hunt (policy, racy objects, replay elision, validated reads; 10 rounds)"
-scripts/flake_hunt.sh 10 racy_objects policy replay_elision validated_reads
+echo "=== check_gate: flake hunt (policy, racy objects, replay elision, validated reads, log persistence; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects policy replay_elision validated_reads log_persistence
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

@@ -46,30 +46,9 @@ fn disjoint_workload_heap_identical_across_all_engines() {
 /// locks, no LOCKED sentinel — instrumentation never leaks a critical
 /// section.
 fn assert_quiescent(kind: EngineKind, spec: &WorkloadSpec) {
-    let r = run_kind(kind, spec);
-    // Reconstruct states from a fresh run (RunResult doesn't carry them), so
-    // instead drive the engine directly here.
-    drop(r);
-    let rt = drink_workloads::runtime_for(spec);
-    let engine_heap = match kind {
-        EngineKind::Hybrid => {
-            let e = drink_core::prelude::HybridEngine::new(rt);
-            drink_workloads::run_workload(&e, spec);
-            e.rt().clone()
-        }
-        EngineKind::Optimistic => {
-            let e = drink_core::prelude::OptimisticEngine::new(rt);
-            drink_workloads::run_workload(&e, spec);
-            e.rt().clone()
-        }
-        EngineKind::Pessimistic => {
-            let e = drink_core::prelude::PessimisticEngine::new(rt);
-            drink_workloads::run_workload(&e, spec);
-            e.rt().clone()
-        }
-        _ => unreachable!(),
-    };
-    for (id, obj) in engine_heap.heap().iter() {
+    let engine = kind.build(drink_workloads::runtime_for(spec));
+    drink_workloads::run_workload(&engine, spec);
+    for (id, obj) in engine.rt().heap().iter() {
         let w = StateWord(obj.state().load(std::sync::atomic::Ordering::SeqCst));
         assert!(!w.is_locked_sentinel(), "{kind:?}: {id} left LOCKED");
         assert!(!w.is_int(), "{kind:?}: {id} left Int: {w:?}");

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use drink_core::engine::hybrid::HybridConfig;
 use drink_core::prelude::*;
 use drink_race::RaceDetector;
 use drink_workloads::{run_workload, runtime_for, WorkloadSpec};
@@ -11,13 +10,8 @@ use drink_workloads::{run_workload, runtime_for, WorkloadSpec};
 fn detect_on(spec: &WorkloadSpec, hybrid: bool) -> RaceDetector {
     let rt = runtime_for(spec);
     let det = RaceDetector::for_runtime(&rt);
-    if hybrid {
-        let engine = HybridEngine::with_config(rt, det.clone(), HybridConfig::default());
-        run_workload(&engine, spec);
-    } else {
-        let engine = OptimisticEngine::with_support(rt, det.clone());
-        run_workload(&engine, spec);
-    }
+    let cfg = if hybrid { HybridConfig::default() } else { HybridConfig::optimistic() };
+    run_workload(&HybridEngine::with_config(rt, det.clone(), cfg), spec);
     det
 }
 

@@ -79,7 +79,7 @@ fn producer_consumer_under_optimistic_tracking() {
         .heap_objects(4)
         .monitors(1)
         .build()));
-    let engine = OptimisticEngine::new(rt);
+    let engine = HybridEngine::with_config(rt, NullSupport, HybridConfig::optimistic());
     let sum = run_producer_consumer(&engine, ITEMS);
     assert_eq!(sum, 7 * ITEMS * (ITEMS + 1) / 2);
     // Parked waiters are coordinated with implicitly at least occasionally,
