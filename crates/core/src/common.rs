@@ -28,7 +28,7 @@ use drink_runtime::{
 use crate::policy::AdaptivePolicy;
 use crate::support::{Support, SupportCx};
 use crate::tstate::{OwnedByThread, ThreadState};
-use crate::word::StateWord;
+use crate::word::{LockMode, StateWord};
 
 /// Seqlock revalidation failures tolerated before a read gives up and takes
 /// the engine's ordinary read path (the lock its Table 3 row prescribes).
@@ -184,29 +184,28 @@ impl<S: Support> EngineCommon<S> {
         // the future, and re-entrant pushes into a borrowed Vec would be UB.
         let mut buffer = std::mem::take(&mut ts.lock_buffer);
         for &o in &buffer {
-            // Clear the membership bitmaps entry-by-entry: rd_set ⊆ locked ⊆
-            // buffer, so this is O(|buffer|), never O(heap).
-            ts.locked.remove(o.0);
+            // Clear the read set entry-by-entry: rd_set ⊆ buffer, so this is
+            // O(|buffer|), never O(heap).
             ts.rd_set.remove(o.0);
             self.unlock_one_object(ts, o);
         }
         buffer.clear();
         ts.lock_buffer = buffer;
-        debug_assert!(
-            ts.rd_set.is_empty() && ts.locked.is_empty(),
-            "object-set bitmaps out of sync with the lock buffer"
-        );
+        debug_assert!(ts.rd_set.is_empty(), "read set out of sync with the lock buffer");
         #[cfg(feature = "check-invariants")]
         ts.check_set_invariants();
     }
 
-    /// Unlock this thread's hold on object `o`: one flush step, or the whole
-    /// release of a lock that is not deferred. The caller has already dropped
-    /// `o` from the lock bookkeeping.
+    /// Unlock this thread's hold on object `o`: one flush step, or the
+    /// release of a lock that was never deferred. The caller has already
+    /// dropped `o` from the lock bookkeeping, if it ever was in it.
     pub(crate) fn unlock_one_object(&self, ts: &mut ThreadState, o: ObjId) {
         let obj = self.rt.obj(o);
         let state = obj.state();
         let mut cur = state.load(Ordering::Acquire);
+        if cur == StateWord::wr_ex_pess(ts.tid, LockMode::Write).0 {
+            return self.unlock_write_lock(ts, o);
+        }
         let mut spin = None;
         loop {
             let w = StateWord(cur);
@@ -239,23 +238,56 @@ impl<S: Support> EngineCommon<S> {
             };
             match state.compare_exchange_weak(cur, new.0, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    ts.stats.bump(Event::StateUnlocked);
-                    if unlocked.is_pess_unlocked() {
-                        // Policy-valve decision: released to optimistic, or
-                        // deliberately held pessimistic.
-                        if to_opt {
-                            ts.stats.bump(Event::PessToOpt);
-                            self.rt.trace(ts.tid, TraceKind::PessToOpt, o.0 as u64);
-                        } else {
-                            self.rt.trace(ts.tid, TraceKind::ValveStayPess, o.0 as u64);
-                        }
-                    }
-                    return;
+                    return self.note_unlocked(ts, o, unlocked.is_pess_unlocked().then_some(to_opt))
                 }
                 // Concurrent RdSh read-lock count changes (or a concurrent
                 // upgrade of our WrExRLock to RdShRLock) can race; retry.
                 Err(actual) => cur = actual,
             }
+        }
+    }
+
+    /// Release the write lock `ts` holds on `o` by a release store — the
+    /// ordering the unlock CAS of a read lock has, without the CAS. A word
+    /// `WrExWLock(T)` is changed by nobody but `T`: a reader or writer that
+    /// finds it coordinates and spins (the contended rows), a pre-publishing
+    /// claim parks only unlocked or read-locked words at `Int`, and a second
+    /// reader upgrades only *read*-locked exclusive words. So there is no
+    /// concurrent change for a CAS to lose to; `check-invariants` builds swap
+    /// instead of storing and assert that.
+    #[inline]
+    pub(crate) fn unlock_write_lock(&self, ts: &mut ThreadState, o: ObjId) {
+        let obj = self.rt.obj(o);
+        // The valve, as at any unlock (Figure 3's upper diamond).
+        let to_opt = self.policy.unlock_to_optimistic(obj.profile());
+        let new = if to_opt {
+            StateWord::wr_ex_opt(ts.tid)
+        } else {
+            StateWord::wr_ex_pess(ts.tid, LockMode::Unlocked)
+        };
+        if cfg!(feature = "check-invariants") {
+            let old = StateWord(obj.state().swap(new.0, Ordering::AcqRel));
+            let held = StateWord::wr_ex_pess(ts.tid, LockMode::Write);
+            assert_eq!(old, held, "{o:?}: write lock changed under its holder");
+        } else {
+            obj.state().store(new.0, Ordering::Release);
+        }
+        self.note_unlocked(ts, o, Some(to_opt));
+    }
+
+    /// Stats and trace of one unlock; `valve` is the policy's decision if the
+    /// unlock left the state fully unlocked: released to optimistic states,
+    /// or deliberately held pessimistic.
+    #[inline]
+    fn note_unlocked(&self, ts: &mut ThreadState, o: ObjId, valve: Option<bool>) {
+        ts.stats.bump(Event::StateUnlocked);
+        match valve {
+            Some(true) => {
+                ts.stats.bump(Event::PessToOpt);
+                self.rt.trace(ts.tid, TraceKind::PessToOpt, o.0 as u64);
+            }
+            Some(false) => self.rt.trace(ts.tid, TraceKind::ValveStayPess, o.0 as u64),
+            None => {}
         }
     }
 
@@ -630,7 +662,7 @@ mod tests {
         e.rt.obj(o)
             .state()
             .store(StateWord::wr_ex_pess(t, LockMode::Write).0, Ordering::SeqCst);
-        ts.push_lock(o);
+        ts.push_lock(o, LockMode::Write);
         e.flush_lock_buffer(ts);
         let w = StateWord(e.rt.obj(o).state().load(Ordering::SeqCst));
         assert_eq!(w, StateWord::wr_ex_pess(t, LockMode::Unlocked));
@@ -646,7 +678,7 @@ mod tests {
         e.rt.obj(o)
             .state()
             .store(StateWord::rd_sh_pess(7, 3).0, Ordering::SeqCst);
-        ts.push_read_lock(o);
+        ts.push_lock(o, LockMode::Read);
         e.flush_lock_buffer(ts);
         let w = StateWord(e.rt.obj(o).state().load(Ordering::SeqCst));
         assert_eq!(w, StateWord::rd_sh_pess(7, 2), "only this thread's share released");
@@ -680,7 +712,7 @@ mod tests {
         e.policy.on_pess_transition(obj.profile(), false, false);
         assert_eq!(AdaptivePolicy::profile(obj.profile()).phase, Phase::OptFinal);
 
-        ts.push_lock(o);
+        ts.push_lock(o, LockMode::Write);
         e.flush_lock_buffer(ts);
         let w = StateWord(obj.state().load(Ordering::SeqCst));
         assert_eq!(w, StateWord::wr_ex_opt(t), "unlock transfers to optimistic");
@@ -697,7 +729,7 @@ mod tests {
         e.rt.obj(o)
             .state()
             .store(StateWord::rd_ex_pess(t, LockMode::Read).0, Ordering::SeqCst);
-        ts.push_read_lock(o);
+        ts.push_lock(o, LockMode::Read);
 
         let token = drink_runtime::ResponseToken::new();
         e.rt.control(t).enqueue_request(drink_runtime::CoordRequest {

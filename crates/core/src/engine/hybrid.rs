@@ -20,9 +20,12 @@
 //! * an object whose accesses keep contending is not object-level race free,
 //!   so deferring its unlocks only manufactures more contention: under a
 //!   support that does not need Table 3's lock discipline
-//!   ([`Support::RELAXED_LOCKING`]) an access that locks such a *racy*
-//!   object releases the lock right after the program access — the paper's
-//!   pre-insight design, applied per object (DESIGN.md §13).
+//!   ([`Support::RELAXED_LOCKING`]) no lock on such a *racy* object outlives
+//!   the access that took it — the paper's pre-insight design, applied per
+//!   object (DESIGN.md §13), at the flat pessimistic engine's price: a write
+//!   is claim, payload store, unlock *store*; a conflicting read installs the
+//!   unlocked word its lock would have been released to and validates the
+//!   payload against it (DESIGN.md §12, "install, then validate").
 //!
 //! The state-transition logic below follows Table 3 row by row; comments
 //! cite the rows. See `DESIGN.md` for the happens-before soundness argument
@@ -38,7 +41,7 @@ use drink_runtime::{
 use crate::common::EngineCommon;
 use crate::coord;
 use crate::engine::Tracker;
-use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
+use crate::policy::{AdaptivePolicy, PessVerdict, PolicyParams, Valve};
 use crate::support::{CoordMode, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
 use crate::tstate::ThreadState;
 use crate::word::{Kind, LockMode, StateWord};
@@ -68,9 +71,12 @@ enum Access {
     /// Perform the access. A lock taken for it stays in the lock buffer until
     /// the next flush (deferred unlocking, §3.1).
     Proceed,
-    /// Perform the access, then release the lock taken for it
-    /// ([`HybridEngine::release_now`]).
+    /// Perform the access, then release the lock taken for it, which is in
+    /// no buffer: by a store after a write
+    /// ([`EngineCommon::unlock_write_lock`]), as one flush step after a read.
     ThenRelease,
+    /// The read is done — installed, then validated — and this is its value.
+    Read(u64),
 }
 
 /// Configuration of the hybrid engine.
@@ -296,28 +302,31 @@ impl<S: Support> HybridEngine<S> {
             .on_transition(cx, o, TransitionEv::PessConflictingAcquire { prev, write });
     }
 
-    /// Does the lock this access just took on an object go back right after
-    /// the program access, or at the next flush? Always right after under
-    /// the §3.1 ablation; otherwise only for an object the policy found
-    /// `racy`, and only if the support can do without Table 3's lock
-    /// discipline.
+    /// A transition just took `lock` on `o`. Under the §3.1 ablation, and on
+    /// an object the policy found `racy` if the support can do without Table
+    /// 3's lock discipline, the lock goes back right after the program access
+    /// and never enters the lock buffer; otherwise it is deferred to the next
+    /// flush.
     #[inline]
-    fn hold(&self, racy: bool) -> Access {
+    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, racy: bool) -> Access {
         if self.cfg.eager_unlock || (S::RELAXED_LOCKING && racy) {
-            Access::ThenRelease
-        } else {
-            Access::Proceed
+            return Access::ThenRelease;
         }
+        ts.push_lock(o, lock);
+        Access::Proceed
     }
 
-    /// Count a pessimistic transition that locked `o` (already in the lock
-    /// buffer), give the policy its sample, and say how long the lock stays.
-    fn bump_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool, contended: bool) -> Access {
+    /// Count a pessimistic transition on `o`.
+    fn count_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool) {
         ts.stats.bump(Event::PessUncontended);
         self.common.rt.trace(ts.tid, TraceKind::PessClaim, o.0 as u64);
         if conflicting {
             ts.stats.bump(Event::PessOwnerChange);
         }
+    }
+
+    /// Give the policy the sample of one pessimistic transition on `o`.
+    fn sample_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool, contended: bool) -> PessVerdict {
         let verdict = self
             .common
             .policy
@@ -325,30 +334,30 @@ impl<S: Support> HybridEngine<S> {
         if verdict.promoted {
             self.note_phase_change(ts, o, false);
         }
-        self.hold(verdict.racy)
+        verdict
     }
 
-    /// Release the lock the access that just completed took on `o` — the
-    /// tail of an [`Access::ThenRelease`] access. The slow path pushed `o` to
-    /// the lock buffer; pop it (it is the last entry, unless an in-place
-    /// upgrade re-locked an older one) and unlock as a flush would, valve
-    /// decision included.
-    #[cold]
-    fn release_now(&self, ts: &mut ThreadState, o: ObjId) {
-        ts.remove_lock(o);
-        ts.rd_set.remove(o.0);
-        self.common.unlock_one_object(ts, o);
+    /// Count and sample a pessimistic transition that locked `o`, and say how
+    /// long the lock stays. `taken` is the lock it took, or `None` if it
+    /// upgraded, in place, one that is already in the lock buffer: that one
+    /// stays deferred even if the object has turned racy since — the next
+    /// flush releases it like any other, and no access defers another after.
+    fn bump_pess(
+        &self,
+        ts: &mut ThreadState,
+        o: ObjId,
+        taken: Option<LockMode>,
+        conflicting: bool,
+        contended: bool,
+    ) -> Access {
+        self.count_pess(ts, o, conflicting);
+        let racy = self.sample_pess(ts, o, conflicting, contended).racy;
+        taken.map_or(Access::Proceed, |lock| self.hold(ts, o, lock, racy))
     }
 
     fn bump_reentrant(&self, ts: &mut ThreadState, o: ObjId) {
         ts.stats.bump(Event::PessReentrant);
-        let verdict = self
-            .common
-            .policy
-            .on_pess_transition(self.common.rt.obj(o).profile(), false, false);
-        if verdict.promoted {
-            self.note_phase_change(ts, o, false);
-        }
+        self.sample_pess(ts, o, false, false);
     }
 
     // --- Write slow path (Figure 10(b), extended to the full Table 3) ---
@@ -426,10 +435,9 @@ impl<S: Support> HybridEngine<S> {
                 self.finish_opt_conflict(ts, o, mode, true);
                 if to_pess {
                     state.store(StateWord::wr_ex_pess(t, LockMode::Write).0, Ordering::Release);
-                    ts.push_lock(o);
                     ts.stats.bump(Event::OptToPess);
                     self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
-                    return self.hold(false);
+                    return self.hold(ts, o, LockMode::Write, false);
                 }
                 state.store(StateWord::wr_ex_opt(t).0, Ordering::Release);
                 return Access::Proceed;
@@ -437,21 +445,8 @@ impl<S: Support> HybridEngine<S> {
 
             // --- Pessimistic states ---
             if w.lock_mode() == LockMode::Unlocked {
-                // Uncontended acquisition from an unlocked state:
-                //   WrExPess(T)/RdExPess(T)   W by T  → WrExWLock(T)   (non-confl)
-                //   WrExPess(T1)/RdExPess(T1) W by T2 → WrExWLock(T2)  (confl, clock edge)
-                //   RdShPess(c)               W by T  → WrExWLock(T)   (confl, clock edges)
-                let prev = w.holders();
-                let own = prev == PrevHolders::One(t);
-                let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
-                if self.common.claim(obj, cur, t, final_w) {
-                    let conflicting = !own;
-                    if conflicting {
-                        self.emit_pess_acquire(ts, o, prev, true);
-                    }
-                    self.common.publish(obj, final_w);
-                    ts.push_lock(o);
-                    return self.bump_pess(ts, o, conflicting, contended);
+                if let Some(access) = self.write_acquire_unlocked(ts, o, cur, w, contended) {
+                    return access;
                 }
                 continue;
             }
@@ -478,7 +473,7 @@ impl<S: Support> HybridEngine<S> {
                 {
                     // Already in the lock buffer from the read-lock.
                     ts.rd_set.remove(o.0);
-                    return self.bump_pess(ts, o, false, contended);
+                    return self.bump_pess(ts, o, None, false, contended);
                 }
                 continue;
             }
@@ -494,7 +489,7 @@ impl<S: Support> HybridEngine<S> {
                     // clock edges to everyone.
                     self.emit_pess_acquire(ts, o, w.holders(), true);
                     self.common.publish(obj, final_w);
-                    return self.bump_pess(ts, o, true, contended);
+                    return self.bump_pess(ts, o, None, true, contended);
                 }
                 continue;
             }
@@ -516,6 +511,37 @@ impl<S: Support> HybridEngine<S> {
         }
     }
 
+    /// Write acquisition from an unlocked pessimistic state, uncontended:
+    ///   WrExPess(T)/RdExPess(T)   W by T  → WrExWLock(T)   (non-confl)
+    ///   WrExPess(T1)/RdExPess(T1) W by T2 → WrExWLock(T2)  (confl, clock edge)
+    ///   RdShPess(c)               W by T  → WrExWLock(T)   (confl, clock edges)
+    /// `None` to retry (the claim lost a race). Nearly every pessimistic
+    /// write is one of these rows, so `write_impl` tries them before it
+    /// leaves for the cold path.
+    #[inline]
+    fn write_acquire_unlocked(
+        &self,
+        ts: &mut ThreadState,
+        o: ObjId,
+        cur: u64,
+        w: StateWord,
+        contended: bool,
+    ) -> Option<Access> {
+        let t = ts.tid;
+        let obj = self.common.rt.obj(o);
+        let prev = w.holders();
+        let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
+        if !self.common.claim(obj, cur, t, final_w) {
+            return None;
+        }
+        let conflicting = prev != PrevHolders::One(t);
+        if conflicting {
+            self.emit_pess_acquire(ts, o, prev, true);
+        }
+        self.common.publish(obj, final_w);
+        Some(self.bump_pess(ts, o, Some(LockMode::Write), conflicting, contended))
+    }
+
     fn write_impl(&self, t: ThreadId, o: ObjId, v: u64, abortable: bool) -> Option<u64> {
         // SAFETY: attached thread (Tracker contract).
         let ts = unsafe { self.common.ts(t) };
@@ -524,10 +550,19 @@ impl<S: Support> HybridEngine<S> {
         self.common.rt.stamp_access(t, o);
         let obj = self.common.rt.obj(o);
         // Fast path (Figure 10(a)): only WrExOpt(T).
-        if obj.state().load(Ordering::Acquire) == StateWord::wr_ex_opt(t).0 {
+        let cur = obj.state().load(Ordering::Acquire);
+        if cur == StateWord::wr_ex_opt(t).0 {
             ts.stats.bump(Event::OptSameState);
         } else {
-            let access = self.write_slow(ts, o, abortable);
+            let w = StateWord(cur);
+            // Nearly every pessimistic write finds the state unlocked: tried
+            // here, before the cold path.
+            let acquired = if w.is_pess_unlocked() {
+                self.write_acquire_unlocked(ts, o, cur, w, false)
+            } else {
+                None
+            };
+            let access = acquired.unwrap_or_else(|| self.write_slow(ts, o, abortable));
             if access == Access::Aborted {
                 return None;
             }
@@ -566,21 +601,23 @@ impl<S: Support> HybridEngine<S> {
 
     /// The program write inside the critical section of a lock that is not
     /// deferred: the release comes *after* the payload access it guards. Out
-    /// of line, so the deferred path pays nothing for it.
-    #[cold]
+    /// of line, so the deferred path pays nothing for it — but not cold: it
+    /// is how every write to a racy object ends.
+    #[inline(never)]
     fn write_then_release(&self, ts: &mut ThreadState, o: ObjId, v: u64) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
         let prev = self.program_write(ts, self.common.rt.obj(o), o, v);
-        self.release_now(ts, o);
+        // Every write is made under WrExWLock(T): a store releases it.
+        self.common.unlock_write_lock(ts, o);
         prev
     }
 
     /// [`HybridEngine::write_then_release`]'s read twin.
-    #[cold]
+    #[inline(never)]
     fn read_then_release(&self, ts: &mut ThreadState, o: ObjId) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
         let v = self.program_read(ts, self.common.rt.obj(o), o);
-        self.release_now(ts, o);
+        self.common.unlock_one_object(ts, o);
         v
     }
 
@@ -675,10 +712,9 @@ impl<S: Support> HybridEngine<S> {
                                 StateWord::rd_ex_pess(t, LockMode::Read).0,
                                 Ordering::Release,
                             );
-                            ts.push_read_lock(o);
                             ts.stats.bump(Event::OptToPess);
                             self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
-                            return self.hold(false);
+                            return self.hold(ts, o, LockMode::Read, false);
                         }
                         state.store(StateWord::rd_ex_opt(t).0, Ordering::Release);
                         return Access::Proceed;
@@ -689,7 +725,7 @@ impl<S: Support> HybridEngine<S> {
 
             // --- Pessimistic states ---
             if w.lock_mode() == LockMode::Unlocked {
-                if let Some(access) = self.read_acquire_unlocked(ts, o, cur, w, contended) {
+                if let Some(access) = self.read_acquire_unlocked(ts, o, cur, w, &mut contended) {
                     return access;
                 }
                 continue;
@@ -727,9 +763,8 @@ impl<S: Support> HybridEngine<S> {
                         )
                         .is_ok()
                     {
-                        ts.push_read_lock(o);
                         self.note_rdsh_read(ts, o, c);
-                        return self.bump_pess(ts, o, false, contended);
+                        return self.bump_pess(ts, o, Some(LockMode::Read), false, contended);
                     }
                     continue;
                 }
@@ -754,11 +789,10 @@ impl<S: Support> HybridEngine<S> {
                             },
                         );
                         self.common.publish(obj, final_w);
-                        ts.push_read_lock(o);
                         // A read of WrExRLock conflicts with T1's write under
                         // the cost model; of RdExRLock it does not.
                         let conflicting = w.kind() == Kind::WrEx;
-                        return self.bump_pess(ts, o, conflicting, contended);
+                        return self.bump_pess(ts, o, Some(LockMode::Read), conflicting, contended);
                     }
                     continue;
                 }
@@ -776,20 +810,26 @@ impl<S: Support> HybridEngine<S> {
         }
     }
 
-    /// Read acquisition from an unlocked pessimistic state. `None` to retry
-    /// (the claim lost a race).
+    /// Read acquisition from an unlocked pessimistic state. `None` to retry:
+    /// the claim lost a race, or an installed-then-validated read has to go
+    /// round again ([`HybridEngine::finish_read_acquire`]).
     fn read_acquire_unlocked(
         &self,
         ts: &mut ThreadState,
         o: ObjId,
         cur: u64,
         w: StateWord,
-        contended: bool,
+        contended: &mut bool,
     ) -> Option<Access> {
         let t = ts.tid;
         let rt = &self.common.rt;
         let obj = rt.obj(o);
         let state = obj.state();
+        // The two conflicting-state rows depart from Table 3 on an object the
+        // policy has found racy, if the support allows: they install the word
+        // their read lock would have been *released* to. Decided before the
+        // claim, because it picks the word the claim installs.
+        let install_unlocked = S::RELAXED_LOCKING && self.common.policy.racy(obj.profile());
         match (w.kind(), w.owner() == t) {
             (Kind::WrEx, true) => {
                 // WrExPess(T) R by T: full model → WrExRLock(T); prototype →
@@ -805,24 +845,20 @@ impl<S: Support> HybridEngine<S> {
                         .support
                         .on_transition(cx, o, TransitionEv::PessLocalAcquire);
                     self.common.publish(obj, target);
-                    if target.lock_mode() == LockMode::Read {
-                        ts.push_read_lock(o);
-                    } else {
-                        ts.push_lock(o);
-                    }
-                    return Some(self.bump_pess(ts, o, false, contended));
+                    return Some(self.bump_pess(ts, o, Some(target.lock_mode()), false, *contended));
                 }
                 None
             }
             (Kind::WrEx, false) => {
                 // WrExPess(T1) R by T2 → RdExRLock(T2): conflicting (w→r),
                 // happens-before edge from T1's release clock (§4.2).
-                let final_w = StateWord::rd_ex_pess(t, LockMode::Read);
+                // Racy: → RdExPess(T2), then validate.
+                let lock = if install_unlocked { LockMode::Unlocked } else { LockMode::Read };
+                let final_w = StateWord::rd_ex_pess(t, lock);
                 if self.common.claim(obj, cur, t, final_w) {
                     self.emit_pess_acquire(ts, o, w.holders(), false);
                     self.common.publish(obj, final_w);
-                    ts.push_read_lock(o);
-                    return Some(self.bump_pess(ts, o, true, contended));
+                    return self.finish_read_acquire(ts, o, final_w, true, contended);
                 }
                 None
             }
@@ -835,18 +871,19 @@ impl<S: Support> HybridEngine<S> {
                         .support
                         .on_transition(cx, o, TransitionEv::PessLocalAcquire);
                     self.common.publish(obj, final_w);
-                    ts.push_read_lock(o);
-                    return Some(self.bump_pess(ts, o, false, contended));
+                    return Some(self.bump_pess(ts, o, Some(LockMode::Read), false, *contended));
                 }
                 None
             }
             (Kind::RdEx, false) => {
                 // RdExPess(T1) R by T2 → RdShRLock(1)(c_new).
+                // Racy: → RdShPess(c_new), then validate.
                 let prev_owner = w.owner();
+                let n = u64::from(!install_unlocked);
                 let pre = self.common.pre_epoch();
-                if self.common.claim(obj, cur, t, StateWord::rd_sh_pess(pre, 1)) {
+                if self.common.claim(obj, cur, t, StateWord::rd_sh_pess(pre, n)) {
                     let c = self.common.post_epoch(pre);
-                    let final_w = StateWord::rd_sh_pess(c, 1);
+                    let final_w = StateWord::rd_sh_pess(c, n);
                     ts.rd_sh_count = ts.rd_sh_count.max(c);
                     let cx = self.common.cx(ts);
                     self.common.support.on_transition(
@@ -859,8 +896,7 @@ impl<S: Support> HybridEngine<S> {
                         },
                     );
                     self.common.publish(obj, final_w);
-                    ts.push_read_lock(o);
-                    return Some(self.bump_pess(ts, o, false, contended));
+                    return self.finish_read_acquire(ts, o, final_w, false, contended);
                 }
                 None
             }
@@ -876,14 +912,55 @@ impl<S: Support> HybridEngine<S> {
                     )
                     .is_ok()
                 {
-                    ts.push_read_lock(o);
                     self.note_rdsh_read(ts, o, c);
-                    return Some(self.bump_pess(ts, o, false, contended));
+                    return Some(self.bump_pess(ts, o, Some(LockMode::Read), false, *contended));
                 }
                 None
             }
             (Kind::Int, _) => unreachable!("Int is never pessimistic"),
         }
+    }
+
+    /// Tail of a read that took a conflicting state by installing `installed`
+    /// (support hook run, state published). Read-locked, it is a Table 3 row
+    /// like any other. Unlocked, it is the racy departure — *install, then
+    /// validate* (DESIGN.md §12): `installed` names this thread or carries a
+    /// fresh epoch, so no foreign writer reaches the payload without replacing
+    /// it, and the same word back after the payload load is what the row's
+    /// read lock guaranteed. The read is then counted once, as the transition
+    /// plus the unlock it stands for.
+    ///
+    /// `None` sends the read round again, nothing counted: the transition
+    /// stands (a recorded read by this thread, conservative), but a foreign
+    /// install landed in the window — or this very sample promoted the object
+    /// while nobody holds a lock whose release would carry it across the
+    /// valve, so the retry takes one. The sample spent `contended`.
+    fn finish_read_acquire(
+        &self,
+        ts: &mut ThreadState,
+        o: ObjId,
+        installed: StateWord,
+        conflicting: bool,
+        contended: &mut bool,
+    ) -> Option<Access> {
+        if installed.lock_mode() == LockMode::Read {
+            return Some(self.bump_pess(ts, o, Some(LockMode::Read), conflicting, *contended));
+        }
+        if self.sample_pess(ts, o, conflicting, std::mem::take(contended)).promoted {
+            return None;
+        }
+        let obj = self.common.rt.obj(o);
+        let v = obj.data_read();
+        self.common.rt.sched_point(ts.tid, SchedPoint::SeqlockReadValidate);
+        fence(Ordering::Acquire);
+        if obj.state().load(Ordering::Relaxed) != installed.0 {
+            return None;
+        }
+        self.count_pess(ts, o, conflicting);
+        ts.stats.bump(Event::StateUnlocked);
+        self.common.rt.trace(ts.tid, TraceKind::Read, o.0 as u64);
+        ts.op_index += 1;
+        Some(Access::Read(v))
     }
 
     /// A pessimistic read joined RdSh epoch `c`: update `rdShCount` and emit
@@ -942,15 +1019,24 @@ impl<S: Support> Tracker for HybridEngine<S> {
             // the state word just loaded instead of taking the row's read lock
             // (DESIGN.md §12). On repeated invalidation it falls through to
             // `read_slow`, which takes that lock as before.
-            if S::RELAXED_LOCKING && w.validated_read_ok(t) {
+            let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o, w) {
                     self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
                     ts.op_index += 1;
                     return v;
                 }
-            }
-            if self.read_slow(ts, o) == Access::ThenRelease {
-                return self.read_then_release(ts, o);
+                None
+            } else if w.is_pess_unlocked() {
+                // Nearly every other pessimistic read: tried here, before
+                // the cold path.
+                self.read_acquire_unlocked(ts, o, cur, w, &mut false)
+            } else {
+                None
+            };
+            match acquired.unwrap_or_else(|| self.read_slow(ts, o)) {
+                Access::ThenRelease => return self.read_then_release(ts, o),
+                Access::Read(v) => return v,
+                _ => {}
             }
         }
         self.program_read(ts, obj, o)
@@ -1413,21 +1499,28 @@ mod tests {
                         let mut last = 0;
                         for _ in 0..iters {
                             for write in [false, true] {
+                                // SAFETY: this is the OS thread attached as t.
+                                let held_before =
+                                    unsafe { er.common().ts(t) }.lock_buffer.contains(&counter);
                                 let racy_before = racy();
                                 if write {
                                     er.write(t, counter, last);
                                 } else {
                                     last = er.read(t, counter) + 1;
                                 }
-                                // A racy object is never left locked: the
-                                // counter only turns racy once every lock
-                                // taken before is flushed (the contended
-                                // acquire that tips the count needed them
-                                // gone), and no access defers one after.
-                                // SAFETY: this is the OS thread attached as t.
+                                // No access defers a lock on a racy object.
+                                // (Under the one-way valve, racy before and
+                                // after is racy throughout.) One deferred
+                                // before the counter turned racy — by the
+                                // read whose own sample tipped the count, say
+                                // — stays, upgrades included, until the next
+                                // flush; none joins it.
+                                // SAFETY: as above.
                                 let ts = unsafe { er.common().ts(t) };
                                 assert!(
-                                    !(racy_before && racy() && ts.locked.contains(counter.0)),
+                                    !(racy_before && racy())
+                                        || held_before
+                                        || !ts.lock_buffer.contains(&counter),
                                     "deferred a lock on a racy object: {:?}",
                                     ts.lock_buffer
                                 );
@@ -1532,7 +1625,7 @@ mod tests {
         // deferring its unlocks (DESIGN.md §13); with the cutoff at 1 the
         // counter is racy from its first contended transition on, so nearly
         // the whole run exercises `racy_inc_run`'s per-access check that no
-        // lock on it outlives the access that took it. How much contention
+        // access defers a lock on it. How much contention
         // the run sees is up to the scheduler; what the profile must show
         // under every schedule is that contention was only ever counted
         // during a stay in `Pess`, and no more of it than the run had.

@@ -34,11 +34,14 @@
 //! §3.1 insight that makes pessimistic states cheap — *deferred* unlocking —
 //! rests on object-level data-race freedom, which `pessContended` counts the
 //! violations of: once that count reaches `Cutoff_confl` too, the object is
-//! **racy** ([`PessVerdict::racy`]) and, where the support allows it, an
-//! access that locks it gives the lock back right after the program access
-//! until the object next leaves `Pess`. (§7.5 sketches sending such objects
-//! back to optimistic states instead — the protocol where each of their
-//! accesses is a roundtrip.)
+//! **racy** ([`PessVerdict::racy`], [`AdaptivePolicy::racy`]) and, where the
+//! support allows it, no lock on it outlives the access that took it until
+//! the object next leaves `Pess`: a write releases its write lock by a plain
+//! store right after the payload store, and a conflicting read installs the
+//! *unlocked* state its row's lock would have been released to and validates
+//! the payload against that word (DESIGN.md §12, §13). (§7.5 sketches
+//! sending such objects back to optimistic states instead — the protocol
+//! where each of their accesses is a roundtrip.)
 //!
 //! Profile word layout (LSB first):
 //!
@@ -285,7 +288,10 @@ pub struct PessVerdict {
     pub promoted: bool,
     /// The object is in `Pess` with `pessContended ≥ Cutoff_confl`: its
     /// accesses keep racing with each other's deferred locks, so the lock
-    /// this access took should not be deferred.
+    /// this access took is released right after the program access instead
+    /// of entering the lock buffer. (A conflicting read has to know before
+    /// it claims — the answer picks the word it installs — and asks
+    /// [`AdaptivePolicy::racy`].)
     pub racy: bool,
 }
 
@@ -333,12 +339,18 @@ impl AdaptivePolicy {
     }
 
     /// Publish `cur → next` on `word`; on a lost race, hand back the word to
-    /// re-decide from.
+    /// re-decide from. A sample that changes nothing — every counter it
+    /// would bump has saturated, as a hot object's do within seconds — has
+    /// nothing to publish and pays no CAS.
     #[inline]
     fn publish(&self, word: &AtomicU64, cur: u64, next: Profile) -> Result<(), u64> {
         #[cfg(feature = "check-invariants")]
         assert_legal_phase_step(self.valve, decode(cur).phase, next.phase);
-        word.compare_exchange_weak(cur, encode(next), Ordering::Relaxed, Ordering::Relaxed)
+        let next = encode(next);
+        if next == cur {
+            return Ok(());
+        }
+        word.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
             .map(drop)
     }
 
@@ -426,6 +438,15 @@ impl AdaptivePolicy {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Is the object racy right now — what [`PessVerdict::racy`] of its next
+    /// sample will say, unless that sample promotes it or another thread's
+    /// gets in first? Either answer is sound (see "Memory ordering").
+    #[inline]
+    pub fn racy(&self, word: &AtomicU64) -> bool {
+        let p = decode(word.load(Ordering::Relaxed));
+        p.phase == Phase::Pess && p.pess_contended >= self.params.cutoff_confl
     }
 
     /// Is the object in its pessimistic phase — should a conflicting

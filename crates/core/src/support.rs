@@ -165,9 +165,11 @@ pub trait Support: Send + Sync + 'static {
     ///   [`validated_read_ok`](crate::word::StateWord::validated_read_ok) is
     ///   served by seqlock validation (DESIGN.md §12), which performs **no
     ///   state transition and therefore fires no support hook**;
-    /// * an access that locks an object the policy found *racy* releases the
-    ///   lock right after the program access instead of deferring it
-    ///   (DESIGN.md §13), so no release-clock edge covers it.
+    /// * no lock on an object the policy found *racy* outlives the access
+    ///   that took it (DESIGN.md §13), so no release-clock edge covers it: a
+    ///   write releases right after the payload store, and a conflicting
+    ///   read installs the *unlocked* state its row's read lock would have
+    ///   been released to, then validates (DESIGN.md §12).
     ///
     /// Off by default because neither is sound for supports that consume
     /// those events: the recorder needs the `Fence` transition to order

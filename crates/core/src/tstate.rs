@@ -22,6 +22,8 @@ use std::cell::UnsafeCell;
 
 use drink_runtime::{LocalStats, ObjId, ThreadId};
 
+use crate::word::LockMode;
+
 /// A dense bitmap over `ObjId`s with an O(1) element count.
 ///
 /// `ObjId`s are dense indices into a fixed-size heap, so per-thread object
@@ -219,15 +221,12 @@ pub struct ThreadState {
     /// fenced against.
     pub rd_sh_count: u64,
     /// Pessimistic objects whose states this thread currently holds locked,
-    /// in acquisition order (flush order matters to runtime support).
+    /// in acquisition order (flush order matters to runtime support). A
+    /// flush is the only way out: a lock released right after its access
+    /// never enters the buffer, so nothing ever searches it.
     pub lock_buffer: Vec<ObjId>,
-    /// Membership bitmap mirroring `lock_buffer`, so "do I hold this
-    /// object?" never scans the Vec. Maintained by
-    /// [`ThreadState::push_lock`]/[`ThreadState::remove_lock`] and cleared
-    /// entry-by-entry at flush.
-    pub locked: DenseObjSet,
     /// Objects this thread has read-locked (`T.rdSet`), for reentrancy.
-    /// A subset of `locked`.
+    /// A subset of `lock_buffer`.
     pub rd_set: DenseObjSet,
     /// Deterministic position counter: incremented once per program
     /// operation (access or synchronization op). Recorders pin happens-before
@@ -258,7 +257,6 @@ impl ThreadState {
             tid,
             rd_sh_count: 0,
             lock_buffer: Vec::with_capacity(64),
-            locked: DenseObjSet::with_capacity(heap_objects),
             rd_set: DenseObjSet::with_capacity(heap_objects),
             op_index: 0,
             src_scratch: Vec::with_capacity(8),
@@ -269,66 +267,33 @@ impl ThreadState {
         }
     }
 
-    /// Record that this thread locked `o`'s state: one buffer push plus one
-    /// bitmap bit.
+    /// Record that this thread took `lock` on `o`'s state and defers its
+    /// release: a buffer entry and, for a read lock, a bit in the read set
+    /// that makes repeated reads reentrant.
     #[inline(always)]
-    pub fn push_lock(&mut self, o: ObjId) {
+    pub fn push_lock(&mut self, o: ObjId, lock: LockMode) {
         self.lock_buffer.push(o);
-        self.locked.insert(o.0);
-    }
-
-    /// [`ThreadState::push_lock`] for a read lock: also enters `o` into the
-    /// read set that makes repeated reads reentrant.
-    #[inline(always)]
-    pub fn push_read_lock(&mut self, o: ObjId) {
-        self.lock_buffer.push(o);
-        self.locked.insert(o.0);
-        self.rd_set.insert(o.0);
-    }
-
-    /// Drop `o` from the lock buffer if present (a lock released right after
-    /// its access instead of at the next flush). The bitmap check makes the
-    /// "nothing to pop" case O(1); otherwise the entry is found from the back,
-    /// where the access that is releasing it just pushed it.
-    pub fn remove_lock(&mut self, o: ObjId) -> bool {
-        if !self.locked.remove(o.0) {
-            return false;
+        if lock == LockMode::Read {
+            self.rd_set.insert(o.0);
         }
-        let pos = self
-            .lock_buffer
-            .iter()
-            .rposition(|&x| x == o)
-            .expect("locked bitmap said present but lock_buffer has no entry");
-        self.lock_buffer.swap_remove(pos);
-        true
     }
 
     /// True if this thread holds no pessimistic locks (invariant at blocking
     /// safe points: the buffer is always flushed before blocking).
     pub fn holds_no_locks(&self) -> bool {
-        self.lock_buffer.is_empty() && self.rd_set.is_empty() && self.locked.is_empty()
+        self.lock_buffer.is_empty() && self.rd_set.is_empty()
     }
 
-    /// The containment chain the lock bookkeeping must maintain at all
-    /// times: `rd_set ⊆ locked ⊆ lock_buffer` (the bitmap mirrors the Vec,
-    /// which may hold duplicates for reentrant RdSh read locks, hence `≤` on
-    /// the counts). Compiled into the mutation paths by `check-invariants`.
+    /// What the lock bookkeeping must maintain at all times:
+    /// `rd_set ⊆ lock_buffer`. Compiled into the flush by `check-invariants`.
     pub fn check_set_invariants(&self) {
+        let mut buffered = DenseObjSet::default();
+        for o in &self.lock_buffer {
+            buffered.insert(o.0);
+        }
         assert!(
-            self.rd_set.is_subset_of(&self.locked),
-            "T{} rd_set ⊄ locked",
-            self.tid.raw()
-        );
-        assert!(
-            self.locked.len() <= self.lock_buffer.len(),
-            "T{} locked bitmap ({}) larger than lock_buffer ({})",
-            self.tid.raw(),
-            self.locked.len(),
-            self.lock_buffer.len()
-        );
-        assert!(
-            self.lock_buffer.iter().all(|o| self.locked.contains(o.0)),
-            "T{} lock_buffer entry missing from locked bitmap",
+            self.rd_set.is_subset_of(&buffered),
+            "T{} rd_set ⊄ lock_buffer",
             self.tid.raw()
         );
     }
@@ -462,16 +427,20 @@ mod tests {
     fn set_invariants_hold_through_lock_lifecycle() {
         let mut ts = ThreadState::new(ThreadId(1), 32);
         ts.check_set_invariants();
-        ts.push_lock(ObjId(3));
-        ts.push_read_lock(ObjId(7));
-        ts.push_read_lock(ObjId(7)); // reentrant: Vec dup, bitmap unchanged
+        ts.push_lock(ObjId(3), LockMode::Write);
+        ts.push_lock(ObjId(7), LockMode::Read);
+        ts.push_lock(ObjId(7), LockMode::Read); // a duplicate entry, one read-set bit
         ts.check_set_invariants();
-        ts.remove_lock(ObjId(3));
+        // A flush empties both, entry by entry.
+        for o in std::mem::take(&mut ts.lock_buffer) {
+            ts.rd_set.remove(o.0);
+        }
         ts.check_set_invariants();
+        assert!(ts.holds_no_locks());
     }
 
     #[test]
-    #[should_panic(expected = "rd_set ⊄ locked")]
+    #[should_panic(expected = "rd_set ⊄ lock_buffer")]
     fn set_invariants_catch_rd_set_escape() {
         let mut ts = ThreadState::new(ThreadId(1), 32);
         ts.rd_set.insert(5);
@@ -479,16 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn push_and_remove_lock_keep_bitmap_in_sync() {
+    fn push_lock_keeps_buffer_and_read_set_in_sync() {
         let mut ts = ThreadState::new(ThreadId(0), 32);
-        ts.push_lock(ObjId(3));
-        ts.push_read_lock(ObjId(7));
-        assert!(ts.locked.contains(3) && ts.locked.contains(7));
+        ts.push_lock(ObjId(3), LockMode::Write);
+        ts.push_lock(ObjId(7), LockMode::Read);
         assert!(!ts.rd_set.contains(3) && ts.rd_set.contains(7));
         assert!(!ts.holds_no_locks());
-        assert!(ts.remove_lock(ObjId(3)));
-        assert!(!ts.remove_lock(ObjId(3)), "second removal is a no-op");
-        assert!(!ts.locked.contains(3));
-        assert_eq!(ts.lock_buffer, vec![ObjId(7)]);
+        assert_eq!(ts.lock_buffer, vec![ObjId(3), ObjId(7)]);
     }
 }

@@ -2,18 +2,22 @@
 //!
 //! Deferred unlocking (§3.1) assumes object-level data-race freedom; the
 //! profile word counts the violations (`pessContended`). Once an object has
-//! contended `Cutoff_confl` times, an access that locks it gives the lock
-//! back right after the program access — never before it — until the object
-//! next leaves the `Pess` phase. Only under a support that can do without
-//! Table 3's lock discipline: on `PaperModel` nothing changes.
+//! contended `Cutoff_confl` times, no lock on it outlives the access that
+//! took it until the object next leaves the `Pess` phase: a write releases
+//! its write lock by a store right after the payload store — never before
+//! it — and a conflicting read installs the unlocked word its read lock
+//! would have been released to, then validates the payload against that word
+//! (DESIGN.md §12). Only under a support that can do without Table 3's lock
+//! discipline: on `PaperModel` nothing changes.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
 use drink_core::policy::{AdaptivePolicy, Phase, PolicyParams};
 use drink_core::prelude::*;
-use drink_core::word::{LockMode, StateWord};
+use drink_core::support::{PrevHolders, SupportCx, TransitionEv};
+use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{
     Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, StatsReport, ThreadId,
 };
@@ -319,4 +323,262 @@ fn the_release_follows_the_access_it_guards() {
     assert_eq!(obj.data_read(), 2);
     assert!(hook.fired.load(Ordering::Relaxed));
     e.detach(t0);
+}
+
+// --- The racy rows, one by one ---
+
+/// Tracking alone that writes down every transition event it is shown, with
+/// (`Probe<true>`, like `NullSupport`) or without (`Probe<false>`, like
+/// `PaperModel`) leave to depart from Table 3's lock discipline.
+#[derive(Default)]
+struct Probe<const RELAXED: bool> {
+    seen: Mutex<Vec<String>>,
+}
+
+impl<const RELAXED: bool> Support for Probe<RELAXED> {
+    const RELAXED_LOCKING: bool = RELAXED;
+
+    fn on_transition(&self, _cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {
+        self.seen.lock().unwrap().push(format!("{obj:?} {ev:?}"));
+    }
+}
+
+/// Enter `Pess` and contend `Cutoff_confl` times: `O` is racy from here on.
+/// (No sample of these tests can promote it: see [`row`]'s policy.)
+fn drive_racy<S: Support>(e: &HybridEngine<S>) {
+    let (policy, profile) = (&e.common().policy, e.rt().obj(O).profile());
+    assert!(policy.force_pess(profile));
+    for _ in 0..policy.params.cutoff_confl {
+        policy.on_pess_transition(profile, true, true);
+    }
+    assert!(racy(e));
+}
+
+/// What one row left behind.
+struct Row {
+    /// The state word after the access.
+    state: StateWord,
+    /// Whether the accessing thread holds any lock (buffer, bitmap, read set).
+    holds_locks: bool,
+    /// The accessing thread's `rdShCount`.
+    rd_sh_count: u64,
+    /// Every transition event the support saw.
+    seen: Vec<String>,
+    /// The accessing thread's counters.
+    uncontended: u64,
+    owner_change: u64,
+    unlocked: u64,
+    seqlock_events: u64,
+}
+
+/// T0 accesses racy `O` in state `old` (T1 is the "other" thread of the row).
+fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
+    let e = HybridEngine::with_config(
+        Arc::new(runtime()),
+        Probe::<RELAXED>::default(),
+        HybridConfig {
+            policy: PolicyParams {
+                k_confl: u32::MAX,
+                inertia: u32::MAX,
+                ..PolicyParams::default()
+            },
+            ..HybridConfig::default()
+        },
+    );
+    let (t0, t1) = (e.attach(), e.attach());
+    assert_eq!((t0, t1), (T0, T1));
+    e.rt().obj(O).data_write(41);
+    e.rt().obj(O).state().store(old.0, Ordering::SeqCst);
+    drive_racy(&e);
+    if write {
+        e.write(t0, O, 42);
+    } else {
+        assert_eq!(e.read(t0, O), 41);
+    }
+    // SAFETY: this is the OS thread attached as both mutators.
+    let ts = unsafe { e.common().ts(t0) };
+    let row = Row {
+        state: StateWord(e.rt().obj(O).state().load(Ordering::SeqCst)),
+        holds_locks: !ts.holds_no_locks(),
+        rd_sh_count: ts.rd_sh_count,
+        seen: e.common().support.seen.lock().unwrap().clone(),
+        uncontended: ts.stats.get(Event::PessUncontended),
+        owner_change: ts.stats.get(Event::PessOwnerChange),
+        unlocked: ts.stats.get(Event::StateUnlocked),
+        seqlock_events: ts.stats.get(Event::SeqlockValidated)
+            + ts.stats.get(Event::SeqlockRetry)
+            + ts.stats.get(Event::SeqlockFallback),
+    };
+    assert_eq!(ts.stats.get(Event::PessContended), 0);
+    assert_eq!(e.rt().obj(O).data_read(), if write { 42 } else { 41 });
+    e.detach(t0);
+    e.detach(t1);
+    row
+}
+
+/// The transition is the locked row's — same event to the support, same
+/// counts — and the lock it stands for is already released, once.
+fn assert_departs_only_in_the_lock(racy: &Row, locked: &Row, label: &str) {
+    assert!(!racy.holds_locks && locked.holds_locks, "{label}");
+    assert_eq!(racy.seen, locked.seen, "{label}");
+    assert_eq!(racy.seen.len(), 1, "{label}: {:?}", racy.seen);
+    assert_eq!((racy.uncontended, racy.unlocked), (1, 1), "{label}");
+    assert_eq!((locked.uncontended, locked.unlocked), (1, 0), "{label}");
+    assert_eq!(racy.owner_change, locked.owner_change, "{label}");
+    assert_eq!(racy.seqlock_events, 0, "{label}: counted as the transition it is");
+}
+
+#[test]
+fn racy_conflicting_read_of_a_written_state_installs_it_unlocked() {
+    // WrExPess(T1) R by T0 → RdExRLock(T0); racy → RdExPess(T0).
+    let old = StateWord::wr_ex_pess(T1, LockMode::Unlocked);
+    let (racy, locked) = (row::<true>(old, false), row::<false>(old, false));
+    assert_eq!(racy.state, StateWord::rd_ex_pess(T0, LockMode::Unlocked));
+    assert_eq!(locked.state, StateWord::rd_ex_pess(T0, LockMode::Read));
+    assert_departs_only_in_the_lock(&racy, &locked, "WrExPess(T1) R by T0");
+    assert_eq!(racy.owner_change, 1, "a conflicting (w→r) acquire");
+}
+
+#[test]
+fn racy_read_of_a_foreign_read_state_installs_a_fresh_unlocked_epoch() {
+    // RdExPess(T1) R by T0 → RdShRLock(1)(c); racy → RdShPess(c).
+    let old = StateWord::rd_ex_pess(T1, LockMode::Unlocked);
+    let (racy, locked) = (row::<true>(old, false), row::<false>(old, false));
+    for (r, n) in [(&racy, 0), (&locked, 1)] {
+        let w = r.state;
+        assert_eq!((w.kind(), w.is_pess(), w.read_locks()), (Kind::RdSh, true, n), "{w:?}");
+        assert!(w.rdsh_count() >= 2, "a fresh epoch from gRdShCount: {w:?}");
+        assert!(r.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
+    }
+    assert_departs_only_in_the_lock(&racy, &locked, "RdExPess(T1) R by T0");
+    assert_eq!(racy.owner_change, 0, "read after read: non-conflicting");
+}
+
+#[test]
+fn racy_writes_release_by_a_store_and_leave_the_state_unlocked() {
+    for old in [
+        StateWord::wr_ex_pess(T0, LockMode::Unlocked),
+        StateWord::rd_ex_pess(T0, LockMode::Unlocked),
+        StateWord::wr_ex_pess(T1, LockMode::Unlocked),
+        StateWord::rd_ex_pess(T1, LockMode::Unlocked),
+        StateWord::rd_sh_pess(3, 0),
+    ] {
+        let (racy, locked) = (row::<true>(old, true), row::<false>(old, true));
+        assert_eq!(racy.state, StateWord::wr_ex_pess(T0, LockMode::Unlocked), "{old:?}");
+        assert_eq!(locked.state, StateWord::wr_ex_pess(T0, LockMode::Write), "{old:?}");
+        assert!(!racy.holds_locks && locked.holds_locks, "{old:?}");
+        assert_eq!(racy.seen, locked.seen, "{old:?}");
+        let foreign = old.holders() != PrevHolders::One(T0);
+        assert_eq!(racy.seen.len(), usize::from(foreign), "{old:?}: {:?}", racy.seen);
+        assert_eq!((racy.uncontended, racy.unlocked), (1, 1), "{old:?}");
+        assert_eq!((locked.uncontended, locked.unlocked), (1, 0), "{old:?}");
+        assert_eq!(racy.owner_change, u64::from(foreign), "{old:?}");
+    }
+}
+
+/// The store that releases a write lock consults the valve like any unlock:
+/// once the profile says `OptFinal`, it installs the optimistic counterpart.
+#[test]
+fn a_store_release_crosses_the_valve_when_the_profile_says_so() {
+    let e = HybridEngine::with_config(
+        Arc::new(runtime()),
+        NullSupport,
+        HybridConfig {
+            policy: PolicyParams {
+                cutoff_confl: 1,
+                k_confl: 1,
+                inertia: 1,
+            },
+            eager_unlock: true,
+            ..HybridConfig::default()
+        },
+    );
+    let t0 = e.attach();
+    e.rt().obj(O).state().store(StateWord::wr_ex_pess(t0, LockMode::Unlocked).0, Ordering::SeqCst);
+    let (policy, profile) = (&e.common().policy, e.rt().obj(O).profile());
+    assert!(policy.force_pess(profile));
+    assert!(policy.on_pess_transition(profile, false, false).promoted);
+    e.write(t0, O, 1);
+    assert_eq!(StateWord(e.rt().obj(O).state().load(Ordering::SeqCst)), StateWord::wr_ex_opt(t0));
+    // SAFETY: this is the OS thread attached as t0.
+    let ts = unsafe { e.common().ts(t0) };
+    assert!(ts.holds_no_locks());
+    assert_eq!((ts.stats.get(Event::StateUnlocked), ts.stats.get(Event::PessToOpt)), (1, 1));
+    e.detach(t0);
+}
+
+/// Parks T0 inside the window of its first installed-then-validated read —
+/// state installed, payload read, re-load still to come — until T1 has
+/// claimed the object, written it and released it again.
+#[derive(Debug, Default)]
+struct WriteInValidationWindow {
+    /// 0: armed. 1: T0 is in the window, T1 may go. 2: T1 is done.
+    phase: AtomicUsize,
+}
+
+impl SchedHooks for WriteInValidationWindow {
+    fn perturb(&self, t: ThreadId, point: SchedPoint) {
+        if point == SchedPoint::SeqlockReadValidate
+            && t == T0
+            && self.phase.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed).is_ok()
+        {
+            while self.phase.load(Ordering::Acquire) != 2 {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// A foreign write inside the window fails the validation: the reader's
+/// transition stands, the read goes round again from the writer's word, and
+/// returns the writer's value — counted once. In a `check-invariants` build
+/// the writer's releasing store is a swap that asserts it replaced the
+/// `WrExWLock(T1)` it installed (scripts/check_gate.sh runs this there too).
+#[test]
+fn failed_validation_of_an_installed_read_goes_round_again() {
+    let hook = Arc::new(WriteInValidationWindow::default());
+    let mut rt = runtime();
+    rt.set_sched_hooks(hook.clone());
+    let e = HybridEngine::new(Arc::new(rt));
+    let t0 = e.attach();
+    assert_eq!(t0, T0);
+    let obj = e.rt().obj(O);
+    obj.data_write(41);
+    // T1 wrote O last, and O is racy.
+    obj.state().store(StateWord::wr_ex_pess(T1, LockMode::Unlocked).0, Ordering::SeqCst);
+    drive_racy(&e);
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let t1 = e.attach();
+            assert_eq!(t1, T1);
+            let mut spin = e.rt().spinner_for(t1, "the reader to enter its window");
+            while hook.phase.load(Ordering::Acquire) != 1 {
+                spin.spin();
+            }
+            let found = StateWord(obj.state().load(Ordering::SeqCst));
+            assert_eq!(found, StateWord::rd_ex_pess(T0, LockMode::Unlocked), "installed, unlocked");
+            e.write(t1, O, 99);
+            let left = StateWord(obj.state().load(Ordering::SeqCst));
+            assert_eq!(left, StateWord::wr_ex_pess(t1, LockMode::Unlocked), "released by its store");
+            hook.phase.store(2, Ordering::Release);
+            e.detach(t1);
+        });
+        assert_eq!(e.read(t0, O), 99, "41 was read inside a window a write landed in");
+    });
+    assert_eq!(hook.phase.load(Ordering::Relaxed), 2, "the window was forced");
+    // The later of the two accesses names the state.
+    let w = StateWord(obj.state().load(Ordering::SeqCst));
+    assert_eq!(w, StateWord::rd_ex_pess(T0, LockMode::Unlocked));
+    // SAFETY: this is the OS thread attached as t0.
+    let ts = unsafe { e.common().ts(t0) };
+    assert!(ts.holds_no_locks());
+    let got = [Event::Read, Event::PessUncontended, Event::PessOwnerChange, Event::StateUnlocked]
+        .map(|ev| ts.stats.get(ev));
+    assert_eq!(got, [1, 1, 1, 1], "one access, classified once");
+    let seqlock = [Event::SeqlockValidated, Event::SeqlockRetry, Event::SeqlockFallback]
+        .map(|ev| ts.stats.get(ev));
+    assert_eq!(seqlock, [0, 0, 0]);
+    e.detach(t0);
+    assert_partition(&e.rt().stats().report());
 }

@@ -39,9 +39,13 @@
 #          same fault must fail again.
 #   5. Short flake hunt: the policy's tests (profile-word proptests, the
 #      racy-object tests), the replay-elision oracle, the validated-read
-#      windows of DESIGN.md s12 and the recording-log oracles, ten times
-#      over. Any red round fails the gate and keeps its output under
-#      target/flake-hunt/ (`scripts/flake_hunt.sh 50 ...` is the long form).
+#      windows of DESIGN.md s12, the recording-log oracles and the race
+#      detector's report deduplication, ten times over; then the forced
+#      failed validation of an installed read ten times in the
+#      check-invariants build, where the store that releases a write lock
+#      is a swap asserting the word it replaced. Any red round fails the
+#      gate and keeps its output under target/flake-hunt/
+#      (`scripts/flake_hunt.sh 50 ...` is the long form).
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -150,7 +154,10 @@ if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
   exit 1
 fi
 
-echo "=== check_gate: flake hunt (policy, racy objects, replay elision, validated reads, log persistence; 10 rounds)"
-scripts/flake_hunt.sh 10 racy_objects policy replay_elision validated_reads log_persistence
+echo "=== check_gate: flake hunt (policy, racy objects, replay elision, validated reads, log persistence, race report dedup; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects policy replay_elision validated_reads log_persistence reports_deduplicate
+
+echo "=== check_gate: flake hunt, check-invariants build (failed validation of an installed read; 10 rounds)"
+scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validation
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

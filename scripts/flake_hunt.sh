@@ -1,11 +1,13 @@
 #!/bin/bash
 # Flake hunt: run the given tier-1 tests N times, stop at the first failure.
 #
-#   scripts/flake_hunt.sh [N] [cargo-test-filter...]
+#   scripts/flake_hunt.sh [N] [--features SPEC] [cargo-test-filter...]
 #
-# N defaults to 50. Each filter is passed to `cargo test` as a test-name
-# substring; with several filters (or none) every workspace test binary runs
-# the tests matching any of them (or all of its tests). A filter that also
+# N defaults to 50. `--features SPEC` goes to every `cargo test` as given
+# (`drink-core/check-invariants` hunts in the invariant-checking build).
+# Each filter is passed to `cargo test` as a test-name substring; with
+# several filters (or none) every workspace test binary runs the tests
+# matching any of them (or all of its tests). A filter that also
 # names a test file (`<package>/tests/<filter>.rs`) runs that whole file
 # besides. Names are matched by the test binaries, so a filter that matches
 # nothing runs nothing — the script refuses a round that ran zero tests.
@@ -22,6 +24,11 @@ if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
   rounds="$1"
   shift
 fi
+features=()
+if [[ "${1:-}" == --features ]]; then
+  features=(--features "${2:?--features needs a spec}")
+  shift 2
+fi
 filters=("$@")
 files=()
 for f in "${filters[@]}"; do
@@ -35,13 +42,13 @@ mkdir -p "$out_dir"
 log="$out_dir/round.log"
 
 # Build once, outside the loop, so a compile error is not reported as a flake.
-cargo test -q --offline --no-run || exit 2
+cargo test -q --offline "${features[@]}" --no-run || exit 2
 
 round() {
   local status=0
-  cargo test -q --offline --no-fail-fast -- "${filters[@]}" || status=1
+  cargo test -q --offline "${features[@]}" --no-fail-fast -- "${filters[@]}" || status=1
   if ((${#files[@]})); then
-    cargo test -q --offline --no-fail-fast "${files[@]}" || status=1
+    cargo test -q --offline "${features[@]}" --no-fail-fast "${files[@]}" || status=1
   fi
   return $status
 }
