@@ -27,6 +27,7 @@ use drink_runtime::{
 
 use crate::policy::AdaptivePolicy;
 use crate::support::{Support, SupportCx};
+use crate::table::Next;
 use crate::tstate::{OwnedByThread, ThreadState};
 use crate::word::{LockMode, StateWord};
 
@@ -395,12 +396,22 @@ impl<S: Support> EngineCommon<S> {
     }
 
     /// Second half of [`EngineCommon::claim`]: publish the final state.
+    /// `check-invariants` builds assert the step, not just the word:
+    /// `final_w` must be the `next` of `table_next` — the table, looked up
+    /// again on the word the claim replaced. That catches a row executed on
+    /// any word but the one it was looked up for.
     #[inline(always)]
-    pub fn publish(&self, obj: &ObjHeader, final_w: StateWord) {
+    pub fn publish(&self, obj: &ObjHeader, final_w: StateWord, table_next: impl FnOnce() -> Next) {
         #[cfg(feature = "check-invariants")]
-        final_w
-            .validate()
-            .unwrap_or_else(|e| panic!("publishing ill-formed state word {final_w:?} — {e}"));
+        {
+            final_w
+                .validate()
+                .unwrap_or_else(|e| panic!("publishing ill-formed state word {final_w:?} — {e}"));
+            let next = table_next();
+            assert_eq!(final_w, next.word(final_w.rdsh_count()), "the claimed word's row leaves {next:?}");
+        }
+        #[cfg(not(feature = "check-invariants"))]
+        let _ = table_next;
         if S::PREPUBLISH {
             obj.state().store(final_w.0, Ordering::Release);
         }

@@ -27,9 +27,12 @@
 //!   unlocked word its lock would have been released to and validates the
 //!   payload against it (DESIGN.md §12, "install, then validate").
 //!
-//! The state-transition logic below follows Table 3 row by row; comments
-//! cite the rows. See `DESIGN.md` for the happens-before soundness argument
-//! behind each `Support` event.
+//! What each state does on each access is not written here: it is
+//! [`crate::table::transition`], Table 3 as a value. This file is its
+//! executor (Appendix A's pseudocode): a fast path that tries the same-state
+//! compare, the validated read and the pessimistic-unlocked rows, and one
+//! slow loop — load, look up, execute — for the rest. See `DESIGN.md` for
+//! the happens-before soundness argument behind each `Support` event.
 
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -43,28 +46,14 @@ use crate::coord;
 use crate::engine::Tracker;
 use crate::policy::{AdaptivePolicy, PessVerdict, PolicyParams, Valve};
 use crate::support::{CoordMode, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
+pub use crate::table::SelfReadMode;
+use crate::table::{transition, Access, Class, Departures, Ev, Install, Lock, Next, Row, Who};
 use crate::tstate::ThreadState;
-use crate::word::{Kind, LockMode, StateWord};
+use crate::word::{Kind, LockMode, StateWord, MAX_READ_LOCKS};
 
-/// What state a read by the owner of a `WrExPess` object produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SelfReadMode {
-    /// The full model: `WrExRLock(T)` — sound, and a second reader upgrades
-    /// to `RdShRLock(2)` without contention (§3.2).
-    #[default]
-    WrExRLock,
-    /// The paper's prototype (§7.1 "Extraneous contention"): limited metadata
-    /// bits force `WrExWLock(T)`, so a second reader contends spuriously.
-    WrExWLock,
-    /// The paper's *unsound* alternate configuration (§7.1): `RdExRLock(T)`,
-    /// which avoids spurious contention but loses the owner's write — unfit
-    /// for sound dependence detection. For the E9 ablation only.
-    RdExRLockUnsound,
-}
-
-/// How a slow path leaves the object for the program access that follows it.
+/// How the executor leaves the object for the program access that follows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Access {
+enum Outcome {
     /// An abortable write was asked to abort: nothing is claimed and no
     /// access follows.
     Aborted,
@@ -77,6 +66,17 @@ enum Access {
     ThenRelease,
     /// The read is done — installed, then validated — and this is its value.
     Read(u64),
+}
+
+/// One lookup of the table, with the word and the inputs it was made on:
+/// what [`HybridEngine::install`] executes, and what `check-invariants`
+/// builds look up again to check the word it publishes.
+#[derive(Clone, Copy)]
+struct Step {
+    cur: u64,
+    access: Access,
+    dep: Departures,
+    row: Row,
 }
 
 /// Configuration of the hybrid engine.
@@ -154,6 +154,12 @@ impl<S: Support> HybridEngine<S> {
         assert!(
             !(cfg.eager_unlock && S::PREPUBLISH),
             "the §3.1 eager-unlock ablation is tracking-only: recorders rely              on deferred unlocking's release-clock edges"
+        );
+        let threads = rt.config().max_threads;
+        assert!(
+            threads as u64 <= MAX_READ_LOCKS,
+            "a runtime of {threads} thread slots could read-lock one object more than \
+             {MAX_READ_LOCKS} times, the most RdShRLock(n) can count"
         );
         let policy = AdaptivePolicy::with_valve(cfg.policy, cfg.valve);
         HybridEngine {
@@ -295,11 +301,63 @@ impl<S: Support> HybridEngine<S> {
         );
     }
 
-    fn emit_pess_acquire(&self, ts: &mut ThreadState, o: ObjId, prev: PrevHolders, write: bool) {
+    /// May this engine depart from Table 3's lock discipline on an object the
+    /// policy calls `racy` (DESIGN.md §13)? Only under a support that can do
+    /// without it.
+    #[inline(always)]
+    fn departs(racy: bool) -> bool {
+        S::RELAXED_LOCKING && racy
+    }
+
+    /// The table's row for `access` by `ts` to `o`, whose state word reads
+    /// `cur`.
+    #[inline(always)]
+    fn table_row(ts: &ThreadState, o: ObjId, cur: u64, access: Access, dep: Departures) -> Row {
+        let in_rd_set = || ts.rd_set.contains(o.0);
+        let who = Who { t: ts.tid, rd_sh_count: ts.rd_sh_count, in_rd_set: &in_rd_set };
+        transition(StateWord(cur), access, who, dep)
+    }
+
+    /// Look `cur` up in the table. Whether a conflicting read installs its
+    /// state unlocked is decided here, before any claim, because it picks the
+    /// word the claim installs; no write row asks.
+    #[inline(always)]
+    fn lookup(&self, ts: &ThreadState, o: ObjId, cur: u64, access: Access) -> Step {
+        let dep = Departures {
+            self_read: self.cfg.self_read,
+            install_unlocked: access == Access::Read
+                && Self::departs(self.common.policy.racy(self.common.rt.obj(o).profile())),
+        };
+        Step { cur, access, dep, row: Self::table_row(ts, o, cur, access, dep) }
+    }
+
+    /// Tell the support of a row's event, with the fields the old and new
+    /// words supply, and bring `T.rdShCount` up to the epoch the thread has
+    /// now synchronized with.
+    #[inline(always)]
+    fn emit(&self, ts: &mut ThreadState, o: ObjId, old: StateWord, new: StateWord, step: Step) {
+        let c = new.rdsh_count();
+        let ev = match step.row.event {
+            Ev::None => return,
+            Ev::Conflict => unreachable!("told by finish_opt_conflict, with the coordination's sources"),
+            Ev::UpgradeOwn => TransitionEv::UpgradeOwn,
+            Ev::PessLocalAcquire => TransitionEv::PessLocalAcquire,
+            Ev::PessConflictingAcquire => TransitionEv::PessConflictingAcquire {
+                prev: old.holders(),
+                write: step.access == Access::Write,
+            },
+            Ev::RdShCreate => {
+                ts.rd_sh_count = ts.rd_sh_count.max(c);
+                TransitionEv::RdShCreate { prev_owner: old.owner(), c, pess: new.is_pess() }
+            }
+            Ev::Fence => {
+                fence(Ordering::Acquire);
+                ts.rd_sh_count = c;
+                TransitionEv::Fence { c }
+            }
+        };
         let cx = self.common.cx(ts);
-        self.common
-            .support
-            .on_transition(cx, o, TransitionEv::PessConflictingAcquire { prev, write });
+        self.common.support.on_transition(cx, o, ev);
     }
 
     /// A transition just took `lock` on `o`. Under the §3.1 ablation, and on
@@ -308,12 +366,12 @@ impl<S: Support> HybridEngine<S> {
     /// and never enters the lock buffer; otherwise it is deferred to the next
     /// flush.
     #[inline]
-    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, racy: bool) -> Access {
-        if self.cfg.eager_unlock || (S::RELAXED_LOCKING && racy) {
-            return Access::ThenRelease;
+    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, racy: bool) -> Outcome {
+        if self.cfg.eager_unlock || Self::departs(racy) {
+            return Outcome::ThenRelease;
         }
         ts.push_lock(o, lock);
-        Access::Proceed
+        Outcome::Proceed
     }
 
     /// Count a pessimistic transition on `o`.
@@ -337,209 +395,164 @@ impl<S: Support> HybridEngine<S> {
         verdict
     }
 
-    /// Count and sample a pessimistic transition that locked `o`, and say how
-    /// long the lock stays. `taken` is the lock it took, or `None` if it
-    /// upgraded, in place, one that is already in the lock buffer: that one
-    /// stays deferred even if the object has turned racy since — the next
-    /// flush releases it like any other, and no access defers another after.
-    fn bump_pess(
-        &self,
-        ts: &mut ThreadState,
-        o: ObjId,
-        taken: Option<LockMode>,
-        conflicting: bool,
-        contended: bool,
-    ) -> Access {
-        self.count_pess(ts, o, conflicting);
-        let racy = self.sample_pess(ts, o, conflicting, contended).racy;
-        taken.map_or(Access::Proceed, |lock| self.hold(ts, o, lock, racy))
+    // --- The executor (Figure 10(a)–(b), over the whole of Table 3) ---
+
+    /// Execute an installing row on the word it was looked up for: claim (and
+    /// epoch), support hook, publish, count and sample, hold — in that order.
+    /// The support must have recorded the transition before any thread can
+    /// see its state, and the policy's sample comes before `hold` because it
+    /// says how long the lock stays; `prepublish_flush.rs` and
+    /// `racy_objects.rs` pin both. `None` to look the word up again: the
+    /// claim lost a race, or an installed-then-validated read has to go round
+    /// ([`HybridEngine::finish_read_acquire`]).
+    ///
+    /// Inlined into the two fast-path functions as well as the slow loop: with
+    /// the row a constant of the branch it was looked up on, the matches
+    /// below fold and each of the eight unlocked rows is straight-line.
+    #[inline(always)]
+    fn install(&self, ts: &mut ThreadState, o: ObjId, step: Step, contended: &mut bool) -> Option<Outcome> {
+        let Step { cur, row, .. } = step;
+        let obj = self.common.rt.obj(o);
+        let fresh = matches!(row.next, Next::FreshRdSh { .. });
+        let pre = if fresh { self.common.pre_epoch() } else { 0 };
+        let target = row.next.word(pre);
+        let claimed = match row.install {
+            Install::Cas => obj
+                .state()
+                .compare_exchange(cur, target.0, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok(),
+            Install::Claim => self.common.claim(obj, cur, ts.tid, target),
+        };
+        if !claimed {
+            return None;
+        }
+        let next = if fresh { row.next.word(self.common.post_epoch(pre)) } else { target };
+        self.emit(ts, o, StateWord(cur), next, step);
+        if row.install == Install::Claim {
+            self.common.publish(obj, next, || Self::table_row(ts, o, cur, step.access, step.dep).next);
+        }
+        match (row.class, row.lock) {
+            (Class::Upgrade, _) => {
+                ts.stats.bump(Event::OptUpgrading);
+                self.common.rt.trace(ts.tid, TraceKind::OptUpgrade, o.0 as u64);
+                Some(Outcome::Proceed)
+            }
+            (Class::Pess { conflicting }, Lock::None) => {
+                self.finish_read_acquire(ts, o, next, conflicting, contended)
+            }
+            (Class::Pess { conflicting }, lock) => {
+                self.count_pess(ts, o, conflicting);
+                let racy = self.sample_pess(ts, o, conflicting, *contended).racy;
+                Some(match lock {
+                    Lock::Push(mode) => self.hold(ts, o, mode, racy),
+                    // The read lock being upgraded is already in the lock
+                    // buffer, and stays deferred even if the object has
+                    // turned racy since: the next flush releases it like any
+                    // other, and no access defers another after.
+                    _ => {
+                        ts.rd_set.remove(o.0);
+                        Outcome::Proceed
+                    }
+                })
+            }
+            _ => unreachable!("a row of this class installs nothing"),
+        }
     }
 
-    fn bump_reentrant(&self, ts: &mut ThreadState, o: ObjId) {
-        ts.stats.bump(Event::PessReentrant);
-        self.sample_pess(ts, o, false, false);
-    }
-
-    // --- Write slow path (Figure 10(b), extended to the full Table 3) ---
-
-    /// [`Access::Aborted`] iff `abortable` and the support requested an abort
-    /// after a mid-transition yield; nothing is claimed then.
+    /// Everything that is neither a same-state access nor an uncontended
+    /// acquire of an unlocked pessimistic state: load, look up, execute,
+    /// until a row lets the access through. [`Outcome::Aborted`] iff
+    /// `abortable` (writes only) and the support requested an abort after a
+    /// point where the thread may have yielded; nothing is claimed then.
     #[cold]
-    fn write_slow(&self, ts: &mut ThreadState, o: ObjId, abortable: bool) -> Access {
+    fn slow(&self, ts: &mut ThreadState, o: ObjId, access: Access, abortable: bool) -> Outcome {
         let t = ts.tid;
         let rt = &self.common.rt;
-        let obj = rt.obj(o);
-        let state = obj.state();
+        let state = rt.obj(o).state();
         let mut contended = false;
-        let mut spin = rt.spinner("hybrid write slow path");
+        let mut spin = rt.spinner("hybrid slow path");
         loop {
             let cur = state.load(Ordering::Acquire);
             let w = StateWord(cur);
-            if w == StateWord::wr_ex_opt(t) {
-                ts.stats.bump(Event::OptSameState);
-                return Access::Proceed;
-            }
-            if w.is_int() {
-                self.common.respond_pending(ts);
-                if abortable && self.common.support.should_abort(t) {
-                    return Access::Aborted;
+            let step = self.lookup(ts, o, cur, access);
+            match step.row.class {
+                Class::Same => {
+                    ts.stats.bump(Event::OptSameState);
+                    return Outcome::Proceed;
                 }
-                spin.spin();
-                continue;
-            }
-
-            if !w.is_pess() {
-                // --- Optimistic states ---
-                if w == StateWord::rd_ex_opt(t) {
-                    // Upgrading: RdExOpt(T) → WrExOpt(T).
-                    if state
-                        .compare_exchange(
-                            cur,
-                            StateWord::wr_ex_opt(t).0,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        ts.stats.bump(Event::OptUpgrading);
-                        self.common.rt.trace(ts.tid, TraceKind::OptUpgrade, o.0 as u64);
-                        let cx = self.common.cx(ts);
-                        self.common.support.on_transition(cx, o, TransitionEv::UpgradeOwn);
-                        return Access::Proceed;
+                Class::Fence => {
+                    self.emit(ts, o, w, w, step);
+                    ts.stats.bump(Event::OptFence);
+                    rt.trace(t, TraceKind::OptFence, o.0 as u64);
+                    return Outcome::Proceed;
+                }
+                Class::Reentrant => {
+                    ts.stats.bump(Event::PessReentrant);
+                    self.sample_pess(ts, o, false, false);
+                    return Outcome::Proceed;
+                }
+                Class::Upgrade | Class::Pess { .. } => {
+                    if let Some(outcome) = self.install(ts, o, step, &mut contended) {
+                        return outcome;
                     }
                     continue;
                 }
-                // Conflicting optimistic transition (Figure 10(b) line 43).
-                if state
-                    .compare_exchange(cur, StateWord::int(t).0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    continue;
+                Class::Conflict => {
+                    // Figure 10(b) line 43.
+                    let (Next::Either { opt, pess }, Lock::Push(lock)) = (step.row.next, step.row.lock)
+                    else {
+                        unreachable!("a conflict row names two words and a lock")
+                    };
+                    if state
+                        .compare_exchange(cur, StateWord::int(t).0, Ordering::AcqRel, Ordering::Acquire)
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    let Some(mode) = self.coordinate(ts, o, w) else {
+                        // Coordination deadline: restore the pre-claim state
+                        // and retry. The object was force-demoted, so once
+                        // the stall clears (one successful coordination, or
+                        // the holder blocks) it runs the pessimistic protocol.
+                        state.store(cur, Ordering::Release);
+                        continue;
+                    };
+                    if abortable && self.common.support.should_abort(t) {
+                        // Yielded mid-coordination: restore and abort.
+                        state.store(cur, Ordering::Release);
+                        return Outcome::Aborted;
+                    }
+                    let to_pess = self.conflict_to_pess(ts, o, mode);
+                    // Support first, then publish (recorder entries must be
+                    // visible before the new state is).
+                    self.finish_opt_conflict(ts, o, mode, access == Access::Write);
+                    if to_pess {
+                        state.store(pess.0, Ordering::Release);
+                        ts.stats.bump(Event::OptToPess);
+                        rt.trace(t, TraceKind::OptToPess, o.0 as u64);
+                        return self.hold(ts, o, lock, false);
+                    }
+                    state.store(opt.0, Ordering::Release);
+                    return Outcome::Proceed;
                 }
-                let Some(mode) = self.coordinate(ts, o, w) else {
-                    // Coordination deadline: restore the pre-claim state and
-                    // retry. The object was force-demoted, so once the stall
-                    // clears (one successful coordination, or the holder
-                    // blocks) it runs the pessimistic protocol.
-                    state.store(cur, Ordering::Release);
-                    continue;
-                };
-                if abortable && self.common.support.should_abort(t) {
-                    // Yielded mid-coordination: restore and abort.
-                    state.store(cur, Ordering::Release);
-                    return Access::Aborted;
+                Class::Contended => {
+                    if !contended {
+                        contended = true;
+                        ts.stats.bump(Event::PessContended);
+                        rt.trace(t, TraceKind::PessContended, o.0 as u64);
+                    }
+                    // The holder(s) flush at their responding safe points.
+                    self.coordinate(ts, o, w);
                 }
-                let to_pess = self.conflict_to_pess(ts, o, mode);
-                // Support first, then publish (recorder entries must be
-                // visible before the new state is).
-                self.finish_opt_conflict(ts, o, mode, true);
-                if to_pess {
-                    state.store(StateWord::wr_ex_pess(t, LockMode::Write).0, Ordering::Release);
-                    ts.stats.bump(Event::OptToPess);
-                    self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
-                    return self.hold(ts, o, LockMode::Write, false);
-                }
-                state.store(StateWord::wr_ex_opt(t).0, Ordering::Release);
-                return Access::Proceed;
+                Class::Wait => self.common.respond_pending(ts),
             }
-
-            // --- Pessimistic states ---
-            if w.lock_mode() == LockMode::Unlocked {
-                if let Some(access) = self.write_acquire_unlocked(ts, o, cur, w, contended) {
-                    return access;
-                }
-                continue;
-            }
-
-            // Locked pessimistic states.
-            if w == StateWord::wr_ex_pess(t, LockMode::Write) {
-                // Reentrant: WrExWLock(T) W by T → same, no atomic op.
-                self.bump_reentrant(ts, o);
-                return Access::Proceed;
-            }
-            if w == StateWord::wr_ex_pess(t, LockMode::Read)
-                || w == StateWord::rd_ex_pess(t, LockMode::Read)
-            {
-                // My own read lock upgrades in place:
-                //   WrExRLock(T)/RdExRLock(T) W by T → WrExWLock(T).
-                if state
-                    .compare_exchange(
-                        cur,
-                        StateWord::wr_ex_pess(t, LockMode::Write).0,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    // Already in the lock buffer from the read-lock.
-                    ts.rd_set.remove(o.0);
-                    return self.bump_pess(ts, o, None, false, contended);
-                }
-                continue;
-            }
-            if w.kind() == Kind::RdSh && w.read_locks() == 1 && ts.rd_set.contains(o.0) {
-                // I am the sole read-locker: upgrade in place (keeps
-                // two-phase locking intact for the RS enforcer; no other
-                // thread can be mid-access since pessimistic readers must
-                // lock).
-                let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
-                if self.common.claim(obj, cur, t, final_w) {
-                    ts.rd_set.remove(o.0);
-                    // Write after other threads' past reads: conservative
-                    // clock edges to everyone.
-                    self.emit_pess_acquire(ts, o, w.holders(), true);
-                    self.common.publish(obj, final_w);
-                    return self.bump_pess(ts, o, None, true, contended);
-                }
-                continue;
-            }
-
-            // Contended transition: conflicting with someone else's lock.
-            if !contended {
-                contended = true;
-                ts.stats.bump(Event::PessContended);
-                self.common.rt.trace(ts.tid, TraceKind::PessContended, o.0 as u64);
-            }
-            self.coordinate(ts, o, w);
             if abortable && self.common.support.should_abort(t) {
-                return Access::Aborted;
+                return Outcome::Aborted;
             }
-            // Retry: the holder(s) flush at their responding safe points.
-            // Back off through the watchdog spinner so a contended livelock
-            // is bounded and diagnosable.
+            // Back off through the watchdog spinner, so that a contended
+            // livelock is bounded and diagnosable.
             spin.spin();
         }
-    }
-
-    /// Write acquisition from an unlocked pessimistic state, uncontended:
-    ///   WrExPess(T)/RdExPess(T)   W by T  → WrExWLock(T)   (non-confl)
-    ///   WrExPess(T1)/RdExPess(T1) W by T2 → WrExWLock(T2)  (confl, clock edge)
-    ///   RdShPess(c)               W by T  → WrExWLock(T)   (confl, clock edges)
-    /// `None` to retry (the claim lost a race). Nearly every pessimistic
-    /// write is one of these rows, so `write_impl` tries them before it
-    /// leaves for the cold path.
-    #[inline]
-    fn write_acquire_unlocked(
-        &self,
-        ts: &mut ThreadState,
-        o: ObjId,
-        cur: u64,
-        w: StateWord,
-        contended: bool,
-    ) -> Option<Access> {
-        let t = ts.tid;
-        let obj = self.common.rt.obj(o);
-        let prev = w.holders();
-        let final_w = StateWord::wr_ex_pess(t, LockMode::Write);
-        if !self.common.claim(obj, cur, t, final_w) {
-            return None;
-        }
-        let conflicting = prev != PrevHolders::One(t);
-        if conflicting {
-            self.emit_pess_acquire(ts, o, prev, true);
-        }
-        self.common.publish(obj, final_w);
-        Some(self.bump_pess(ts, o, Some(LockMode::Write), conflicting, contended))
     }
 
     fn write_impl(&self, t: ThreadId, o: ObjId, v: u64, abortable: bool) -> Option<u64> {
@@ -555,15 +568,16 @@ impl<S: Support> HybridEngine<S> {
             ts.stats.bump(Event::OptSameState);
         } else {
             let w = StateWord(cur);
-            // Nearly every pessimistic write finds the state unlocked: tried
-            // here, before the cold path.
+            // Nearly every pessimistic write finds the state unlocked: those
+            // three rows are tried here, before the cold path.
             let acquired = if w.is_pess_unlocked() {
-                self.write_acquire_unlocked(ts, o, cur, w, false)
+                let step = self.lookup(ts, o, cur, Access::Write);
+                self.install(ts, o, step, &mut false)
             } else {
                 None
             };
-            let access = acquired.unwrap_or_else(|| self.write_slow(ts, o, abortable));
-            if access == Access::Aborted {
+            let outcome = acquired.unwrap_or_else(|| self.slow(ts, o, Access::Write, abortable));
+            if outcome == Outcome::Aborted {
                 return None;
             }
             // The one writer fence of DESIGN.md §12, between whatever state
@@ -571,7 +585,7 @@ impl<S: Support> HybridEngine<S> {
             // reader that sees the store sees the install at its re-load.
             // Same-state writes need none — their install is behind them.
             fence(Ordering::Release);
-            if access == Access::ThenRelease {
+            if outcome == Outcome::ThenRelease {
                 return Some(self.write_then_release(ts, o, v));
             }
         }
@@ -621,314 +635,13 @@ impl<S: Support> HybridEngine<S> {
         v
     }
 
-    // --- Read slow path ---
-
-    #[cold]
-    fn read_slow(&self, ts: &mut ThreadState, o: ObjId) -> Access {
-        let t = ts.tid;
-        let rt = &self.common.rt;
-        let obj = rt.obj(o);
-        let state = obj.state();
-        let mut contended = false;
-        let mut spin = rt.spinner("hybrid read slow path");
-        loop {
-            let cur = state.load(Ordering::Acquire);
-            let w = StateWord(cur);
-            if w == StateWord::wr_ex_opt(t) || w == StateWord::rd_ex_opt(t) {
-                ts.stats.bump(Event::OptSameState);
-                return Access::Proceed;
-            }
-            if w.is_int() {
-                self.common.respond_pending(ts);
-                spin.spin();
-                continue;
-            }
-
-            if !w.is_pess() {
-                // --- Optimistic states ---
-                match w.kind() {
-                    Kind::RdSh => {
-                        let c = w.rdsh_count();
-                        if ts.rd_sh_count >= c {
-                            ts.stats.bump(Event::OptSameState);
-                        } else {
-                            fence(Ordering::Acquire);
-                            ts.rd_sh_count = c;
-                            ts.stats.bump(Event::OptFence);
-                            self.common.rt.trace(ts.tid, TraceKind::OptFence, o.0 as u64);
-                            let cx = self.common.cx(ts);
-                            self.common
-                                .support
-                                .on_transition(cx, o, TransitionEv::Fence { c });
-                        }
-                        return Access::Proceed;
-                    }
-                    Kind::RdEx => {
-                        // Upgrading: RdExOpt(T1) → RdShOpt(c).
-                        let prev_owner = w.owner();
-                        let pre = self.common.pre_epoch();
-                        if self.common.claim(obj, cur, t, StateWord::rd_sh_opt(pre)) {
-                            let c = self.common.post_epoch(pre);
-                            ts.rd_sh_count = ts.rd_sh_count.max(c);
-                            ts.stats.bump(Event::OptUpgrading);
-                            self.common.rt.trace(ts.tid, TraceKind::OptUpgrade, o.0 as u64);
-                            let cx = self.common.cx(ts);
-                            self.common.support.on_transition(
-                                cx,
-                                o,
-                                TransitionEv::RdShCreate {
-                                    prev_owner,
-                                    c,
-                                    pess: false,
-                                },
-                            );
-                            self.common.publish(obj, StateWord::rd_sh_opt(c));
-                            return Access::Proceed;
-                        }
-                        continue;
-                    }
-                    Kind::WrEx => {
-                        // Conflicting optimistic read: WrExOpt(T1) → RdEx*(T2).
-                        if state
-                            .compare_exchange(
-                                cur,
-                                StateWord::int(t).0,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        let Some(mode) = self.coordinate(ts, o, w) else {
-                            // Deadline: restore and retry (see write_slow).
-                            state.store(cur, Ordering::Release);
-                            continue;
-                        };
-                        let to_pess = self.conflict_to_pess(ts, o, mode);
-                        self.finish_opt_conflict(ts, o, mode, false);
-                        if to_pess {
-                            state.store(
-                                StateWord::rd_ex_pess(t, LockMode::Read).0,
-                                Ordering::Release,
-                            );
-                            ts.stats.bump(Event::OptToPess);
-                            self.common.rt.trace(ts.tid, TraceKind::OptToPess, o.0 as u64);
-                            return self.hold(ts, o, LockMode::Read, false);
-                        }
-                        state.store(StateWord::rd_ex_opt(t).0, Ordering::Release);
-                        return Access::Proceed;
-                    }
-                    Kind::Int => unreachable!("handled above"),
-                }
-            }
-
-            // --- Pessimistic states ---
-            if w.lock_mode() == LockMode::Unlocked {
-                if let Some(access) = self.read_acquire_unlocked(ts, o, cur, w, &mut contended) {
-                    return access;
-                }
-                continue;
-            }
-
-            // Locked pessimistic states: reentrant cases first.
-            if w == StateWord::wr_ex_pess(t, LockMode::Write)
-                || w == StateWord::wr_ex_pess(t, LockMode::Read)
-                || w == StateWord::rd_ex_pess(t, LockMode::Read)
-            {
-                self.bump_reentrant(ts, o);
-                return Access::Proceed;
-            }
-            if w.kind() == Kind::RdSh && ts.rd_set.contains(o.0) {
-                // RdShRLock(n) R by T with o ∈ T.rdSet → same (reentrant).
-                self.bump_reentrant(ts, o);
-                return Access::Proceed;
-            }
-
-            match w.kind() {
-                Kind::RdSh => {
-                    // Join the read-shared lock: RdShRLock(n) → RdShRLock(n+1).
-                    let c = w.rdsh_count();
-                    let n = w.read_locks();
-                    assert!(
-                        (n as usize) < crate::word::MAX_READ_LOCKS as usize,
-                        "read-lock count overflow"
-                    );
-                    if state
-                        .compare_exchange(
-                            cur,
-                            StateWord::rd_sh_pess(c, n + 1).0,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.note_rdsh_read(ts, o, c);
-                        return self.bump_pess(ts, o, Some(LockMode::Read), false, contended);
-                    }
-                    continue;
-                }
-                Kind::RdEx | Kind::WrEx if w.lock_mode() == LockMode::Read => {
-                    // RdExRLock(T1)/WrExRLock(T1) R by T2 → RdShRLock(2)(c_new):
-                    // the second concurrent reader avoids contention (§3.2).
-                    let prev_owner = w.owner();
-                    debug_assert_ne!(prev_owner, t, "own RLock handled above");
-                    let pre = self.common.pre_epoch();
-                    if self.common.claim(obj, cur, t, StateWord::rd_sh_pess(pre, 2)) {
-                        let c = self.common.post_epoch(pre);
-                        let final_w = StateWord::rd_sh_pess(c, 2);
-                        ts.rd_sh_count = ts.rd_sh_count.max(c);
-                        let cx = self.common.cx(ts);
-                        self.common.support.on_transition(
-                            cx,
-                            o,
-                            TransitionEv::RdShCreate {
-                                prev_owner,
-                                c,
-                                pess: true,
-                            },
-                        );
-                        self.common.publish(obj, final_w);
-                        // A read of WrExRLock conflicts with T1's write under
-                        // the cost model; of RdExRLock it does not.
-                        let conflicting = w.kind() == Kind::WrEx;
-                        return self.bump_pess(ts, o, Some(LockMode::Read), conflicting, contended);
-                    }
-                    continue;
-                }
-                _ => {
-                    // WrExWLock(T1) R by T2: contended.
-                    if !contended {
-                        contended = true;
-                        ts.stats.bump(Event::PessContended);
-                        self.common.rt.trace(ts.tid, TraceKind::PessContended, o.0 as u64);
-                    }
-                    self.coordinate(ts, o, w);
-                    spin.spin();
-                }
-            }
-        }
-    }
-
-    /// Read acquisition from an unlocked pessimistic state. `None` to retry:
-    /// the claim lost a race, or an installed-then-validated read has to go
-    /// round again ([`HybridEngine::finish_read_acquire`]).
-    fn read_acquire_unlocked(
-        &self,
-        ts: &mut ThreadState,
-        o: ObjId,
-        cur: u64,
-        w: StateWord,
-        contended: &mut bool,
-    ) -> Option<Access> {
-        let t = ts.tid;
-        let rt = &self.common.rt;
-        let obj = rt.obj(o);
-        let state = obj.state();
-        // The two conflicting-state rows depart from Table 3 on an object the
-        // policy has found racy, if the support allows: they install the word
-        // their read lock would have been *released* to. Decided before the
-        // claim, because it picks the word the claim installs.
-        let install_unlocked = S::RELAXED_LOCKING && self.common.policy.racy(obj.profile());
-        match (w.kind(), w.owner() == t) {
-            (Kind::WrEx, true) => {
-                // WrExPess(T) R by T: full model → WrExRLock(T); prototype →
-                // WrExWLock(T) (§7.1); ablation → RdExRLock(T) (unsound).
-                let target = match self.cfg.self_read {
-                    SelfReadMode::WrExRLock => StateWord::wr_ex_pess(t, LockMode::Read),
-                    SelfReadMode::WrExWLock => StateWord::wr_ex_pess(t, LockMode::Write),
-                    SelfReadMode::RdExRLockUnsound => StateWord::rd_ex_pess(t, LockMode::Read),
-                };
-                if self.common.claim(obj, cur, t, target) {
-                    let cx = self.common.cx(ts);
-                    self.common
-                        .support
-                        .on_transition(cx, o, TransitionEv::PessLocalAcquire);
-                    self.common.publish(obj, target);
-                    return Some(self.bump_pess(ts, o, Some(target.lock_mode()), false, *contended));
-                }
-                None
-            }
-            (Kind::WrEx, false) => {
-                // WrExPess(T1) R by T2 → RdExRLock(T2): conflicting (w→r),
-                // happens-before edge from T1's release clock (§4.2).
-                // Racy: → RdExPess(T2), then validate.
-                let lock = if install_unlocked { LockMode::Unlocked } else { LockMode::Read };
-                let final_w = StateWord::rd_ex_pess(t, lock);
-                if self.common.claim(obj, cur, t, final_w) {
-                    self.emit_pess_acquire(ts, o, w.holders(), false);
-                    self.common.publish(obj, final_w);
-                    return self.finish_read_acquire(ts, o, final_w, true, contended);
-                }
-                None
-            }
-            (Kind::RdEx, true) => {
-                // RdExPess(T) R by T → RdExRLock(T).
-                let final_w = StateWord::rd_ex_pess(t, LockMode::Read);
-                if self.common.claim(obj, cur, t, final_w) {
-                    let cx = self.common.cx(ts);
-                    self.common
-                        .support
-                        .on_transition(cx, o, TransitionEv::PessLocalAcquire);
-                    self.common.publish(obj, final_w);
-                    return Some(self.bump_pess(ts, o, Some(LockMode::Read), false, *contended));
-                }
-                None
-            }
-            (Kind::RdEx, false) => {
-                // RdExPess(T1) R by T2 → RdShRLock(1)(c_new).
-                // Racy: → RdShPess(c_new), then validate.
-                let prev_owner = w.owner();
-                let n = u64::from(!install_unlocked);
-                let pre = self.common.pre_epoch();
-                if self.common.claim(obj, cur, t, StateWord::rd_sh_pess(pre, n)) {
-                    let c = self.common.post_epoch(pre);
-                    let final_w = StateWord::rd_sh_pess(c, n);
-                    ts.rd_sh_count = ts.rd_sh_count.max(c);
-                    let cx = self.common.cx(ts);
-                    self.common.support.on_transition(
-                        cx,
-                        o,
-                        TransitionEv::RdShCreate {
-                            prev_owner,
-                            c,
-                            pess: true,
-                        },
-                    );
-                    self.common.publish(obj, final_w);
-                    return self.finish_read_acquire(ts, o, final_w, false, contended);
-                }
-                None
-            }
-            (Kind::RdSh, _) => {
-                // RdShPess(c) R by T → RdShRLock(1)(c), same epoch.
-                let c = w.rdsh_count();
-                if state
-                    .compare_exchange(
-                        cur,
-                        StateWord::rd_sh_pess(c, 1).0,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    self.note_rdsh_read(ts, o, c);
-                    return Some(self.bump_pess(ts, o, Some(LockMode::Read), false, *contended));
-                }
-                None
-            }
-            (Kind::Int, _) => unreachable!("Int is never pessimistic"),
-        }
-    }
-
-    /// Tail of a read that took a conflicting state by installing `installed`
-    /// (support hook run, state published). Read-locked, it is a Table 3 row
-    /// like any other. Unlocked, it is the racy departure — *install, then
-    /// validate* (DESIGN.md §12): `installed` names this thread or carries a
-    /// fresh epoch, so no foreign writer reaches the payload without replacing
-    /// it, and the same word back after the payload load is what the row's
-    /// read lock guaranteed. The read is then counted once, as the transition
-    /// plus the unlock it stands for.
+    /// Tail of a row *installed unlocked* (the table's marked rows ②; support
+    /// hook run, state published) — *install, then validate* (DESIGN.md §12):
+    /// `installed` names this thread or carries a fresh epoch, so no foreign
+    /// writer reaches the payload without replacing it, and the same word
+    /// back after the payload load is what the row's read lock guaranteed.
+    /// The read is then counted once, as the transition plus the unlock it
+    /// stands for.
     ///
     /// `None` sends the read round again, nothing counted: the transition
     /// stands (a recorded read by this thread, conservative), but a foreign
@@ -942,10 +655,7 @@ impl<S: Support> HybridEngine<S> {
         installed: StateWord,
         conflicting: bool,
         contended: &mut bool,
-    ) -> Option<Access> {
-        if installed.lock_mode() == LockMode::Read {
-            return Some(self.bump_pess(ts, o, Some(LockMode::Read), conflicting, *contended));
-        }
+    ) -> Option<Outcome> {
         if self.sample_pess(ts, o, conflicting, std::mem::take(contended)).promoted {
             return None;
         }
@@ -960,21 +670,7 @@ impl<S: Support> HybridEngine<S> {
         ts.stats.bump(Event::StateUnlocked);
         self.common.rt.trace(ts.tid, TraceKind::Read, o.0 as u64);
         ts.op_index += 1;
-        Some(Access::Read(v))
-    }
-
-    /// A pessimistic read joined RdSh epoch `c`: update `rdShCount` and emit
-    /// the fence-equivalent event if this thread had not yet synchronized
-    /// with the epoch (Table 3 footnote *).
-    fn note_rdsh_read(&self, ts: &mut ThreadState, o: ObjId, c: u64) {
-        if ts.rd_sh_count < c {
-            fence(Ordering::Acquire);
-            ts.rd_sh_count = c;
-            let cx = self.common.cx(ts);
-            self.common
-                .support
-                .on_transition(cx, o, TransitionEv::Fence { c });
-        }
+        Some(Outcome::Read(v))
     }
 }
 
@@ -1018,7 +714,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
             // holds write-locked, needs no transition: validate it against
             // the state word just loaded instead of taking the row's read lock
             // (DESIGN.md §12). On repeated invalidation it falls through to
-            // `read_slow`, which takes that lock as before.
+            // the slow path, which takes that lock.
             let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o, w) {
                     self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
@@ -1027,15 +723,16 @@ impl<S: Support> Tracker for HybridEngine<S> {
                 }
                 None
             } else if w.is_pess_unlocked() {
-                // Nearly every other pessimistic read: tried here, before
-                // the cold path.
-                self.read_acquire_unlocked(ts, o, cur, w, &mut false)
+                // Nearly every other pessimistic read: those five rows are
+                // tried here, before the cold path.
+                let step = self.lookup(ts, o, cur, Access::Read);
+                self.install(ts, o, step, &mut false)
             } else {
                 None
             };
-            match acquired.unwrap_or_else(|| self.read_slow(ts, o)) {
-                Access::ThenRelease => return self.read_then_release(ts, o),
-                Access::Read(v) => return v,
+            match acquired.unwrap_or_else(|| self.slow(ts, o, Access::Read, false)) {
+                Outcome::ThenRelease => return self.read_then_release(ts, o),
+                Outcome::Read(v) => return v,
                 _ => {}
             }
         }
@@ -1165,6 +862,13 @@ mod tests {
             }
             h.join().unwrap()
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "256 thread slots could read-lock one object more than 255 times")]
+    fn a_runtime_with_more_threads_than_read_locks_is_refused() {
+        let rt = Runtime::new(RuntimeConfig::builder().max_threads(256).heap_objects(1).build());
+        HybridEngine::new(Arc::new(rt));
     }
 
     #[test]

@@ -22,6 +22,8 @@ use crate::common::EngineCommon;
 use crate::engine::Tracker;
 use crate::policy::AdaptivePolicy;
 use crate::support::NullSupport;
+use crate::table::{transition, Access, Class, Departures, Next, Who};
+use crate::tstate::ThreadState;
 use crate::word::{Kind, StateWord};
 
 /// The unsound upper-bound estimate engine.
@@ -38,93 +40,39 @@ impl IdealEngine {
         }
     }
 
+    /// Execute the table's optimistic rows ([`transition`]; no state here is
+    /// ever pessimistic), with a bare CAS where `Conflict` would coordinate.
     #[cold]
-    fn write_slow(&self, ts: &mut crate::tstate::ThreadState, o: ObjId) {
-        let t = ts.tid;
-        let state = self.common.rt.obj(o).state();
-        let mut spin = self.common.rt.spinner("ideal write slow path");
-        loop {
-            let cur = state.load(Ordering::Acquire);
-            let w = StateWord(cur);
-            if w == StateWord::wr_ex_opt(t) {
-                ts.stats.bump(Event::OptSameState);
-                return;
-            }
-            let upgrading = w == StateWord::rd_ex_opt(t);
-            if state
-                .compare_exchange(cur, StateWord::wr_ex_opt(t).0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Upgrades keep their optimistic cost; conflicts are priced as
-                // pessimistic transitions (the whole point of this estimate).
-                ts.stats.bump(if upgrading {
-                    Event::OptUpgrading
-                } else {
-                    Event::PessUncontended
-                });
-                return;
-            }
-            spin.spin();
-        }
-    }
-
-    #[cold]
-    fn read_slow(&self, ts: &mut crate::tstate::ThreadState, o: ObjId) {
-        let t = ts.tid;
+    fn slow(&self, ts: &mut ThreadState, o: ObjId, access: Access) {
         let rt = &self.common.rt;
         let state = rt.obj(o).state();
-        let mut spin = rt.spinner("ideal read slow path");
+        let mut spin = rt.spinner("ideal slow path");
         loop {
             let cur = state.load(Ordering::Acquire);
-            let w = StateWord(cur);
-            if w == StateWord::wr_ex_opt(t) || w == StateWord::rd_ex_opt(t) {
-                ts.stats.bump(Event::OptSameState);
-                return;
-            }
-            match w.kind() {
-                Kind::RdSh => {
-                    let c = w.rdsh_count();
-                    if ts.rd_sh_count >= c {
-                        ts.stats.bump(Event::OptSameState);
-                    } else {
-                        fence(Ordering::Acquire);
-                        ts.rd_sh_count = c;
-                        ts.stats.bump(Event::OptFence);
-                    }
-                    return;
+            let who = Who { t: ts.tid, rd_sh_count: ts.rd_sh_count, in_rd_set: &|| false };
+            let row = transition(StateWord(cur), access, who, Departures::default());
+            let (event, next) = match (row.class, row.next) {
+                (Class::Same, _) => return ts.stats.bump(Event::OptSameState),
+                (Class::Fence, _) => {
+                    fence(Ordering::Acquire);
+                    ts.rd_sh_count = StateWord(cur).rdsh_count();
+                    return ts.stats.bump(Event::OptFence);
                 }
-                Kind::RdEx => {
-                    let c = rt.next_rdsh_count();
-                    if state
-                        .compare_exchange(
-                            cur,
-                            StateWord::rd_sh_opt(c).0,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        ts.rd_sh_count = ts.rd_sh_count.max(c);
-                        ts.stats.bump(Event::OptUpgrading);
-                        return;
-                    }
+                // Upgrades keep their optimistic cost; conflicts are priced as
+                // pessimistic transitions (the whole point of this estimate).
+                (Class::Conflict, Next::Either { opt, .. }) => (Event::PessUncontended, opt),
+                (Class::Upgrade, Next::Word(w)) => (Event::OptUpgrading, w),
+                (Class::Upgrade, fresh) => (Event::OptUpgrading, fresh.word(rt.next_rdsh_count())),
+                _ => unreachable!("{:?} is no optimistic state", StateWord(cur)),
+            };
+            if state
+                .compare_exchange(cur, next.0, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                if next.kind() == Kind::RdSh {
+                    ts.rd_sh_count = ts.rd_sh_count.max(next.rdsh_count());
                 }
-                Kind::WrEx => {
-                    // Conflicting read: bare CAS to RdEx(t), no coordination.
-                    if state
-                        .compare_exchange(
-                            cur,
-                            StateWord::rd_ex_opt(t).0,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        ts.stats.bump(Event::PessUncontended);
-                        return;
-                    }
-                }
-                Kind::Int => {}
+                return ts.stats.bump(event);
             }
             spin.spin();
         }
@@ -165,7 +113,7 @@ impl Tracker for IdealEngine {
         {
             ts.stats.bump(Event::OptSameState);
         } else {
-            self.read_slow(ts, o);
+            self.slow(ts, o, Access::Read);
         }
         let v = obj.data_read();
         ts.op_index += 1;
@@ -181,7 +129,7 @@ impl Tracker for IdealEngine {
         if obj.state().load(Ordering::Acquire) == StateWord::wr_ex_opt(t).0 {
             ts.stats.bump(Event::OptSameState);
         } else {
-            self.write_slow(ts, o);
+            self.slow(ts, o, Access::Write);
         }
         obj.data_write(v);
         ts.op_index += 1;

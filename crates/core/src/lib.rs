@@ -9,7 +9,8 @@
 //! The crate provides:
 //!
 //! * the per-object [`word::StateWord`] encoding every state of the hybrid
-//!   model (§3.2, Appendix B);
+//!   model (§3.2), and [`table::transition`], its transitions (Appendix B's
+//!   Table 3) as one pure function;
 //! * four [`engine`] types — untracked baseline, flat pessimistic (§2.1),
 //!   hybrid (§3), the unsound "Ideal" estimate (§7.5) — and [`EngineKind`]'s
 //!   table of their configurations (Octet, §2.2, is hybrid at cutoff ∞);
@@ -57,6 +58,7 @@ pub mod engine;
 pub mod policy;
 pub mod session;
 pub mod support;
+pub mod table;
 pub mod tstate;
 pub mod word;
 

@@ -107,31 +107,6 @@ impl DenseObjSet {
         self.len == 0
     }
 
-    /// Remove every id (O(capacity); prefer per-id `remove` on hot paths).
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
-    /// Bitmask of the shards (per `map`, the same [`drink_runtime::ShardMap`]
-    /// the registry and epoch table share) that contain at least one id in
-    /// this set. Shards beyond 64 fold into bit 63, matching
-    /// `Heap::stamp_snapshot`'s convention. Lets check-invariants oracles ask
-    /// "does this thread's touched-object footprint agree with the skip
-    /// decisions?" against one mapping function.
-    pub fn shards_touched(&self, map: drink_runtime::ShardMap) -> u64 {
-        let mut mask = 0u64;
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                mask |= 1u64 << map.shard_of(w * 64 + b).min(63);
-            }
-        }
-        mask
-    }
-
     /// Is every id in `self` also in `other`? Word-wise `a & !b == 0`, so
     /// O(capacity/64) — cheap enough for `check-invariants` hot paths.
     pub fn is_subset_of(&self, other: &DenseObjSet) -> bool {
@@ -373,7 +348,9 @@ mod tests {
         assert!(s.remove(63));
         assert!(!s.remove(63));
         assert_eq!(s.len(), 3);
-        s.clear();
+        for id in [0, 64, 99] {
+            assert!(s.remove(id));
+        }
         assert!(s.is_empty() && !s.contains(0));
     }
 
@@ -384,28 +361,6 @@ mod tests {
         assert!(s.insert(1000));
         assert!(s.contains(1000));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn shards_touched_agrees_with_shard_map() {
-        use drink_runtime::ShardMap;
-        let map = ShardMap::new(4);
-        let mut s = DenseObjSet::with_capacity(256);
-        assert_eq!(s.shards_touched(map), 0);
-        for id in [0u32, 4, 64, 200] {
-            s.insert(id);
-        }
-        // All those ids are ≡ 0 (mod 4) → shard 0 only.
-        assert_eq!(s.shards_touched(map), 0b0001);
-        s.insert(7); // shard 3
-        s.insert(65); // shard 1
-        assert_eq!(s.shards_touched(map), 0b1011);
-        // Agreement with the mapping function, bit by bit.
-        for id in [0u32, 4, 7, 64, 65, 200] {
-            assert_ne!(s.shards_touched(map) & (1 << map.shard_of(id as usize)), 0);
-        }
-        // One shard (shards==1) folds everything into bit 0.
-        assert_eq!(s.shards_touched(ShardMap::new(1)), 1);
     }
 
     #[test]

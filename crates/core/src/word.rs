@@ -73,8 +73,12 @@ const N_MASK: u64 = 0xFF;
 const C_SHIFT: u32 = 32;
 const C_MASK: u64 = 0xFFFF_FFFF;
 
-/// Maximum representable read-lock count (8-bit field). The hybrid engine
-/// asserts thread counts stay below this.
+/// Maximum representable read-lock count (8-bit field), and so the most
+/// threads that may ever read-lock one object at once:
+/// `HybridEngine::with_config` refuses a runtime with more thread slots than
+/// this, which makes it the stated domain bound of the table's
+/// `RdShRLock(n) → RdShRLock(n+1)` row rather than something an access could
+/// run into.
 pub const MAX_READ_LOCKS: u64 = N_MASK;
 
 /// Maximum representable RdSh counter value (32-bit field): the runtime's
@@ -492,39 +496,66 @@ mod tests {
         assert!(!StateWord::LOCKED.is_int());
     }
 
+    /// [`StateWord::validated_read_ok`], stated on Table 3: a read by `t`
+    /// that leaves the same-state fast path may be served by validation
+    /// exactly when its row is non-conflicting — it tells the support of no
+    /// cross-thread event — and nobody holds the word write-enabled: no
+    /// thread's write row on it is free of an install. A same-state read
+    /// never gets that far, so there the predicate may also say no
+    /// (`RdExOpt(T)` read by `T`) where the table would allow it.
+    pub(super) fn agrees_with_table(w: StateWord, t: ThreadId, threads: &[ThreadId]) -> bool {
+        use crate::table::{transition, Access, Class, Departures, Ev, Who};
+        let row = |t, access, in_rd_set: bool| {
+            let who = Who { t, rd_sh_count: 0, in_rd_set: &|| in_rd_set };
+            transition(w, access, who, Departures::default())
+        };
+        let read = row(t, Access::Read, false);
+        let non_conflicting = matches!(
+            (read.class, read.event),
+            (
+                Class::Same | Class::Fence | Class::Reentrant | Class::Pess { conflicting: false },
+                Ev::None | Ev::Fence | Ev::PessLocalAcquire
+            )
+        );
+        let write_enabled = threads.iter().any(|&u| {
+            [false, true]
+                .into_iter()
+                .any(|held| matches!(row(u, Access::Write, held).class, Class::Same | Class::Reentrant))
+        });
+        let ok = non_conflicting && !write_enabled;
+        w.validated_read_ok(t) == ok || (read.class == Class::Same && ok)
+    }
+
     #[test]
     fn validated_read_ok_is_the_non_conflicting_unwritten_rows() {
         let (me, other) = (t(1), t(2));
-        // Any RdSh, for any reader.
-        for w in [
+        let mut words = vec![
             StateWord::rd_sh_opt(3),
             StateWord::rd_sh_pess(3, 0),
             StateWord::rd_sh_pess(3, 2),
-        ] {
-            assert!(w.validated_read_ok(me), "{w:?}");
+        ];
+        for owner in [me, other] {
+            words.extend([
+                StateWord::wr_ex_opt(owner),
+                StateWord::rd_ex_opt(owner),
+                StateWord::int(owner),
+                StateWord::wr_ex_pess(owner, LockMode::Unlocked),
+                StateWord::wr_ex_pess(owner, LockMode::Read),
+                StateWord::wr_ex_pess(owner, LockMode::Write),
+                StateWord::rd_ex_pess(owner, LockMode::Unlocked),
+                StateWord::rd_ex_pess(owner, LockMode::Read),
+            ]);
         }
-        // Pessimistic exclusive states: the owner only, and never under a
-        // write lock.
-        for w in [
-            StateWord::wr_ex_pess(me, LockMode::Unlocked),
-            StateWord::wr_ex_pess(me, LockMode::Read),
-            StateWord::rd_ex_pess(me, LockMode::Unlocked),
-            StateWord::rd_ex_pess(me, LockMode::Read),
-        ] {
-            assert!(w.validated_read_ok(me), "{w:?}");
-            assert!(!w.validated_read_ok(other), "{w:?} read by a non-owner");
+        let mut eligible = 0;
+        for w in words {
+            assert!(agrees_with_table(w, me, &[me, other]), "{w:?} read by {me}");
+            eligible += usize::from(w.validated_read_ok(me));
         }
-        // States whose owner writes without installing, and in-flight ones.
-        for w in [
-            StateWord::wr_ex_pess(me, LockMode::Write),
-            StateWord::wr_ex_opt(me),
-            StateWord::rd_ex_opt(me),
-            StateWord::int(me),
-            StateWord::LOCKED,
-        ] {
-            assert!(!w.validated_read_ok(me), "{w:?}");
-            assert!(!w.validated_read_ok(other), "{w:?}");
-        }
+        // Any RdSh word; the four pessimistic exclusive words `me` owns and
+        // has not write-locked.
+        assert_eq!(eligible, 3 + 4);
+        // Not a Table 3 state, and never eligible.
+        assert!(!StateWord::LOCKED.validated_read_ok(me));
     }
 
     #[test]
@@ -747,10 +778,10 @@ mod proptests {
             prop_assert_eq!(StateWord::wr_ex_opt(tid).to_pess_unlocked().validate(), Ok(()));
         }
 
-        /// The masked compares of `validated_read_ok` agree with the decoded
-        /// statement of the predicate on every constructible word.
+        /// The masked compares of `validated_read_ok` agree with the statement
+        /// of the predicate on Table 3, on every constructible word.
         #[test]
-        fn validated_read_ok_matches_its_decoded_statement(owner in arb_tid(), reader in arb_tid(), c in 0u64..=MAX_RDSH_COUNT, n in 0u64..=MAX_READ_LOCKS) {
+        fn validated_read_ok_matches_its_decoded_statement(owner in arb_tid(), reader in arb_tid(), c in 0u64..=MAX_RDSH_COUNT, n in 0u64..MAX_READ_LOCKS) {
             for w in [
                 StateWord::wr_ex_opt(owner),
                 StateWord::rd_ex_opt(owner),
@@ -762,20 +793,12 @@ mod proptests {
                 StateWord::rd_ex_pess(owner, LockMode::Read),
                 StateWord::rd_ex_pess(owner, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
-                StateWord::LOCKED,
             ] {
                 for t in [reader, owner] {
-                    let decoded = !w.is_locked_sentinel()
-                        && match w.kind() {
-                            Kind::RdSh => true,
-                            Kind::WrEx | Kind::RdEx => {
-                                w.is_pess() && w.lock_mode() != LockMode::Write && w.owner() == t
-                            }
-                            Kind::Int => false,
-                        };
-                    prop_assert_eq!(w.validated_read_ok(t), decoded, "{:?} read by {}", w, t);
+                    prop_assert!(super::tests::agrees_with_table(w, t, &[reader, owner]), "{:?} read by {}", w, t);
                 }
             }
+            prop_assert!(!StateWord::LOCKED.validated_read_ok(reader));
         }
 
         /// `validate` on an arbitrary u64 accepts only words that re-encode

@@ -44,9 +44,11 @@ proptest! {
                 0 => prop_assert_eq!(dense.insert(id), reference.insert(id)),
                 1 => prop_assert_eq!(dense.remove(id), reference.remove(&id)),
                 2 => prop_assert_eq!(dense.contains(id), reference.contains(&id)),
+                // A flush: the owner removes exactly the ids it inserted.
                 _ => {
-                    dense.clear();
-                    reference.clear();
+                    for id in reference.drain() {
+                        prop_assert!(dense.remove(id));
+                    }
                 }
             }
             prop_assert_eq!(dense.len(), reference.len());

@@ -1,21 +1,33 @@
-//! Executable Appendix B: Table 3's state transitions, row by row.
+//! Executable Appendix B: the hybrid engine against Table 3, row by row.
 //!
-//! Each case constructs the old state, performs the access on the hybrid
-//! engine, and asserts the new state (and, where the row specifies it, the
-//! synchronization class counted). Rows that require a remote holder run a
-//! cooperating second thread that acquires the state through the engine and
-//! then polls safe points.
+//! The rows are not spelled out here: [`transition`] is the table, and
+//! [`every_row_executes_as_the_table_says`] iterates it — every well-formed
+//! *(word, access, who)* of a two-thread universe, under every
+//! [`SelfReadMode`] — injecting the word, performing the access and comparing
+//! what the engine did with what the row says. That loop is also the closure
+//! property: every word × access has exactly one row, and its `next` is a
+//! word. The named tests after it pin single rows to the outcome their names
+//! state, as a second opinion on the table itself. Rows that need a live
+//! remote holder (conflicts, contention) run a cooperating second thread
+//! that acquires the state through the engine and then polls safe points.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
-use drink_core::policy::PolicyParams;
+use drink_core::policy::{AdaptivePolicy, PolicyParams};
 use drink_core::prelude::*;
-use drink_core::word::{Kind, LockMode, StateWord};
+use drink_core::support::PrevHolders;
+use drink_core::table::{transition, Access, Class, Departures, Lock, Next, Row, Who};
+use drink_core::word::{LockMode, StateWord};
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, ThreadId};
 
 const O: ObjId = ObjId(0);
+/// The accessing thread of every single-threaded row, and the other one.
+const T: ThreadId = ThreadId(0);
+const T1: ThreadId = ThreadId(1);
+/// The epoch of every injected RdSh word (the global counter starts at 1).
+const C: u64 = 5;
 
 /// Table 3 pins the *transition protocol*, so validated reads — which take
 /// no transition at all (DESIGN.md §12) — must stay off here: the rows are
@@ -33,346 +45,393 @@ fn inert_policy() -> PolicyParams {
     }
 }
 
-fn engine() -> Engine {
-    HybridEngine::with_config(
-        Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(4)
-        .heap_objects(8)
-        .monitors(2)
-        .build())),
-        PaperModel,
-        HybridConfig {
-            policy: inert_policy(),
-            self_read: SelfReadMode::WrExRLock,
-            ..HybridConfig::default()
-        },
-    )
+fn engine_with<S: Support>(support: S, policy: PolicyParams, self_read: SelfReadMode) -> HybridEngine<S> {
+    let rt = Runtime::new(RuntimeConfig::builder().max_threads(4).heap_objects(8).monitors(2).build());
+    let cfg = HybridConfig { policy, self_read, ..HybridConfig::default() };
+    HybridEngine::with_config(Arc::new(rt), support, cfg)
 }
 
-fn inject(e: &Engine, w: StateWord) {
+fn engine() -> Engine {
+    engine_with(PaperModel, inert_policy(), SelfReadMode::WrExRLock)
+}
+
+fn inject<S: Support>(e: &HybridEngine<S>, w: StateWord) {
     e.rt().obj(O).state().store(w.0, Ordering::SeqCst);
 }
 
-fn state(e: &Engine) -> StateWord {
+fn state<S: Support>(e: &HybridEngine<S>) -> StateWord {
     StateWord(e.rt().obj(O).state().load(Ordering::SeqCst))
 }
 
-/// One single-threaded row: old state → access → expected state (+ event).
-fn row_own(
-    old: StateWord,
-    write: bool,
-    expect: impl Fn(ThreadId, &StateWord) -> bool,
-    event: Event,
-    label: &str,
-) {
-    let e = engine();
-    let t = e.attach();
-    inject(&e, old);
-    if write {
-        e.write(t, O, 1);
-    } else {
-        let _ = e.read(t, O);
+// --- The table, iterated ---
+
+/// May `new` stand where `old` stood, by a row that leaves `next`? (How fresh
+/// a fresh epoch is, the caller checks against the counter.)
+fn admits(next: Next, old: StateWord, new: StateWord) -> bool {
+    match next {
+        Next::Stay => new == old,
+        Next::Either { opt, pess } => new == opt || new == pess,
+        next => new == next.word(new.rdsh_count()),
     }
-    let now = state(&e);
-    assert!(expect(t, &now), "{label}: got {now:?}");
-    assert!(
-        e.rt().stats().get(event) == 0, // stats merge at detach
-        "{label}: stats merge early?"
-    );
-    e.detach(t);
-    assert!(
-        e.rt().stats().get(event) >= 1,
-        "{label}: expected {event:?} to be counted"
-    );
 }
 
-// --- Pessimistic uncontended, reentrant (no atomic op) rows ---
+/// Every well-formed state word of a two-thread universe.
+fn words() -> Vec<StateWord> {
+    let mut all = vec![StateWord::rd_sh_opt(C)];
+    all.extend((0..=2).map(|n| StateWord::rd_sh_pess(C, n)));
+    for t in [T, T1] {
+        all.extend([StateWord::wr_ex_opt(t), StateWord::rd_ex_opt(t), StateWord::int(t)]);
+        all.extend([LockMode::Unlocked, LockMode::Read, LockMode::Write].map(|l| StateWord::wr_ex_pess(t, l)));
+        all.extend([LockMode::Unlocked, LockMode::Read].map(|l| StateWord::rd_ex_pess(t, l)));
+    }
+    all
+}
+
+/// What `T` may hold on an object whose word reads `w`: nothing, or the lock
+/// `w` says is held. (An exclusive locked word names its one holder;
+/// `RdShRLock(n)` names none, so both are well-formed.)
+fn holdings(w: StateWord) -> Vec<Option<LockMode>> {
+    let held = w.is_pess_locked().then(|| w.lock_mode());
+    match w.holders() {
+        PrevHolders::AllOthers if held.is_some() => vec![None, held],
+        PrevHolders::One(owner) if owner == T => vec![held],
+        _ => vec![None],
+    }
+}
+
+/// The event each class counts, among the ones a single thread can reach.
+fn class_event(class: Class) -> Option<Event> {
+    match class {
+        Class::Same => Some(Event::OptSameState),
+        Class::Fence => Some(Event::OptFence),
+        Class::Upgrade => Some(Event::OptUpgrading),
+        Class::Pess { .. } => Some(Event::PessUncontended),
+        Class::Reentrant => Some(Event::PessReentrant),
+        Class::Conflict | Class::Contended | Class::Wait => None,
+    }
+}
+
+/// One row, executed: inject `w`, give `T` the lock bookkeeping and
+/// `rdShCount` that `held` and `synced` describe, perform `access`, and
+/// compare state, counted event and lock bookkeeping with the table's row.
+/// Rows that wait for another thread are looked up (closure) but not run.
+fn check_row<S: Support>(e: HybridEngine<S>, w: StateWord, access: Access, held: Option<LockMode>, synced: bool) -> Row {
+    let what = format!("{w:?} {access:?} by {T} holding {held:?}, synced={synced}, {:?}", e.config().self_read);
+    let t = e.attach();
+    let _t1 = e.attach();
+    assert_eq!((t, _t1), (T, T1));
+    inject(&e, w);
+    // SAFETY: this is the OS thread attached as `t`.
+    let ts = unsafe { e.common().ts(t) };
+    ts.rd_sh_count = if synced { C } else { 0 };
+    if let Some(lock) = held {
+        ts.push_lock(O, lock);
+    }
+    let dep = Departures {
+        self_read: e.config().self_read,
+        install_unlocked: S::RELAXED_LOCKING && e.common().policy.racy(e.rt().obj(O).profile()),
+    };
+    let who = Who { t, rd_sh_count: ts.rd_sh_count, in_rd_set: &|| held == Some(LockMode::Read) };
+    let row = transition(w, access, who, dep);
+    let Some(event) = class_event(row.class) else {
+        match row.next {
+            Next::Either { opt, pess } => assert_eq!((opt.validate(), pess.validate()), (Ok(()), Ok(())), "{what}"),
+            next => assert_eq!(next, Next::Stay, "{what}: {row:?}"),
+        }
+        return row;
+    };
+    let (epoch_before, buffered_before) = (e.rt().current_rdsh_count(), ts.lock_buffer.len());
+
+    match access {
+        Access::Read => drop(e.read(t, O)),
+        Access::Write => e.write(t, O, 1),
+    }
+
+    let now = state(&e);
+    assert_eq!(now.validate(), Ok(()), "{what}: {now:?}");
+    assert!(admits(row.next, w, now), "{what}: {row:?}, but the state is {now:?}");
+    if let Next::FreshRdSh { .. } = row.next {
+        assert!(now.rdsh_count() > epoch_before, "{what}: stale epoch in {now:?}");
+    }
+    // SAFETY: as above.
+    let ts = unsafe { e.common().ts(t) };
+    let pushed = ts.lock_buffer.len() - buffered_before;
+    let in_rd_set = ts.rd_set.contains(O.0);
+    match row.lock {
+        Lock::None => assert_eq!((pushed, in_rd_set), (0, held == Some(LockMode::Read)), "{what}"),
+        Lock::Push(lock) => assert_eq!(
+            (pushed, in_rd_set),
+            (1, lock == LockMode::Read || held == Some(LockMode::Read)),
+            "{what}"
+        ),
+        Lock::UpgradeInPlace => assert_eq!((pushed, in_rd_set), (0, false), "{what}"),
+    }
+    e.detach(t); // flushes, so whatever is in the buffer really was locked
+    let r = e.rt().stats().report();
+    for counted in [
+        Event::OptSameState,
+        Event::OptFence,
+        Event::OptUpgrading,
+        Event::PessUncontended,
+        Event::PessReentrant,
+        Event::PessContended,
+        Event::OptConflictExplicit,
+        Event::OptConflictImplicit,
+        Event::SeqlockValidated,
+    ] {
+        assert_eq!(r.get(counted), u64::from(counted == event), "{what}: {counted:?}");
+    }
+    let conflicting = matches!(row.class, Class::Pess { conflicting: true });
+    assert_eq!(r.get(Event::PessOwnerChange), u64::from(conflicting), "{what}");
+    row
+}
+
+#[test]
+fn every_row_executes_as_the_table_says() {
+    let mut rows = 0;
+    for self_read in [SelfReadMode::WrExRLock, SelfReadMode::WrExWLock, SelfReadMode::RdExRLockUnsound] {
+        for w in words() {
+            for access in [Access::Read, Access::Write] {
+                for held in holdings(w) {
+                    for synced in [false, true] {
+                        let e = engine_with(PaperModel, inert_policy(), self_read);
+                        check_row(e, w, access, held, synced);
+                        rows += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(rows, 3 * (20 + 2) * 2 * 2, "20 words, RdShRLock(1) and (2) held or not");
+}
+
+/// An engine on whose object `O` the policy has counted enough contention
+/// to call it racy (DESIGN.md §13).
+fn racy_engine<S: Support>(support: S) -> HybridEngine<S> {
+    let policy = PolicyParams { cutoff_confl: 1, ..inert_policy() };
+    let e = engine_with(support, policy, SelfReadMode::WrExRLock);
+    let profile = e.rt().obj(O).profile();
+    assert!(e.common().policy.force_pess(profile));
+    e.common().policy.on_pess_transition(profile, true, true);
+    assert!(e.common().policy.racy(profile), "{:?}", AdaptivePolicy::profile(profile));
+    e
+}
+
+/// The two marked rows: installed unlocked under a support that allows it,
+/// the paper's rows under one that does not.
+#[test]
+fn racy_read_rows_install_unlocked_only_under_relaxed_locking() {
+    for (w, conflicting) in [
+        (StateWord::wr_ex_pess(T1, LockMode::Unlocked), true),
+        (StateWord::rd_ex_pess(T1, LockMode::Unlocked), false),
+    ] {
+        let row = check_row(racy_engine(NullSupport), w, Access::Read, None, true);
+        assert_eq!((row.class, row.lock), (Class::Pess { conflicting }, Lock::None), "{w:?}");
+        let row = check_row(racy_engine(PaperModel), w, Access::Read, None, true);
+        assert_eq!((row.class, row.lock), (Class::Pess { conflicting }, Lock::Push(LockMode::Read)), "{w:?}");
+    }
+}
+
+/// Table 1, as the flat engine's 12-line `match` spells it: for every
+/// optimistic word × access, `PessimisticEngine` ends in the table's
+/// optimistic `next`.
+#[test]
+fn pessimistic_engine_follows_the_optimistic_rows() {
+    for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
+        for access in [Access::Read, Access::Write] {
+            for synced in [false, true] {
+                let rt = Runtime::new(RuntimeConfig::builder().max_threads(2).heap_objects(2).build());
+                let e = PessimisticEngine::new(Arc::new(rt));
+                let t = e.attach();
+                e.rt().obj(O).state().store(w.0, Ordering::SeqCst);
+                let who = Who { t, rd_sh_count: if synced { C } else { 0 }, in_rd_set: &|| false };
+                let row = transition(w, access, who, Departures::default());
+                let epoch_before = e.rt().current_rdsh_count();
+                match access {
+                    Access::Read => drop(e.read(t, O)),
+                    Access::Write => e.write(t, O, 1),
+                }
+                let now = StateWord(e.rt().obj(O).state().load(Ordering::SeqCst));
+                match row.next {
+                    Next::Either { opt, .. } => assert_eq!(now, opt, "{w:?} {access:?}"),
+                    next => assert!(admits(next, w, now), "{w:?} {access:?}: {next:?} vs {now:?}"),
+                }
+                let fresh = matches!(row.next, Next::FreshRdSh { .. });
+                assert_eq!(e.rt().current_rdsh_count() > epoch_before, fresh, "{w:?} {access:?}");
+                assert!(!fresh || now.rdsh_count() > epoch_before, "{w:?} {access:?}: {now:?}");
+                e.detach(t);
+            }
+        }
+    }
+}
+
+// --- Single rows, pinned to what their names say ---
+
+/// The table's row for `access` by `T` (holding `held`) on `w` is of `class`
+/// and leaves `next`; and the engine executes it.
+fn pin(w: StateWord, access: Access, held: Option<LockMode>, self_read: SelfReadMode, class: Class, next: Next) {
+    for synced in [false, true] {
+        let row = check_row(engine_with(PaperModel, inert_policy(), self_read), w, access, held, synced);
+        assert_eq!((row.class, row.next), (class, next), "{w:?} {access:?}");
+    }
+}
+
+const FULL: SelfReadMode = SelfReadMode::WrExRLock;
+const PESS: Class = Class::Pess { conflicting: false };
+const PESS_CONFL: Class = Class::Pess { conflicting: true };
+
+fn wlock() -> Next {
+    Next::Word(StateWord::wr_ex_pess(T, LockMode::Write))
+}
+
+fn rd_sh_rlock(n: u64) -> Next {
+    Next::FreshRdSh { pess: true, n }
+}
 
 #[test]
 fn wrexwlock_w_by_owner_is_reentrant() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Write),
-        true,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessReentrant,
-        "WrExWLock(T) W by T → same",
-    );
+    let w = StateWord::wr_ex_pess(T, LockMode::Write);
+    pin(w, Access::Write, Some(LockMode::Write), FULL, Class::Reentrant, Next::Stay);
 }
 
 #[test]
 fn wrexwlock_r_by_owner_is_reentrant() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Write),
-        false,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessReentrant,
-        "WrExWLock(T) R by T → same",
-    );
+    let w = StateWord::wr_ex_pess(T, LockMode::Write);
+    pin(w, Access::Read, Some(LockMode::Write), FULL, Class::Reentrant, Next::Stay);
 }
 
 #[test]
 fn wrexrlock_r_by_owner_is_reentrant() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Read),
-        false,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Read),
-        Event::PessReentrant,
-        "WrExRLock(T) R by T → same",
-    );
+    let w = StateWord::wr_ex_pess(T, LockMode::Read);
+    pin(w, Access::Read, Some(LockMode::Read), FULL, Class::Reentrant, Next::Stay);
 }
 
 #[test]
 fn rdexrlock_r_by_owner_is_reentrant() {
-    row_own(
-        StateWord::rd_ex_pess(ThreadId(0), LockMode::Read),
-        false,
-        |t, w| *w == StateWord::rd_ex_pess(t, LockMode::Read),
-        Event::PessReentrant,
-        "RdExRLock(T) R by T → same",
-    );
+    let w = StateWord::rd_ex_pess(T, LockMode::Read);
+    pin(w, Access::Read, Some(LockMode::Read), FULL, Class::Reentrant, Next::Stay);
 }
 
 #[test]
 fn rdsh_rlock_r_in_rdset_is_reentrant() {
-    // Reach "o ∈ T.rdSet" through the engine: first read joins the lock.
-    let e = engine();
-    let t = e.attach();
-    inject(&e, StateWord::rd_sh_pess(5, 0));
-    let _ = e.read(t, O); // RdShPess(5) → RdShRLock(1)(5), o ∈ rdSet
-    assert_eq!(state(&e), StateWord::rd_sh_pess(5, 1));
-    let _ = e.read(t, O); // reentrant
-    assert_eq!(state(&e), StateWord::rd_sh_pess(5, 1));
-    e.detach(t);
-    assert_eq!(e.rt().stats().get(Event::PessReentrant), 1);
+    pin(StateWord::rd_sh_pess(C, 1), Access::Read, Some(LockMode::Read), FULL, Class::Reentrant, Next::Stay);
 }
-
-// --- Pessimistic uncontended CAS rows (own states) ---
 
 #[test]
 fn wrexpess_w_by_owner_write_locks() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Unlocked),
-        true,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessUncontended,
-        "WrExPess(T) W by T → WrExWLock(T)",
-    );
+    pin(StateWord::wr_ex_pess(T, LockMode::Unlocked), Access::Write, None, FULL, PESS, wlock());
 }
 
 #[test]
 fn wrexpess_r_by_owner_read_locks_full_model() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Unlocked),
-        false,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Read),
-        Event::PessUncontended,
-        "WrExPess(T) R by T → WrExRLock(T)",
-    );
+    let next = Next::Word(StateWord::wr_ex_pess(T, LockMode::Read));
+    pin(StateWord::wr_ex_pess(T, LockMode::Unlocked), Access::Read, None, FULL, PESS, next);
+}
+
+#[test]
+fn prototype_self_read_mode_write_locks() {
+    // §7.1: the 32-bit prototype has no WrExRLock(T).
+    let proto = SelfReadMode::WrExWLock;
+    pin(StateWord::wr_ex_pess(T, LockMode::Unlocked), Access::Read, None, proto, PESS, wlock());
+}
+
+#[test]
+fn unsound_self_read_mode_downgrades() {
+    // §7.1's unsound diagnostic: the self-read loses the write bit.
+    let (unsound, next) = (SelfReadMode::RdExRLockUnsound, Next::Word(StateWord::rd_ex_pess(T, LockMode::Read)));
+    pin(StateWord::wr_ex_pess(T, LockMode::Unlocked), Access::Read, None, unsound, PESS, next);
 }
 
 #[test]
 fn rdexpess_r_by_owner_read_locks() {
-    row_own(
-        StateWord::rd_ex_pess(ThreadId(0), LockMode::Unlocked),
-        false,
-        |t, w| *w == StateWord::rd_ex_pess(t, LockMode::Read),
-        Event::PessUncontended,
-        "RdExPess(T) R by T → RdExRLock(T)",
-    );
+    let next = Next::Word(StateWord::rd_ex_pess(T, LockMode::Read));
+    pin(StateWord::rd_ex_pess(T, LockMode::Unlocked), Access::Read, None, FULL, PESS, next);
 }
 
 #[test]
 fn rdexpess_w_by_owner_write_locks() {
-    row_own(
-        StateWord::rd_ex_pess(ThreadId(0), LockMode::Unlocked),
-        true,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessUncontended,
-        "RdExPess(T) W by T → WrExWLock(T)",
-    );
+    pin(StateWord::rd_ex_pess(T, LockMode::Unlocked), Access::Write, None, FULL, PESS, wlock());
 }
 
 #[test]
 fn rdexrlock_w_by_owner_upgrades_in_place() {
-    row_own(
-        StateWord::rd_ex_pess(ThreadId(0), LockMode::Read),
-        true,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessUncontended,
-        "RdExRLock(T) W by T → WrExWLock(T)",
-    );
+    pin(StateWord::rd_ex_pess(T, LockMode::Read), Access::Write, Some(LockMode::Read), FULL, PESS, wlock());
 }
 
 #[test]
 fn wrexrlock_w_by_owner_upgrades_in_place() {
-    row_own(
-        StateWord::wr_ex_pess(ThreadId(0), LockMode::Read),
-        true,
-        |t, w| *w == StateWord::wr_ex_pess(t, LockMode::Write),
-        Event::PessUncontended,
-        "WrExRLock(T) W by T → WrExWLock(T)",
-    );
+    pin(StateWord::wr_ex_pess(T, LockMode::Read), Access::Write, Some(LockMode::Read), FULL, PESS, wlock());
 }
-
-// --- Pessimistic uncontended CAS rows (cross-thread, unlocked) ---
 
 #[test]
 fn rdexpess_other_r_creates_rdsh_rlock_1() {
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach(); // register the "previous owner" id
-    inject(&e, StateWord::rd_ex_pess(ThreadId(1), LockMode::Unlocked));
-    let _ = e.read(t0, O);
-    let w = state(&e);
-    assert_eq!(w.kind(), Kind::RdSh);
-    assert!(w.is_pess());
-    assert_eq!(w.read_locks(), 1);
-    assert!(w.rdsh_count() >= 2, "fresh epoch from gRdShCount: {w:?}");
-    e.detach(t0);
+    pin(StateWord::rd_ex_pess(T1, LockMode::Unlocked), Access::Read, None, FULL, PESS, rd_sh_rlock(1));
 }
 
 #[test]
 fn rdexrlock_other_r_creates_rdsh_rlock_2() {
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach();
-    inject(&e, StateWord::rd_ex_pess(ThreadId(1), LockMode::Read));
-    let _ = e.read(t0, O);
-    let w = state(&e);
-    assert_eq!((w.kind(), w.read_locks()), (Kind::RdSh, 2));
-    e.detach(t0);
+    pin(StateWord::rd_ex_pess(T1, LockMode::Read), Access::Read, None, FULL, PESS, rd_sh_rlock(2));
 }
 
 #[test]
 fn wrexrlock_other_r_creates_rdsh_rlock_2_without_contention() {
     // §3.2's motivating row: the second reader of a read-locked
     // write-exclusive state joins instead of contending.
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(ThreadId(1), LockMode::Read));
-    let _ = e.read(t0, O);
-    let w = state(&e);
-    assert_eq!((w.kind(), w.read_locks()), (Kind::RdSh, 2));
-    e.detach(t0);
-    assert_eq!(e.rt().stats().get(Event::PessContended), 0);
+    pin(StateWord::wr_ex_pess(T1, LockMode::Read), Access::Read, None, FULL, PESS_CONFL, rd_sh_rlock(2));
 }
 
 #[test]
 fn rdshpess_r_keeps_epoch_and_locks_once() {
-    let e = engine();
-    let t0 = e.attach();
-    inject(&e, StateWord::rd_sh_pess(9, 0));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_sh_pess(9, 1), "same epoch, n=1");
-    e.detach(t0);
+    let next = Next::Word(StateWord::rd_sh_pess(C, 1));
+    pin(StateWord::rd_sh_pess(C, 0), Access::Read, None, FULL, PESS, next);
 }
 
 #[test]
 fn rdsh_rlock_foreign_r_joins() {
-    // RdShRLock(1) held by another thread; our read joins → n = 2.
-    let e = engine();
-    let t0 = e.attach();
-    inject(&e, StateWord::rd_sh_pess(9, 1));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_sh_pess(9, 2));
-    e.detach(t0);
+    let next = Next::Word(StateWord::rd_sh_pess(C, 2));
+    pin(StateWord::rd_sh_pess(C, 1), Access::Read, None, FULL, PESS, next);
 }
 
 #[test]
 fn wrexpess_other_w_takes_write_lock() {
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(ThreadId(1), LockMode::Unlocked));
-    e.write(t0, O, 1);
-    assert_eq!(state(&e), StateWord::wr_ex_pess(t0, LockMode::Write));
-    e.detach(t0);
-    assert_eq!(e.rt().stats().get(Event::PessContended), 0);
+    pin(StateWord::wr_ex_pess(T1, LockMode::Unlocked), Access::Write, None, FULL, PESS_CONFL, wlock());
 }
 
 #[test]
 fn wrexpess_other_r_becomes_rdex_rlock() {
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(ThreadId(1), LockMode::Unlocked));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Read));
-    e.detach(t0);
+    let next = Next::Word(StateWord::rd_ex_pess(T, LockMode::Read));
+    pin(StateWord::wr_ex_pess(T1, LockMode::Unlocked), Access::Read, None, FULL, PESS_CONFL, next);
 }
 
 #[test]
 fn rdexpess_other_w_takes_write_lock() {
-    let e = engine();
-    let t0 = e.attach();
-    let _t1 = e.attach();
-    inject(&e, StateWord::rd_ex_pess(ThreadId(1), LockMode::Unlocked));
-    e.write(t0, O, 1);
-    assert_eq!(state(&e), StateWord::wr_ex_pess(t0, LockMode::Write));
-    e.detach(t0);
+    pin(StateWord::rd_ex_pess(T1, LockMode::Unlocked), Access::Write, None, FULL, PESS_CONFL, wlock());
 }
 
 #[test]
 fn rdshpess_w_takes_write_lock() {
-    let e = engine();
-    let t0 = e.attach();
-    inject(&e, StateWord::rd_sh_pess(3, 0));
-    e.write(t0, O, 1);
-    assert_eq!(state(&e), StateWord::wr_ex_pess(t0, LockMode::Write));
-    e.detach(t0);
+    pin(StateWord::rd_sh_pess(C, 0), Access::Write, None, FULL, PESS_CONFL, wlock());
 }
-
-// --- Optimistic rows within the hybrid engine ---
 
 #[test]
 fn optimistic_rows_match_table_1() {
-    let e = engine();
-    let t0 = e.attach();
-
-    // WrExOpt(T) R/W by T → same.
-    inject(&e, StateWord::wr_ex_opt(t0));
-    e.write(t0, O, 1);
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::wr_ex_opt(t0));
-
-    // RdExOpt(T) R by T → same; W by T → WrExOpt(T) (upgrading CAS).
-    inject(&e, StateWord::rd_ex_opt(t0));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_ex_opt(t0));
-    e.write(t0, O, 2);
-    assert_eq!(state(&e), StateWord::wr_ex_opt(t0));
-
-    // RdExOpt(T1) R by T → RdShOpt(gRdShCount).
-    inject(&e, StateWord::rd_ex_opt(ThreadId(1)));
-    let _ = e.read(t0, O);
-    let w = state(&e);
-    assert_eq!((w.kind(), w.is_pess()), (Kind::RdSh, false));
-
-    // RdShOpt(c) with fresh rdShCount → same (the upgrade refreshed it).
-    let c = w.rdsh_count();
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e).rdsh_count(), c);
-
-    e.detach(t0);
-    let r = e.rt().stats().report();
-    assert_eq!(r.get(Event::OptUpgrading), 2);
-    assert_eq!(r.pess_uncontended(), 0);
+    let wrex = Next::Word(StateWord::wr_ex_opt(T));
+    for access in [Access::Read, Access::Write] {
+        pin(StateWord::wr_ex_opt(T), access, None, FULL, Class::Same, Next::Stay);
+    }
+    pin(StateWord::rd_ex_opt(T), Access::Read, None, FULL, Class::Same, Next::Stay);
+    pin(StateWord::rd_ex_opt(T), Access::Write, None, FULL, Class::Upgrade, wrex);
+    let rd_sh_opt = Next::FreshRdSh { pess: false, n: 0 };
+    pin(StateWord::rd_ex_opt(T1), Access::Read, None, FULL, Class::Upgrade, rd_sh_opt);
 }
 
 #[test]
 fn rdsh_opt_stale_read_is_a_fence_transition() {
-    let e = engine();
-    let t0 = e.attach();
-    // Epoch well above t0's rdShCount (fresh thread: 0).
-    inject(&e, StateWord::rd_sh_opt(7));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_sh_opt(7), "fence: no state change");
-    // Second read: rdShCount now ≥ 7 → same-state.
-    let _ = e.read(t0, O);
-    e.detach(t0);
-    let r = e.rt().stats().report();
-    assert_eq!(r.get(Event::OptFence), 1);
+    let w = StateWord::rd_sh_opt(C);
+    let stale = check_row(engine(), w, Access::Read, None, false);
+    let synced = check_row(engine(), w, Access::Read, None, true);
+    assert_eq!((stale.class, synced.class), (Class::Fence, Class::Same));
+    assert_eq!((stale.next, synced.next), (Next::Stay, Next::Stay), "fence: no state change");
 }
 
 // --- Conflicting and contended rows (need a live remote) ---
@@ -497,52 +556,5 @@ fn psro_unlocks_to_pessimistic_unlocked_by_default() {
     e.lock(t0, drink_runtime::MonitorId(0));
     e.unlock(t0, drink_runtime::MonitorId(0)); // PSRO: flush
     assert_eq!(state(&e), StateWord::wr_ex_pess(t0, LockMode::Unlocked));
-    e.detach(t0);
-}
-
-#[test]
-fn prototype_self_read_mode_write_locks() {
-    // §7.1: the 32-bit prototype transitions WrExPess(T) R by T to
-    // WrExWLock(T) instead of WrExRLock(T).
-    let e = HybridEngine::with_config(
-        Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(2)
-        .heap_objects(4)
-        .monitors(1)
-        .build())),
-        PaperModel,
-        HybridConfig {
-            policy: inert_policy(),
-            self_read: SelfReadMode::WrExWLock,
-            ..HybridConfig::default()
-        },
-    );
-    let t0 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::wr_ex_pess(t0, LockMode::Write));
-    e.detach(t0);
-}
-
-#[test]
-fn unsound_self_read_mode_downgrades() {
-    // §7.1's unsound diagnostic: self-read loses the write bit.
-    let e = HybridEngine::with_config(
-        Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(2)
-        .heap_objects(4)
-        .monitors(1)
-        .build())),
-        PaperModel,
-        HybridConfig {
-            policy: inert_policy(),
-            self_read: SelfReadMode::RdExRLockUnsound,
-            ..HybridConfig::default()
-        },
-    );
-    let t0 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
-    let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Read));
     e.detach(t0);
 }

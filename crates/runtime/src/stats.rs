@@ -72,9 +72,6 @@ pub enum Event {
     /// wake-up; several implicit coordinations may collapse into one epoch
     /// observation).
     ImplicitObservedOnWake,
-    /// This thread performed an implicit coordination against a blocked
-    /// remote thread.
-    ImplicitPerformed,
     /// A coordination roundtrip this thread initiated (send → response).
     CoordinationRoundtrip,
     /// Total explicit requests answered across responding safe points. Each
@@ -182,7 +179,6 @@ impl Event {
         Event::StateUnlocked,
         Event::RespondedExplicit,
         Event::ImplicitObservedOnWake,
-        Event::ImplicitPerformed,
         Event::CoordinationRoundtrip,
         Event::CoordBatchRequests,
         Event::CoordFanout,
@@ -224,7 +220,6 @@ impl Event {
             Event::StateUnlocked => "hybrid.state_unlocked",
             Event::RespondedExplicit => "coord.responded_explicit",
             Event::ImplicitObservedOnWake => "coord.implicit_observed",
-            Event::ImplicitPerformed => "coord.implicit_performed",
             Event::CoordinationRoundtrip => "coord.roundtrip",
             Event::CoordBatchRequests => "coord.batch_requests",
             Event::CoordFanout => "coord.fanout",

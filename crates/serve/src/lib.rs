@@ -35,6 +35,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use drink_core::engine::AnyEngine;
+use drink_core::word::MAX_READ_LOCKS;
 use drink_core::{EngineKind, Session, Tracker};
 use drink_runtime::stats::LatencyKind;
 use drink_runtime::{Runtime, RuntimeConfig, StatsReport};
@@ -94,6 +95,15 @@ impl ServeConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("serve: workers must be >= 1".into());
+        }
+        // Every worker may read-lock the same key at once, and a state word
+        // counts that many read locks and no more. One bound, whatever the
+        // engine: a geometry is servable by all of them or by none.
+        if self.workers as u64 > MAX_READ_LOCKS {
+            return Err(format!(
+                "serve: {} workers, but one key's state word counts at most {MAX_READ_LOCKS} concurrent readers",
+                self.workers
+            ));
         }
         if self.keys == 0 || self.monitors == 0 {
             return Err("serve: keys and monitors must be >= 1".into());
@@ -471,5 +481,14 @@ mod tests {
         let mut cfg = ServeConfig::default();
         cfg.offered_rate = 0.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn more_workers_than_a_state_word_counts_readers_are_rejected() {
+        let mut cfg = ServeConfig { workers: 255, users: 1 << 20, ..ServeConfig::default() };
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.workers = 256;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("256 workers") && err.contains("at most 255"), "{err}");
     }
 }

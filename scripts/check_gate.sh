@@ -38,7 +38,8 @@
 #          roundtrip (nonzero exit, artifact), and `--reproduce` under the
 #          same fault must fail again.
 #   5. Short flake hunt: the policy's tests (profile-word proptests, the
-#      racy-object tests), the replay-elision oracle, the validated-read
+#      valve's `adapt::tests`, the racy-object tests), the replay-elision
+#      oracle, the validated-read
 #      windows of DESIGN.md s12, the recording-log oracles and the race
 #      detector's report deduplication, ten times over; then the forced
 #      failed validation of an installed read ten times in the
@@ -46,6 +47,9 @@
 #      is a swap asserting the word it replaced. Any red round fails the
 #      gate and keeps its output under target/flake-hunt/
 #      (`scripts/flake_hunt.sh 50 ...` is the long form).
+#   6. Table 3 in the check-invariants build: the row tests and the abstract
+#      model, so that every row the engine executes passes through
+#      `EngineCommon::publish`'s step assert.
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -154,10 +158,13 @@ if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
   exit 1
 fi
 
-echo "=== check_gate: flake hunt (policy, racy objects, replay elision, validated reads, log persistence, race report dedup; 10 rounds)"
-scripts/flake_hunt.sh 10 racy_objects policy replay_elision validated_reads log_persistence reports_deduplicate
+echo "=== check_gate: flake hunt (policy and its valve, racy objects, replay elision, validated reads, log persistence, race report dedup; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects policy adapt::tests replay_elision validated_reads log_persistence reports_deduplicate
 
 echo "=== check_gate: flake hunt, check-invariants build (failed validation of an installed read; 10 rounds)"
 scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validation
+
+echo "=== check_gate: Table 3, every row through the step assert"
+cargo test -p drink-core --features check-invariants --test table3 --test table3_model
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"
