@@ -11,8 +11,8 @@
 //!   that makes implicit coordination sound: flush, bump, publish, answer
 //!   raced requests;
 //! * `after_unblock` — observe implicit coordination;
-//! * `poll` — the responding-safe-point fast path (one relaxed load when no
-//!   request is pending).
+//! * `poll` — the responding-safe-point fast path (a counter bump, a test for
+//!   schedule hooks and one relaxed load when no request is pending).
 //!
 //! Engines that have no pessimistic states (optimistic, pessimistic-alone)
 //! still share this code: their lock buffers are simply always empty.
@@ -56,13 +56,10 @@ impl<S: Support> EngineCommon<S> {
     /// Build engine state for `rt`.
     pub fn new(rt: Arc<Runtime>, support: S, policy: AdaptivePolicy) -> Self {
         let n = rt.config().max_threads;
-        let heap_objects = rt.config().heap_objects;
         let per_thread = (0..n)
             .map(|i| {
-                drink_runtime::CachePadded::new(OwnedByThread::new(ThreadState::new(
-                    ThreadId(i as u16),
-                    heap_objects,
-                )))
+                let state = Self::fresh_state(&rt, ThreadId(i as u16));
+                drink_runtime::CachePadded::new(OwnedByThread::new(state))
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -72,6 +69,12 @@ impl<S: Support> EngineCommon<S> {
             policy,
             per_thread,
         }
+    }
+
+    fn fresh_state(rt: &Runtime, t: ThreadId) -> ThreadState {
+        // SAFETY: the state goes into `per_thread`, beside the `Arc` that
+        // keeps `rt` — whose registry boxes the control block — alive.
+        unsafe { ThreadState::new(t, rt.config().heap_objects, rt.control(t)) }
     }
 
     /// Receiver-side epoch-skip invariant (DESIGN.md §14): an explicit
@@ -130,7 +133,7 @@ impl<S: Support> EngineCommon<S> {
         self.per_thread[t.index()].reset_owner();
         // SAFETY: we are the thread that just claimed this slot.
         unsafe {
-            *self.per_thread[t.index()].get() = ThreadState::new(t, self.rt.config().heap_objects);
+            *self.per_thread[t.index()].get() = Self::fresh_state(&self.rt, t);
         }
         t
     }
@@ -294,13 +297,21 @@ impl<S: Support> EngineCommon<S> {
 
     // --- Safe points ---
 
-    /// Non-blocking safe point: respond to pending requests, if any. The
-    /// no-request fast path is a single relaxed load.
+    /// Non-blocking safe point: respond to pending requests, if any. With
+    /// none and no schedule hooks it is a leaf: a counter bump, a test of the
+    /// hooks' slot and a relaxed load of a flag located at attach.
     #[inline(always)]
     pub fn poll(&self, ts: &mut ThreadState) {
         ts.stats.bump(Event::SafepointPoll);
+        if self.rt.perturbing() || ts.control().has_pending_requests() {
+            self.poll_rest(ts);
+        }
+    }
+
+    #[inline(never)]
+    fn poll_rest(&self, ts: &mut ThreadState) {
         self.rt.sched_point(ts.tid, SchedPoint::SafepointPoll);
-        if self.rt.control(ts.tid).has_pending_requests() {
+        if ts.control().has_pending_requests() {
             self.respond_pending(ts);
         }
     }
@@ -439,7 +450,8 @@ impl<S: Support> EngineCommon<S> {
     /// release install that published it, so the installer's earlier writes
     /// are visible without a fence transition; `ts.rd_sh_count` is
     /// deliberately **not** updated (this path makes no claim about other
-    /// objects' epochs).
+    /// objects' epochs). (The hybrid read's leaf makes a first attempt itself.)
+    #[inline(never)]
     pub fn seqlock_read(&self, ts: &mut ThreadState, o: ObjId, mut w0: StateWord) -> Option<u64> {
         let obj = self.rt.obj(o);
         let mut retries = 0u64;

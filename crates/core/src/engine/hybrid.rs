@@ -29,10 +29,12 @@
 //!
 //! What each state does on each access is not written here: it is
 //! [`crate::table::transition`], Table 3 as a value. This file is its
-//! executor (Appendix A's pseudocode): a fast path that tries the same-state
-//! compare, the validated read and the pessimistic-unlocked rows, and one
-//! slow loop — load, look up, execute — for the rest. See `DESIGN.md` for
-//! the happens-before soundness argument behind each `Support` event.
+//! executor (Appendix A's pseudocode), split as Figure 10(a) splits it: a
+//! call-free *leaf* per access kind for the same-state compares, inlined
+//! into the caller, and one out-of-line *continuation* that tries the
+//! validated read and the pessimistic-unlocked rows before one cold loop —
+//! load, look up, execute — takes the rest (DESIGN.md §8). See `DESIGN.md`
+//! for the happens-before soundness argument behind each `Support` event.
 
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -406,7 +408,7 @@ impl<S: Support> HybridEngine<S> {
     /// claim lost a race, or an installed-then-validated read has to go round
     /// ([`HybridEngine::finish_read_acquire`]).
     ///
-    /// Inlined into the two fast-path functions as well as the slow loop: with
+    /// Inlined into the two continuations as well as the slow loop: with
     /// the row a constant of the branch it was looked up on, the matches
     /// below fold and each of the eight unlocked rows is straight-line.
     #[inline(always)]
@@ -555,6 +557,56 @@ impl<S: Support> HybridEngine<S> {
         }
     }
 
+    /// Does a read by `ts` leave `cur` as it is? Exclusive owner, or
+    /// read-shared with a fresh rdShCount (Table 1's Same∗ row).
+    #[inline(always)]
+    fn read_is_same_state(ts: &ThreadState, cur: u64) -> bool {
+        let w = StateWord(cur);
+        cur == StateWord::wr_ex_opt(ts.tid).0
+            || cur == StateWord::rd_ex_opt(ts.tid).0
+            || (w.kind() == Kind::RdSh && !w.is_pess() && ts.rd_sh_count >= w.rdsh_count())
+    }
+
+    /// Figure 10(a)'s out-of-line call: every read but the leaf's.
+    #[inline(never)]
+    fn read_rest(&self, ts: &mut ThreadState, obj: &ObjHeader, o: ObjId, cur: u64) -> u64 {
+        let t = ts.tid;
+        let w = StateWord(cur);
+        if Self::read_is_same_state(ts, cur) {
+            ts.stats.bump(Event::OptSameState);
+        } else {
+            // A read whose Table 3 row is non-conflicting, of a state nobody
+            // holds write-locked, needs no transition: validate it against
+            // the state word just loaded instead of taking the row's read lock
+            // (DESIGN.md §12). On repeated invalidation it falls through to
+            // the slow path, which takes that lock.
+            let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
+                if let Some(v) = self.common.seqlock_read(ts, o, w) {
+                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
+                    ts.op_index += 1;
+                    return v;
+                }
+                None
+            } else if w.is_pess_unlocked() {
+                // Nearly every other pessimistic read: those five rows are
+                // tried here, before the cold path.
+                let step = self.lookup(ts, o, cur, Access::Read);
+                self.install(ts, o, step, &mut false)
+            } else {
+                None
+            };
+            match acquired.unwrap_or_else(|| self.slow(ts, o, Access::Read, false)) {
+                Outcome::ThenRelease => return self.read_then_release(ts, o),
+                Outcome::Read(v) => return v,
+                _ => {}
+            }
+        }
+        self.program_read(ts, obj, o)
+    }
+
+    /// A write's leaf (Figure 10(a)): only `WrExOpt(T)`, call-free, and
+    /// only while no trace sink would have to hear of it.
+    #[inline(always)]
     fn write_impl(&self, t: ThreadId, o: ObjId, v: u64, abortable: bool) -> Option<u64> {
         // SAFETY: attached thread (Tracker contract).
         let ts = unsafe { self.common.ts(t) };
@@ -562,9 +614,24 @@ impl<S: Support> HybridEngine<S> {
         // prove "this shard never touched o" only when it is true (§14).
         self.common.rt.stamp_access(t, o);
         let obj = self.common.rt.obj(o);
-        // Fast path (Figure 10(a)): only WrExOpt(T).
         let cur = obj.state().load(Ordering::Acquire);
-        if cur == StateWord::wr_ex_opt(t).0 {
+        if cur == StateWord::wr_ex_opt(t).0 && !self.common.rt.tracing_enabled() {
+            ts.stats.bump(Event::OptSameState);
+            ts.stats.bump(Event::Write);
+            let prev = obj.data_read();
+            obj.data_write(v);
+            ts.op_index += 1;
+            return Some(prev);
+        }
+        self.write_rest(ts, o, cur, v, abortable)
+    }
+
+    /// Figure 10(a)'s out-of-line call: every write but the leaf's. (Six
+    /// arguments travel in registers, so the leaf jumps here: no `obj`.)
+    #[inline(never)]
+    fn write_rest(&self, ts: &mut ThreadState, o: ObjId, cur: u64, v: u64, abortable: bool) -> Option<u64> {
+        let obj = self.common.rt.obj(o);
+        if cur == StateWord::wr_ex_opt(ts.tid).0 {
             ts.stats.bump(Event::OptSameState);
         } else {
             let w = StateWord(cur);
@@ -675,23 +742,13 @@ impl<S: Support> HybridEngine<S> {
 }
 
 impl<S: Support> Tracker for HybridEngine<S> {
-    fn rt(&self) -> &Arc<Runtime> {
-        &self.common.rt
-    }
+    tracker_via_common!();
 
     fn name(&self) -> &'static str {
         "hybrid"
     }
 
-    fn attach(&self) -> ThreadId {
-        self.common.attach()
-    }
-
-    fn detach(&self, t: ThreadId) {
-        // SAFETY: called from the attached thread (Tracker contract).
-        unsafe { self.common.detach(t) }
-    }
-
+    /// A read's leaf: Figure 10(a)'s compares, call-free, sink permitting.
     #[inline(always)]
     fn read(&self, t: ThreadId, o: ObjId) -> u64 {
         // SAFETY: attached thread.
@@ -701,42 +758,26 @@ impl<S: Support> Tracker for HybridEngine<S> {
         self.common.rt.stamp_access(t, o);
         let obj = self.common.rt.obj(o);
         let cur = obj.state().load(Ordering::Acquire);
-        let w = StateWord(cur);
-        // Fast path: exclusive owner, or read-shared with a fresh rdShCount
-        // (Table 1's Same∗ row) — loads and compares, no synchronization.
-        if cur == StateWord::wr_ex_opt(t).0
-            || cur == StateWord::rd_ex_opt(t).0
-            || (w.kind() == Kind::RdSh && !w.is_pess() && ts.rd_sh_count >= w.rdsh_count())
-        {
+        let quiet = !self.common.rt.tracing_enabled();
+        if quiet && Self::read_is_same_state(ts, cur) {
             ts.stats.bump(Event::OptSameState);
-        } else {
-            // A read whose Table 3 row is non-conflicting, of a state nobody
-            // holds write-locked, needs no transition: validate it against
-            // the state word just loaded instead of taking the row's read lock
-            // (DESIGN.md §12). On repeated invalidation it falls through to
-            // the slow path, which takes that lock.
-            let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
-                if let Some(v) = self.common.seqlock_read(ts, o, w) {
-                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
-                    ts.op_index += 1;
-                    return v;
-                }
-                None
-            } else if w.is_pess_unlocked() {
-                // Nearly every other pessimistic read: those five rows are
-                // tried here, before the cold path.
-                let step = self.lookup(ts, o, cur, Access::Read);
-                self.install(ts, o, step, &mut false)
-            } else {
-                None
-            };
-            match acquired.unwrap_or_else(|| self.slow(ts, o, Access::Read, false)) {
-                Outcome::ThenRelease => return self.read_then_release(ts, o),
-                Outcome::Read(v) => return v,
-                _ => {}
+            let v = obj.data_read();
+            ts.op_index += 1;
+            return v;
+        }
+        // The validated read's first attempt (DESIGN.md §12), while neither a
+        // sink nor schedule hooks want its events; a failed one is retried,
+        // and only then counted, by `seqlock_read` in the continuation.
+        if quiet && S::RELAXED_LOCKING && !self.common.rt.perturbing() && StateWord(cur).validated_read_ok(t) {
+            let v = obj.data_read();
+            fence(Ordering::Acquire);
+            if obj.state().load(Ordering::Relaxed) == cur {
+                ts.stats.bump(Event::SeqlockValidated);
+                ts.op_index += 1;
+                return v;
             }
         }
-        self.program_read(ts, obj, o)
+        self.read_rest(ts, obj, o, cur)
     }
 
     #[inline(always)]
@@ -756,35 +797,6 @@ impl<S: Support> Tracker for HybridEngine<S> {
         self.common.rt.stamp_access(owner, o);
         let obj = self.common.rt.obj(o);
         obj.state().store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn safepoint(&self, t: ThreadId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.poll(ts);
-    }
-
-    fn lock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_acquire(ts, m);
-    }
-
-    fn unlock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_release(ts, m);
-    }
-
-    fn wait(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_wait(ts, m);
-    }
-
-    fn notify_all(&self, t: ThreadId, m: MonitorId) {
-        self.common.rt.monitor_notify_all_from(m, t);
     }
 }
 

@@ -80,21 +80,10 @@ impl IdealEngine {
 }
 
 impl Tracker for IdealEngine {
-    fn rt(&self) -> &Arc<Runtime> {
-        &self.common.rt
-    }
+    tracker_via_common!();
 
     fn name(&self) -> &'static str {
         "ideal"
-    }
-
-    fn attach(&self) -> ThreadId {
-        self.common.attach()
-    }
-
-    fn detach(&self, t: ThreadId) {
-        // SAFETY: called from the attached thread (Tracker contract).
-        unsafe { self.common.detach(t) }
     }
 
     #[inline(always)]
@@ -141,35 +130,6 @@ impl Tracker for IdealEngine {
             .obj(o)
             .state()
             .store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn safepoint(&self, t: ThreadId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.poll(ts);
-    }
-
-    fn lock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_acquire(ts, m);
-    }
-
-    fn unlock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_release(ts, m);
-    }
-
-    fn wait(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_wait(ts, m);
-    }
-
-    fn notify_all(&self, t: ThreadId, m: MonitorId) {
-        self.common.rt.monitor_notify_all_from(m, t);
     }
 }
 

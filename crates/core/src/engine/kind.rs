@@ -1,15 +1,17 @@
 //! Runtime engine selection: one [`EngineKind`] enum over one table of
-//! configurations, one CLI parser, one constructor — and the object-safe
-//! erasure ([`AnyEngine`]) that lets a binary hold "some tracking engine"
-//! without monomorphizing per kind.
+//! configurations, one CLI parser, one constructor — and the erasure
+//! ([`AnyEngine`]) that lets a binary hold "some tracking engine" without
+//! monomorphizing per kind.
 //!
 //! A server-shaped consumer (`drink-serve`) holds *one* engine chosen at
 //! startup and must route every tracked access through it with zero
-//! per-engine code. [`Tracker`] is object-safe, so the erasure is a thin box:
-//! [`EngineKind::build`] returns an [`AnyEngine`] (a `Box<dyn Tracker>` plus
-//! the kind that built it), which itself implements [`Tracker`] — so
-//! `Session<'_, AnyEngine>` works unchanged and generic drivers accept erased
-//! engines without a separate code path.
+//! per-engine code. [`EngineKind::build`] returns an [`AnyEngine`] — an enum
+//! over the four engine types, plus the kind that built it — which itself
+//! implements [`Tracker`], so `Session<'_, AnyEngine>` works unchanged. An
+//! enum and not a box: Figure 10(a)'s same-state check is inlined at every
+//! access, which a pointer forbids. [`Tracker`] stays object-safe, and
+//! [`EngineKind::build_boxed`] is the concrete engine behind a plain box —
+//! what the enum's delegation is tested against.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -162,9 +164,8 @@ impl EngineKind {
         KINDS.iter().find(|r| r.short == s || r.aliases.contains(&s)).map(|r| r.kind)
     }
 
-    /// Construct the engine behind an object-safe box. The one constructor
-    /// match in the workspace; everything downstream goes through the erased
-    /// interface.
+    /// Construct the engine behind an object-safe box: the concrete engine
+    /// type, with no [`AnyEngine`] in between (the tests compare the two).
     pub fn build_boxed(self, rt: Arc<Runtime>) -> Box<DynTracker> {
         match self.row().engine {
             Engine::NoTracking => Box::new(NoTracking::new(rt)),
@@ -174,11 +175,18 @@ impl EngineKind {
         }
     }
 
-    /// Build this kind on a caller-provided runtime, erased. The runtime may
-    /// carry pre-registered hooks (the chaos harness) or a caller-tuned
-    /// config; it must be sized for the workload that will run.
+    /// Build this kind on a caller-provided runtime, erased: everything
+    /// downstream goes through [`AnyEngine`]. The runtime may carry
+    /// pre-registered hooks (the chaos harness) or a caller-tuned config; it
+    /// must be sized for the workload that will run.
     pub fn build(self, rt: Arc<Runtime>) -> AnyEngine {
-        AnyEngine { kind: self, inner: self.build_boxed(rt) }
+        let inner = match self.row().engine {
+            Engine::NoTracking => Inner::NoTracking(NoTracking::new(rt)),
+            Engine::Pessimistic => Inner::Pessimistic(PessimisticEngine::new(rt)),
+            Engine::Hybrid(cfg) => Inner::Hybrid(HybridEngine::with_config(rt, NullSupport, cfg())),
+            Engine::Ideal => Inner::Ideal(IdealEngine::new(rt)),
+        };
+        AnyEngine { kind: self, inner }
     }
 
     /// Build this kind on a fresh runtime constructed from `config`.
@@ -196,22 +204,24 @@ impl FromStr for EngineKind {
     }
 }
 
-/// A tracking engine selected at runtime: `Box<dyn Tracker>` plus the
-/// [`EngineKind`] that built it. Implements [`Tracker`] by delegation, so
-/// every generic consumer (`Session`, the workload driver, the serve store)
-/// accepts it unchanged — the virtual call per operation is the entire cost
-/// of erasure.
+/// A tracking engine selected at runtime: one of the four engine types, by
+/// value, plus the [`EngineKind`] that built it. Implements [`Tracker`] by
+/// delegation, so every generic consumer (`Session`, the workload driver, the
+/// serve store) accepts it unchanged. The cost of erasure is a branch on the
+/// variant: `read` / `write` / `safepoint` inline the engine's own leaf.
 pub struct AnyEngine {
     kind: EngineKind,
-    inner: Box<DynTracker>,
+    inner: Inner,
+}
+
+enum Inner {
+    NoTracking(NoTracking),
+    Pessimistic(PessimisticEngine),
+    Hybrid(HybridEngine<NullSupport>),
+    Ideal(IdealEngine),
 }
 
 impl AnyEngine {
-    /// Wrap an already-built engine under its kind tag.
-    pub fn from_boxed(kind: EngineKind, inner: Box<DynTracker>) -> Self {
-        AnyEngine { kind, inner }
-    }
-
     /// Which configuration built this engine.
     pub fn kind(&self) -> EngineKind {
         self.kind
@@ -224,12 +234,22 @@ impl std::fmt::Debug for AnyEngine {
     }
 }
 
-impl Tracker for AnyEngine {
-    #[inline]
-    fn rt(&self) -> &Arc<Runtime> {
-        self.inner.rt()
-    }
+/// [`Tracker`] methods that hand their arguments to the engine inside.
+macro_rules! delegate {
+    ($($(#[$attr:meta])* fn $name:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*) => {$(
+        $(#[$attr])*
+        fn $name(&self $(, $arg: $ty)*) $(-> $ret)? {
+            match &self.inner {
+                Inner::NoTracking(e) => e.$name($($arg),*),
+                Inner::Pessimistic(e) => e.$name($($arg),*),
+                Inner::Hybrid(e) => e.$name($($arg),*),
+                Inner::Ideal(e) => e.$name($($arg),*),
+            }
+        }
+    )*};
+}
 
+impl Tracker for AnyEngine {
     /// The name this kind's results report under: its own, so that the
     /// kinds sharing the hybrid engine's machinery stay distinguishable in
     /// bench tables and chaos matrices.
@@ -237,64 +257,23 @@ impl Tracker for AnyEngine {
         self.kind.row().name
     }
 
-    #[inline]
-    fn attach(&self) -> ThreadId {
-        self.inner.attach()
-    }
-
-    #[inline]
-    fn detach(&self, t: ThreadId) {
-        self.inner.detach(t)
-    }
-
-    #[inline]
-    fn read(&self, t: ThreadId, o: ObjId) -> u64 {
-        self.inner.read(t, o)
-    }
-
-    #[inline]
-    fn write(&self, t: ThreadId, o: ObjId, v: u64) {
-        self.inner.write(t, o, v)
-    }
-
-    #[inline]
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
-        self.inner.try_write(t, o, v)
-    }
-
-    #[inline]
-    fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        self.inner.alloc_init(o, owner)
-    }
-
-    #[inline]
-    fn alloc_init_read_shared(&self, o: ObjId) {
-        self.inner.alloc_init_read_shared(o)
-    }
-
-    #[inline]
-    fn safepoint(&self, t: ThreadId) {
-        self.inner.safepoint(t)
-    }
-
-    #[inline]
-    fn lock(&self, t: ThreadId, m: MonitorId) {
-        self.inner.lock(t, m)
-    }
-
-    #[inline]
-    fn unlock(&self, t: ThreadId, m: MonitorId) {
-        self.inner.unlock(t, m)
-    }
-
-    #[inline]
-    fn wait(&self, t: ThreadId, m: MonitorId) {
-        self.inner.wait(t, m)
-    }
-
-    #[inline]
-    fn notify_all(&self, t: ThreadId, m: MonitorId) {
-        self.inner.notify_all(t, m)
+    delegate! {
+        fn rt(&self) -> &Arc<Runtime>;
+        fn attach(&self) -> ThreadId;
+        fn detach(&self, t: ThreadId);
+        #[inline(always)]
+        fn read(&self, t: ThreadId, o: ObjId) -> u64;
+        #[inline(always)]
+        fn write(&self, t: ThreadId, o: ObjId, v: u64);
+        fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64>;
+        fn alloc_init(&self, o: ObjId, owner: ThreadId);
+        fn alloc_init_read_shared(&self, o: ObjId);
+        #[inline(always)]
+        fn safepoint(&self, t: ThreadId);
+        fn lock(&self, t: ThreadId, m: MonitorId);
+        fn unlock(&self, t: ThreadId, m: MonitorId);
+        fn wait(&self, t: ThreadId, m: MonitorId);
+        fn notify_all(&self, t: ThreadId, m: MonitorId);
     }
 }
 
@@ -302,6 +281,8 @@ impl Tracker for AnyEngine {
 mod tests {
     use super::*;
     use crate::session::Session;
+    use drink_runtime::Event;
+    use std::sync::atomic::Ordering;
 
     fn tiny_rt() -> Arc<Runtime> {
         Arc::new(Runtime::new(
@@ -309,21 +290,42 @@ mod tests {
         ))
     }
 
+    /// One single-thread script over every [`Tracker`] operation a session
+    /// drives. Returns every event count, every payload and every state word
+    /// it leaves behind.
+    fn script<T: Tracker + ?Sized>(engine: &T) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let s = Session::attach(engine);
+        s.alloc(ObjId(0));
+        s.write(ObjId(0), 41);
+        assert_eq!(s.read(ObjId(0)), 41);
+        s.synchronized(MonitorId(0), |s| s.write(ObjId(0), s.read(ObjId(0)) + 1));
+        engine.alloc_init_read_shared(ObjId(1));
+        assert_eq!(s.read(ObjId(1)), 0);
+        assert_eq!(engine.try_write(s.tid(), ObjId(2), 9), Some(0));
+        s.safepoint();
+        drop(s);
+        let heap = engine.rt().heap();
+        let report = engine.rt().stats().report();
+        (
+            Event::ALL.iter().map(|&e| report.get(e)).collect(),
+            heap.snapshot_data(),
+            heap.iter().map(|(_, o)| o.state().load(Ordering::SeqCst)).collect(),
+        )
+    }
+
+    /// Erasure parity: the enum's delegation leaves what the concrete engine
+    /// behind a bare `Box<dyn Tracker>` leaves, for every kind.
     #[test]
     fn every_kind_builds_and_serves_a_session() {
         for kind in EngineKind::ALL {
             let engine = kind.build(tiny_rt());
             assert_eq!(engine.kind(), kind);
-            let s = Session::attach(&engine);
-            s.alloc(ObjId(0));
-            s.write(ObjId(0), 41);
-            assert_eq!(s.read(ObjId(0)), 41);
-            s.synchronized(MonitorId(0), |s| s.write(ObjId(0), 42));
-            s.safepoint();
-            drop(s);
-            if kind != EngineKind::Baseline {
-                assert!(engine.rt().stats().report().accesses() >= 3, "{kind:?}");
-            }
+            let by_enum = script(&engine);
+            let by_box = script::<DynTracker>(&*kind.build_boxed(tiny_rt()));
+            assert_eq!(by_enum, by_box, "{kind:?}");
+            let accesses = engine.rt().stats().report().accesses();
+            assert_eq!(accesses, if kind == EngineKind::Baseline { 0 } else { 6 }, "{kind:?}");
+            assert_eq!(by_enum.1[..3], [42, 0, 9], "{kind:?}");
         }
     }
 

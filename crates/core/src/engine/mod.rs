@@ -31,6 +31,51 @@
 //! attached as that mutator (checked in debug builds); the `Session` façade
 //! makes this hard to get wrong.
 
+/// The [`Tracker`] methods that every engine built on an
+/// [`EngineCommon`](crate::common::EngineCommon) answers alike, from its
+/// `common` field: lifecycle, the safe point poll and the monitor operations.
+macro_rules! tracker_via_common {
+    () => {
+        fn rt(&self) -> &Arc<Runtime> {
+            &self.common.rt
+        }
+
+        fn attach(&self) -> ThreadId {
+            self.common.attach()
+        }
+
+        fn detach(&self, t: ThreadId) {
+            // SAFETY: called from the attached thread (Tracker contract).
+            unsafe { self.common.detach(t) }
+        }
+
+        #[inline(always)]
+        fn safepoint(&self, t: ThreadId) {
+            // SAFETY: attached thread.
+            self.common.poll(unsafe { self.common.ts(t) });
+        }
+
+        fn lock(&self, t: ThreadId, m: MonitorId) {
+            // SAFETY: attached thread.
+            self.common.monitor_acquire(unsafe { self.common.ts(t) }, m);
+        }
+
+        fn unlock(&self, t: ThreadId, m: MonitorId) {
+            // SAFETY: attached thread.
+            self.common.monitor_release(unsafe { self.common.ts(t) }, m);
+        }
+
+        fn wait(&self, t: ThreadId, m: MonitorId) {
+            // SAFETY: attached thread.
+            self.common.monitor_wait(unsafe { self.common.ts(t) }, m);
+        }
+
+        fn notify_all(&self, t: ThreadId, m: MonitorId) {
+            self.common.rt.monitor_notify_all_from(m, t);
+        }
+    };
+}
+
 pub mod hybrid;
 pub mod ideal;
 pub mod kind;
@@ -45,10 +90,11 @@ use drink_runtime::{MonitorId, ObjId, Runtime, ThreadId};
 
 /// Uniform interface over the tracking engines, used by workload drivers and
 /// the `Session` façade. Statically dispatched where a concrete engine type
-/// is in scope (the fast paths inline); deliberately **object-safe**, so
-/// binaries that select the engine at runtime erase it behind
-/// [`kind::AnyEngine`] / `Box<dyn Tracker>` instead of duplicating
-/// monomorphized dispatch arms.
+/// is in scope (the fast paths inline) and behind [`kind::AnyEngine`], the
+/// enum that binaries selecting the engine at runtime hold instead of
+/// duplicating monomorphized dispatch arms; deliberately **object-safe** as
+/// well, so an engine type the enum does not know still fits behind a
+/// `Box<dyn Tracker>`.
 pub trait Tracker: Send + Sync {
     /// The runtime this engine instruments.
     fn rt(&self) -> &Arc<Runtime>;

@@ -147,21 +147,10 @@ impl<S: Support> PessimisticEngine<S> {
 }
 
 impl<S: Support> Tracker for PessimisticEngine<S> {
-    fn rt(&self) -> &Arc<Runtime> {
-        &self.common.rt
-    }
+    tracker_via_common!();
 
     fn name(&self) -> &'static str {
         "pessimistic"
-    }
-
-    fn attach(&self) -> ThreadId {
-        self.common.attach()
-    }
-
-    fn detach(&self, t: ThreadId) {
-        // SAFETY: called from the attached thread (Tracker contract).
-        unsafe { self.common.detach(t) }
     }
 
     #[inline]
@@ -179,35 +168,6 @@ impl<S: Support> Tracker for PessimisticEngine<S> {
         self.common.rt.stamp_access(owner, o);
         let state = self.common.rt.obj(o).state();
         state.store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn safepoint(&self, t: ThreadId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.poll(ts);
-    }
-
-    fn lock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_acquire(ts, m);
-    }
-
-    fn unlock(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_release(ts, m);
-    }
-
-    fn wait(&self, t: ThreadId, m: MonitorId) {
-        // SAFETY: attached thread.
-        let ts = unsafe { self.common.ts(t) };
-        self.common.monitor_wait(ts, m);
-    }
-
-    fn notify_all(&self, t: ThreadId, m: MonitorId) {
-        self.common.rt.monitor_notify_all_from(m, t);
     }
 }
 

@@ -14,12 +14,13 @@ use crate::engine::Tracker;
 /// Not `Send`: the engine's per-thread state is owned by the attaching OS
 /// thread.
 ///
-/// `T` may be unsized (`T: ?Sized`), so a session attaches equally to a
-/// concrete engine (statically dispatched, fast paths inlined) or to an
-/// erased one — `dyn Tracker` behind an
-/// [`AnyEngine`](crate::engine::AnyEngine) or a plain `Box<dyn Tracker>` —
-/// which is how runtime-selected engines (the serve store, the bench bins)
-/// drive the same façade.
+/// A session attaches equally to a concrete engine, to an
+/// [`AnyEngine`](crate::engine::AnyEngine) — the enum over the engine types
+/// that runtime-selected engines (the serve store, the bench bins) drive the
+/// same façade through; either way `read` / `write` / `safepoint` inline the
+/// engine's leaf into the caller — or, since `T` may be unsized
+/// (`T: ?Sized`), to a plain `dyn Tracker`, at an indirect call an
+/// operation.
 pub struct Session<'e, T: Tracker + ?Sized> {
     engine: &'e T,
     t: ThreadId,

@@ -19,8 +19,9 @@
 //! debug builds) to come from the thread that first claimed the slot.
 
 use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 
-use drink_runtime::{LocalStats, ObjId, ThreadId};
+use drink_runtime::{LocalStats, ObjId, ThreadControl, ThreadId};
 
 use crate::word::LockMode;
 
@@ -188,10 +189,16 @@ impl<T> OwnedByThread<T> {
     }
 }
 
+/// A mutator's control block, located once so that a poll need not.
+struct ControlRef(NonNull<ThreadControl>);
+// SAFETY: stands for a `&ThreadControl`, and `ThreadControl` is `Sync`.
+unsafe impl Send for ControlRef {}
+
 /// The thread-private state of one mutator under any tracking engine.
 pub struct ThreadState {
     /// This mutator's id.
     pub tid: ThreadId,
+    ctl: ControlRef,
     /// Octet's `T.rdShCount`: the largest RdSh counter value this thread has
     /// fenced against.
     pub rd_sh_count: u64,
@@ -227,9 +234,15 @@ pub struct ThreadState {
 
 impl ThreadState {
     /// Fresh state for mutator `tid`, with object sets sized to the heap.
-    pub fn new(tid: ThreadId, heap_objects: usize) -> Self {
+    ///
+    /// # Safety
+    ///
+    /// `ctl` — `tid`'s control block — must outlive the returned state: an
+    /// engine's states sit beside the `Arc<Runtime>` whose registry owns it.
+    pub unsafe fn new(tid: ThreadId, heap_objects: usize, ctl: &ThreadControl) -> Self {
         ThreadState {
             tid,
+            ctl: ControlRef(NonNull::from(ctl)),
             rd_sh_count: 0,
             lock_buffer: Vec::with_capacity(64),
             rd_set: DenseObjSet::with_capacity(heap_objects),
@@ -240,6 +253,13 @@ impl ThreadState {
             obj_scratch: Vec::with_capacity(8),
             stats: LocalStats::new(),
         }
+    }
+
+    /// `Runtime::control(tid)`, without the lookup.
+    #[inline(always)]
+    pub fn control(&self) -> &ThreadControl {
+        // SAFETY: `new`'s caller keeps the block alive as long as `self`.
+        unsafe { self.ctl.0.as_ref() }
     }
 
     /// Record that this thread took `lock` on `o`'s state and defers its
@@ -277,6 +297,11 @@ impl ThreadState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn state(tid: ThreadId, heap_objects: usize) -> ThreadState {
+        // SAFETY: the leaked control block outlives every state.
+        unsafe { ThreadState::new(tid, heap_objects, Box::leak(Box::default())) }
+    }
 
     #[test]
     fn owned_by_thread_allows_owner_access() {
@@ -326,7 +351,7 @@ mod tests {
 
     #[test]
     fn fresh_thread_state_holds_no_locks() {
-        let ts = ThreadState::new(ThreadId(3), 64);
+        let ts = state(ThreadId(3), 64);
         assert!(ts.holds_no_locks());
         assert_eq!(ts.rd_sh_count, 0);
         assert_eq!(ts.op_index, 0);
@@ -380,7 +405,7 @@ mod tests {
 
     #[test]
     fn set_invariants_hold_through_lock_lifecycle() {
-        let mut ts = ThreadState::new(ThreadId(1), 32);
+        let mut ts = state(ThreadId(1), 32);
         ts.check_set_invariants();
         ts.push_lock(ObjId(3), LockMode::Write);
         ts.push_lock(ObjId(7), LockMode::Read);
@@ -397,14 +422,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "rd_set ⊄ lock_buffer")]
     fn set_invariants_catch_rd_set_escape() {
-        let mut ts = ThreadState::new(ThreadId(1), 32);
+        let mut ts = state(ThreadId(1), 32);
         ts.rd_set.insert(5);
         ts.check_set_invariants();
     }
 
     #[test]
     fn push_lock_keeps_buffer_and_read_set_in_sync() {
-        let mut ts = ThreadState::new(ThreadId(0), 32);
+        let mut ts = state(ThreadId(0), 32);
         ts.push_lock(ObjId(3), LockMode::Write);
         ts.push_lock(ObjId(7), LockMode::Read);
         assert!(!ts.rd_set.contains(3) && ts.rd_set.contains(7));

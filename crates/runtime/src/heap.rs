@@ -26,9 +26,10 @@
 //!   eliminating that false sharing at 2× the memory cost.
 //!
 //! The layout is fully encapsulated here: [`Heap::obj`] computes the header
-//! address from a base pointer and a stride, so engine code is identical
+//! address from a base pointer and a shift, so engine code is identical
 //! under both layouts and flipping the knob never touches `drink-core`.
 
+use std::mem::size_of;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::ids::ObjId;
@@ -113,8 +114,12 @@ struct PaddedSlot {
     header: ObjHeader,
 }
 
+// `Heap::obj` indexes by shift.
+const _: () =
+    assert!(size_of::<ObjHeader>().is_power_of_two() && size_of::<PaddedSlot>().is_power_of_two());
+
 /// Owning storage for the two layouts. Kept only for its `Drop`; all access
-/// goes through the base pointer + stride in [`Heap`].
+/// goes through the base pointer + shift in [`Heap`].
 #[derive(Debug)]
 enum Slots {
     // The boxes are never read through — they exist to own the allocation
@@ -132,10 +137,10 @@ enum Slots {
 /// [`Heap::reset_all`] or per-object resets.)
 #[derive(Debug)]
 pub struct Heap {
-    /// First header. Headers are `stride` bytes apart; the stride is the
+    /// First header. Headers are `1 << shift` bytes apart; the stride is the
     /// only thing the two layouts disagree on, so `obj()` is branch-free.
     base: *const u8,
-    stride: usize,
+    shift: u32,
     len: usize,
     _slots: Slots,
     /// Per-(object × thread-shard) access-epoch table (DESIGN.md §14),
@@ -187,7 +192,7 @@ impl Heap {
             let slots = v.into_boxed_slice();
             Heap {
                 base: slots.as_ptr().cast(),
-                stride: std::mem::size_of::<PaddedSlot>(),
+                shift: size_of::<PaddedSlot>().trailing_zeros(),
                 len: n,
                 _slots: Slots::Padded(slots),
                 epochs,
@@ -200,7 +205,7 @@ impl Heap {
             let slots = v.into_boxed_slice();
             Heap {
                 base: slots.as_ptr().cast(),
-                stride: std::mem::size_of::<ObjHeader>(),
+                shift: size_of::<ObjHeader>().trailing_zeros(),
                 len: n,
                 _slots: Slots::Compact(slots),
                 epochs,
@@ -316,11 +321,13 @@ impl Heap {
     #[inline(always)]
     pub fn obj(&self, o: ObjId) -> &ObjHeader {
         let i = o.index();
-        assert!(i < self.len, "ObjId {} out of range (heap len {})", o.0, self.len);
+        if i >= self.len {
+            crate::ids::out_of_range("ObjId", i, self.len);
+        }
         // Safety: i is in range; a header lives at every multiple of
-        // `stride` from `base` (offset 0 of its slot in both layouts), and
-        // the storage outlives `&self`.
-        unsafe { &*self.base.add(i * self.stride).cast::<ObjHeader>() }
+        // `1 << shift` from `base` (offset 0 of its slot in both layouts),
+        // and the storage outlives `&self`.
+        unsafe { &*self.base.add(i << self.shift).cast::<ObjHeader>() }
     }
 
     /// Iterate over `(ObjId, &ObjHeader)` pairs.

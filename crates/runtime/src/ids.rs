@@ -52,6 +52,14 @@ impl fmt::Display for ThreadId {
     }
 }
 
+/// A failed range check, out of line and on plain integers: no inlined copy
+/// of an access's fast path then builds `fmt::Arguments` on its stack.
+#[cold]
+#[inline(never)]
+pub(crate) fn out_of_range(what: &str, i: usize, len: usize) -> ! {
+    panic!("{what} {i} out of range (0..{len})")
+}
+
 /// Identifier of a tracked shared object: a dense index into the [`crate::Heap`].
 ///
 /// The paper uses the term "object" for any unit of shared memory (scalar

@@ -175,7 +175,9 @@ impl Registry {
     #[inline(always)]
     pub fn monitor(&self, m: MonitorId) -> &Monitor {
         let i = m.index();
-        assert!(i < self.n_monitors, "MonitorId {} out of range ({} monitors)", i, self.n_monitors);
+        if i >= self.n_monitors {
+            crate::ids::out_of_range("MonitorId", i, self.n_monitors);
+        }
         &self.shards[self.map.shard_of(i)].monitors[self.map.slot_of(i)]
     }
 

@@ -233,7 +233,14 @@ impl Runtime {
         self.sink = Some(sink);
     }
 
+    /// Whether a schedule-perturbation layer is registered.
+    #[inline(always)]
+    pub fn perturbing(&self) -> bool {
+        self.sched.is_some()
+    }
+
     /// Whether a trace sink is installed (tracing on).
+    #[inline(always)]
     pub fn tracing_enabled(&self) -> bool {
         self.sink.is_some()
     }

@@ -164,8 +164,10 @@ impl<'h> Spin<'h> {
     /// protocol on expiry; the hard-panic [`Spin::spin`] stays for waits
     /// where expiry can only mean a protocol bug (replay waits, lock-buffer
     /// flush waits). After an expiry the spinner keeps reporting `Expired`
-    /// on (every 32nd) subsequent step — callers are expected to stop.
-    #[inline]
+    /// on (every 32nd) subsequent step — callers are expected to stop. Never
+    /// inlined: its clock reads and yields stay out of the frame of the
+    /// access that lost a CAS.
+    #[inline(never)]
     pub fn checked_spin(&mut self) -> SpinOutcome {
         self.iters += 1;
         if let Some((sched, t)) = self.sched {

@@ -114,8 +114,10 @@ impl ServeConfig {
         if !(0.0..=1.0).contains(&self.read_frac) {
             return Err(format!("serve: read_frac {} outside [0, 1]", self.read_frac));
         }
-        if self.offered_rate <= 0.0 {
-            return Err("serve: offered_rate must be positive".into());
+        // `NaN <= 0.0` is false: a NaN (or infinite) rate would run every
+        // request 1 ns apart, a closed loop reported under that rate.
+        if !(self.offered_rate.is_finite() && self.offered_rate > 0.0) {
+            return Err(format!("serve: offered_rate {} must be positive and finite", self.offered_rate));
         }
         if self.requests_per_worker == 0 {
             return Err("serve: requests_per_worker must be >= 1".into());
@@ -481,6 +483,14 @@ mod tests {
         let mut cfg = ServeConfig::default();
         cfg.offered_rate = 0.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn offered_rates_that_are_not_positive_and_finite_are_rejected() {
+        for rate in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = ServeConfig { offered_rate: rate, ..ServeConfig::default() }.validate().unwrap_err();
+            assert!(err.contains(&format!("offered_rate {rate}")), "{err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Three legs, all required:
+# Seven legs, all required:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
@@ -50,6 +50,10 @@
 #   6. Table 3 in the check-invariants build: the row tests and the abstract
 #      model, so that every row the engine executes passes through
 #      `EngineCommon::publish`'s step assert.
+#   7. The same-state leaf in the plain release build
+#      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
+#      the first `ret` of the hybrid read, write and safe point, no indirect
+#      call behind `AnyEngine`.
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -166,5 +170,8 @@ scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validatio
 
 echo "=== check_gate: Table 3, every row through the step assert"
 cargo test -p drink-core --features check-invariants --test table3 --test table3_model
+
+echo "=== check_gate: the same-state access is a leaf (release build, no check-invariants)"
+scripts/fastpath_asm.sh
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"
