@@ -1,9 +1,10 @@
 //! # drink-bench: the evaluation harness
 //!
 //! One binary per table/figure of the paper's §7 (see `DESIGN.md`'s
-//! experiment index, E1–E9), plus the gated `hotpath` and `contention`
-//! microbenchmarks. This library holds the shared measurement and reporting
-//! plumbing.
+//! experiment index, E1–E9), plus `fastpath_probes` for
+//! `scripts/fastpath_asm.sh`. This library holds their shared measurement
+//! and table-printing plumbing. Timed comparisons across commits are the
+//! job of `benchmark/` (BENCHMARK.json), not of these binaries.
 //!
 //! ## Two overhead metrics
 //!
@@ -19,8 +20,6 @@
 //!   useful-work budget per access. This is platform-independent and carries
 //!   the figures' *shape* (who wins, by what factor, where the crossovers
 //!   are).
-
-pub mod report;
 
 use std::time::Duration;
 

@@ -428,6 +428,31 @@ mod tests {
             coordinate_with(&rt, me, PrevHolders::One(remote), None, &mut || responded += 1);
         assert_eq!(out, (CoordMode::Implicit, vec![(remote, 1)]));
         assert_eq!(responded, 0, "implicit coordination completes immediately");
+
+        // The unsharded all-others fan-out against n − 1 blocked peers:
+        // every peer resolved exactly once, by one epoch CAS each.
+        for n in [8, 16, 32, 64] {
+            let rt = Runtime::new(RuntimeConfig::builder().max_threads(n).shards(1).build());
+            let me = rt.register_thread();
+            let peers: Vec<ThreadId> = (1..n).map(|_| rt.register_thread()).collect();
+            let epochs: Vec<u64> = peers
+                .iter()
+                .map(|&t| {
+                    rt.control(t).bump_release_clock();
+                    rt.control(t).publish_blocked()
+                })
+                .collect();
+            let (mode, mut sources) =
+                coordinate_with(&rt, me, PrevHolders::AllOthers, None, &mut || responded += 1);
+            assert_eq!(mode, CoordMode::Implicit, "t={n}");
+            sources.sort();
+            assert_eq!(sources, peers.iter().map(|&t| (t, 1)).collect::<Vec<_>>(), "t={n}");
+            for (&t, &epoch) in peers.iter().zip(&epochs) {
+                let epoch = epoch + 1;
+                assert_eq!(rt.control(t).status(), ThreadStatus::Blocked { epoch }, "t={n}");
+            }
+        }
+        assert_eq!(responded, 0);
     }
 
     #[test]
@@ -775,58 +800,67 @@ mod tests {
     }
 
     /// Epoch skip: in a per-thread-sharded runtime, a fan-out naming an
-    /// object visits only the peers whose shards are stamped for it; the
-    /// skipped peers are vacuous (no source, no mode contribution), and an
-    /// all-skipped fan-out aggregates to Implicit exactly like no-peers.
+    /// object visits only the peers whose shards are stamped for it. At every
+    /// width four threads share the object — the requester and three blocked
+    /// peers — and the other n − 4 never poll: the sources are exactly the
+    /// three sharers, and no skipped peer is sent a request or has its status
+    /// word touched, so the fan-out's work tracks the sharer count, not the
+    /// registered count. Skipped peers are vacuous (no source, no mode
+    /// contribution), and an all-skipped fan-out aggregates to Implicit
+    /// exactly like no-peers.
     #[test]
     fn fanout_skips_unstamped_shards() {
-        let rt = Runtime::new(RuntimeConfig::builder().max_threads(16).shards(16).build());
-        let me = rt.register_thread();
-        let stamped = rt.register_thread();
-        let cold = rt.register_thread();
-        assert_eq!(rt.heap().thread_shards(), 16, "per-thread shard granularity");
-        let o = ObjId(3);
-        // Only `stamped`'s shard has ever touched `o`. `cold` never did; it
-        // also never polls, so visiting it would hang or trip a deadline.
-        rt.stamp_access(stamped, o);
-        // `stamped` is blocked, so the one visited peer resolves implicitly.
-        rt.control(stamped).bump_release_clock();
-        rt.control(stamped).publish_blocked();
-        let _ = cold;
+        for n in [8, 16, 32, 64] {
+            let rt = Runtime::new(
+                RuntimeConfig::builder().max_threads(n).shards(n).heap_objects(8).build(),
+            );
+            assert_eq!(rt.heap().thread_shards(), n, "per-thread shard granularity");
+            let me = rt.register_thread();
+            let peers: Vec<ThreadId> = (1..n).map(|_| rt.register_thread()).collect();
+            let o = ObjId(3);
+            // Only the sharers' shards (and ours) have ever touched `o`.
+            let sharers = [peers[0], peers[n / 2], peers[n - 2]];
+            rt.stamp_access(me, o);
+            for t in sharers {
+                rt.stamp_access(t, o);
+                rt.control(t).bump_release_clock();
+                rt.control(t).publish_blocked();
+            }
+            let cold: Vec<ThreadId> = peers.into_iter().filter(|t| !sharers.contains(t)).collect();
+            let before: Vec<ThreadStatus> = cold.iter().map(|&t| rt.control(t).status()).collect();
 
-        let (mode, sources) =
-            coordinate_with(&rt, me, PrevHolders::AllOthers, Some(o), &mut || {});
-        assert_eq!(mode, CoordMode::Implicit);
-        assert_eq!(sources, vec![(stamped, 1)], "only the stamped shard visited");
-        assert!(
-            !rt.control(cold).has_pending_requests(),
-            "skipped peer must see zero explicit requests"
-        );
+            // The deadline turns a visit to a never-polling peer into a
+            // failure instead of a hang; the blocked sharers need no wait.
+            let mut sources = Vec::new();
+            let deadline = Some(Duration::from_secs(1));
+            let all = PrevHolders::AllOthers;
+            let mode =
+                coordinate(&rt, me, all, Some(o), &mut || {}, &mut sources, &mut Vec::new(), deadline);
+            assert_eq!(mode, Some(CoordMode::Implicit), "t={n}");
+            sources.sort();
+            assert_eq!(sources, sharers.map(|t| (t, 1)), "t={n}: only the stamped shards visited");
+            for (&t, &status) in cold.iter().zip(&before) {
+                let ctl = rt.control(t);
+                assert!(!ctl.has_pending_requests(), "t={n}: skipped {t:?} was sent a request");
+                assert_eq!(ctl.status(), status, "t={n}: skipped {t:?}'s status word changed");
+            }
 
-        // A fan-out on a *different*, wholly-unstamped object skips everyone:
-        // vacuous, Implicit, and it completes instantly despite `cold`.
-        let o2 = ObjId(7);
-        let out = coordinate_with(&rt, me, PrevHolders::AllOthers, Some(o2), &mut || {});
-        assert_eq!(out, (CoordMode::Implicit, vec![]), "all-skipped aggregates like no-peers");
+            // A fan-out on a wholly-unstamped object skips everyone: vacuous,
+            // Implicit, and it completes at once despite the cold peers.
+            let out = coordinate_with(&rt, me, all, Some(ObjId(7)), &mut || {});
+            assert_eq!(out, (CoordMode::Implicit, vec![]), "all-skipped aggregates like no-peers");
 
-        // obj = None keeps the conservative visit-everyone behavior: `cold`
-        // would now be visited, so its inbox must receive a request.
-        let _ = coordinate(
-            &rt,
-            me,
-            PrevHolders::AllOthers,
-            None,
-            &mut || {},
-            &mut Vec::new(),
-            &mut Vec::new(),
-            Some(Duration::from_millis(20)),
-        );
-        assert!(
-            rt.control(cold).has_pending_requests(),
-            "obj=None fan-out still visits unstamped shards"
-        );
-        for req in rt.control(cold).take_requests() {
-            req.token.complete(rt.control(cold).bump_release_clock());
+            // obj = None keeps the conservative visit-everyone behavior: the
+            // cold peers are now visited, so their inboxes receive requests.
+            let short = Some(Duration::from_millis(20));
+            let _ = coordinate(&rt, me, all, None, &mut || {}, &mut Vec::new(), &mut Vec::new(), short);
+            for &t in &cold {
+                let ctl = rt.control(t);
+                assert!(ctl.has_pending_requests(), "obj=None fan-out still visits {t:?}");
+                for req in ctl.take_requests() {
+                    req.token.complete(ctl.bump_release_clock());
+                }
+            }
         }
     }
 

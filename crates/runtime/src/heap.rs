@@ -16,20 +16,10 @@
 //!
 //! # Layout
 //!
-//! The heap supports two storage layouts behind one access path:
-//!
-//! * **compact** (default): headers are packed back to back (32 bytes each).
-//!   Two neighboring objects share a cache line, so concurrent state-word
-//!   CASes on adjacent `ObjId`s false-share.
-//! * **padded**: each header is padded to its own 64-byte cache line
-//!   ([`RuntimeConfig::padded_headers`](crate::runtime::RuntimeConfig)),
-//!   eliminating that false sharing at 2× the memory cost.
-//!
-//! The layout is fully encapsulated here: [`Heap::obj`] computes the header
-//! address from a base pointer and a shift, so engine code is identical
-//! under both layouts and flipping the knob never touches `drink-core`.
+//! Headers are packed back to back, 32 bytes each, in one boxed slice. Two
+//! neighboring objects share a cache line, so concurrent state-word CASes on
+//! adjacent `ObjId`s false-share.
 
-use std::mem::size_of;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::ids::ObjId;
@@ -37,9 +27,8 @@ use crate::registry::ShardMap;
 
 /// One tracked shared object: state word + profile word + payload.
 ///
-/// `repr(C)` so the padded layout can rely on the header sitting at offset 0
-/// of its padded slot; `align(32)` keeps the compact layout's stride at half
-/// a cache line, so no header straddles one.
+/// `align(32)` makes the stride a power of two — [`Heap::obj`] indexes by
+/// shift, not multiply — and half a cache line, so no header straddles one.
 #[derive(Debug)]
 #[repr(C, align(32))]
 pub struct ObjHeader {
@@ -107,26 +96,7 @@ impl ObjHeader {
     }
 }
 
-/// An [`ObjHeader`] padded out to one cache line.
-#[derive(Debug, Default)]
-#[repr(C, align(64))]
-struct PaddedSlot {
-    header: ObjHeader,
-}
-
-// `Heap::obj` indexes by shift.
-const _: () =
-    assert!(size_of::<ObjHeader>().is_power_of_two() && size_of::<PaddedSlot>().is_power_of_two());
-
-/// Owning storage for the two layouts. Kept only for its `Drop`; all access
-/// goes through the base pointer + shift in [`Heap`].
-#[derive(Debug)]
-enum Slots {
-    // The boxes are never read through — they exist to own the allocation
-    // that `Heap::base` points into and free it on drop.
-    Compact(#[allow(dead_code)] Box<[ObjHeader]>),
-    Padded(#[allow(dead_code)] Box<[PaddedSlot]>),
-}
+const _: () = assert!(std::mem::size_of::<ObjHeader>() == 32);
 
 /// A fixed-size table of tracked objects.
 ///
@@ -137,12 +107,7 @@ enum Slots {
 /// [`Heap::reset_all`] or per-object resets.)
 #[derive(Debug)]
 pub struct Heap {
-    /// First header. Headers are `1 << shift` bytes apart; the stride is the
-    /// only thing the two layouts disagree on, so `obj()` is branch-free.
-    base: *const u8,
-    shift: u32,
-    len: usize,
-    _slots: Slots,
+    headers: Box<[ObjHeader]>,
     /// Per-(object × thread-shard) access-epoch table (DESIGN.md §14),
     /// row-major by object: `epochs[o * shards + s]` holds the heap
     /// generation at which some thread of registry shard `s` first accessed
@@ -159,59 +124,27 @@ pub struct Heap {
     epoch_gen: AtomicU64,
 }
 
-// Safety: the pointer field aliases the heap-allocated `_slots` storage,
-// whose element types (atomics) are Sync; `base` is never written through
-// except via those atomics.
-unsafe impl Send for Heap {}
-unsafe impl Sync for Heap {}
-
 impl Heap {
-    /// A heap of `n` zeroed objects in the compact (seed) layout.
+    /// A heap of `n` zeroed objects. Single thread shard (no access-epoch
+    /// table).
     pub fn new(n: usize) -> Self {
-        Self::with_layout(n, false)
-    }
-
-    /// A heap of `n` zeroed objects; `padded` selects one-header-per-cache-
-    /// line storage. Single thread shard (no access-epoch table).
-    pub fn with_layout(n: usize, padded: bool) -> Self {
-        Self::with_shards(n, padded, ShardMap::new(1))
+        Self::with_shards(n, ShardMap::new(1))
     }
 
     /// A heap of `n` zeroed objects with an access-epoch table indexed by
     /// `shard_map` (the runtime passes its registry's thread-shard mapping).
-    pub fn with_shards(n: usize, padded: bool, shard_map: ShardMap) -> Self {
+    pub fn with_shards(n: usize, shard_map: ShardMap) -> Self {
         let shards = shard_map.shards();
         let epochs = if shards > 1 {
             (0..n * shards).map(|_| AtomicU64::new(0)).collect::<Vec<_>>().into_boxed_slice()
         } else {
             Box::default()
         };
-        if padded {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, PaddedSlot::default);
-            let slots = v.into_boxed_slice();
-            Heap {
-                base: slots.as_ptr().cast(),
-                shift: size_of::<PaddedSlot>().trailing_zeros(),
-                len: n,
-                _slots: Slots::Padded(slots),
-                epochs,
-                shard_map,
-                epoch_gen: AtomicU64::new(1),
-            }
-        } else {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, ObjHeader::new);
-            let slots = v.into_boxed_slice();
-            Heap {
-                base: slots.as_ptr().cast(),
-                shift: size_of::<ObjHeader>().trailing_zeros(),
-                len: n,
-                _slots: Slots::Compact(slots),
-                epochs,
-                shard_map,
-                epoch_gen: AtomicU64::new(1),
-            }
+        Heap {
+            headers: (0..n).map(|_| ObjHeader::new()).collect(),
+            epochs,
+            shard_map,
+            epoch_gen: AtomicU64::new(1),
         }
     }
 
@@ -289,7 +222,7 @@ impl Heap {
     /// against the stamps the workload's access pattern implies.
     pub fn stamp_snapshot(&self) -> Vec<u64> {
         let shards = self.thread_shards().min(64);
-        (0..self.len)
+        (0..self.len())
             .map(|i| {
                 let o = ObjId(i as u32);
                 (0..shards).fold(0u64, |m, s| {
@@ -299,43 +232,31 @@ impl Heap {
             .collect()
     }
 
-    /// True if this heap pads each header to its own cache line.
-    pub fn is_padded(&self) -> bool {
-        matches!(self._slots, Slots::Padded(_))
-    }
-
     /// Number of objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.headers.len()
     }
 
     /// True if the heap holds no objects.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.headers.is_empty()
     }
 
     /// The object with id `o`. Panics on out-of-range ids (a workload bug,
     /// never a protocol condition).
     #[inline(always)]
     pub fn obj(&self, o: ObjId) -> &ObjHeader {
-        let i = o.index();
-        if i >= self.len {
-            crate::ids::out_of_range("ObjId", i, self.len);
+        match self.headers.get(o.index()) {
+            Some(h) => h,
+            None => crate::ids::out_of_range("ObjId", o.index(), self.len()),
         }
-        // Safety: i is in range; a header lives at every multiple of
-        // `1 << shift` from `base` (offset 0 of its slot in both layouts),
-        // and the storage outlives `&self`.
-        unsafe { &*self.base.add(i << self.shift).cast::<ObjHeader>() }
     }
 
     /// Iterate over `(ObjId, &ObjHeader)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ObjId, &ObjHeader)> {
-        (0..self.len).map(|i| {
-            let id = ObjId(i as u32);
-            (id, self.obj(id))
-        })
+        self.headers.iter().enumerate().map(|(i, h)| (ObjId(i as u32), h))
     }
 
     /// Store `state` into every object's state word and clear profiles/data.
@@ -383,27 +304,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_obj_panics_padded() {
-        let h = Heap::with_layout(2, true);
-        h.obj(ObjId(2));
-    }
-
-    #[test]
     fn reset_all_clears_words() {
-        for padded in [false, true] {
-            let h = Heap::with_layout(3, padded);
-            for (_, o) in h.iter() {
-                o.data_write(5);
-                o.state().store(123, Ordering::SeqCst);
-                o.profile().store(9, Ordering::SeqCst);
-            }
-            h.reset_all(77);
-            for (_, o) in h.iter() {
-                assert_eq!(o.data_read(), 0);
-                assert_eq!(o.state().load(Ordering::SeqCst), 77);
-                assert_eq!(o.profile().load(Ordering::SeqCst), 0);
-            }
+        let h = Heap::new(3);
+        for (_, o) in h.iter() {
+            o.data_write(5);
+            o.state().store(123, Ordering::SeqCst);
+            o.profile().store(9, Ordering::SeqCst);
+        }
+        h.reset_all(77);
+        for (_, o) in h.iter() {
+            assert_eq!(o.data_read(), 0);
+            assert_eq!(o.state().load(Ordering::SeqCst), 77);
+            assert_eq!(o.profile().load(Ordering::SeqCst), 0);
         }
     }
 
@@ -425,29 +337,13 @@ mod tests {
     #[test]
     fn layout_strides() {
         assert_eq!(std::mem::size_of::<ObjHeader>(), 32);
-        assert_eq!(std::mem::size_of::<PaddedSlot>(), 64);
-        let compact = Heap::new(4);
-        let padded = Heap::with_layout(4, true);
-        assert!(!compact.is_padded());
-        assert!(padded.is_padded());
-        let gap = |h: &Heap| {
-            let a = h.obj(ObjId(0)) as *const _ as usize;
-            let b = h.obj(ObjId(1)) as *const _ as usize;
-            b - a
-        };
-        assert_eq!(gap(&compact), 32);
-        assert_eq!(gap(&padded), 64);
-        // Padded headers never share a cache line.
-        assert_eq!(padded.obj(ObjId(1)) as *const _ as usize % 64, 0);
-    }
-
-    #[test]
-    fn padded_heap_behaves_identically() {
-        let h = Heap::with_layout(6, true);
-        h.obj(ObjId(5)).data_write(7);
-        h.obj(ObjId(5)).state().store(1, Ordering::SeqCst);
-        assert_eq!(h.snapshot_data(), vec![0, 0, 0, 0, 0, 7]);
-        assert_eq!(h.iter().count(), 6);
+        assert_eq!(std::mem::align_of::<ObjHeader>(), 32);
+        let h = Heap::new(4);
+        let addr = |i| h.obj(ObjId(i)) as *const ObjHeader as usize;
+        assert_eq!(addr(1) - addr(0), 32);
+        assert_eq!(addr(3) - addr(0), 96);
+        // No header straddles a cache line.
+        assert!((0..4).all(|i| addr(i) % 64 + 32 <= 64));
     }
 
     #[test]
@@ -461,27 +357,25 @@ mod tests {
 
     #[test]
     fn stamps_are_per_object_per_shard_and_reset_invalidates() {
-        for padded in [false, true] {
-            let h = Heap::with_shards(3, padded, ShardMap::new(4));
-            assert_eq!(h.thread_shards(), 4);
-            assert!(!h.shard_stamped(ObjId(1), 2));
-            h.stamp_access(ObjId(1), 2);
-            assert!(h.shard_stamped(ObjId(1), 2), "padded={padded}");
-            // Neither neighboring objects nor neighboring shards are stamped.
-            assert!(!h.shard_stamped(ObjId(0), 2));
-            assert!(!h.shard_stamped(ObjId(2), 2));
-            assert!(!h.shard_stamped(ObjId(1), 1));
-            assert!(!h.shard_stamped(ObjId(1), 3));
-            assert_eq!(h.stamp_snapshot(), vec![0, 1 << 2, 0]);
-            // Bulk reset invalidates every stamp without touching the table.
-            let gen = h.epoch_generation();
-            h.reset_all(0);
-            assert_eq!(h.epoch_generation(), gen + 1);
-            assert!(!h.shard_stamped(ObjId(1), 2));
-            // Re-stamping in the new generation works.
-            h.stamp_access(ObjId(1), 2);
-            assert!(h.shard_stamped(ObjId(1), 2));
-        }
+        let h = Heap::with_shards(3, ShardMap::new(4));
+        assert_eq!(h.thread_shards(), 4);
+        assert!(!h.shard_stamped(ObjId(1), 2));
+        h.stamp_access(ObjId(1), 2);
+        assert!(h.shard_stamped(ObjId(1), 2));
+        // Neither neighboring objects nor neighboring shards are stamped.
+        assert!(!h.shard_stamped(ObjId(0), 2));
+        assert!(!h.shard_stamped(ObjId(2), 2));
+        assert!(!h.shard_stamped(ObjId(1), 1));
+        assert!(!h.shard_stamped(ObjId(1), 3));
+        assert_eq!(h.stamp_snapshot(), vec![0, 1 << 2, 0]);
+        // Bulk reset invalidates every stamp without touching the table.
+        let gen = h.epoch_generation();
+        h.reset_all(0);
+        assert_eq!(h.epoch_generation(), gen + 1);
+        assert!(!h.shard_stamped(ObjId(1), 2));
+        // Re-stamping in the new generation works.
+        h.stamp_access(ObjId(1), 2);
+        assert!(h.shard_stamped(ObjId(1), 2));
     }
 
     use proptest::prelude::*;
@@ -498,7 +392,7 @@ mod tests {
             ops in proptest::collection::vec((0usize..8, 0usize..8, 0usize..10), 0..64),
         ) {
             let map = ShardMap::new(shards);
-            let h = Heap::with_shards(objs, false, map);
+            let h = Heap::with_shards(objs, map);
             let mut live: std::collections::HashSet<(usize, usize)> = Default::default();
             for (o, s, roll) in ops {
                 let (o, s) = (o % objs, s % map.shards());

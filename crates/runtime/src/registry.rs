@@ -101,7 +101,8 @@ struct RegistryShard {
 /// Ids stay dense and are assigned in registration order exactly as before;
 /// only the *storage* is sharded. Lookup is two indexings
 /// (`shards[id & mask].controls[id >> shift]`) instead of one, which the
-/// hot-path bench gate bounds.
+/// safe-point poll does not pay: it reads the control block an engine
+/// resolved at attach (DESIGN.md §8).
 #[derive(Debug)]
 pub struct Registry {
     shards: Box<[RegistryShard]>,

@@ -40,12 +40,6 @@ pub struct RuntimeConfig {
     /// `DRINK_SPIN_BUDGET_MS`: the env var bounds hangs, and a deadline that
     /// expires cleanly is not a hang.
     pub coord_deadline: Duration,
-    /// Pad each object header to its own 64-byte cache line so neighboring
-    /// objects' state-word CASes stop false-sharing. Off by default: the
-    /// compact layout is the seed layout the paper-comparison numbers use.
-    /// The layout is fully encapsulated in [`crate::heap::Heap`]; flipping
-    /// this never requires engine-code changes.
-    pub padded_headers: bool,
     /// Per-thread trace ring capacity (events). `0` (the default) disables
     /// tracing entirely: no sink is installed and every trace site reduces
     /// to one branch. Non-zero auto-installs a [`RingTraceSink`] holding the
@@ -69,7 +63,6 @@ impl Default for RuntimeConfig {
             spin_budget: crate::spin::DEFAULT_BUDGET,
             monitor_spin_iters: 300,
             coord_deadline: Duration::ZERO,
-            padded_headers: false,
             trace_capacity: 0,
             shards: 0,
         }
@@ -139,12 +132,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Pad each object header to its own cache line.
-    pub fn padded_headers(mut self, padded: bool) -> Self {
-        self.config.padded_headers = padded;
-        self
-    }
-
     /// Per-thread trace ring capacity; non-zero enables tracing.
     pub fn trace_capacity(mut self, events: usize) -> Self {
         self.config.trace_capacity = events;
@@ -199,7 +186,7 @@ impl Runtime {
         assert!(config.max_threads <= ThreadId::MAX, "too many threads");
         let map = config.shard_map();
         let registry = Registry::new(config.max_threads, config.monitors, map);
-        let heap = Heap::with_shards(config.heap_objects, config.padded_headers, map);
+        let heap = Heap::with_shards(config.heap_objects, map);
         let sink: Option<Arc<dyn TraceSink>> = (config.trace_capacity > 0)
             .then(|| {
                 Arc::new(RingTraceSink::new(config.max_threads, config.trace_capacity))
@@ -516,7 +503,6 @@ mod tests {
             .spin_budget(Duration::from_millis(123))
             .monitor_spin_iters(9)
             .coord_deadline(Duration::from_millis(45))
-            .padded_headers(true)
             .trace_capacity(64)
             .shards(3)
             .build();
@@ -526,7 +512,6 @@ mod tests {
         assert_eq!(built.spin_budget, Duration::from_millis(123));
         assert_eq!(built.monitor_spin_iters, 9);
         assert_eq!(built.coord_deadline, Duration::from_millis(45));
-        assert!(built.padded_headers);
         assert_eq!(built.trace_capacity, 64);
         assert_eq!(built.shards, 3);
         assert_eq!(built.shard_map().shards(), 4, "explicit shards round to pow2");

@@ -144,8 +144,8 @@ impl<'h> Spin<'h> {
     /// of nanoseconds, not a scheduling quantum. An earlier version of this
     /// loop called `Instant::now()` *and* `yield_now()` on every iteration
     /// past 16; under 8-thread RdSh fan-outs (where every waiter sits right
-    /// in this window) that clock/syscall churn was the dominant cost — the
-    /// `opt_access_t8` collapse in BENCH_contention.json. (3) Iteration 128
+    /// in this window) that clock/syscall churn was the dominant cost of
+    /// pure-optimistic tracking at 8 threads. (3) Iteration 128
     /// on: yield to the OS scheduler each step — the protocols here wait on
     /// *other threads'* progress, so a long spinner that never yielded would
     /// starve exactly the thread being waited for on oversubscribed machines

@@ -5,72 +5,62 @@
 //!
 //! * **default (CLI)** — one run with the flags below, printing throughput
 //!   and the service/sojourn percentile table;
-//! * **`--smoke [out.json]`** — a short fixed-rate run asserting nonzero
-//!   throughput, a clean quiescent store check, and a report
-//!   export/parse round trip. Exit 0 clean, 1 check failure, 2 usage.
+//! * **`--smoke`** — a short fixed-rate run asserting nonzero throughput
+//!   and a clean quiescent store check. It takes no other arguments.
+//!
+//! Exit 0 clean, 1 check failure, 2 usage (an unknown argument, a flag
+//! without its value, or a rejected config).
 //!
 //! ```bash
 //! drink-serve [--engine KIND] [--threads N] [--rate RPS] [--requests N]
 //!             [--zipf S] [--read-frac F] [--keys N] [--users N] [--seed N]
-//! drink-serve --smoke [out.json]
+//! drink-serve --smoke
 //! ```
 
-use drink_bench::report::Report;
+use std::fmt::Display;
+
 use drink_core::EngineKind;
 use drink_serve::{run_serve, ServeConfig, ServeResult};
 
-fn arg_after(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn usage_error(msg: impl Display) -> ! {
+    eprintln!("drink-serve: {msg}");
+    std::process::exit(2);
 }
 
-fn parse_or_usage<T: std::str::FromStr>(v: String, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("drink-serve: bad {what}: {v}");
-        std::process::exit(2);
-    })
+fn parse_or_usage<T: std::str::FromStr>(v: &str, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| usage_error(format_args!("bad {what}: {v}")))
 }
 
 fn config_from_args(args: &[String]) -> ServeConfig {
     let mut cfg = ServeConfig::default();
-    if let Some(name) = arg_after(args, "--engine") {
-        cfg.engine = EngineKind::parse(&name).unwrap_or_else(|| {
-            eprintln!(
-                "drink-serve: unknown engine {name:?} (expected {})",
-                EngineKind::CLI_NAMES
-            );
-            std::process::exit(2);
-        });
-    }
-    if let Some(v) = arg_after(args, "--threads") {
-        cfg.workers = parse_or_usage(v, "--threads");
-    }
-    if let Some(v) = arg_after(args, "--rate") {
-        cfg.offered_rate = parse_or_usage(v, "--rate");
-    }
-    if let Some(v) = arg_after(args, "--requests") {
-        cfg.requests_per_worker = parse_or_usage(v, "--requests");
-    }
-    if let Some(v) = arg_after(args, "--zipf") {
-        cfg.zipf_s = parse_or_usage(v, "--zipf");
-    }
-    if let Some(v) = arg_after(args, "--read-frac") {
-        cfg.read_frac = parse_or_usage(v, "--read-frac");
-    }
-    if let Some(v) = arg_after(args, "--keys") {
-        cfg.keys = parse_or_usage(v, "--keys");
-    }
-    if let Some(v) = arg_after(args, "--users") {
-        cfg.users = parse_or_usage(v, "--users");
-    }
-    if let Some(v) = arg_after(args, "--seed") {
-        cfg.seed = parse_or_usage(v, "--seed");
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_error(format_args!("{flag} needs a value")));
+        match flag.as_str() {
+            "--engine" => {
+                let name = value();
+                cfg.engine = EngineKind::parse(name).unwrap_or_else(|| {
+                    usage_error(format_args!(
+                        "unknown engine {name:?} (expected {})",
+                        EngineKind::CLI_NAMES
+                    ))
+                });
+            }
+            "--threads" => cfg.workers = parse_or_usage(value(), flag),
+            "--rate" => cfg.offered_rate = parse_or_usage(value(), flag),
+            "--requests" => cfg.requests_per_worker = parse_or_usage(value(), flag),
+            "--zipf" => cfg.zipf_s = parse_or_usage(value(), flag),
+            "--read-frac" => cfg.read_frac = parse_or_usage(value(), flag),
+            "--keys" => cfg.keys = parse_or_usage(value(), flag),
+            "--users" => cfg.users = parse_or_usage(value(), flag),
+            "--seed" => cfg.seed = parse_or_usage(value(), flag),
+            "--smoke" => usage_error("--smoke takes no other arguments"),
+            _ => usage_error(format_args!("unknown argument {flag:?}")),
+        }
     }
     if let Err(e) = cfg.validate() {
-        eprintln!("drink-serve: {e}");
-        std::process::exit(2);
+        usage_error(e);
     }
     cfg
 }
@@ -98,7 +88,7 @@ fn print_result(r: &ServeResult) {
     );
 }
 
-fn smoke(out: &str) {
+fn smoke() {
     // Short but genuinely rate-limited: the smoke leg also proves the
     // open-loop pacing path (idle-wait + safepoint) works end to end.
     let cfg = ServeConfig {
@@ -118,30 +108,13 @@ fn smoke(out: &str) {
         eprintln!("drink-serve: smoke store check failed: {e}");
         std::process::exit(1);
     }
-    // Histogram → report → disk → parse round trip.
-    let mut report = Report::new("drink-serve/smoke");
-    report.push_throughput("serve_smoke_tput".into(), r.accounting.completions, r.throughput_rps, 4);
-    report.push_threaded("serve_smoke_sojourn_p99".into(), r.accounting.completions, r.sojourn_pct(99.0) as f64, 4);
-    report.write(out).unwrap_or_else(|e| {
-        eprintln!("drink-serve: cannot write: {e}");
-        std::process::exit(2);
-    });
-    let back = Report::load(out).unwrap_or_else(|e| {
-        eprintln!("drink-serve: smoke report failed to re-load: {e}");
-        std::process::exit(1);
-    });
-    if back != report {
-        eprintln!("drink-serve: smoke report round trip diverged");
-        std::process::exit(1);
-    }
-    println!("serve smoke OK ({} completions, report round trip clean)", r.accounting.completions);
+    println!("serve smoke OK ({} completions)", r.accounting.completions);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--smoke") {
-        let out = args.get(1).cloned().unwrap_or_else(|| "SERVE_smoke.json".to_string());
-        smoke(&out);
+    if args == ["--smoke"] {
+        smoke();
         return;
     }
     let cfg = config_from_args(&args);

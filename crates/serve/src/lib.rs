@@ -1,7 +1,7 @@
 //! `drink-serve`: an open-loop KV/session-store macro-benchmark.
 //!
-//! The microbenchmarks (`hotpath`, `contention`) measure tracked operations
-//! in a closed loop: each thread issues the next access the moment the
+//! The workload drivers behind the paper's experiments run tracked
+//! operations in a closed loop: each thread issues the next access the moment the
 //! previous one retires, so they report *capacity*. A service does not work
 //! like that — requests arrive on their own clock, and when the store falls
 //! behind, latency (not throughput) absorbs the damage. This crate drives
@@ -24,9 +24,9 @@
 //!   per-engine match arms.
 //!
 //! Latencies flow through the runtime's log₂ histogram plumbing
-//! ([`LatencyKind::ServeService`] / [`LatencyKind::ServeSojourn`]), so the
-//! schema-v5 bench report rows are derived the same way as every other
-//! percentile metric in the suite.
+//! ([`LatencyKind::ServeService`] / [`LatencyKind::ServeSojourn`]), so serve
+//! percentiles are derived the same way as every other percentile metric in
+//! the suite.
 
 pub mod gen;
 pub mod store;
@@ -110,6 +110,11 @@ impl ServeConfig {
         }
         if self.users < self.workers as u64 {
             return Err("serve: user population smaller than worker count".into());
+        }
+        // A NaN exponent makes every CDF entry but the last NaN, and every
+        // sample then lands on key 0.
+        if !(self.zipf_s.is_finite() && self.zipf_s >= 0.0) {
+            return Err(format!("serve: zipf_s {} must be finite and >= 0", self.zipf_s));
         }
         if !(0.0..=1.0).contains(&self.read_frac) {
             return Err(format!("serve: read_frac {} outside [0, 1]", self.read_frac));
@@ -491,6 +496,12 @@ mod tests {
             let err = ServeConfig { offered_rate: rate, ..ServeConfig::default() }.validate().unwrap_err();
             assert!(err.contains(&format!("offered_rate {rate}")), "{err}");
         }
+        // The Zipf exponent likewise; 0 is uniform and stays valid.
+        for s in [f64::NAN, f64::INFINITY, -1.0] {
+            let err = ServeConfig { zipf_s: s, ..ServeConfig::default() }.validate().unwrap_err();
+            assert!(err.contains(&format!("zipf_s {s}")), "{err}");
+        }
+        assert_eq!(ServeConfig { zipf_s: 0.0, ..ServeConfig::default() }.validate(), Ok(()));
     }
 
     #[test]

@@ -360,4 +360,27 @@ mod tests {
             "object-level DRF must imply contention-free deferred unlocking"
         );
     }
+
+    #[test]
+    fn read_mostly_shared_data_is_never_fanned_out() {
+        // `chaosReadMostly` with no locks, races or work: 90% of steps read
+        // the standing RdSh region. Seqlock-validated reads serve them, and
+        // no read of data nobody writes coordinates with all peers.
+        for threads in [2, 4] {
+            let spec = WorkloadSpec {
+                threads,
+                steps_per_thread: 2_000,
+                locked_frac: 0.0,
+                racy_frac: 0.0,
+                shared_read_frac: 0.9,
+                local_work: 0,
+                cs_work: 0,
+                monitor_spin: None,
+                ..crate::spec::chaos_read_mostly(0xD0_17EA)
+            };
+            let r = run_kind(EngineKind::Hybrid, &spec);
+            assert_eq!(r.report.get(Event::CoordFanout), 0, "t={threads}");
+            assert!(r.report.validated_reads() > 0, "t={threads}: no seqlock-validated reads");
+        }
+    }
 }

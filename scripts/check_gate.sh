@@ -3,11 +3,12 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Seven legs, all required:
+# Eight legs, all required:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
-#      release build — and hence the hot-path bench — never pays for it).
+#      release build — and hence the benchmark and the fast-path probes —
+#      never pays for it).
 #   2. Clean fixed-seed smoke matrix: 3 engines x 4 seeds x 4 workloads
 #      plus the differential / seqlock / replay / RS oracles. Must pass.
 #   3. Canaries: re-run the matrix with a deliberately injected protocol
@@ -50,7 +51,10 @@
 #   6. Table 3 in the check-invariants build: the row tests and the abstract
 #      model, so that every row the engine executes passes through
 #      `EngineCommon::publish`'s step assert.
-#   7. The same-state leaf in the plain release build
+#   7. The open-loop KV-store server's smoke in the plain release build
+#      (`drink-serve --smoke`, DESIGN.md s15): a rate-limited hybrid run with
+#      nonzero throughput and a clean quiescent store check.
+#   8. The same-state leaf in the plain release build
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
 #      the first `ret` of the hybrid read, write and safe point, no indirect
 #      call behind `AnyEngine`.
@@ -170,6 +174,10 @@ scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validatio
 
 echo "=== check_gate: Table 3, every row through the step assert"
 cargo test -p drink-core --features check-invariants --test table3 --test table3_model
+
+echo "=== check_gate: drink-serve smoke (release build, no check-invariants)"
+cargo build --release -p drink-serve
+./target/release/drink-serve --smoke
 
 echo "=== check_gate: the same-state access is a leaf (release build, no check-invariants)"
 scripts/fastpath_asm.sh
