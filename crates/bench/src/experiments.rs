@@ -1,0 +1,463 @@
+//! The experiments, one function each, in DESIGN.md §4's order.
+
+use std::cell::{Cell, RefCell};
+use std::time::Duration;
+
+use drink_core::prelude::{HybridConfig, NullSupport, PaperModel, PolicyParams, SelfReadMode};
+use drink_runtime::Event;
+use drink_workloads::{
+    profiles, racy_inc, record, replay, run_rs, sync_inc, EngineKind, PaperRef, RecordOutcome,
+    RecorderKind, RsKind, WorkloadSpec,
+};
+use EngineKind::{Adaptive, Baseline, Hybrid, HybridInfiniteCutoff, Ideal, Optimistic, Pessimistic};
+
+use crate::{cost, geomean_overhead, measure, sci, Config, Ctx, Experiment, Line, Samples, Table};
+
+/// The experiment index (DESIGN.md §4).
+#[rustfmt::skip]
+pub const EXPERIMENTS: [Experiment; 10] = [
+    Experiment { id: "E1", name: "cost_table", artifact: "§2.2 per-transition cost table", run: cost::cost_table },
+    Experiment { id: "E2", name: "fig6_conflict_cdf", artifact: "Figure 6 (per-object conflict CDF) + profile calibration", run: fig6 },
+    Experiment { id: "E3", name: "table2_transitions", artifact: "Table 2 (state-transition counts)", run: table2 },
+    Experiment { id: "E4", name: "fig7_tracking_overhead", artifact: "Figure 7 (tracking-alone overhead) + adaptive acceptance", run: fig7 },
+    Experiment { id: "E5", name: "fig8_microbench", artifact: "Figure 8 (syncInc / racyInc stress tests)", run: fig8 },
+    Experiment { id: "E6", name: "fig9a_record_replay", artifact: "Figure 9(a) (recorders & replayers)", run: fig9a },
+    Experiment { id: "E7", name: "fig9b_rs_enforcer", artifact: "Figure 9(b) (RS enforcers)", run: fig9b },
+    Experiment { id: "E8", name: "e8_policy_sweep", artifact: "§7.3 policy-parameter sensitivity", run: e8 },
+    Experiment { id: "E9", name: "e9_wrex_rlock_ablation", artifact: "§7.1 extraneous-contention ablation", run: e9 },
+    Experiment { id: "E10", name: "e10_deferred_unlock_ablation", artifact: "§3.1 deferred unlocking vs. the paper's initial eager design", run: e10 },
+];
+
+/// The named profiles at `ctx`'s scale, in Table 2 order.
+fn profile_specs(ctx: &Ctx, names: &[&str]) -> Vec<WorkloadSpec> {
+    let profiles = profiles::scaled(ctx.scale).into_iter();
+    profiles.filter(|p| names.contains(&p.spec.name.as_str())).map(|p| p.spec).collect()
+}
+
+/// A `wall% / model%` cell.
+fn overhead_cell(s: &Samples, base: &Samples) -> String {
+    format!("{:.0}/{:.0}", s.wall_pct(base), s.model_pct())
+}
+
+/// `scale · num / den` with `digits` decimals, or `-` when `den` is 0.
+fn ratio(num: u64, den: u64, scale: f64, digits: usize) -> String {
+    if den == 0 {
+        return "-".into();
+    }
+    format!("{:.*}", digits, scale * num as f64 / den as f64)
+}
+
+/// The geomean of each column, as whole percent.
+fn geomeans(cols: &[Vec<f64>]) -> Vec<String> {
+    cols.iter().map(|c| format!("{:.0}", geomean_overhead(c))).collect()
+}
+
+/// A line of fixed text cells.
+fn fixed(cells: &[&str]) -> Vec<String> {
+    cells.iter().map(|c| c.to_string()).collect()
+}
+
+/// A check over `n` cases that held unless some `failed`.
+fn count_check(what: String, n: usize, failed: &[String]) -> (String, bool) {
+    let which = if failed.is_empty() { String::new() } else { format!(" (not: {})", failed.join(", ")) };
+    (format!("{what}: {}/{n}{which}", n - failed.len()), failed.is_empty())
+}
+
+/// The {low, mid, high, racy} cluster a paper program falls in.
+fn character(p: &PaperRef) -> &'static str {
+    match p.conflict_rate() {
+        _ if p.pess_contended > 1e5 => "racy",
+        r if r > 1e-3 => "high-conf",
+        r if r > 1e-4 => "mid-conf",
+        _ => "low-conf",
+    }
+}
+
+/// E2: **Figure 6** — under optimistic tracking, for each `x` the percentage
+/// of all accesses that were explicit conflicting transitions numbered ≤ `x`
+/// on their object: the §7.3 limit study behind `Cutoff_confl = 4`. The
+/// right-hand columns check the workloads' calibration: `max(rate)` is the
+/// explicit conflict rate, set against the paper program's.
+fn fig6(ctx: &Ctx) -> Table {
+    const XS: [u32; 9] = [1, 2, 4, 8, 16, 64, 256, 1024, u32::MAX];
+    let configs = [Config::kind(Optimistic)];
+    let mut t = Table::new(&["program"], &configs);
+    t.header.extend(XS.map(|x| if x == u32::MAX { "max(rate)".into() } else { format!("x={x}") }));
+    t.header.extend(fixed(&["accesses", "paper rate", "ratio", "implicit %", "paper char"]));
+    t.caption = fixed(&[
+        "(x=… and rate cells: % of all accesses; '-' = conflict rate < 0.0001%, as the",
+        " paper excludes such programs from the figure)",
+    ]);
+    for p in profiles::scaled(ctx.scale) {
+        let r = &measure(&p.spec, &configs, ctx.trials(1))[0].last;
+        let rate = r.report.explicit_conflict_rate() * 100.0;
+        let paper_rate = p.paper.conflict_rate() * 100.0;
+        let mut cells = vec![p.spec.name.clone()];
+        let cdf = |x| if rate < 0.0001 { "-".into() } else { format!("{:.4}", r.conflict_cdf(x) * 100.0) };
+        cells.extend(XS.map(cdf));
+        cells.extend([
+            sci(r.report.accesses() as f64),
+            format!("{paper_rate:.2e}"),
+            format!("{:.1}x", rate / paper_rate),
+            ratio(r.report.get(Event::OptConflictImplicit), r.report.opt_conflicting(), 100.0, 0),
+            character(&p.paper).into(),
+        ]);
+        t.lines.push(Line::Row(cells));
+    }
+    t.notes = "Shape checks: curves rise slowly for small x (an object's first few\n\
+               conflicts are rare relative to all accesses), and high-conflict\n\
+               programs concentrate most conflicts on objects with many conflicts\n\
+               (large gap between x=4 and max). Cutoff_confl = 4 therefore leaves\n\
+               only a small fraction of conflicting accesses uncaught.\n\
+               Calibration aim: ratio (max(rate) / paper rate) within ~an order of\n\
+               magnitude (0.1x–10x), and the clustering {low, mid, high, racy}\n\
+               preserved. hsqldb6 should show a high implicit share; xalan6/9 a low one.";
+    t
+}
+
+/// E3: **Table 2** — state transitions for hybrid tracking, compared with
+/// optimistic tracking alone (parenthesized), with the paper's values for
+/// the modeled program under each row.
+fn table2(ctx: &Ctx) -> Table {
+    let configs = [Config::kind(Optimistic), Config::kind(Hybrid)];
+    let header = ["program", "(opt same)", "hyb same", "(opt conf)", "hyb conf", "pess unc", "%re", "contend"];
+    let mut t = Table::new(&[&header[..], &["opt→pess", "pess→opt"]].concat(), &configs);
+    for p in profiles::scaled(ctx.scale) {
+        let s = measure(&p.spec, &configs, ctx.trials(1));
+        let (opt, hyb) = (&s[0].last.report, &s[1].last.report);
+        let n = |x: u64| sci(x as f64);
+        let (opt_same, opt_conf) = (n(opt.opt_same_state()), n(opt.opt_conflicting()));
+        t.lines.push(Line::Row(vec![
+            p.spec.name.clone(), format!("({opt_same})"), n(hyb.opt_same_state()), format!("({opt_conf})"),
+            n(hyb.opt_conflicting()), n(hyb.pess_uncontended()), format!("{:.0}%", hyb.pess_reentrant_pct()),
+            n(hyb.pess_contended()), n(hyb.opt_to_pess()), n(hyb.pess_to_opt()),
+        ]));
+        let p = p.paper;
+        t.lines.push(Line::Paper(vec![
+            format!("({})", sci(p.total_accesses - p.opt_conflicting)), "-".into(), format!("({})", sci(p.opt_conflicting)),
+            sci(p.hybrid_conflicting), sci(p.pess_uncontended), format!("{:.0}%", p.reentrant_pct),
+            sci(p.pess_contended), sci(p.opt_to_pess), sci(p.pess_to_opt),
+        ]));
+    }
+    t.notes = "Shape checks (the paper's qualitative claims):\n \
+               * high-conflict programs (xalan6/9, pjbb2005) should show large\n   \
+               conflicting-transition reductions from optimistic to hybrid;\n \
+               * avrora9/pjbb2005 should show substantial contended transitions\n   \
+               (object-level data races); others near zero;\n \
+               * low-conflict programs (jython9, luindex9, lusearch*) should be\n   \
+               nearly untouched by the adaptive policy.";
+    t
+}
+
+/// E4: **Figure 7** — run-time overhead of every tracking configuration,
+/// with the paper's stated values where the text gives them.
+///
+/// The `Adapt` column is the acceptance of the re-opening valve (DESIGN.md
+/// §13): within 5% + 2 ms of the faster static extreme — pessimistic, or
+/// Octet with the one-way valve — on every profile, each at the fastest of
+/// its trials (scheduler noise only ever adds). The 2 ms cover the policy's
+/// warm-up: each hot object eats `Cutoff_confl` roundtrips before inequality
+/// (4) demotes it, a constant no policy amortizes at small scales.
+fn fig7(ctx: &Ctx) -> Table {
+    const TOLERANCE: f64 = 0.05;
+    const SLACK: Duration = Duration::from_millis(2);
+    let trials = ctx.trials(15);
+    let kinds = [Baseline, Pessimistic, Optimistic, HybridInfiniteCutoff, Hybrid, Ideal, Adaptive];
+    let configs = kinds.map(Config::kind);
+    let mut t = Table::new(&["program", "Pess", "Opt", "Hyb(∞)", "Hybrid", "Ideal", "Adapt"], &configs);
+    t.caption = vec![format!("(each cell: wall% / model%; wall = median of {trials} interleaved trials)")];
+    let (mut wall, mut model) = (vec![Vec::new(); 6], vec![Vec::new(); 6]);
+    let mut over = Vec::new();
+    let profiles = profiles::scaled(ctx.scale);
+    for p in &profiles {
+        let s = measure(&p.spec, &configs, trials);
+        let mut cells = vec![p.spec.name.clone()];
+        for (i, x) in s[1..].iter().enumerate() {
+            wall[i].push(x.wall_pct(&s[0]));
+            model[i].push(x.model_pct());
+            cells.push(overhead_cell(x, &s[0]));
+        }
+        t.lines.push(Line::Row(cells));
+        if let (Some(o), Some(h)) = (p.paper.overhead_opt_pct, p.paper.overhead_hybrid_pct) {
+            t.lines.push(Line::Paper(fixed(&["-", &format!("{o:.0}"), "-", &format!("{h:.0}"), "-", "-"])));
+        }
+        let [_, pess, _, hyb_inf, _, _, adapt] = &s[..] else { unreachable!("seven configs") };
+        let best = pess.min().min(hyb_inf.min());
+        if adapt.min() > best.mul_f64(1.0 + TOLERANCE) + SLACK {
+            let vs = (adapt.min().as_secs_f64() / best.as_secs_f64() - 1.0) * 100.0;
+            over.push(format!("{} {vs:+.1}%", p.spec.name));
+        }
+    }
+    t.lines.push(Line::Text(String::new()));
+    let geomean = geomeans(&wall).into_iter().zip(geomeans(&model)).map(|(w, m)| format!("{w}/{m}"));
+    t.lines.push(Line::Total([vec!["geomean".into()], geomean.collect()].concat()));
+    t.lines.push(Line::Total(fixed(&["[paper avg]", "340", "28", "opt+2.3", "22", "14", "-"])));
+    t.notes = "Shape checks: Pessimistic ≫ everything; Hybrid ≤ Optimistic overall;\n\
+               Hybrid ≪ Optimistic for xalan6/xalan9/pjbb2005; Ideal lowest of the\n\
+               sound-ish configurations. Opt and Hyb(∞) run the same protocol here:\n\
+               both have Cutoff_confl = ∞, and their valves differ only after a\n\
+               coordination deadline expires, which no profile configures.";
+    let (factor, slack) = (1.0 + TOLERANCE, SLACK.as_millis());
+    let what = format!("profiles where Adapt ≤ {factor:.2} × min(Pess, Hyb(∞)) + {slack} ms (fastest of {trials} trials each)");
+    t.checks.push(count_check(what, profiles.len(), &over));
+    t
+}
+
+/// E5: **Figure 8** — the `syncInc` / `racyInc` stress tests: 8 threads
+/// increment a global counter with and without a global lock, hybrid
+/// tracking's best and worst case. The paper's racyInc shape is measured on
+/// `PaperModel`, where every lock is deferred as in Table 3. The shipped
+/// engine departs from it exactly here (DESIGN.md §13): once the counter has
+/// contended `Cutoff_confl` times it stops deferring, each access releases
+/// its lock right after itself, and the worst case turns into roughly
+/// pessimistic tracking — where §7.5 sketches sending such an object back to
+/// optimistic states, i.e. to a roundtrip per access.
+fn fig8(ctx: &Ctx) -> Table {
+    let (threads, iters, trials) = (8, ((40_000.0 * ctx.scale) as usize).max(500), ctx.trials(3));
+    let sync = [Baseline, Pessimistic, Optimistic, Hybrid].map(Config::kind);
+    let mut racy: Vec<_> = [Baseline, Pessimistic, Optimistic].map(Config::kind).into();
+    racy.push(Config::hybrid("Hybrid tracking", PaperModel, HybridConfig::default()));
+    racy.push(Config { label: "Hybrid, racy → unlock now".into(), ..Config::kind(Hybrid) });
+    let header = ["config", "wall %", "model %", "coord/1k acc", "rounds/cont", "own-chg %"];
+    let mut t = Table::new(&header, &sync);
+    t.runs(&racy);
+    let mut walls = Vec::new();
+    for (name, spec, configs) in
+        [("syncInc", sync_inc(threads, iters), &sync[..]), ("racyInc", racy_inc(threads, iters), &racy[..])]
+    {
+        t.lines.push(Line::Text(format!("--- {name} ({threads} threads × {iters} iters) ---")));
+        let s = measure(&spec, configs, trials);
+        for (c, x) in configs.iter().zip(&s).skip(1) {
+            let r = &x.last.report;
+            let roundtrips = r.get(Event::CoordinationRoundtrip);
+            // §7.5 diagnostics: coordination rounds per contended transition
+            // ("most of these accesses trigger coordination more than once")
+            // and the share of pessimistic accesses that change owners ("26%
+            // of pessimistic tracking's accesses lock a state with a
+            // different thread").
+            t.lines.push(Line::Row(vec![
+                c.label.clone(), format!("{:.0}", x.wall_pct(&s[0])), format!("{:.0}", x.model_pct()),
+                ratio(roundtrips, r.accesses(), 1000.0, 1), ratio(roundtrips, r.pess_contended(), 1.0, 1),
+                ratio(r.get(Event::PessOwnerChange), r.pess_uncontended(), 100.0, 0),
+            ]));
+        }
+        walls = s.iter().map(Samples::median).collect();
+    }
+    let [_, pess, opt, paper, shipped] = walls[..] else { unreachable!("five racyInc configs") };
+    t.notes = "[paper] syncInc: Pess ≈ Opt ≈ 1200%, Hybrid 84%.\n\
+               [paper] racyInc: Pess ≈ Opt ≈ 1200%, Hybrid 4300% (worst case).\n\
+               racyInc's `Hybrid tracking` runs PaperModel (every lock deferred, as in\n\
+               Table 3); syncInc's runs the shipped engine (NullSupport).\n\
+               Shape checks: syncInc — Hybrid ≪ Optimistic. racyInc — Hybrid (the paper's\n\
+               model, every lock deferred) worst; the shipped engine within 2× of Pessimistic.";
+    let slowest = paper >= pess.max(opt).max(shipped);
+    t.checks.push(("racyInc: paper-model hybrid is the slowest row".into(), slowest));
+    let vs_pess = shipped.as_secs_f64() / pess.as_secs_f64();
+    t.checks.push((format!("racyInc: shipped hybrid = {vs_pess:.2}× pessimistic, within 2×"), shipped <= 2 * pess));
+    t
+}
+
+/// E6: **Figure 9(a)** — overhead of the optimistic and hybrid dependence
+/// recorders and replayers. Each replay runs, synchronization elided, the
+/// log the recording before it wrote, and must reproduce its heap: a
+/// soundness check at full scale. (The paper drops eclipse6 here; its
+/// replayer fails on it.)
+fn fig9a(ctx: &Ctx) -> Table {
+    let trials = ctx.trials(1);
+    let recorded = &RefCell::new(None::<RecordOutcome>);
+    let (edges, diverged) = (&Cell::new(0), &RefCell::new(Vec::new()));
+    let rec = |kind: RecorderKind| Config {
+        label: format!("{}-rec", kind.name()),
+        support: "Recorder",
+        run: Box::new(move |spec| recorded.borrow_mut().insert(record(kind, spec)).run.clone()),
+    };
+    let rep = |kind: RecorderKind| Config {
+        label: format!("{}-rep", kind.name()),
+        support: "ReplayEngine",
+        run: Box::new(move |spec| {
+            let rec = recorded.take().expect("each replay follows its recording");
+            if kind == RecorderKind::Hybrid {
+                edges.set(rec.log.total_edges());
+            }
+            let rep = replay(spec, rec.log);
+            if rep.heap != rec.run.heap {
+                diverged.borrow_mut().push(format!("{} under {}", spec.name, kind.name()));
+            }
+            rep
+        }),
+    };
+    use RecorderKind::{Hybrid as Hyb, Optimistic as Opt};
+    let configs = [Config::kind(Baseline), rec(Opt), rep(Opt), rec(Hyb), rep(Hyb)];
+    let header = ["program", "opt-rec %", "opt-rep %", "hyb-rec %", "hyb-rep %", "edges"];
+    let mut t = Table::new(&header, &configs);
+    let mut cols = vec![Vec::new(); 4];
+    let profiles = profiles::scaled(ctx.scale);
+    for p in &profiles {
+        let s = measure(&p.spec, &configs, trials);
+        let mut cells = vec![p.spec.name.clone()];
+        for (col, x) in cols.iter_mut().zip(&s[1..]) {
+            col.push(x.wall_pct(&s[0]));
+            cells.push(format!("{:.0}", x.wall_pct(&s[0])));
+        }
+        cells.push(edges.get().to_string());
+        t.lines.push(Line::Row(cells));
+    }
+    t.lines.push(Line::Text(String::new()));
+    t.lines.push(Line::Total([fixed(&["geomean"]), geomeans(&cols), fixed(&["-"])].concat()));
+    t.lines.push(Line::Total(fixed(&["[paper]", "46", "20", "41", "24", "-"])));
+    t.notes = "Shape checks: hybrid recorder < optimistic recorder on high-conflict\n\
+               programs (xalan6/9, pjbb2005); hybrid replayer ≥ optimistic replayer\n\
+               slightly; both recorders log the same dependences (edge counts, the\n\
+               hybrid recorder's, are protocol-dependent but the replayed heaps are identical).";
+    let what = "replays that reproduced the recorded heap".to_string();
+    t.checks.push(count_check(what, 2 * trials * profiles.len(), &diverged.take()));
+    t
+}
+
+/// E7: **Figure 9(b)** — run-time overhead of enforcing statically bounded
+/// region serializability with optimistic vs. hybrid tracking.
+fn fig9b(ctx: &Ctx) -> Table {
+    let enforcer = |kind: RsKind| Config {
+        label: kind.name().into(),
+        support: "RsEnforcer",
+        run: Box::new(move |spec| run_rs(kind, spec)),
+    };
+    let configs = [Config::kind(Baseline), enforcer(RsKind::Optimistic), enforcer(RsKind::Hybrid)];
+    let mut t = Table::new(&["program", "opt-rs %", "hyb-rs %", "restarts(o)", "restarts(h)"], &configs);
+    let mut cols = vec![Vec::new(); 2];
+    for p in profiles::scaled(ctx.scale) {
+        let s = measure(&p.spec, &configs, ctx.trials(1));
+        let mut cells = vec![p.spec.name.clone()];
+        for (col, x) in cols.iter_mut().zip(&s[1..]) {
+            col.push(x.wall_pct(&s[0]));
+            cells.push(format!("{:.0}", x.wall_pct(&s[0])));
+        }
+        cells.extend(s[1..].iter().map(|x| x.last.report.get(Event::RegionRestart).to_string()));
+        t.lines.push(Line::Row(cells));
+    }
+    t.lines.push(Line::Text(String::new()));
+    t.lines.push(Line::Total([fixed(&["geomean"]), geomeans(&cols), fixed(&["-", "-"])].concat()));
+    t.lines.push(Line::Total(fixed(&["[paper]", "39", "34", "-", "-"])));
+    t.notes = "Shape checks: hybrid enforcer ≤ optimistic enforcer overall, with the\n\
+               largest improvements on xalan6/xalan9/pjbb2005 — mirroring tracking\n\
+               alone, since the enforcer employs hybrid tracking the same way (§7.6).";
+    t
+}
+
+/// E8: the §7.3 parameter study — each adaptive-policy parameter swept over
+/// the paper's ranges on representative high-conflict workloads.
+fn e8(ctx: &Ctx) -> Table {
+    let policy = |label: String, policy| Config::hybrid(label, NullSupport, HybridConfig { policy, ..HybridConfig::default() });
+    let default = PolicyParams::default();
+    let mut configs = Vec::new();
+    for c in [1u32, 4, 16, 64, u32::MAX] {
+        let label = if c == u32::MAX { "cutoff=∞".into() } else { format!("cutoff={c}") };
+        configs.push(policy(label, PolicyParams { cutoff_confl: c, ..default }));
+    }
+    for (k, inertia) in [(20u32, 100u32), (200, 100), (1_600, 100), (200, 20), (200, 1_600)] {
+        configs.push(policy(format!("K={k},I={inertia}"), PolicyParams { k_confl: k, inertia, ..default }));
+    }
+    let mut t = Table::new(&["program", "params", "conflicting", "opt→pess", "model %"], &configs);
+    for (i, spec) in profile_specs(ctx, &["xalan6", "avrora9", "pjbb2005"]).iter().enumerate() {
+        if i > 0 {
+            t.lines.push(Line::Text(String::new()));
+        }
+        for (c, x) in configs.iter().zip(measure(spec, &configs, ctx.trials(1))) {
+            let r = &x.last.report;
+            let (confl, moved) = (sci(r.opt_conflicting() as f64), sci(r.opt_to_pess() as f64));
+            t.lines.push(Line::Row(vec![spec.name.clone(), c.label.clone(), confl, moved, format!("{:.0}", x.model_pct())]));
+        }
+    }
+    t.notes = "Shape checks: cutoff=∞ leaves conflicting transitions at the\n\
+               optimistic level (no benefit); small finite cutoffs capture most of\n\
+               the reduction; K_confl/Inertia across 20–1,600 change results only\n\
+               marginally — the paper's 'performance is not very sensitive' claim.";
+    t
+}
+
+/// E9: the §7.1 "extraneous contention" ablation. The paper's prototype
+/// omits `WrExRLock` (a self-read write-locks instead) and validates that
+/// with an *unsound* alternate (self-read downgrades to `RdExRLock`); our
+/// state word has the full model, so all three run, on a single-writer /
+/// multi-reader workload where `WrExRLock` saves a second reader contending.
+fn e9(ctx: &Ctx) -> Table {
+    let spec = WorkloadSpec {
+        name: "writer-reader".into(),
+        threads: 6,
+        steps_per_thread: ((20_000.0 * ctx.scale) as usize).max(500),
+        shared_objects: 64,
+        local_objects: 128,
+        monitors: 4,
+        // Lock-mediated single-writer updates + plenty of unsynchronized
+        // *reads* of the same hot set: object-level DRF against the readers
+        // is violated (reads race with locked writes), giving the self-read
+        // encoding something to matter for.
+        locked_frac: 0.04,
+        racy_frac: 0.10,
+        shared_read_frac: 0.0,
+        write_frac: 0.15,
+        local_work: 10,
+        safepoint_every: 2,
+        seed: 0xE9,
+        ..WorkloadSpec::default()
+    };
+    // An eager policy so the hot set is actually pessimistic.
+    let policy = PolicyParams { cutoff_confl: 2, ..PolicyParams::default() };
+    // The self-read modes differ only in which lock `WrExPess(T) R by T`
+    // takes; under `NullSupport` that read validates and takes none
+    // (DESIGN.md §12), so the comparison runs on the paper's model.
+    let mode = |label: &str, self_read| {
+        Config::hybrid(label, PaperModel, HybridConfig { policy, self_read, ..HybridConfig::default() })
+    };
+    let configs = [
+        Config::kind(Baseline),
+        mode("WrExRLock (full model)", SelfReadMode::WrExRLock),
+        mode("WrExWLock (prototype)", SelfReadMode::WrExWLock),
+        mode("RdExRLock (unsound)", SelfReadMode::RdExRLockUnsound),
+    ];
+    let mut t = Table::new(&["self-read mode", "wall %", "contended", "reentrant", "coord"], &configs);
+    let s = measure(&spec, &configs, ctx.trials(1));
+    for (c, x) in configs.iter().zip(&s).skip(1) {
+        let r = &x.last.report;
+        let counts = [r.pess_contended(), r.get(Event::PessReentrant), r.get(Event::CoordinationRoundtrip)];
+        let wall = format!("{:.0}", x.wall_pct(&s[0]));
+        t.lines.push(Line::Row([vec![c.label.clone(), wall], counts.map(|n| n.to_string()).to_vec()].concat()));
+    }
+    t.notes = "Shape checks: the prototype encoding (WrExWLock) shows more contended\n\
+               transitions than the full model; the unsound RdExRLock diagnostic\n\
+               matches the full model's contention (the paper found no performance\n\
+               benefit, concluding spurious contention was insignificant — compare\n\
+               the full-model row to see whether that holds here too).";
+    t
+}
+
+/// E10: ablate **deferred unlocking**, the paper's central §3.1 insight:
+/// hybrid tracking with `eager_unlock` (the paper's initial design, which
+/// "added significant overhead") against the real thing, on the
+/// high-pessimistic-traffic programs plus syncInc.
+fn e10(ctx: &Ctx) -> Table {
+    let eager = HybridConfig { eager_unlock: true, ..HybridConfig::default() };
+    let configs = [
+        Config::kind(Baseline),
+        Config::hybrid("deferred", NullSupport, HybridConfig::default()),
+        Config::hybrid("eager", NullSupport, eager),
+    ];
+    let mut t = Table::new(&["program", "deferred", "eager", "reentrant", "unlocks(e)"], &configs);
+    t.caption = fixed(&["(wall% / model%; 'unlocks' counts per-access state releases)"]);
+    let mut specs = profile_specs(ctx, &["hsqldb6", "xalan6", "xalan9", "pjbb2005"]);
+    specs.push(sync_inc(8, ((40_000.0 * ctx.scale) as usize).max(500)));
+    for spec in specs {
+        let s = measure(&spec, &configs, ctx.trials(3));
+        let (reentrant, unlocks) = (s[1].last.report.get(Event::PessReentrant), s[2].last.report.get(Event::StateUnlocked));
+        let (deferred, eager) = (overhead_cell(&s[1], &s[0]), overhead_cell(&s[2], &s[0]));
+        t.lines.push(Line::Row(vec![spec.name.clone(), deferred, eager, reentrant.to_string(), unlocks.to_string()]));
+    }
+    t.notes = "Shape checks: eager unlocking pays an extra state release per\n\
+               pessimistic access — compare the 'unlocks' column against the\n\
+               handful deferred unlocking performs at PSROs — and loses all\n\
+               reentrancy. The model column prices those releases; wall clock on\n\
+               few-core hosts may not resolve the ~CAS-sized per-access cost, but\n\
+               the structural regression matches the paper's account of its\n\
+               initial design adding \"significant overhead\" (§3.1).";
+    t
+}

@@ -1,99 +1,251 @@
-//! # drink-bench: the evaluation harness
+//! # drink-bench: the evaluation runner
 //!
-//! One binary per table/figure of the paper's §7 (see `DESIGN.md`'s
-//! experiment index, E1–E9), plus `fastpath_probes` for
-//! `scripts/fastpath_asm.sh`. This library holds their shared measurement
-//! and table-printing plumbing. Timed comparisons across commits are the
-//! job of `benchmark/` (BENCHMARK.json), not of these binaries.
+//! One binary, `drink-bench <experiment>`, regenerates every table and
+//! figure of the paper's §7 (DESIGN.md's experiment index, E1–E10); a second,
+//! `fastpath_probes`, holds the functions `scripts/fastpath_asm.sh`
+//! disassembles. Timed comparisons across commits are the job of
+//! `benchmark/` (BENCHMARK.json), not of this runner.
+//!
+//! An experiment is one row of [`EXPERIMENTS`]: a function from the run's
+//! [`Ctx`] to a [`Table`]. Most are a spec list × a [`Config`] list × a
+//! closure turning each spec's [`Samples`] into cells. [`measure`] is the one
+//! trial loop and [`Table::render`] the one printer.
 //!
 //! ## Two overhead metrics
 //!
-//! The paper reports run-time overhead over an unmodified JVM on a 32-core
-//! Xeon. Our substrate is a Rust runtime on whatever machine runs the bench
-//! (CI boxes are often single-core), so the harness reports **two** numbers
-//! per configuration:
-//!
-//! * **wall-clock overhead**: measured against the `NoTracking` engine
-//!   running the identical workload;
-//! * **model overhead**: measured transition counts priced by the paper's
-//!   §2.2 cycle costs ([`drink_runtime::CostModel`]), relative to an assumed
-//!   useful-work budget per access. This is platform-independent and carries
-//!   the figures' *shape* (who wins, by what factor, where the crossovers
-//!   are).
+//! The paper's overheads are over an unmodified JVM on a 32-core Xeon; ours
+//! are over the `NoTracking` engine on whatever machine runs the bench. So
+//! the tables report **wall-clock** overhead and a **model** overhead: the
+//! measured transition counts priced at the paper's §2.2 cycle costs
+//! ([`drink_runtime::CostModel`]) against a useful-work budget per access —
+//! platform-independent, and carrying the figures' *shape* (who wins, by
+//! what factor, where the crossovers are).
 
 use std::time::Duration;
 
-use drink_runtime::{CostModel, StatsReport};
-use drink_workloads::{run_kind, EngineKind, RunResult, WorkloadSpec};
+use drink_core::prelude::{HybridConfig, HybridEngine, Support};
+use drink_runtime::CostModel;
+use drink_workloads::{run_kind, run_workload, runtime_for, EngineKind, RunResult, WorkloadSpec};
+
+mod cost;
+mod experiments;
+
+pub use experiments::EXPERIMENTS;
 
 /// Default useful-work budget per access (cycles) for the model overhead.
 /// With the paper's costs, always-optimistic same-state tracking then costs
 /// 47/200 ≈ 24% — near the paper's 28% average for optimistic tracking.
 pub const DEFAULT_WORK_PER_ACCESS: f64 = 200.0;
 
-/// Command-line scale factor: `--scale 0.1` shrinks every workload. The
-/// first positional float after `--scale` is used; defaults to 1.0.
-pub fn scale_from_args() -> f64 {
-    arg_after("--scale").unwrap_or(1.0)
+/// The runner's two shared flags.
+#[derive(Clone, Copy, Debug)]
+pub struct Ctx {
+    /// `--scale F`: multiplies every workload's length (1.0 is full size).
+    pub scale: f64,
+    /// `--trials N`: runs per configuration, in place of each experiment's
+    /// own default. The paper uses the median of 20.
+    pub trials: Option<usize>,
 }
 
-/// `--trials N` (default `default`): how many runs per configuration. The
-/// paper uses the median of 20 trials; the harness default trades precision
-/// for turnaround.
-pub fn trials_from_args(default: usize) -> usize {
-    arg_after("--trials").map(|v: f64| v as usize).unwrap_or(default).max(1)
-}
-
-fn arg_after<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// Scale a spec's step count.
-pub fn scaled_spec(spec: &WorkloadSpec, scale: f64) -> WorkloadSpec {
-    let mut s = spec.clone();
-    s.steps_per_thread = ((s.steps_per_thread as f64 * scale) as usize).max(100);
-    s
-}
-
-/// Median-of-`n` wall times plus the stats of the last run.
-pub fn run_trials(kind: EngineKind, spec: &WorkloadSpec, trials: usize) -> (Duration, RunResult) {
-    let (median, _spread, last) = run_trials_spread(kind, spec, trials);
-    (median, last)
-}
-
-/// Median wall time, half-width of the central 95% spread (the paper reports
-/// medians with 95% confidence intervals around the mean; with small trial
-/// counts we report min–max spread), and the last run's full result.
-pub fn run_trials_spread(
-    kind: EngineKind,
-    spec: &WorkloadSpec,
-    trials: usize,
-) -> (Duration, Duration, RunResult) {
-    trials_spread(trials, || run_kind(kind, spec))
-}
-
-/// [`run_trials_spread`] over any way of producing a run (an engine
-/// configuration no [`EngineKind`] names).
-pub fn trials_spread(
-    trials: usize,
-    mut run: impl FnMut() -> RunResult,
-) -> (Duration, Duration, RunResult) {
-    assert!(trials >= 1);
-    let mut walls = Vec::with_capacity(trials);
-    let mut last = None;
-    for _ in 0..trials {
-        let r = run();
-        walls.push(r.wall);
-        last = Some(r);
+impl Ctx {
+    fn trials(&self, default: usize) -> usize {
+        self.trials.unwrap_or(default).max(1)
     }
-    walls.sort();
-    let median = walls[walls.len() / 2];
-    let spread = (*walls.last().unwrap() - walls[0]) / 2;
-    (median, spread, last.unwrap())
+}
+
+/// One experiment of DESIGN.md §4's index.
+pub struct Experiment {
+    /// `E1` … `E10`.
+    pub id: &'static str,
+    /// Its name on the command line and the stem of its result file.
+    pub name: &'static str,
+    /// The paper artifact it regenerates.
+    pub artifact: &'static str,
+    pub run: fn(&Ctx) -> Table,
+}
+
+/// The experiment an id (any case) or a name selects.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id.eq_ignore_ascii_case(name) || e.name == name)
+}
+
+/// One measured configuration: a label, the runtime support it runs, and
+/// how it runs a spec.
+pub struct Config<'a> {
+    pub label: String,
+    /// The [`Support`] type the engine runs (`none` for the untracked
+    /// baseline), or the driver that takes its place.
+    pub support: &'static str,
+    pub run: Box<dyn Fn(&WorkloadSpec) -> RunResult + 'a>,
+}
+
+impl Config<'_> {
+    /// An [`EngineKind`] under its legend label.
+    pub fn kind(kind: EngineKind) -> Config<'static> {
+        Config {
+            label: kind.label().into(),
+            support: if kind == EngineKind::Baseline { "none" } else { "NullSupport" },
+            run: Box::new(move |spec| run_kind(kind, spec)),
+        }
+    }
+
+    /// The hybrid engine under `cfg`, on `support`.
+    pub fn hybrid<S: Support + Copy>(label: impl Into<String>, support: S, cfg: HybridConfig) -> Config<'static> {
+        Config {
+            label: label.into(),
+            support: std::any::type_name::<S>().rsplit("::").next().unwrap_or("?"),
+            run: Box::new(move |spec| {
+                run_workload(&HybridEngine::with_config(runtime_for(spec), support, cfg), spec)
+            }),
+        }
+    }
+}
+
+/// One configuration's runs of one spec: every wall time, and the last run.
+pub struct Samples {
+    pub walls: Vec<Duration>,
+    pub last: RunResult,
+}
+
+impl Samples {
+    pub fn median(&self) -> Duration {
+        let mut walls = self.walls.clone();
+        walls.sort();
+        walls[walls.len() / 2]
+    }
+
+    pub fn min(&self) -> Duration {
+        *self.walls.iter().min().expect("a sample has at least one run")
+    }
+
+    /// Median wall-clock overhead over `base`'s median, in percent.
+    pub fn wall_pct(&self, base: &Samples) -> f64 {
+        overhead_pct(self.median(), base.median())
+    }
+
+    /// Model overhead of the last run, in percent.
+    pub fn model_pct(&self) -> f64 {
+        CostModel::paper().model_overhead(&self.last.report, DEFAULT_WORK_PER_ACCESS) * 100.0
+    }
+}
+
+/// The trial loop: `trials` rounds, each running every config on `spec` in
+/// order, so that a noisy stretch of the host hits every config alike rather
+/// than one config's whole sample. Returns the samples in `configs` order.
+pub fn measure(spec: &WorkloadSpec, configs: &[Config], trials: usize) -> Vec<Samples> {
+    let first = configs.iter().map(|c| (c.run)(spec));
+    let mut samples: Vec<Samples> = first.map(|r| Samples { walls: vec![r.wall], last: r }).collect();
+    for _ in 1..trials {
+        for (s, c) in samples.iter_mut().zip(configs) {
+            s.last = (c.run)(spec);
+            s.walls.push(s.last.wall);
+        }
+    }
+    samples
+}
+
+/// A line of a [`Table`].
+pub enum Line {
+    /// One program's or one configuration's cells, label first.
+    Row(Vec<String>),
+    /// The paper's values for the row above, printed under `[paper]`.
+    Paper(Vec<String>),
+    /// A line across rows (geomean, the paper's averages), label first.
+    Total(Vec<String>),
+    /// A section heading or a blank line.
+    Text(String),
+}
+
+impl Line {
+    /// The cells as printed, `[paper]` label included; none for text.
+    fn cells(&self) -> Option<Vec<String>> {
+        match self {
+            Line::Row(c) | Line::Total(c) => Some(c.clone()),
+            Line::Paper(c) => Some([vec!["  [paper]".to_string()], c.clone()].concat()),
+            Line::Text(_) => None,
+        }
+    }
+}
+
+/// What an experiment prints.
+#[derive(Default)]
+pub struct Table {
+    /// Lines above the header: what the cells mean.
+    pub caption: Vec<String>,
+    pub header: Vec<String>,
+    pub lines: Vec<Line>,
+    /// The shape the paper predicts, under the table.
+    pub notes: &'static str,
+    /// Computed checks: what held or did not.
+    pub checks: Vec<(String, bool)>,
+    /// The support each configuration ran on: support, then labels.
+    pub runs_on: Vec<(&'static str, Vec<String>)>,
+}
+
+impl Table {
+    /// An empty table under `header`, naming the support of each of `configs`.
+    pub fn new(header: &[&str], configs: &[Config]) -> Table {
+        let mut t = Table { header: header.iter().map(|h| h.to_string()).collect(), ..Table::default() };
+        t.runs(configs);
+        t
+    }
+
+    /// Records which support each of `configs` runs.
+    pub fn runs(&mut self, configs: &[Config]) {
+        for c in configs {
+            match self.runs_on.iter_mut().find(|(s, _)| *s == c.support) {
+                Some((_, labels)) if labels.contains(&c.label) => {}
+                Some((_, labels)) => labels.push(c.label.clone()),
+                None => self.runs_on.push((c.support, vec![c.label.clone()])),
+            }
+        }
+    }
+
+    /// Whether every computed check held.
+    pub fn ok(&self) -> bool {
+        self.checks.iter().all(|(_, ok)| *ok)
+    }
+
+    /// The table as text: caption, supports, header and lines with each
+    /// column right-aligned to its widest cell, then notes and checks.
+    pub fn render(&self) -> String {
+        let mut widths = vec![0; self.header.len()];
+        for row in self.lines.iter().filter_map(Line::cells).chain([self.header.clone()]) {
+            for (w, c) in widths.iter_mut().zip(&row) {
+                *w = (*w).max(c.chars().count());
+            }
+        }
+        let fmt = |row: &[String]| {
+            let padded: Vec<String> = row.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+            padded.join("   ") + "\n"
+        };
+        let mut out: String = self.caption.iter().map(|c| format!("{c}\n")).collect();
+        for (support, labels) in &self.runs_on {
+            out += &format!("(support {support}: {})\n", labels.join(", "));
+        }
+        out += &fmt(&self.header);
+        for line in &self.lines {
+            match line {
+                Line::Text(text) => out += &format!("{text}\n"),
+                _ => out += &fmt(&line.cells().unwrap_or_default()),
+            }
+        }
+        if !self.notes.is_empty() {
+            out += &format!("\n{}\n", self.notes);
+        }
+        for (what, ok) in &self.checks {
+            out += &format!("check: {what}: {}\n", if *ok { "ok" } else { "VIOLATED" });
+        }
+        out
+    }
+}
+
+/// The header every experiment prints above its table.
+pub fn banner(e: &Experiment, ctx: &Ctx) -> String {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let (os, arch, rule) = (std::env::consts::OS, std::env::consts::ARCH, "=".repeat(64));
+    let host = format!("host: {cores} core(s), {os} {arch}; scale: {}", ctx.scale);
+    format!("{rule}\n{} {} — regenerates {}\n{host}\n{rule}\n", e.id, e.name, e.artifact)
 }
 
 /// Percentage overhead of `wall` over `base`.
@@ -102,11 +254,6 @@ pub fn overhead_pct(wall: Duration, base: Duration) -> f64 {
         return 0.0;
     }
     (wall.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0
-}
-
-/// Model overhead (percent) from a stats report.
-pub fn model_overhead_pct(report: &StatsReport, work_per_access: f64) -> f64 {
-    CostModel::paper().model_overhead(report, work_per_access) * 100.0
 }
 
 /// Geometric mean of `(100 + overhead)` values, expressed back as overhead —
@@ -138,30 +285,6 @@ pub fn sci(x: f64) -> String {
     format!("{mant:.1}e{exp}")
 }
 
-/// Print a row of right-aligned cells under a fixed layout.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
-/// Standard header printed by every harness binary.
-pub fn banner(experiment: &str, paper_artifact: &str) {
-    println!("================================================================");
-    println!("{experiment} — regenerates {paper_artifact}");
-    println!(
-        "host: {} core(s); scale: {}",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        scale_from_args()
-    );
-    println!("================================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,11 +313,5 @@ mod tests {
                 < 1e-9
         );
         assert_eq!(overhead_pct(Duration::from_millis(5), Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn scaled_spec_clamps_to_minimum() {
-        let s = WorkloadSpec::default();
-        assert_eq!(scaled_spec(&s, 0.000001).steps_per_thread, 100);
     }
 }

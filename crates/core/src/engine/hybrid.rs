@@ -99,7 +99,7 @@ pub struct HybridConfig {
     /// recorder's release-clock edges are unavailable (tracking-only
     /// configurations may use this; runtime support may not). The paper
     /// reports this design "added significant overhead"; the
-    /// `e10_deferred_unlock_ablation` harness quantifies it.
+    /// `drink-bench E10` quantifies it.
     pub eager_unlock: bool,
 }
 

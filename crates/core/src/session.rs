@@ -16,7 +16,7 @@ use crate::engine::Tracker;
 ///
 /// A session attaches equally to a concrete engine, to an
 /// [`AnyEngine`](crate::engine::AnyEngine) — the enum over the engine types
-/// that runtime-selected engines (the serve store, the bench bins) drive the
+/// that runtime-selected engines (the serve store, the bench runner) drive the
 /// same façade through; either way `read` / `write` / `safepoint` inline the
 /// engine's leaf into the caller — or, since `T` may be unsized
 /// (`T: ?Sized`), to a plain `dyn Tracker`, at an indirect call an

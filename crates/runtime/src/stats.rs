@@ -11,8 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-pub mod derived;
-
 /// Every countable event in the substrate and the tracking engines.
 ///
 /// The first block mirrors the transition taxonomy of Table 1/Table 3; the
@@ -527,10 +525,9 @@ impl GlobalStats {
     }
 }
 
-/// An immutable snapshot of [`GlobalStats`]. Raw counts and latency
-/// histograms live here; every *derived* quantity (the paper's ratios, the
-/// latency percentiles) is defined once in [`derived::Metric`] — the methods
-/// below are thin delegating wrappers kept for call-site ergonomics.
+/// An immutable snapshot of [`GlobalStats`]: raw counts and latency
+/// histograms, and the paper's columns and ratios over them. Every ratio is
+/// 0 when its denominator is.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct StatsReport {
     counts: [u64; Event::COUNT],
@@ -571,7 +568,7 @@ impl StatsReport {
     /// Table 2, "%Reentrant": share of uncontended pessimistic transitions
     /// that were reentrant (no atomic operation).
     pub fn pess_reentrant_pct(&self) -> f64 {
-        derived::Metric::PessReentrantPct.eval(self)
+        100.0 * ratio(self.get(Event::PessReentrant), self.pess_uncontended())
     }
 
     /// Table 2, "Pessimistic / Contended".
@@ -592,7 +589,7 @@ impl StatsReport {
     /// Conflict rate: conflicting optimistic transitions (explicit only, as
     /// in Figure 6) over all accesses.
     pub fn explicit_conflict_rate(&self) -> f64 {
-        derived::Metric::ExplicitConflictRate.eval(self)
+        ratio(self.get(Event::OptConflictExplicit), self.accesses())
     }
 
     /// Mean number of explicit requests answered per responding safe point
@@ -600,13 +597,13 @@ impl StatsReport {
     /// responder-side batching coalesced requests: N tokens were answered by
     /// one release-clock bump instead of N.
     pub fn batch_occupancy(&self) -> f64 {
-        derived::Metric::BatchOccupancy.eval(self)
+        ratio(self.get(Event::CoordBatchRequests), self.get(Event::RespondedExplicit))
     }
 
     /// Mean number of peers per coordination fan-out (the conservative RdSh
     /// protocol's width).
     pub fn fanout_width(&self) -> f64 {
-        derived::Metric::FanoutWidth.eval(self)
+        ratio(self.get(Event::CoordFanoutPeers), self.get(Event::CoordFanout))
     }
 
     /// Reads served by seqlock validation alone — no transition, no lock
@@ -615,15 +612,14 @@ impl StatsReport {
     pub fn validated_reads(&self) -> u64 {
         self.get(Event::SeqlockValidated)
     }
+}
 
-    /// All (event, count) pairs with non-zero counts, for printing.
-    pub fn nonzero(&self) -> Vec<(Event, u64)> {
-        Event::ALL
-            .iter()
-            .copied()
-            .filter(|&e| self.get(e) != 0)
-            .map(|e| (e, self.get(e)))
-            .collect()
+/// `num / den`, or 0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -715,7 +711,8 @@ mod tests {
         let r = GlobalStats::new().report();
         assert_eq!(r.pess_reentrant_pct(), 0.0);
         assert_eq!(r.explicit_conflict_rate(), 0.0);
-        assert!(r.nonzero().is_empty());
+        assert_eq!(r.batch_occupancy(), 0.0);
+        assert_eq!(r.fanout_width(), 0.0);
     }
 
     // --- latency histograms ---

@@ -8,7 +8,7 @@
 //! qualitative clustering — {jython, luindex, lusearch, sunflow} ≈ zero
 //! conflict, {eclipse, pmd, pjbb2000} low, {hsqldb} implicit-heavy,
 //! {xalan6, xalan9} explicit-heavy, {avrora, pjbb2005} racy — is preserved.
-//! The bench harness `profiles_calibration` prints target vs. measured.
+//! `drink-bench E2` prints target vs. measured next to Figure 6.
 
 use serde::{Deserialize, Serialize};
 
@@ -401,7 +401,7 @@ pub fn by_name(name: &str) -> Option<Profile> {
 }
 
 /// Scale every profile's step count by `factor` (quick smoke runs vs. full
-/// measurement runs).
+/// measurement runs), to no fewer than 100 steps per thread.
 pub fn scaled(factor: f64) -> Vec<Profile> {
     let mut v = all();
     for p in &mut v {
@@ -478,8 +478,9 @@ mod tests {
     fn by_name_and_scaling() {
         assert!(by_name("xalan6").is_some());
         assert!(by_name("nope").is_none());
-        let s = scaled(0.1);
-        assert_eq!(s[0].spec.steps_per_thread, 25_000);
+        for (factor, steps) in [(0.1, 25_000), (0.000001, 100)] {
+            assert_eq!(scaled(factor)[0].spec.steps_per_thread, steps);
+        }
     }
 
     #[test]

@@ -113,10 +113,10 @@ if ! grep -q '"events"' "$epoch_artifact"; then
 fi
 
 echo "=== check_gate: trace export / ingest round trip"
-cargo build --release -p drink-bench --bin trace
+cargo build --release -p drink-bench --bin drink-bench
 TRACE_OUT="$ARTIFACTS/canary-trace.json"
-./target/release/trace --workload chaos_mix --seed 7 --out "$TRACE_OUT" >/dev/null
-./target/release/trace --check "$TRACE_OUT"
+./target/release/drink-bench trace --workload chaos_mix --seed 7 --out "$TRACE_OUT" >/dev/null
+./target/release/drink-bench trace --check "$TRACE_OUT"
 
 echo "=== check_gate: reproduce canary artifact ($artifact)"
 if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-flush-before-block \
