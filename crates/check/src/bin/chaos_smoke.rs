@@ -3,18 +3,16 @@
 //!
 //! Default matrix: 3 tracking engines × 4 seeds × 6 perturbation-heavy
 //! workloads (`chaosMix`, `chaosHandoff`, `chaosRdsh`, `chaosReadMostly`,
-//! `chaosAdapt`, the 16-thread sharded `chaosShard`), plus — per seed — the
+//! `chaosAdapt`, the 16-thread `chaosWide`), plus — per seed — the
 //! differential oracle on the schedule-independent `chaosDisjoint` spec, the
 //! seqlock read oracle on `chaosReadMostly`, the degradation-ladder oracle
 //! on `chaosAdapt` (static matrix + adaptive engine agree while the policy
-//! performs real demotions), the shard-skip oracle on
-//! `chaosShard` (epoch stamps match the spec's implied access footprint
-//! exactly), the serve-store oracle on `chaosServe` (every completed PUT
-//! visible at quiescence, final key values identical across engines), the
-//! record→replay oracle, and the region-serializability
-//! oracle. One
-//! seed determines both the workload's op streams and the chaos decision
-//! streams, so a failing cell is named by (workload, engine, seed) alone.
+//! performs real demotions), the serve-store oracle on `chaosServe` (every
+//! completed PUT visible at quiescence, final key values identical across
+//! engines), the record→replay oracle, and the region-serializability
+//! oracle. One seed determines both the workload's op streams and the chaos
+//! decision streams, so a failing cell is named by (workload, engine, seed)
+//! alone.
 //!
 //! On failure the cell's artifact is shrunk and written under the artifact
 //! directory (default `target/chaos/`), and the exit status is nonzero.
@@ -29,11 +27,11 @@ use std::process::ExitCode;
 
 use drink_check::{
     adapt_check, differential_check, read_mostly_check, replay_check, rs_check, run_cell,
-    serve_check, shard_check, shrink, FailureArtifact, MATRIX_ENGINES,
+    serve_check, shrink, FailureArtifact, MATRIX_ENGINES,
 };
 use drink_workloads::{
     chaos_adapt, chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,
-    chaos_shard,
+    chaos_wide,
 };
 
 const DEFAULT_SEEDS: [u64; 4] = [0x1, 0x2, 0xC0FFEE, 0xDECAF_BAD];
@@ -123,7 +121,7 @@ fn main() -> ExitCode {
             chaos_rdsh(seed),
             chaos_read_mostly(seed),
             chaos_adapt(seed),
-            chaos_shard(seed),
+            chaos_wide(seed),
         ] {
             for kind in MATRIX_ENGINES {
                 match run_cell(kind, &spec, seed) {
@@ -186,14 +184,6 @@ fn run_oracles(seed: u64, artifact_dir: &std::path::Path) -> u32 {
     let adapt = chaos_adapt(seed);
     match adapt_check(&adapt, seed) {
         Ok(()) => println!("PASS {:<13} degradation-ladder oracle    seed={seed:#x}", adapt.name),
-        Err(artifact) => {
-            failures += 1;
-            report_failure(artifact, artifact_dir);
-        }
-    }
-    let shard = chaos_shard(seed);
-    match shard_check(&shard, seed) {
-        Ok(()) => println!("PASS {:<13} shard-skip oracle            seed={seed:#x}", shard.name),
         Err(artifact) => {
             failures += 1;
             report_failure(artifact, artifact_dir);

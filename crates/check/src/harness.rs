@@ -157,21 +157,12 @@ pub fn run_cell(kind: EngineKind, spec: &WorkloadSpec, seed: u64) -> Result<Cell
 
 /// Re-run an artifact's cell in generate mode from its seed — the primary
 /// reproduction path (`chaos_smoke --reproduce`). Returns `Err` with the
-/// fresh failure if it reproduces. Shard-skip oracle artifacts (engine label
-/// [`oracle::SHARD_ORACLE_ENGINE`]) describe a property of the whole sharded
-/// matrix rather than one engine's panic, so they re-run the oracle itself.
+/// fresh failure if it reproduces.
 pub fn reproduce(artifact: &FailureArtifact) -> Result<RunResult, String> {
-    if artifact.engine == oracle::SHARD_ORACLE_ENGINE {
-        return match oracle::shard_check(&artifact.spec, artifact.seed) {
-            Ok(()) => run_cell(EngineKind::Hybrid, &artifact.spec, artifact.seed)
-                .map(|cell| cell.run)
-                .map_err(|a| a.failure),
-            Err(a) => Err(a.failure),
-        };
-    }
-    // Serve-oracle artifacts likewise describe the whole serve matrix; the
-    // embedded spec only records geometry, so re-run the oracle itself and
-    // fall back to a plain Hybrid cell for the Ok-path RunResult.
+    // Serve-oracle artifacts describe the whole serve matrix rather than one
+    // engine's panic; the embedded spec only records geometry, so re-run the
+    // oracle itself and fall back to a plain Hybrid cell for the Ok-path
+    // RunResult.
     if artifact.engine == oracle::SERVE_ORACLE_ENGINE {
         return match oracle::serve_check(artifact.seed) {
             Ok(()) => run_cell(EngineKind::Hybrid, &artifact.spec, artifact.seed)

@@ -31,7 +31,6 @@ pub use artifact::FailureArtifact;
 pub use chaos::{ChaosSched, Decision, TraceStep};
 pub use harness::{kind_from_label, reproduce, run_cell, shrink, CellRun, MATRIX_ENGINES};
 pub use oracle::{
-    adapt_check, check_quiescent, differential_check, expected_stamps, read_mostly_check,
-    replay_check, rs_check, schedule_independent, serve_check, shard_check,
-    SERVE_ORACLE_ENGINE, SHARD_ORACLE_ENGINE,
+    adapt_check, check_quiescent, differential_check, read_mostly_check, replay_check, rs_check,
+    schedule_independent, serve_check, SERVE_ORACLE_ENGINE,
 };

@@ -27,9 +27,9 @@ use std::sync::Arc;
 
 use drink_core::word::StateWord;
 use drink_rs::RsEnforcer;
-use drink_runtime::{Event, ObjId, Runtime, SchedHooks, ShardMap};
+use drink_runtime::{Event, Runtime, SchedHooks};
 use drink_workloads::{
-    record, replay, run_kind, run_rs_on, runtime_config_for, EngineKind, Op, RecorderKind, RsKind,
+    record, replay, run_kind, run_rs_on, runtime_config_for, EngineKind, RecorderKind, RsKind,
     RunResult, WorkloadSpec,
 };
 
@@ -67,7 +67,7 @@ pub fn check_quiescent(rt: &Runtime, label: &str) -> Result<(), String> {
     // fast-path flag does not announce is a request no poll would ever have
     // answered — a drain cleared the flag over a live node (the lost-wakeup
     // ordering `take_requests` exists to rule out).
-    for (i, ctl) in rt.controls().enumerate() {
+    for (i, ctl) in rt.controls().iter().enumerate() {
         if ctl.has_stranded_requests() {
             return Err(format!(
                 "{label}: T{i} leaked an unanswered coordination request past teardown \
@@ -317,139 +317,10 @@ pub fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact
     Ok(())
 }
 
-/// Artifact engine label for shard-skip oracle failures. The failure is a
-/// property of the whole sharded run, not one engine's panic, so reproduction
-/// re-runs [`shard_check`] itself (see `harness::reproduce`).
-pub const SHARD_ORACLE_ENGINE: &str = "shardSkip";
-
-/// The per-object stamp masks `spec`'s deterministic expansion implies: for
-/// every object, the shard of its allocating owner (read-shared objects are
-/// installed ownerless and stamp nothing) plus the shard of every thread
-/// whose op stream reads or writes it. Because specs are pure functions of
-/// their seed, this is computable without running anything — and because
-/// every engine stamps at access entry (stamp-before-examine, DESIGN.md
-/// §14), a run's actual [`drink_runtime::Heap::stamp_snapshot`] must equal
-/// it exactly.
-pub fn expected_stamps(spec: &WorkloadSpec, shards: usize) -> Vec<u64> {
-    let map = ShardMap::new(shards);
-    let mut exp = vec![0u64; spec.heap_objects()];
-    for (i, e) in exp.iter_mut().enumerate() {
-        let o = ObjId(i as u32);
-        if !spec.is_read_shared(o) {
-            *e |= 1u64 << map.shard_of(spec.initial_owner(o).index()).min(63);
-        }
-    }
-    for t in 0..spec.threads {
-        let bit = 1u64 << map.shard_of(t).min(63);
-        for op in spec.ops(t) {
-            if let Op::Read(o) | Op::Write(o) = op {
-                exp[o.index()] |= bit;
-            }
-        }
-    }
-    exp
-}
-
-/// The shard-skip oracle (DESIGN.md §14), meant for wide sharded specs such
-/// as [`drink_workloads::chaos_shard`] (16 threads, one shard per thread):
-///
-/// * **engine agreement** — access counts match across the matrix: skipping
-///   a shard resolves its threads vacuously and must not lose or invent
-///   tracked accesses;
-/// * **the runtime really sharded** — `thread_shards > 1`, or the epoch
-///   table is inert and the spec tests nothing;
-/// * **stamp completeness** — every (object, shard) pair the spec's op
-///   streams and allocation owners imply is stamped in the run's epoch
-///   snapshot. A missing bit means a shard accessed an object without
-///   stamping — the precise lie that would let a fan-out skip a
-///   shard that *did* have business with the object (and exactly what the
-///   `DRINK_INJECT_BUG=skip-epoch-stamp` canary injects);
-/// * **stamp soundness** — no stamped bit the spec does not imply: a
-///   phantom stamp only costs a wasted roundtrip, but it means the stamp
-///   plumbing writes the wrong slot.
-///
-/// The complementary runtime-side direction — a *skipped* shard's threads
-/// received zero explicit requests for the object — is enforced on every
-/// request drain by the `check-invariants` receiver assertion
-/// (`assert_requests_stamped` in `drink-core`), which this harness compiles
-/// in; a violation panics the cell and surfaces as an ordinary artifact.
-pub fn shard_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
-    let mut accesses: Option<(EngineKind, u64)> = None;
-    for kind in MATRIX_ENGINES {
-        let cell = harness::run_cell(kind, spec, seed)?;
-        let fail = |failure: String, traces| FailureArtifact {
-            seed,
-            engine: SHARD_ORACLE_ENGINE.into(),
-            spec: spec.clone(),
-            failure,
-            traces,
-            events: Vec::new(),
-        };
-
-        let a = cell.run.report.accesses();
-        match accesses {
-            None => accesses = Some((kind, a)),
-            Some((k0, a0)) if a0 != a => {
-                return Err(fail(
-                    format!(
-                        "access counts diverge under epoch skip: {} performed {a0}, {} performed {a}",
-                        k0.label(),
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
-            Some(_) => {}
-        }
-
-        let shards = cell.run.thread_shards;
-        if shards <= 1 {
-            return Err(fail(
-                format!(
-                    "{}: spec requested {:?} shards but the runtime ran single-shard \
-                     (epoch table inert — the config knob is disconnected)",
-                    kind.label(),
-                    spec.shards
-                ),
-                cell.traces,
-            ));
-        }
-
-        let expected = expected_stamps(spec, shards);
-        for (i, (&exp, &act)) in expected.iter().zip(&cell.run.shard_stamps).enumerate() {
-            if exp & !act != 0 {
-                return Err(fail(
-                    format!(
-                        "{}: object {i} missing stamps for shards {:#x} (expected {exp:#x}, \
-                         actual {act:#x}) — a shard accessed it without stamping, so a \
-                         fan-out could wrongly skip that shard",
-                        kind.label(),
-                        exp & !act
-                    ),
-                    cell.traces,
-                ));
-            }
-            if act & !exp != 0 {
-                return Err(fail(
-                    format!(
-                        "{}: object {i} stamped by shards {:#x} the spec never sends there \
-                         (expected {exp:#x}, actual {act:#x}) — stamp plumbing writes the \
-                         wrong slot",
-                        kind.label(),
-                        act & !exp
-                    ),
-                    cell.traces,
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Artifact engine label for serve-oracle failures. Like the shard oracle,
-/// the failure is a property of the whole serve matrix (per-engine store
-/// checks plus cross-engine equality), so reproduction re-runs
-/// [`serve_check`] itself (see `harness::reproduce`).
+/// Artifact engine label for serve-oracle failures. The failure is a
+/// property of the whole serve matrix (per-engine store checks plus
+/// cross-engine equality), so reproduction re-runs [`serve_check`] itself
+/// (see `harness::reproduce`).
 pub const SERVE_ORACLE_ENGINE: &str = "chaosServe";
 
 /// A [`WorkloadSpec`]-shaped description of the serve run, embedded in
@@ -749,36 +620,6 @@ mod tests {
             adapt_check(&drink_workloads::chaos_adapt(seed), seed)
                 .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
         }
-    }
-
-    /// The shard-skip oracle on its intended spec: a 16-thread,
-    /// one-shard-per-thread run under perturbation keeps the epoch table
-    /// exactly in sync with the spec's implied access footprint across the
-    /// whole matrix (and the receiver-side stamped-request invariant holds
-    /// throughout, since this harness compiles `check-invariants` in).
-    #[test]
-    fn shard_oracle_holds_under_chaos() {
-        for seed in [0x91u64, 0x92] {
-            shard_check(&drink_workloads::chaos_shard(seed), seed)
-                .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
-        }
-    }
-
-    /// Expected-stamp computation agrees with an actual unperturbed run.
-    #[test]
-    fn expected_stamps_match_a_real_run() {
-        let spec = drink_workloads::chaos_shard(0x93);
-        let cell = harness::run_cell(EngineKind::Hybrid, &spec, 0x93)
-            .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
-        assert!(cell.run.thread_shards > 1);
-        let exp = expected_stamps(&spec, cell.run.thread_shards);
-        assert_eq!(exp, cell.run.shard_stamps);
-        // The footprint is genuinely partial: some (object, shard) pairs
-        // stay unstamped, so fan-outs have shards to skip.
-        assert!(
-            exp.iter().any(|&m| m != 0 && m.count_ones() < spec.threads as u32),
-            "spec must leave skippable shards"
-        );
     }
 
     /// The seqlock oracle on its intended spec: every engine validates

@@ -73,34 +73,8 @@ impl<S: Support> EngineCommon<S> {
 
     fn fresh_state(rt: &Runtime, t: ThreadId) -> ThreadState {
         // SAFETY: the state goes into `per_thread`, beside the `Arc` that
-        // keeps `rt` — whose registry boxes the control block — alive.
+        // keeps `rt` — whose control slice holds the control block — alive.
         unsafe { ThreadState::new(t, rt.config().heap_objects, rt.control(t)) }
-    }
-
-    /// Receiver-side epoch-skip invariant (DESIGN.md §14): an explicit
-    /// request naming an object can only reach this thread if its shard is
-    /// stamped for that object — fan-outs skip unstamped shards, and
-    /// targeted coordination goes to privilege holders named by the state
-    /// word, who stamped at access/alloc time. This is the shard-skip oracle
-    /// ("skipped shards' threads see zero explicit requests for the object")
-    /// as a runtime assertion; the `skip-epoch-stamp` injected bug trips it.
-    #[cfg(feature = "check-invariants")]
-    fn assert_requests_stamped(&self, t: ThreadId, reqs: &[drink_runtime::CoordRequest]) {
-        let heap = self.rt.heap();
-        if heap.thread_shards() <= 1 {
-            return;
-        }
-        let shard = self.rt.thread_shard(t);
-        for req in reqs {
-            if let Some(o) = req.obj {
-                assert!(
-                    heap.shard_stamped(o, shard),
-                    "T{} received an explicit request for {o:?} but shard {shard} \
-                     was never stamped for it — epoch-skip invariant violated",
-                    t.raw()
-                );
-            }
-        }
     }
 
     /// Per-thread state of mutator `t`.
@@ -350,8 +324,6 @@ impl<S: Support> EngineCommon<S> {
             ts.req_scratch = reqs;
             return;
         }
-        #[cfg(feature = "check-invariants")]
-        self.assert_requests_stamped(ts.tid, &reqs);
         let mut requested = std::mem::take(&mut ts.obj_scratch);
         requested.extend(reqs.iter().filter_map(|r| r.obj));
         self.support.before_yield(
@@ -615,8 +587,6 @@ impl<S: Support> RtHooks for EngineCommon<S> {
         debug_assert!(reqs.is_empty(), "blocked-publish drain re-entered");
         ctl.drain_requests_into(&mut reqs);
         if !reqs.is_empty() {
-            #[cfg(feature = "check-invariants")]
-            self.assert_requests_stamped(t, &reqs);
             let clock = ctl.bump_release_clock();
             ts.stats.bump(Event::RespondedExplicit);
             ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);

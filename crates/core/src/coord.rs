@@ -194,20 +194,10 @@ pub struct PendingPeer {
 /// the `Fanout*` trace events, the `CoordFanout*` sched points and
 /// [`LatencyKind::FanoutComplete`].
 ///
-/// ## Epoch skip (DESIGN.md §14)
-///
-/// When the runtime is sharded (`thread_shards() > 1`) and an all-others
-/// call names an object, the snapshot pass consults the heap's per-shard
-/// access-epoch table and **skips entire shards** whose epoch proves no
-/// thread of the shard ever accessed the object: zero roundtrip, zero
-/// enqueue. Skipped peers are *vacuous* — they contribute neither a source
-/// nor a mode flag, exactly like the no-peers case, so the `Mode`
-/// aggregation semantics are unchanged (all peers skipped ⇒ `Implicit`). A
-/// peer whose first access races the snapshot either stamps before our epoch
-/// load (we visit it) or stamps after (its access is ordered after this
-/// coordination — the same already-tolerated window as a thread registering
-/// mid-fan-out). Unsharded runtimes and `obj == None` calls visit every
-/// peer; a named owner is always visited.
+/// `AllOthers` visits every peer registered when the snapshot is taken. A
+/// thread that registers mid-fan-out is not visited: its first access is
+/// ordered after this coordination (DESIGN.md §3). `obj` only labels the
+/// enqueued requests for the responder's support.
 #[allow(clippy::too_many_arguments)]
 pub fn coordinate(
     rt: &Runtime,
@@ -225,8 +215,6 @@ pub fn coordinate(
     let before = sources.len();
     pending.clear();
 
-    let heap = rt.heap();
-    let map = heap.thread_shard_map();
     let (peers, fanout) = match whom {
         PrevHolders::One(remote) => {
             debug_assert_ne!(me, remote, "a thread never coordinates with itself");
@@ -235,24 +223,12 @@ pub fn coordinate(
         }
         PrevHolders::AllOthers => (0..rt.registered_threads(), true),
     };
-    // Only a sharded runtime with a named object can skip (obj == None
-    // callers are the conservative visit-everyone paths).
-    let skip_obj = if fanout && heap.thread_shards() > 1 { obj } else { None };
 
     // Phase 1: snapshot the live peers, resolving what needs no roundtrip.
     for i in peers {
         let remote = ThreadId(i as u16);
         if remote == me {
             continue;
-        }
-        if let Some(o) = skip_obj {
-            if !heap.shard_stamped(o, map.shard_of(i)) {
-                // No thread of this shard ever accessed `o` (the stamp is
-                // SeqCst-ordered before any such access's effect), so the
-                // peer can hold no privilege on it: resolved vacuously, no
-                // roundtrip, no enqueue, no source.
-                continue;
-            }
         }
         let ctl = rt.control(remote);
         // Detached is permanently blocked: detach flushed, bumped the clock,
@@ -429,10 +405,10 @@ mod tests {
         assert_eq!(out, (CoordMode::Implicit, vec![(remote, 1)]));
         assert_eq!(responded, 0, "implicit coordination completes immediately");
 
-        // The unsharded all-others fan-out against n − 1 blocked peers:
-        // every peer resolved exactly once, by one epoch CAS each.
+        // The all-others fan-out against n − 1 blocked peers: every peer
+        // resolved exactly once, by one epoch CAS each.
         for n in [8, 16, 32, 64] {
-            let rt = Runtime::new(RuntimeConfig::builder().max_threads(n).shards(1).build());
+            let rt = Runtime::new(RuntimeConfig::builder().max_threads(n).build());
             let me = rt.register_thread();
             let peers: Vec<ThreadId> = (1..n).map(|_| rt.register_thread()).collect();
             let epochs: Vec<u64> = peers
@@ -797,71 +773,6 @@ mod tests {
                 "parked requester answered within a few park intervals: {latency:?}"
             );
         });
-    }
-
-    /// Epoch skip: in a per-thread-sharded runtime, a fan-out naming an
-    /// object visits only the peers whose shards are stamped for it. At every
-    /// width four threads share the object — the requester and three blocked
-    /// peers — and the other n − 4 never poll: the sources are exactly the
-    /// three sharers, and no skipped peer is sent a request or has its status
-    /// word touched, so the fan-out's work tracks the sharer count, not the
-    /// registered count. Skipped peers are vacuous (no source, no mode
-    /// contribution), and an all-skipped fan-out aggregates to Implicit
-    /// exactly like no-peers.
-    #[test]
-    fn fanout_skips_unstamped_shards() {
-        for n in [8, 16, 32, 64] {
-            let rt = Runtime::new(
-                RuntimeConfig::builder().max_threads(n).shards(n).heap_objects(8).build(),
-            );
-            assert_eq!(rt.heap().thread_shards(), n, "per-thread shard granularity");
-            let me = rt.register_thread();
-            let peers: Vec<ThreadId> = (1..n).map(|_| rt.register_thread()).collect();
-            let o = ObjId(3);
-            // Only the sharers' shards (and ours) have ever touched `o`.
-            let sharers = [peers[0], peers[n / 2], peers[n - 2]];
-            rt.stamp_access(me, o);
-            for t in sharers {
-                rt.stamp_access(t, o);
-                rt.control(t).bump_release_clock();
-                rt.control(t).publish_blocked();
-            }
-            let cold: Vec<ThreadId> = peers.into_iter().filter(|t| !sharers.contains(t)).collect();
-            let before: Vec<ThreadStatus> = cold.iter().map(|&t| rt.control(t).status()).collect();
-
-            // The deadline turns a visit to a never-polling peer into a
-            // failure instead of a hang; the blocked sharers need no wait.
-            let mut sources = Vec::new();
-            let deadline = Some(Duration::from_secs(1));
-            let all = PrevHolders::AllOthers;
-            let mode =
-                coordinate(&rt, me, all, Some(o), &mut || {}, &mut sources, &mut Vec::new(), deadline);
-            assert_eq!(mode, Some(CoordMode::Implicit), "t={n}");
-            sources.sort();
-            assert_eq!(sources, sharers.map(|t| (t, 1)), "t={n}: only the stamped shards visited");
-            for (&t, &status) in cold.iter().zip(&before) {
-                let ctl = rt.control(t);
-                assert!(!ctl.has_pending_requests(), "t={n}: skipped {t:?} was sent a request");
-                assert_eq!(ctl.status(), status, "t={n}: skipped {t:?}'s status word changed");
-            }
-
-            // A fan-out on a wholly-unstamped object skips everyone: vacuous,
-            // Implicit, and it completes at once despite the cold peers.
-            let out = coordinate_with(&rt, me, all, Some(ObjId(7)), &mut || {});
-            assert_eq!(out, (CoordMode::Implicit, vec![]), "all-skipped aggregates like no-peers");
-
-            // obj = None keeps the conservative visit-everyone behavior: the
-            // cold peers are now visited, so their inboxes receive requests.
-            let short = Some(Duration::from_millis(20));
-            let _ = coordinate(&rt, me, all, None, &mut || {}, &mut Vec::new(), &mut Vec::new(), short);
-            for &t in &cold {
-                let ctl = rt.control(t);
-                assert!(ctl.has_pending_requests(), "obj=None fan-out still visits {t:?}");
-                for req in ctl.take_requests() {
-                    req.token.complete(ctl.bump_release_clock());
-                }
-            }
-        }
     }
 
     /// Satellite: thread registration racing a fan-out snapshot. The

@@ -215,14 +215,6 @@ impl<S: Support> HybridEngine<S> {
         if whom == PrevHolders::AllOthers && mode.is_some() {
             ts.stats.bump(Event::CoordFanout);
             ts.stats.add(Event::CoordFanoutPeers, sources.len() as u64);
-            // Every registered peer that contributed no source was resolved
-            // vacuously by the epoch skip (DESIGN.md §14). Counted post-hoc
-            // so the fan-out's loop carries no extra state; only meaningful
-            // on sharded runtimes (unsharded fan-outs visit every peer).
-            if rt.heap().thread_shards() > 1 {
-                let peers = rt.registered_threads().saturating_sub(1);
-                ts.stats.add(Event::CoordFanoutSkipped, peers.saturating_sub(sources.len()) as u64);
-            }
         }
         ts.src_scratch = sources;
         ts.fanout_scratch = pending;
@@ -610,9 +602,6 @@ impl<S: Support> HybridEngine<S> {
     fn write_impl(&self, t: ThreadId, o: ObjId, v: u64, abortable: bool) -> Option<u64> {
         // SAFETY: attached thread (Tracker contract).
         let ts = unsafe { self.common.ts(t) };
-        // Stamp before the state word is even examined: the epoch table must
-        // prove "this shard never touched o" only when it is true (§14).
-        self.common.rt.stamp_access(t, o);
         let obj = self.common.rt.obj(o);
         let cur = obj.state().load(Ordering::Acquire);
         if cur == StateWord::wr_ex_opt(t).0 && !self.common.rt.tracing_enabled() {
@@ -754,8 +743,6 @@ impl<S: Support> Tracker for HybridEngine<S> {
         // SAFETY: attached thread.
         let ts = unsafe { self.common.ts(t) };
         ts.stats.bump(Event::Read);
-        // Stamp-before-examine, as in the write path (DESIGN.md §14).
-        self.common.rt.stamp_access(t, o);
         let obj = self.common.rt.obj(o);
         let cur = obj.state().load(Ordering::Acquire);
         let quiet = !self.common.rt.tracing_enabled();
@@ -791,10 +778,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
 
     fn alloc_init(&self, o: ObjId, owner: ThreadId) {
         // "Each object newly allocated by thread T starts in the WrExOpt(T)
-        // state" (§6.2). The allocation stamps the owner's shard: the state
-        // word names the owner, so targeted coordination may reach it before
-        // its first instrumented access.
-        self.common.rt.stamp_access(owner, o);
+        // state" (§6.2).
         let obj = self.common.rt.obj(o);
         obj.state().store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
     }

@@ -55,9 +55,6 @@ impl<S: Support> PessimisticEngine<S> {
         } else {
             Event::Read
         });
-        // Stamp the accessing shard before examining the state word, so the
-        // epoch table's "never touched" proof stays sound (DESIGN.md §14).
-        self.common.rt.stamp_access(t, o);
 
         let obj = self.common.rt.obj(o);
         let state = obj.state();
@@ -164,8 +161,6 @@ impl<S: Support> Tracker for PessimisticEngine<S> {
     }
 
     fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        // The state word names the owner from here on: stamp its shard.
-        self.common.rt.stamp_access(owner, o);
         let state = self.common.rt.obj(o).state();
         state.store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
     }

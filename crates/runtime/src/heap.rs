@@ -23,7 +23,6 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::ids::ObjId;
-use crate::registry::ShardMap;
 
 /// One tracked shared object: state word + profile word + payload.
 ///
@@ -108,128 +107,12 @@ const _: () = assert!(std::mem::size_of::<ObjHeader>() == 32);
 #[derive(Debug)]
 pub struct Heap {
     headers: Box<[ObjHeader]>,
-    /// Per-(object × thread-shard) access-epoch table (DESIGN.md §14),
-    /// row-major by object: `epochs[o * shards + s]` holds the heap
-    /// generation at which some thread of registry shard `s` first accessed
-    /// object `o`, or an older generation if none has. Empty when the
-    /// runtime runs with a single thread shard — the skip machinery is then
-    /// disabled wholesale and the tracked fast paths pay nothing.
-    epochs: Box<[AtomicU64]>,
-    /// Thread-shard mapping the epoch table is indexed by (must match the
-    /// registry's).
-    shard_map: ShardMap,
-    /// Heap generation, bumped by [`Heap::reset_all`]. A stamp is live only
-    /// if it equals the current generation, which is how a bulk reset
-    /// invalidates every stamp without touching the table.
-    epoch_gen: AtomicU64,
 }
 
 impl Heap {
-    /// A heap of `n` zeroed objects. Single thread shard (no access-epoch
-    /// table).
+    /// A heap of `n` zeroed objects.
     pub fn new(n: usize) -> Self {
-        Self::with_shards(n, ShardMap::new(1))
-    }
-
-    /// A heap of `n` zeroed objects with an access-epoch table indexed by
-    /// `shard_map` (the runtime passes its registry's thread-shard mapping).
-    pub fn with_shards(n: usize, shard_map: ShardMap) -> Self {
-        let shards = shard_map.shards();
-        let epochs = if shards > 1 {
-            (0..n * shards).map(|_| AtomicU64::new(0)).collect::<Vec<_>>().into_boxed_slice()
-        } else {
-            Box::default()
-        };
-        Heap {
-            headers: (0..n).map(|_| ObjHeader::new()).collect(),
-            epochs,
-            shard_map,
-            epoch_gen: AtomicU64::new(1),
-        }
-    }
-
-    // --- Access-epoch table (DESIGN.md §14) ---
-
-    /// Number of thread shards the access-epoch table is indexed by (1 means
-    /// the table is absent and every stamp/skip query is a no-op).
-    #[inline(always)]
-    pub fn thread_shards(&self) -> usize {
-        self.shard_map.shards()
-    }
-
-    /// The thread-shard mapping of the epoch table (the registry's mapping).
-    #[inline(always)]
-    pub fn thread_shard_map(&self) -> ShardMap {
-        self.shard_map
-    }
-
-    /// Current heap generation (bumped by [`Heap::reset_all`]).
-    #[inline]
-    pub fn epoch_generation(&self) -> u64 {
-        self.epoch_gen.load(Ordering::Relaxed)
-    }
-
-    /// Stamp object `o`'s access epoch for thread shard `shard`: records
-    /// "some thread of this shard has (begun to) access `o` in the current
-    /// heap generation". Engines call this at every tracked access, before
-    /// loading the state word; after the first stamp per (object, shard,
-    /// generation) the call is one relaxed load and a predicted branch.
-    ///
-    /// Ordering: the first stamp is a `SeqCst` store followed by a `SeqCst`
-    /// fence, so the stamp is ordered before the stamper's subsequent
-    /// state-word load in the single total order. A fan-out requester reads
-    /// the epoch with a `SeqCst` load ([`Heap::shard_stamped`]); if that
-    /// load does not observe the stamp, the stamp — and hence every access
-    /// the stamping thread performs — is ordered after the requester's
-    /// snapshot, which is exactly the already-tolerated "peer had not
-    /// touched the object at snapshot time" vacuous case (full argument:
-    /// DESIGN.md §14).
-    #[inline(always)]
-    pub fn stamp_access(&self, o: ObjId, shard: usize) {
-        if self.thread_shards() == 1 {
-            return;
-        }
-        let gen = self.epoch_gen.load(Ordering::Relaxed);
-        let slot = &self.epochs[o.index() * self.thread_shards() + shard];
-        if slot.load(Ordering::Relaxed) == gen {
-            return;
-        }
-        #[cfg(feature = "check-invariants")]
-        if crate::injected_bug("skip-epoch-stamp") {
-            return;
-        }
-        slot.store(gen, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-    }
-
-    /// Is shard `shard` stamped for object `o` in the current generation?
-    /// `false` proves no thread of that shard has accessed `o` since the
-    /// last [`Heap::reset_all`] (modulo the tolerated race documented at
-    /// [`Heap::stamp_access`]); with a single thread shard this is always
-    /// `false` and callers must not consult it for skip decisions.
-    #[inline]
-    pub fn shard_stamped(&self, o: ObjId, shard: usize) -> bool {
-        if self.thread_shards() == 1 {
-            return false;
-        }
-        self.epochs[o.index() * self.thread_shards() + shard].load(Ordering::SeqCst)
-            == self.epoch_gen.load(Ordering::Relaxed)
-    }
-
-    /// Per-object bitmask of stamped thread shards (bit `s` set iff shard
-    /// `s` is stamped in the current generation; shards beyond 64 are not
-    /// representable and are omitted). The shard-skip oracle compares this
-    /// against the stamps the workload's access pattern implies.
-    pub fn stamp_snapshot(&self) -> Vec<u64> {
-        let shards = self.thread_shards().min(64);
-        (0..self.len())
-            .map(|i| {
-                let o = ObjId(i as u32);
-                (0..shards).fold(0u64, |m, s| {
-                    if self.shard_stamped(o, s) { m | (1 << s) } else { m }
-                })
-            })
-            .collect()
+        Heap { headers: (0..n).map(|_| ObjHeader::new()).collect() }
     }
 
     /// Number of objects.
@@ -264,15 +147,10 @@ impl Heap {
     /// The stores are Relaxed with one trailing SeqCst fence: bulk reset is
     /// a single-threaded setup step, and one fence publishes the whole heap
     /// at a fraction of the cost of 3·n SeqCst stores.
-    ///
-    /// Also bumps the heap generation, which invalidates every access-epoch
-    /// stamp at once (a stamp is live only in the generation it was made;
-    /// see DESIGN.md §14).
     pub fn reset_all(&self, state: u64) {
         for (_, o) in self.iter() {
             o.reset_relaxed(state);
         }
-        self.epoch_gen.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
     }
 
@@ -344,78 +222,5 @@ mod tests {
         assert_eq!(addr(3) - addr(0), 96);
         // No header straddles a cache line.
         assert!((0..4).all(|i| addr(i) % 64 + 32 <= 64));
-    }
-
-    #[test]
-    fn single_shard_heap_has_no_epoch_table() {
-        let h = Heap::new(4);
-        assert_eq!(h.thread_shards(), 1);
-        // Stamps are no-ops and skip queries always answer "not stamped".
-        h.stamp_access(ObjId(0), 0);
-        assert!(!h.shard_stamped(ObjId(0), 0));
-    }
-
-    #[test]
-    fn stamps_are_per_object_per_shard_and_reset_invalidates() {
-        let h = Heap::with_shards(3, ShardMap::new(4));
-        assert_eq!(h.thread_shards(), 4);
-        assert!(!h.shard_stamped(ObjId(1), 2));
-        h.stamp_access(ObjId(1), 2);
-        assert!(h.shard_stamped(ObjId(1), 2));
-        // Neither neighboring objects nor neighboring shards are stamped.
-        assert!(!h.shard_stamped(ObjId(0), 2));
-        assert!(!h.shard_stamped(ObjId(2), 2));
-        assert!(!h.shard_stamped(ObjId(1), 1));
-        assert!(!h.shard_stamped(ObjId(1), 3));
-        assert_eq!(h.stamp_snapshot(), vec![0, 1 << 2, 0]);
-        // Bulk reset invalidates every stamp without touching the table.
-        let gen = h.epoch_generation();
-        h.reset_all(0);
-        assert_eq!(h.epoch_generation(), gen + 1);
-        assert!(!h.shard_stamped(ObjId(1), 2));
-        // Re-stamping in the new generation works.
-        h.stamp_access(ObjId(1), 2);
-        assert!(h.shard_stamped(ObjId(1), 2));
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Satellite: epoch-stamp monotonicity. A shard once stamped for an
-        /// object is never reported unstamped (i.e. never skipped) again
-        /// until the next heap reset, regardless of interleaved stamps to
-        /// other objects and shards.
-        #[test]
-        fn stamp_monotonic_until_reset(
-            objs in 1usize..8,
-            shards in 2usize..8,
-            ops in proptest::collection::vec((0usize..8, 0usize..8, 0usize..10), 0..64),
-        ) {
-            let map = ShardMap::new(shards);
-            let h = Heap::with_shards(objs, map);
-            let mut live: std::collections::HashSet<(usize, usize)> = Default::default();
-            for (o, s, roll) in ops {
-                let (o, s) = (o % objs, s % map.shards());
-                // Roll 0 (10% of steps): bulk reset; otherwise stamp.
-                if roll == 0 {
-                    h.reset_all(0);
-                    live.clear();
-                } else {
-                    h.stamp_access(ObjId(o as u32), s);
-                    live.insert((o, s));
-                }
-                // Every stamp made since the last reset is still visible;
-                // everything else reads unstamped.
-                for oo in 0..objs {
-                    for ss in 0..map.shards() {
-                        prop_assert_eq!(
-                            h.shard_stamped(ObjId(oo as u32), ss),
-                            live.contains(&(oo, ss)),
-                            "o={} s={}", oo, ss
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -35,7 +35,6 @@ pub mod heap;
 pub mod ids;
 pub mod monitor;
 pub mod pad;
-pub mod registry;
 pub mod runtime;
 pub mod spin;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use heap::{Heap, ObjHeader};
 pub use ids::{MonitorId, ObjId, ThreadId};
 pub use monitor::Monitor;
 pub use pad::CachePadded;
-pub use registry::{Registry, ShardMap};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeConfigBuilder, MAX_RDSH_COUNT};
 pub use spin::{Spin, SpinOutcome};
 pub use stats::{Event, GlobalStats, HistogramSnapshot, LatencyKind, LocalStats, StatsReport};

@@ -1,6 +1,6 @@
 //! The runtime registry: threads, heap, monitors, global counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use crate::control::ThreadControl;
 use crate::heap::Heap;
 use crate::ids::{MonitorId, ObjId, ThreadId};
 use crate::monitor::{AcquireInfo, Monitor};
-use crate::registry::{Registry, ShardMap};
+use crate::pad::CachePadded;
 use crate::stats::{GlobalStats, LatencyKind};
 use crate::trace::{RingTraceSink, TraceKind, TraceSink, TraceSnapshot};
 use crate::{RtHooks, SchedHooks, SchedPoint};
@@ -45,13 +45,6 @@ pub struct RuntimeConfig {
     /// to one branch. Non-zero auto-installs a [`RingTraceSink`] holding the
     /// last `trace_capacity` events per thread.
     pub trace_capacity: usize,
-    /// Number of registry/monitor-table shards (rounded up to a power of
-    /// two). `0` (the default) means auto: `next_pow2(max_threads / 8)` —
-    /// one shard per 8 threads, so ≤8-thread configurations keep the flat
-    /// single-shard layout. The same mapping indexes the heap's per-object
-    /// access-epoch table, which lets fan-outs skip shards whose threads
-    /// provably never touched the object (DESIGN.md §14).
-    pub shards: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -64,7 +57,6 @@ impl Default for RuntimeConfig {
             monitor_spin_iters: 300,
             coord_deadline: Duration::ZERO,
             trace_capacity: 0,
-            shards: 0,
         }
     }
 }
@@ -75,16 +67,6 @@ impl RuntimeConfig {
     /// a field never breaks call sites the way struct literals did.
     pub fn builder() -> RuntimeConfigBuilder {
         RuntimeConfigBuilder { config: RuntimeConfig::default() }
-    }
-
-    /// The thread-shard mapping this config resolves to (`shards` rounded to
-    /// a power of two, or the `next_pow2(max_threads / 8)` auto default).
-    pub fn shard_map(&self) -> ShardMap {
-        if self.shards == 0 {
-            ShardMap::auto(self.max_threads)
-        } else {
-            ShardMap::new(self.shards)
-        }
     }
 }
 
@@ -138,13 +120,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Number of registry/monitor/epoch-table shards; `0` (the default)
-    /// derives `next_pow2(max_threads / 8)`.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.config.shards = n;
-        self
-    }
-
     /// Finish, yielding the config.
     pub fn build(self) -> RuntimeConfig {
         self.config
@@ -164,13 +139,20 @@ pub const MAX_RDSH_COUNT: u64 = u32::MAX as u64;
 #[derive(Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
-    /// Sharded thread-control and monitor tables (see [`crate::registry`]).
-    registry: Registry,
+    /// One control block per possible mutator, indexed by dense thread id.
+    /// `ThreadControl` is 128-byte aligned, so no two threads' blocks share
+    /// a cache line.
+    controls: Box<[ThreadControl]>,
+    /// Threads registered so far (the next dense id to hand out).
+    next_tid: AtomicU16,
+    monitors: Box<[Monitor]>,
     heap: Heap,
     /// The paper's monotonically increasing global counter `gRdShCount`
     /// (Table 1 footnote): upgrading transitions to RdSh take their counter
-    /// value `c` from here.
-    g_rdsh_count: AtomicU64,
+    /// value `c` from here. Padded: every RdSh creation writes it, and on a
+    /// line shared with `heap` each such write would cost every thread's next
+    /// access a miss.
+    g_rdsh_count: CachePadded<AtomicU64>,
     stats: GlobalStats,
     /// Optional schedule-perturbation layer (crate `drink-check`). `None` in
     /// production runs; every perturbation site reduces to one branch.
@@ -184,20 +166,19 @@ impl Runtime {
     /// Build a runtime per `config`.
     pub fn new(config: RuntimeConfig) -> Self {
         assert!(config.max_threads <= ThreadId::MAX, "too many threads");
-        let map = config.shard_map();
-        let registry = Registry::new(config.max_threads, config.monitors, map);
-        let heap = Heap::with_shards(config.heap_objects, map);
         let sink: Option<Arc<dyn TraceSink>> = (config.trace_capacity > 0)
             .then(|| {
                 Arc::new(RingTraceSink::new(config.max_threads, config.trace_capacity))
                     as Arc<dyn TraceSink>
             });
         Runtime {
+            controls: (0..config.max_threads).map(|_| ThreadControl::new()).collect(),
+            next_tid: AtomicU16::new(0),
+            monitors: (0..config.monitors).map(|_| Monitor::new()).collect(),
+            heap: Heap::new(config.heap_objects),
             config,
-            registry,
-            heap,
             // Start at 1 so that counter value 0 can mean "no RdSh epoch".
-            g_rdsh_count: AtomicU64::new(1),
+            g_rdsh_count: CachePadded::new(AtomicU64::new(1)),
             stats: GlobalStats::new(),
             sched: None,
             sink,
@@ -262,52 +243,40 @@ impl Runtime {
     }
 
     /// Register the calling thread as a mutator; ids are dense and assigned
-    /// in registration order. Panics if `max_threads` is exceeded. The
-    /// registration bump is `Release`, pairing with the `Acquire` load in
-    /// [`Runtime::registered_threads`] (see [`Registry::register`]).
+    /// in registration order. Panics if `max_threads` is exceeded.
+    ///
+    /// `Release` so that everything the registering thread published before
+    /// registering (e.g. state it pre-seeded for its peers) is visible to any
+    /// thread whose [`Runtime::registered_threads`] `Acquire` load observes
+    /// the new count: a fan-out snapshot takes the count, then reads each
+    /// peer's control block.
     pub fn register_thread(&self) -> ThreadId {
-        self.registry.register()
+        let raw = self.next_tid.fetch_add(1, Ordering::Release);
+        assert!(
+            (raw as usize) < self.controls.len(),
+            "thread registry full ({} max)",
+            self.controls.len()
+        );
+        ThreadId(raw)
     }
 
     /// Number of threads registered so far (`Acquire`; pairs with the
-    /// `Release` registration bump so a fan-out snapshot that observes a new
-    /// count also observes whatever the registrant published beforehand).
+    /// `Release` registration bump in [`Runtime::register_thread`]).
     pub fn registered_threads(&self) -> usize {
-        self.registry.registered()
+        (self.next_tid.load(Ordering::Acquire) as usize).min(self.controls.len())
     }
 
     /// Control block of thread `t`.
     #[inline(always)]
     pub fn control(&self, t: ThreadId) -> &ThreadControl {
-        self.registry.control(t)
+        &self.controls[t.index()]
     }
 
     /// All registered control blocks in dense id order (coordination with
     /// "every other thread" for RdSh conflicts iterates registered threads
-    /// only). The storage is sharded, so this is an iterator rather than a
-    /// contiguous slice.
-    pub fn controls(&self) -> impl Iterator<Item = &ThreadControl> + '_ {
-        self.registry.controls()
-    }
-
-    /// The thread-shard mapping shared by the registry, the monitor table
-    /// and the heap's access-epoch table.
-    #[inline(always)]
-    pub fn shard_map(&self) -> ShardMap {
-        self.registry.shard_map()
-    }
-
-    /// The registry shard thread `t` belongs to.
-    #[inline(always)]
-    pub fn thread_shard(&self, t: ThreadId) -> usize {
-        self.registry.shard_map().shard_of(t.index())
-    }
-
-    /// Stamp object `o`'s access epoch for thread `t`'s shard (shorthand
-    /// for `heap().stamp_access(o, thread_shard(t))`; see DESIGN.md §14).
-    #[inline(always)]
-    pub fn stamp_access(&self, t: ThreadId, o: ObjId) {
-        self.heap.stamp_access(o, self.thread_shard(t));
+    /// only).
+    pub fn controls(&self) -> &[ThreadControl] {
+        &self.controls[..self.registered_threads()]
     }
 
     /// The tracked heap.
@@ -325,7 +294,10 @@ impl Runtime {
     /// The monitor with id `m`.
     #[inline(always)]
     pub fn monitor(&self, m: MonitorId) -> &Monitor {
-        self.registry.monitor(m)
+        match self.monitors.get(m.index()) {
+            Some(monitor) => monitor,
+            None => crate::ids::out_of_range("MonitorId", m.index(), self.monitors.len()),
+        }
     }
 
     /// Aggregate statistics.
@@ -480,10 +452,18 @@ mod tests {
     #[test]
     fn registration_is_dense() {
         let rt = Runtime::new(cfg(4, 8, 2));
-        assert_eq!(rt.register_thread(), ThreadId(0));
-        assert_eq!(rt.register_thread(), ThreadId(1));
+        let (a, b) = (rt.register_thread(), rt.register_thread());
+        assert_eq!((a, b), (ThreadId(0), ThreadId(1)));
         assert_eq!(rt.registered_threads(), 2);
-        assert_eq!(rt.controls().count(), 2);
+        // `controls()` yields exactly the registered blocks, in id order, and
+        // each is the block `control(t)` resolves to.
+        let iterated: Vec<*const ThreadControl> =
+            rt.controls().iter().map(|c| c as *const _).collect();
+        assert_eq!(iterated, vec![rt.control(a) as *const _, rt.control(b) as *const _]);
+        assert_ne!(iterated[0], iterated[1]);
+        // Every monitor id resolves to its own monitor.
+        let monitor = |m| rt.monitor(MonitorId(m)) as *const Monitor;
+        assert_ne!(monitor(0), monitor(1));
     }
 
     #[test]
@@ -504,7 +484,6 @@ mod tests {
             .monitor_spin_iters(9)
             .coord_deadline(Duration::from_millis(45))
             .trace_capacity(64)
-            .shards(3)
             .build();
         assert_eq!(built.max_threads, 5);
         assert_eq!(built.heap_objects, 77);
@@ -513,28 +492,10 @@ mod tests {
         assert_eq!(built.monitor_spin_iters, 9);
         assert_eq!(built.coord_deadline, Duration::from_millis(45));
         assert_eq!(built.trace_capacity, 64);
-        assert_eq!(built.shards, 3);
-        assert_eq!(built.shard_map().shards(), 4, "explicit shards round to pow2");
 
         let defaults = RuntimeConfig::builder().max_threads(5).heap_objects(77).monitors(3).build();
         assert_eq!(defaults.trace_capacity, 0, "tracing off unless asked for");
         assert_eq!(defaults.coord_deadline, Duration::ZERO, "deadline off by default");
-    }
-
-    #[test]
-    fn sharded_runtime_shares_one_mapping() {
-        // Defaults: one shard per 8 threads.
-        assert_eq!(Runtime::new(cfg(8, 4, 1)).shard_map().shards(), 1);
-        let rt = Runtime::new(RuntimeConfig::builder().max_threads(16).heap_objects(8).build());
-        assert_eq!(rt.shard_map().shards(), 2);
-        assert_eq!(rt.heap().thread_shards(), 2, "heap epoch table uses the registry mapping");
-        let t0 = rt.register_thread();
-        let t1 = rt.register_thread();
-        assert_eq!(rt.thread_shard(t0), 0);
-        assert_eq!(rt.thread_shard(t1), 1);
-        rt.stamp_access(t1, ObjId(3));
-        assert!(rt.heap().shard_stamped(ObjId(3), 1));
-        assert!(!rt.heap().shard_stamped(ObjId(3), 0));
     }
 
     #[test]

@@ -136,19 +136,11 @@ pub enum Event {
     /// Under the re-opening valve, an object's phase changed out of `Pess`
     /// (its transitions since it turned pessimistic satisfied inequality (5)).
     AdaptPromotion,
-
-    // --- Sharded substrate (DESIGN.md §14) ---
-    /// A fan-out's snapshot pass skipped a peer because its registry shard's
-    /// access epoch proved no thread of that shard ever touched the object:
-    /// zero roundtrip, zero enqueue, resolved as vacuously implicit. Counted
-    /// per skipped *peer* (divide by `CoordFanout` for peers-skipped-per-
-    /// fan-out).
-    CoordFanoutSkipped,
 }
 
 impl Event {
     /// Number of event kinds (length of the counter arrays).
-    pub const COUNT: usize = Event::CoordFanoutSkipped as usize + 1;
+    pub const COUNT: usize = Event::AdaptPromotion as usize + 1;
 
     /// Compile-time proof backing the unchecked indexing in
     /// [`LocalStats::bump`]: discriminants are the dense range `0..COUNT`.
@@ -197,7 +189,6 @@ impl Event {
         Event::CoordDeadlineExceeded,
         Event::AdaptDemotion,
         Event::AdaptPromotion,
-        Event::CoordFanoutSkipped,
     ];
 
     /// Stable human-readable name (used by the bench harnesses' reports).
@@ -238,7 +229,6 @@ impl Event {
             Event::CoordDeadlineExceeded => "coord.deadline_exceeded",
             Event::AdaptDemotion => "adapt.demotion",
             Event::AdaptPromotion => "adapt.promotion",
-            Event::CoordFanoutSkipped => "coord.fanout_skipped",
         }
     }
 }
@@ -318,8 +308,7 @@ pub enum LatencyKind {
     /// One explicit coordination roundtrip: request enqueued → token
     /// completed by the remote's responding safe point.
     CoordRoundtrip,
-    /// A whole RdSh fan-out (or sequential all-peer loop): entry to last
-    /// peer resolved.
+    /// A whole RdSh fan-out: entry to last peer resolved.
     FanoutComplete,
     /// Monitor acquire, fast or blocked.
     MonitorAcquire,

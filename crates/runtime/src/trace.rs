@@ -82,8 +82,7 @@ pub enum TraceKind {
     FanoutEnqueue,
     /// One fan-out peer's roundtrip completed (arg = remote thread id).
     FanoutPeerDone,
-    /// Whole fan-out (or sequential all-peer loop) completed
-    /// (arg = number of sources collected).
+    /// Whole fan-out completed (arg = number of sources collected).
     FanoutComplete,
     /// Monitor acquired without blocking (arg = monitor id).
     MonitorAcquireFast,

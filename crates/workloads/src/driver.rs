@@ -40,12 +40,6 @@ pub struct RunResult {
     /// Per-object explicit-conflict counts (for the Figure 6 CDF); saturates
     /// at 65 535 per object.
     pub conflicts_per_object: Vec<u32>,
-    /// Per-object access-epoch stamp masks at run end (bit `s` set ⇔ thread
-    /// shard `s` was stamped for the object; see `Heap::stamp_snapshot`).
-    /// All zeros on single-shard runtimes, where the epoch table is inert.
-    pub shard_stamps: Vec<u64>,
-    /// Thread-shard count of the runtime the run used (1 = epoch-skip off).
-    pub thread_shards: usize,
 }
 
 impl RunResult {
@@ -80,9 +74,6 @@ pub fn runtime_config_for(spec: &WorkloadSpec) -> RuntimeConfig {
     }
     if let Some(ms) = spec.coord_deadline_ms {
         builder = builder.coord_deadline(Duration::from_millis(ms));
-    }
-    if let Some(shards) = spec.shards {
-        builder = builder.shards(shards);
     }
     builder.build()
 }
@@ -191,8 +182,6 @@ pub fn run_workload<T: Tracker + ?Sized>(engine: &T, spec: &WorkloadSpec) -> Run
         report: rt.stats().report(),
         heap,
         conflicts_per_object,
-        shard_stamps: rt.heap().stamp_snapshot(),
-        thread_shards: rt.heap().thread_shards(),
     }
 }
 

@@ -26,5 +26,5 @@ pub use record_replay::{record, replay, replay_with, RecordOutcome, RecorderKind
 pub use rs_driver::{run_rs, run_rs_on, RsKind};
 pub use spec::{
     chaos_adapt, chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,
-    chaos_shard, racy_inc, sync_inc, Op, SpecError, WorkloadSpec, WorkloadSpecBuilder,
+    chaos_wide, racy_inc, sync_inc, Op, SpecError, WorkloadSpec, WorkloadSpecBuilder,
 };

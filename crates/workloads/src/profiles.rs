@@ -86,7 +86,6 @@ fn base(name: &str, steps: usize) -> WorkloadSpec {
         monitor_spin: None,
         coord_deadline_ms: None,
         phase_every: 0,
-        shards: None,
     }
 }
 

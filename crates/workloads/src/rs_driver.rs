@@ -167,8 +167,6 @@ pub fn run_rs_on(enforcer: &RsEnforcer, spec: &WorkloadSpec) -> RunResult {
         report: rt.stats().report(),
         heap: rt.heap().snapshot_data(),
         conflicts_per_object: Vec::new(),
-        shard_stamps: rt.heap().stamp_snapshot(),
-        thread_shards: rt.heap().thread_shards(),
     }
 }
 

@@ -9,17 +9,18 @@
 #      (`check-invariants` is a non-default feature: the plain workspace
 #      release build — and hence the benchmark and the fast-path probes —
 #      never pays for it).
-#   2. Clean fixed-seed smoke matrix: 3 engines x 4 seeds x 4 workloads
-#      plus the differential / seqlock / replay / RS oracles. Must pass.
+#   2. Clean fixed-seed smoke matrix: 3 engines x 4 seeds x 6 workloads
+#      plus the differential / seqlock / degradation-ladder / serve / replay /
+#      RS oracles. Must pass.
 #   3. Canaries: re-run the matrix with a deliberately injected protocol
 #      bug. Two bugs, each its own leg:
 #        - skip-flush-before-block (lock-buffer flush dropped before a
 #          blocking safe point);
-#        - skip-epoch-stamp (accesses stop stamping their shard's access
-#          epoch, silently un-sounding the fan-out shard skip of
-#          DESIGN.md s14 — caught by the receiver-side stamped-request
-#          invariant on the 16-thread chaosShard spec and by the
-#          shard-skip oracle's stamp-mask comparison).
+#        - late-has-requests-clear (the inbox drain clears `has_requests`
+#          after the detach instead of before it, re-opening the
+#          lost-wakeup race of DESIGN.md s8 — caught when a stranded
+#          requester trips its watchdog, or by the quiescence scan's
+#          stranded-request check).
 #      The harness must CATCH each (nonzero exit, artifact written), and
 #      `--reproduce` on the saved artifact must fail again — proving the
 #      seed+trace actually pins the failure. A canary that passes means
@@ -93,22 +94,22 @@ if ! grep -q '"events"' "$artifact"; then
   exit 1
 fi
 
-echo "=== check_gate: injected-bug canary (skip-epoch-stamp)"
-rm -rf "$ARTIFACTS/canary-epoch"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-epoch-stamp \
-    "$SMOKE" --fail-fast --artifact-dir "$ARTIFACTS/canary-epoch"; then
-  echo "check_gate: FAIL — skip-epoch-stamp was NOT caught (shard-skip oracle blind)" >&2
+echo "=== check_gate: injected-bug canary (late-has-requests-clear)"
+rm -rf "$ARTIFACTS/canary-inbox"
+if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=late-has-requests-clear \
+    "$SMOKE" --fail-fast --artifact-dir "$ARTIFACTS/canary-inbox"; then
+  echo "check_gate: FAIL — late-has-requests-clear was NOT caught (lost wakeup invisible)" >&2
   exit 1
 fi
 
-epoch_artifact="$(ls "$ARTIFACTS"/canary-epoch/*.json 2>/dev/null | head -n1 || true)"
-if [ -z "$epoch_artifact" ]; then
-  echo "check_gate: FAIL — epoch canary failed but wrote no artifact" >&2
+inbox_artifact="$(ls "$ARTIFACTS"/canary-inbox/*.json 2>/dev/null | head -n1 || true)"
+if [ -z "$inbox_artifact" ]; then
+  echo "check_gate: FAIL — inbox canary failed but wrote no artifact" >&2
   exit 1
 fi
 
-if ! grep -q '"events"' "$epoch_artifact"; then
-  echo "check_gate: FAIL — epoch canary artifact has no embedded event timelines" >&2
+if ! grep -q '"events"' "$inbox_artifact"; then
+  echo "check_gate: FAIL — inbox canary artifact has no embedded event timelines" >&2
   exit 1
 fi
 
@@ -125,10 +126,10 @@ if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-flush-before-block \
   exit 1
 fi
 
-echo "=== check_gate: reproduce epoch canary artifact ($epoch_artifact)"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-epoch-stamp \
-    "$SMOKE" --reproduce "$epoch_artifact"; then
-  echo "check_gate: FAIL — epoch canary artifact did not reproduce" >&2
+echo "=== check_gate: reproduce inbox canary artifact ($inbox_artifact)"
+if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=late-has-requests-clear \
+    "$SMOKE" --reproduce "$inbox_artifact"; then
+  echo "check_gate: FAIL — inbox canary artifact did not reproduce" >&2
   exit 1
 fi
 
