@@ -1,16 +1,16 @@
 //! The chaos smoke matrix: the fixed-seed schedule-exploration run CI
 //! executes (`scripts/check_gate.sh`).
 //!
-//! Default matrix: 3 tracking engines × 4 seeds × 6 perturbation-heavy
-//! workloads (`chaosMix`, `chaosHandoff`, `chaosRdsh`, `chaosReadMostly`,
-//! `chaosAdapt`, the 16-thread `chaosWide`), plus — per seed — the
-//! differential oracle on the schedule-independent `chaosDisjoint` spec, the
-//! seqlock read oracle on `chaosReadMostly`, the degradation-ladder oracle
-//! on `chaosAdapt` (static matrix + adaptive engine agree while the policy
-//! performs real demotions), the serve-store oracle on `chaosServe` (every
-//! completed PUT visible at quiescence, final key values identical across
-//! engines), the record→replay oracle, and the region-serializability
-//! oracle. One seed determines both the workload's op streams and the chaos
+//! Default matrix: 3 tracking engines × 4 seeds × 4 perturbation-heavy
+//! workloads (`chaosMix`, `chaosHandoff`, `chaosRdsh`, the 16-thread
+//! `chaosWide`), plus — per seed — the differential oracle on the
+//! schedule-independent `chaosDisjoint` spec, the seqlock read oracle on
+//! `chaosReadMostly`, the degradation-ladder oracle on `chaosAdapt` (static
+//! matrix + adaptive engine agree while the policy performs real demotions),
+//! both of which run those specs' matrix cells themselves, the serve-store
+//! oracle on `chaosServe` (every completed PUT visible at quiescence, final
+//! key values identical across engines), the record→replay oracle, and the
+//! region-serializability oracle. One seed determines both the workload's op streams and the chaos
 //! decision streams, so a failing cell is named by (workload, engine, seed)
 //! alone.
 //!
@@ -88,18 +88,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Keep deliberate hangs bounded: if no spin budget is configured, tighten
-/// the watchdog so a protocol deadlock fails the run instead of wedging CI.
-/// Must run before any thread first touches a spinner (the budget is
-/// latched once per process).
-fn bound_spin_budget() {
+/// Keep deliberate hangs bounded: if no watchdog budget is configured,
+/// tighten it so a protocol deadlock fails the run instead of wedging CI.
+/// Must run before any thread first waits (the budget is latched once per
+/// process).
+fn bound_watchdog() {
     if std::env::var_os("DRINK_SPIN_BUDGET_MS").is_none() {
         std::env::set_var("DRINK_SPIN_BUDGET_MS", "10000");
     }
 }
 
 fn main() -> ExitCode {
-    bound_spin_budget();
+    bound_watchdog();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
@@ -119,8 +119,6 @@ fn main() -> ExitCode {
             chaos_mix(seed),
             chaos_handoff(seed),
             chaos_rdsh(seed),
-            chaos_read_mostly(seed),
-            chaos_adapt(seed),
             chaos_wide(seed),
         ] {
             for kind in MATRIX_ENGINES {

@@ -184,7 +184,7 @@ impl<S: Support> EngineCommon<S> {
         if cur == StateWord::wr_ex_pess(ts.tid, LockMode::Write).0 {
             return self.unlock_write_lock(ts, o);
         }
-        let mut spin = None;
+        let mut wait = None;
         loop {
             let w = StateWord(cur);
             if w.is_int() {
@@ -193,8 +193,8 @@ impl<S: Support> EngineCommon<S> {
                 // claim parks the word at Int while the support hook runs.
                 // Our hold survives that window; release it once the new
                 // state is published.
-                spin.get_or_insert_with(|| self.rt.spinner_for(ts.tid, "second reader's publish"))
-                    .spin();
+                let wait = wait.get_or_insert_with(|| self.rt.wait(ts.tid, "second reader's publish"));
+                let _ = wait.step();
                 cur = state.load(Ordering::Acquire);
                 continue;
             }
@@ -804,7 +804,6 @@ mod tests {
             &mut || {},
             &mut Vec::new(),
             &mut Vec::new(),
-            None,
         );
         assert_eq!(mode, Some(crate::support::CoordMode::Implicit));
     }

@@ -24,9 +24,9 @@
 //!
 //! ## Waiting, bounded two ways (DESIGN.md §13)
 //!
-//! Requesters wait through [`CoordWait`], a shared backoff ladder: spin
-//! hints → yields (the [`Spin`] phases) → bounded condvar parks on the
-//! requester's [`Waker`] once contention is evidently not transient. Both
+//! Requesters wait through a coordination [`drink_runtime::Wait`]: spin
+//! hints → yields → bounded parks on the requester's
+//! [`drink_runtime::Waker`] once contention is evidently not transient. Both
 //! the response-token completion and a peer enqueueing a request *to us*
 //! notify that waker, so a parked requester keeps acting as a safe point
 //! with at most one park-interval of latency.
@@ -37,105 +37,19 @@
 //!   [`coordinate`] returns `None` on expiry and the engine falls back to the
 //!   pessimistic protocol for that object — a *policy* decision, not a
 //!   failure;
-//! * without one it keeps the **hard-panic spin watchdog**: a coordination
-//!   that never completes with no deadline configured is a protocol bug, and
+//! * without one it keeps the **hard-panic watchdog**: a coordination that
+//!   never completes with no deadline configured is a protocol bug, and
 //!   hiding it would be worse than crashing.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use drink_runtime::{
-    CoordRequest, LatencyKind, ObjId, ResponseToken, Runtime, SchedPoint, Spin, SpinOutcome,
-    ThreadId, ThreadStatus, TraceKind, Waker,
+    CoordRequest, LatencyKind, ObjId, ResponseToken, Runtime, SchedPoint, ThreadId, ThreadStatus,
+    TraceKind,
 };
 
 use crate::support::{CoordMode, PrevHolders};
-
-/// Consecutive no-progress wait steps before a requester escalates from
-/// spinning/yielding to parking on its [`Waker`]. Matches the tail of the
-/// [`Spin`] yield phase: by this point the responder has demonstrably not
-/// been one quantum away.
-const PARK_AFTER_STEPS: u32 = 192;
-/// First park interval; doubles per park up to [`PARK_MAX`]. Short enough
-/// that a lost wakeup (tolerated by [`Waker::park`]'s bounded wait) costs
-/// microseconds, long enough to actually free the core.
-const PARK_INITIAL: Duration = Duration::from_micros(50);
-/// Park interval ceiling: bounds both lost-wakeup latency and deadline
-/// overshoot.
-const PARK_MAX: Duration = Duration::from_millis(1);
-
-/// The coordination wait ladder: spin → yield → park, with an optional
-/// recoverable deadline. One instance per coordination episode, reset via
-/// [`CoordWait::progressed`] whenever a poll pass resolves at least one
-/// peer, so the ladder measures *time since last progress*, not total
-/// episode length.
-struct CoordWait<'rt> {
-    spin: Spin<'rt>,
-    waker: &'rt Arc<Waker>,
-    /// Absolute expiry, if this wait is deadline-bounded (recoverable).
-    expires_at: Option<Instant>,
-    /// Wait steps since the last observed progress.
-    idle: u32,
-    interval: Duration,
-}
-
-impl<'rt> CoordWait<'rt> {
-    fn new(rt: &'rt Runtime, me: ThreadId, deadline: Option<Duration>) -> Self {
-        let what = "coordination responses";
-        let (spin, expires_at) = match deadline {
-            // Exact budget: a DRINK_SPIN_BUDGET_MS override bounds hangs,
-            // not clean deadline expiries.
-            Some(d) => (rt.deadline_spinner_for(me, what, d), Some(Instant::now() + d)),
-            None => (rt.spinner_for(me, what), None),
-        };
-        CoordWait {
-            spin,
-            waker: rt.control(me).waker(),
-            expires_at,
-            idle: 0,
-            interval: PARK_INITIAL,
-        }
-    }
-
-    /// Something completed since the last step; de-escalate fully.
-    fn progressed(&mut self) {
-        self.idle = 0;
-        self.interval = PARK_INITIAL;
-    }
-
-    /// One no-progress wait step. Returns [`SpinOutcome::Expired`] only for
-    /// deadline-bounded waits; without a deadline a wait that exhausts the
-    /// watchdog budget panics (protocol bug).
-    fn step(&mut self) -> SpinOutcome {
-        self.idle += 1;
-        if self.idle > PARK_AFTER_STEPS {
-            // Escalate to parking. Token completions and incoming requests
-            // notify the waker; the bounded interval is the lost-wakeup
-            // backstop and keeps the caller's respond-as-safepoint duty at
-            // one-interval latency worst case.
-            self.spin.note_park();
-            match self.expires_at {
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return SpinOutcome::Expired;
-                    }
-                    self.waker.park(self.interval.min(left));
-                }
-                None => self.waker.park(self.interval),
-            }
-            self.interval = (self.interval * 2).min(PARK_MAX);
-        }
-        // Still step the spinner every iteration: it keeps the hang
-        // backstop armed (and, under a deadline, checks expiry).
-        if self.expires_at.is_some() {
-            self.spin.checked_spin()
-        } else {
-            self.spin.spin();
-            SpinOutcome::Progress
-        }
-    }
-}
 
 /// One outstanding peer of an in-flight [`coordinate`] call: scratch state
 /// the caller provides (and reuses across conflicts) so a coordination
@@ -177,8 +91,8 @@ pub struct PendingPeer {
 ///
 /// ## Deadline
 ///
-/// Without a `deadline` a wait that never completes panics through the
-/// runtime's spin watchdog — always a protocol bug. With one, covering the
+/// Without a [`Runtime::coord_deadline`] a wait that never completes panics
+/// through the watchdog — always a protocol bug. With one, covering the
 /// *whole* call, `None` is returned if it elapsed with peers still
 /// outstanding: `sources` may then hold partial resolutions, which the
 /// caller must discard (engines use cleared scratch, so abandoning the vec is
@@ -198,7 +112,6 @@ pub struct PendingPeer {
 /// thread that registers mid-fan-out is not visited: its first access is
 /// ordered after this coordination (DESIGN.md §3). `obj` only labels the
 /// enqueued requests for the responder's support.
-#[allow(clippy::too_many_arguments)]
 pub fn coordinate(
     rt: &Runtime,
     me: ThreadId,
@@ -207,7 +120,6 @@ pub fn coordinate(
     respond_self: &mut impl FnMut(),
     sources: &mut Vec<(ThreadId, u64)>,
     pending: &mut Vec<PendingPeer>,
-    deadline: Option<Duration>,
 ) -> Option<CoordMode> {
     let t0 = Instant::now();
     let mut any_explicit = false;
@@ -256,7 +168,7 @@ pub fn coordinate(
             rt.trace(me, TraceKind::FanoutEnqueue, pending.len() as u64);
             rt.sched_point(me, SchedPoint::CoordFanoutEnqueue);
         }
-        let mut wait = CoordWait::new(rt, me, deadline);
+        let mut wait = rt.wait(me, "coordination responses").coordination();
         loop {
             // Phase 3: one combined poll pass over all outstanding peers.
             let outstanding = pending.len();
@@ -293,7 +205,7 @@ pub fn coordinate(
             }
             // Act as a safe point while waiting (deadlock freedom).
             respond_self();
-            if wait.step() == SpinOutcome::Expired {
+            if wait.step().is_err() {
                 rt.trace(me, TraceKind::CoordDeadline, pending.len() as u64);
                 return None;
             }
@@ -361,9 +273,15 @@ mod tests {
     use super::*;
     use drink_runtime::RuntimeConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
-    /// [`coordinate`] with fresh scratch and no deadline: the mode and the
-    /// sources it resolved.
+    /// A default runtime whose coordination deadline is `ms` (0: none).
+    fn deadlined(ms: u64) -> Runtime {
+        Runtime::new(RuntimeConfig::builder().coord_deadline(Duration::from_millis(ms)).build())
+    }
+
+    /// [`coordinate`] with fresh scratch, expected to complete: the mode and
+    /// the sources it resolved.
     fn coordinate_with(
         rt: &Runtime,
         me: ThreadId,
@@ -372,8 +290,8 @@ mod tests {
         respond_self: &mut impl FnMut(),
     ) -> (CoordMode, Vec<(ThreadId, u64)>) {
         let (mut sources, mut pending) = (Vec::new(), Vec::new());
-        let mode = coordinate(rt, me, whom, obj, respond_self, &mut sources, &mut pending, None)
-            .expect("undeadlined coordination cannot expire");
+        let mode = coordinate(rt, me, whom, obj, respond_self, &mut sources, &mut pending)
+            .expect("the coordination completes");
         (mode, sources)
     }
 
@@ -381,12 +299,12 @@ mod tests {
     /// `stop` is set.
     fn respond_until(rt: &Runtime, peer: ThreadId, stop: &AtomicBool) {
         let ctl = rt.control(peer);
-        let mut spin = rt.spinner("requests in test");
+        let mut wait = rt.wait(peer, "requests in test");
         while !stop.load(Ordering::Relaxed) {
             for req in ctl.take_requests() {
                 req.token.complete(ctl.bump_release_clock());
             }
-            spin.spin();
+            let _ = wait.step();
         }
     }
 
@@ -444,14 +362,14 @@ mod tests {
             let stop_r = &stop;
             s.spawn(move || {
                 let ctl = rtr.control(remote);
-                let mut spin = rtr.spinner("requests in test");
+                let mut wait = rtr.wait(remote, "requests in test");
                 while !stop_r.load(Ordering::Relaxed) {
                     for req in ctl.take_requests() {
                         let clock = ctl.bump_release_clock();
                         req.token.complete(clock);
                         assert_eq!(req.from, me);
                     }
-                    spin.spin();
+                    let _ = wait.step();
                 }
             });
 
@@ -598,9 +516,9 @@ mod tests {
                 let ctl = rtr.control(remote);
                 // Wait until the fan-out has enqueued its request, then block
                 // without answering it (the losing side of the race).
-                let mut spin = rtr.spinner("request to go stale");
+                let mut wait = rtr.wait(remote, "request to go stale");
                 while !ctl.has_pending_requests() {
-                    spin.spin();
+                    let _ = wait.step();
                 }
                 flag.store(true, Ordering::Relaxed);
                 ctl.bump_release_clock();
@@ -630,21 +548,13 @@ mod tests {
     /// and the stale token must be answerable afterwards.
     #[test]
     fn deadline_expires_against_stalled_peer() {
-        let rt = Runtime::new(RuntimeConfig::default());
+        let rt = deadlined(30);
         let me = rt.register_thread();
         let stalled = rt.register_thread();
 
         let t0 = Instant::now();
-        let out = coordinate(
-            &rt,
-            me,
-            PrevHolders::One(stalled),
-            None,
-            &mut || {},
-            &mut Vec::new(),
-            &mut Vec::new(),
-            Some(Duration::from_millis(30)),
-        );
+        let (mut sources, mut pending) = (Vec::new(), Vec::new());
+        let out = coordinate(&rt, me, PrevHolders::One(stalled), None, &mut || {}, &mut sources, &mut pending);
         assert_eq!(out, None, "stalled peer must trip the deadline");
         let waited = t0.elapsed();
         assert!(waited >= Duration::from_millis(30), "deadline honored: {waited:?}");
@@ -665,7 +575,7 @@ mod tests {
     /// with partial progress; the caller treats `sources` as garbage.
     #[test]
     fn fanout_deadline_expires_with_partial_progress() {
-        let rt = Runtime::new(RuntimeConfig::default());
+        let rt = deadlined(30);
         let me = rt.register_thread();
         let good = rt.register_thread();
         let _stalled = rt.register_thread();
@@ -676,16 +586,7 @@ mod tests {
 
             let mut sources = Vec::new();
             let mut pending = Vec::new();
-            let mode = coordinate(
-                &rt,
-                me,
-                PrevHolders::AllOthers,
-                None,
-                &mut || {},
-                &mut sources,
-                &mut pending,
-                Some(Duration::from_millis(30)),
-            );
+            let mode = coordinate(&rt, me, PrevHolders::AllOthers, None, &mut || {}, &mut sources, &mut pending);
             stop.store(true, Ordering::Relaxed);
             assert_eq!(mode, None, "one stalled peer must trip the fan-out deadline");
             assert!(sources.len() <= 1, "at most the responsive peer resolved");
@@ -707,7 +608,7 @@ mod tests {
                 let ctl = rtr.control(remote);
                 // Let the requester climb the whole ladder before answering.
                 std::thread::sleep(Duration::from_millis(40));
-                let mut spin = rtr.spinner("request in test");
+                let mut wait = rtr.wait(remote, "request in test");
                 loop {
                     let reqs = ctl.take_requests();
                     if !reqs.is_empty() {
@@ -717,7 +618,7 @@ mod tests {
                         }
                         break;
                     }
-                    spin.spin();
+                    let _ = wait.step();
                 }
             });
 
@@ -732,7 +633,7 @@ mod tests {
     /// notified by `enqueue_request`.
     #[test]
     fn parked_requester_still_answers_requests() {
-        let rt = Runtime::new(RuntimeConfig::default());
+        let rt = deadlined(300);
         let me = rt.register_thread();
         let _stalled = rt.register_thread();
         let third = rt.register_thread();
@@ -762,7 +663,6 @@ mod tests {
                 },
                 &mut Vec::new(),
                 &mut Vec::new(),
-                Some(Duration::from_millis(300)),
             );
             assert_eq!(out, None, "the stalled peer still trips our deadline");
 
@@ -798,12 +698,12 @@ mod tests {
                     joiners.push(s.spawn(move || {
                         let t = rtr.register_thread();
                         let ctl = rtr.control(t);
-                        let mut spin = rtr.spinner("registration race test");
+                        let mut wait = rtr.wait(t, "registration race test");
                         while !done_r.load(Ordering::Relaxed) {
                             for req in ctl.take_requests() {
                                 req.token.complete(ctl.bump_release_clock());
                             }
-                            spin.spin();
+                            let _ = wait.step();
                         }
                     }));
                 }
@@ -880,50 +780,49 @@ mod tests {
     #[test]
     fn one_peer_and_all_others_agree_on_a_single_peer() {
         type Outcome = Option<(CoordMode, Vec<(ThreadId, u64)>)>;
-        let deadline = Some(Duration::from_millis(30));
         let run = |whom: fn(ThreadId) -> PrevHolders| -> [Outcome; 4] {
-            let call = |rt: &Runtime, me, peer, deadline| {
+            let call = |rt: &Runtime, me, peer| {
                 let (mut sources, mut pending) = (Vec::new(), Vec::new());
-                coordinate(rt, me, whom(peer), None, &mut || {}, &mut sources, &mut pending, deadline)
+                coordinate(rt, me, whom(peer), None, &mut || {}, &mut sources, &mut pending)
                     .map(|mode| (mode, sources))
             };
-            let fresh = || {
-                let rt = Runtime::new(RuntimeConfig::default());
+            let fresh = |deadline_ms| {
+                let rt = deadlined(deadline_ms);
                 let (me, peer) = (rt.register_thread(), rt.register_thread());
                 (rt, me, peer)
             };
 
             // A running peer that polls: explicit.
-            let (rt, me, peer) = fresh();
+            let (rt, me, peer) = fresh(0);
             let stop = AtomicBool::new(false);
             let running = std::thread::scope(|s| {
                 s.spawn(|| respond_until(&rt, peer, &stop));
-                let out = call(&rt, me, peer, None);
+                let out = call(&rt, me, peer);
                 stop.store(true, Ordering::Relaxed);
                 out
             });
 
             // A blocked peer: implicit, by the epoch CAS.
-            let (rt, me, peer) = fresh();
+            let (rt, me, peer) = fresh(0);
             rt.control(peer).bump_release_clock();
             let epoch = rt.control(peer).publish_blocked();
-            let blocked = call(&rt, me, peer, None);
+            let blocked = call(&rt, me, peer);
             assert_ne!(rt.control(peer).status(), ThreadStatus::Blocked { epoch });
 
             // A detached peer: implicit, its epoch untouched and nothing
             // left in an inbox nobody will ever drain.
-            let (rt, me, peer) = fresh();
+            let (rt, me, peer) = fresh(0);
             rt.control(peer).bump_release_clock();
             let epoch = rt.control(peer).publish_blocked();
             rt.control(peer).mark_detached();
-            let detached = call(&rt, me, peer, None);
+            let detached = call(&rt, me, peer);
             assert_eq!(rt.control(peer).status(), ThreadStatus::Blocked { epoch });
             assert!(!rt.control(peer).has_pending_requests(), "no token left queued");
 
             // A running peer that never polls, under a deadline: expiry, and
             // the one request it was sent stays answerable.
-            let (rt, me, peer) = fresh();
-            let stalled = call(&rt, me, peer, deadline);
+            let (rt, me, peer) = fresh(30);
+            let stalled = call(&rt, me, peer);
             assert_eq!(rt.control(peer).take_requests().len(), 1);
 
             [running, blocked, detached, stalled]

@@ -154,8 +154,9 @@ impl<S: Support> HybridEngine<S> {
     /// Hybrid tracking with explicit support and configuration.
     pub fn with_config(rt: Arc<Runtime>, support: S, cfg: HybridConfig) -> Self {
         assert!(
-            !(cfg.eager_unlock && S::PREPUBLISH),
-            "the §3.1 eager-unlock ablation is tracking-only: recorders rely              on deferred unlocking's release-clock edges"
+            !cfg.eager_unlock || S::RELAXED_LOCKING,
+            "the §3.1 eager-unlock ablation is tracking-only: a support that keeps Table 3's \
+             lock discipline relies on deferred unlocking"
         );
         let threads = rt.config().max_threads;
         assert!(
@@ -210,7 +211,6 @@ impl<S: Support> HybridEngine<S> {
             &mut self.common.respond_closure(ts),
             &mut sources,
             &mut pending,
-            rt.coord_deadline(),
         );
         if whom == PrevHolders::AllOthers && mode.is_some() {
             ts.stats.bump(Event::CoordFanout);
@@ -464,7 +464,7 @@ impl<S: Support> HybridEngine<S> {
         let rt = &self.common.rt;
         let state = rt.obj(o).state();
         let mut contended = false;
-        let mut spin = rt.spinner("hybrid slow path");
+        let mut wait = rt.wait(t, "hybrid slow path");
         loop {
             let cur = state.load(Ordering::Acquire);
             let w = StateWord(cur);
@@ -543,9 +543,9 @@ impl<S: Support> HybridEngine<S> {
             if abortable && self.common.support.should_abort(t) {
                 return Outcome::Aborted;
             }
-            // Back off through the watchdog spinner, so that a contended
-            // livelock is bounded and diagnosable.
-            spin.spin();
+            // Back off through the watchdog, so that a contended livelock is
+            // bounded and diagnosable.
+            let _ = wait.step();
         }
     }
 
@@ -851,10 +851,10 @@ mod tests {
                 e.detach(t1);
                 r
             });
-            let mut spin = e.rt().spinner("scenario thread to finish");
+            let mut wait = e.rt().wait(t, "scenario thread to finish");
             while !h.is_finished() {
                 e.safepoint(t);
-                spin.spin();
+                let _ = wait.step();
             }
             h.join().unwrap()
         })
@@ -865,6 +865,12 @@ mod tests {
     fn a_runtime_with_more_threads_than_read_locks_is_refused() {
         let rt = Runtime::new(RuntimeConfig::builder().max_threads(256).heap_objects(1).build());
         HybridEngine::new(Arc::new(rt));
+    }
+
+    #[test]
+    #[should_panic(expected = "the §3.1 eager-unlock ablation is tracking-only")]
+    fn eager_unlock_is_refused_on_the_papers_model() {
+        paper_engine(HybridConfig { eager_unlock: true, ..HybridConfig::default() });
     }
 
     #[test]

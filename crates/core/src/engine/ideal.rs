@@ -46,7 +46,7 @@ impl IdealEngine {
     fn slow(&self, ts: &mut ThreadState, o: ObjId, access: Access) {
         let rt = &self.common.rt;
         let state = rt.obj(o).state();
-        let mut spin = rt.spinner("ideal slow path");
+        let mut wait = rt.wait(ts.tid, "ideal slow path");
         loop {
             let cur = state.load(Ordering::Acquire);
             let who = Who { t: ts.tid, rd_sh_count: ts.rd_sh_count, in_rd_set: &|| false };
@@ -74,7 +74,7 @@ impl IdealEngine {
                 }
                 return ts.stats.bump(event);
             }
-            spin.spin();
+            let _ = wait.step();
         }
     }
 }

@@ -282,10 +282,10 @@ mod optimistic {
                 });
                 // t0 keeps polling safe points until the writer finishes,
                 // responding to the coordination request.
-                let mut spin = e.rt().spinner("writer to finish");
+                let mut wait = e.rt().wait(t0, "writer to finish");
                 while !writer.is_finished() {
                     e.safepoint(t0);
-                    spin.spin();
+                    let _ = wait.step();
                 }
                 let t1 = writer.join().unwrap();
                 assert_eq!(state_of(&e, o), StateWord::wr_ex_opt(t1));
@@ -342,10 +342,10 @@ mod optimistic {
                     er.detach(t1);
                     t1
                 });
-                let mut spin = e.rt().spinner("rdsh writer to finish");
+                let mut wait = e.rt().wait(t0, "rdsh writer to finish");
                 while !h.is_finished() {
                     e.safepoint(t0);
-                    spin.spin();
+                    let _ = wait.step();
                 }
                 let t1 = h.join().unwrap();
                 assert_eq!(state_of(&e, o), StateWord::wr_ex_opt(t1));

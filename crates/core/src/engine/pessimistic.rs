@@ -76,8 +76,8 @@ impl<S: Support> PessimisticEngine<S> {
             }
         }
 
-        let mut spin = self.common.rt.spinner("pessimistic state lock");
-        // Lock the state word.
+        // Lock the state word. The wait is built only once a CAS has failed.
+        let mut wait = None;
         let old = loop {
             let cur = state.load(Ordering::Relaxed);
             if cur != StateWord::LOCKED.0
@@ -92,7 +92,8 @@ impl<S: Support> PessimisticEngine<S> {
             {
                 break StateWord(cur);
             }
-            spin.spin();
+            let wait = wait.get_or_insert_with(|| self.common.rt.wait(t, "pessimistic state lock"));
+            let _ = wait.step();
         };
 
         // Compute the post-access state per Table 1 (flat model, optimistic

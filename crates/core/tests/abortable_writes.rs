@@ -59,20 +59,20 @@ fn run_abort_scenario(cfg: HybridConfig) {
             // keeps answering safe points until the main thread disarms it.
             e.write(t1, O, 20);
             sup.armed.store(true, Ordering::Relaxed);
-            let mut spin = e.rt().spinner("main to finish scenario");
+            let mut wait = e.rt().wait(t1, "main to finish scenario");
             while sup.armed.load(Ordering::Relaxed) {
                 e.safepoint(t1);
-                spin.spin();
+                let _ = wait.step();
             }
             e.detach(t1);
         });
 
         // Wait until t1 owns O and the trap is armed — answering t1's
         // coordination request for O along the way.
-        let mut spin = engine.rt().spinner("t1 to take ownership");
+        let mut wait = engine.rt().wait(t0, "t1 to take ownership");
         while !support.armed.load(Ordering::Relaxed) {
             engine.safepoint(t0);
-            spin.spin();
+            let _ = wait.step();
         }
         // Now t0's try_write must coordinate with t1. While waiting, t1 also
         // requests something?? — simpler: the abort trips on *t0's own*

@@ -16,7 +16,7 @@ use drink_core::prelude::*;
 use drink_core::support::{SupportCx, TransitionEv};
 use drink_core::word::{LockMode, StateWord};
 use drink_runtime::{
-    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId,
+    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId, Wait,
 };
 
 const O: ObjId = ObjId(0);
@@ -40,9 +40,9 @@ impl Support for HoldWindowOpen {
     fn on_transition(&self, cx: SupportCx<'_>, _obj: ObjId, ev: TransitionEv<'_>) {
         if let TransitionEv::RdShCreate { pess: true, .. } = ev {
             self.0.open.store(true, Ordering::Release);
-            let mut spin = cx.rt.spinner("holder's flush to reach the window");
+            let mut wait = cx.rt.wait(cx.t, "holder's flush to reach the window");
             while !self.0.holder_waiting.load(Ordering::Acquire) {
-                spin.spin();
+                let _ = wait.step();
             }
         }
     }
@@ -93,9 +93,11 @@ fn flush_inside_a_second_readers_prepublish_window_waits_for_the_publish() {
             let _ = e.read(t2, O); // claims Int(t2), holds the window open
             e.detach(t2);
         });
-        let mut spin = e.rt().spinner("second reader to open its window");
+        // A bare wait: this thread is the holder, and a step it reported
+        // here would pass for its flush waiting in the window.
+        let mut wait = Wait::new("second reader to open its window");
         while !window.open.load(Ordering::Acquire) {
-            spin.spin();
+            let _ = wait.step();
         }
         // PSRO: flush while the word reads Int(t2).
         e.lock(t1, MonitorId(0));

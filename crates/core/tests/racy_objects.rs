@@ -97,10 +97,10 @@ fn get_put_rounds<S: Support>(e: &HybridEngine<S>, rounds: usize) -> (Vec<Obs>, 
     // Even: the reader's turn. Odd: the writer's.
     let turn = AtomicUsize::new(0);
     let await_turn = |t: ThreadId, mine: usize| {
-        let mut spin = e.rt().spinner_for(t, "the other thread's turn");
+        let mut wait = e.rt().wait(t, "the other thread's turn");
         while turn.load(Ordering::Acquire) != mine {
             e.safepoint(t);
-            spin.spin();
+            let _ = wait.step();
         }
     };
     let (gets, puts) = std::thread::scope(|s| {
@@ -251,9 +251,9 @@ impl SchedHooks for WriteInWindow {
         assert_eq!(w, StateWord::wr_ex_pess(T0, LockMode::Write), "the access runs locked");
         self.go.store(true, Ordering::Release);
         // T1 can only be asking because it found the state locked.
-        let mut spin = rt.spinner_for(T0, "the second thread's request");
+        let mut wait = rt.wait(T0, "the second thread's request");
         while !rt.control(T0).has_pending_requests() {
-            spin.spin();
+            let _ = wait.step();
         }
     }
 }
@@ -297,9 +297,9 @@ fn the_release_follows_the_access_it_guards() {
         let second = s.spawn(|| {
             let t1 = e.attach();
             assert_eq!(t1, T1);
-            let mut spin = e.rt().spinner_for(t1, "T0 to enter the window");
+            let mut wait = e.rt().wait(t1, "T0 to enter the window");
             while !hook.go.load(Ordering::Acquire) {
-                spin.spin();
+                let _ = wait.step();
             }
             let prev = e.try_write(t1, O, 2);
             // SAFETY: this is the OS thread attached as t1.
@@ -311,10 +311,10 @@ fn the_release_follows_the_access_it_guards() {
         // T1 is still waiting for T0's answer, so the state is as T0 left it.
         let w = StateWord(obj.state().load(Ordering::SeqCst));
         assert_eq!(w, StateWord::wr_ex_pess(T0, LockMode::Unlocked), "T0 released after its write");
-        let mut spin = e.rt().spinner_for(t0, "the second thread to finish");
+        let mut wait = e.rt().wait(t0, "the second thread to finish");
         while !second.is_finished() {
             e.safepoint(t0);
-            spin.spin();
+            let _ = wait.step();
         }
         let (prev, contended) = second.join().unwrap();
         assert_eq!(prev, Some(1), "T1's write overwrote T0's, not the other way round");
@@ -552,9 +552,9 @@ fn failed_validation_of_an_installed_read_goes_round_again() {
         s.spawn(|| {
             let t1 = e.attach();
             assert_eq!(t1, T1);
-            let mut spin = e.rt().spinner_for(t1, "the reader to enter its window");
+            let mut wait = e.rt().wait(t1, "the reader to enter its window");
             while hook.phase.load(Ordering::Acquire) != 1 {
-                spin.spin();
+                let _ = wait.step();
             }
             let found = StateWord(obj.state().load(Ordering::SeqCst));
             assert_eq!(found, StateWord::rd_ex_pess(T0, LockMode::Unlocked), "installed, unlocked");

@@ -458,16 +458,16 @@ fn contended_row(
             let t1 = er.attach();
             setup_r(er, t1);
             ready_r.store(true, Ordering::Release);
-            let mut spin = er.rt().spinner("main to finish");
+            let mut wait = er.rt().wait(t1, "main to finish");
             while !done_r.load(Ordering::Acquire) {
                 er.safepoint(t1);
-                spin.spin();
+                let _ = wait.step();
             }
             er.detach(t1);
         });
-        let mut spin = e.rt().spinner("helper setup");
+        let mut wait = e.rt().wait(t0, "helper setup");
         while !ready.load(Ordering::Acquire) {
-            spin.spin();
+            let _ = wait.step();
         }
         access(&e, t0);
         out = state(&e);

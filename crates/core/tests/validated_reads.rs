@@ -211,10 +211,10 @@ fn write_locked_and_in_flight_states_never_validate() {
             inject(&e, StateWord::wr_ex_pess(t1, LockMode::Unlocked));
             e.write(t1, O, 5);
             ready.wait();
-            let mut spin = e.rt().spinner("reader to finish");
+            let mut wait = e.rt().wait(t1, "reader to finish");
             while !done.load(Ordering::Acquire) {
                 e.safepoint(t1);
-                spin.spin();
+                let _ = wait.step();
             }
             e.detach(t1);
         });
@@ -360,9 +360,9 @@ struct WriteCycleInWindow {
 impl WriteCycleInWindow {
     /// One step of the cycle: wait for `phase`, access, flush at a PSRO.
     fn step(&self, e: &HybridEngine, t: ThreadId, phase: u32, access: impl FnOnce()) {
-        let mut spin = e.rt().spinner_for(t, "the write cycle's previous step");
+        let mut wait = e.rt().wait(t, "the write cycle's previous step");
         while self.phase.load(Ordering::Acquire) != phase {
-            spin.spin();
+            let _ = wait.step();
         }
         access();
         e.lock(t, M);

@@ -295,10 +295,10 @@ mod tests {
                 e.unlock(t1, m);
                 e.detach(t1);
             });
-            let mut spin = engine.rt().spinner("locked reader");
+            let mut wait = engine.rt().wait(t0, "locked reader");
             while !h.is_finished() {
                 engine.safepoint(t0);
-                spin.spin();
+                let _ = wait.step();
             }
             h.join().unwrap();
         });
@@ -330,10 +330,10 @@ mod tests {
                 let _ = e.read(t1, o); // no synchronization anywhere
                 e.detach(t1);
             });
-            let mut spin = engine.rt().spinner("racy reader");
+            let mut wait = engine.rt().wait(t0, "racy reader");
             while !h.is_finished() {
                 engine.safepoint(t0);
-                spin.spin();
+                let _ = wait.step();
             }
             h.join().unwrap();
         });
@@ -363,10 +363,10 @@ mod tests {
                 e.unlock(t1, MonitorId(1));
                 e.detach(t1);
             });
-            let mut spin = engine.rt().spinner("cross-monitor reader");
+            let mut wait = engine.rt().wait(t0, "cross-monitor reader");
             while !h.is_finished() {
                 engine.safepoint(t0);
-                spin.spin();
+                let _ = wait.step();
             }
             h.join().unwrap();
         });
@@ -411,10 +411,10 @@ mod tests {
                     e.detach(t);
                 }));
             }
-            let mut spin = engine.rt().spinner("readers");
+            let mut wait = engine.rt().wait(t0, "readers");
             while handles.iter().any(|h| !h.is_finished()) {
                 engine.safepoint(t0);
-                spin.spin();
+                let _ = wait.step();
             }
             for h in handles {
                 h.join().unwrap();
@@ -446,10 +446,10 @@ mod tests {
         let turn = std::sync::atomic::AtomicUsize::new(0);
         let write_in_turns = |t: ThreadId, parity: usize| {
             for i in 0..ROUNDS {
-                let mut spin = engine.rt().spinner("the other writer's turn");
+                let mut wait = engine.rt().wait(t, "the other writer's turn");
                 while turn.load(Ordering::Acquire) != 2 * i + parity {
                     engine.safepoint(t);
-                    spin.spin();
+                    let _ = wait.step();
                 }
                 engine.write(t, o, i as u64);
                 turn.store(2 * i + parity + 1, Ordering::Release);
@@ -463,10 +463,10 @@ mod tests {
             });
             write_in_turns(t0, 0);
             // T1's last write may still need this thread to answer.
-            let mut spin = engine.rt().spinner("racy peer to finish");
+            let mut wait = engine.rt().wait(t0, "racy peer to finish");
             while !h.is_finished() {
                 engine.safepoint(t0);
-                spin.spin();
+                let _ = wait.step();
             }
             h.join().unwrap();
         });

@@ -177,9 +177,9 @@ impl Support for Recorder {
                 // inside the Int window under PREPUBLISH, so epoch `c − 1`
                 // is either already deposited or about to be, with nothing
                 // blocking its depositor).
-                let mut spin = cx.rt.spinner("rdsh epoch chain order");
+                let mut wait = cx.rt.wait(cx.t, "rdsh epoch chain order");
                 while self.inner.next_epoch.load(Ordering::Acquire) != c {
-                    spin.spin();
+                    let _ = wait.step();
                 }
                 // Sink edges: the object's last transition (dominates the
                 // previous exclusive holder's writes)...

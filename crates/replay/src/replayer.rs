@@ -112,9 +112,9 @@ impl ReplayEngine {
                 let ctl = self.rt.control(src);
                 if ctl.release_clock() < clock {
                     local.stats.bump(Event::ReplayWait);
-                    let mut spin = self.rt.spinner("replay source clock");
+                    let mut wait = self.rt.wait(t, "replay source clock");
                     while ctl.release_clock() < clock {
-                        spin.spin();
+                        let _ = wait.step();
                     }
                 }
             }

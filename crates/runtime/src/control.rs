@@ -712,11 +712,11 @@ mod tests {
             let drained2 = drained.clone();
             s.spawn(move || {
                 let mut seen = 0;
-                let mut spin = crate::spin::Spin::new("drain all requests");
+                let mut wait = crate::Wait::new("drain all requests");
                 while seen < PER_THREAD * THREADS {
                     let got = c2.take_requests().len();
                     if got == 0 {
-                        spin.spin();
+                        let _ = wait.step();
                     }
                     seen += got;
                 }

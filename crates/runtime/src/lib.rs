@@ -47,7 +47,7 @@ pub use ids::{MonitorId, ObjId, ThreadId};
 pub use monitor::Monitor;
 pub use pad::CachePadded;
 pub use runtime::{Runtime, RuntimeConfig, RuntimeConfigBuilder, MAX_RDSH_COUNT};
-pub use spin::{Spin, SpinOutcome};
+pub use spin::{Expired, Wait};
 pub use stats::{Event, GlobalStats, HistogramSnapshot, LatencyKind, LocalStats, StatsReport};
 pub use trace::{RingTraceSink, ThreadTrace, TraceKind, TraceRecord, TraceSink, TraceSnapshot};
 
@@ -62,7 +62,7 @@ pub use trace::{RingTraceSink, ThreadTrace, TraceKind, TraceRecord, TraceSink, T
 pub enum SchedPoint {
     /// A non-blocking safe point poll (loop back edge).
     SafepointPoll,
-    /// One backoff step of a watchdog [`Spin`] loop.
+    /// One backoff step of a [`Wait`]: every waiting loop reports here.
     SpinBackoff,
     /// One iteration of a contended monitor acquire's spin phase.
     MonitorAcquireSpin,

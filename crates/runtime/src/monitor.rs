@@ -18,11 +18,12 @@
 //! exclusion (§7.6: "the replayer elides program synchronization operations
 //! and replays only the recorded dependences").
 
+use std::time::Duration;
+
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::control::ThreadControl;
 use crate::ids::ThreadId;
-use crate::spin::{park_budget, DEFAULT_BUDGET};
 use crate::{RtHooks, SchedPoint};
 
 #[derive(Debug, Default)]
@@ -57,8 +58,8 @@ enum TryAcquire {
     Contended,
 }
 
-/// Park on `cv` until `ready(&st)` holds, with the same watchdog contract as
-/// [`crate::spin::Spin`]: condvar parks are the one wait a spinner cannot
+/// Park on `cv` until `ready(&st)` holds, under the same watchdog budget as
+/// every [`crate::Wait`]: condvar parks are the one wait a `Wait` cannot
 /// cover, and a parked thread whose wake-up depends on a peer that died
 /// mid-protocol would hang the process silently. With the watchdog disabled
 /// (zero budget) this is a plain condition-variable loop.
@@ -68,12 +69,12 @@ fn park_until(
     what: &'static str,
     mut ready: impl FnMut(&MonState) -> bool,
 ) {
-    let budget = park_budget(DEFAULT_BUDGET);
+    let budget = crate::spin::budget();
     let mut started = None;
     while !ready(st) {
         match budget {
-            None => cv.wait(st),
-            Some(b) => {
+            Duration::ZERO => cv.wait(st),
+            b => {
                 let t0 = *started.get_or_insert_with(std::time::Instant::now);
                 cv.wait_for(st, b);
                 if !ready(st) && t0.elapsed() >= b {
@@ -439,12 +440,12 @@ mod tests {
             let h = s.spawn(move || m2.acquire(ThreadId(1), &c2[1], &NoHooks, 0));
 
             // Wait until T1 publishes BLOCKED, then coordinate implicitly.
-            let mut spin = crate::spin::Spin::new("T1 to block on monitor");
+            let mut wait = crate::Wait::new("T1 to block on monitor");
             let epoch = loop {
                 if let crate::control::ThreadStatus::Blocked { epoch } = c[1].status() {
                     break epoch;
                 }
-                spin.spin();
+                let _ = wait.step();
             };
             assert!(c[1].try_implicit(epoch));
 

@@ -10,6 +10,7 @@ use crate::heap::Heap;
 use crate::ids::{MonitorId, ObjId, ThreadId};
 use crate::monitor::{AcquireInfo, Monitor};
 use crate::pad::CachePadded;
+use crate::spin::Wait;
 use crate::stats::{GlobalStats, LatencyKind};
 use crate::trace::{RingTraceSink, TraceKind, TraceSink, TraceSnapshot};
 use crate::{RtHooks, SchedHooks, SchedPoint};
@@ -23,22 +24,19 @@ pub struct RuntimeConfig {
     pub heap_objects: usize,
     /// Number of program monitors.
     pub monitors: usize,
-    /// Watchdog budget for every spin loop (coordination waits, replay
-    /// waits). Zero disables the watchdog.
-    pub spin_budget: Duration,
     /// Iterations a contended monitor acquire spins (polling safe points as
     /// a RUNNING thread, like a JVM thin lock) before parking. Affects how
     /// often coordination against lock waiters is explicit vs. implicit.
     pub monitor_spin_iters: u32,
     /// Recoverable deadline for coordination waits (explicit roundtrips and
     /// fan-outs). Zero (the default) disables it: coordination waits are
-    /// then bounded only by the hard-panic `spin_budget` watchdog. Non-zero
-    /// turns an expired coordination wait into a clean `CoordDeadlineExceeded`
-    /// fallback — the requester abandons the roundtrip, demotes the object
-    /// to the pessimistic protocol, and retries — instead of a process
-    /// panic. Unlike `spin_budget` this is *not* overridden by
-    /// `DRINK_SPIN_BUDGET_MS`: the env var bounds hangs, and a deadline that
-    /// expires cleanly is not a hang.
+    /// then bounded only by the hard-panic watchdog (`DRINK_SPIN_BUDGET_MS`,
+    /// else 60 s). Non-zero turns an expired coordination wait into a clean
+    /// `CoordDeadlineExceeded` fallback — the requester abandons the
+    /// roundtrip, demotes the object to the pessimistic protocol, and
+    /// retries — instead of a process panic. The env var does not stretch
+    /// it: the watchdog bounds hangs, and a deadline that expires cleanly is
+    /// not a hang.
     pub coord_deadline: Duration,
     /// Per-thread trace ring capacity (events). `0` (the default) disables
     /// tracing entirely: no sink is installed and every trace site reduces
@@ -53,7 +51,6 @@ impl Default for RuntimeConfig {
             max_threads: 64,
             heap_objects: 1024,
             monitors: 16,
-            spin_budget: crate::spin::DEFAULT_BUDGET,
             monitor_spin_iters: 300,
             coord_deadline: Duration::ZERO,
             trace_capacity: 0,
@@ -92,12 +89,6 @@ impl RuntimeConfigBuilder {
     /// Number of program monitors.
     pub fn monitors(mut self, n: usize) -> Self {
         self.config.monitors = n;
-        self
-    }
-
-    /// Watchdog budget for every spin loop; zero disables the watchdog.
-    pub fn spin_budget(mut self, budget: Duration) -> Self {
-        self.config.spin_budget = budget;
         self
     }
 
@@ -392,47 +383,19 @@ impl Runtime {
         (r, bumped)
     }
 
-    /// A watchdog spinner configured with this runtime's spin budget.
-    pub fn spinner(&self, what: &'static str) -> crate::spin::Spin<'_> {
-        crate::spin::Spin::with_budget(what, self.config.spin_budget)
+    /// A [`Wait`] of thread `t` on another thread, `what` naming it in the
+    /// watchdog's panic: every step reports [`SchedPoint::SpinBackoff`] to
+    /// this runtime's schedule hooks. [`Wait::coordination`] turns it into a
+    /// coordination wait, bounded by [`Runtime::coord_deadline`] if one is
+    /// configured.
+    pub fn wait(&self, t: ThreadId, what: &'static str) -> Wait<'_> {
+        Wait::on(self, t, what)
     }
 
-    /// The configured coordination deadline, or `None` when disabled. The
-    /// coordination layer consults this to decide between a recoverable
-    /// deadline wait ([`crate::spin::Spin::checked_spin`]) and the
-    /// hard-panic watchdog.
+    /// The configured coordination deadline, or `None` when disabled.
     #[inline]
     pub fn coord_deadline(&self) -> Option<Duration> {
         (!self.config.coord_deadline.is_zero()).then_some(self.config.coord_deadline)
-    }
-
-    /// Like [`Runtime::spinner`], but with the registered perturbation layer
-    /// (if any) attached so each backoff step of thread `t` can be delayed.
-    pub fn spinner_for(&self, t: ThreadId, what: &'static str) -> crate::spin::Spin<'_> {
-        let spin = self.spinner(what);
-        match &self.sched {
-            Some(sched) => spin.with_sched(&**sched, t),
-            None => spin,
-        }
-    }
-
-    /// A spinner for a *recoverable* coordination-deadline wait: the exact
-    /// `budget` is used (a `DRINK_SPIN_BUDGET_MS` override bounds hangs, not
-    /// clean deadline expiries), and the perturbation layer (if any) is
-    /// attached. The caller drives it with
-    /// [`crate::spin::Spin::checked_spin`] and handles
-    /// [`crate::spin::SpinOutcome::Expired`] instead of panicking.
-    pub fn deadline_spinner_for(
-        &self,
-        t: ThreadId,
-        what: &'static str,
-        budget: Duration,
-    ) -> crate::spin::Spin<'_> {
-        let spin = crate::spin::Spin::with_exact_budget(what, budget);
-        match &self.sched {
-            Some(sched) => spin.with_sched(&**sched, t),
-            None => spin,
-        }
     }
 }
 
@@ -480,7 +443,6 @@ mod tests {
             .max_threads(5)
             .heap_objects(77)
             .monitors(3)
-            .spin_budget(Duration::from_millis(123))
             .monitor_spin_iters(9)
             .coord_deadline(Duration::from_millis(45))
             .trace_capacity(64)
@@ -488,7 +450,6 @@ mod tests {
         assert_eq!(built.max_threads, 5);
         assert_eq!(built.heap_objects, 77);
         assert_eq!(built.monitors, 3);
-        assert_eq!(built.spin_budget, Duration::from_millis(123));
         assert_eq!(built.monitor_spin_iters, 9);
         assert_eq!(built.coord_deadline, Duration::from_millis(45));
         assert_eq!(built.trace_capacity, 64);

@@ -1,31 +1,51 @@
-//! Watchdog-equipped spin loop helper.
+//! The one waiting loop.
 //!
-//! Coordination in this system is built on bounded spinning: a requester spins
-//! on a response token while acting as a safe point, a contended pessimistic
-//! transition spins until the remote thread flushes its lock buffer, and a
-//! replayed sink spins on a source thread's clock. A protocol bug in any of
-//! these would hang the process silently, so every spin loop in the workspace
-//! goes through [`Spin`], which backs off politely and panics with a
-//! descriptive message if a configurable deadline passes.
+//! Coordination in this system is built on bounded waiting: a requester
+//! waits on response tokens while acting as a safe point, a contended
+//! pessimistic transition waits until the remote thread flushes its lock
+//! buffer, and a replayed sink waits on a source thread's clock. A protocol
+//! bug in any of these would hang the process silently, so every waiting loop
+//! in the workspace is a [`Wait`], built by [`Runtime::wait`]: it backs off
+//! politely, reports every step to the runtime's schedule hooks as
+//! [`SchedPoint::SpinBackoff`] (a waiting thread is a scheduling point), and
+//! panics with a descriptive message if the watchdog budget passes.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use crate::control::Waker;
 use crate::ids::ThreadId;
-use crate::{SchedHooks, SchedPoint};
+use crate::runtime::Runtime;
+use crate::SchedPoint;
 
-/// Default watchdog budget used when neither the runtime config nor the
-/// `DRINK_SPIN_BUDGET_MS` env var overrides it. Generous enough for heavily
-/// oversubscribed CI machines.
-pub const DEFAULT_BUDGET: Duration = Duration::from_secs(60);
+/// Watchdog budget when `DRINK_SPIN_BUDGET_MS` is unset. Generous enough for
+/// heavily oversubscribed CI machines.
+const DEFAULT_BUDGET: Duration = Duration::from_secs(60);
 
-/// `DRINK_SPIN_BUDGET_MS`, parsed once. CI boxes set it to tighten the 60 s
-/// default so protocol hangs fail in seconds instead of minutes; it overrides
-/// *every* spinner's budget, including explicitly configured ones (a value of
-/// `0` disables every watchdog).
-fn env_budget() -> Option<Duration> {
-    static CACHE: OnceLock<Option<Duration>> = OnceLock::new();
-    *CACHE.get_or_init(|| parse_budget_ms(std::env::var("DRINK_SPIN_BUDGET_MS").ok()?.as_str()))
+/// Consecutive no-progress steps before a coordination wait escalates from
+/// yielding to parking on its thread's [`Waker`]: by then the responder has
+/// demonstrably not been one quantum away.
+const PARK_AFTER_STEPS: u32 = 192;
+/// First park interval; doubles per park up to [`PARK_MAX`]. Short enough
+/// that a lost wakeup (tolerated by [`Waker::park`]'s bounded wait) costs
+/// microseconds, long enough to actually free the core.
+const PARK_INITIAL: Duration = Duration::from_micros(50);
+/// Park interval ceiling: bounds both lost-wakeup latency and deadline
+/// overshoot.
+const PARK_MAX: Duration = Duration::from_millis(1);
+
+/// The hard watchdog budget of every [`Wait`] and every monitor park:
+/// `DRINK_SPIN_BUDGET_MS` if set, else 60 s; zero disables the watchdog.
+/// Parsed once per process. CI boxes set the variable so that protocol hangs
+/// fail in seconds instead of minutes.
+pub(crate) fn budget() -> Duration {
+    static CACHE: OnceLock<Duration> = OnceLock::new();
+    *CACHE.get_or_init(|| {
+        std::env::var("DRINK_SPIN_BUDGET_MS")
+            .ok()
+            .and_then(|s| parse_budget_ms(&s))
+            .unwrap_or(DEFAULT_BUDGET)
+    })
 }
 
 /// Parse a `DRINK_SPIN_BUDGET_MS` value. Split out for testability (the env
@@ -34,298 +54,259 @@ fn parse_budget_ms(s: &str) -> Option<Duration> {
     s.trim().parse::<u64>().ok().map(Duration::from_millis)
 }
 
-/// Watchdog budget for condvar *parks* (the one wait a [`Spin`] can't
-/// cover): `DRINK_SPIN_BUDGET_MS` if set, else `configured`; `None` when the
-/// effective budget is zero (watchdog disabled). A parked thread whose
-/// wake-up depends on a peer that died mid-protocol would otherwise hang the
-/// process silently — the checking harness relies on this to turn injected
-/// protocol bugs into bounded, reportable failures.
-pub fn park_budget(configured: Duration) -> Option<Duration> {
-    park_budget_with(configured, None)
-}
-
-/// [`park_budget`] with a per-wait override: a caller that knows its wait's
-/// expected bound (a coordination deadline, a bounded handoff) passes it as
-/// `per_wait` and it beats the global `configured` default. The
-/// `DRINK_SPIN_BUDGET_MS` env var still beats both — it is the CI-wide hang
-/// bound and must be able to tighten *every* wait in the process at once.
-pub fn park_budget_with(configured: Duration, per_wait: Option<Duration>) -> Option<Duration> {
-    let b = env_budget().unwrap_or(per_wait.unwrap_or(configured));
-    (!b.is_zero()).then_some(b)
-}
-
-/// Outcome of one [`Spin::checked_spin`] step.
+/// A coordination wait's recoverable deadline passed (DESIGN.md §13): the
+/// caller abandons the wait and falls back to the pessimistic protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpinOutcome {
-    /// Budget not (yet) exhausted; keep waiting.
-    Progress,
-    /// The budget expired. The caller recovers (coordination deadlines fall
-    /// back to the pessimistic protocol); only [`Spin::spin`] panics.
-    Expired,
-}
+pub struct Expired;
 
-/// Exponential-backoff spinner with a deadline watchdog.
+/// A backoff ladder with a watchdog, one per waiting episode.
 ///
-/// The first few iterations use `core::hint::spin_loop`, then the spinner
-/// starts yielding to the OS scheduler; this keeps latency low for the
-/// short waits that dominate (a remote thread reaching its next safe point)
-/// without burning a core during long replay waits. The escalation to
-/// `yield_now` happens even with the watchdog disabled (zero budget): the
-/// protocols in this workspace wait on *other threads'* progress, so a
-/// watchdog-free spinner that stayed in `spin_loop` would starve exactly the
-/// thread being waited for on oversubscribed machines.
-pub struct Spin<'h> {
+/// Each [`Wait::step`] climbs one rung:
+///
+/// 1. steps 1–15: a single `spin_loop` hint — the sub-microsecond waits that
+///    dominate;
+/// 2. steps 16–127: batches of hints that double every 16 steps (capped at
+///    64), still with **no clock read and no syscall** — this window covers a
+///    peer finishing its current safe-point response, which takes hundreds
+///    of nanoseconds, not a scheduling quantum (an earlier loop that read the
+///    clock and yielded on every step past 16 made that churn the dominant
+///    cost of pure-optimistic tracking at 8 threads);
+/// 3. step 128 on: yield to the OS scheduler each step — the protocols here
+///    wait on *other threads'* progress, so a waiter that never yielded would
+///    starve exactly the thread being waited for on oversubscribed machines.
+///    The clock is read every 32nd step only, to arm and check the watchdog;
+/// 4. coordination waits only ([`Wait::coordination`]): after
+///    [`PARK_AFTER_STEPS`] steps without [`Wait::progressed`], each step
+///    first parks on the thread's [`Waker`], 50 µs doubling to 1 ms.
+///
+/// The escalation to yielding happens even with the watchdog disabled (zero
+/// budget), which then never reads the clock.
+pub struct Wait<'rt> {
     what: &'static str,
-    deadline: Option<Instant>,
+    /// The hard watchdog budget ([`budget`]); zero disables the watchdog.
     budget: Duration,
-    iters: u32,
+    /// The runtime and thread every step reports to; `None` for a bare
+    /// [`Wait::new`].
+    on: Option<(&'rt Runtime, ThreadId)>,
+    /// Set on coordination waits: the waker their park phase parks on.
+    waker: Option<&'rt Waker>,
+    /// A coordination wait's recoverable deadline, which replaces the
+    /// watchdog.
+    expires_at: Option<Instant>,
+    steps: u32,
+    /// Steps since the last [`Wait::progressed`].
+    idle: u32,
+    /// The next park's interval.
+    interval: Duration,
+    /// When the watchdog was armed, at the first yielding step.
     started: Option<Instant>,
-    /// Set by [`Spin::note_park`]: the wait escalated past spinning to a
-    /// condvar park at least once. Reported by the watchdog panic so a hang
-    /// report says which phase of the backoff ladder the thread died in.
+    /// The wait parked at least once: the watchdog's panic says so, telling
+    /// a wedged protocol from a slow host.
     parked: bool,
-    sched: Option<(&'h dyn SchedHooks, ThreadId)>,
 }
 
-impl<'h> Spin<'h> {
-    /// Default watchdog budget (see [`DEFAULT_BUDGET`]).
-    pub const DEFAULT_BUDGET: Duration = DEFAULT_BUDGET;
-
-    /// A spinner for the wait described by `what` (used in the panic message).
+impl<'rt> Wait<'rt> {
+    /// A wait that reports to no runtime, for runtime-free tests of the
+    /// substrate. Everything else waits through [`Runtime::wait`].
     pub fn new(what: &'static str) -> Self {
-        Spin::with_budget(what, DEFAULT_BUDGET)
-    }
-
-    /// A spinner with an explicit watchdog budget. A zero budget disables the
-    /// watchdog entirely (spins forever, yielding to the OS after the
-    /// `spin_loop` phase). `DRINK_SPIN_BUDGET_MS`, if set, overrides `budget`.
-    pub fn with_budget(what: &'static str, budget: Duration) -> Self {
-        Spin::budgeted(what, env_budget().unwrap_or(budget))
-    }
-
-    /// A spinner with an exact budget that `DRINK_SPIN_BUDGET_MS` does *not*
-    /// override. This is for **recoverable** deadlines (coordination waits
-    /// resolved by [`Spin::checked_spin`]): the env var is the CI-wide bound
-    /// on protocol-bug *hangs*, and a recoverable deadline that expires
-    /// cleanly is not a hang — stretching a 50 ms coordination deadline to a
-    /// 10 s CI budget would defeat the degradation path it exists to trigger.
-    pub fn with_exact_budget(what: &'static str, budget: Duration) -> Self {
-        Spin::budgeted(what, budget)
-    }
-
-    fn budgeted(what: &'static str, budget: Duration) -> Self {
-        Spin {
+        Wait {
             what,
-            deadline: None,
-            budget,
-            iters: 0,
+            budget: budget(),
+            on: None,
+            waker: None,
+            expires_at: None,
+            steps: 0,
+            idle: 0,
+            interval: PARK_INITIAL,
             started: None,
             parked: false,
-            sched: None,
         }
     }
 
-    /// Attach a schedule-perturbation layer: every backoff step reports a
-    /// [`SchedPoint::SpinBackoff`] for thread `t`.
-    pub fn with_sched(mut self, sched: &'h dyn SchedHooks, t: ThreadId) -> Self {
-        self.sched = Some((sched, t));
+    /// [`Runtime::wait`]'s constructor.
+    pub(crate) fn on(rt: &'rt Runtime, t: ThreadId, what: &'static str) -> Self {
+        Wait { on: Some((rt, t)), ..Wait::new(what) }
+    }
+
+    /// Make this a coordination wait (§2.2): once idle it parks on its
+    /// thread's [`Waker`], which both a completed response token and a
+    /// request sent *to* this thread notify, so a parked requester keeps
+    /// acting as a safe point. On a runtime with a `coord_deadline`, a step
+    /// past that deadline returns [`Expired`] and the watchdog is never armed.
+    /// A bare [`Wait::new`] has no thread to park and no deadline.
+    pub fn coordination(mut self) -> Self {
+        if let Some((rt, t)) = self.on {
+            self.waker = Some(&**rt.control(t).waker());
+            self.expires_at = rt.coord_deadline().map(|d| Instant::now() + d);
+        }
         self
     }
 
-    /// One backoff step. Panics if the watchdog budget is exhausted, which in
-    /// this workspace always indicates a coordination-protocol bug (or an
-    /// impossibly overloaded machine).
-    ///
-    /// Three phases. (1) Iterations 1–15: a single `spin_loop` hint — the
-    /// sub-microsecond waits that dominate. (2) Iterations 16–127: batches
-    /// of `spin_loop` hints that double every 16 iterations (capped at 64),
-    /// still with **no clock read and no syscall** — this window covers a
-    /// peer finishing its current safe-point response, which takes hundreds
-    /// of nanoseconds, not a scheduling quantum. An earlier version of this
-    /// loop called `Instant::now()` *and* `yield_now()` on every iteration
-    /// past 16; under 8-thread RdSh fan-outs (where every waiter sits right
-    /// in this window) that clock/syscall churn was the dominant cost of
-    /// pure-optimistic tracking at 8 threads. (3) Iteration 128
-    /// on: yield to the OS scheduler each step — the protocols here wait on
-    /// *other threads'* progress, so a long spinner that never yielded would
-    /// starve exactly the thread being waited for on oversubscribed machines
-    /// — arming the watchdog deadline once and re-reading the clock only
-    /// every 32nd step.
-    #[inline]
-    pub fn spin(&mut self) {
-        if self.checked_spin() == SpinOutcome::Expired {
-            self.expire();
-        }
+    /// Something the wait was for completed (a fan-out peer answered): back
+    /// off from parking to yielding again.
+    pub fn progressed(&mut self) {
+        self.idle = 0;
+        self.interval = PARK_INITIAL;
     }
 
-    /// [`Spin::spin`]'s backoff step, but budget expiry returns
-    /// [`SpinOutcome::Expired`] instead of panicking. Coordination waits with
-    /// a configured deadline use this and fall back to the pessimistic
-    /// protocol on expiry; the hard-panic [`Spin::spin`] stays for waits
-    /// where expiry can only mean a protocol bug (replay waits, lock-buffer
-    /// flush waits). After an expiry the spinner keeps reporting `Expired`
-    /// on (every 32nd) subsequent step — callers are expected to stop. Never
-    /// inlined: its clock reads and yields stay out of the frame of the
-    /// access that lost a CAS.
+    /// One backoff step (see [`Wait`] for the ladder). `Err` only from a
+    /// coordination wait whose deadline passed; any other wait ignores the
+    /// result, and panics instead once the watchdog budget is exhausted,
+    /// which in this workspace always means a protocol bug (or an impossibly
+    /// overloaded machine). Never inlined: its clock reads, yields and parks
+    /// stay out of the frame of the access that waits.
     #[inline(never)]
-    pub fn checked_spin(&mut self) -> SpinOutcome {
-        self.iters += 1;
-        if let Some((sched, t)) = self.sched {
-            sched.perturb(t, SchedPoint::SpinBackoff);
+    pub fn step(&mut self) -> Result<(), Expired> {
+        self.steps += 1;
+        self.idle += 1;
+        if let Some((rt, t)) = self.on {
+            rt.sched_point(t, SchedPoint::SpinBackoff);
         }
-        if self.iters < 16 {
+        if self.steps < 16 {
             core::hint::spin_loop();
-            return SpinOutcome::Progress;
+            return Ok(());
         }
-        if self.iters < 128 {
-            // Batched-hint phase: 2, 2, …, 4, …, 64 hints per step.
-            let batch = 1u32 << (((self.iters - 16) / 16 + 1).min(6));
+        if self.steps < 128 {
+            // 2, 2, …, 4, …, 64 hints per step.
+            let batch = 1u32 << (((self.steps - 16) / 16 + 1).min(6));
             for _ in 0..batch {
                 core::hint::spin_loop();
             }
-            return SpinOutcome::Progress;
+            return Ok(());
         }
-        if self.budget.is_zero() {
-            // Watchdog disabled: never read the clock, but still escalate
-            // from spin_loop to yielding so the waited-for thread can run.
-            std::thread::yield_now();
-            return SpinOutcome::Progress;
-        }
-        // Arm the watchdog on the first long-wait step; afterwards the
-        // deadline is only re-checked every 32nd step (a yield costs ~1 µs,
-        // so the check granularity is tens of microseconds — invisible next
-        // to any sane budget).
-        let deadline = match self.deadline {
-            Some(d) => d,
-            None => {
-                let now = Instant::now();
-                self.started = Some(now);
-                let d = now + self.budget;
-                self.deadline = Some(d);
-                d
+        if let Some(waker) = self.waker.filter(|_| self.idle > PARK_AFTER_STEPS) {
+            // Token completions and incoming requests notify the waker; the
+            // bounded interval is the lost-wakeup backstop.
+            let mut interval = self.interval;
+            if let Some(at) = self.expires_at {
+                let left = at.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(Expired);
+                }
+                interval = interval.min(left);
             }
-        };
-        if self.iters % 32 == 0 && Instant::now() >= deadline {
-            return SpinOutcome::Expired;
+            self.parked = true;
+            waker.park(interval);
+            self.interval = (self.interval * 2).min(PARK_MAX);
+        }
+        if self.steps % 32 == 0 {
+            match self.expires_at {
+                Some(at) if Instant::now() >= at => return Err(Expired),
+                Some(_) => {}
+                None if self.budget.is_zero() => {}
+                None => {
+                    let now = Instant::now();
+                    let started = *self.started.get_or_insert(now);
+                    if now - started >= self.budget {
+                        self.expire();
+                    }
+                }
+            }
         }
         std::thread::yield_now();
-        SpinOutcome::Progress
+        Ok(())
     }
 
     /// The watchdog panic, with enough forensics to tell a protocol hang
-    /// from an overloaded host: backoff steps taken, elapsed wall time vs
-    /// the configured budget, and whether the wait ever escalated to a
-    /// condvar park.
+    /// from an overloaded host: backoff steps taken, elapsed wall time vs the
+    /// budget, and whether the wait ever parked.
     #[cold]
     fn expire(&self) -> ! {
-        let elapsed = self
-            .started
-            .map(|s| Instant::now() - s)
-            .unwrap_or_default();
+        let elapsed = self.started.map(|s| s.elapsed()).unwrap_or_default();
         panic!(
             "spin watchdog expired after {:?} (budget {:?}, {} backoff steps, park phase {}) \
              while waiting for: {}",
             elapsed,
             self.budget,
-            self.iters,
+            self.steps,
             if self.parked { "reached" } else { "not reached" },
             self.what
         );
-    }
-
-    /// Record that the wait escalated to a condvar park (the adaptive
-    /// backoff ladder's last rung). Only affects the watchdog's forensics.
-    pub fn note_park(&mut self) {
-        self.parked = true;
-    }
-
-    /// Has the wait escalated to a condvar park at least once?
-    pub fn park_phase_reached(&self) -> bool {
-        self.parked
-    }
-
-    /// Number of backoff steps taken so far.
-    pub fn iterations(&self) -> u32 {
-        self.iters
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RuntimeConfig, SchedHooks};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+
+    /// Run `f` on the one thread of a fresh runtime whose coordination
+    /// deadline is `deadline` (zero: none).
+    fn with_runtime<R>(deadline: Duration, f: impl FnOnce(&Runtime, ThreadId) -> R) -> R {
+        let rt = Runtime::new(RuntimeConfig::builder().max_threads(1).coord_deadline(deadline).build());
+        let t = rt.register_thread();
+        f(&rt, t)
+    }
 
     #[test]
     fn short_spins_complete() {
-        let mut s = Spin::new("test wait");
+        let mut w = Wait::new("test wait");
         for _ in 0..100 {
-            s.spin();
+            assert_eq!(w.step(), Ok(()));
         }
-        assert_eq!(s.iterations(), 100);
+        assert_eq!(w.steps, 100);
     }
 
     #[test]
     #[should_panic(expected = "spin watchdog expired")]
     fn watchdog_fires_on_expiry() {
-        let mut s = Spin::with_budget("doomed wait", Duration::from_millis(20));
+        let mut w = Wait { budget: Duration::from_millis(20), ..Wait::new("doomed wait") };
         loop {
-            s.spin();
+            let _ = w.step();
         }
     }
 
     #[test]
     fn zero_budget_disables_watchdog_without_arming_a_deadline() {
-        let mut s = Spin::with_budget("unbounded wait", Duration::ZERO);
+        let mut w = Wait { budget: Duration::ZERO, ..Wait::new("unbounded wait") };
         for _ in 0..5_000 {
-            s.spin();
+            let _ = w.step();
         }
-        assert!(s.iterations() >= 5_000);
-        assert!(
-            s.deadline.is_none() && s.started.is_none(),
-            "zero budget must never touch the clock"
-        );
+        assert_eq!(w.steps, 5_000);
+        assert!(w.started.is_none(), "zero budget must never touch the clock");
     }
 
     #[test]
     fn hint_phases_never_touch_the_clock_or_the_scheduler() {
-        // 100 iterations stay inside phases (1)+(2): no deadline is armed,
-        // so no `Instant::now()` was ever read. This pins the fix for the
+        // 127 steps stay inside phases (1)+(2): no watchdog is armed, so no
+        // `Instant::now()` was ever read. This pins the fix for the
         // opt_access_t8 pathology — short coordination waits must be pure
         // spin hints.
-        let mut s = Spin::new("short wait");
-        for _ in 0..100 {
-            s.spin();
+        let mut w = Wait::new("short wait");
+        for _ in 0..127 {
+            let _ = w.step();
         }
-        assert_eq!(s.iterations(), 100);
-        assert!(
-            s.deadline.is_none() && s.started.is_none(),
-            "hint phases must not read the clock"
-        );
+        assert!(w.started.is_none(), "hint phases must not read the clock");
+        let _ = w.step();
+        assert!(w.started.is_some(), "the first yielding step arms the watchdog");
     }
 
     #[test]
-    fn checked_spin_reports_expiry_instead_of_panicking() {
-        let mut s = Spin::with_exact_budget("recoverable wait", Duration::from_millis(10));
-        let mut steps = 0u32;
-        loop {
-            steps += 1;
-            if s.checked_spin() == SpinOutcome::Expired {
-                break;
+    fn deadline_expiry_returns_err_without_panicking() {
+        with_runtime(Duration::from_millis(10), |rt, t| {
+            let mut w = rt.wait(t, "recoverable wait").coordination();
+            let mut steps = 0u32;
+            while w.step().is_ok() {
+                steps += 1;
+                assert!(steps < 50_000_000, "the deadline never expired");
             }
-            assert!(steps < 50_000_000, "watchdog never expired");
-        }
-        assert!(steps >= 128, "expiry can only happen in the yield phase");
-        // The spinner is still usable for forensics after expiry.
-        assert_eq!(s.iterations(), steps);
+            assert!(steps >= 127, "expiry can only happen past the hint phases");
+            assert!(w.started.is_none(), "a deadline replaces the watchdog");
+        });
     }
 
     #[test]
     fn watchdog_panic_reports_steps_budget_and_park_phase() {
         let result = std::panic::catch_unwind(|| {
-            let mut s = Spin::with_exact_budget("forensic wait", Duration::from_millis(10));
-            s.note_park();
-            loop {
-                s.spin();
-            }
+            with_runtime(Duration::ZERO, |rt, t| {
+                let mut w = rt.wait(t, "forensic wait").coordination();
+                w.budget = Duration::from_millis(10);
+                loop {
+                    let _ = w.step();
+                }
+            })
         });
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("budget 10ms"), "budget missing: {msg}");
@@ -336,25 +317,19 @@ mod tests {
 
     #[test]
     fn park_phase_flag_defaults_off_and_latches() {
-        let mut s = Spin::new("park flag");
-        assert!(!s.park_phase_reached());
-        s.note_park();
-        assert!(s.park_phase_reached());
-    }
-
-    #[test]
-    fn per_wait_override_beats_configured_default() {
-        // No DRINK_SPIN_BUDGET_MS in the test environment, so the per-wait
-        // override is the effective budget; zero still disables the watchdog.
-        assert_eq!(
-            park_budget_with(Duration::from_secs(60), Some(Duration::from_millis(5))),
-            Some(Duration::from_millis(5))
-        );
-        assert_eq!(
-            park_budget_with(Duration::from_secs(60), None),
-            Some(Duration::from_secs(60))
-        );
-        assert_eq!(park_budget_with(Duration::ZERO, Some(Duration::ZERO)), None);
+        with_runtime(Duration::ZERO, |rt, t| {
+            let mut plain = rt.wait(t, "never parks");
+            let mut coord = rt.wait(t, "parks").coordination();
+            for _ in 0..=PARK_AFTER_STEPS {
+                let _ = plain.step();
+                let _ = coord.step();
+            }
+            assert!(!plain.parked, "only coordination waits park");
+            assert!(coord.parked);
+            coord.progressed();
+            let _ = coord.step();
+            assert!(coord.parked, "the flag latches across progress");
+        });
     }
 
     #[test]
@@ -368,22 +343,30 @@ mod tests {
 
     #[test]
     fn sched_layer_sees_every_backoff_step() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-
         #[derive(Debug, Default)]
         struct Counter(AtomicU32);
         impl SchedHooks for Counter {
-            fn perturb(&self, _t: ThreadId, point: SchedPoint) {
-                assert_eq!(point, SchedPoint::SpinBackoff);
+            fn perturb(&self, t: ThreadId, point: SchedPoint) {
+                assert_eq!((t, point), (ThreadId(0), SchedPoint::SpinBackoff));
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
 
-        let counter = Counter::default();
-        let mut s = Spin::new("counted wait").with_sched(&counter, ThreadId(3));
+        let counter = Arc::new(Counter::default());
+        let mut rt = Runtime::new(RuntimeConfig::builder().max_threads(1).build());
+        rt.set_sched_hooks(counter.clone());
+        let t = rt.register_thread();
+        // A plain wait's hint steps, and a coordination wait's into its
+        // park phase.
+        let mut w = rt.wait(t, "counted wait");
         for _ in 0..40 {
-            s.spin();
+            let _ = w.step();
         }
-        assert_eq!(counter.0.load(Ordering::Relaxed), 40);
+        let mut w = rt.wait(t, "counted coordination").coordination();
+        for _ in 0..=PARK_AFTER_STEPS {
+            let _ = w.step();
+        }
+        assert!(w.parked);
+        assert_eq!(counter.0.load(Ordering::Relaxed), 40 + PARK_AFTER_STEPS + 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Substrate-level blocking and coordination behaviours that unit tests in
 //! the individual modules don't reach: the generic blocking helper, monitor
-//! wait/notify herds, and spin-budget configuration.
+//! wait/notify herds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -24,27 +24,26 @@ fn blocking_helper_reports_implicit_coordination() {
         let h = s.spawn(move || {
             // T0 blocks "on I/O" until its epoch gets bumped.
             let ((), bumped) = rtr.blocking(t0, &NoHooks, || {
-                let mut spin = rtr.spinner("epoch bump");
+                let mut wait = rtr.wait(t0, "epoch bump");
                 loop {
                     if let ThreadStatus::Blocked { epoch } = rtr.control(t0).status() {
                         if epoch > 0 {
                             return;
                         }
                     }
-                    spin.spin();
+                    let _ = wait.step();
                 }
             });
             assert!(bumped, "wake must report the implicit bump");
         });
 
         // T1 coordinates implicitly once T0 publishes BLOCKED.
-        let _ = t1;
-        let mut spin = rt.spinner("T0 to block");
+        let mut wait = rt.wait(t1, "T0 to block");
         let epoch = loop {
             if let ThreadStatus::Blocked { epoch } = rt.control(t0).status() {
                 break epoch;
             }
-            spin.spin();
+            let _ = wait.step();
         };
         assert!(rt.control(t0).try_implicit(epoch));
         h.join().unwrap();
@@ -155,22 +154,4 @@ fn reentrant_wait_preserves_recursion_depth() {
         h.join().unwrap();
     });
     assert_eq!(rt.monitor(m).holder(), None);
-}
-
-#[test]
-fn spin_budget_configuration_reaches_spinners() {
-    let mut cfg = RuntimeConfig::builder()
-        .max_threads(1)
-        .heap_objects(1)
-        .monitors(1)
-        .build();
-    cfg.spin_budget = Duration::from_millis(25);
-    let rt = Runtime::new(cfg);
-    let mut spinner = rt.spinner("configured budget");
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-        spinner.spin();
-    }));
-    assert!(result.is_err(), "watchdog must fire");
-    assert!(start.elapsed() < Duration::from_secs(5));
 }

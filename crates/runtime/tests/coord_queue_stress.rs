@@ -10,15 +10,15 @@
 //! * **no request is double-answered** — each token completes exactly once,
 //!   detected by counting completions per token.
 //!
-//! The requesters spin on their tokens through the same watchdog
-//! ([`drink_runtime::Spin`]) the real protocols use, so a lost request fails
+//! The requesters wait on their tokens through the same watchdog
+//! ([`drink_runtime::Wait`]) the real protocols use, so a lost request fails
 //! loudly with a watchdog panic instead of hanging CI.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drink_runtime::{
-    CoordRequest, ObjId, ResponseToken, Spin, ThreadControl, ThreadId,
+    CoordRequest, ObjId, ResponseToken, ThreadControl, ThreadId, Wait,
 };
 
 const PRODUCERS: usize = 8;
@@ -48,11 +48,11 @@ fn multi_producer_queue_loses_and_duplicates_nothing() {
                         obj: Some(ObjId(i as u32)),
                         token: Arc::clone(&token),
                     });
-                    // Spin like a real requester: the watchdog panics (rather
+                    // Wait like a real requester: the watchdog panics (rather
                     // than hanging) if the queue lost this request.
-                    let mut spin = Spin::new("stress-test response token");
+                    let mut wait = Wait::new("stress-test response token");
                     while !token.is_done() {
-                        spin.spin();
+                        let _ = wait.step();
                     }
                     // The responder stamps each answer with a fresh clock.
                     assert!(token.responder_clock() > 0);
@@ -65,14 +65,14 @@ fn multi_producer_queue_loses_and_duplicates_nothing() {
         s.spawn(move || {
             let mut answered = 0usize;
             let total = PRODUCERS * REQUESTS_PER_PRODUCER;
-            let mut spin = Spin::new("stress-test responder drain");
+            let mut wait = Wait::new("stress-test responder drain");
             while answered < total {
                 let reqs = ctl.take_requests();
                 if reqs.is_empty() {
-                    spin.spin();
+                    let _ = wait.step();
                     continue;
                 }
-                spin = Spin::new("stress-test responder drain");
+                wait = Wait::new("stress-test responder drain");
                 for req in reqs {
                     let clock = ctl.bump_release_clock();
                     completions[req.from.index()][req.obj.unwrap().index()]
@@ -124,27 +124,27 @@ fn flag_set_after_push_never_leaves_request_invisible() {
                     obj: Some(ObjId(i)),
                     token: Arc::clone(&token),
                 });
-                let mut spin = Spin::new("single-producer response");
+                let mut wait = Wait::new("single-producer response");
                 while !token.is_done() {
-                    spin.spin();
+                    let _ = wait.step();
                 }
             }
             stop.store(true, Ordering::Release);
         });
 
         s.spawn(move || {
-            let mut spin = Spin::new("poll-drain consumer");
+            let mut wait = Wait::new("poll-drain consumer");
             loop {
                 // Same cheap check the poll() fast path performs.
                 if ctl.has_pending_requests() {
                     for req in ctl.take_requests() {
                         req.token.complete(ctl.bump_release_clock());
                     }
-                    spin = Spin::new("poll-drain consumer");
+                    wait = Wait::new("poll-drain consumer");
                 } else if stop.load(Ordering::Acquire) && !ctl.has_pending_requests() {
                     break;
                 } else {
-                    spin.spin();
+                    let _ = wait.step();
                 }
             }
         });

@@ -9,9 +9,10 @@
 #      (`check-invariants` is a non-default feature: the plain workspace
 #      release build — and hence the benchmark and the fast-path probes —
 #      never pays for it).
-#   2. Clean fixed-seed smoke matrix: 3 engines x 4 seeds x 6 workloads
+#   2. Clean fixed-seed smoke matrix: 3 engines x 4 seeds x 4 workloads
 #      plus the differential / seqlock / degradation-ladder / serve / replay /
-#      RS oracles. Must pass.
+#      RS oracles (the seqlock and degradation-ladder oracles run their own
+#      specs' 3 and 4 engine cells). Must pass.
 #   3. Canaries: re-run the matrix with a deliberately injected protocol
 #      bug. Two bugs, each its own leg:
 #        - skip-flush-before-block (lock-buffer flush dropped before a
@@ -35,7 +36,7 @@
 #          to the pessimistic protocol (which needs no responder), and every
 #          oracle still agrees. A hang or oracle
 #          failure here means the degradation ladder is broken.
-#        - Catch leg: a 4 s stall with a 3 s spin budget and no deadline
+#        - Catch leg: a 4 s stall with a 3 s watchdog budget and no deadline
 #          relief on most workloads. The watchdog must CATCH the wedged
 #          roundtrip (nonzero exit, artifact), and `--reproduce` under the
 #          same fault must fail again.
