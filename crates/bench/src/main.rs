@@ -169,7 +169,7 @@ fn trace(mut args: Vec<String>) {
     cfg.trace_capacity = capacity.max(2);
     let rt = Arc::new(Runtime::new(cfg));
     let result = run_kind_on(engine, Arc::clone(&rt), &spec);
-    let snapshot = rt.trace_snapshot().unwrap_or_else(|| fail("runtime produced no trace sink"));
+    let snapshot = rt.trace_rings().unwrap_or_else(|| fail("runtime built no trace rings")).snapshot();
     let (events, threads) = (snapshot.total_events(), snapshot.threads.len());
     println!("{} on {}: {events} events across {threads} thread(s) (ring capacity {capacity})", spec.name, result.engine);
 

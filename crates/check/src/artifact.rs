@@ -95,7 +95,7 @@ mod tests {
                 tid: 0,
                 events: vec![drink_runtime::TraceRecord {
                     ts_ns: 41,
-                    kind: drink_runtime::TraceKind::CoordRequest,
+                    kind: drink_runtime::Event::CoordRequestSent,
                     arg: 2,
                 }],
             }],

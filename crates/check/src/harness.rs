@@ -14,7 +14,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use drink_runtime::{RingTraceSink, Runtime, SchedHooks, ThreadTrace, TraceSink};
+use drink_runtime::{Runtime, RuntimeConfig, SchedHooks, ThreadTrace};
 use drink_workloads::{run_kind_on, runtime_config_for, EngineKind, RunResult, WorkloadSpec};
 
 use crate::artifact::FailureArtifact;
@@ -100,8 +100,8 @@ pub fn run_chaos(
 
 /// [`run_chaos`] with protocol-event tracing enabled: on failure, also
 /// returns the per-thread event timelines captured up to the failure point.
-/// The ring sink lives *outside* the `catch_unwind` so the rings survive the
-/// worker panic that tore down the runtime.
+/// The runtime, and with it its trace rings, is built *outside* the
+/// `catch_unwind`, so the rings survive the worker panic that ended the run.
 pub fn run_chaos_traced(
     kind: EngineKind,
     spec: &WorkloadSpec,
@@ -109,17 +109,19 @@ pub fn run_chaos_traced(
 ) -> Result<RunResult, (String, Vec<ThreadTrace>)> {
     install_panic_recorder();
     drain_panic_messages();
-    let sink = Arc::new(RingTraceSink::new(spec.threads, CHAOS_TRACE_CAPACITY));
+    let mut rt = Runtime::new(RuntimeConfig {
+        trace_capacity: CHAOS_TRACE_CAPACITY,
+        ..runtime_config_for(spec)
+    });
+    rt.set_sched_hooks(sched);
+    let rt = Arc::new(rt);
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut rt = Runtime::new(runtime_config_for(spec));
-        rt.set_sched_hooks(sched);
-        rt.set_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        let rt = Arc::new(rt);
         let run = run_kind_on(kind, Arc::clone(&rt), spec);
         oracle::check_quiescent(&rt, kind.label()).map(|()| run)
     }));
+    let timelines = || rt.trace_rings().expect("built with trace rings").snapshot().threads;
     match outcome {
-        Ok(result) => result.map_err(|failure| (failure, sink.snapshot().threads)),
+        Ok(result) => result.map_err(|failure| (failure, timelines())),
         Err(payload) => {
             let mut msgs = drain_panic_messages();
             if msgs.is_empty() {
@@ -130,7 +132,7 @@ pub fn run_chaos_traced(
                     .unwrap_or_else(|| "<non-string panic payload>".into());
                 msgs.push(msg);
             }
-            Err((msgs.join(" | "), sink.snapshot().threads))
+            Err((msgs.join(" | "), timelines()))
         }
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use drink_check::harness::run_chaos_traced;
 use drink_check::FailureArtifact;
-use drink_runtime::{SchedHooks, SchedPoint, ThreadId, TraceKind};
+use drink_runtime::{Event, SchedHooks, SchedPoint, ThreadId};
 use drink_workloads::{chaos_disjoint, EngineKind};
 
 /// Panics on every thread once the process-wide perturbation count passes a
@@ -49,7 +49,7 @@ fn failure_artifact_embeds_per_thread_event_timelines() {
     assert!(total > 0);
     // Disjoint-object accesses on the hybrid engine emit access events.
     assert!(events.iter().flat_map(|t| &t.events).any(|e| {
-        matches!(e.kind, TraceKind::Read | TraceKind::Write)
+        matches!(e.kind, Event::Read | Event::Write)
     }));
 
     let artifact = FailureArtifact {
@@ -61,7 +61,7 @@ fn failure_artifact_embeds_per_thread_event_timelines() {
         events,
     };
     let json = artifact.to_json();
-    assert!(json.contains("\"events\""));
+    assert!(json.contains("\"ts_ns\""), "the artifact carries event records");
     let back = FailureArtifact::from_json(&json).expect("artifact parses");
     assert_eq!(back.events, artifact.events);
     assert!(!back.events.iter().all(|t| t.events.is_empty()));

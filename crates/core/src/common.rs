@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use drink_runtime::{
     Event, LatencyKind, MonitorId, ObjHeader, ObjId, RtHooks, Runtime, SchedPoint, ThreadId,
-    TraceKind,
 };
 
 use crate::policy::AdaptivePolicy;
@@ -91,6 +90,14 @@ impl<S: Support> EngineCommon<S> {
         unsafe { self.per_thread[t.index()].get() }
     }
 
+    /// Count event `e` on `ts`'s thread and, if the runtime has trace rings,
+    /// record it there with `arg` (see [`Event`] for what each one carries).
+    #[inline(always)]
+    pub fn note(&self, ts: &mut ThreadState, e: Event, arg: u64) {
+        ts.stats.bump(e);
+        self.rt.trace(ts.tid, e, arg);
+    }
+
     /// Support context for the current state of `ts`.
     #[inline(always)]
     pub fn cx<'a>(&'a self, ts: &ThreadState) -> SupportCx<'a> {
@@ -133,16 +140,7 @@ impl<S: Support> EngineCommon<S> {
         // Answer requests that raced with the status change; later requesters
         // see the detached flag (or BLOCKED) and coordinate implicitly
         // forever.
-        let reqs = ctl.take_requests();
-        if !reqs.is_empty() {
-            let clock = ctl.bump_release_clock();
-            ts.stats.bump(Event::RespondedExplicit);
-            ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);
-            self.support.on_responded(self.cx(ts), clock);
-            for req in reqs {
-                req.token.complete(clock);
-            }
-        }
+        self.answer_requests(ts, false);
         assert!(ts.holds_no_locks(), "detached while holding object locks");
         ts.stats.merge_into(self.rt.stats());
     }
@@ -156,8 +154,8 @@ impl<S: Support> EngineCommon<S> {
         if ts.lock_buffer.is_empty() && ts.rd_set.is_empty() {
             return;
         }
-        ts.stats.bump(Event::LockBufferFlush);
-        self.rt.trace(ts.tid, TraceKind::LockBufferFlush, ts.lock_buffer.len() as u64);
+        let flushed = ts.lock_buffer.len() as u64;
+        self.note(ts, Event::LockBufferFlush, flushed);
         // Swap the buffer out: unlock CASes can trigger support callbacks in
         // the future, and re-entrant pushes into a borrowed Vec would be UB.
         let mut buffer = std::mem::take(&mut ts.lock_buffer);
@@ -260,11 +258,8 @@ impl<S: Support> EngineCommon<S> {
     fn note_unlocked(&self, ts: &mut ThreadState, o: ObjId, valve: Option<bool>) {
         ts.stats.bump(Event::StateUnlocked);
         match valve {
-            Some(true) => {
-                ts.stats.bump(Event::PessToOpt);
-                self.rt.trace(ts.tid, TraceKind::PessToOpt, o.0 as u64);
-            }
-            Some(false) => self.rt.trace(ts.tid, TraceKind::ValveStayPess, o.0 as u64),
+            Some(true) => self.note(ts, Event::PessToOpt, o.0 as u64),
+            Some(false) => self.note(ts, Event::ValveKeptPess, o.0 as u64),
             None => {}
         }
     }
@@ -291,7 +286,7 @@ impl<S: Support> EngineCommon<S> {
     }
 
     /// Respond to all pending explicit requests: yield ownership (support
-    /// rollback hook), flush the lock buffer, bump the release clock, and
+    /// rollback hook), bump the release clock, flush the lock buffer, and
     /// complete the tokens. This is a *responding safe point* (§2.2).
     ///
     /// Also invoked from coordination spin loops (Figure 1 line 18) so a
@@ -312,42 +307,54 @@ impl<S: Support> EngineCommon<S> {
                 std::thread::sleep(d);
             }
         }
-        let ctl = self.rt.control(ts.tid);
         self.rt.sched_point(ts.tid, SchedPoint::CoordRespond);
+        self.answer_requests(ts, true);
+    }
+
+    /// Drain `ts`'s inbox and answer the batch — however many requesters
+    /// piled up — with ONE release-clock bump, counted and traced as one
+    /// [`Event::RespondedExplicit`] that carries the batch size. At a
+    /// responding safe point (`yielding`) the support first gets its
+    /// rollback hook for the requested objects and the lock buffer is
+    /// flushed after the bump; right after publishing BLOCKED and at detach
+    /// both already happened.
+    fn answer_requests(&self, ts: &mut ThreadState, yielding: bool) {
+        let ctl = self.rt.control(ts.tid);
         // Drain into per-session scratch (swapped out so support callbacks
-        // borrowing `ts` stay sound); the whole batch — however many
-        // requesters piled up — is answered by ONE clock bump below.
+        // borrowing `ts` stay sound).
         let mut reqs = std::mem::take(&mut ts.req_scratch);
-        debug_assert!(reqs.is_empty(), "respond_pending re-entered");
+        debug_assert!(reqs.is_empty(), "request drain re-entered");
         ctl.drain_requests_into(&mut reqs);
-        if reqs.is_empty() {
-            ts.req_scratch = reqs;
-            return;
+        if !reqs.is_empty() {
+            if yielding {
+                let mut requested = std::mem::take(&mut ts.obj_scratch);
+                requested.extend(reqs.iter().filter_map(|r| r.obj));
+                self.support.before_yield(
+                    self.cx(ts),
+                    crate::support::YieldInfo {
+                        requested: &requested,
+                        pess_locked: &ts.lock_buffer,
+                    },
+                );
+                requested.clear();
+                ts.obj_scratch = requested;
+            }
+            // Bump *before* unlocking: a thread that acquires one of the
+            // states we are about to unlock reads our clock afterwards and
+            // must observe a value that dominates our accesses (see §4.2's
+            // edge soundness).
+            let clock = ctl.bump_release_clock();
+            if yielding {
+                self.flush_lock_buffer(ts);
+            }
+            self.note(ts, Event::RespondedExplicit, reqs.len() as u64);
+            ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);
+            self.support.on_responded(self.cx(ts), clock);
+            for req in reqs.drain(..) {
+                req.token.complete(clock);
+            }
         }
-        let mut requested = std::mem::take(&mut ts.obj_scratch);
-        requested.extend(reqs.iter().filter_map(|r| r.obj));
-        self.support.before_yield(
-            self.cx(ts),
-            crate::support::YieldInfo {
-                requested: &requested,
-                pess_locked: &ts.lock_buffer,
-            },
-        );
-        // Bump *before* unlocking: a thread that acquires one of the states
-        // we are about to unlock reads our clock afterwards and must observe
-        // a value that dominates our accesses (see §4.2's edge soundness).
-        let clock = ctl.bump_release_clock();
-        self.flush_lock_buffer(ts);
-        ts.stats.bump(Event::RespondedExplicit);
-        ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);
-        self.rt.trace(ts.tid, TraceKind::CoordRespond, reqs.len() as u64);
-        self.support.on_responded(self.cx(ts), clock);
-        for req in reqs.drain(..) {
-            req.token.complete(clock);
-        }
-        requested.clear();
         ts.req_scratch = reqs;
-        ts.obj_scratch = requested;
     }
 
     /// The respond closure handed to [`crate::coord`] while this thread
@@ -433,22 +440,20 @@ impl<S: Support> EngineCommon<S> {
             fence(Ordering::Acquire);
             let w1 = StateWord(obj.state().load(Ordering::Relaxed));
             if w1 == w0 {
-                ts.stats.bump(Event::SeqlockValidated);
                 if retries > 0 {
                     self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
                 }
-                self.rt.trace(ts.tid, TraceKind::SeqlockRead, o.0 as u64);
+                self.note(ts, Event::SeqlockValidated, o.0 as u64);
                 return Some(value);
             }
-            ts.stats.bump(Event::SeqlockRetry);
+            self.note(ts, Event::SeqlockRetry, o.0 as u64);
             retries += 1;
             let give_up = retries > SEQLOCK_MAX_RETRIES;
             if give_up || !w1.validated_read_ok(ts.tid) {
                 // A write burst, or a writer claimed the object (or it left
                 // the eligible states) inside the window.
                 if give_up {
-                    ts.stats.bump(Event::SeqlockFallback);
-                    self.rt.trace(ts.tid, TraceKind::SeqlockFallback, o.0 as u64);
+                    self.note(ts, Event::SeqlockFallback, o.0 as u64);
                 }
                 self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
                 return None;
@@ -581,28 +586,15 @@ impl<S: Support> RtHooks for EngineCommon<S> {
         // SAFETY: as above.
         let ts = unsafe { self.ts(t) };
         // Answer explicit requests that raced with the BLOCKED publication.
-        // The buffer is already flushed; one bump answers the whole batch.
-        let ctl = self.rt.control(t);
-        let mut reqs = std::mem::take(&mut ts.req_scratch);
-        debug_assert!(reqs.is_empty(), "blocked-publish drain re-entered");
-        ctl.drain_requests_into(&mut reqs);
-        if !reqs.is_empty() {
-            let clock = ctl.bump_release_clock();
-            ts.stats.bump(Event::RespondedExplicit);
-            ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);
-            self.support.on_responded(self.cx(ts), clock);
-            for req in reqs.drain(..) {
-                req.token.complete(clock);
-            }
-        }
-        ts.req_scratch = reqs;
+        // The buffer is already flushed.
+        self.answer_requests(ts, false);
     }
 
     fn after_unblock(&self, t: ThreadId, epoch_bumped: bool) {
         // SAFETY: as above.
         let ts = unsafe { self.ts(t) };
         if epoch_bumped {
-            ts.stats.bump(Event::ImplicitObservedOnWake);
+            self.note(ts, Event::ImplicitObservedOnWake, 0);
             self.support.on_wake_after_implicit(self.cx(ts));
         }
         // Stale explicit requests may also have queued up while parked.

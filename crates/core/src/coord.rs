@@ -45,8 +45,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use drink_runtime::{
-    CoordRequest, LatencyKind, ObjId, ResponseToken, Runtime, SchedPoint, ThreadId, ThreadStatus,
-    TraceKind,
+    CoordRequest, Event, LatencyKind, ObjId, ResponseToken, Runtime, SchedPoint, ThreadId,
+    ThreadStatus,
 };
 
 use crate::support::{CoordMode, PrevHolders};
@@ -102,11 +102,15 @@ pub struct PendingPeer {
 ///
 /// ## What each peer set reports
 ///
+/// Every enqueued request is traced as [`Event::CoordRequestSent`].
 /// [`PrevHolders::One`] records [`LatencyKind::CoordRoundtrip`] when its
-/// peer answers explicitly and traces [`TraceKind::CoordImplicit`] when it
-/// is resolved implicitly. [`PrevHolders::AllOthers`] brackets the call with
-/// the `Fanout*` trace events, the `CoordFanout*` sched points and
-/// [`LatencyKind::FanoutComplete`].
+/// peer answers explicitly and traces [`Event::CoordPeerImplicit`] when it
+/// is resolved implicitly. [`PrevHolders::AllOthers`] traces
+/// [`Event::CoordFanoutPeerDone`] for each peer its poll loop resolves, and
+/// brackets the call with the `CoordFanout*` sched points and
+/// [`LatencyKind::FanoutComplete`]. What is counted — the resolved call, the
+/// fan-out, the expired deadline — the caller counts and traces, since the
+/// counters are per thread.
 ///
 /// `AllOthers` visits every peer registered when the snapshot is taken. A
 /// thread that registers mid-fan-out is not visited: its first access is
@@ -124,7 +128,6 @@ pub fn coordinate(
     let t0 = Instant::now();
     let mut any_explicit = false;
     let mut any_implicit = false;
-    let before = sources.len();
     pending.clear();
 
     let (peers, fanout) = match whom {
@@ -150,7 +153,7 @@ pub fn coordinate(
             || matches!(ctl.status(), ThreadStatus::Blocked { epoch } if ctl.try_implicit(epoch));
         if resolved {
             if !fanout {
-                rt.trace(me, TraceKind::CoordImplicit, remote.raw() as u64);
+                rt.trace(me, Event::CoordPeerImplicit, remote.raw() as u64);
             }
             sources.push((remote, ctl.release_clock()));
             any_implicit = true;
@@ -165,7 +168,6 @@ pub fn coordinate(
         // `pending`: every still-running peer gets its request enqueued
         // before any backoff, so all responders work concurrently.
         if fanout {
-            rt.trace(me, TraceKind::FanoutEnqueue, pending.len() as u64);
             rt.sched_point(me, SchedPoint::CoordFanoutEnqueue);
         }
         let mut wait = rt.wait(me, "coordination responses").coordination();
@@ -177,12 +179,12 @@ pub fn coordinate(
                     return true;
                 };
                 if fanout {
-                    rt.trace(me, TraceKind::FanoutPeerDone, p.remote.raw() as u64);
+                    rt.trace(me, Event::CoordFanoutPeerDone, p.remote.raw() as u64);
                 } else if mode == CoordMode::Explicit {
                     rt.stats()
                         .record_latency(LatencyKind::CoordRoundtrip, t0.elapsed().as_nanos() as u64);
                 } else {
-                    rt.trace(me, TraceKind::CoordImplicit, p.remote.raw() as u64);
+                    rt.trace(me, Event::CoordPeerImplicit, p.remote.raw() as u64);
                 }
                 sources.push((p.remote, clock));
                 if mode == CoordMode::Explicit {
@@ -206,14 +208,12 @@ pub fn coordinate(
             // Act as a safe point while waiting (deadlock freedom).
             respond_self();
             if wait.step().is_err() {
-                rt.trace(me, TraceKind::CoordDeadline, pending.len() as u64);
                 return None;
             }
         }
     }
     if fanout {
         rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
-        rt.trace(me, TraceKind::FanoutComplete, (sources.len() - before) as u64);
     }
     // `Explicit` iff every resolved peer was explicit, `Implicit` if every
     // peer was implicit *or there were no peers* (vacuous), `Mixed` otherwise.
@@ -259,7 +259,7 @@ fn advance_peer(
                     obj,
                     token: token.clone(),
                 });
-                rt.trace(me, TraceKind::CoordRequest, p.remote.raw() as u64);
+                rt.trace(me, Event::CoordRequestSent, p.remote.raw() as u64);
                 rt.sched_point(me, SchedPoint::CoordRequest);
                 p.token = Some(token);
             }

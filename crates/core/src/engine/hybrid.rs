@@ -39,9 +39,7 @@
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
-use drink_runtime::{
-    Event, MonitorId, ObjHeader, ObjId, Runtime, SchedPoint, ThreadId, TraceKind,
-};
+use drink_runtime::{Event, MonitorId, ObjHeader, ObjId, Runtime, SchedPoint, ThreadId};
 
 use crate::common::EngineCommon;
 use crate::coord;
@@ -212,16 +210,18 @@ impl<S: Support> HybridEngine<S> {
             &mut sources,
             &mut pending,
         );
-        if whom == PrevHolders::AllOthers && mode.is_some() {
-            ts.stats.bump(Event::CoordFanout);
-            ts.stats.add(Event::CoordFanoutPeers, sources.len() as u64);
-        }
+        let peers = sources.len() as u64;
         ts.src_scratch = sources;
         ts.fanout_scratch = pending;
-        match mode {
-            Some(_) => ts.stats.bump(Event::CoordinationRoundtrip),
-            None => self.note_coord_deadline(ts, o),
+        if mode.is_none() {
+            self.note_coord_deadline(ts, o);
+            return None;
         }
+        if whom == PrevHolders::AllOthers {
+            self.common.note(ts, Event::CoordFanout, peers);
+            ts.stats.add(Event::CoordFanoutPeers, peers);
+        }
+        self.common.note(ts, Event::CoordinationRoundtrip, o.0 as u64);
         mode
     }
 
@@ -230,8 +230,7 @@ impl<S: Support> HybridEngine<S> {
     /// coordination it just proved expensive.
     #[cold]
     fn note_coord_deadline(&self, ts: &mut ThreadState, o: ObjId) {
-        ts.stats.bump(Event::CoordDeadlineExceeded);
-        self.common.rt.trace(ts.tid, TraceKind::CoordDeadline, o.0 as u64);
+        self.common.note(ts, Event::CoordDeadlineExceeded, o.0 as u64);
         if self.common.policy.force_pess(self.common.rt.obj(o).profile()) {
             self.note_phase_change(ts, o, true);
         }
@@ -245,13 +244,8 @@ impl<S: Support> HybridEngine<S> {
         if self.cfg.valve != Valve::Reopening {
             return;
         }
-        let (ev, tk) = if into_pess {
-            (Event::AdaptDemotion, TraceKind::AdaptDemote)
-        } else {
-            (Event::AdaptPromotion, TraceKind::AdaptPromote)
-        };
-        ts.stats.bump(ev);
-        self.common.rt.trace(ts.tid, tk, o.0 as u64);
+        let e = if into_pess { Event::AdaptDemotion } else { Event::AdaptPromotion };
+        self.common.note(ts, e, o.0 as u64);
     }
 
     /// The adaptive-policy decision at an optimistic conflict (Figure 10(b)
@@ -271,14 +265,11 @@ impl<S: Support> HybridEngine<S> {
     }
 
     fn finish_opt_conflict(&self, ts: &mut ThreadState, o: ObjId, mode: CoordMode, write: bool) {
-        let (ev, tk) = match mode {
-            CoordMode::Explicit | CoordMode::Mixed => {
-                (Event::OptConflictExplicit, TraceKind::ConflictExplicit)
-            }
-            CoordMode::Implicit => (Event::OptConflictImplicit, TraceKind::ConflictImplicit),
+        let e = match mode {
+            CoordMode::Explicit | CoordMode::Mixed => Event::OptConflictExplicit,
+            CoordMode::Implicit => Event::OptConflictImplicit,
         };
-        ts.stats.bump(ev);
-        self.common.rt.trace(ts.tid, tk, o.0 as u64);
+        self.common.note(ts, e, o.0 as u64);
         let cx = SupportCx {
             rt: &self.common.rt,
             t: ts.tid,
@@ -370,8 +361,7 @@ impl<S: Support> HybridEngine<S> {
 
     /// Count a pessimistic transition on `o`.
     fn count_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool) {
-        ts.stats.bump(Event::PessUncontended);
-        self.common.rt.trace(ts.tid, TraceKind::PessClaim, o.0 as u64);
+        self.common.note(ts, Event::PessUncontended, o.0 as u64);
         if conflicting {
             ts.stats.bump(Event::PessOwnerChange);
         }
@@ -427,8 +417,7 @@ impl<S: Support> HybridEngine<S> {
         }
         match (row.class, row.lock) {
             (Class::Upgrade, _) => {
-                ts.stats.bump(Event::OptUpgrading);
-                self.common.rt.trace(ts.tid, TraceKind::OptUpgrade, o.0 as u64);
+                self.common.note(ts, Event::OptUpgrading, o.0 as u64);
                 Some(Outcome::Proceed)
             }
             (Class::Pess { conflicting }, Lock::None) => {
@@ -476,8 +465,7 @@ impl<S: Support> HybridEngine<S> {
                 }
                 Class::Fence => {
                     self.emit(ts, o, w, w, step);
-                    ts.stats.bump(Event::OptFence);
-                    rt.trace(t, TraceKind::OptFence, o.0 as u64);
+                    self.common.note(ts, Event::OptFence, o.0 as u64);
                     return Outcome::Proceed;
                 }
                 Class::Reentrant => {
@@ -522,8 +510,7 @@ impl<S: Support> HybridEngine<S> {
                     self.finish_opt_conflict(ts, o, mode, access == Access::Write);
                     if to_pess {
                         state.store(pess.0, Ordering::Release);
-                        ts.stats.bump(Event::OptToPess);
-                        rt.trace(t, TraceKind::OptToPess, o.0 as u64);
+                        self.common.note(ts, Event::OptToPess, o.0 as u64);
                         return self.hold(ts, o, lock, false);
                     }
                     state.store(opt.0, Ordering::Release);
@@ -532,8 +519,7 @@ impl<S: Support> HybridEngine<S> {
                 Class::Contended => {
                     if !contended {
                         contended = true;
-                        ts.stats.bump(Event::PessContended);
-                        rt.trace(t, TraceKind::PessContended, o.0 as u64);
+                        self.common.note(ts, Event::PessContended, o.0 as u64);
                     }
                     // The holder(s) flush at their responding safe points.
                     self.coordinate(ts, o, w);
@@ -574,7 +560,7 @@ impl<S: Support> HybridEngine<S> {
             // the slow path, which takes that lock.
             let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o, w) {
-                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
+                    self.common.rt.trace(t, Event::Read, o.0 as u64);
                     ts.op_index += 1;
                     return v;
                 }
@@ -597,7 +583,7 @@ impl<S: Support> HybridEngine<S> {
     }
 
     /// A write's leaf (Figure 10(a)): only `WrExOpt(T)`, call-free, and
-    /// only while no trace sink would have to hear of it.
+    /// only while no trace ring would have to hear of it.
     #[inline(always)]
     fn write_impl(&self, t: ThreadId, o: ObjId, v: u64, abortable: bool) -> Option<u64> {
         // SAFETY: attached thread (Tracker contract).
@@ -652,8 +638,7 @@ impl<S: Support> HybridEngine<S> {
     /// overwrote.
     #[inline(always)]
     fn program_write(&self, ts: &mut ThreadState, obj: &ObjHeader, o: ObjId, v: u64) -> u64 {
-        ts.stats.bump(Event::Write);
-        self.common.rt.trace(ts.tid, TraceKind::Write, o.0 as u64);
+        self.common.note(ts, Event::Write, o.0 as u64);
         let prev = obj.data_read();
         obj.data_write(v);
         ts.op_index += 1;
@@ -663,7 +648,7 @@ impl<S: Support> HybridEngine<S> {
     /// The program's read, once the state allows it.
     #[inline(always)]
     fn program_read(&self, ts: &mut ThreadState, obj: &ObjHeader, o: ObjId) -> u64 {
-        self.common.rt.trace(ts.tid, TraceKind::Read, o.0 as u64);
+        self.common.rt.trace(ts.tid, Event::Read, o.0 as u64);
         let v = obj.data_read();
         ts.op_index += 1;
         v
@@ -724,7 +709,7 @@ impl<S: Support> HybridEngine<S> {
         }
         self.count_pess(ts, o, conflicting);
         ts.stats.bump(Event::StateUnlocked);
-        self.common.rt.trace(ts.tid, TraceKind::Read, o.0 as u64);
+        self.common.rt.trace(ts.tid, Event::Read, o.0 as u64);
         ts.op_index += 1;
         Some(Outcome::Read(v))
     }
@@ -737,7 +722,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
         "hybrid"
     }
 
-    /// A read's leaf: Figure 10(a)'s compares, call-free, sink permitting.
+    /// A read's leaf: Figure 10(a)'s compares, call-free, rings permitting.
     #[inline(always)]
     fn read(&self, t: ThreadId, o: ObjId) -> u64 {
         // SAFETY: attached thread.
@@ -752,8 +737,8 @@ impl<S: Support> Tracker for HybridEngine<S> {
             ts.op_index += 1;
             return v;
         }
-        // The validated read's first attempt (DESIGN.md §12), while neither a
-        // sink nor schedule hooks want its events; a failed one is retried,
+        // The validated read's first attempt (DESIGN.md §12), while neither
+        // trace rings nor schedule hooks want its events; a failed one is retried,
         // and only then counted, by `seqlock_read` in the continuation.
         if quiet && S::RELAXED_LOCKING && !self.common.rt.perturbing() && StateWord(cur).validated_read_ok(t) {
             let v = obj.data_read();

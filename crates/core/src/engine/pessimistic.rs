@@ -22,7 +22,7 @@
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
-use drink_runtime::{Event, MonitorId, ObjId, Runtime, ThreadId, TraceKind};
+use drink_runtime::{Event, MonitorId, ObjId, Runtime, ThreadId};
 
 use crate::common::EngineCommon;
 use crate::engine::Tracker;
@@ -50,11 +50,8 @@ impl<S: Support> PessimisticEngine<S> {
     fn access(&self, t: ThreadId, o: ObjId, write: Option<u64>) -> u64 {
         // SAFETY: Tracker methods are called from the attached thread.
         let ts = unsafe { self.common.ts(t) };
-        ts.stats.bump(if write.is_some() {
-            Event::Write
-        } else {
-            Event::Read
-        });
+        let access = if write.is_some() { Event::Write } else { Event::Read };
+        ts.stats.bump(access);
 
         let obj = self.common.rt.obj(o);
         let state = obj.state();
@@ -69,7 +66,7 @@ impl<S: Support> PessimisticEngine<S> {
             let w = StateWord(state.load(Ordering::Acquire));
             if w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o, w) {
-                    self.common.rt.trace(t, TraceKind::Read, o.0 as u64);
+                    self.common.rt.trace(t, Event::Read, o.0 as u64);
                     ts.op_index += 1;
                     return v;
                 }
@@ -125,15 +122,8 @@ impl<S: Support> PessimisticEngine<S> {
 
         // Unlock + update metadata (release = the paper's memfence).
         state.store(new.0, Ordering::Release);
-        ts.stats.bump(Event::PessUncontended);
-        self.common.rt.trace(
-            t,
-            match write {
-                Some(_) => TraceKind::Write,
-                None => TraceKind::Read,
-            },
-            o.0 as u64,
-        );
+        self.common.note(ts, Event::PessUncontended, o.0 as u64);
+        self.common.rt.trace(t, access, o.0 as u64);
         // §7.5's remote-cache-miss proxy: did this access take the state
         // from a different thread than the previous access?
         if old.kind() != Kind::RdSh && old.owner() != t {

@@ -1,9 +1,9 @@
 //! What the same-state leaf skips, its continuation still delivers
 //! (DESIGN.md §8). The leaf of `HybridEngine::{read, write}` records no
 //! trace event, and the leaf of a safe point poll reaches no schedule point
-//! and answers no request; each is guarded by a test — sink installed, hooks
-//! registered, request flagged — that sends every such operation to the
-//! continuation instead. These tests fail if a guard is dropped.
+//! and answers no request; each is guarded by a test — trace rings built,
+//! hooks registered, request flagged — that sends every such operation to
+//! the continuation instead. These tests fail if a guard is dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use drink_core::prelude::*;
 use drink_runtime::{
     CoordRequest, Event, ObjId, ResponseToken, Runtime, RuntimeConfig, RuntimeConfigBuilder,
-    SchedHooks, SchedPoint, ThreadId, TraceKind,
+    SchedHooks, SchedPoint, ThreadId,
 };
 
 const O: ObjId = ObjId(1);
@@ -55,11 +55,11 @@ fn a_trace_sink_hears_every_same_state_access() {
     }
     e.detach(t);
 
-    let snapshot = e.rt().trace_snapshot().expect("tracing is on");
+    let snapshot = e.rt().trace_rings().expect("tracing is on").snapshot();
     let mine = snapshot.threads.iter().find(|th| th.tid == t.raw()).expect("this thread's ring");
     let heard = |kind| mine.events.iter().filter(|r| r.kind == kind && r.arg == O.0 as u64).count() as u64;
-    assert_eq!(heard(TraceKind::Read), READS);
-    assert_eq!(heard(TraceKind::Write), WRITES);
+    assert_eq!(heard(Event::Read), READS);
+    assert_eq!(heard(Event::Write), WRITES);
     assert_eq!(e.rt().stats().get(Event::OptSameState), READS + WRITES);
 }
 

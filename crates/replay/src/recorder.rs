@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use drink_core::support::{PrevHolders, Support, SupportCx, TransitionEv};
-use drink_runtime::{Event, MonitorId, ObjId, ThreadId};
+use drink_runtime::{MonitorId, ObjId, ThreadId};
 
 use crate::log::{RecordingLog, ThreadLog};
 
@@ -230,9 +230,6 @@ impl Support for Recorder {
                 self.update_side_table(&cx, obj, clock);
             }
         }
-        // Count one recorded-edge event per transition (coarse; the precise
-        // edge count is in the log itself).
-        let _ = Event::RecorderEdge;
     }
 
     fn on_release(&self, cx: SupportCx<'_>, _clock: u64) {

@@ -49,7 +49,7 @@ pub use pad::CachePadded;
 pub use runtime::{Runtime, RuntimeConfig, RuntimeConfigBuilder, MAX_RDSH_COUNT};
 pub use spin::{Expired, Wait};
 pub use stats::{Event, GlobalStats, HistogramSnapshot, LatencyKind, LocalStats, StatsReport};
-pub use trace::{RingTraceSink, ThreadTrace, TraceKind, TraceRecord, TraceSink, TraceSnapshot};
+pub use trace::{ThreadTrace, TraceRecord, TraceRings, TraceSnapshot};
 
 /// A schedule-relevant program point, as reported to [`SchedHooks`].
 ///

@@ -11,8 +11,8 @@ use crate::ids::{MonitorId, ObjId, ThreadId};
 use crate::monitor::{AcquireInfo, Monitor};
 use crate::pad::CachePadded;
 use crate::spin::Wait;
-use crate::stats::{GlobalStats, LatencyKind};
-use crate::trace::{RingTraceSink, TraceKind, TraceSink, TraceSnapshot};
+use crate::stats::{Event, GlobalStats, LatencyKind};
+use crate::trace::TraceRings;
 use crate::{RtHooks, SchedHooks, SchedPoint};
 
 /// Sizing and tuning knobs for one [`Runtime`] instance.
@@ -38,10 +38,10 @@ pub struct RuntimeConfig {
     /// it: the watchdog bounds hangs, and a deadline that expires cleanly is
     /// not a hang.
     pub coord_deadline: Duration,
-    /// Per-thread trace ring capacity (events). `0` (the default) disables
-    /// tracing entirely: no sink is installed and every trace site reduces
-    /// to one branch. Non-zero auto-installs a [`RingTraceSink`] holding the
-    /// last `trace_capacity` events per thread.
+    /// Per-thread trace ring capacity (events), the one switch for tracing.
+    /// `0` (the default) builds no rings, and every trace site reduces to one
+    /// branch. Non-zero gives the runtime [`TraceRings`] that hold the last
+    /// `trace_capacity` [`Event`]s of each thread.
     pub trace_capacity: usize,
 }
 
@@ -148,20 +148,18 @@ pub struct Runtime {
     /// Optional schedule-perturbation layer (crate `drink-check`). `None` in
     /// production runs; every perturbation site reduces to one branch.
     sched: Option<Arc<dyn SchedHooks>>,
-    /// Optional event-trace sink (`drink-trace`, [`crate::trace`]). `None`
-    /// keeps every trace site a single never-taken branch.
-    sink: Option<Arc<dyn TraceSink>>,
+    /// The event-trace rings ([`crate::trace`]), present iff the config's
+    /// `trace_capacity` is non-zero. `None` keeps every trace site a single
+    /// never-taken branch.
+    rings: Option<TraceRings>,
 }
 
 impl Runtime {
     /// Build a runtime per `config`.
     pub fn new(config: RuntimeConfig) -> Self {
         assert!(config.max_threads <= ThreadId::MAX, "too many threads");
-        let sink: Option<Arc<dyn TraceSink>> = (config.trace_capacity > 0)
-            .then(|| {
-                Arc::new(RingTraceSink::new(config.max_threads, config.trace_capacity))
-                    as Arc<dyn TraceSink>
-            });
+        let rings = (config.trace_capacity > 0)
+            .then(|| TraceRings::new(config.max_threads, config.trace_capacity));
         Runtime {
             controls: (0..config.max_threads).map(|_| ThreadControl::new()).collect(),
             next_tid: AtomicU16::new(0),
@@ -172,7 +170,7 @@ impl Runtime {
             g_rdsh_count: CachePadded::new(AtomicU64::new(1)),
             stats: GlobalStats::new(),
             sched: None,
-            sink,
+            rings,
         }
     }
 
@@ -183,40 +181,33 @@ impl Runtime {
         self.sched = Some(sched);
     }
 
-    /// Install (or replace) the event-trace sink. Like
-    /// [`Runtime::set_sched_hooks`] this takes `&mut self`: callers that need
-    /// the sink to outlive the runtime (the chaos harness keeps its `Arc`
-    /// across a `catch_unwind` so a crashed run's last events survive) clone
-    /// the `Arc` before handing it over.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
     /// Whether a schedule-perturbation layer is registered.
     #[inline(always)]
     pub fn perturbing(&self) -> bool {
         self.sched.is_some()
     }
 
-    /// Whether a trace sink is installed (tracing on).
+    /// Whether this runtime has trace rings (tracing on).
     #[inline(always)]
     pub fn tracing_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.rings.is_some()
     }
 
-    /// Record protocol event `kind` for thread `t`. With no sink installed
-    /// this is one pointer test; with the ring sink it is three relaxed
-    /// stores and a release store, never an allocation.
+    /// Record event `e` for thread `t`, which must be the calling thread.
+    /// Without rings this is one pointer test; with them it is a call that
+    /// makes three relaxed stores and a release store, never an allocation.
+    /// An engine that counts `e` as well records it with
+    /// `EngineCommon::note`.
     #[inline(always)]
-    pub fn trace(&self, t: ThreadId, kind: TraceKind, arg: u64) {
-        if let Some(sink) = &self.sink {
-            sink.record(t, kind, arg);
+    pub fn trace(&self, t: ThreadId, e: Event, arg: u64) {
+        if let Some(rings) = &self.rings {
+            rings.record(t, e, arg);
         }
     }
 
-    /// Snapshot every thread's recent events, or `None` when tracing is off.
-    pub fn trace_snapshot(&self) -> Option<TraceSnapshot> {
-        self.sink.as_ref().map(|s| s.snapshot())
+    /// The trace rings, or `None` when tracing is off.
+    pub fn trace_rings(&self) -> Option<&TraceRings> {
+        self.rings.as_ref()
     }
 
     /// Report that thread `t` reached schedule-relevant point `point`,
@@ -334,25 +325,28 @@ impl Runtime {
             .acquire(t, self.control(t), hooks, self.config.monitor_spin_iters);
         self.stats
             .record_latency(LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
-        let kind = if info.blocked {
-            TraceKind::MonitorAcquireBlocked
+        let e = if info.blocked {
+            Event::MonitorAcquireBlocked
         } else {
-            TraceKind::MonitorAcquireFast
+            Event::MonitorAcquireFast
         };
-        self.trace(t, kind, m.index() as u64);
+        self.trace(t, e, m.index() as u64);
         info
     }
 
     /// Release monitor `m` (see [`Monitor::release`]).
     pub fn monitor_release<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) {
-        self.trace(t, TraceKind::MonitorRelease, m.index() as u64);
+        self.trace(t, Event::MonitorRelease, m.index() as u64);
         self.monitor(m).release(t, self.control(t), hooks)
     }
 
-    /// Wait on monitor `m` (see [`Monitor::wait`]).
+    /// Wait on monitor `m` (see [`Monitor::wait`]). The reacquire is traced
+    /// as a blocked acquire, which is how engines count it.
     pub fn monitor_wait<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
-        self.trace(t, TraceKind::MonitorWait, m.index() as u64);
-        self.monitor(m).wait(t, self.control(t), hooks)
+        self.trace(t, Event::MonitorWait, m.index() as u64);
+        let info = self.monitor(m).wait(t, self.control(t), hooks);
+        self.trace(t, Event::MonitorAcquireBlocked, m.index() as u64);
+        info
     }
 
     /// Notify all waiters of monitor `m`.
@@ -473,17 +467,20 @@ mod tests {
     fn tracing_off_by_default_and_on_via_builder() {
         let off = Runtime::new(RuntimeConfig::default());
         assert!(!off.tracing_enabled());
-        assert!(off.trace_snapshot().is_none());
+        assert!(off.trace_rings().is_none());
         // Off-path trace is a no-op, not a panic.
-        off.trace(ThreadId(0), TraceKind::Read, 1);
+        off.trace(ThreadId(0), Event::Read, 1);
 
         let on = Runtime::new(RuntimeConfig::builder().max_threads(2).trace_capacity(16).build());
         assert!(on.tracing_enabled());
         let t = on.register_thread();
-        on.trace(t, TraceKind::Write, 42);
-        let snap = on.trace_snapshot().unwrap();
+        on.trace(t, Event::Write, 42);
+        let rings = on.trace_rings().unwrap();
+        assert_eq!(rings.ring(t).unwrap().capacity(), 16);
+        let snap = rings.snapshot();
         assert_eq!(snap.threads.len(), 2);
         assert_eq!(snap.threads[t.index()].events.len(), 1);
+        assert_eq!(snap.threads[t.index()].events[0].kind, Event::Write);
         assert_eq!(snap.threads[t.index()].events[0].arg, 42);
     }
 
@@ -498,12 +495,12 @@ mod tests {
         let report = rt.stats().report();
         assert_eq!(report.latency(LatencyKind::MonitorAcquire).count(), 1);
         assert!(report.latency(LatencyKind::MonitorAcquire).max() > 0);
-        let events: Vec<TraceKind> = rt.trace_snapshot().unwrap().threads[t.index()]
+        let events: Vec<Event> = rt.trace_rings().unwrap().snapshot().threads[t.index()]
             .events
             .iter()
             .map(|e| e.kind)
             .collect();
-        assert_eq!(events, vec![TraceKind::MonitorAcquireFast, TraceKind::MonitorRelease]);
+        assert_eq!(events, vec![Event::MonitorAcquireFast, Event::MonitorRelease]);
     }
 
     #[test]

@@ -11,12 +11,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-/// Every countable event in the substrate and the tracking engines.
+/// Every event in the substrate and the tracking engines: what the counters
+/// count and what the trace rings ([`crate::trace`]) record, under one name.
 ///
 /// The first block mirrors the transition taxonomy of Table 1/Table 3; the
 /// second block counts coordination and runtime-support events. The paper's
 /// Table 2 columns are derived from these counters by
 /// [`StatsReport`].
+///
+/// A runtime built with trace rings records each event where it is counted,
+/// so a ring and the counters agree. The record's argument is the object id
+/// for an event about one object, the monitor id for a monitor event, and
+/// otherwise what the variant's doc names. Four variants are only
+/// traced, never counted: [`Event::CoordRequestSent`],
+/// [`Event::CoordPeerImplicit`], [`Event::CoordFanoutPeerDone`] and
+/// [`Event::MonitorWait`]. Ten are only counted: the fast paths'
+/// `OptSameState`, `PessReentrant` and `SafepointPoll`, the per-transition
+/// `PessOwnerChange` and `StateUnlocked`, `CoordBatchRequests` and
+/// `CoordFanoutPeers` (the sums of the traced arguments of
+/// `RespondedExplicit` and `CoordFanout`), and the runtime supports'
+/// `ReplayWait`, `RegionExec` and `RegionRestart`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(usize)]
 pub enum Event {
@@ -55,22 +69,32 @@ pub enum Event {
     OptToPess,
     /// An object moved from pessimistic back to optimistic states.
     PessToOpt,
+    /// The policy's valve held an object pessimistic at an unlock that left
+    /// it fully unlocked, instead of releasing it to optimistic states.
+    ValveKeptPess,
 
     // --- Deferred unlocking ---
-    /// A lock-buffer flush (at a PSRO or responding safe point).
+    /// A lock-buffer flush (at a PSRO or responding safe point); traced with
+    /// the number of buffered locks flushed.
     LockBufferFlush,
     /// An individual object state unlocked during a flush.
     StateUnlocked,
 
     // --- Coordination mechanics ---
-    /// This thread responded to an explicit coordination request at a safe
-    /// point.
+    /// This thread answered a batch of explicit coordination requests with
+    /// one release-clock bump: at a responding safe point, right after
+    /// publishing BLOCKED, or at detach. Traced with the batch size.
     RespondedExplicit,
     /// This thread was coordinated with implicitly while blocked (counted on
     /// wake-up; several implicit coordinations may collapse into one epoch
-    /// observation).
+    /// observation). Traced with argument 0.
     ImplicitObservedOnWake,
-    /// A coordination roundtrip this thread initiated (send → response).
+    /// A coordination this thread initiated resolved: one `coordinate` call
+    /// that completed, whether its peers answered explicitly, were resolved
+    /// implicitly, or both, and whether it targeted one peer or fanned out.
+    /// (A call its deadline cut short is a [`Event::CoordDeadlineExceeded`]
+    /// instead.) [`LatencyKind::CoordRoundtrip`] times a narrower set: the
+    /// single-peer calls that the peer answered explicitly.
     CoordinationRoundtrip,
     /// Total explicit requests answered across responding safe points. Each
     /// responding safe point drains its whole inbox and answers the batch
@@ -78,12 +102,23 @@ pub enum Event {
     /// `CoordBatchRequests / RespondedExplicit` is the mean batch occupancy
     /// (the coalescing rate Table-2-style reports can show).
     CoordBatchRequests,
-    /// Coordination fan-outs initiated (one all-others `coordinate` call: the
+    /// Coordination fan-outs completed (one all-others `coordinate` call: the
     /// conservative RdSh protocol that coordinates with every live peer).
+    /// Traced with the number of peers it covered.
     CoordFanout,
     /// Total peers covered by fan-outs; `CoordFanoutPeers / CoordFanout` is
     /// the mean fan-out width.
     CoordFanoutPeers,
+    /// Traced only: an explicit request was enqueued to a running peer (arg
+    /// = the peer's thread id). The peer's answer is its
+    /// [`Event::RespondedExplicit`].
+    CoordRequestSent,
+    /// Traced only: a single-peer coordination resolved its peer implicitly,
+    /// because it was blocked or detached (arg = the peer's thread id).
+    CoordPeerImplicit,
+    /// Traced only: one peer of a fan-out resolved in its poll loop,
+    /// explicitly or implicitly (arg = the peer's thread id).
+    CoordFanoutPeerDone,
 
     // --- Program-level events ---
     /// Tracked read access.
@@ -92,16 +127,17 @@ pub enum Event {
     Write,
     /// Monitor acquired without blocking.
     MonitorAcquireFast,
-    /// Monitor acquire had to block.
+    /// Monitor acquire had to block, or a monitor wait reacquired.
     MonitorAcquireBlocked,
     /// Monitor released (a PSRO).
     MonitorRelease,
+    /// Traced only: a monitor wait began (released, then parks; the
+    /// reacquire is a [`Event::MonitorAcquireBlocked`]).
+    MonitorWait,
     /// Safe point poll executed.
     SafepointPoll,
 
     // --- Runtime support ---
-    /// Recorder: a happens-before edge was logged.
-    RecorderEdge,
     /// Replayer: a sink had to spin-wait for its source clock.
     ReplayWait,
     /// RS enforcer: a region started (or restarted) execution.
@@ -165,6 +201,7 @@ impl Event {
         Event::PessOwnerChange,
         Event::OptToPess,
         Event::PessToOpt,
+        Event::ValveKeptPess,
         Event::LockBufferFlush,
         Event::StateUnlocked,
         Event::RespondedExplicit,
@@ -173,13 +210,16 @@ impl Event {
         Event::CoordBatchRequests,
         Event::CoordFanout,
         Event::CoordFanoutPeers,
+        Event::CoordRequestSent,
+        Event::CoordPeerImplicit,
+        Event::CoordFanoutPeerDone,
         Event::Read,
         Event::Write,
         Event::MonitorAcquireFast,
         Event::MonitorAcquireBlocked,
         Event::MonitorRelease,
+        Event::MonitorWait,
         Event::SafepointPoll,
-        Event::RecorderEdge,
         Event::ReplayWait,
         Event::RegionExec,
         Event::RegionRestart,
@@ -191,7 +231,14 @@ impl Event {
         Event::AdaptPromotion,
     ];
 
-    /// Stable human-readable name (used by the bench harnesses' reports).
+    /// The event whose discriminant is `i`: how a trace ring slot, which
+    /// stores an event as its discriminant, decodes it.
+    pub(crate) fn from_index(i: u64) -> Option<Event> {
+        Event::ALL.get(i as usize).copied()
+    }
+
+    /// Stable human-readable name (used by the bench harnesses' reports and
+    /// the trace exports).
     pub fn name(self) -> &'static str {
         match self {
             Event::OptSameState => "opt.same_state",
@@ -205,6 +252,7 @@ impl Event {
             Event::PessOwnerChange => "pess.owner_change",
             Event::OptToPess => "hybrid.opt_to_pess",
             Event::PessToOpt => "hybrid.pess_to_opt",
+            Event::ValveKeptPess => "hybrid.valve_kept_pess",
             Event::LockBufferFlush => "hybrid.lock_buffer_flush",
             Event::StateUnlocked => "hybrid.state_unlocked",
             Event::RespondedExplicit => "coord.responded_explicit",
@@ -213,13 +261,16 @@ impl Event {
             Event::CoordBatchRequests => "coord.batch_requests",
             Event::CoordFanout => "coord.fanout",
             Event::CoordFanoutPeers => "coord.fanout_peers",
+            Event::CoordRequestSent => "coord.request_sent",
+            Event::CoordPeerImplicit => "coord.peer_implicit",
+            Event::CoordFanoutPeerDone => "coord.fanout_peer_done",
             Event::Read => "access.read",
             Event::Write => "access.write",
             Event::MonitorAcquireFast => "monitor.acquire_fast",
             Event::MonitorAcquireBlocked => "monitor.acquire_blocked",
             Event::MonitorRelease => "monitor.release",
+            Event::MonitorWait => "monitor.wait",
             Event::SafepointPoll => "safepoint.poll",
-            Event::RecorderEdge => "recorder.edge",
             Event::ReplayWait => "replayer.wait",
             Event::RegionExec => "rs.region_exec",
             Event::RegionRestart => "rs.region_restart",
@@ -629,6 +680,17 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Event::COUNT);
+    }
+
+    #[test]
+    fn events_round_trip_through_a_ring() {
+        let ring = crate::trace::TraceRing::new(Event::COUNT + 1);
+        for (i, e) in Event::ALL.iter().enumerate() {
+            ring.record(i as u64, *e, i as u64);
+        }
+        let decoded: Vec<Event> = ring.snapshot().iter().map(|r| r.kind).collect();
+        assert_eq!(decoded, Event::ALL);
+        assert_eq!(Event::from_index(Event::COUNT as u64), None, "past the last event");
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! drink-trace: per-thread protocol event tracing.
 //!
 //! The stats layer ([`crate::stats`]) answers *how many* of each transition a
-//! run performed; this module answers *which thread did what, in what order*.
-//! Each registered thread owns a fixed-capacity ring of timestamped
-//! [`TraceRecord`]s written lock-free by that thread alone and snapshotted by
-//! anyone — a chaos failure embeds the last-N events per thread next to the
-//! shrunken seed, and `drink-bench trace` exports a whole run as
+//! run performed; this module answers *which thread did what, in what order*,
+//! in the same vocabulary: a [`TraceRecord`]'s kind is an [`Event`]. Each
+//! registered thread owns a fixed-capacity ring of timestamped records
+//! written lock-free by that thread alone and snapshotted by anyone — a
+//! chaos failure embeds the last-N events per thread next to the shrunken
+//! seed, and `drink-bench trace` exports a whole run as
 //! `chrome://tracing`-loadable JSON.
 //!
 //! ## Hot-path contract
 //!
-//! Tracing is always compiled and toggled at runtime by installing (or not
-//! installing) a [`TraceSink`] on the [`crate::Runtime`]. The off path is one
-//! branch: `Runtime::trace` tests an `Option<Arc<dyn TraceSink>>` (a single
-//! pointer load thanks to the null-pointer optimization) and falls through.
-//! The on path performs no allocation: a [`TraceRing`] write is three relaxed
-//! stores plus one release store of the cursor.
+//! Tracing is always compiled. A [`crate::Runtime`] built with a non-zero
+//! `trace_capacity` owns [`TraceRings`]; one built without has none, and
+//! then `Runtime::trace` is one branch on an `Option` whose `None` is a null
+//! pointer. The on path performs no allocation: a [`TraceRing`] write is
+//! three relaxed stores plus one release store of the cursor.
 //!
 //! ## Seqlock-lite ring
 //!
@@ -32,173 +32,15 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::ThreadId;
+use crate::stats::Event;
 
-/// One protocol event kind. Discriminants are dense (`Read = 0` …) so a ring
-/// slot can store the kind as a `u64` and decode it through [`TraceKind::ALL`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(usize)]
-pub enum TraceKind {
-    /// Tracked read (arg = object id).
-    Read,
-    /// Tracked write (arg = object id).
-    Write,
-    /// Optimistic same-thread state upgrade: WrEx→ or RdEx→RdSh CAS
-    /// (arg = object id).
-    OptUpgrade,
-    /// RdSh read fence before a load of a read-shared object (arg = object).
-    OptFence,
-    /// Conflicting optimistic transition resolved by explicit coordination
-    /// (arg = object id).
-    ConflictExplicit,
-    /// Conflicting optimistic transition resolved implicitly against a
-    /// blocked/detached owner (arg = object id).
-    ConflictImplicit,
-    /// State word moved optimistic → pessimistic (arg = object id).
-    OptToPess,
-    /// Deferred unlock released a pessimistic state back to optimistic
-    /// (arg = object id).
-    PessToOpt,
-    /// Policy valve held a flushed object pessimistic instead of releasing
-    /// it to optimistic (arg = object id).
-    ValveStayPess,
-    /// Uncontended pessimistic lock acquisition (arg = object id).
-    PessClaim,
-    /// Contended pessimistic acquisition began spinning (arg = object id).
-    PessContended,
-    /// Lock buffer flushed at a PSRO or responding safe point
-    /// (arg = number of buffered locks flushed).
-    LockBufferFlush,
-    /// Explicit coordination request enqueued to a running thread
-    /// (arg = remote thread id).
-    CoordRequest,
-    /// Coordination resolved implicitly — remote blocked or detached
-    /// (arg = remote thread id).
-    CoordImplicit,
-    /// This thread answered a batch of pending requests at a safe point
-    /// (arg = batch size).
-    CoordRespond,
-    /// Fan-out phase 1 done: requests enqueued to all running peers
-    /// (arg = number of pending explicit peers).
-    FanoutEnqueue,
-    /// One fan-out peer's roundtrip completed (arg = remote thread id).
-    FanoutPeerDone,
-    /// Whole fan-out completed (arg = number of sources collected).
-    FanoutComplete,
-    /// Monitor acquired without blocking (arg = monitor id).
-    MonitorAcquireFast,
-    /// Monitor acquired after blocking (arg = monitor id).
-    MonitorAcquireBlocked,
-    /// Monitor released (arg = monitor id).
-    MonitorRelease,
-    /// Monitor wait: released, parked, reacquired (arg = monitor id).
-    MonitorWait,
-    /// Coordination-free read: the state word revalidated (arg = object
-    /// id).
-    SeqlockRead,
-    /// Seqlock read exhausted its retries and fell back to the coordinated
-    /// read path (arg = object id).
-    SeqlockFallback,
-    /// A coordination wait hit its recoverable deadline and the requester
-    /// fell back to the pessimistic protocol (arg = object id, or the remote
-    /// thread id for objectless waits).
-    CoordDeadline,
-    /// Re-opening valve: an object's policy phase changed into `Pess`
-    /// (arg = object id).
-    AdaptDemote,
-    /// Re-opening valve: an object's policy phase changed out of `Pess`
-    /// (arg = object id).
-    AdaptPromote,
-}
-
-impl TraceKind {
-    /// Number of kinds; also the length of [`TraceKind::ALL`].
-    pub const COUNT: usize = 27;
-
-    /// Every kind, in discriminant order (`ALL[k as usize] == k`).
-    pub const ALL: [TraceKind; TraceKind::COUNT] = [
-        TraceKind::Read,
-        TraceKind::Write,
-        TraceKind::OptUpgrade,
-        TraceKind::OptFence,
-        TraceKind::ConflictExplicit,
-        TraceKind::ConflictImplicit,
-        TraceKind::OptToPess,
-        TraceKind::PessToOpt,
-        TraceKind::ValveStayPess,
-        TraceKind::PessClaim,
-        TraceKind::PessContended,
-        TraceKind::LockBufferFlush,
-        TraceKind::CoordRequest,
-        TraceKind::CoordImplicit,
-        TraceKind::CoordRespond,
-        TraceKind::FanoutEnqueue,
-        TraceKind::FanoutPeerDone,
-        TraceKind::FanoutComplete,
-        TraceKind::MonitorAcquireFast,
-        TraceKind::MonitorAcquireBlocked,
-        TraceKind::MonitorRelease,
-        TraceKind::MonitorWait,
-        TraceKind::SeqlockRead,
-        TraceKind::SeqlockFallback,
-        TraceKind::CoordDeadline,
-        TraceKind::AdaptDemote,
-        TraceKind::AdaptPromote,
-    ];
-
-    /// Short dotted name, matching the [`crate::stats::Event`] convention.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Read => "access.read",
-            TraceKind::Write => "access.write",
-            TraceKind::OptUpgrade => "opt.upgrade",
-            TraceKind::OptFence => "opt.fence",
-            TraceKind::ConflictExplicit => "conflict.explicit",
-            TraceKind::ConflictImplicit => "conflict.implicit",
-            TraceKind::OptToPess => "state.opt_to_pess",
-            TraceKind::PessToOpt => "state.pess_to_opt",
-            TraceKind::ValveStayPess => "state.valve_stay_pess",
-            TraceKind::PessClaim => "pess.claim",
-            TraceKind::PessContended => "pess.contended",
-            TraceKind::LockBufferFlush => "pess.lock_buffer_flush",
-            TraceKind::CoordRequest => "coord.request",
-            TraceKind::CoordImplicit => "coord.implicit",
-            TraceKind::CoordRespond => "coord.respond",
-            TraceKind::FanoutEnqueue => "coord.fanout_enqueue",
-            TraceKind::FanoutPeerDone => "coord.fanout_peer_done",
-            TraceKind::FanoutComplete => "coord.fanout_complete",
-            TraceKind::MonitorAcquireFast => "monitor.acquire_fast",
-            TraceKind::MonitorAcquireBlocked => "monitor.acquire_blocked",
-            TraceKind::MonitorRelease => "monitor.release",
-            TraceKind::MonitorWait => "monitor.wait",
-            TraceKind::SeqlockRead => "seqlock.read",
-            TraceKind::SeqlockFallback => "seqlock.fallback",
-            TraceKind::CoordDeadline => "coord.deadline",
-            TraceKind::AdaptDemote => "adapt.demote",
-            TraceKind::AdaptPromote => "adapt.promote",
-        }
-    }
-
-    fn from_u64(raw: u64) -> Option<TraceKind> {
-        TraceKind::ALL.get(raw as usize).copied()
-    }
-}
-
-// Compile-time proof that the discriminants stay dense and `ALL` stays in
-// discriminant order, so ring-slot decoding through `ALL` is exact.
-const _: () = {
-    let mut i = 0;
-    while i < TraceKind::COUNT {
-        assert!(TraceKind::ALL[i] as usize == i);
-        i += 1;
-    }
-};
-
-/// One traced event: nanoseconds since the sink's epoch, the kind, and a
-/// kind-specific argument (object id, monitor id, peer thread, batch size).
+/// One traced event: nanoseconds since the rings were built, the event, and
+/// its argument (object id, monitor id, peer thread, batch size: see
+/// [`Event`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecord {
     pub ts_ns: u64,
-    pub kind: TraceKind,
+    pub kind: Event,
     pub arg: u64,
 }
 
@@ -243,7 +85,7 @@ impl TraceRing {
     /// Append one record. **Single-writer**: only the owning thread may call
     /// this. No allocation, no RMW — three relaxed stores + one release.
     #[inline]
-    pub fn record(&self, ts_ns: u64, kind: TraceKind, arg: u64) {
+    pub fn record(&self, ts_ns: u64, kind: Event, arg: u64) {
         let cur = self.cursor.load(Ordering::Relaxed);
         let slot = &self.slots[(cur % self.slots.len() as u64) as usize];
         slot.ts_ns.store(ts_ns, Ordering::Relaxed);
@@ -279,7 +121,7 @@ impl TraceRing {
             .enumerate()
             .filter(|(i, _)| start + *i as u64 >= keep_from)
             .filter_map(|(_, (ts_ns, kind, arg))| {
-                TraceKind::from_u64(kind).map(|kind| TraceRecord { ts_ns, kind, arg })
+                Event::from_index(kind).map(|kind| TraceRecord { ts_ns, kind, arg })
             })
             .collect()
     }
@@ -385,44 +227,41 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
-/// Destination for protocol events. `record` must be wait-free and
-/// allocation-free: it runs inside engine fast paths.
-pub trait TraceSink: Send + Sync + std::fmt::Debug {
-    fn record(&self, t: ThreadId, kind: TraceKind, arg: u64);
-    fn snapshot(&self) -> TraceSnapshot;
-}
-
-/// The standard sink: one [`TraceRing`] per possible thread, timestamps
-/// measured from sink construction.
+/// A runtime's rings: one [`TraceRing`] per thread slot, timestamps measured
+/// from construction. [`crate::Runtime::new`] builds them when the config's
+/// `trace_capacity` is non-zero.
 #[derive(Debug)]
-pub struct RingTraceSink {
+pub struct TraceRings {
     rings: Box<[TraceRing]>,
     epoch: Instant,
 }
 
-impl RingTraceSink {
-    /// A sink for up to `max_threads` threads, `capacity` events each.
-    pub fn new(max_threads: usize, capacity: usize) -> Self {
-        RingTraceSink {
+impl TraceRings {
+    /// Rings for up to `max_threads` threads, `capacity` events each.
+    pub(crate) fn new(max_threads: usize, capacity: usize) -> Self {
+        TraceRings {
             rings: (0..max_threads.max(1)).map(|_| TraceRing::new(capacity)).collect(),
             epoch: Instant::now(),
         }
     }
 
+    /// Thread `t`'s ring.
     pub fn ring(&self, t: ThreadId) -> Option<&TraceRing> {
         self.rings.get(t.index())
     }
-}
 
-impl TraceSink for RingTraceSink {
-    #[inline]
-    fn record(&self, t: ThreadId, kind: TraceKind, arg: u64) {
+    /// Append `e` to thread `t`'s ring. **Single-writer**: only thread `t`
+    /// may call this. A thread id past the slots is ignored. Out of line, so
+    /// a trace site costs the off path a branch and the on path a call.
+    #[inline(never)]
+    pub(crate) fn record(&self, t: ThreadId, e: Event, arg: u64) {
         if let Some(ring) = self.rings.get(t.index()) {
-            ring.record(self.epoch.elapsed().as_nanos() as u64, kind, arg);
+            ring.record(self.epoch.elapsed().as_nanos() as u64, e, arg);
         }
     }
 
-    fn snapshot(&self) -> TraceSnapshot {
+    /// Copy every thread's recent events (see [`TraceRing::snapshot`]).
+    pub fn snapshot(&self) -> TraceSnapshot {
         TraceSnapshot {
             threads: self
                 .rings
@@ -458,7 +297,7 @@ mod tests {
     fn ring_keeps_last_capacity_records_in_order() {
         let ring = TraceRing::new(8);
         for i in 0..100u64 {
-            ring.record(i, TraceKind::Read, i);
+            ring.record(i, Event::Read, i);
         }
         let snap = ring.snapshot();
         // One slot is conservatively reserved for a potentially in-flight
@@ -473,11 +312,11 @@ mod tests {
     fn ring_below_capacity_returns_everything() {
         let ring = TraceRing::new(64);
         for i in 0..10u64 {
-            ring.record(i * 3, TraceKind::Write, 1000 + i);
+            ring.record(i * 3, Event::Write, 1000 + i);
         }
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 10);
-        assert_eq!(snap[0], TraceRecord { ts_ns: 0, kind: TraceKind::Write, arg: 1000 });
+        assert_eq!(snap[0], TraceRecord { ts_ns: 0, kind: Event::Write, arg: 1000 });
         assert_eq!(snap[9].arg, 1009);
     }
 
@@ -489,7 +328,7 @@ mod tests {
             let writes = splitmix64(&mut rng) % 300;
             let ring = TraceRing::new(cap);
             for i in 0..writes {
-                ring.record(i, TraceKind::OptUpgrade, i);
+                ring.record(i, Event::OptUpgrading, i);
             }
             let snap = ring.snapshot();
             // Window: everything if under capacity, else the last cap-1.
@@ -519,7 +358,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    ring.record(i, TraceKind::Read, i);
+                    ring.record(i, Event::Read, i);
                     i += 1;
                 }
                 i
@@ -552,26 +391,27 @@ mod tests {
 
     #[test]
     fn sink_records_per_thread_and_snapshots() {
-        let sink = RingTraceSink::new(3, 16);
-        sink.record(ThreadId(0), TraceKind::Read, 7);
-        sink.record(ThreadId(2), TraceKind::MonitorRelease, 1);
-        sink.record(ThreadId(2), TraceKind::Write, 9);
+        let rings = TraceRings::new(3, 16);
+        rings.record(ThreadId(0), Event::Read, 7);
+        rings.record(ThreadId(2), Event::MonitorRelease, 1);
+        rings.record(ThreadId(2), Event::Write, 9);
         // Out-of-range thread ids are ignored, not a panic.
-        sink.record(ThreadId(100), TraceKind::Write, 0);
-        let snap = sink.snapshot();
+        rings.record(ThreadId(100), Event::Write, 0);
+        let snap = rings.snapshot();
         assert_eq!(snap.threads.len(), 3);
         assert_eq!(snap.threads[0].events.len(), 1);
         assert_eq!(snap.threads[1].events.len(), 0);
         assert_eq!(snap.threads[2].events.len(), 2);
         assert_eq!(snap.total_events(), 3);
-        assert_eq!(snap.threads[2].events[1].kind, TraceKind::Write);
+        assert_eq!(snap.threads[2].events[1].kind, Event::Write);
+        assert_eq!(rings.ring(ThreadId(2)).map(TraceRing::written), Some(2));
     }
 
     #[test]
     fn snapshot_serde_roundtrip_preserves_events() {
-        let sink = RingTraceSink::new(2, 8);
-        sink.record(ThreadId(1), TraceKind::ConflictExplicit, 42);
-        let snap = sink.snapshot();
+        let rings = TraceRings::new(2, 8);
+        rings.record(ThreadId(1), Event::OptConflictExplicit, 42);
+        let snap = rings.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: TraceSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
@@ -579,13 +419,13 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_and_counts_events() {
-        let sink = RingTraceSink::new(2, 8);
-        sink.record(ThreadId(0), TraceKind::CoordRequest, 1);
-        sink.record(ThreadId(1), TraceKind::CoordRespond, 1);
-        let json = sink.snapshot().to_chrome_json();
+        let rings = TraceRings::new(2, 8);
+        rings.record(ThreadId(0), Event::CoordRequestSent, 1);
+        rings.record(ThreadId(1), Event::RespondedExplicit, 1);
+        let json = rings.snapshot().to_chrome_json();
         assert_eq!(validate_chrome_json(&json), Ok(2));
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("coord.request"));
+        assert!(json.contains("coord.request_sent"));
     }
 
     #[test]
@@ -603,23 +443,11 @@ mod tests {
 
     #[test]
     fn text_dump_lists_threads_and_events() {
-        let sink = RingTraceSink::new(2, 8);
-        sink.record(ThreadId(0), TraceKind::PessClaim, 5);
-        let text = sink.snapshot().to_text();
+        let rings = TraceRings::new(2, 8);
+        rings.record(ThreadId(0), Event::PessUncontended, 5);
+        let text = rings.snapshot().to_text();
         assert!(text.contains("thread 0 (1 events)"));
-        assert!(text.contains("pess.claim"));
+        assert!(text.contains("pess.uncontended"));
         assert!(text.contains("thread 1 (0 events)"));
-    }
-
-    #[test]
-    fn kind_names_are_unique_and_dense() {
-        let mut names: Vec<&str> = TraceKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), TraceKind::COUNT);
-        for (i, k) in TraceKind::ALL.iter().enumerate() {
-            assert_eq!(TraceKind::from_u64(i as u64), Some(*k));
-        }
-        assert_eq!(TraceKind::from_u64(TraceKind::COUNT as u64), None);
     }
 }

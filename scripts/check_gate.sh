@@ -90,8 +90,10 @@ if [ -z "$artifact" ]; then
   exit 1
 fi
 
-if ! grep -q '"events"' "$artifact"; then
-  echo "check_gate: FAIL — canary artifact has no embedded event timelines" >&2
+# `"events"` alone would pass on empty timelines (`"events": []`); a record's
+# `"ts_ns"` field proves some thread's ring reached the artifact.
+if ! grep -q '"ts_ns"' "$artifact"; then
+  echo "check_gate: FAIL — canary artifact has no embedded event records" >&2
   exit 1
 fi
 
@@ -109,8 +111,8 @@ if [ -z "$inbox_artifact" ]; then
   exit 1
 fi
 
-if ! grep -q '"events"' "$inbox_artifact"; then
-  echo "check_gate: FAIL — inbox canary artifact has no embedded event timelines" >&2
+if ! grep -q '"ts_ns"' "$inbox_artifact"; then
+  echo "check_gate: FAIL — inbox canary artifact has no embedded event records" >&2
   exit 1
 fi
 
@@ -156,8 +158,8 @@ if [ -z "$stall_artifact" ]; then
   exit 1
 fi
 
-if ! grep -q '"events"' "$stall_artifact"; then
-  echo "check_gate: FAIL — stall canary artifact has no embedded event timelines" >&2
+if ! grep -q '"ts_ns"' "$stall_artifact"; then
+  echo "check_gate: FAIL — stall canary artifact has no embedded event records" >&2
   exit 1
 fi
 
