@@ -1,7 +1,8 @@
 //! E1: regenerate the **§2.2 cost table** — average time per state
 //! transition, by kind, measured on this substrate. Measurement strategies:
-//! * **pessimistic**: single-thread loop of tracked accesses (every access
-//!   pays the CAS-lock/unlock pair) minus the untracked loop;
+//! * **pessimistic**: single-thread loop of tracked accesses minus the
+//!   untracked loop, on `PaperModel`: every access pays the CAS-lock/unlock
+//!   pair, as §2.1 has it (under `NullSupport` the owner's reads validate);
 //! * **optimistic same-state**: same loop under the optimistic engine;
 //! * **conflicting (explicit)**: two threads ping-pong one object while the
 //!   non-accessing thread polls safe points — every access is an explicit
@@ -138,7 +139,7 @@ pub(crate) fn cost_table(ctx: &Ctx) -> Table {
     let iters = ((2_000_000.0 * ctx.scale) as u64).max(10_000);
     let single = || Arc::new(Runtime::new(RuntimeConfig::builder().max_threads(1).heap_objects(4).monitors(1).build()));
     let base = per_access_ns(&NoTracking::new(single()), iters);
-    let pess = per_access_ns(&PessimisticEngine::new(single()), iters);
+    let pess = per_access_ns(&PessimisticEngine::with_support(single(), PaperModel), iters);
     let opt = per_access_ns(&HybridEngine::with_config(single(), NullSupport, HybridConfig::optimistic()), iters);
     let expl = explicit_ns((iters / 100).clamp(500, 20_000));
     let impl_ = implicit_ns((iters / 10).max(5_000));
@@ -155,8 +156,8 @@ pub(crate) fn cost_table(ctx: &Ctx) -> Table {
         let cells = [name.to_string(), format!("{ns:.1}"), format!("{:.1}", ns - base), paper.to_string()];
         t.lines.push(Line::Row(cells.to_vec()));
     }
-    let tracked = lines[1..].iter().map(|l| l.0.to_string()).collect();
-    t.runs_on = vec![("none", vec![lines[0].0.into()]), ("NullSupport", tracked)];
+    let tracked = lines[2..].iter().map(|l| l.0.to_string()).collect();
+    t.runs_on = vec![("none", vec![lines[0].0.into()]), ("PaperModel", vec![lines[1].0.into()]), ("NullSupport", tracked)];
     t.notes = "Shape checks: same-state < pessimistic ≪ explicit; implicit between\n\
                pessimistic and explicit, much closer to pessimistic. The explicit /\n\
                same-state ratio should be 2–3 orders of magnitude (paper: ~196×).\n\

@@ -376,7 +376,7 @@ fn run_serve_chaos(
     }
 }
 
-/// The serve-store oracle (DESIGN.md §15), run on the
+/// The serve-store oracle (DESIGN.md §14), run on the
 /// [`drink_serve::chaos_serve`] configuration — a write-heavy, hot-headed
 /// Zipf mix whose offered rate keeps every worker saturated, so the
 /// interleaving is decided by the chaos perturbations:

@@ -429,7 +429,8 @@ impl<S: Support> EngineCommon<S> {
     /// release install that published it, so the installer's earlier writes
     /// are visible without a fence transition; `ts.rd_sh_count` is
     /// deliberately **not** updated (this path makes no claim about other
-    /// objects' epochs). (The hybrid read's leaf makes a first attempt itself.)
+    /// objects' epochs). (A read leaf makes the first attempt itself:
+    /// [`EngineCommon::validated_read_leaf`].)
     #[inline(never)]
     pub fn seqlock_read(&self, ts: &mut ThreadState, o: ObjId, mut w0: StateWord) -> Option<u64> {
         let obj = self.rt.obj(o);
@@ -463,6 +464,31 @@ impl<S: Support> EngineCommon<S> {
             fence(Ordering::Acquire);
             w0 = w1;
         }
+    }
+
+    /// The validated read's first attempt, call-free, for an engine's read
+    /// leaf: `cur` is the word the leaf just loaded (acquire). Made only
+    /// under a support that allows validated reads and while neither trace
+    /// rings nor schedule hooks want its events; a failed attempt is
+    /// retried, and only then counted, by [`EngineCommon::seqlock_read`] in
+    /// the leaf's continuation.
+    #[inline(always)]
+    pub fn validated_read_leaf(&self, ts: &mut ThreadState, obj: &ObjHeader, cur: u64) -> Option<u64> {
+        if !S::RELAXED_LOCKING
+            || self.rt.tracing_enabled()
+            || self.rt.perturbing()
+            || !StateWord(cur).validated_read_ok(ts.tid)
+        {
+            return None;
+        }
+        let v = obj.data_read();
+        fence(Ordering::Acquire);
+        if obj.state().load(Ordering::Relaxed) != cur {
+            return None;
+        }
+        ts.stats.bump(Event::SeqlockValidated);
+        ts.op_index += 1;
+        Some(v)
     }
 
     /// RdSh epoch claiming for transitions that create a RdSh state. Without

@@ -737,17 +737,9 @@ impl<S: Support> Tracker for HybridEngine<S> {
             ts.op_index += 1;
             return v;
         }
-        // The validated read's first attempt (DESIGN.md §12), while neither
-        // trace rings nor schedule hooks want its events; a failed one is retried,
-        // and only then counted, by `seqlock_read` in the continuation.
-        if quiet && S::RELAXED_LOCKING && !self.common.rt.perturbing() && StateWord(cur).validated_read_ok(t) {
-            let v = obj.data_read();
-            fence(Ordering::Acquire);
-            if obj.state().load(Ordering::Relaxed) == cur {
-                ts.stats.bump(Event::SeqlockValidated);
-                ts.op_index += 1;
-                return v;
-            }
+        // The validated read's first attempt (DESIGN.md §12).
+        if let Some(v) = self.common.validated_read_leaf(ts, obj, cur) {
+            return v;
         }
         self.read_rest(ts, obj, o, cur)
     }

@@ -8,8 +8,13 @@
 //! prescribes (those rows are pinned on `PaperModel` in `table3.rs`).
 //!
 //! Validation by the state word rests on the object never returning to the
-//! word the reader started from once a foreign write has happened; the last
-//! two tests force both sides of that through `SeqlockReadValidate`.
+//! word the reader started from once a foreign write has happened; the
+//! window tests force both sides of that through `SeqlockReadValidate`.
+//!
+//! The flat engine (`PessimisticEngine`, §2.1) installs the
+//! pessimistic-unlocked words and writes a payload only under `LOCKED`, so
+//! the same predicate serves its reads of objects it owns; its cases close
+//! the file.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -17,7 +22,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
 use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
-use drink_core::word::{LockMode, StateWord};
+use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{
     Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId,
 };
@@ -54,11 +59,11 @@ fn engine_on(rt: Arc<Runtime>) -> HybridEngine {
     )
 }
 
-fn inject(e: &HybridEngine, w: StateWord) {
+fn inject(e: &impl Tracker, w: StateWord) {
     e.rt().obj(O).state().store(w.0, Ordering::SeqCst);
 }
 
-fn state(e: &HybridEngine) -> StateWord {
+fn state(e: &impl Tracker) -> StateWord {
     StateWord(e.rt().obj(O).state().load(Ordering::SeqCst))
 }
 
@@ -265,10 +270,14 @@ impl SchedHooks for InstallInWindow {
     }
 }
 
-fn engine_with_hooks(hook: Arc<dyn SchedHooks>) -> HybridEngine {
+fn runtime_with_hooks(hook: Arc<dyn SchedHooks>) -> Arc<Runtime> {
     let mut rt = runtime();
     rt.set_sched_hooks(hook);
-    engine_on(Arc::new(rt))
+    Arc::new(rt)
+}
+
+fn engine_with_hooks(hook: Arc<dyn SchedHooks>) -> HybridEngine {
+    engine_on(runtime_with_hooks(hook))
 }
 
 fn engine_with_installs_in_window(installs: u32, leave: bool) -> HybridEngine {
@@ -345,21 +354,27 @@ fn a_read_lock_join_and_leave_in_the_window_validates() {
 }
 
 /// Runs a whole foreign write cycle inside T0's first validation window, on
-/// two helper mutators that step through `phase` in turn:
+/// helper mutators that step through `phase` in turn until `steps` are done.
+/// The hybrid engine's cycle takes three steps on two helpers:
 ///
 /// 1. T1 writes 99 (`RdShPess(3)` → `WrExWLock(T1)`, by CAS) and flushes;
 /// 2. T2 reads (`WrExPess(T1)` → `RdExRLock(T2)`) and flushes;
 /// 3. T1 reads (`RdExPess(T2)` → `RdShRLock(1)(c)`, a fresh epoch) and
 ///    flushes, which leaves `RdShPess(c)` — the word T0 started from in every
 ///    bit but the epoch.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WriteCycleInWindow {
     phase: AtomicU32,
+    steps: u32,
 }
 
 impl WriteCycleInWindow {
+    fn new(steps: u32) -> Arc<Self> {
+        Arc::new(WriteCycleInWindow { phase: AtomicU32::new(0), steps })
+    }
+
     /// One step of the cycle: wait for `phase`, access, flush at a PSRO.
-    fn step(&self, e: &HybridEngine, t: ThreadId, phase: u32, access: impl FnOnce()) {
+    fn step(&self, e: &impl Tracker, t: ThreadId, phase: u32, access: impl FnOnce()) {
         let mut wait = e.rt().wait(t, "the write cycle's previous step");
         while self.phase.load(Ordering::Acquire) != phase {
             let _ = wait.step();
@@ -379,7 +394,7 @@ impl SchedHooks for WriteCycleInWindow {
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         {
-            while self.phase.load(Ordering::Acquire) != 4 {
+            while self.phase.load(Ordering::Acquire) != self.steps + 1 {
                 std::thread::yield_now();
             }
         }
@@ -388,7 +403,7 @@ impl SchedHooks for WriteCycleInWindow {
 
 #[test]
 fn a_foreign_write_cycle_that_ends_read_shared_again_never_validates() {
-    let hook = Arc::new(WriteCycleInWindow::default());
+    let hook = WriteCycleInWindow::new(3);
     let e = engine_with_hooks(hook.clone());
     let t0 = e.attach();
     e.rt().obj(O).data_write(41);
@@ -424,4 +439,108 @@ fn a_foreign_write_cycle_that_ends_read_shared_again_never_validates() {
     assert_eq!(ts.stats.get(Event::SeqlockFallback), 0);
     assert!(ts.lock_buffer.is_empty());
     e.detach(t0);
+}
+
+// --- The flat engine ---
+
+/// A read of a `WrExPess`/`RdExPess` word its thread owns validates in the
+/// leaf: no `LOCKED` critical section, and the word is left as it was.
+#[test]
+fn flat_engine_own_exclusive_reads_validate_without_the_lock() {
+    for own in [
+        StateWord::wr_ex_pess(T0, LockMode::Unlocked),
+        StateWord::rd_ex_pess(T0, LockMode::Unlocked),
+    ] {
+        let e = PessimisticEngine::new(Arc::new(runtime()));
+        let t0 = e.attach();
+        e.rt().obj(O).data_write(41);
+        inject(&e, own);
+        assert_eq!(e.read(t0, O), 41);
+        assert_eq!(state(&e), own, "a validated read is not a transition");
+        // SAFETY: this is the OS thread attached as t0.
+        let ts = unsafe { e.common().ts(t0) };
+        assert_eq!(ts.stats.get(Event::SeqlockValidated), 1, "{own:?}");
+        assert_eq!(ts.stats.get(Event::PessUncontended), 0, "{own:?}");
+        assert_eq!(ts.stats.get(Event::SeqlockRetry), 0, "{own:?}");
+        e.detach(t0);
+    }
+}
+
+/// A foreign write that lands between a read's state load and its payload
+/// load is never validated, at either attempt: the leaf's, replayed here
+/// with the word it loaded before the write, and the continuation's, with
+/// the write forced into its window through `SeqlockReadValidate`. The reader
+/// retries, takes the lock and returns the new value.
+#[test]
+fn flat_engine_foreign_write_in_the_window_is_never_validated() {
+    // The leaf's attempt.
+    let e = PessimisticEngine::new(Arc::new(runtime()));
+    let t0 = e.attach();
+    e.rt().obj(O).data_write(41);
+    inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
+    let loaded = state(&e).0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let t1 = e.attach();
+            e.write(t1, O, 99);
+            e.detach(t1);
+        });
+    });
+    // SAFETY: this is the OS thread attached as t0.
+    let ts = unsafe { e.common().ts(t0) };
+    assert_eq!(e.common().validated_read_leaf(ts, e.rt().obj(O), loaded), None, "41 or 99 without a transition");
+    assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
+    e.detach(t0);
+
+    // The continuation's attempt.
+    let hook = WriteCycleInWindow::new(1);
+    let e = PessimisticEngine::new(runtime_with_hooks(hook.clone()));
+    let t0 = e.attach();
+    e.rt().obj(O).data_write(41);
+    inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
+    let attached = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let t1 = e.attach();
+            attached.wait();
+            hook.step(&e, t1, 1, || e.write(t1, O, 99));
+            e.detach(t1);
+        });
+        attached.wait();
+        assert_eq!(e.read(t0, O), 99, "the window's 41 must not validate");
+    });
+    assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Unlocked), "WrExPess(T1) R by T0");
+    // SAFETY: as above.
+    let ts = unsafe { e.common().ts(t0) };
+    assert_eq!(ts.stats.get(Event::SeqlockRetry), 1);
+    assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
+    assert_eq!(ts.stats.get(Event::PessUncontended), 1, "the retry takes the lock");
+    e.detach(t0);
+}
+
+/// A word another thread owns never validates: the read creates a
+/// dependence, so it takes the critical section and its Table 1 row.
+#[test]
+fn flat_engine_foreign_exclusive_words_never_validate() {
+    for foreign in [
+        StateWord::wr_ex_pess(T1, LockMode::Unlocked),
+        StateWord::rd_ex_pess(T1, LockMode::Unlocked),
+    ] {
+        assert!(!foreign.validated_read_ok(T0), "{foreign:?}");
+        let e = PessimisticEngine::new(Arc::new(runtime()));
+        let (t0, _t1) = (e.attach(), e.attach());
+        inject(&e, foreign);
+        let _ = e.read(t0, O);
+        let now = state(&e);
+        let row = match foreign.kind() {
+            Kind::WrEx => StateWord::rd_ex_pess(t0, LockMode::Unlocked),
+            _ => StateWord::rd_sh_pess(now.rdsh_count(), 0),
+        };
+        assert_eq!(now, row, "{foreign:?}");
+        // SAFETY: this is the OS thread attached as t0.
+        let ts = unsafe { e.common().ts(t0) };
+        assert_eq!(ts.stats.get(Event::SeqlockValidated), 0, "{foreign:?}");
+        assert_eq!(ts.stats.get(Event::PessUncontended), 1, "{foreign:?}");
+        e.detach(t0);
+    }
 }

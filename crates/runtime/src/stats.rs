@@ -373,7 +373,7 @@ pub enum LatencyKind {
     ServeService,
     /// Sojourn time of one serve request: *arrival* → completion, so queueing
     /// delay is included. Under open-loop load this — not service time — is
-    /// what a client of the store experiences (DESIGN.md §15).
+    /// what a client of the store experiences (DESIGN.md §14).
     ServeSojourn,
 }
 

@@ -4,7 +4,7 @@
 //! own schedule (Poisson, at a configured offered rate) whether or not the
 //! store has kept up, and each worker tracks both **service time** (dequeue →
 //! completion) and **sojourn time** (arrival → completion, queueing included
-//! — the latency a simulated user actually observes; DESIGN.md §15). All
+//! — the latency a simulated user actually observes; DESIGN.md §14). All
 //! randomness comes from [`SplitMix64`] streams seeded per worker, so a
 //! (seed, worker) pair names one exact request sequence — the property the
 //! chaos oracle's cross-engine comparisons and the replay-style unit tests

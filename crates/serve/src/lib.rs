@@ -8,7 +8,7 @@
 //! the tracking substrate the way a server would:
 //!
 //! * **open-loop Poisson arrivals** at a configured aggregate offered rate,
-//!   split across `workers` worker sessions (DESIGN.md §15 explains why the
+//!   split across `workers` worker sessions (DESIGN.md §14 explains why the
 //!   gated latency metric is *sojourn* — arrival → completion — rather than
 //!   service time);
 //! * **Zipfian key popularity** (`s ∈ {0.9, 1.1, 1.3}` are the standard

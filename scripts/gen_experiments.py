@@ -72,7 +72,10 @@ atomic-op multiple of it; implicit coordination costs a small constant more
 than pessimistic; explicit coordination is *orders of magnitude* above
 everything (here far more than the paper's ~196×, because a roundtrip waits
 out the polling peer's yields, a scheduler trip, rather than a cache-line
-trip). This gap is the entire premise of the adaptive policy.
+trip). This gap is the entire premise of the adaptive policy. The pessimistic
+row runs on `PaperModel`, so every access pays §2.1's CAS-lock/unlock pair;
+under `NullSupport` the flat engine's reads of objects its thread owns
+validate instead (DESIGN.md §12) and cost what a hybrid one does.
 
 ## E2 — Figure 6, per-object conflict CDF (optimistic tracking), and the profiles' calibration
 
@@ -134,7 +137,7 @@ calibrated to its *conflict* rate, not its contention rate).
   paper's 22–23%, its wall geomean about twice that on this oversubscribed
   guest;
 * **the headline reductions reproduce**: xalan6, xalan9 and pjbb2005 each
-  drop from ~900–1400% under optimistic tracking to ~50–70% under hybrid
+  drop from ~900–1400% under optimistic tracking to ~55–80% under hybrid
   (paper: 65→24, 19→5, 110→49 — same direction, larger magnitudes because our
   explicit roundtrips are relatively costlier, see E1);
 * **low-conflict programs are unharmed**: hybrid is within noise of
@@ -145,11 +148,18 @@ calibrated to its *conflict* rate, not its contention rate).
   engine's extra machinery, which ours shares with `Opt`).
 
 Divergences: pessimistic tracking's wall geomean sits far below the paper's
-340% (two cores; see the host note). Its model column (≈ flat 69–75%, and
-sunflow9 56%) shows
-what its counts would cost at the paper's prices; the *insensitivity* of
-pessimistic tracking to conflict rates — the property the paper emphasizes —
-is visible either way. hsqldb6 is *not* the exception here that the paper
+340% (two cores; see the host note), and here it is not the slowest column.
+The `Pess` column runs the engine as shipped, whose reads of objects their
+thread owns validate instead of locking (DESIGN.md §12), so it pays its CAS
+pair only on writes and foreign reads: its wall geomean (42%) is now below
+hybrid's (46%), and it beats hybrid on the high-conflict profiles (xalan6/9,
+avrora9, pjbb2000/2005), where hybrid still pays Octet's warm-up roundtrips and
+its per-transition bookkeeping. Its model column (≈ flat 28–30%; jython9 37%,
+sunflow9 14%) shows what its locked accesses would cost at the paper's
+prices; the *insensitivity* of pessimistic tracking to conflict rates — the
+property the paper emphasizes — is visible either way. `drink-bench E1`'s
+pessimistic row runs on `PaperModel` and prices §2.1's every-access lock.
+hsqldb6 is *not* the exception here that the paper
 reports (§7.5: hybrid barely helps it, since its conflicts resolve
 implicitly): only 45% of its conflicts are implicit in this profile, and
 hybrid cuts its overhead about tenfold, like xalan's. sunflow9 runs hot for
@@ -159,7 +169,11 @@ high-variance outlier).
 **Adaptive acceptance** (DESIGN.md §13): the `Adapt` column runs the paper's
 policy with a valve that re-opens. Its check — the fastest of 15 trials
 within 5% + 2 ms of the faster of `Pess` and `Hyb(∞)` on every profile —
-holds on 13 of 13, and its geomean sits with hybrid's.
+**no longer holds**: 8 of 13. It held on 13 of 13 while every flat-engine
+read locked; now that `Pess` validates its owner's reads it is the faster
+extreme on xalan6, avrora9, xalan9, pjbb2000 and pjbb2005, and Adapt trails
+it there by 21–32%. The check is left as it was; closing the gap is
+ROADMAP item 4. Adapt's geomean still sits with hybrid's.
 
 ## E5 — Figure 8, syncInc / racyInc stress tests
 
@@ -168,17 +182,17 @@ holds on 13 of 13, and its geomean sits with hybrid's.
 ```
 
 **Agreement**: `syncInc` is the paper's showcase and reproduces sharply —
-optimistic tracking collapses (≈1 060% wall; the paper says ≈1 200%) because
+optimistic tracking collapses (≈1 000% wall; the paper says ≈1 200%) because
 every increment is a conflicting transition with roundtrip coordination,
 while hybrid moves the counter to pessimistic states and transfers ownership
-by CAS: ~36% wall, model ≈ the paper's 84%. Pessimistic tracking's wall
+by CAS: ~14% wall, model ≈ the paper's 84%. Pessimistic tracking's wall
 number is a few-core artifact (see the host note); its model value matches
 the paper's story that it behaves like hybrid here.
 
 `racyInc` is hybrid's worst case, and the paper's shape is there: on
 `PaperModel` — every lock deferred, as Table 3 has it — hybrid is the slowest
-row by a wide margin (≈14 000% wall against optimistic's ≈1 700%; the paper:
-4 300% against 1 200%), because a contended transition re-coordinates 5.3
+row by a wide margin (≈13 000% wall against optimistic's ≈2 300%; the paper:
+4 300% against 1 200%), because a contended transition re-coordinates 4.5
 times on average before it gets the state ("most of these accesses trigger
 coordination more than once", §7.5).
 
@@ -190,7 +204,7 @@ locks it releases the lock right after the program access (DESIGN.md §13),
 which is the paper's own pre-insight design applied to the one object whose
 races void the insight's premise. The worst case becomes roughly
 pessimistic tracking — 1.2× its wall clock here (the check: within 2×),
-14.6 roundtrips per 1 000 accesses instead of 1 428, and the contended
+14.6 roundtrips per 1 000 accesses instead of 1 248, and the contended
 transitions that remain resolve in one round.
 
 ## E6 — Figure 9(a), dependence recorders and replayers
@@ -281,14 +295,14 @@ applies to *racy* objects only (E5), where deferral has nothing to batch.
 
 | Paper claim | Status |
 |---|---|
-| Hybrid consistently outperforms pessimistic tracking | ✅ (model and wall geomeans; pessimistic's wall cost is understated on two cores) |
+| Hybrid consistently outperforms pessimistic tracking | ➖ on the model geomean (23% against 28%), not on the wall one (46% against 42%): the shipped flat engine validates its owner's reads (DESIGN.md §12), and pessimistic's wall cost is understated on two cores |
 | Hybrid ≫ optimistic for high-conflict programs (xalan6/9, pjbb2005) | ✅ 13–25× overhead reductions |
 | Hybrid ≈ optimistic for low-conflict programs | ✅ within noise |
 | Adaptive policy cuts conflicting transitions 43–98% on high-conflict programs | ✅ 94–99% here |
 | Per-object profiling catches most conflicts (Fig 6 limit study) | ✅ |
 | Policy insensitive to K_confl/Inertia; small Cutoff suffices | ✅ |
-| syncInc: hybrid ~15× cheaper than optimistic | ✅ (~25× in model overhead, ~30× in wall overhead here) |
-| racyInc: hybrid gains nothing (worst case) | ✅ on the paper's model (`PaperModel`: slowest row, 5.3 rounds per contended transition); ✎ the shipped engine stops deferring on racy objects and lands within 2× of pessimistic |
+| syncInc: hybrid ~15× cheaper than optimistic | ✅ (~25× in model overhead, ~70× in wall overhead here) |
+| racyInc: hybrid gains nothing (worst case) | ✅ on the paper's model (`PaperModel`: slowest row, 4.5 rounds per contended transition); ✎ the shipped engine stops deferring on racy objects and lands within 2× of pessimistic |
 | hsqldb6 barely helped (implicit coordination) | ❌ not here: our hsqldb6 resolves only 45% of its conflicts implicitly, and hybrid cuts its overhead tenfold |
 | Hybrid recorder cheaper than optimistic recorder; same dependences | ✅ + bit-identical replays on all 13 programs |
 | Hybrid replayer slightly slower than optimistic replayer | ➖ not reproduced (shared clock machinery; the hybrid replayer is faster) |
