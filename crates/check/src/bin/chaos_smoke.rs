@@ -7,31 +7,32 @@
 //! schedule-independent `chaosDisjoint` spec, the seqlock read oracle on
 //! `chaosReadMostly`, the degradation-ladder oracle on `chaosAdapt` (static
 //! matrix + adaptive engine agree while the policy performs real demotions),
-//! both of which run those specs' matrix cells themselves, the serve-store
-//! oracle on `chaosServe` (every completed PUT visible at quiescence, final
-//! key values identical across engines), the record→replay oracle, and the
-//! region-serializability oracle. One seed determines both the workload's op streams and the chaos
-//! decision streams, so a failing cell is named by (workload, engine, seed)
-//! alone.
+//! the serve-store oracle on `chaosServe` (every completed PUT visible at
+//! quiescence, final key values identical across engines), the
+//! record→replay oracle, and the region-serializability oracle. Every cell,
+//! an oracle's included, runs through `drink_check::run_cell`. One seed
+//! determines both the workload's op streams and the chaos decision
+//! streams, so a failure is named by (workload, cell or oracle, seed) alone.
 //!
-//! On failure the cell's artifact is shrunk and written under the artifact
-//! directory (default `target/chaos/`), and the exit status is nonzero.
+//! On failure the artifact is written under the artifact directory
+//! (default `target/chaos/`), shrunk first if a cell failed on its own, and
+//! the exit status is nonzero.
 //!
-//! `--reproduce <artifact.json>` re-runs a saved artifact from its seed:
-//! exit status 1 if the failure reproduces (the expected outcome when
-//! chasing a real bug — and what the gate's canary asserts), 0 if the run
-//! now passes.
+//! `--reproduce <artifact.json>` re-runs what a saved artifact names from
+//! its seed — the cell, or the oracle: exit status 1 if the failure
+//! reproduces (the expected outcome when chasing a real bug — and what the
+//! gate's canary asserts), 0 if the run now passes, 2 if the artifact names
+//! nothing this harness runs.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use drink_check::{
-    adapt_check, differential_check, read_mostly_check, replay_check, rs_check, run_cell,
-    serve_check, shrink, FailureArtifact, MATRIX_ENGINES,
+    reproduce, serve_spec, shrink, Check, FailureArtifact, Oracle, Subject, MATRIX_ENGINES,
 };
 use drink_workloads::{
     chaos_adapt, chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,
-    chaos_wide,
+    chaos_wide, WorkloadSpec,
 };
 
 const DEFAULT_SEEDS: [u64; 4] = [0x1, 0x2, 0xC0FFEE, 0xDECAF_BAD];
@@ -113,45 +114,28 @@ fn main() -> ExitCode {
     }
 
     let mut failures = 0u32;
-    for seed in &args.seeds {
-        let seed = *seed;
-        for spec in [
-            chaos_mix(seed),
-            chaos_handoff(seed),
-            chaos_rdsh(seed),
-            chaos_wide(seed),
-        ] {
-            for kind in MATRIX_ENGINES {
-                match run_cell(kind, &spec, seed) {
-                    Ok(cell) => {
-                        println!(
-                            "PASS {:<13} {:<28} seed={seed:#x} ({} accesses, {} decisions)",
-                            spec.name,
-                            kind.label(),
-                            cell.run.report.accesses(),
-                            cell.traces.iter().map(Vec::len).sum::<usize>(),
-                        );
-                    }
-                    Err(artifact) => {
-                        failures += 1;
-                        report_failure(artifact, &args.artifact_dir);
-                        if args.fail_fast {
-                            eprintln!("chaos_smoke: stopping at first failure (--fail-fast)");
-                            return ExitCode::FAILURE;
-                        }
+    for &seed in &args.seeds {
+        for (check, spec) in checks(seed) {
+            match check.run(&spec, seed) {
+                Ok(()) => println!(
+                    "PASS {:<13} {:<28} seed={seed:#x}",
+                    spec.name,
+                    check.label()
+                ),
+                Err(artifact) => {
+                    failures += 1;
+                    report_failure(artifact, &args.artifact_dir);
+                    if args.fail_fast {
+                        eprintln!("chaos_smoke: stopping at first failure (--fail-fast)");
+                        return ExitCode::FAILURE;
                     }
                 }
             }
         }
-        failures += run_oracles(seed, &args.artifact_dir);
-        if failures > 0 && args.fail_fast {
-            eprintln!("chaos_smoke: stopping at first failure (--fail-fast)");
-            return ExitCode::FAILURE;
-        }
     }
 
     if failures > 0 {
-        eprintln!("chaos_smoke: {failures} failing cell(s)");
+        eprintln!("chaos_smoke: {failures} failing check(s)");
         ExitCode::FAILURE
     } else {
         println!("chaos_smoke: matrix clean");
@@ -159,67 +143,43 @@ fn main() -> ExitCode {
     }
 }
 
-/// The per-seed oracle suite (differential / replay / RS). Returns the
-/// number of failures.
-fn run_oracles(seed: u64, artifact_dir: &std::path::Path) -> u32 {
-    let mut failures = 0;
-    let disjoint = chaos_disjoint(seed);
-    match differential_check(&disjoint, seed) {
-        Ok(()) => println!("PASS {:<13} differential oracle          seed={seed:#x}", disjoint.name),
-        Err(artifact) => {
-            failures += 1;
-            report_failure(artifact, artifact_dir);
-        }
-    }
-    let read_mostly = chaos_read_mostly(seed);
-    match read_mostly_check(&read_mostly, seed) {
-        Ok(()) => println!("PASS {:<13} seqlock read oracle          seed={seed:#x}", read_mostly.name),
-        Err(artifact) => {
-            failures += 1;
-            report_failure(artifact, artifact_dir);
-        }
-    }
-    let adapt = chaos_adapt(seed);
-    match adapt_check(&adapt, seed) {
-        Ok(()) => println!("PASS {:<13} degradation-ladder oracle    seed={seed:#x}", adapt.name),
-        Err(artifact) => {
-            failures += 1;
-            report_failure(artifact, artifact_dir);
-        }
-    }
-    match serve_check(seed) {
-        Ok(()) => println!("PASS {:<13} serve-store oracle           seed={seed:#x}", "chaosServe"),
-        Err(artifact) => {
-            failures += 1;
-            report_failure(artifact, artifact_dir);
-        }
-    }
-    for (what, result) in [
-        ("replay oracle", replay_check(&disjoint)),
-        ("replay oracle", replay_check(&chaos_mix(seed))),
-        ("RS oracle", rs_check(&disjoint, seed)),
-        ("RS oracle", rs_check(&chaos_mix(seed), seed)),
+/// One seed's checks, each with its spec: every matrix engine's cell on the
+/// four chaos workloads, then the oracles.
+fn checks(seed: u64) -> Vec<(Check, WorkloadSpec)> {
+    let mut checks = Vec::new();
+    for spec in [
+        chaos_mix(seed),
+        chaos_handoff(seed),
+        chaos_rdsh(seed),
+        chaos_wide(seed),
     ] {
-        match result {
-            Ok(()) => println!("PASS {what:<28} seed={seed:#x}"),
-            Err(e) => {
-                failures += 1;
-                eprintln!("FAIL {what} seed={seed:#x}: {e}");
-            }
+        for kind in MATRIX_ENGINES {
+            checks.push((Check::Cell(Subject::Engine(kind)), spec.clone()));
         }
     }
-    failures
+    let oracles = [
+        (Oracle::Differential, chaos_disjoint(seed)),
+        (Oracle::SeqlockRead, chaos_read_mostly(seed)),
+        (Oracle::Ladder, chaos_adapt(seed)),
+        (Oracle::Serve, serve_spec(seed)),
+        (Oracle::Replay, chaos_disjoint(seed)),
+        (Oracle::Replay, chaos_mix(seed)),
+        (Oracle::Rs, chaos_disjoint(seed)),
+        (Oracle::Rs, chaos_mix(seed)),
+    ];
+    checks.extend(oracles.map(|(oracle, spec)| (Check::Oracle(oracle), spec)));
+    checks
 }
 
-fn report_failure(artifact: FailureArtifact, dir: &std::path::Path) {
+fn report_failure(artifact: FailureArtifact, dir: &Path) {
     eprintln!(
         "FAIL {:<13} {:<28} seed={:#x}: {}",
         artifact.spec.name, artifact.engine, artifact.seed, artifact.failure
     );
-    let before = artifact.trace_len();
     let shrunk = shrink(&artifact, SHRINK_ATTEMPTS);
     eprintln!(
-        "     shrunk traces {before} -> {} decisions",
+        "     shrunk traces {} -> {} decisions",
+        artifact.trace_len(),
         shrunk.trace_len()
     );
     match shrunk.save(dir) {
@@ -228,7 +188,7 @@ fn report_failure(artifact: FailureArtifact, dir: &std::path::Path) {
     }
 }
 
-fn reproduce_mode(path: &std::path::Path) -> ExitCode {
+fn reproduce_mode(path: &Path) -> ExitCode {
     let artifact = match FailureArtifact::load(path) {
         Ok(a) => a,
         Err(e) => {
@@ -240,14 +200,18 @@ fn reproduce_mode(path: &std::path::Path) -> ExitCode {
         "reproducing {} / {} seed={:#x}\n  original failure: {}",
         artifact.spec.name, artifact.engine, artifact.seed, artifact.failure
     );
-    match drink_check::reproduce(&artifact) {
-        Err(failure) => {
+    match reproduce(&artifact) {
+        Ok(Some(failure)) => {
             eprintln!("REPRODUCED: {failure}");
             ExitCode::FAILURE
         }
-        Ok(_) => {
+        Ok(None) => {
             println!("did not reproduce (run passed)");
             ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot reproduce: {e}");
+            ExitCode::from(2)
         }
     }
 }

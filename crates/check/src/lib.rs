@@ -9,11 +9,16 @@
 //!    schedule-relevant point the substrate reports.
 //! 2. **[`oracle`]** — what a run is checked against: post-run quiescence
 //!    of every state word, differential equivalence across the
-//!    Pessimistic/Optimistic/Hybrid engines, record→replay heap fidelity,
-//!    and region-serializability structural checks.
-//! 3. **[`harness`]** + **[`artifact`]** — cell execution with panic
-//!    capture, JSON failure artifacts (seed + spec + decision traces),
-//!    seed-based reproduction, and greedy trace shrinking.
+//!    Pessimistic/Optimistic/Hybrid engines, the seqlock read path, the
+//!    degradation ladder, the serve store's linearizability, record→replay
+//!    heap fidelity, and region serializability. Every perturbed oracle
+//!    runs its cells through one matrix loop.
+//! 3. **[`harness`]** + **[`artifact`]** — the one cell runner (an engine,
+//!    an RS enforcer or the serve store, on trace-ring runtimes, with panic
+//!    capture), JSON failure artifacts (seed + spec + decision traces +
+//!    event timelines) labelled with the cell or oracle that failed,
+//!    reproduction of exactly that, and greedy trace shrinking of cell
+//!    failures.
 //!
 //! The fourth layer — the `check-invariants` assertions inside
 //! `drink-core`/`drink-runtime` hot paths — lives in those crates and is
@@ -29,8 +34,7 @@ pub mod oracle;
 
 pub use artifact::FailureArtifact;
 pub use chaos::{ChaosSched, Decision, TraceStep};
-pub use harness::{kind_from_label, reproduce, run_cell, shrink, CellRun, MATRIX_ENGINES};
-pub use oracle::{
-    adapt_check, check_quiescent, differential_check, read_mostly_check, replay_check, rs_check,
-    schedule_independent, serve_check, SERVE_ORACLE_ENGINE,
+pub use harness::{
+    reproduce, run_cell, serve_spec, shrink, CellRun, Check, Subject, MATRIX_ENGINES,
 };
+pub use oracle::{check_quiescent, schedule_independent, Oracle};

@@ -14,6 +14,9 @@
 //!   (no races, no locks: disjoint write sets plus a read-only shared
 //!   region) must produce the byte-identical final heap that an untracked
 //!   baseline run produces, with zero conflicting transitions.
+//! * **Seqlock reads, the degradation ladder, the serve store** — the same
+//!   matrix on the specs built for the validated read path, for the
+//!   adaptive policy's demotions, and for the KV store.
 //! * **Record/replay** — a recorded run's log, replayed, must reproduce the
 //!   recorded final heap exactly (the paper's §7.6 determinism claim).
 //! * **Region serializability** — the RS enforcers must complete under
@@ -21,21 +24,19 @@
 //!   least once; restarts never livelock), end quiescent, and — for
 //!   schedule-independent specs — match the baseline heap, which for
 //!   disjoint write sets is precisely the serial-witness check.
+//!
+//! Every oracle but record/replay runs its cells through one loop,
+//! `Oracle::matrix`; quiescence is the cell runner's own check.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use drink_core::word::StateWord;
-use drink_rs::RsEnforcer;
-use drink_runtime::{Event, Runtime, SchedHooks};
-use drink_workloads::{
-    record, replay, run_kind, run_rs_on, runtime_config_for, EngineKind, RecorderKind, RsKind,
-    RunResult, WorkloadSpec,
-};
+use drink_runtime::{Event, Runtime, StatsReport};
+use drink_serve::{chaos_serve, run_serve, ServeConfig};
+use drink_workloads::{record, replay, run_kind, EngineKind, RecorderKind, RsKind, WorkloadSpec};
 
 use crate::artifact::FailureArtifact;
-use crate::chaos::ChaosSched;
-use crate::harness::{self, MATRIX_ENGINES};
+use crate::harness::{self, Subject, MATRIX_ENGINES};
 
 /// Is `spec`'s final heap independent of thread interleaving? True when
 /// threads share data only through the read-only region: no racy accesses
@@ -78,67 +79,143 @@ pub fn check_quiescent(rt: &Runtime, label: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the engine matrix on `spec` under chaos seed `seed` and check the
-/// differential oracles. On failure returns an artifact naming the engine
-/// (or `differential` for cross-engine mismatches) with the decision traces
-/// of the run that exposed it.
-pub fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
-    // Unperturbed, untracked reference run: the program's semantics.
-    let baseline = run_kind(EngineKind::Baseline, spec);
-    let independent = schedule_independent(spec);
+/// A check over several runs on one (spec, seed): what an oracle failure's
+/// artifact names, and what `reproduce` re-runs for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Oracle {
+    /// The engine matrix agrees, and matches the baseline where it must.
+    Differential,
+    /// The validated read path is live on a read-mostly spec (§12).
+    SeqlockRead,
+    /// The adaptive policy demotes and agrees with the matrix (§13).
+    Ladder,
+    /// The serve store is linearizable on every engine (§14); its spec is a
+    /// [`harness::serve_spec`].
+    Serve,
+    /// Both RS enforcers commit every region and preserve semantics.
+    Rs,
+    /// [`replay_check`]: unperturbed, so its artifacts carry no traces.
+    Replay,
+}
 
-    let mut accesses: Option<(EngineKind, u64)> = None;
-    for kind in MATRIX_ENGINES {
-        let cell = harness::run_cell(kind, spec, seed)?;
-        let fail = |failure: String, traces| FailureArtifact {
-            seed,
-            engine: "differential".into(),
-            spec: spec.clone(),
-            failure,
-            traces,
-            events: Vec::new(),
-        };
+impl Oracle {
+    /// Every oracle.
+    pub const ALL: [Oracle; 6] = [
+        Oracle::Differential,
+        Oracle::SeqlockRead,
+        Oracle::Ladder,
+        Oracle::Serve,
+        Oracle::Rs,
+        Oracle::Replay,
+    ];
 
-        let a = cell.run.report.accesses();
-        match accesses {
-            None => accesses = Some((kind, a)),
-            Some((k0, a0)) if a0 != a => {
-                return Err(fail(
-                    format!(
-                        "access counts diverge: {} performed {a0}, {} performed {a}",
-                        k0.label(),
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
-            Some(_) => {}
-        }
-
-        if independent {
-            if cell.run.heap != baseline.heap {
-                let diverged = first_heap_divergence(&baseline.heap, &cell.run.heap);
-                return Err(fail(
-                    format!(
-                        "{} changed a schedule-independent program's heap ({diverged})",
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
-            let conflicts = cell.run.report.opt_conflicting() + cell.run.report.get(Event::PessContended);
-            if conflicts != 0 {
-                return Err(fail(
-                    format!(
-                        "{} reported {conflicts} conflicting transitions on a conflict-free spec",
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
+    /// The artifact label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Oracle::Differential => "differential",
+            Oracle::SeqlockRead => "seqlock-read",
+            Oracle::Ladder => "degradation-ladder",
+            Oracle::Serve => "serve-store",
+            Oracle::Rs => "region-serializability",
+            Oracle::Replay => "record-replay",
         }
     }
-    Ok(())
+
+    /// Check `spec` under chaos seed `seed`.
+    pub fn check(self, spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+        match self {
+            Oracle::Differential => differential_check(spec, seed),
+            Oracle::SeqlockRead => read_mostly_check(spec, seed),
+            Oracle::Ladder => adapt_check(spec, seed),
+            Oracle::Serve => serve_check(spec, seed),
+            Oracle::Rs => rs_check(spec, seed),
+            Oracle::Replay => replay_check(spec).map_err(|failure| FailureArtifact {
+                seed,
+                engine: self.label().into(),
+                spec: spec.clone(),
+                failure,
+                traces: Vec::new(),
+                events: Vec::new(),
+            }),
+        }
+    }
+
+    /// The one loop every perturbed oracle runs. Each subject's cell runs on
+    /// `(spec, seed)`; a cell that fails on its own returns its cell artifact.
+    /// Each completed cell must then perform as many tracked accesses as the
+    /// first (except enforcer cells: a region restart re-executes its
+    /// accesses), end with `baseline`'s heap when the oracle has one, and pass
+    /// the oracle's own `per_cell` predicate. A failure of these is the
+    /// oracle's: its artifact names the oracle and carries the exposing cell's
+    /// traces and timelines.
+    fn matrix(
+        self,
+        spec: &WorkloadSpec,
+        seed: u64,
+        subjects: impl IntoIterator<Item = Subject>,
+        baseline: Option<&[u64]>,
+        per_cell: impl Fn(Subject, &StatsReport) -> Result<(), String>,
+    ) -> Result<(), FailureArtifact> {
+        let mut first: Option<(Subject, u64)> = None;
+        for subject in subjects {
+            let cell = harness::run_cell(subject, spec, seed)?;
+            let a = cell.report.accesses();
+            let verdict = match (first, baseline) {
+                (Some((s0, a0)), _) if a0 != a && !matches!(subject, Subject::Rs(_)) => {
+                    Err(format!(
+                        "access counts diverge: {} performed {a0}, {} performed {a}",
+                        s0.label(),
+                        subject.label()
+                    ))
+                }
+                (_, Some(base)) if cell.heap != base => Err(format!(
+                    "{} ended with a heap the untracked baseline run does not ({})",
+                    subject.label(),
+                    first_heap_divergence(base, &cell.heap)
+                )),
+                _ => per_cell(subject, &cell.report),
+            };
+            first.get_or_insert((subject, a));
+            verdict.map_err(|failure| FailureArtifact {
+                seed,
+                engine: self.label().into(),
+                spec: spec.clone(),
+                failure,
+                traces: cell.traces,
+                events: cell.events,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// The heap of an unperturbed, untracked run of `spec`: the program's
+/// semantics, when they do not depend on the schedule.
+fn baseline_heap(spec: &WorkloadSpec) -> Option<Vec<u64>> {
+    schedule_independent(spec).then(|| run_kind(EngineKind::Baseline, spec).heap)
+}
+
+fn engines(kinds: &[EngineKind]) -> impl Iterator<Item = Subject> + '_ {
+    kinds.iter().copied().map(Subject::Engine)
+}
+
+/// The engine matrix on `spec` under chaos seed `seed`: access counts
+/// agree, and a schedule-independent spec ends with the untracked
+/// baseline's heap after zero conflicting transitions.
+fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    let baseline = baseline_heap(spec);
+    let per_cell = |subject: Subject, r: &StatsReport| {
+        let conflicts = r.opt_conflicting() + r.get(Event::PessContended);
+        if baseline.is_some() && conflicts != 0 {
+            return Err(format!(
+                "{} reported {conflicts} conflicting transitions on a conflict-free spec",
+                subject.label()
+            ));
+        }
+        Ok(())
+    };
+    let subjects = engines(&MATRIX_ENGINES);
+    Oracle::Differential.matrix(spec, seed, subjects, baseline.as_deref(), per_cell)
 }
 
 /// The seqlock read-path oracle (DESIGN.md §12), meant for read-mostly RdSh
@@ -159,49 +236,17 @@ pub fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureA
 ///   run with fallbacks, the mean fan-out width stays what the all-peer
 ///   protocol dictates (≥ 1 peer, ≤ threads − 1), unchanged by how many
 ///   reads arrived via the fallback arm rather than directly.
-pub fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
-    let mut accesses: Option<(EngineKind, u64)> = None;
-    for kind in MATRIX_ENGINES {
-        let cell = harness::run_cell(kind, spec, seed)?;
-        let r = &cell.run.report;
-        let fail = |failure: String, traces| FailureArtifact {
-            seed,
-            engine: kind.label().to_string(),
-            spec: spec.clone(),
-            failure,
-            traces,
-            events: Vec::new(),
-        };
-
-        let a = r.accesses();
-        match accesses {
-            None => accesses = Some((kind, a)),
-            Some((k0, a0)) if a0 != a => {
-                return Err(fail(
-                    format!(
-                        "access counts diverge: {} performed {a0}, {} performed {a}",
-                        k0.label(),
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
-            Some(_) => {}
-        }
-
+fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    let per_cell = |subject: Subject, r: &StatsReport| {
+        let label = subject.label();
         if r.validated_reads() == 0 {
-            return Err(fail(
-                format!(
-                    "{} validated no seqlock reads on a read-mostly spec \
-                     (retries={}, fallbacks={}) — fast path dead",
-                    kind.label(),
-                    r.get(Event::SeqlockRetry),
-                    r.get(Event::SeqlockFallback),
-                ),
-                cell.traces,
+            return Err(format!(
+                "{label} validated no seqlock reads on a read-mostly spec \
+                 (retries={}, fallbacks={}) — fast path dead",
+                r.get(Event::SeqlockRetry),
+                r.get(Event::SeqlockFallback),
             ));
         }
-
         // The hybrid cell must reach the pessimistic half of Table 3 — the
         // racy writes push hot objects past `Cutoff_confl` — and still read
         // mostly by validation there: a non-conflicting read of a state
@@ -209,41 +254,30 @@ pub fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureAr
         // split pessimistic accesses into reads and writes, so the validated
         // reads are held against *all* of them, which only understates the
         // reads' share (≈0.65–0.75 here; ≈0.08 when such reads lock).
-        if kind == EngineKind::Hybrid {
-            let locked = r.pess_uncontended();
-            if r.opt_to_pess() == 0 || r.validated_reads() <= locked {
-                return Err(fail(
-                    format!(
-                        "{} moved {} objects to pessimistic states and validated {} reads \
-                         against {locked} lock-taking or reentrant accesses — expected a \
-                         move and a validated majority",
-                        kind.label(),
-                        r.opt_to_pess(),
-                        r.validated_reads(),
-                    ),
-                    cell.traces,
-                ));
-            }
+        let locked = r.pess_uncontended();
+        if subject == Subject::Engine(EngineKind::Hybrid)
+            && (r.opt_to_pess() == 0 || r.validated_reads() <= locked)
+        {
+            return Err(format!(
+                "{label} moved {} objects to pessimistic states and validated {} reads \
+                 against {locked} lock-taking or reentrant accesses — expected a \
+                 move and a validated majority",
+                r.opt_to_pess(),
+                r.validated_reads(),
+            ));
         }
-
-        if r.get(Event::SeqlockFallback) > 0 && r.get(Event::CoordFanout) > 0 {
-            let width = r.fanout_width();
-            let peers = (spec.threads - 1) as f64;
-            if !(1.0..=peers).contains(&width) {
-                return Err(fail(
-                    format!(
-                        "{} fan-out width {width:.2} outside [1, {peers}] with {} \
-                         seqlock fallbacks in flight — fallback path distorted \
-                         coordination accounting",
-                        kind.label(),
-                        r.get(Event::SeqlockFallback),
-                    ),
-                    cell.traces,
-                ));
-            }
+        let (fallbacks, width) = (r.get(Event::SeqlockFallback), r.fanout_width());
+        let peers = (spec.threads - 1) as f64;
+        if fallbacks > 0 && r.get(Event::CoordFanout) > 0 && !(1.0..=peers).contains(&width) {
+            return Err(format!(
+                "{label} fan-out width {width:.2} outside [1, {peers}] with {fallbacks} \
+                 seqlock fallbacks in flight — fallback path distorted coordination \
+                 accounting"
+            ));
         }
-    }
-    Ok(())
+        Ok(())
+    };
+    Oracle::SeqlockRead.matrix(spec, seed, engines(&MATRIX_ENGINES), None, per_cell)
 }
 
 /// The degradation-ladder oracle (DESIGN.md §13), meant for the
@@ -264,189 +298,69 @@ pub fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureAr
 /// * **deadline discipline** — any `coord.deadline_exceeded` events are
 ///   recoverable by construction (the run completed, so none escalated to
 ///   a watchdog panic); they are reported for visibility.
-pub fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
-    let mut accesses: Option<(EngineKind, u64)> = None;
-    let mut demotions = 0u64;
-    let mut engines = MATRIX_ENGINES.to_vec();
-    engines.push(EngineKind::Adaptive);
-    for kind in engines {
-        let cell = harness::run_cell(kind, spec, seed)?;
-        let r = &cell.run.report;
-        let fail = |failure: String, traces| FailureArtifact {
-            seed,
-            engine: kind.label().to_string(),
-            spec: spec.clone(),
-            failure,
-            traces,
-            events: Vec::new(),
-        };
-
-        let a = r.accesses();
-        match accesses {
-            None => accesses = Some((kind, a)),
-            Some((k0, a0)) if a0 != a => {
-                return Err(fail(
-                    format!(
-                        "access counts diverge: {} performed {a0}, {} performed {a}",
-                        k0.label(),
-                        kind.label()
-                    ),
-                    cell.traces,
-                ));
-            }
-            Some(_) => {}
+fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    let per_cell = |subject: Subject, r: &StatsReport| {
+        if subject == Subject::Engine(EngineKind::Adaptive) && r.get(Event::AdaptDemotion) == 0 {
+            return Err(format!(
+                "policy never demoted on a phase-shifted hot set \
+                 (coord roundtrips={}, deadline expiries={}) — the \
+                 degradation ladder is not being exercised",
+                r.get(Event::CoordinationRoundtrip),
+                r.get(Event::CoordDeadlineExceeded),
+            ));
         }
-
-        if kind == EngineKind::Adaptive {
-            demotions = r.get(Event::AdaptDemotion);
-            if demotions == 0 {
-                return Err(fail(
-                    format!(
-                        "policy never demoted on a phase-shifted hot set \
-                         (coord roundtrips={}, deadline expiries={}) — the \
-                         degradation ladder is not being exercised",
-                        r.get(Event::CoordinationRoundtrip),
-                        r.get(Event::CoordDeadlineExceeded),
-                    ),
-                    cell.traces,
-                ));
-            }
-        }
-    }
-    debug_assert!(demotions > 0);
-    Ok(())
-}
-
-/// Artifact engine label for serve-oracle failures. The failure is a
-/// property of the whole serve matrix (per-engine store checks plus
-/// cross-engine equality), so reproduction re-runs [`serve_check`] itself
-/// (see `harness::reproduce`).
-pub const SERVE_ORACLE_ENGINE: &str = "chaosServe";
-
-/// A [`WorkloadSpec`]-shaped description of the serve run, embedded in
-/// failure artifacts so they deserialize and print like every other
-/// artifact. The serve store is not driven by the workload driver — the
-/// spec records the geometry (threads / objects / monitors) and the seed;
-/// reproduction keys off [`SERVE_ORACLE_ENGINE`], not this spec.
-fn serve_spec(cfg: &drink_serve::ServeConfig, seed: u64) -> WorkloadSpec {
-    WorkloadSpec::builder()
-        .name(SERVE_ORACLE_ENGINE)
-        .threads(cfg.workers)
-        .steps_per_thread(cfg.requests_per_worker as usize)
-        .shared_objects(cfg.keys)
-        .hot_objects(cfg.keys.min(8))
-        .monitors(cfg.monitors)
-        .locked_frac(1.0 - cfg.read_frac)
-        .racy_frac(cfg.read_frac)
-        .shared_read_frac(0.0)
-        .seed(seed)
-        .build()
-        .expect("serve geometry maps to a valid spec")
-}
-
-/// Run the serve store's chaos configuration under one engine with the
-/// chaos scheduler registered, catching worker panics. Returns the full
-/// serve result for the cross-engine comparison.
-fn run_serve_chaos(
-    kind: EngineKind,
-    cfg: &drink_serve::ServeConfig,
-    seed: u64,
-) -> Result<drink_serve::ServeResult, String> {
-    let mut cell = cfg.clone();
-    cell.engine = kind;
-    let chaos: Arc<dyn SchedHooks> = Arc::new(ChaosSched::new(seed, cell.workers));
-    let build = move || {
-        let mut rt = Runtime::new(cell.runtime_config());
-        rt.set_sched_hooks(chaos);
-        let rt = Arc::new(rt);
-        let r = drink_serve::run_serve_on(Arc::clone(&rt), &cell);
-        // Store-level linearizability first, then the engine-level heap scan:
-        // a lock-buffer leak can exist even when every PUT landed.
-        r.check_quiescent()?;
-        check_quiescent(&rt, kind.label())?;
-        Ok(r)
+        Ok(())
     };
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
-        Ok(r) => r,
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".into())),
-    }
+    let kinds = [&MATRIX_ENGINES[..], &[EngineKind::Adaptive]].concat();
+    Oracle::Ladder.matrix(spec, seed, engines(&kinds), None, per_cell)
 }
 
-/// The serve-store oracle (DESIGN.md §14), run on the
-/// [`drink_serve::chaos_serve`] configuration — a write-heavy, hot-headed
-/// Zipf mix whose offered rate keeps every worker saturated, so the
-/// interleaving is decided by the chaos perturbations:
+/// The serve-store oracle (DESIGN.md §14), run on a [`harness::serve_spec`],
+/// whose cells run the [`drink_serve::chaos_serve`] configuration — a
+/// write-heavy, hot-headed Zipf mix whose offered rate keeps every worker
+/// saturated, so the interleaving is decided by the chaos perturbations:
 ///
 /// * **store linearizability at quiescence** — for every engine in the
 ///   matrix (plus Adaptive), every completed PUT is visible: key `k`'s
 ///   final sequence number equals the PUTs completed against it, its value
 ///   carries its own tag, no GET ever observed a foreign tag, and the
 ///   open-loop accounting balances with nothing in flight
-///   ([`drink_serve::ServeResult::check_quiescent`]);
+///   ([`drink_serve::ServeResult::check_quiescent`], in the cell runner);
 /// * **engine-level quiescence** — the runtime heap scan and coordination
 ///   inbox checks that every chaos cell gets ([`check_quiescent`]);
 /// * **cross-engine agreement** — request streams are pure functions of
-///   (seed, worker), so `puts_per_key` and the final key values must be
-///   byte-identical across every engine; a divergence means a tracking
-///   engine lost or reordered a synchronized RMW.
-pub fn serve_check(seed: u64) -> Result<(), FailureArtifact> {
-    let cfg = drink_serve::chaos_serve(seed);
-    let spec = serve_spec(&cfg, seed);
-    let fail = |engine: String, failure: String| FailureArtifact {
-        seed,
-        engine,
-        spec: spec.clone(),
-        failure,
-        traces: Vec::new(),
-        events: Vec::new(),
+///   (seed, worker), so every engine performs the same accesses and ends
+///   with the final key values of an unperturbed untracked run; a
+///   divergence means a tracking engine lost or reordered a synchronized
+///   RMW.
+fn serve_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    let cfg = ServeConfig {
+        engine: EngineKind::Baseline,
+        ..chaos_serve(spec.seed)
     };
+    let baseline = run_serve(&cfg).final_values;
+    let kinds = [&MATRIX_ENGINES[..], &[EngineKind::Adaptive]].concat();
+    let subjects = kinds.into_iter().map(Subject::Serve);
+    Oracle::Serve.matrix(spec, seed, subjects, Some(&baseline), |_, _| Ok(()))
+}
 
-    let mut engines = MATRIX_ENGINES.to_vec();
-    engines.push(EngineKind::Adaptive);
-    let mut reference: Option<(EngineKind, Vec<u64>, Vec<u64>)> = None;
-    for kind in engines {
-        let r = run_serve_chaos(kind, &cfg, seed)
-            .map_err(|e| fail(SERVE_ORACLE_ENGINE.into(), format!("{}: {e}", kind.label())))?;
-        match &reference {
-            None => reference = Some((kind, r.puts_per_key, r.final_values)),
-            Some((k0, puts0, finals0)) => {
-                if *puts0 != r.puts_per_key {
-                    let k = puts0
-                        .iter()
-                        .zip(&r.puts_per_key)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(0);
-                    return Err(fail(
-                        SERVE_ORACLE_ENGINE.into(),
-                        format!(
-                            "PUT counts diverge between {} and {}: key {k} got {} vs {} \
-                             (a tracking engine lost or invented a synchronized RMW)",
-                            k0.label(),
-                            kind.label(),
-                            puts0[k],
-                            r.puts_per_key[k]
-                        ),
-                    ));
-                }
-                if *finals0 != r.final_values {
-                    return Err(fail(
-                        SERVE_ORACLE_ENGINE.into(),
-                        format!(
-                            "final key values diverge between {} and {} ({})",
-                            k0.label(),
-                            kind.label(),
-                            first_heap_divergence(finals0, &r.final_values)
-                        ),
-                    ));
-                }
-            }
+/// The region-serializability oracle: both RS enforcers complete `spec`
+/// under perturbation, never livelock (`execs > restarts`), end quiescent,
+/// and preserve schedule-independent semantics.
+fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    let baseline = baseline_heap(spec);
+    let per_cell = |subject: Subject, r: &StatsReport| {
+        let (execs, restarts) = (r.get(Event::RegionExec), r.get(Event::RegionRestart));
+        if execs <= restarts {
+            return Err(format!(
+                "{}: region accounting broken: execs={execs} restarts={restarts}",
+                subject.label()
+            ));
         }
-    }
-    Ok(())
+        Ok(())
+    };
+    let subjects = [RsKind::Optimistic, RsKind::Hybrid].map(Subject::Rs);
+    Oracle::Rs.matrix(spec, seed, subjects, baseline.as_deref(), per_cell)
 }
 
 fn first_heap_divergence(a: &[u64], b: &[u64]) -> String {
@@ -467,87 +381,18 @@ pub fn replay_check(spec: &WorkloadSpec) -> Result<(), String> {
     for kind in [RecorderKind::Optimistic, RecorderKind::Hybrid] {
         // Wrapped: a protocol panic inside the recorder (e.g. an injected
         // bug tripping the invariant layer) must report, not abort the suite.
-        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        harness::catch(|| {
             let out = record(kind, spec);
             let rep = replay(spec, out.log.clone());
             if rep.heap != out.run.heap {
                 return Err(format!(
-                    "{} replay diverged from its recording ({})",
-                    kind.name(),
+                    "replay diverged from its recording ({})",
                     first_heap_divergence(&out.run.heap, &rep.heap)
                 ));
             }
             Ok(())
-        }));
-        match checked {
-            Ok(r) => r?,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".into());
-                return Err(format!("{} record/replay panicked: {msg}", kind.name()));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Run one RS enforcer under chaos, catching worker panics.
-fn run_rs_chaos(
-    kind: RsKind,
-    spec: &WorkloadSpec,
-    sched: Arc<dyn SchedHooks>,
-) -> Result<RunResult, String> {
-    let build = move || {
-        let mut rt = Runtime::new(runtime_config_for(spec));
-        rt.set_sched_hooks(sched);
-        let rt = Arc::new(rt);
-        let enforcer = match kind {
-            RsKind::Optimistic => RsEnforcer::optimistic(Arc::clone(&rt)),
-            RsKind::Hybrid => RsEnforcer::hybrid(Arc::clone(&rt)),
-        };
-        let run = run_rs_on(&enforcer, spec);
-        check_quiescent(&rt, kind.name()).map(|()| run)
-    };
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
-        Ok(r) => r,
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".into())),
-    }
-}
-
-/// The region-serializability oracle: both RS enforcers complete `spec`
-/// under perturbation, never livelock (`execs > restarts`), end quiescent,
-/// and preserve schedule-independent semantics.
-pub fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), String> {
-    let independent = schedule_independent(spec);
-    let baseline = independent.then(|| run_kind(EngineKind::Baseline, spec));
-    for kind in [RsKind::Optimistic, RsKind::Hybrid] {
-        let chaos = Arc::new(ChaosSched::new(seed, spec.threads));
-        let r = run_rs_chaos(kind, spec, chaos)
-            .map_err(|e| format!("{} under seed {seed:#x}: {e}", kind.name()))?;
-        let execs = r.report.get(Event::RegionExec);
-        let restarts = r.report.get(Event::RegionRestart);
-        if execs == 0 || execs <= restarts {
-            return Err(format!(
-                "{}: region accounting broken: execs={execs} restarts={restarts}",
-                kind.name()
-            ));
-        }
-        if let Some(base) = &baseline {
-            if r.heap != base.heap {
-                return Err(format!(
-                    "{} broke serializability of a schedule-independent program ({})",
-                    kind.name(),
-                    first_heap_divergence(&base.heap, &r.heap)
-                ));
-            }
-        }
+        })
+        .map_err(|e| format!("{} record/replay: {e}", kind.name()))?;
     }
     Ok(())
 }
@@ -555,7 +400,9 @@ pub fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drink_workloads::{chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly};
+    use drink_workloads::{
+        chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,
+    };
 
     #[test]
     fn differential_holds_on_disjoint_spec() {
@@ -588,9 +435,9 @@ mod tests {
             differential_check(&chaos_disjoint(seed), seed)
                 .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
         }
-        let cell = harness::run_cell(EngineKind::Optimistic, &chaos_rdsh(43), 43)
+        let cell = harness::run_cell(Subject::Engine(EngineKind::Optimistic), &chaos_rdsh(43), 43)
             .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
-        let report = &cell.run.report;
+        let report = &cell.report;
         assert!(
             report.get(Event::CoordFanout) > 0,
             "chaosRdsh must drive RdSh conflicts through the fan-out"
@@ -638,7 +485,8 @@ mod tests {
     #[test]
     fn serve_oracle_holds_under_chaos() {
         for seed in [0xA1u64, 0xA2] {
-            serve_check(seed).unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
+            serve_check(&harness::serve_spec(seed), seed)
+                .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
         }
     }
 
@@ -646,9 +494,9 @@ mod tests {
     /// the serve config describes.
     #[test]
     fn serve_artifact_spec_is_well_formed() {
-        let cfg = drink_serve::chaos_serve(0xA3);
-        let spec = serve_spec(&cfg, 0xA3);
-        assert_eq!(spec.name, SERVE_ORACLE_ENGINE);
+        let cfg = chaos_serve(0xA3);
+        let spec = harness::serve_spec(0xA3);
+        assert_eq!(spec.seed, cfg.seed);
         assert_eq!(spec.threads, cfg.workers);
         assert_eq!(spec.monitors, cfg.monitors);
         spec.validate().expect("serve spec validates");

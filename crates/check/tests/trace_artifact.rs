@@ -9,8 +9,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use drink_check::harness::run_chaos_traced;
-use drink_check::FailureArtifact;
+use drink_check::harness::run_chaos;
+use drink_check::{FailureArtifact, Subject};
 use drink_runtime::{Event, SchedHooks, SchedPoint, ThreadId};
 use drink_workloads::{chaos_disjoint, EngineKind};
 
@@ -37,8 +37,8 @@ fn failure_artifact_embeds_per_thread_event_timelines() {
         seen: AtomicUsize::new(0),
         threshold: 40,
     });
-    let (failure, events) =
-        run_chaos_traced(EngineKind::Hybrid, &spec, hooks).expect_err("cell must fail");
+    let (outcome, events) = run_chaos(Subject::Engine(EngineKind::Hybrid), &spec, hooks);
+    let failure = outcome.expect_err("cell must fail");
     assert!(failure.contains("injected chaos failure"), "{failure}");
 
     // Every worker got far enough to record accesses before the panic.

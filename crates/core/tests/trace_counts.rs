@@ -19,7 +19,7 @@ const TRACED_ONLY: [Event; 4] = [
 ];
 
 /// Events counted but never recorded (`Event`'s doc lists them).
-const COUNTED_ONLY: [Event; 10] = [
+const COUNTED_ONLY: [Event; 8] = [
     Event::OptSameState,
     Event::PessReentrant,
     Event::SafepointPoll,
@@ -28,8 +28,6 @@ const COUNTED_ONLY: [Event; 10] = [
     Event::CoordBatchRequests,
     Event::CoordFanoutPeers,
     Event::ReplayWait,
-    Event::RegionExec,
-    Event::RegionRestart,
 ];
 
 const THREADS: usize = 2;

@@ -81,7 +81,7 @@ impl RsEnforcer {
                 slot.undo.clear();
                 slot.accessed.clear();
             }
-            self.bump(t, Event::RegionExec);
+            self.note(t, Event::RegionExec, attempts.into());
 
             let cx = RegionCx { enforcer: self, t };
             let result = body(&cx);
@@ -107,7 +107,7 @@ impl RsEnforcer {
                     // Rolled back (or body observed Restart): try again. The
                     // undo log was already applied at the yield.
                     debug_assert!(doomed, "body returned Err without a rollback");
-                    self.bump(t, Event::RegionRestart);
+                    self.note(t, Event::RegionRestart, attempts.into());
                     self.safepoint(t);
                     // Contention management: back off so the threads that
                     // restarted us can commit before we re-acquire.
@@ -121,10 +121,12 @@ impl RsEnforcer {
         }
     }
 
-    fn bump(&self, t: ThreadId, e: Event) {
-        // Reuse the engine's per-thread stats.
+    /// Count `e` in the engine's per-thread stats and record it in `t`'s
+    /// trace ring, if the runtime has rings (`arg` = the attempt number).
+    fn note(&self, t: ThreadId, e: Event, arg: u64) {
+        let common = self.engine.common();
         // SAFETY: acting thread.
-        unsafe { self.engine.common().ts(t) }.stats.bump(e)
+        common.note(unsafe { common.ts(t) }, e, arg)
     }
 
     // The mutator lifecycle + non-region operations, forwarded so the

@@ -25,12 +25,11 @@ use serde::{Deserialize, Serialize};
 /// otherwise what the variant's doc names. Four variants are only
 /// traced, never counted: [`Event::CoordRequestSent`],
 /// [`Event::CoordPeerImplicit`], [`Event::CoordFanoutPeerDone`] and
-/// [`Event::MonitorWait`]. Ten are only counted: the fast paths'
+/// [`Event::MonitorWait`]. Eight are only counted: the fast paths'
 /// `OptSameState`, `PessReentrant` and `SafepointPoll`, the per-transition
 /// `PessOwnerChange` and `StateUnlocked`, `CoordBatchRequests` and
 /// `CoordFanoutPeers` (the sums of the traced arguments of
-/// `RespondedExplicit` and `CoordFanout`), and the runtime supports'
-/// `ReplayWait`, `RegionExec` and `RegionRestart`.
+/// `RespondedExplicit` and `CoordFanout`), and the replayer's `ReplayWait`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(usize)]
 pub enum Event {
@@ -140,9 +139,11 @@ pub enum Event {
     // --- Runtime support ---
     /// Replayer: a sink had to spin-wait for its source clock.
     ReplayWait,
-    /// RS enforcer: a region started (or restarted) execution.
+    /// RS enforcer: a region started (or restarted) execution. Traced with
+    /// the attempt number (0 for the first).
     RegionExec,
-    /// RS enforcer: a region was rolled back and restarted.
+    /// RS enforcer: a region was rolled back and restarted. Traced with the
+    /// number of the attempt that rolled back.
     RegionRestart,
 
     // --- Seqlock read path (DESIGN.md §12) ---

@@ -89,9 +89,14 @@ enum RegionItem {
     Yield,
 }
 
-/// Run `spec` under the given enforcer over runtime `rt` (sized via
-/// [`crate::driver::runtime_for`]).
-pub fn run_rs_on(enforcer: &RsEnforcer, spec: &WorkloadSpec) -> RunResult {
+/// Run `spec` under `kind`'s enforcer over a caller-provided runtime (sized
+/// by [`crate::driver::runtime_config_for`] or larger; the chaos harness
+/// uses this to register schedule hooks before the runtime is shared).
+pub fn run_rs_on(kind: RsKind, rt: Arc<Runtime>, spec: &WorkloadSpec) -> RunResult {
+    let enforcer = match kind {
+        RsKind::Optimistic => RsEnforcer::optimistic(rt),
+        RsKind::Hybrid => RsEnforcer::hybrid(rt),
+    };
     let rt = enforcer.rt();
     assert!(rt.heap().len() >= spec.heap_objects());
     for i in 0..spec.heap_objects() {
@@ -172,12 +177,7 @@ pub fn run_rs_on(enforcer: &RsEnforcer, spec: &WorkloadSpec) -> RunResult {
 
 /// Construct the enforcer and run `spec` on a fresh runtime.
 pub fn run_rs(kind: RsKind, spec: &WorkloadSpec) -> RunResult {
-    let rt: Arc<Runtime> = crate::driver::runtime_for(spec);
-    let enforcer = match kind {
-        RsKind::Optimistic => RsEnforcer::optimistic(rt),
-        RsKind::Hybrid => RsEnforcer::hybrid(rt),
-    };
-    run_rs_on(&enforcer, spec)
+    run_rs_on(kind, crate::driver::runtime_for(spec), spec)
 }
 
 #[cfg(test)]

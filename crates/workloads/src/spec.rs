@@ -790,38 +790,11 @@ impl WorkloadSpec {
         ops
     }
 
-    /// True if this is the syncInc micro (each step is
-    /// `synchronized(g) { gCounter++ }`).
-    pub fn is_sync_inc(&self) -> bool {
-        self.name == "syncInc"
-    }
-
-    /// Expansion override for syncInc.
-    pub fn ops_sync_inc(&self) -> Vec<Op> {
-        let counter = ObjId(0);
-        let m = MonitorId(0);
-        let mut ops = Vec::with_capacity(self.steps_per_thread * 6);
-        for _ in 0..self.steps_per_thread {
-            ops.push(Op::Lock(m));
-            ops.push(Op::Read(counter));
-            ops.push(Op::Write(counter));
-            ops.push(Op::Unlock(m));
-            if self.local_work > 0 {
-                ops.push(Op::Work(self.local_work));
-            }
-            ops.push(Op::Safepoint);
-            if self.yield_every > 0 {
-                ops.push(Op::Yield);
-            }
-        }
-        ops
-    }
-
-    /// The op sequence for thread `t`, honouring micro-benchmark overrides.
+    /// The op sequence for thread `t`, honouring racyInc's override (syncInc
+    /// needs none: its fields make [`WorkloadSpec::ops_for_thread`] emit
+    /// `synchronized(g) { gCounter++ }` per step).
     pub fn ops(&self, t: usize) -> Vec<Op> {
-        if self.is_sync_inc() {
-            self.ops_sync_inc()
-        } else if self.is_racy_inc() {
+        if self.is_racy_inc() {
             self.ops_racy_inc()
         } else {
             self.ops_for_thread(t)
@@ -999,23 +972,18 @@ mod tests {
 
     #[test]
     fn micro_benchmarks_expand_exactly() {
-        let s = sync_inc(8, 5);
-        let ops = s.ops(3);
-        assert_eq!(
-            &ops[..4],
-            &[
-                Op::Lock(MonitorId(0)),
-                Op::Read(ObjId(0)),
-                Op::Write(ObjId(0)),
-                Op::Unlock(MonitorId(0)),
-            ]
-        );
-        assert_eq!(WorkloadSpec::count_accesses(&ops), 10);
-
-        let r = racy_inc(8, 5);
-        let ops = r.ops(0);
-        assert_eq!(&ops[..2], &[Op::Read(ObjId(0)), Op::Write(ObjId(0))]);
-        assert_eq!(WorkloadSpec::count_accesses(&ops), 10);
+        // `synchronized(g) { gCounter++ }` and `gCounter++`, each followed by
+        // the local work, a safe point and a yield, on every thread.
+        let (m, counter) = (MonitorId(0), ObjId(0));
+        let tail = [Op::Work(4), Op::Safepoint, Op::Yield];
+        let sync_step = [Op::Lock(m), Op::Read(counter), Op::Write(counter), Op::Unlock(m)];
+        let racy_step = [Op::Read(counter), Op::Write(counter)];
+        for (spec, step) in [(sync_inc(8, 5), &sync_step[..]), (racy_inc(8, 5), &racy_step[..])] {
+            let expected = [step, &tail].concat().repeat(5);
+            for t in 0..spec.threads {
+                assert_eq!(spec.ops(t), expected, "{} thread {t}", spec.name);
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 #      model, so that every row the engine executes passes through
 #      `EngineCommon::publish`'s step assert.
 #   7. The open-loop KV-store server's smoke in the plain release build
-#      (`drink-serve --smoke`, DESIGN.md s15): a rate-limited hybrid run with
+#      (`drink-serve --smoke`, DESIGN.md s14): a rate-limited hybrid run with
 #      nonzero throughput and a clean quiescent store check.
 #   8. The same-state leaf in the plain release build
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before

@@ -5,7 +5,7 @@
 //! seeded schedule-perturbation layer, which is where schedule-dependent
 //! protocol bugs actually surface.
 
-use drink_check::{differential_check, replay_check, rs_check, run_cell, MATRIX_ENGINES};
+use drink_check::{run_cell, Oracle, Subject, MATRIX_ENGINES};
 use drink_core::prelude::Tracker;
 use drink_core::word::{Kind, StateWord};
 use drink_workloads::{
@@ -127,7 +127,8 @@ fn transition_counts_partition_accesses() {
 fn differential_oracle_holds_under_chaos() {
     // Disjoint spec: full oracle (access counts + heap vs baseline + zero
     // conflicts). Seed doubles as the chaos decision-stream seed.
-    differential_check(&chaos_disjoint(0x51), 0x51)
+    Oracle::Differential
+        .check(&chaos_disjoint(0x51), 0x51)
         .unwrap_or_else(|a| panic!("{}: {}", a.engine, a.failure));
 }
 
@@ -137,7 +138,7 @@ fn perturbed_matrix_cells_stay_quiescent() {
     // end quiescent, and leak no coordination requests.
     for spec in [chaos_mix(0x52), chaos_handoff(0x53)] {
         for kind in MATRIX_ENGINES {
-            let cell = run_cell(kind, &spec, 0x54)
+            let cell = run_cell(Subject::Engine(kind), &spec, 0x54)
                 .unwrap_or_else(|a| panic!("{} / {}: {}", spec.name, a.engine, a.failure));
             assert!(
                 cell.traces.iter().map(Vec::len).sum::<usize>() > 0,
@@ -149,6 +150,6 @@ fn perturbed_matrix_cells_stay_quiescent() {
 
 #[test]
 fn replay_and_rs_oracles_hold_under_chaos() {
-    replay_check(&chaos_mix(0x55)).unwrap();
-    rs_check(&chaos_handoff(0x56), 0x56).unwrap();
+    Oracle::Replay.check(&chaos_mix(0x55), 0x55).unwrap();
+    Oracle::Rs.check(&chaos_handoff(0x56), 0x56).unwrap();
 }

@@ -81,7 +81,10 @@ fn hybrid_recorder_orders_all_conflicts() {
 fn hybrid_recorder_orders_conflicts_in_pessimistic_regime() {
     // Heavier per-object conflict counts so the policy actually moves hot
     // objects to pessimistic states, exercising the release-clock edges of
-    // §4.2 rather than only coordination edges.
+    // §4.2 rather than only coordination edges. A yield after every step
+    // interleaves the three threads by construction: left to OS quanta on a
+    // host with fewer cores than threads, they can run back to back and
+    // never conflict often enough to move an object.
     let spec = WorkloadSpec {
         name: "sound-pess-regime".into(),
         threads: 3,
@@ -93,6 +96,7 @@ fn hybrid_recorder_orders_conflicts_in_pessimistic_regime() {
         racy_frac: 0.4,
         locked_frac: 0.1,
         seed: 0x77,
+        yield_every: 1,
         ..WorkloadSpec::default()
     };
     let outcome = record(RecorderKind::Hybrid, &spec);
