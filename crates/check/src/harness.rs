@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use drink_runtime::{Runtime, RuntimeConfig, SchedHooks, StatsReport, ThreadTrace};
 use drink_serve::{chaos_serve, run_serve_on, ServeConfig};
 use drink_workloads::{
-    run_kind_on, run_rs_on, runtime_config_for, EngineKind, RsKind, WorkloadSpec,
+    rs_label, run_kind_on, run_rs_on, runtime_config_for, EngineKind, WorkloadSpec,
 };
 
 use crate::artifact::FailureArtifact;
@@ -39,25 +39,29 @@ pub const MATRIX_ENGINES: [EngineKind; 3] = [
     EngineKind::Hybrid,
 ];
 
+/// The tracking configurations the RS enforcer's cells run on (Figure 9(b)).
+pub const RS_ENGINES: [EngineKind; 2] = [EngineKind::Optimistic, EngineKind::Hybrid];
+
 /// What one chaos cell runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Subject {
     /// The workload driver under a tracking engine.
     Engine(EngineKind),
-    /// The spec's statically bounded regions under an RS enforcer.
-    Rs(RsKind),
+    /// The spec's statically bounded regions under the RS enforcer on an
+    /// engine's configuration.
+    Rs(EngineKind),
     /// The serve store's chaos configuration, `chaos_serve(spec.seed)`,
     /// under an engine; the spec only records its geometry ([`serve_spec`]).
     Serve(EngineKind),
 }
 
 impl Subject {
-    /// The artifact label: the engine's label, the enforcer's name, or
+    /// The artifact label: the engine's label, the enforcer's label, or
     /// `serve/` and the engine's label.
     pub fn label(self) -> String {
         match self {
             Subject::Engine(kind) => kind.label().into(),
-            Subject::Rs(kind) => kind.name().into(),
+            Subject::Rs(kind) => rs_label(kind),
             Subject::Serve(kind) => format!("serve/{}", kind.label()),
         }
     }
@@ -108,7 +112,7 @@ impl Check {
         let subjects = EngineKind::ALL
             .into_iter()
             .flat_map(|k| [Subject::Engine(k), Subject::Serve(k)])
-            .chain([RsKind::Optimistic, RsKind::Hybrid].map(Subject::Rs));
+            .chain(RS_ENGINES.map(Subject::Rs));
         subjects
             .map(Check::Cell)
             .chain(Oracle::ALL.map(Check::Oracle))
@@ -404,6 +408,14 @@ mod tests {
         );
         assert_eq!(Check::from_label("nope"), None);
         assert_eq!(Check::from_label("serve/nope"), None);
+        // The enforcer labels saved artifacts carry.
+        for (label, kind) in [
+            ("opt-rs", EngineKind::Optimistic),
+            ("hybrid-rs", EngineKind::Hybrid),
+        ] {
+            let rs_cell = Check::Cell(Subject::Rs(kind));
+            assert_eq!(Check::from_label(label), Some(rs_cell));
+        }
     }
 
     /// An oracle failure keeps its message and traces through `shrink`, and

@@ -35,6 +35,6 @@ pub mod oracle;
 pub use artifact::FailureArtifact;
 pub use chaos::{ChaosSched, Decision, TraceStep};
 pub use harness::{
-    reproduce, run_cell, serve_spec, shrink, CellRun, Check, Subject, MATRIX_ENGINES,
+    reproduce, run_cell, serve_spec, shrink, CellRun, Check, Subject, MATRIX_ENGINES, RS_ENGINES,
 };
 pub use oracle::{check_quiescent, schedule_independent, Oracle};

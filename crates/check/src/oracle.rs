@@ -33,10 +33,10 @@ use std::sync::atomic::Ordering;
 use drink_core::word::StateWord;
 use drink_runtime::{Event, Runtime, StatsReport};
 use drink_serve::{chaos_serve, run_serve, ServeConfig};
-use drink_workloads::{record, replay, run_kind, EngineKind, RecorderKind, RsKind, WorkloadSpec};
+use drink_workloads::{record, replay, run_kind, EngineKind, WorkloadSpec};
 
 use crate::artifact::FailureArtifact;
-use crate::harness::{self, Subject, MATRIX_ENGINES};
+use crate::harness::{self, Subject, MATRIX_ENGINES, RS_ENGINES};
 
 /// Is `spec`'s final heap independent of thread interleaving? True when
 /// threads share data only through the read-only region: no racy accesses
@@ -359,7 +359,7 @@ fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
         }
         Ok(())
     };
-    let subjects = [RsKind::Optimistic, RsKind::Hybrid].map(Subject::Rs);
+    let subjects = RS_ENGINES.map(Subject::Rs);
     Oracle::Rs.matrix(spec, seed, subjects, baseline.as_deref(), per_cell)
 }
 
@@ -378,7 +378,7 @@ fn first_heap_divergence(a: &[u64], b: &[u64]) -> String {
 /// its runtime; what is under test is the log's completeness, which the
 /// differential/chaos cells already stress from the engine side.)
 pub fn replay_check(spec: &WorkloadSpec) -> Result<(), String> {
-    for kind in [RecorderKind::Optimistic, RecorderKind::Hybrid] {
+    for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
         // Wrapped: a protocol panic inside the recorder (e.g. an injected
         // bug tripping the invariant layer) must report, not abort the suite.
         harness::catch(|| {

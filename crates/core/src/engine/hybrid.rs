@@ -102,14 +102,6 @@ pub struct HybridConfig {
 }
 
 impl HybridConfig {
-    /// The "w/ infinite cutoff" configuration of Figure 7.
-    pub fn infinite_cutoff() -> Self {
-        HybridConfig {
-            policy: PolicyParams::infinite_cutoff(),
-            ..HybridConfig::default()
-        }
-    }
-
     /// The paper's policy with a valve that re-opens: an object that turns
     /// hot again after the policy returned it to optimistic states is sent
     /// back to pessimistic ones (DESIGN.md §13).
@@ -125,12 +117,14 @@ impl HybridConfig {
     /// optimistic — unless the runtime has a coordination deadline configured
     /// and one expires on an object (DESIGN.md §13), which sends it to
     /// pessimistic states until inequality (5) returns it; the valve lets a
-    /// later expiry do so again, where [`HybridConfig::infinite_cutoff`]'s
-    /// one-way valve allows each object one such trip.
+    /// later expiry do so again. Figure 7's "w/ infinite cutoff"
+    /// configuration is this one: the paper's one-way valve would differ only
+    /// after a second expiry on the same object.
     pub fn optimistic() -> Self {
         HybridConfig {
+            policy: PolicyParams::infinite_cutoff(),
             valve: Valve::Reopening,
-            ..HybridConfig::infinite_cutoff()
+            ..HybridConfig::default()
         }
     }
 }

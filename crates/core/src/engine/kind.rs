@@ -29,15 +29,19 @@ use crate::support::NullSupport;
 /// erased form is just the trait object.
 pub type DynTracker = dyn Tracker;
 
-/// The engine configurations of Figure 7, plus the adaptive one. The four
-/// tracked kinds built on the hybrid engine are the 2 × 2 of two values —
+/// The engine configurations of Figure 7, plus the adaptive one. The three
+/// tracked kinds built on the hybrid engine are set by two values —
 /// `Cutoff_confl` (4 or ∞) and the [`Valve`](crate::policy::Valve) (one-way
 /// or re-opening):
 ///
 /// | | one-way | re-opening |
 /// |---|---|---|
 /// | 4 | [`Hybrid`](EngineKind::Hybrid) | [`Adaptive`](EngineKind::Adaptive) |
-/// | ∞ | [`HybridInfiniteCutoff`](EngineKind::HybridInfiniteCutoff) | [`Optimistic`](EngineKind::Optimistic) |
+/// | ∞ | — | [`Optimistic`](EngineKind::Optimistic) |
+///
+/// Figure 7's "Hybrid tracking w/ infinite cutoff" is `Optimistic` here: with
+/// `Cutoff_confl = ∞` the valve only matters after a coordination deadline
+/// expires, so the one-way ∞ cell would measure the same protocol again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Unmodified runtime (overhead baseline).
@@ -49,8 +53,6 @@ pub enum EngineKind {
     Optimistic,
     /// Hybrid tracking with the paper's default policy (§3/§6).
     Hybrid,
-    /// Hybrid tracking with `Cutoff_confl = ∞` (costs-only configuration).
-    HybridInfiniteCutoff,
     /// Hybrid tracking with the paper's policy and a valve that re-opens: an
     /// object the policy returned to optimistic states goes pessimistic again
     /// when it collects `Cutoff_confl` more explicit conflicts, and each
@@ -86,7 +88,7 @@ struct KindRow {
 
 /// The engine table, in [`EngineKind`]'s declaration order (checked below).
 #[rustfmt::skip]
-const KINDS: [KindRow; 7] = {
+const KINDS: [KindRow; 6] = {
     use {Engine as E, EngineKind as K, HybridConfig as H};
     const fn row(
         kind: K, short: &'static str, aliases: &'static [&'static str],
@@ -99,8 +101,6 @@ const KINDS: [KindRow; 7] = {
         row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", E::Pessimistic),
         row(K::Optimistic, "opt", &["optimistic"], "Optimistic tracking", "optimistic", E::Hybrid(H::optimistic)),
         row(K::Hybrid, "hybrid", &[], "Hybrid tracking", "hybrid", E::Hybrid(H::default)),
-        row(K::HybridInfiniteCutoff, "hybrid-inf", &["hybrid-infinite"],
-            "Hybrid tracking w/infinite cutoff", "hybrid-inf", E::Hybrid(H::infinite_cutoff)),
         row(K::Adaptive, "adapt", &["adaptive"], "Adaptive (online demotion)", "adaptive", E::Hybrid(H::adaptive)),
         row(K::Ideal, "ideal", &[], "Ideal", "ideal", E::Ideal),
     ]
@@ -118,10 +118,9 @@ const _: () = {
 
 impl EngineKind {
     /// All configurations, in Figure 7's legend order (baseline excluded).
-    pub const FIGURE7: [EngineKind; 5] = [
+    pub const FIGURE7: [EngineKind; 4] = [
         EngineKind::Pessimistic,
         EngineKind::Optimistic,
-        EngineKind::HybridInfiniteCutoff,
         EngineKind::Hybrid,
         EngineKind::Ideal,
     ];
@@ -140,7 +139,7 @@ impl EngineKind {
     /// The CLI spellings [`EngineKind::parse`] accepts, for usage strings
     /// (`a[b]` stands for both `a` and `ab`).
     pub const CLI_NAMES: &'static str =
-        "baseline|none|pess[imistic]|opt[imistic]|hybrid|hybrid-inf[inite]|adapt[ive]|ideal";
+        "baseline|none|pess[imistic]|opt[imistic]|hybrid|adapt[ive]|ideal";
 
     fn row(self) -> &'static KindRow {
         &KINDS[self as usize]
@@ -155,6 +154,22 @@ impl EngineKind {
     /// spelling. Round-trips through [`EngineKind::parse`].
     pub fn short_name(self) -> &'static str {
         self.row().short
+    }
+
+    /// The name results report under: [`Tracker::name`] of the built engine,
+    /// and the configuration name of a runtime support built on this kind.
+    pub fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// The [`HybridEngine`] configuration this kind is, or `None` for a kind
+    /// built on another engine type. Runtime supports (the recorder, the RS
+    /// enforcer) build their engines from it.
+    pub fn hybrid_config(self) -> Option<HybridConfig> {
+        match self.row().engine {
+            Engine::Hybrid(cfg) => Some(cfg()),
+            _ => None,
+        }
     }
 
     /// Parse a CLI engine name. This is the *only* string-to-engine mapping
@@ -254,7 +269,7 @@ impl Tracker for AnyEngine {
     /// kinds sharing the hybrid engine's machinery stay distinguishable in
     /// bench tables and chaos matrices.
     fn name(&self) -> &'static str {
-        self.kind.row().name
+        self.kind.name()
     }
 
     delegate! {
@@ -342,7 +357,7 @@ mod tests {
 
     #[test]
     fn adaptive_reports_its_own_name() {
-        // Every kind reports under its own row's name, the four that share
+        // Every kind reports under its own row's name, the three that share
         // the hybrid engine included...
         for row in &KINDS {
             assert_eq!(row.kind.build(tiny_rt()).name(), row.name, "{:?}", row.kind);

@@ -10,13 +10,12 @@
 //! | [`IdealEngine`](ideal::IdealEngine) | the unsound "Ideal" estimate of Figure 7 |
 //!
 //! [`EngineKind`] names the configurations that get built and measured: one
-//! for each of the first, second and fourth type, and four that are a
+//! for each of the first, second and fourth type, and three that are a
 //! [`HybridConfig`](hybrid::HybridConfig) of the third:
 //!
 //! | [`EngineKind`] | [`HybridConfig`](hybrid::HybridConfig) | paper configuration |
 //! |---|---|---|
-//! | `Optimistic` | `optimistic()`: `Cutoff_confl = ∞`, re-opening valve | "Optimistic tracking" (§2.2, Octet) |
-//! | `HybridInfiniteCutoff` | `infinite_cutoff()`: `Cutoff_confl = ∞`, one-way valve | "Hybrid tracking w/ infinite cutoff" |
+//! | `Optimistic` | `optimistic()`: `Cutoff_confl = ∞`, re-opening valve | "Optimistic tracking" (§2.2, Octet), and "Hybrid tracking w/ infinite cutoff", which runs the same protocol here |
 //! | `Hybrid` | `default()`: `Cutoff_confl = 4`, one-way valve | "Hybrid tracking" (§3) |
 //! | `Adaptive` | `adaptive()`: `Cutoff_confl = 4`, re-opening valve | — (DESIGN.md §13) |
 //!
@@ -181,9 +180,9 @@ mod optimistic {
         use crate::support::NullSupport;
         use crate::word::{Kind, StateWord};
 
-        /// The one-way ∞ configuration for the protocol-shape tests. (No
-        /// deadline is configured, so no object of theirs ever leaves optimistic
-        /// states under either valve; the degradation path is exercised by
+        /// The optimistic configuration for the protocol-shape tests. (No
+        /// deadline is configured, so no object of theirs ever leaves
+        /// optimistic states; the degradation path is exercised by
         /// `hot_object_demotes_under_deadline`.)
         fn engine() -> HybridEngine {
             HybridEngine::with_config(
@@ -193,7 +192,7 @@ mod optimistic {
                     .monitors(2)
                     .build())),
                 NullSupport,
-                HybridConfig::infinite_cutoff(),
+                HybridConfig::optimistic(),
             )
         }
 

@@ -133,9 +133,9 @@ impl Default for PolicyParams {
 }
 
 impl PolicyParams {
-    /// The "hybrid tracking w/ infinite cutoff" configuration of Figure 7:
-    /// no object ever becomes pessimistic, measuring only the *costs* of
-    /// hybrid tracking over optimistic tracking.
+    /// `Cutoff_confl = ∞`: no count ever sends an object to pessimistic
+    /// states. Optimistic tracking's policy
+    /// ([`HybridConfig::optimistic`](crate::engine::hybrid::HybridConfig::optimistic)).
     pub fn infinite_cutoff() -> Self {
         PolicyParams {
             cutoff_confl: u32::MAX,

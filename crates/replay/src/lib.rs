@@ -7,8 +7,10 @@
 //!
 //! * [`Recorder`] is a [`drink_core::support::Support`] implementation;
 //!   attach it to a [`HybridEngine`](drink_core::prelude::HybridEngine) —
-//!   under `HybridConfig::infinite_cutoff()` for the *optimistic recorder*,
-//!   under the default configuration for the paper's *hybrid recorder*. The hybrid recorder exploits deferred unlocking: for
+//!   under `EngineKind::Optimistic`'s configuration for the *optimistic
+//!   recorder*, under `EngineKind::Hybrid`'s for the paper's *hybrid
+//!   recorder* (`drink_workloads::record` takes the kind). The hybrid
+//!   recorder exploits deferred unlocking: for
 //!   pessimistic conflicting transitions it names edge sources by reading
 //!   the previous holder's **release clock** — no communication — which is
 //!   the §4.2 contribution.

@@ -1,9 +1,11 @@
 //! The region-serializability enforcer façade (§5).
 //!
 //! [`RsEnforcer`] wraps the hybrid tracking engine carrying [`RsSupport`] —
-//! in its optimistic configuration for §5.1's enforcer, in the paper's
-//! default one for §5.2's — and executes *statically bounded regions*
-//! atomically:
+//! in [`EngineKind::Optimistic`]'s configuration for §5.1's enforcer, in
+//! [`EngineKind::Hybrid`]'s for §5.2's — and executes *statically bounded
+//! regions* atomically. Between regions its engine is driven like any other,
+//! through a [`Session`](drink_core::Session) attached to
+//! [`RsEnforcer::engine`]. Inside a region:
 //!
 //! * every access inside a region acquires (and keeps) ownership of the
 //!   object's state — two-phase locking via the tracking protocol itself;
@@ -22,9 +24,9 @@
 
 use std::sync::Arc;
 
-use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
-use drink_core::engine::Tracker;
-use drink_runtime::{Event, MonitorId, ObjId, Runtime, ThreadId};
+use drink_core::engine::hybrid::HybridEngine;
+use drink_core::engine::{EngineKind, Tracker};
+use drink_runtime::{Event, ObjId, Runtime, ThreadId};
 
 use crate::support::{RegionTable, RsSupport};
 
@@ -33,29 +35,28 @@ use crate::support::{RegionTable, RsSupport};
 pub struct Restart;
 
 /// The region-serializability enforcer; Figure 9(b)'s two configurations are
-/// [`RsEnforcer::optimistic`] and [`RsEnforcer::hybrid`].
+/// the enforcers on [`EngineKind::Optimistic`] and [`EngineKind::Hybrid`].
 pub struct RsEnforcer {
     engine: HybridEngine<RsSupport>,
     table: Arc<RegionTable>,
-    name: &'static str,
 }
 
 impl RsEnforcer {
-    /// Build the optimistic enforcer (§5.1, per prior work) over `rt`.
-    pub fn optimistic(rt: Arc<Runtime>) -> Self {
-        RsEnforcer::build(rt, HybridConfig::optimistic(), "opt-rs")
-    }
-
-    /// Build the hybrid enforcer (§5.2, the paper's contribution) over `rt`
-    /// (paper-default policy).
-    pub fn hybrid(rt: Arc<Runtime>) -> Self {
-        RsEnforcer::build(rt, HybridConfig::default(), "hybrid-rs")
-    }
-
-    fn build(rt: Arc<Runtime>, cfg: HybridConfig, name: &'static str) -> Self {
+    /// Build the enforcer on `kind`'s tracking configuration over `rt`.
+    /// Panics if `kind` is not a configuration of the hybrid engine.
+    pub fn new(rt: Arc<Runtime>, kind: EngineKind) -> Self {
+        let Some(cfg) = kind.hybrid_config() else {
+            panic!("the RS enforcer runs on the hybrid engine, which {kind:?} does not configure");
+        };
         let table = RegionTable::new(rt.clone());
         let engine = HybridEngine::with_config(rt, RsSupport::new(table.clone()), cfg);
-        RsEnforcer { engine, table, name }
+        RsEnforcer { engine, table }
+    }
+
+    /// The tracking engine: attach sessions to it, and drive it between
+    /// regions like any engine.
+    pub fn engine(&self) -> &HybridEngine<RsSupport> {
+        &self.engine
     }
 
     /// Execute `body` as an atomic region on mutator `t`, retrying on
@@ -100,7 +101,7 @@ impl RsEnforcer {
                 Ok(r) if !doomed => {
                     // Region end: a safe point. Answer requests that queued up
                     // while the region held ownership.
-                    self.safepoint(t);
+                    self.engine.safepoint(t);
                     return r;
                 }
                 _ => {
@@ -108,12 +109,12 @@ impl RsEnforcer {
                     // undo log was already applied at the yield.
                     debug_assert!(doomed, "body returned Err without a rollback");
                     self.note(t, Event::RegionRestart, attempts.into());
-                    self.safepoint(t);
+                    self.engine.safepoint(t);
                     // Contention management: back off so the threads that
                     // restarted us can commit before we re-acquire.
                     attempts += 1;
                     for _ in 0..attempts.min(16) {
-                        self.safepoint(t);
+                        self.engine.safepoint(t);
                         std::thread::yield_now();
                     }
                 }
@@ -127,52 +128,6 @@ impl RsEnforcer {
         let common = self.engine.common();
         // SAFETY: acting thread.
         common.note(unsafe { common.ts(t) }, e, arg)
-    }
-
-    // The mutator lifecycle + non-region operations, forwarded so the
-    // enforcer can be driven like any engine between regions.
-
-    /// The runtime.
-    pub fn rt(&self) -> &Arc<Runtime> {
-        self.engine.rt()
-    }
-
-    /// Configuration name ("opt-rs" / "hybrid-rs").
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Attach the calling thread.
-    pub fn attach(&self) -> ThreadId {
-        let t = self.engine.attach();
-        self.table.reset_owner(t);
-        t
-    }
-
-    /// Detach (must be outside any region).
-    pub fn detach(&self, t: ThreadId) {
-        debug_assert!(!unsafe { self.table.slot(t) }.in_region);
-        self.engine.detach(t)
-    }
-
-    /// Safe point poll between regions.
-    pub fn safepoint(&self, t: ThreadId) {
-        self.engine.safepoint(t)
-    }
-
-    /// Program lock acquire (between regions; sync ops bound regions).
-    pub fn lock(&self, t: ThreadId, m: MonitorId) {
-        self.engine.lock(t, m)
-    }
-
-    /// Program lock release.
-    pub fn unlock(&self, t: ThreadId, m: MonitorId) {
-        self.engine.unlock(t, m)
-    }
-
-    /// Initialize `o` as allocated by `owner`.
-    pub fn alloc_init(&self, o: ObjId, owner: ThreadId) {
-        self.engine.alloc_init(o, owner)
     }
 }
 

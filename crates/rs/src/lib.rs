@@ -5,12 +5,13 @@
 //! synchronization operations, method calls, and loop back edges executes
 //! atomically, *even for programs with data races*.
 //!
-//! Two configurations, as in Figure 9(b):
+//! Two configurations, as in Figure 9(b), each an [`RsEnforcer::new`] on
+//! an [`EngineKind`](drink_core::EngineKind):
 //!
-//! * [`RsEnforcer::optimistic`] — the prior-work enforcer on Octet tracking;
-//! * [`RsEnforcer::hybrid`] — the paper's enforcer on hybrid tracking, which
-//!   relies on **deferred unlocking** so region ends don't need conditional
-//!   unlock checks (§5.2): pessimistic states stay locked until a PSRO or
+//! * `Optimistic` — the prior-work enforcer on Octet tracking;
+//! * `Hybrid` — the paper's enforcer on hybrid tracking, which relies on
+//!   **deferred unlocking** so region ends don't need conditional unlock
+//!   checks (§5.2): pessimistic states stay locked until a PSRO or
 //!   responding safe point, both of which are region boundaries.
 //!
 //! Serializability comes from two-phase locking of object states with
@@ -21,6 +22,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use drink_core::{EngineKind, Session};
 //! use drink_rs::RsEnforcer;
 //! use drink_runtime::{ObjId, Runtime, RuntimeConfig};
 //!
@@ -29,17 +31,16 @@
 //!     .heap_objects(8)
 //!     .monitors(1)
 //!     .build()));
-//! let enforcer = RsEnforcer::hybrid(rt);
-//! let t = enforcer.attach();
+//! let enforcer = RsEnforcer::new(rt, EngineKind::Hybrid);
+//! let s = Session::attach(enforcer.engine());
 //! // Atomically move a unit from one counter to another.
-//! enforcer.region(t, |r| {
+//! enforcer.region(s.tid(), |r| {
 //!     let a = r.read(ObjId(0))?;
 //!     r.write(ObjId(0), a.wrapping_sub(1))?;
 //!     let b = r.read(ObjId(1))?;
 //!     r.write(ObjId(1), b + 1)?;
 //!     Ok(())
 //! });
-//! enforcer.detach(t);
 //! ```
 
 pub mod enforcer;

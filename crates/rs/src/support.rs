@@ -69,11 +69,6 @@ impl RegionTable {
         unsafe { self.slots[t.index()].get() }
     }
 
-    /// Reset the slot owner when a new mutator claims thread id `t`.
-    pub fn reset_owner(&self, t: ThreadId) {
-        self.slots[t.index()].reset_owner();
-    }
-
     /// Roll back thread `t`'s in-flight region, if any: restore payloads in
     /// reverse write order and mark the region for restart.
     ///
@@ -103,11 +98,6 @@ impl RsSupport {
     /// Hooks over a shared region table.
     pub fn new(table: Arc<RegionTable>) -> Self {
         RsSupport { table }
-    }
-
-    /// The shared table (for the enforcer façade).
-    pub fn table(&self) -> &Arc<RegionTable> {
-        &self.table
     }
 }
 

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use drink_core::{EngineKind, Session, Tracker};
 use drink_rs::RsEnforcer;
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, ThreadId};
 
@@ -14,7 +15,7 @@ const REGIONS: u64 = 200;
 
 /// Symmetric two-object regions (half the threads go a-then-b, half
 /// b-then-a), so regions conflict and some restart.
-fn run(make: fn(Arc<Runtime>) -> RsEnforcer) {
+fn run(kind: EngineKind) {
     let rt = Runtime::new(
         RuntimeConfig::builder()
             .max_threads(THREADS)
@@ -23,13 +24,14 @@ fn run(make: fn(Arc<Runtime>) -> RsEnforcer) {
             .trace_capacity(1 << 16)
             .build(),
     );
-    let e = make(Arc::new(rt));
+    let e = RsEnforcer::new(Arc::new(rt), kind);
     let (oa, ob) = (ObjId(0), ObjId(1));
     std::thread::scope(|s| {
         for i in 0..THREADS {
             let e = &e;
             s.spawn(move || {
-                let t = e.attach();
+                let sess = Session::attach(e.engine());
+                let t = sess.tid();
                 let (first, second) = if i % 2 == 0 { (oa, ob) } else { (ob, oa) };
                 for _ in 0..REGIONS {
                     e.region(t, |r| {
@@ -39,15 +41,14 @@ fn run(make: fn(Arc<Runtime>) -> RsEnforcer) {
                         r.write(second, y + 1)?;
                         Ok(())
                     });
-                    e.safepoint(t);
+                    sess.safepoint();
                 }
-                e.detach(t);
             });
         }
     });
 
-    let name = e.name();
-    let rings = e.rt().trace_rings().expect("built with trace rings");
+    let name = kind.name();
+    let rings = e.engine().rt().trace_rings().expect("built with trace rings");
     let (mut execs, mut first_attempts, mut restarts) = (0u64, 0u64, 0u64);
     for tid in 0..THREADS {
         let ring = rings
@@ -69,7 +70,7 @@ fn run(make: fn(Arc<Runtime>) -> RsEnforcer) {
             }
         }
     }
-    let report = e.rt().stats().report();
+    let report = e.engine().rt().stats().report();
     assert_eq!(
         execs,
         report.get(Event::RegionExec),
@@ -90,15 +91,15 @@ fn run(make: fn(Arc<Runtime>) -> RsEnforcer) {
         first_attempts + restarts,
         "{name}: every restart starts one more attempt"
     );
-    assert_eq!(e.rt().obj(oa).data_read(), THREADS as u64 * REGIONS);
+    assert_eq!(e.engine().rt().obj(oa).data_read(), THREADS as u64 * REGIONS);
 }
 
 #[test]
 fn hybrid_enforcer_records_every_region_attempt() {
-    run(RsEnforcer::hybrid);
+    run(EngineKind::Hybrid);
 }
 
 #[test]
 fn optimistic_enforcer_records_every_region_attempt() {
-    run(RsEnforcer::optimistic);
+    run(EngineKind::Optimistic);
 }

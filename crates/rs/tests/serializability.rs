@@ -2,6 +2,8 @@
 //! are atomic, under heavy contention and data races.
 
 use std::sync::Arc;
+
+use drink_core::{EngineKind, Session, Tracker};
 use drink_rs::RsEnforcer;
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
 
@@ -23,7 +25,8 @@ fn paired_counters(enforcer: &RsEnforcer, threads: usize, iters: usize) {
         for i in 0..threads {
             let e = &enforcer;
             s.spawn(move || {
-                let t = e.attach();
+                let sess = Session::attach(e.engine());
+                let t = sess.tid();
                 for _ in 0..iters {
                     if i % 2 == 0 {
                         // Writer: keep the pair equal.
@@ -39,15 +42,14 @@ fn paired_counters(enforcer: &RsEnforcer, threads: usize, iters: usize) {
                         let (a, b) = e.region(t, |r| Ok((r.read(oa)?, r.read(ob)?)));
                         assert_eq!(a, b, "region atomicity violated");
                     }
-                    e.safepoint(t);
+                    sess.safepoint();
                 }
-                e.detach(t);
             });
         }
     });
     // Final values equal and equal to the number of writer increments.
-    let a = enforcer.rt().obj(oa).data_read();
-    let b = enforcer.rt().obj(ob).data_read();
+    let a = enforcer.engine().rt().obj(oa).data_read();
+    let b = enforcer.engine().rt().obj(ob).data_read();
     assert_eq!(a, b);
     let writers = threads.div_ceil(2);
     assert_eq!(a, (writers * iters) as u64, "no lost updates");
@@ -55,15 +57,15 @@ fn paired_counters(enforcer: &RsEnforcer, threads: usize, iters: usize) {
 
 #[test]
 fn hybrid_enforcer_paired_counters() {
-    let e = RsEnforcer::hybrid(rt(4, 8));
+    let e = RsEnforcer::new(rt(4, 8), EngineKind::Hybrid);
     paired_counters(&e, 4, 400);
-    let r = e.rt().stats().report();
+    let r = e.engine().rt().stats().report();
     assert!(r.get(Event::RegionExec) >= 1_600);
 }
 
 #[test]
 fn optimistic_enforcer_paired_counters() {
-    let e = RsEnforcer::optimistic(rt(4, 8));
+    let e = RsEnforcer::new(rt(4, 8), EngineKind::Optimistic);
     paired_counters(&e, 4, 400);
 }
 
@@ -71,14 +73,15 @@ fn optimistic_enforcer_paired_counters() {
 fn restarts_occur_under_contention_and_are_counted() {
     // Symmetric two-object regions force 2PL deadlocks that resolve by
     // respond-and-restart; the counters must still be exact.
-    let e = RsEnforcer::hybrid(rt(4, 4));
+    let e = RsEnforcer::new(rt(4, 4), EngineKind::Hybrid);
     let oa = ObjId(0);
     let ob = ObjId(1);
     std::thread::scope(|s| {
         for i in 0..4 {
             let e = &e;
             s.spawn(move || {
-                let t = e.attach();
+                let sess = Session::attach(e.engine());
+                let t = sess.tid();
                 for _ in 0..300 {
                     // Half the threads lock a-then-b, half b-then-a.
                     let (first, second) = if i % 2 == 0 { (oa, ob) } else { (ob, oa) };
@@ -89,14 +92,13 @@ fn restarts_occur_under_contention_and_are_counted() {
                         r.write(second, y + 1)?;
                         Ok(())
                     });
-                    e.safepoint(t);
+                    sess.safepoint();
                 }
-                e.detach(t);
             });
         }
     });
-    assert_eq!(e.rt().obj(oa).data_read(), 1_200);
-    assert_eq!(e.rt().obj(ob).data_read(), 1_200);
+    assert_eq!(e.engine().rt().obj(oa).data_read(), 1_200);
+    assert_eq!(e.engine().rt().obj(ob).data_read(), 1_200);
 }
 
 #[test]
@@ -106,16 +108,17 @@ fn money_transfer_conserves_total() {
     const ACCOUNTS: usize = 16;
     const THREADS: usize = 4;
     const TRANSFERS: usize = 400;
-    for make in [RsEnforcer::hybrid as fn(Arc<Runtime>) -> RsEnforcer, RsEnforcer::optimistic] {
-        let e = make(rt(THREADS, ACCOUNTS));
+    for kind in [EngineKind::Hybrid, EngineKind::Optimistic] {
+        let e = RsEnforcer::new(rt(THREADS, ACCOUNTS), kind);
         for i in 0..ACCOUNTS {
-            e.rt().obj(ObjId(i as u32)).data_write(1_000);
+            e.engine().rt().obj(ObjId(i as u32)).data_write(1_000);
         }
         std::thread::scope(|s| {
             for seed in 0..THREADS {
                 let e = &e;
                 s.spawn(move || {
-                    let t = e.attach();
+                    let sess = Session::attach(e.engine());
+                let t = sess.tid();
                     let mut x = (seed as u64 + 1) * 0x9E37_79B9;
                     for _ in 0..TRANSFERS {
                         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
@@ -132,16 +135,15 @@ fn money_transfer_conserves_total() {
                             r.write(to, g + amount)?;
                             Ok(())
                         });
-                        e.safepoint(t);
+                        sess.safepoint();
                     }
-                    e.detach(t);
                 });
             }
         });
         let total: u64 = (0..ACCOUNTS)
-            .map(|i| e.rt().obj(ObjId(i as u32)).data_read())
+            .map(|i| e.engine().rt().obj(ObjId(i as u32)).data_read())
             .sum();
-        assert_eq!(total, ACCOUNTS as u64 * 1_000, "{}", e.name());
+        assert_eq!(total, ACCOUNTS as u64 * 1_000, "{kind:?}");
     }
 }
 

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use drink_core::policy::AdaptivePolicy;
 use drink_core::prelude::*;
-use drink_runtime::{Runtime, RuntimeConfig, StatsReport};
+use drink_runtime::{Runtime, RuntimeConfig, StatsReport, ThreadId};
 
 // The engine-selection enum lives in `drink_core` (one parser, one
 // constructor, the erased `AnyEngine` wrapper); re-exported here because the
@@ -93,20 +93,34 @@ pub fn local_work(n: u32) {
     std::hint::black_box(x);
 }
 
+/// A thread's accumulator before its first op.
+#[inline(always)]
+pub(crate) fn first_acc(t: ThreadId) -> u64 {
+    u64::from(t.raw()) + 1
+}
+
+/// The accumulator after reading `v`.
+#[inline(always)]
+pub(crate) fn mix_read(acc: u64, v: u64) -> u64 {
+    acc.rotate_left(7) ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The accumulator before a write, which is also the value written.
+#[inline(always)]
+pub(crate) fn mix_write(acc: u64) -> u64 {
+    acc.wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407)
+}
+
 /// Execute one thread's op sequence through a session. Returns the thread's
 /// final accumulator (a determinism witness of the values it observed).
 pub fn execute_ops<T: Tracker + ?Sized>(sess: &Session<'_, T>, ops: &[Op]) -> u64 {
-    let mut acc: u64 = u64::from(sess.tid().raw()) + 1;
+    let mut acc = first_acc(sess.tid());
     for op in ops {
         match *op {
-            Op::Read(o) => {
-                let v = sess.read(o);
-                acc = acc.rotate_left(7) ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            }
+            Op::Read(o) => acc = mix_read(acc, sess.read(o)),
             Op::Write(o) => {
-                acc = acc
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
+                acc = mix_write(acc);
                 sess.write(o, acc);
             }
             Op::Lock(m) => sess.lock(m),
@@ -122,6 +136,19 @@ pub fn execute_ops<T: Tracker + ?Sized>(sess: &Session<'_, T>, ops: &[Op]) -> u6
 /// Run `spec` on `engine`. The engine's runtime must be sized by
 /// [`runtime_for`] (or larger).
 pub fn run_workload<T: Tracker + ?Sized>(engine: &T, spec: &WorkloadSpec) -> RunResult {
+    drive(engine, engine.name(), spec, execute_ops)
+}
+
+/// The one run scaffolding: check the spec, initialize the heap, expand the
+/// op streams, attach one session per worker, start them together, and
+/// collect the result under `name`. `body` runs one thread's op stream
+/// through its session and returns its final accumulator:
+/// [`execute_ops`] for an engine run, the region driver for an RS enforcer.
+pub(crate) fn drive<T, F>(engine: &T, name: &'static str, spec: &WorkloadSpec, body: F) -> RunResult
+where
+    T: Tracker + ?Sized,
+    F: Fn(&Session<'_, T>, &[Op]) -> u64 + Sync,
+{
     // Specs built through `WorkloadSpec::builder()` are already validated;
     // this re-check catches struct-literal and deserialized specs before the
     // op expansion can hit a modulo-by-zero or an oversized hot set.
@@ -155,14 +182,12 @@ pub fn run_workload<T: Tracker + ?Sized>(engine: &T, spec: &WorkloadSpec) -> Run
     let start = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..spec.threads {
-            let engine = &engine;
-            let barrier = &barrier;
-            let all_ops = &all_ops;
+            let (engine, barrier, all_ops, body) = (&engine, &barrier, &all_ops, &body);
             s.spawn(move || {
                 let sess = Session::attach(*engine);
                 let ops = &all_ops[sess.tid().index()];
                 barrier.wait();
-                execute_ops(&sess, ops);
+                body(&sess, ops);
             });
         }
     });
@@ -176,7 +201,7 @@ pub fn run_workload<T: Tracker + ?Sized>(engine: &T, spec: &WorkloadSpec) -> Run
         .collect();
 
     RunResult {
-        engine: engine.name(),
+        engine: name,
         workload: spec.name.clone(),
         wall,
         report: rt.stats().report(),
@@ -259,7 +284,6 @@ mod tests {
             EngineKind::Pessimistic,
             EngineKind::Optimistic,
             EngineKind::Hybrid,
-            EngineKind::HybridInfiniteCutoff,
         ] {
             let r = run_kind(kind, &spec);
             assert!(r.heap[0] > 0);
@@ -318,9 +342,9 @@ mod tests {
             .steps_per_thread(8_000)
             .build()
             .unwrap();
-        // The comparison is against Octet with the one-way valve (∞ cutoff;
-        // no deadline is configured, so nothing ever turns pessimistic).
-        let opt = run_kind(EngineKind::HybridInfiniteCutoff, &spec);
+        // The comparison is against Octet (∞ cutoff; no deadline is
+        // configured, so nothing ever turns pessimistic).
+        let opt = run_kind(EngineKind::Optimistic, &spec);
         let hyb = run_kind(EngineKind::Hybrid, &spec);
         let opt_confl = opt.report.opt_conflicting();
         let hyb_confl = hyb.report.opt_conflicting();

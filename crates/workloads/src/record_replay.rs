@@ -3,41 +3,8 @@
 use drink_core::prelude::*;
 use drink_replay::{Recorder, RecordingLog, ReplayEngine};
 
-use crate::driver::{run_workload, runtime_for, RunResult};
+use crate::driver::{drive, execute_ops, run_workload, runtime_for, RunResult};
 use crate::spec::WorkloadSpec;
-
-/// Which recorder configuration to use (§4.1 vs. §4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecorderKind {
-    /// The optimistic recorder: Octet tracking + coordination-derived edges.
-    /// The one-way ∞ configuration: this recorder's identity is that *every*
-    /// cross-thread edge is coordination-derived, which holds as long as no
-    /// object turns pessimistic — i.e. unless the spec configures a
-    /// coordination deadline and one expires (DESIGN.md §13), and then at
-    /// most once per object.
-    Optimistic,
-    /// The hybrid recorder: hybrid tracking + release-clock edges for
-    /// pessimistic conflicting transitions.
-    Hybrid,
-}
-
-impl RecorderKind {
-    /// Configuration name, as stored in the log.
-    pub fn name(self) -> &'static str {
-        match self {
-            RecorderKind::Optimistic => "optimistic",
-            RecorderKind::Hybrid => "hybrid",
-        }
-    }
-
-    /// The hybrid-engine configuration the recorder attaches to.
-    fn config(self) -> HybridConfig {
-        match self {
-            RecorderKind::Optimistic => HybridConfig::infinite_cutoff(),
-            RecorderKind::Hybrid => HybridConfig::default(),
-        }
-    }
-}
 
 /// A recorded run: its measurements plus the happens-before log.
 #[derive(Clone, Debug)]
@@ -48,12 +15,18 @@ pub struct RecordOutcome {
     pub log: RecordingLog,
 }
 
-/// Record one execution of `spec` under the given recorder.
-pub fn record(kind: RecorderKind, spec: &WorkloadSpec) -> RecordOutcome {
+/// Record one execution of `spec` with the recorder on `kind`'s tracking
+/// configuration: §4.1's on [`EngineKind::Optimistic`], §4.2's on
+/// [`EngineKind::Hybrid`]. The log and the run are named after `kind`.
+/// Panics if `kind` is not a configuration of the hybrid engine.
+pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
+    let Some(cfg) = kind.hybrid_config() else {
+        panic!("the recorder runs on the hybrid engine, which {kind:?} does not configure");
+    };
     let rt = runtime_for(spec);
     let recorder = Recorder::for_runtime(&rt, kind.name());
-    let engine = HybridEngine::with_config(rt, recorder.clone(), kind.config());
-    let run = run_workload(&engine, spec);
+    let engine = HybridEngine::with_config(rt, recorder.clone(), cfg);
+    let run = drive(&engine, kind.name(), spec, execute_ops);
     let log = recorder.into_log();
     log.validate().expect("recorder produced a malformed log");
     RecordOutcome { run, log }
@@ -75,9 +48,10 @@ pub fn replay(spec: &WorkloadSpec, log: RecordingLog) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs_driver::run_rs;
     use crate::spec::{racy_inc, sync_inc};
 
-    fn assert_replay_reproduces(kind: RecorderKind, spec: &WorkloadSpec) {
+    fn assert_replay_reproduces(kind: EngineKind, spec: &WorkloadSpec) {
         let recorded = record(kind, spec);
         let replayed = replay(spec, recorded.log.clone());
         assert_eq!(
@@ -91,6 +65,38 @@ mod tests {
         assert_eq!(replayed.heap, replayed2.heap);
     }
 
+    /// A support run reports the configuration it ran, not the engine type
+    /// behind it.
+    #[test]
+    fn recorded_and_rs_runs_name_their_configuration() {
+        let spec = sync_inc(2, 50);
+        let opt = record(EngineKind::Optimistic, &spec).run.engine;
+        assert_eq!(opt, "optimistic");
+        assert_eq!(record(EngineKind::Hybrid, &spec).run.engine, "hybrid");
+        let opt = run_rs(EngineKind::Optimistic, &spec).engine;
+        assert_ne!(opt, run_rs(EngineKind::Hybrid, &spec).engine);
+    }
+
+    #[test]
+    fn supports_refuse_kinds_outside_the_hybrid_engine() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let spec = sync_inc(2, 10);
+        for kind in [
+            EngineKind::Baseline,
+            EngineKind::Pessimistic,
+            EngineKind::Ideal,
+        ] {
+            let recorder = || drop(record(kind, &spec));
+            let enforcer = || drop(run_rs(kind, &spec));
+            for run in [&recorder as &dyn Fn(), &enforcer] {
+                let payload = catch_unwind(AssertUnwindSafe(run))
+                    .expect_err("a support on a non-hybrid kind must panic");
+                let msg = payload.downcast_ref::<String>().expect("a message");
+                assert!(msg.contains(&format!("{kind:?}")), "{msg}");
+            }
+        }
+    }
+
     #[test]
     fn locked_workload_record_replay_hybrid() {
         let spec = WorkloadSpec {
@@ -101,7 +107,7 @@ mod tests {
             shared_read_frac: 0.05,
             ..WorkloadSpec::default()
         };
-        assert_replay_reproduces(RecorderKind::Hybrid, &spec);
+        assert_replay_reproduces(EngineKind::Hybrid, &spec);
     }
 
     #[test]
@@ -114,7 +120,7 @@ mod tests {
             shared_read_frac: 0.05,
             ..WorkloadSpec::default()
         };
-        assert_replay_reproduces(RecorderKind::Optimistic, &spec);
+        assert_replay_reproduces(EngineKind::Optimistic, &spec);
     }
 
     #[test]
@@ -131,7 +137,7 @@ mod tests {
             shared_read_frac: 0.05,
             ..WorkloadSpec::default()
         };
-        assert_replay_reproduces(RecorderKind::Hybrid, &spec);
+        assert_replay_reproduces(EngineKind::Hybrid, &spec);
     }
 
     #[test]
@@ -146,27 +152,27 @@ mod tests {
             shared_read_frac: 0.05,
             ..WorkloadSpec::default()
         };
-        assert_replay_reproduces(RecorderKind::Optimistic, &spec);
+        assert_replay_reproduces(EngineKind::Optimistic, &spec);
     }
 
     #[test]
     fn sync_inc_record_replay_both() {
         let spec = sync_inc(4, 1_000);
-        assert_replay_reproduces(RecorderKind::Optimistic, &spec);
-        assert_replay_reproduces(RecorderKind::Hybrid, &spec);
+        assert_replay_reproduces(EngineKind::Optimistic, &spec);
+        assert_replay_reproduces(EngineKind::Hybrid, &spec);
     }
 
     #[test]
     fn racy_inc_record_replay_both() {
         let spec = racy_inc(4, 800);
-        assert_replay_reproduces(RecorderKind::Optimistic, &spec);
-        assert_replay_reproduces(RecorderKind::Hybrid, &spec);
+        assert_replay_reproduces(EngineKind::Optimistic, &spec);
+        assert_replay_reproduces(EngineKind::Hybrid, &spec);
     }
 
     #[test]
     fn non_elided_replay_also_reproduces() {
         let spec = sync_inc(4, 500);
-        let recorded = record(RecorderKind::Hybrid, &spec);
+        let recorded = record(EngineKind::Hybrid, &spec);
         let replayed = replay_with(&spec, recorded.log, false);
         assert_eq!(recorded.run.heap, replayed.heap);
     }
@@ -183,8 +189,8 @@ mod tests {
             local_work: 6,
             ..WorkloadSpec::default()
         };
-        let opt = record(RecorderKind::Optimistic, &spec);
-        let hyb = record(RecorderKind::Hybrid, &spec);
+        let opt = record(EngineKind::Optimistic, &spec);
+        let hyb = record(EngineKind::Hybrid, &spec);
         let opt_rt = opt.run.report.get(Event::CoordinationRoundtrip);
         let hyb_rt = hyb.run.report.get(Event::CoordinationRoundtrip);
         assert!(

@@ -2,10 +2,11 @@
 //! communication shapes. A single divergence here means a missed or
 //! mis-ordered happens-before edge in the recorder.
 
-use drink_workloads::record_replay::{record, replay, RecorderKind};
+use drink_workloads::record_replay::{record, replay};
+use drink_workloads::EngineKind;
 use drink_workloads::spec::WorkloadSpec;
 
-fn check(spec: &WorkloadSpec, kind: RecorderKind) {
+fn check(spec: &WorkloadSpec, kind: EngineKind) {
     let rec = record(kind, spec);
     let rep = replay(spec, rec.log.clone());
     let diffs = rec
@@ -36,7 +37,7 @@ fn racy_many_seeds_optimistic() {
             seed: 0xAB00 + seed,
             ..WorkloadSpec::default()
         };
-        check(&spec, RecorderKind::Optimistic);
+        check(&spec, EngineKind::Optimistic);
     }
 }
 
@@ -54,14 +55,14 @@ fn racy_many_seeds_hybrid() {
             seed: 0xCD00 + seed,
             ..WorkloadSpec::default()
         };
-        check(&spec, RecorderKind::Hybrid);
+        check(&spec, EngineKind::Hybrid);
     }
 }
 
 #[test]
 fn read_shared_heavy_both() {
     // Stresses RdSh creation chains and fence edges specifically.
-    for kind in [RecorderKind::Optimistic, RecorderKind::Hybrid] {
+    for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
         let spec = WorkloadSpec {
             name: "stress-rdsh".into(),
             threads: 6,
@@ -90,14 +91,14 @@ fn eight_thread_mixed_hybrid() {
         seed: 0xFEED,
         ..WorkloadSpec::default()
     };
-    check(&spec, RecorderKind::Hybrid);
-    check(&spec, RecorderKind::Optimistic);
+    check(&spec, EngineKind::Hybrid);
+    check(&spec, EngineKind::Optimistic);
 }
 
 #[test]
 fn two_threads_tight_pingpong() {
     // Maximal conflict density between two threads.
-    for kind in [RecorderKind::Optimistic, RecorderKind::Hybrid] {
+    for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
         let spec = WorkloadSpec {
             name: "stress-pingpong".into(),
             threads: 2,

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p drink-examples --bin record_replay`
 
-use drink_workloads::{record, replay, RecorderKind, WorkloadSpec};
+use drink_workloads::{record, replay, EngineKind, WorkloadSpec};
 
 fn main() {
     // A deliberately nasty workload: 20% of steps are unsynchronized
@@ -21,7 +21,7 @@ fn main() {
     };
 
     println!("recording one execution under the hybrid recorder...");
-    let recorded = record(RecorderKind::Hybrid, &spec);
+    let recorded = record(EngineKind::Hybrid, &spec);
     println!(
         "  wall time {:?}; {} happens-before edges over {} accesses",
         recorded.run.wall,

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use drink_core::{EngineKind, Session};
 use drink_rs::RsEnforcer;
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
 
@@ -18,18 +19,19 @@ fn main() {
         .heap_objects(ACCOUNTS)
         .monitors(1)
         .build()));
-    let enforcer = RsEnforcer::hybrid(rt);
+    let enforcer = RsEnforcer::new(rt.clone(), EngineKind::Hybrid);
 
     // Seed the bank.
     for i in 0..ACCOUNTS {
-        enforcer.rt().obj(ObjId(i as u32)).data_write(1_000);
+        rt.obj(ObjId(i as u32)).data_write(1_000);
     }
 
     std::thread::scope(|s| {
         for seed in 0..THREADS {
             let enforcer = &enforcer;
             s.spawn(move || {
-                let t = enforcer.attach();
+                let sess = Session::attach(enforcer.engine());
+                let t = sess.tid();
                 let mut x = (seed as u64 + 1) * 0x9E37_79B9;
                 for _ in 0..TRANSFERS {
                     x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
@@ -50,18 +52,17 @@ fn main() {
                         r.write(to, g + amount)?;
                         Ok(())
                     });
-                    enforcer.safepoint(t);
+                    sess.safepoint();
                 }
-                enforcer.detach(t);
             });
         }
     });
 
     let balances: Vec<u64> = (0..ACCOUNTS)
-        .map(|i| enforcer.rt().obj(ObjId(i as u32)).data_read())
+        .map(|i| rt.obj(ObjId(i as u32)).data_read())
         .collect();
     let total: u64 = balances.iter().sum();
-    let report = enforcer.rt().stats().report();
+    let report = rt.stats().report();
     println!("balances: {balances:?}");
     println!("total:    {total} (expected {})", ACCOUNTS * 1_000);
     println!(

@@ -143,16 +143,16 @@ calibrated to its *conflict* rate, not its contention rate).
 * **low-conflict programs are unharmed**: hybrid is within noise of
   optimistic on jython9, luindex9, lusearch6/9 and sunflow9;
 * **Ideal bounds hybrid from below** (paper 14 vs. 22);
-* `Opt` and `Hyb(∞)` agree within noise, as they must: on these profiles
-  they are the same protocol (the paper's +2.3% is the cost of its hybrid
-  engine's extra machinery, which ours shares with `Opt`).
+* the paper's `Hyb(∞)` column is `Opt` here by construction, and its +2.3%
+  over `Opt` is the cost of a separate hybrid machinery that this one
+  engine does not have.
 
 Divergences: pessimistic tracking's wall geomean sits far below the paper's
 340% (two cores; see the host note), and here it is not the slowest column.
 The `Pess` column runs the engine as shipped, whose reads of objects their
 thread owns validate instead of locking (DESIGN.md §12), so it pays its CAS
-pair only on writes and foreign reads: its wall geomean (42%) is now below
-hybrid's (46%), and it beats hybrid on the high-conflict profiles (xalan6/9,
+pair only on writes and foreign reads: its wall geomean (39%) is below
+hybrid's (48%), and it beats hybrid on the high-conflict profiles (xalan6/9,
 avrora9, pjbb2000/2005), where hybrid still pays Octet's warm-up roundtrips and
 its per-transition bookkeeping. Its model column (≈ flat 28–30%; jython9 37%,
 sunflow9 14%) shows what its locked accesses would cost at the paper's
@@ -168,11 +168,11 @@ high-variance outlier).
 
 **Adaptive acceptance** (DESIGN.md §13): the `Adapt` column runs the paper's
 policy with a valve that re-opens. Its check — the fastest of 15 trials
-within 5% + 2 ms of the faster of `Pess` and `Hyb(∞)` on every profile —
+within 5% + 2 ms of the faster of `Pess` and `Opt` on every profile —
 **no longer holds**: 8 of 13. It held on 13 of 13 while every flat-engine
 read locked; now that `Pess` validates its owner's reads it is the faster
 extreme on xalan6, avrora9, xalan9, pjbb2000 and pjbb2005, and Adapt trails
-it there by 21–32%. The check is left as it was; closing the gap is
+it there by 24–46%. The check is left as it was; closing the gap is
 ROADMAP item 4. Adapt's geomean still sits with hybrid's.
 
 ## E5 — Figure 8, syncInc / racyInc stress tests

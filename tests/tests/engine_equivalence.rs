@@ -9,7 +9,7 @@ use drink_check::{run_cell, Oracle, Subject, MATRIX_ENGINES};
 use drink_core::prelude::Tracker;
 use drink_core::word::{Kind, StateWord};
 use drink_workloads::{
-    chaos_disjoint, chaos_handoff, chaos_mix, run_kind, run_rs, EngineKind, RsKind, WorkloadSpec,
+    chaos_disjoint, chaos_handoff, chaos_mix, run_kind, run_rs, EngineKind, WorkloadSpec,
 };
 
 /// A workload whose final heap is schedule-independent: threads touch only
@@ -36,9 +36,9 @@ fn disjoint_workload_heap_identical_across_all_engines() {
     }
     // The enforcers run the same regions; region boundaries don't change
     // values for a schedule-independent program.
-    for kind in [RsKind::Optimistic, RsKind::Hybrid] {
+    for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
         let r = run_rs(kind, &spec);
-        assert_eq!(r.heap, base.heap, "{} changed program semantics", kind.name());
+        assert_eq!(r.heap, base.heap, "{kind:?} enforcer changed program semantics");
     }
 }
 
@@ -100,7 +100,6 @@ fn transition_counts_partition_accesses() {
         EngineKind::Pessimistic,
         EngineKind::Optimistic,
         EngineKind::Hybrid,
-        EngineKind::HybridInfiniteCutoff,
     ] {
         let r = run_kind(kind, &spec).report;
         // `SeqlockValidated` is the one category that is not a transition:

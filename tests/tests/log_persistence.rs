@@ -5,7 +5,7 @@
 
 use drink_replay::RecordingLog;
 use drink_runtime::Event;
-use drink_workloads::{record, replay, RecorderKind, WorkloadSpec};
+use drink_workloads::{record, replay, EngineKind, WorkloadSpec};
 
 fn racy_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -23,7 +23,7 @@ fn racy_spec() -> WorkloadSpec {
 #[test]
 fn log_round_trips_through_json_and_replays() {
     let spec = racy_spec();
-    let recorded = record(RecorderKind::Hybrid, &spec);
+    let recorded = record(EngineKind::Hybrid, &spec);
 
     let json = serde_json::to_string(&recorded.log).expect("serialize");
     let restored: RecordingLog = serde_json::from_str(&json).expect("deserialize");
@@ -47,7 +47,7 @@ fn log_size_scales_with_dependences_not_accesses() {
     // scheduler (DESIGN.md §13), so no fixed fraction of the access count
     // bounds them.
     let spec = racy_spec();
-    let recorded = record(RecorderKind::Hybrid, &spec);
+    let recorded = record(EngineKind::Hybrid, &spec);
     let r = &recorded.run.report;
     let others = spec.threads as u64 - 1;
     let conflicting_acquires = r.get(Event::PessOwnerChange);
@@ -72,7 +72,7 @@ fn log_size_scales_with_dependences_not_accesses() {
         shared_read_frac: 0.0,
         ..racy_spec()
     };
-    let recorded = record(RecorderKind::Hybrid, &quiet);
+    let recorded = record(EngineKind::Hybrid, &quiet);
     assert!(
         recorded.log.total_edges() <= 4,
         "thread-local program should record almost nothing: {}",
@@ -85,7 +85,7 @@ fn both_recorders_produce_interchangeable_heaps() {
     // The two recorders log different edges for the same program, but both
     // logs replay the *same* recorded execution's heap (each its own).
     let spec = racy_spec();
-    for kind in [RecorderKind::Optimistic, RecorderKind::Hybrid] {
+    for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
         let recorded = record(kind, &spec);
         let replayed = replay(&spec, recorded.log);
         assert_eq!(

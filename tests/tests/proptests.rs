@@ -11,7 +11,7 @@ use drink_core::policy::PolicyParams;
 use drink_core::support::NullSupport;
 use drink_runtime::Event;
 use drink_workloads::{
-    record, replay, run_kind, run_workload, runtime_for, EngineKind, RecorderKind, WorkloadSpec,
+    record, replay, run_kind, run_workload, runtime_for, EngineKind, WorkloadSpec,
 };
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -63,7 +63,7 @@ proptest! {
     /// recorder configurations.
     #[test]
     fn prop_record_replay_deterministic(spec in arb_spec(), hybrid in any::<bool>()) {
-        let kind = if hybrid { RecorderKind::Hybrid } else { RecorderKind::Optimistic };
+        let kind = if hybrid { EngineKind::Hybrid } else { EngineKind::Optimistic };
         let rec = record(kind, &spec);
         let rep = replay(&spec, rec.log);
         prop_assert_eq!(rec.run.heap, rep.heap);

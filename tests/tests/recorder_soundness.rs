@@ -10,9 +10,9 @@
 //! is a write, the log orders them one way or the other.
 
 use drink_integration_tests::{accesses_of, HbClocks};
-use drink_workloads::{record, RecorderKind, WorkloadSpec};
+use drink_workloads::{record, EngineKind, WorkloadSpec};
 
-fn assert_all_conflicts_ordered(spec: &WorkloadSpec, kind: RecorderKind) {
+fn assert_all_conflicts_ordered(spec: &WorkloadSpec, kind: EngineKind) {
     let outcome = record(kind, spec);
     outcome.log.validate().expect("log well-formed");
     let hb = HbClocks::build(spec, &outcome.log);
@@ -66,14 +66,14 @@ fn racy_spec(name: &str, seed: u64) -> WorkloadSpec {
 #[test]
 fn optimistic_recorder_orders_all_conflicts() {
     for seed in 0..4 {
-        assert_all_conflicts_ordered(&racy_spec("sound-opt", 0x5000 + seed), RecorderKind::Optimistic);
+        assert_all_conflicts_ordered(&racy_spec("sound-opt", 0x5000 + seed), EngineKind::Optimistic);
     }
 }
 
 #[test]
 fn hybrid_recorder_orders_all_conflicts() {
     for seed in 0..4 {
-        assert_all_conflicts_ordered(&racy_spec("sound-hyb", 0x6000 + seed), RecorderKind::Hybrid);
+        assert_all_conflicts_ordered(&racy_spec("sound-hyb", 0x6000 + seed), EngineKind::Hybrid);
     }
 }
 
@@ -99,12 +99,12 @@ fn hybrid_recorder_orders_conflicts_in_pessimistic_regime() {
         yield_every: 1,
         ..WorkloadSpec::default()
     };
-    let outcome = record(RecorderKind::Hybrid, &spec);
+    let outcome = record(EngineKind::Hybrid, &spec);
     assert!(
         outcome.run.report.pess_uncontended() > 0,
         "regime check: pessimistic transitions must occur"
     );
-    assert_all_conflicts_ordered(&spec, RecorderKind::Hybrid);
+    assert_all_conflicts_ordered(&spec, EngineKind::Hybrid);
 }
 
 #[test]
@@ -125,8 +125,8 @@ fn read_shared_fences_are_ordered_after_the_writer() {
         seed: 0x88,
         ..WorkloadSpec::default()
     };
-    assert_all_conflicts_ordered(&spec, RecorderKind::Optimistic);
-    assert_all_conflicts_ordered(&spec, RecorderKind::Hybrid);
+    assert_all_conflicts_ordered(&spec, EngineKind::Optimistic);
+    assert_all_conflicts_ordered(&spec, EngineKind::Hybrid);
 }
 
 mod prop {
@@ -177,7 +177,7 @@ mod prop {
         /// independent of the replayer).
         #[test]
         fn prop_recorders_order_all_conflicts(spec in arb_racy_spec(), hybrid in any::<bool>()) {
-            let kind = if hybrid { RecorderKind::Hybrid } else { RecorderKind::Optimistic };
+            let kind = if hybrid { EngineKind::Hybrid } else { EngineKind::Optimistic };
             let outcome = record(kind, &spec);
             outcome.log.validate().map_err(|e| TestCaseError::fail(e))?;
             let hb = HbClocks::build(&spec, &outcome.log);

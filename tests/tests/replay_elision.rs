@@ -6,7 +6,7 @@
 
 use drink_runtime::LatencyKind;
 use drink_workloads::{
-    record, replay_with, run_kind, EngineKind, Op, RecorderKind, RunResult, WorkloadSpec,
+    record, replay_with, run_kind, EngineKind, Op, RunResult, WorkloadSpec,
 };
 
 /// A program strangled by one fat lock: every step is a critical section on
@@ -35,7 +35,7 @@ fn fat_lock_spec() -> WorkloadSpec {
 #[test]
 fn elided_replay_reproduces_and_skips_lock_parking() {
     let spec = fat_lock_spec();
-    let recorded = record(RecorderKind::Hybrid, &spec);
+    let recorded = record(EngineKind::Hybrid, &spec);
     let program_acquires: usize = (0..spec.threads)
         .map(|t| spec.ops(t).iter().filter(|op| matches!(op, Op::Lock(_))).count())
         .sum();
@@ -61,7 +61,7 @@ fn elided_replay_reproduces_and_skips_lock_parking() {
 fn elided_replay_of_fat_lock_program_is_competitive_with_baseline() {
     // The paper's pjbb2005 effect. Medians over a few runs to shave noise.
     let spec = fat_lock_spec();
-    let recorded = record(RecorderKind::Hybrid, &spec);
+    let recorded = record(EngineKind::Hybrid, &spec);
 
     let mut baseline: Vec<_> = (0..3)
         .map(|_| run_kind(EngineKind::Baseline, &spec).wall)
