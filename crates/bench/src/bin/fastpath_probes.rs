@@ -28,12 +28,6 @@ pub fn probe_hybrid_safepoint(e: &HybridEngine, t: ThreadId) {
 
 #[no_mangle]
 #[inline(never)]
-pub fn probe_pess_read(e: &PessimisticEngine, t: ThreadId, o: ObjId) -> u64 {
-    e.read(t, o)
-}
-
-#[no_mangle]
-#[inline(never)]
 pub fn probe_any_read(e: &AnyEngine, t: ThreadId, o: ObjId) -> u64 {
     e.read(t, o)
 }
@@ -41,14 +35,12 @@ pub fn probe_any_read(e: &AnyEngine, t: ThreadId, o: ObjId) -> u64 {
 /// Calls every probe once: the linker keeps what is called.
 fn main() {
     let rt = || Arc::new(Runtime::new(RuntimeConfig::builder().max_threads(1).heap_objects(1).build()));
-    let (hybrid, pess, any) = (HybridEngine::new(rt()), PessimisticEngine::new(rt()), EngineKind::Hybrid.build(rt()));
-    let (t, p, u, o) = (hybrid.attach(), pess.attach(), any.attach(), black_box(ObjId(0)));
+    let (hybrid, any) = (HybridEngine::new(rt()), EngineKind::Hybrid.build(rt()));
+    let (t, u, o) = (hybrid.attach(), any.attach(), black_box(ObjId(0)));
     hybrid.alloc_init(o, t);
-    pess.alloc_init(o, p);
     any.alloc_init(o, u);
     probe_hybrid_write(black_box(&hybrid), t, o, 7);
     probe_hybrid_safepoint(black_box(&hybrid), t);
     assert_eq!(probe_hybrid_read(black_box(&hybrid), t, o), 7);
-    assert_eq!(probe_pess_read(black_box(&pess), p, o), 0);
     assert_eq!(probe_any_read(black_box(&any), u, o), 0);
 }

@@ -1,8 +1,9 @@
 //! E1: regenerate the **§2.2 cost table** — average time per state
 //! transition, by kind, measured on this substrate. Measurement strategies:
 //! * **pessimistic**: single-thread loop of tracked accesses minus the
-//!   untracked loop, on `PaperModel`: every access pays the CAS-lock/unlock
-//!   pair, as §2.1 has it (under `NullSupport` the owner's reads validate);
+//!   untracked loop, under pessimistic tracking (`HybridConfig::pessimistic()`)
+//!   on `PaperModel`: every access pays the CAS-lock/unlock pair, as §2.1 has
+//!   it (under `NullSupport` the owner's reads validate);
 //! * **optimistic same-state**: same loop under the optimistic engine;
 //! * **conflicting (explicit)**: two threads ping-pong one object while the
 //!   non-accessing thread polls safe points — every access is an explicit
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use drink_core::prelude::*;
-use drink_runtime::{ObjId, Runtime, RuntimeConfig};
+use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
 
 use crate::{Ctx, Line, Table};
 
@@ -139,7 +140,10 @@ pub(crate) fn cost_table(ctx: &Ctx) -> Table {
     let iters = ((2_000_000.0 * ctx.scale) as u64).max(10_000);
     let single = || Arc::new(Runtime::new(RuntimeConfig::builder().max_threads(1).heap_objects(4).monitors(1).build()));
     let base = per_access_ns(&NoTracking::new(single()), iters);
-    let pess = per_access_ns(&PessimisticEngine::with_support(single(), PaperModel), iters);
+    let pess_engine = HybridEngine::with_config(single(), PaperModel, HybridConfig::pessimistic());
+    let pess = per_access_ns(&pess_engine, iters);
+    let locked = pess_engine.rt().stats().get(Event::PessUncontended);
+    assert_eq!(locked, iters, "§2.1: every access takes the lock");
     let opt = per_access_ns(&HybridEngine::with_config(single(), NullSupport, HybridConfig::optimistic()), iters);
     let expl = explicit_ns((iters / 100).clamp(500, 20_000));
     let impl_ = implicit_ns((iters / 10).max(5_000));

@@ -4,8 +4,8 @@
 //! at the moment they fire; the oracles here catch the quieter failure mode
 //! where a run completes but computed the wrong thing:
 //!
-//! * **Quiescence** — after any run, no state word may remain `LOCKED`,
-//!   intermediate, or pessimistically locked, and every word must be
+//! * **Quiescence** — after any run, no state word may remain
+//!   intermediate or pessimistically locked, and every word must be
 //!   well-formed ([`drink_core::word::StateWord::validate`]). Leaks here
 //!   mean a lock-buffer flush or coordination hand-off was lost.
 //! * **Differential equivalence** — the same seeded workload run under
@@ -49,9 +49,6 @@ pub fn schedule_independent(spec: &WorkloadSpec) -> bool {
 pub fn check_quiescent(rt: &Runtime, label: &str) -> Result<(), String> {
     for (id, obj) in rt.heap().iter() {
         let w = StateWord(obj.state().load(Ordering::SeqCst));
-        if w.is_locked_sentinel() {
-            return Err(format!("{label}: {id} left LOCKED after the run"));
-        }
         if w.is_int() {
             return Err(format!("{label}: {id} left in intermediate state {w:?}"));
         }

@@ -156,6 +156,7 @@ impl<S: Support> EngineCommon<S> {
         }
         let flushed = ts.lock_buffer.len() as u64;
         self.note(ts, Event::LockBufferFlush, flushed);
+        ts.stats.add(Event::StateUnlocked, flushed);
         // Swap the buffer out: unlock CASes can trigger support callbacks in
         // the future, and re-entrant pushes into a borrowed Vec would be UB.
         let mut buffer = std::mem::take(&mut ts.lock_buffer);
@@ -253,10 +254,11 @@ impl<S: Support> EngineCommon<S> {
 
     /// Stats and trace of one unlock; `valve` is the policy's decision if the
     /// unlock left the state fully unlocked: released to optimistic states,
-    /// or deliberately held pessimistic.
+    /// or deliberately held pessimistic. (A flush counts its unlocks as
+    /// [`Event::StateUnlocked`]; the release of a lock that was never
+    /// deferred lies inside the access that took it.)
     #[inline]
     fn note_unlocked(&self, ts: &mut ThreadState, o: ObjId, valve: Option<bool>) {
-        ts.stats.bump(Event::StateUnlocked);
         match valve {
             Some(true) => self.note(ts, Event::PessToOpt, o.0 as u64),
             Some(false) => self.note(ts, Event::ValveKeptPess, o.0 as u64),

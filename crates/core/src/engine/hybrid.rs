@@ -22,10 +22,14 @@
 //!   support that does not need Table 3's lock discipline
 //!   ([`Support::RELAXED_LOCKING`]) no lock on such a *racy* object outlives
 //!   the access that took it — the paper's pre-insight design, applied per
-//!   object (DESIGN.md §13), at the flat pessimistic engine's price: a write
-//!   is claim, payload store, unlock *store*; a conflicting read installs the
-//!   unlocked word its lock would have been released to and validates the
-//!   payload against it (DESIGN.md §12, "install, then validate").
+//!   object (DESIGN.md §13): a write is claim, payload store, unlock
+//!   *store*; a conflicting read installs the unlocked word its lock would
+//!   have been released to and validates the payload against it (DESIGN.md
+//!   §12, "install, then validate");
+//! * pessimistic tracking (§2.1) is that design applied to every object from
+//!   birth ([`HybridConfig::pessimistic`]): no object ever meets the policy,
+//!   and a contended access waits for the holder's release, since no lock
+//!   outlives its access.
 //!
 //! What each state does on each access is not written here: it is
 //! [`crate::table::transition`], Table 3 as a value. This file is its
@@ -92,12 +96,13 @@ pub struct HybridConfig {
     pub self_read: SelfReadMode,
     /// §3.1 ablation: the paper's *initial, pre-insight design* — unlock
     /// pessimistic states eagerly after every access, on every object,
-    /// instead of deferring to PSROs. Every pessimistic access then pays a
-    /// conditional unlock, no transition is ever reentrant, and the
-    /// recorder's release-clock edges are unavailable (tracking-only
-    /// configurations may use this; runtime support may not). The paper
-    /// reports this design "added significant overhead"; the
-    /// `drink-bench E10` quantifies it.
+    /// instead of deferring to PSROs. No lock then outlives the access that
+    /// took it: no transition is ever reentrant, a conflicting read installs
+    /// its state unlocked where the support allows, a contended access waits
+    /// for the holder's release instead of coordinating, and the recorder's
+    /// release-clock edges are unavailable (tracking-only configurations may
+    /// use this; the runtime supports refuse it). The paper reports this
+    /// design "added significant overhead"; `drink-bench E10` quantifies it.
     pub eager_unlock: bool,
 }
 
@@ -127,6 +132,24 @@ impl HybridConfig {
             ..HybridConfig::default()
         }
     }
+
+    /// Pessimistic tracking (§2.1): `Cutoff_confl = 0` with eager unlocking.
+    /// An object is pessimistic from its 0th conflict — from birth — so no
+    /// access ever meets an optimistic state to conflict on, and the policy
+    /// never samples (its profile stays `OptInitial`, so no profile word is
+    /// ever written); each lock goes back at the end of the access that took
+    /// it, as §2.1's critical section does, so no access ever coordinates.
+    /// An owner's read of its `WrExPess` word takes the write lock, as §2.1's
+    /// one critical section does: released by a store, where a read lock
+    /// that a second reader may join needs a CAS (E1 prices the difference).
+    pub fn pessimistic() -> Self {
+        HybridConfig {
+            policy: PolicyParams { cutoff_confl: 0, ..PolicyParams::default() },
+            self_read: SelfReadMode::WrExWLock,
+            eager_unlock: true,
+            ..HybridConfig::default()
+        }
+    }
 }
 
 /// The hybrid tracking engine.
@@ -145,11 +168,6 @@ impl HybridEngine<NullSupport> {
 impl<S: Support> HybridEngine<S> {
     /// Hybrid tracking with explicit support and configuration.
     pub fn with_config(rt: Arc<Runtime>, support: S, cfg: HybridConfig) -> Self {
-        assert!(
-            !cfg.eager_unlock || S::RELAXED_LOCKING,
-            "the §3.1 eager-unlock ablation is tracking-only: a support that keeps Table 3's \
-             lock discipline relies on deferred unlocking"
-        );
         let threads = rt.config().max_threads;
         assert!(
             threads as u64 <= MAX_READ_LOCKS,
@@ -280,12 +298,15 @@ impl<S: Support> HybridEngine<S> {
         );
     }
 
-    /// May this engine depart from Table 3's lock discipline on an object the
-    /// policy calls `racy` (DESIGN.md §13)? Only under a support that can do
-    /// without it.
+    /// Does a conflicting read of `o` install its state unlocked (marked rows
+    /// ②)? Only under a support that can do without Table 3's lock
+    /// discipline, and where no lock on `o` outlives its access anyway: on
+    /// every object under eager unlocking, on one the policy calls racy
+    /// otherwise (DESIGN.md §13).
     #[inline(always)]
-    fn departs(racy: bool) -> bool {
-        S::RELAXED_LOCKING && racy
+    fn departs(&self, o: ObjId) -> bool {
+        S::RELAXED_LOCKING
+            && (self.cfg.eager_unlock || self.common.policy.racy(self.common.rt.obj(o).profile()))
     }
 
     /// The table's row for `access` by `ts` to `o`, whose state word reads
@@ -304,8 +325,7 @@ impl<S: Support> HybridEngine<S> {
     fn lookup(&self, ts: &ThreadState, o: ObjId, cur: u64, access: Access) -> Step {
         let dep = Departures {
             self_read: self.cfg.self_read,
-            install_unlocked: access == Access::Read
-                && Self::departs(self.common.policy.racy(self.common.rt.obj(o).profile())),
+            install_unlocked: access == Access::Read && self.departs(o),
         };
         Step { cur, access, dep, row: Self::table_row(ts, o, cur, access, dep) }
     }
@@ -346,11 +366,21 @@ impl<S: Support> HybridEngine<S> {
     /// flush.
     #[inline]
     fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, racy: bool) -> Outcome {
-        if self.cfg.eager_unlock || Self::departs(racy) {
+        if self.cfg.eager_unlock || (S::RELAXED_LOCKING && racy) {
             return Outcome::ThenRelease;
         }
         ts.push_lock(o, lock);
         Outcome::Proceed
+    }
+
+    /// The state an object is born in: `w`, or — at `Cutoff_confl = 0`,
+    /// pessimistic from its 0th conflict — its pessimistic twin.
+    fn born(&self, w: StateWord) -> StateWord {
+        if self.cfg.policy.cutoff_confl == 0 {
+            w.to_pess_unlocked()
+        } else {
+            w
+        }
     }
 
     /// Count a pessimistic transition on `o`.
@@ -510,6 +540,12 @@ impl<S: Support> HybridEngine<S> {
                     state.store(opt.0, Ordering::Release);
                     return Outcome::Proceed;
                 }
+                Class::Contended if self.cfg.eager_unlock => {
+                    // No lock outlives the access that took it: the holder
+                    // releases without being asked, so wait on the word as
+                    // §2.1's critical section is waited on — no request, no
+                    // coordination, not a contended transition.
+                }
                 Class::Contended => {
                     if !contended {
                         contended = true;
@@ -649,10 +685,11 @@ impl<S: Support> HybridEngine<S> {
     }
 
     /// The program write inside the critical section of a lock that is not
-    /// deferred: the release comes *after* the payload access it guards. Out
-    /// of line, so the deferred path pays nothing for it — but not cold: it
-    /// is how every write to a racy object ends.
-    #[inline(never)]
+    /// deferred: the release comes *after* the payload access it guards.
+    /// Inlined into the write continuation: it is how every write under
+    /// eager unlocking — pessimistic tracking's every write — ends, and every
+    /// write to a racy object.
+    #[inline(always)]
     fn write_then_release(&self, ts: &mut ThreadState, o: ObjId, v: u64) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
         let prev = self.program_write(ts, self.common.rt.obj(o), o, v);
@@ -661,8 +698,10 @@ impl<S: Support> HybridEngine<S> {
         prev
     }
 
-    /// [`HybridEngine::write_then_release`]'s read twin.
-    #[inline(never)]
+    /// [`HybridEngine::write_then_release`]'s read twin: how a read lock
+    /// ends under eager unlocking where no read is installed unlocked (the
+    /// paper's model, E1).
+    #[inline(always)]
     fn read_then_release(&self, ts: &mut ThreadState, o: ObjId) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
         let v = self.program_read(ts, self.common.rt.obj(o), o);
@@ -675,8 +714,8 @@ impl<S: Support> HybridEngine<S> {
     /// `installed` names this thread or carries a fresh epoch, so no foreign
     /// writer reaches the payload without replacing it, and the same word
     /// back after the payload load is what the row's read lock guaranteed.
-    /// The read is then counted once, as the transition plus the unlock it
-    /// stands for.
+    /// The read is then counted once, as the transition: the unlock it
+    /// stands for lies inside the access, as a released-at-once lock's does.
     ///
     /// `None` sends the read round again, nothing counted: the transition
     /// stands (a recorded read by this thread, conservative), but a foreign
@@ -702,7 +741,6 @@ impl<S: Support> HybridEngine<S> {
             return None;
         }
         self.count_pess(ts, o, conflicting);
-        ts.stats.bump(Event::StateUnlocked);
         self.common.rt.trace(ts.tid, Event::Read, o.0 as u64);
         ts.op_index += 1;
         Some(Outcome::Read(v))
@@ -750,8 +788,13 @@ impl<S: Support> Tracker for HybridEngine<S> {
     fn alloc_init(&self, o: ObjId, owner: ThreadId) {
         // "Each object newly allocated by thread T starts in the WrExOpt(T)
         // state" (§6.2).
-        let obj = self.common.rt.obj(o);
-        obj.state().store(StateWord::wr_ex_opt(owner).0, Ordering::SeqCst);
+        let w = self.born(StateWord::wr_ex_opt(owner));
+        self.common.rt.obj(o).state().store(w.0, Ordering::SeqCst);
+    }
+
+    fn alloc_init_read_shared(&self, o: ObjId) {
+        let w = self.born(StateWord::rd_sh_opt(1));
+        self.common.rt.obj(o).state().store(w.0, Ordering::SeqCst);
     }
 }
 
@@ -836,12 +879,6 @@ mod tests {
     fn a_runtime_with_more_threads_than_read_locks_is_refused() {
         let rt = Runtime::new(RuntimeConfig::builder().max_threads(256).heap_objects(1).build());
         HybridEngine::new(Arc::new(rt));
-    }
-
-    #[test]
-    #[should_panic(expected = "the §3.1 eager-unlock ablation is tracking-only")]
-    fn eager_unlock_is_refused_on_the_papers_model() {
-        paper_engine(HybridConfig { eager_unlock: true, ..HybridConfig::default() });
     }
 
     #[test]

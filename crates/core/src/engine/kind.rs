@@ -6,7 +6,7 @@
 //! A server-shaped consumer (`drink-serve`) holds *one* engine chosen at
 //! startup and must route every tracked access through it with zero
 //! per-engine code. [`EngineKind::build`] returns an [`AnyEngine`] — an enum
-//! over the four engine types, plus the kind that built it — which itself
+//! over the three engine types, plus the kind that built it — which itself
 //! implements [`Tracker`], so `Session<'_, AnyEngine>` works unchanged. An
 //! enum and not a box: Figure 10(a)'s same-state check is inlined at every
 //! access, which a pointer forbids. [`Tracker`] stays object-safe, and
@@ -21,7 +21,6 @@ use drink_runtime::{MonitorId, ObjId, Runtime, RuntimeConfig, ThreadId};
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
 use crate::engine::ideal::IdealEngine;
 use crate::engine::none::NoTracking;
-use crate::engine::pessimistic::PessimisticEngine;
 use crate::engine::Tracker;
 use crate::support::NullSupport;
 
@@ -29,15 +28,20 @@ use crate::support::NullSupport;
 /// erased form is just the trait object.
 pub type DynTracker = dyn Tracker;
 
-/// The engine configurations of Figure 7, plus the adaptive one. The three
+/// The engine configurations of Figure 7, plus the adaptive one. The four
 /// tracked kinds built on the hybrid engine are set by two values —
-/// `Cutoff_confl` (4 or ∞) and the [`Valve`](crate::policy::Valve) (one-way
-/// or re-opening):
+/// `Cutoff_confl` (0, 4 or ∞) and the [`Valve`](crate::policy::Valve)
+/// (one-way or re-opening) — and at 0 by eager unlocking (with write-locked
+/// self-reads, [`HybridConfig::pessimistic`]):
 ///
 /// | | one-way | re-opening |
 /// |---|---|---|
+/// | 0, eager unlock | [`Pessimistic`](EngineKind::Pessimistic) | — |
 /// | 4 | [`Hybrid`](EngineKind::Hybrid) | [`Adaptive`](EngineKind::Adaptive) |
 /// | ∞ | — | [`Optimistic`](EngineKind::Optimistic) |
+///
+/// At `Cutoff_confl = 0` no object ever meets its policy (every object is
+/// born pessimistic), so the valve does not matter there.
 ///
 /// Figure 7's "Hybrid tracking w/ infinite cutoff" is `Optimistic` here: with
 /// `Cutoff_confl = ∞` the valve only matters after a coordination deadline
@@ -65,7 +69,6 @@ pub enum EngineKind {
 /// Which engine type a kind builds (see the [module table](crate::engine)).
 enum Engine {
     NoTracking,
-    Pessimistic,
     /// [`HybridEngine`] under the configuration the constructor returns.
     Hybrid(fn() -> HybridConfig),
     Ideal,
@@ -98,7 +101,7 @@ const KINDS: [KindRow; 6] = {
     }
     [
         row(K::Baseline, "baseline", &["none"], "Baseline", "baseline", E::NoTracking),
-        row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", E::Pessimistic),
+        row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", E::Hybrid(H::pessimistic)),
         row(K::Optimistic, "opt", &["optimistic"], "Optimistic tracking", "optimistic", E::Hybrid(H::optimistic)),
         row(K::Hybrid, "hybrid", &[], "Hybrid tracking", "hybrid", E::Hybrid(H::default)),
         row(K::Adaptive, "adapt", &["adaptive"], "Adaptive (online demotion)", "adaptive", E::Hybrid(H::adaptive)),
@@ -164,7 +167,8 @@ impl EngineKind {
 
     /// The [`HybridEngine`] configuration this kind is, or `None` for a kind
     /// built on another engine type. Runtime supports (the recorder, the RS
-    /// enforcer) build their engines from it.
+    /// enforcer) build their engines from it, and refuse one that does not
+    /// defer its unlocks.
     pub fn hybrid_config(self) -> Option<HybridConfig> {
         match self.row().engine {
             Engine::Hybrid(cfg) => Some(cfg()),
@@ -184,7 +188,6 @@ impl EngineKind {
     pub fn build_boxed(self, rt: Arc<Runtime>) -> Box<DynTracker> {
         match self.row().engine {
             Engine::NoTracking => Box::new(NoTracking::new(rt)),
-            Engine::Pessimistic => Box::new(PessimisticEngine::new(rt)),
             Engine::Hybrid(cfg) => Box::new(HybridEngine::with_config(rt, NullSupport, cfg())),
             Engine::Ideal => Box::new(IdealEngine::new(rt)),
         }
@@ -197,7 +200,6 @@ impl EngineKind {
     pub fn build(self, rt: Arc<Runtime>) -> AnyEngine {
         let inner = match self.row().engine {
             Engine::NoTracking => Inner::NoTracking(NoTracking::new(rt)),
-            Engine::Pessimistic => Inner::Pessimistic(PessimisticEngine::new(rt)),
             Engine::Hybrid(cfg) => Inner::Hybrid(HybridEngine::with_config(rt, NullSupport, cfg())),
             Engine::Ideal => Inner::Ideal(IdealEngine::new(rt)),
         };
@@ -219,7 +221,7 @@ impl FromStr for EngineKind {
     }
 }
 
-/// A tracking engine selected at runtime: one of the four engine types, by
+/// A tracking engine selected at runtime: one of the three engine types, by
 /// value, plus the [`EngineKind`] that built it. Implements [`Tracker`] by
 /// delegation, so every generic consumer (`Session`, the workload driver, the
 /// serve store) accepts it unchanged. The cost of erasure is a branch on the
@@ -231,7 +233,6 @@ pub struct AnyEngine {
 
 enum Inner {
     NoTracking(NoTracking),
-    Pessimistic(PessimisticEngine),
     Hybrid(HybridEngine<NullSupport>),
     Ideal(IdealEngine),
 }
@@ -256,7 +257,6 @@ macro_rules! delegate {
         fn $name(&self $(, $arg: $ty)*) $(-> $ret)? {
             match &self.inner {
                 Inner::NoTracking(e) => e.$name($($arg),*),
-                Inner::Pessimistic(e) => e.$name($($arg),*),
                 Inner::Hybrid(e) => e.$name($($arg),*),
                 Inner::Ideal(e) => e.$name($($arg),*),
             }
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn adaptive_reports_its_own_name() {
-        // Every kind reports under its own row's name, the three that share
+        // Every kind reports under its own row's name, the four that share
         // the hybrid engine included...
         for row in &KINDS {
             assert_eq!(row.kind.build(tiny_rt()).name(), row.name, "{:?}", row.kind);

@@ -38,8 +38,10 @@
 //! its unsound alternate `RdExRLock(T)`; both exist for the E9 ablation.
 //!
 //! ② *Installed unlocked* ([`Departures::install_unlocked`]): seen only under
-//! a support with `RELAXED_LOCKING` (`NullSupport`), on an object the policy
-//! has found racy (DESIGN.md §13). The row installs the word its read lock
+//! a support with `RELAXED_LOCKING` (`NullSupport`), on an object no lock on
+//! which outlives its access — every object under eager unlocking
+//! (pessimistic tracking, the §3.1 ablation), one the policy has found racy
+//! otherwise (DESIGN.md §13). The row installs the word its read lock
 //! would have been *released* to — `RdExPess(T)`, `RdShPess(c')` — and takes
 //! no lock; the executor validates the payload against the installed word
 //! (DESIGN.md §12, "install, then validate").
@@ -95,8 +97,8 @@ pub struct Who<'a> {
 pub struct Departures {
     /// Marked row ①.
     pub self_read: SelfReadMode,
-    /// Marked rows ②: the support allows it and the policy calls the object
-    /// racy.
+    /// Marked rows ②: the support allows it, and no lock on the object
+    /// outlives its access (eager unlocking, or the policy calls it racy).
     pub install_unlocked: bool,
 }
 
@@ -251,8 +253,8 @@ impl Row {
 /// Table 3: the row for `access` by `who` to an object whose state word
 /// reads `w`. Pure: no `&self`, no atomics, no allocation.
 ///
-/// Domain: every well-formed word ([`StateWord::validate`]) but the flat
-/// engine's `LOCKED` sentinel, and `RdShRLock(n)` with `n` below
+/// Domain: every well-formed word ([`StateWord::validate`]), and
+/// `RdShRLock(n)` with `n` below
 /// [`MAX_READ_LOCKS`] where a reader joins — `HybridEngine::with_config`
 /// bounds the thread count so that it is.
 ///
@@ -263,7 +265,6 @@ impl Row {
 #[inline]
 pub fn transition(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
     use {Access::*, Install::*, Kind::*};
-    debug_assert!(!w.is_locked_sentinel(), "LOCKED is not a Table 3 state");
     let t = who.t;
     let wlock = StateWord::wr_ex_pess(t, LockMode::Write);
     let rdex_rlock = StateWord::rd_ex_pess(t, LockMode::Read);

@@ -24,10 +24,6 @@
 //! bits 24..=31  read-lock count n (RdSh, pessimistic locked)
 //! bits 32..=63  RdSh counter c (from the global gRdShCount)
 //! ```
-//!
-//! The all-ones word is reserved as the `LOCKED` sentinel used by the
-//! standalone pessimistic engine (§2.1's pseudocode "locks" the state with a
-//! special value); it decodes to no legal state.
 
 use std::fmt;
 
@@ -112,9 +108,6 @@ const _: () = assert!(MAX_RDSH_COUNT == drink_runtime::MAX_RDSH_COUNT);
 pub struct StateWord(pub u64);
 
 impl StateWord {
-    /// The standalone pessimistic engine's `LOCKED` sentinel (§2.1).
-    pub const LOCKED: StateWord = StateWord(u64::MAX);
-
     // --- Constructors ---
 
     /// `WrExOpt(T)`.
@@ -183,8 +176,7 @@ impl StateWord {
 
     // --- Accessors ---
 
-    /// State kind. The LOCKED sentinel decodes as `Int` but callers must
-    /// check [`StateWord::is_locked_sentinel`] first in the engines that use it.
+    /// State kind.
     #[inline(always)]
     pub fn kind(self) -> Kind {
         match (self.0 >> KIND_SHIFT) & KIND_MASK {
@@ -242,17 +234,10 @@ impl StateWord {
         (self.0 >> C_SHIFT) & C_MASK
     }
 
-    /// Is this the standalone pessimistic engine's LOCKED sentinel?
-    #[inline(always)]
-    pub fn is_locked_sentinel(self) -> bool {
-        self.0 == u64::MAX
-    }
-
-    /// Is this an Int (coordination-intermediate) state? (Excludes the
-    /// LOCKED sentinel.)
+    /// Is this an Int (coordination-intermediate) state?
     #[inline(always)]
     pub fn is_int(self) -> bool {
-        self.kind() == Kind::Int && !self.is_locked_sentinel()
+        self.kind() == Kind::Int
     }
 
     /// Is this a pessimistic state currently locked (read or write)?
@@ -277,9 +262,8 @@ impl StateWord {
     /// epoch), and the pessimistic exclusive states owned by `t` that nobody
     /// holds write-locked (only `t` installs a word naming `t`).
     /// `WrExOpt(T)` and `WrExWLock(T)` are excluded because their owner
-    /// writes the payload with no install; `Int` and the
-    /// [`StateWord::LOCKED`] sentinel (which decodes as `Int`) because a
-    /// transition is in flight.
+    /// writes the payload with no install; `Int` because a transition is in
+    /// flight.
     #[inline(always)]
     pub fn validated_read_ok(self, t: ThreadId) -> bool {
         // On every read's path, so two masked compares rather than a decode.
@@ -335,16 +319,13 @@ impl StateWord {
     }
 
     /// Well-formedness check per the encoding above: is this a word one of
-    /// the constructors could have produced (or the LOCKED sentinel)?
+    /// the constructors could have produced?
     ///
     /// `check-invariants` builds run this on every word the engines publish;
     /// an `Err` means a state that has no meaning in the §3.2 state space —
     /// e.g. a RdSh word carrying an owner tid, or an optimistic word with a
     /// lock bit — and therefore a protocol bug, not a legal transition.
     pub fn validate(self) -> Result<(), &'static str> {
-        if self.is_locked_sentinel() {
-            return Ok(());
-        }
         const KNOWN_BITS: u64 = KIND_MASK
             | PESS_BIT
             | (LOCK_MASK << LOCK_SHIFT)
@@ -403,9 +384,6 @@ impl StateWord {
 
 impl fmt::Debug for StateWord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_locked_sentinel() {
-            return write!(f, "LOCKED");
-        }
         let pess = if self.is_pess() { "Pess" } else { "Opt" };
         let lock = match self.lock_mode() {
             LockMode::Unlocked => "",
@@ -486,14 +464,17 @@ mod tests {
         assert!(s0.is_pess_unlocked());
     }
 
+    /// The all-ones word, once a separate engine's `LOCKED` sentinel, is no
+    /// state at all: well-formedness rejects it, and no Int word is it.
     #[test]
     fn int_state_and_locked_sentinel_are_distinct() {
         let i = StateWord::int(t(2));
         assert!(i.is_int());
-        assert!(!i.is_locked_sentinel());
         assert_eq!(i.owner(), t(2));
-        assert!(StateWord::LOCKED.is_locked_sentinel());
-        assert!(!StateWord::LOCKED.is_int());
+        assert_eq!(i.validate(), Ok(()));
+        let all_ones = StateWord(u64::MAX);
+        assert_eq!(all_ones.validate(), Err("reserved bits set"));
+        assert_ne!(all_ones, StateWord::int(ThreadId::from_raw(OWNER_MASK as u16)));
     }
 
     /// [`StateWord::validated_read_ok`], stated on Table 3: a read by `t`
@@ -554,8 +535,6 @@ mod tests {
         // Any RdSh word; the four pessimistic exclusive words `me` owns and
         // has not write-locked.
         assert_eq!(eligible, 3 + 4);
-        // Not a Table 3 state, and never eligible.
-        assert!(!StateWord::LOCKED.validated_read_ok(me));
     }
 
     #[test]
@@ -602,7 +581,6 @@ mod tests {
         );
         assert_eq!(format!("{:?}", StateWord::rd_sh_pess(3, 2)), "RdShRLock(2)[c=3]");
         assert_eq!(format!("{:?}", StateWord::rd_sh_opt(5)), "RdShOpt[c=5]");
-        assert_eq!(format!("{:?}", StateWord::LOCKED), "LOCKED");
         assert_eq!(format!("{:?}", StateWord::int(t(9))), "Int[T9]");
     }
 
@@ -679,7 +657,6 @@ mod proptests {
             prop_assert_eq!(w.owner(), tid);
             prop_assert_eq!(w.is_pess(), pess);
             prop_assert_eq!(w.kind(), if write { Kind::WrEx } else { Kind::RdEx });
-            prop_assert!(!w.is_locked_sentinel());
             prop_assert!(!w.is_int());
         }
 
@@ -732,8 +709,7 @@ mod proptests {
             }
         }
 
-        /// No constructed state ever collides with the LOCKED sentinel or an
-        /// Int state.
+        /// No constructed state ever collides with an Int state.
         #[test]
         fn constructors_never_collide_with_sentinels(tid in arb_tid(), c in 0u64..=MAX_RDSH_COUNT, n in 0u64..=MAX_READ_LOCKS) {
             for w in [
@@ -747,7 +723,6 @@ mod proptests {
                 StateWord::rd_ex_pess(tid, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
             ] {
-                prop_assert!(!w.is_locked_sentinel(), "{w:?}");
                 prop_assert!(!w.is_int(), "{w:?}");
             }
             prop_assert!(StateWord::int(tid).is_int());
@@ -768,7 +743,6 @@ mod proptests {
                 StateWord::rd_ex_pess(tid, LockMode::Read),
                 StateWord::rd_ex_pess(tid, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
-                StateWord::LOCKED,
             ] {
                 prop_assert_eq!(w.validate(), Ok(()), "{:?}", w);
             }
@@ -798,7 +772,6 @@ mod proptests {
                     prop_assert!(super::tests::agrees_with_table(w, t, &[reader, owner]), "{:?} read by {}", w, t);
                 }
             }
-            prop_assert!(!StateWord::LOCKED.validated_read_ok(reader));
         }
 
         /// `validate` on an arbitrary u64 accepts only words that re-encode
@@ -806,7 +779,7 @@ mod proptests {
         #[test]
         fn validate_is_sound_on_random_words(raw in any::<u64>()) {
             let w = StateWord(raw);
-            if w.validate().is_ok() && !w.is_locked_sentinel() {
+            if w.validate().is_ok() {
                 let rebuilt = match (w.kind(), w.is_pess()) {
                     (Kind::WrEx, false) => StateWord::wr_ex_opt(w.owner()),
                     (Kind::RdEx, false) => StateWord::rd_ex_opt(w.owner()),

@@ -232,17 +232,18 @@ fn racy_read_rows_install_unlocked_only_under_relaxed_locking() {
     }
 }
 
-/// Table 1, as the flat engine's `match` spells it: for every optimistic
-/// word × access, `PessimisticEngine`, started from the word's
-/// pessimistic-unlocked counterpart (the only words it installs), ends in
-/// `to_pess_unlocked()` of the table's optimistic `next`.
+/// Table 1 in pessimistic encodings: for every optimistic word × access,
+/// pessimistic tracking (`HybridConfig::pessimistic()`), started from the
+/// word's pessimistic-unlocked counterpart (the only words it installs), ends
+/// in `to_pess_unlocked()` of the table's optimistic `next` — Table 3's
+/// pessimistic rows, released at the end of the access.
 #[test]
 fn pessimistic_engine_follows_the_optimistic_rows() {
     for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
         for access in [Access::Read, Access::Write] {
             for synced in [false, true] {
                 let rt = Runtime::new(RuntimeConfig::builder().max_threads(2).heap_objects(2).build());
-                let e = PessimisticEngine::new(Arc::new(rt));
+                let e = HybridEngine::with_config(Arc::new(rt), NullSupport, HybridConfig::pessimistic());
                 let t = e.attach();
                 e.rt().obj(O).state().store(w.to_pess_unlocked().0, Ordering::SeqCst);
                 let who = Who { t, rd_sh_count: if synced { C } else { 0 }, in_rd_set: &|| false };

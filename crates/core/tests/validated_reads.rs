@@ -11,9 +11,9 @@
 //! word the reader started from once a foreign write has happened; the
 //! window tests force both sides of that through `SeqlockReadValidate`.
 //!
-//! The flat engine (`PessimisticEngine`, §2.1) installs the
-//! pessimistic-unlocked words and writes a payload only under `LOCKED`, so
-//! the same predicate serves its reads of objects it owns; its cases close
+//! Pessimistic tracking (`HybridConfig::pessimistic()`, §2.1) runs on
+//! pessimistic words alone and releases each lock at the end of its access,
+//! so the same predicate serves its reads of objects it owns; its cases close
 //! the file.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -57,6 +57,11 @@ fn engine_on(rt: Arc<Runtime>) -> HybridEngine {
             ..HybridConfig::default()
         },
     )
+}
+
+/// Pessimistic tracking (§2.1).
+fn pessimistic_on(rt: Arc<Runtime>) -> HybridEngine {
+    HybridEngine::with_config(rt, NullSupport, HybridConfig::pessimistic())
 }
 
 fn inject(e: &impl Tracker, w: StateWord) {
@@ -189,15 +194,13 @@ fn ineligible_states_take_their_table_3_row() {
     e.detach(t0);
 }
 
-/// WrExWLock(T1), Int(T1) and the flat engine's LOCKED sentinel, read by T0:
-/// the read waits for the holder instead of validating a payload the holder
-/// may be writing.
+/// WrExWLock(T1) and Int(T1), read by T0: the read waits for the holder
+/// instead of validating a payload the holder may be writing.
 #[test]
 fn write_locked_and_in_flight_states_never_validate() {
     for held in [
         StateWord::wr_ex_pess(T1, LockMode::Write),
         StateWord::int(T1),
-        StateWord::LOCKED,
     ] {
         assert!(!held.validated_read_ok(T0), "{held:?}");
     }
@@ -441,17 +444,17 @@ fn a_foreign_write_cycle_that_ends_read_shared_again_never_validates() {
     e.detach(t0);
 }
 
-// --- The flat engine ---
+// --- Pessimistic tracking ---
 
 /// A read of a `WrExPess`/`RdExPess` word its thread owns validates in the
-/// leaf: no `LOCKED` critical section, and the word is left as it was.
+/// leaf: no lock, and the word is left as it was.
 #[test]
 fn flat_engine_own_exclusive_reads_validate_without_the_lock() {
     for own in [
         StateWord::wr_ex_pess(T0, LockMode::Unlocked),
         StateWord::rd_ex_pess(T0, LockMode::Unlocked),
     ] {
-        let e = PessimisticEngine::new(Arc::new(runtime()));
+        let e = pessimistic_on(Arc::new(runtime()));
         let t0 = e.attach();
         e.rt().obj(O).data_write(41);
         inject(&e, own);
@@ -470,11 +473,12 @@ fn flat_engine_own_exclusive_reads_validate_without_the_lock() {
 /// load is never validated, at either attempt: the leaf's, replayed here
 /// with the word it loaded before the write, and the continuation's, with
 /// the write forced into its window through `SeqlockReadValidate`. The reader
-/// retries, takes the lock and returns the new value.
+/// retries, takes its row (installed unlocked, then validated) and returns
+/// the new value.
 #[test]
 fn flat_engine_foreign_write_in_the_window_is_never_validated() {
     // The leaf's attempt.
-    let e = PessimisticEngine::new(Arc::new(runtime()));
+    let e = pessimistic_on(Arc::new(runtime()));
     let t0 = e.attach();
     e.rt().obj(O).data_write(41);
     inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
@@ -494,7 +498,7 @@ fn flat_engine_foreign_write_in_the_window_is_never_validated() {
 
     // The continuation's attempt.
     let hook = WriteCycleInWindow::new(1);
-    let e = PessimisticEngine::new(runtime_with_hooks(hook.clone()));
+    let e = pessimistic_on(runtime_with_hooks(hook.clone()));
     let t0 = e.attach();
     e.rt().obj(O).data_write(41);
     inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
@@ -514,12 +518,12 @@ fn flat_engine_foreign_write_in_the_window_is_never_validated() {
     let ts = unsafe { e.common().ts(t0) };
     assert_eq!(ts.stats.get(Event::SeqlockRetry), 1);
     assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
-    assert_eq!(ts.stats.get(Event::PessUncontended), 1, "the retry takes the lock");
+    assert_eq!(ts.stats.get(Event::PessUncontended), 1, "the retry takes its row");
     e.detach(t0);
 }
 
 /// A word another thread owns never validates: the read creates a
-/// dependence, so it takes the critical section and its Table 1 row.
+/// dependence, so it takes its Table 1 row, in pessimistic encodings.
 #[test]
 fn flat_engine_foreign_exclusive_words_never_validate() {
     for foreign in [
@@ -527,7 +531,7 @@ fn flat_engine_foreign_exclusive_words_never_validate() {
         StateWord::rd_ex_pess(T1, LockMode::Unlocked),
     ] {
         assert!(!foreign.validated_read_ok(T0), "{foreign:?}");
-        let e = PessimisticEngine::new(Arc::new(runtime()));
+        let e = pessimistic_on(Arc::new(runtime()));
         let (t0, _t1) = (e.attach(), e.attach());
         inject(&e, foreign);
         let _ = e.read(t0, O);

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drink_core::prelude::*;
-use drink_core::word::StateWord;
-use drink_runtime::{ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId};
+use drink_core::word::{LockMode, StateWord};
+use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId};
 
 const O: ObjId = ObjId(0);
 
@@ -60,9 +60,14 @@ fn backoffs_while_held(e: &impl Tracker, hooks: &BackoffCounter, held: StateWord
 #[test]
 fn a_pessimistic_read_of_a_locked_word_reports_its_backoff() {
     let hooks = Arc::new(BackoffCounter::default());
-    let e = PessimisticEngine::new(runtime(hooks.clone()));
-    let held = StateWord::LOCKED;
-    assert!(backoffs_while_held(&e, &hooks, held) > 0, "the LOCKED spin is a scheduling point");
+    let e = EngineKind::Pessimistic.build(runtime(hooks.clone()));
+    let held = StateWord::wr_ex_pess(ThreadId(1), LockMode::Write);
+    assert!(
+        backoffs_while_held(&e, &hooks, held) > 0,
+        "the wait for a lock's release is a scheduling point"
+    );
+    let r = e.rt().stats().report();
+    assert_eq!((r.get(Event::CoordinationRoundtrip), r.pess_contended()), (0, 0), "nor a coordination");
 }
 
 #[test]

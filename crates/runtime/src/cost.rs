@@ -47,13 +47,16 @@ pub struct CostModel {
     /// Reentrant pessimistic transition: a load and a branch, no atomic op.
     pub pess_reentrant: f64,
     /// Contended pessimistic transition: falls back to coordination, so it
-    /// costs about as much as an explicit optimistic conflict.
+    /// costs about as much as an explicit optimistic conflict. (A wait for a
+    /// release that sends no request is no contended transition.)
     pub pess_contended: f64,
     /// Per-object bookkeeping when the adaptive policy moves an object
     /// between pessimistic and optimistic states (a CAS plus profiling).
     pub policy_move: f64,
-    /// Releasing one pessimistic state (a CAS). Deferred unlocking batches
-    /// these at PSROs; the §3.1 eager-unlock ablation pays one per access.
+    /// Releasing one deferred pessimistic state at a flush (a CAS). A lock
+    /// released at the end of the access that took it — §3.1's eager-unlock
+    /// ablation, pessimistic tracking, a racy object — is part of that
+    /// access's `pessimistic` cost.
     pub state_unlock: f64,
 }
 

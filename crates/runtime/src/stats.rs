@@ -76,7 +76,8 @@ pub enum Event {
     /// A lock-buffer flush (at a PSRO or responding safe point); traced with
     /// the number of buffered locks flushed.
     LockBufferFlush,
-    /// An individual object state unlocked during a flush.
+    /// An individual object state unlocked during a flush. (A lock released
+    /// at the end of the access that took it is part of that access.)
     StateUnlocked,
 
     // --- Coordination mechanics ---

@@ -231,7 +231,8 @@ pub fn run_kind_on(kind: EngineKind, rt: Arc<Runtime>, spec: &WorkloadSpec) -> R
 mod tests {
     use super::*;
     use crate::spec::{racy_inc, sync_inc};
-    use drink_runtime::Event;
+    use drink_runtime::{Event, ObjId};
+    use std::sync::atomic::Ordering;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec::builder().steps_per_thread(2_000).build().unwrap()
@@ -372,6 +373,63 @@ mod tests {
             0,
             "object-level DRF must imply contention-free deferred unlocking"
         );
+    }
+
+    /// Pessimistic tracking is `Cutoff_confl = 0`: every object is born
+    /// pessimistic — the read-shared region included — and every lock goes
+    /// back at the end of its access, so however the threads race, no access
+    /// meets an optimistic state to conflict on, none waits on a lock that
+    /// only a request could release, and the policy never samples.
+    #[test]
+    fn pessimistic_never_coordinates_and_never_profiles() {
+        let racy = WorkloadSpec { threads: 4, ..crate::spec::chaos_read_mostly(0x5EED) };
+        let mut config = runtime_config_for(&racy);
+        config.trace_capacity = 1 << 16;
+        let engine = EngineKind::Pessimistic.build(Arc::new(Runtime::new(config)));
+        let rt = engine.rt();
+        let profiles = || -> Vec<u64> {
+            rt.heap().iter().map(|(_, h)| h.profile().load(Ordering::Relaxed)).collect()
+        };
+        let born = profiles();
+        // The spec's racy slice writes the hot set; every thread then writes
+        // the whole read-shared region too, racing the others' reads and
+        // writes of it.
+        let read_shared: Vec<ObjId> = (0..racy.heap_objects())
+            .map(|i| ObjId(i as u32))
+            .filter(|&o| racy.is_read_shared(o))
+            .collect();
+        let run = drive(&engine, "pessimistic", &racy, |sess, ops| {
+            let acc = execute_ops(sess, ops);
+            for &o in &read_shared {
+                sess.write(o, acc);
+            }
+            acc
+        });
+
+        let r = &run.report;
+        for e in [
+            Event::CoordinationRoundtrip,
+            Event::CoordFanout,
+            Event::OptConflictExplicit,
+            Event::OptConflictImplicit,
+            Event::OptToPess,
+        ] {
+            assert_eq!(r.get(e), 0, "{e:?}");
+        }
+        let rings = rt.trace_rings().expect("built with trace rings");
+        let requests: usize = (0..racy.threads)
+            .filter_map(|t| rings.ring(ThreadId(t as u16)))
+            .flat_map(|ring| ring.snapshot())
+            .filter(|rec| rec.kind == Event::CoordRequestSent)
+            .count();
+        assert_eq!(requests, 0, "a request was sent");
+        assert_eq!(profiles(), born, "a profile word was written");
+        assert!(r.pess_uncontended() > 0 && r.validated_reads() > 0);
+
+        // On a race-free variant, what the run computes is Baseline's.
+        let race_free = WorkloadSpec { locked_frac: 0.0, racy_frac: 0.0, ..racy };
+        let base = run_kind(EngineKind::Baseline, &race_free);
+        assert_eq!(run_kind(EngineKind::Pessimistic, &race_free).heap, base.heap);
     }
 
     #[test]

@@ -18,11 +18,14 @@ pub struct RecordOutcome {
 /// Record one execution of `spec` with the recorder on `kind`'s tracking
 /// configuration: §4.1's on [`EngineKind::Optimistic`], §4.2's on
 /// [`EngineKind::Hybrid`]. The log and the run are named after `kind`.
-/// Panics if `kind` is not a configuration of the hybrid engine.
+/// Panics if `kind` is not a configuration of the hybrid engine, or is one
+/// that does not defer its unlocks ([`EngineKind::Pessimistic`]).
 pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
     let Some(cfg) = kind.hybrid_config() else {
         panic!("the recorder runs on the hybrid engine, which {kind:?} does not configure");
     };
+    // Its release-clock edges are the unlocks a flush makes (§4.2).
+    assert!(!cfg.eager_unlock, "the recorder needs deferred unlocking, which {kind:?} does not do");
     let rt = runtime_for(spec);
     let recorder = Recorder::for_runtime(&rt, kind.name());
     let engine = HybridEngine::with_config(rt, recorder.clone(), cfg);
@@ -81,6 +84,8 @@ mod tests {
     fn supports_refuse_kinds_outside_the_hybrid_engine() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let spec = sync_inc(2, 10);
+        // `Pessimistic` is a hybrid-engine configuration, but an eagerly
+        // unlocking one: both supports rely on deferred unlocking.
         for kind in [
             EngineKind::Baseline,
             EngineKind::Pessimistic,
@@ -95,6 +100,14 @@ mod tests {
                 assert!(msg.contains(&format!("{kind:?}")), "{msg}");
             }
         }
+    }
+
+    /// `Pessimistic` configures the hybrid engine, so it gets past the
+    /// engine check; the recorder refuses it for its eager unlocking.
+    #[test]
+    #[should_panic(expected = "the recorder needs deferred unlocking, which Pessimistic does not do")]
+    fn eager_unlock_is_refused_by_the_recorder() {
+        record(EngineKind::Pessimistic, &sync_inc(2, 10));
     }
 
     #[test]

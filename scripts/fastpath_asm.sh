@@ -5,9 +5,9 @@
 #
 #   scripts/fastpath_asm.sh [path/to/fastpath_probes]
 #
-# Fails if a leaf probe (the hybrid read, write and safepoint, the flat
-# pessimistic engine's read) has no `ret` of its own (the whole operation is out
-# of line), reaches it through a `call` or with any callee-saved register
+# Fails if a leaf probe (the hybrid read, write and safepoint; the read is
+# every tracked configuration's, pessimistic tracking's included) has no `ret`
+# of its own (the whole operation is out of line), reaches it through a `call` or with any callee-saved register
 # pushed (a frame: something that belongs in the continuation was inlined
 # into the leaf), or if `probe_any_read` holds
 # an indirect call anywhere (the erased engine is dispatched through a
@@ -27,7 +27,7 @@ fi
 
 status=0
 printf '%-24s %6s %6s %12s %6s %9s\n' probe insns pushes callee-saved calls indirect
-for probe in probe_hybrid_read probe_hybrid_write probe_hybrid_safepoint probe_pess_read probe_any_read; do
+for probe in probe_hybrid_read probe_hybrid_write probe_hybrid_safepoint probe_any_read; do
     read -r insns pushes saved calls indirect returns < <(
         objdump -d --no-show-raw-insn -M intel --disassemble="$probe" "$bin" | awk '
             /^ +[0-9a-f]+:\t/ {

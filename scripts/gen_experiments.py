@@ -24,6 +24,50 @@ def load(name):
 # The banner's third line: the host the runner saw, and the scale.
 host = lines('cost_table')[2].removeprefix('host: ')
 
+
+def fig7_rows():
+    """E4's table: row name → {column name → (wall %, model %)}."""
+    rows = [l.split() for l in lines('fig7_tracking_overhead')]
+    header = next(r for r in rows if r[:1] == ['program'])[1:]
+    cells = lambda r: {c: tuple(int(x) for x in v.split('/')) for c, v in zip(header, r[1:])}
+    return {r[0]: cells(r) for r in rows if len(r) == len(header) + 1 and '/' in r[1]}
+
+
+# Figure 7's pessimistic-against-hybrid comparison, as the committed run has it.
+fig7 = fig7_rows()
+sync_rows = {}
+for l in lines('fig8_microbench'):
+    if l.startswith('--- racyInc'):
+        break
+    r = l.rsplit(None, 5)
+    if len(r) == 6 and r[0].strip() in ('Optimistic tracking', 'Hybrid tracking'):
+        sync_rows[r[0].strip()] = (float(r[1]), float(r[2]))
+ratio = lambda i: round(sync_rows['Optimistic tracking'][i] / max(sync_rows['Hybrid tracking'][i], 1))
+sync_wall, sync_model = ratio(0), ratio(1)
+e5_ratio = next(l for l in lines('fig8_microbench') if 'shipped hybrid =' in l).split('= ')[1].split(' ')[0]
+# E10: program → (deferred cell, eager cell).
+e10 = {r[0]: (r[1], r[2]) for r in (l.split() for l in lines('e10_deferred_unlock_ablation'))
+       if len(r) == 6 and '/' in r[1]}
+(pess_wall, pess_model), (hyb_wall, hyb_model) = fig7['geomean']['Pess'], fig7['geomean']['Hybrid']
+pess_faster = [p for p, r in fig7.items() if p != 'geomean' and r['Pess'][0] < r['Hybrid'][0]]
+adapt_check = next(l for l in lines('fig7_tracking_overhead') if l.startswith('check:'))
+adapt_detail = adapt_check.split(': ', 2)[2].removesuffix(': VIOLATED')
+headline = [fig7[p] for p in ('xalan6', 'xalan9', 'pjbb2005')]
+opt_range = f"{min(r['Opt'][0] for r in headline)}–{max(r['Opt'][0] for r in headline)}"
+hyb_range = f"{min(r['Hybrid'][0] for r in headline)}–{max(r['Hybrid'][0] for r in headline)}"
+
+
+def beats(hyb, pess):
+    return 'beats it' if hyb < pess else 'does not beat it'
+
+
+def below(a, b):
+    return 'below' if a < b else 'above'
+
+
+def listed(names):
+    return ', '.join(names[:-1]) + ' and ' + names[-1] if len(names) > 1 else ''.join(names) or 'none'
+
 doc = f"""# EXPERIMENTS — paper vs. measured
 
 Full regeneration of every table and figure in the paper's evaluation (§7),
@@ -73,9 +117,12 @@ than pessimistic; explicit coordination is *orders of magnitude* above
 everything (here far more than the paper's ~196×, because a roundtrip waits
 out the polling peer's yields, a scheduler trip, rather than a cache-line
 trip). This gap is the entire premise of the adaptive policy. The pessimistic
-row runs on `PaperModel`, so every access pays §2.1's CAS-lock/unlock pair;
-under `NullSupport` the flat engine's reads of objects its thread owns
-validate instead (DESIGN.md §12) and cost what a hybrid one does.
+row is pessimistic tracking (`HybridConfig::pessimistic()`: `Cutoff_confl =
+0`, eager unlocking) on `PaperModel`, so every access pays §2.1's
+CAS-lock/unlock pair — the runner asserts that its `PessUncontended` count
+equals its access count; under `NullSupport` pessimistic tracking's reads of
+objects its thread owns validate instead (DESIGN.md §12) and cost what a
+hybrid one does.
 
 ## E2 — Figure 6, per-object conflict CDF (optimistic tracking), and the profiles' calibration
 
@@ -133,11 +180,11 @@ calibrated to its *conflict* rate, not its contention rate).
 
 **Agreement** (cells are wall% / model%):
 
-* **hybrid lands near the paper's number**: its model geomean is the
-  paper's 22–23%, its wall geomean about twice that on this oversubscribed
-  guest;
+* **hybrid lands near the paper's number**: its model geomean is
+  {hyb_model}% against the paper's 22%, its wall geomean {hyb_wall}% on this
+  oversubscribed guest;
 * **the headline reductions reproduce**: xalan6, xalan9 and pjbb2005 each
-  drop from ~900–1400% under optimistic tracking to ~55–80% under hybrid
+  drop from {opt_range}% under optimistic tracking to {hyb_range}% under hybrid
   (paper: 65→24, 19→5, 110→49 — same direction, larger magnitudes because our
   explicit roundtrips are relatively costlier, see E1);
 * **low-conflict programs are unharmed**: hybrid is within noise of
@@ -149,16 +196,19 @@ calibrated to its *conflict* rate, not its contention rate).
 
 Divergences: pessimistic tracking's wall geomean sits far below the paper's
 340% (two cores; see the host note), and here it is not the slowest column.
-The `Pess` column runs the engine as shipped, whose reads of objects their
+The `Pess` column is pessimistic tracking as configured
+(`HybridConfig::pessimistic()`: the hybrid engine at `Cutoff_confl = 0`,
+every lock released at the end of its access), whose reads of objects their
 thread owns validate instead of locking (DESIGN.md §12), so it pays its CAS
-pair only on writes and foreign reads: its wall geomean (39%) is below
-hybrid's (48%), and it beats hybrid on the high-conflict profiles (xalan6/9,
-avrora9, pjbb2000/2005), where hybrid still pays Octet's warm-up roundtrips and
-its per-transition bookkeeping. Its model column (≈ flat 28–30%; jython9 37%,
-sunflow9 14%) shows what its locked accesses would cost at the paper's
-prices; the *insensitivity* of pessimistic tracking to conflict rates — the
-property the paper emphasizes — is visible either way. `drink-bench E1`'s
-pessimistic row runs on `PaperModel` and prices §2.1's every-access lock.
+pair only on writes and foreign reads: its wall geomean ({pess_wall}%) is
+{below(pess_wall, hyb_wall)} hybrid's ({hyb_wall}%), and it is the faster of the
+two on {listed(pess_faster)}, where hybrid still pays Octet's warm-up
+roundtrips and its per-transition bookkeeping. Its model column (≈ flat
+28–30%; jython9 37%, sunflow9 14%) shows what its locked accesses would cost
+at the paper's prices; the *insensitivity* of pessimistic tracking to
+conflict rates — the property the paper emphasizes — is visible either way.
+`drink-bench E1`'s pessimistic row runs on `PaperModel` and prices §2.1's
+every-access lock.
 hsqldb6 is *not* the exception here that the paper
 reports (§7.5: hybrid barely helps it, since its conflicts resolve
 implicitly): only 45% of its conflicts are implicit in this profile, and
@@ -169,10 +219,9 @@ high-variance outlier).
 **Adaptive acceptance** (DESIGN.md §13): the `Adapt` column runs the paper's
 policy with a valve that re-opens. Its check — the fastest of 15 trials
 within 5% + 2 ms of the faster of `Pess` and `Opt` on every profile —
-**no longer holds**: 8 of 13. It held on 13 of 13 while every flat-engine
-read locked; now that `Pess` validates its owner's reads it is the faster
-extreme on xalan6, avrora9, xalan9, pjbb2000 and pjbb2005, and Adapt trails
-it there by 24–46%. The check is left as it was; closing the gap is
+**no longer holds**: {adapt_detail}. It held on 13 of 13 while every
+pessimistic read locked; since `Pess` validates its owner's reads it is the
+faster extreme on the high-conflict profiles, and Adapt trails it there. The check is left as it was; closing the gap is
 ROADMAP item 4. Adapt's geomean still sits with hybrid's.
 
 ## E5 — Figure 8, syncInc / racyInc stress tests
@@ -182,17 +231,17 @@ ROADMAP item 4. Adapt's geomean still sits with hybrid's.
 ```
 
 **Agreement**: `syncInc` is the paper's showcase and reproduces sharply —
-optimistic tracking collapses (≈1 000% wall; the paper says ≈1 200%) because
+optimistic tracking collapses (≈900% wall; the paper says ≈1 200%) because
 every increment is a conflicting transition with roundtrip coordination,
 while hybrid moves the counter to pessimistic states and transfers ownership
-by CAS: ~14% wall, model ≈ the paper's 84%. Pessimistic tracking's wall
-number is a few-core artifact (see the host note); its model value matches
-the paper's story that it behaves like hybrid here.
+by CAS: single-digit wall %, model ≈ the paper's 84%. Pessimistic tracking's
+wall number is a few-core artifact (see the host note); its model value
+matches the paper's story that it behaves like hybrid here.
 
 `racyInc` is hybrid's worst case, and the paper's shape is there: on
 `PaperModel` — every lock deferred, as Table 3 has it — hybrid is the slowest
-row by a wide margin (≈13 000% wall against optimistic's ≈2 300%; the paper:
-4 300% against 1 200%), because a contended transition re-coordinates 4.5
+row by a wide margin (≈17 000% wall against optimistic's ≈2 400%; the paper:
+4 300% against 1 200%), because a contended transition re-coordinates 4.8
 times on average before it gets the state ("most of these accesses trigger
 coordination more than once", §7.5).
 
@@ -203,8 +252,8 @@ each of its accesses is a roundtrip. Instead, once the counter has contended
 locks it releases the lock right after the program access (DESIGN.md §13),
 which is the paper's own pre-insight design applied to the one object whose
 races void the insight's premise. The worst case becomes roughly
-pessimistic tracking — 1.2× its wall clock here (the check: within 2×),
-14.6 roundtrips per 1 000 accesses instead of 1 248, and the contended
+pessimistic tracking — {e5_ratio} its wall clock here (the check: within 2×),
+14 roundtrips per 1 000 accesses instead of 1 319, and the contended
 transitions that remain resolve in one round.
 
 ## E6 — Figure 9(a), dependence recorders and replayers
@@ -277,17 +326,27 @@ counts.
 
 The paper's *initial design* unlocked pessimistic states eagerly after every
 access and "added significant overhead"; deferred unlocking is the §3.1
-insight that replaced it. Re-enacting the strawman shows why: eager unlocking
-performs thousands of extra per-access state releases (the `unlocks` column;
-deferred unlocking batches them at PSROs) and loses every reentrant
-transition. On `syncInc` the model gap is ~15 points; on the profile
-workloads pessimistic traffic is a small share of accesses (validated reads,
-DESIGN.md §12, take most pessimistic reads out of the count) so the model gap
-is within a point, and the wall column of these 20–50 ms, 8-thread runs on
-two cores is noise in both directions — and the eager design additionally
-forfeits the hybrid *recorder* entirely (release-clock edges require flush
-points pinned to PSROs). The same mechanism is what the shipped engine
-applies to *racy* objects only (E5), where deferral has nothing to batch.
+insight that replaced it. What eager unlocking gives up here is reentrancy:
+every access the deferred row served reentrantly (`reentrant(d)`) becomes a
+locking one (`locked(e)`), its release inside it. What deferral pays instead
+is one flush unlock per lock (`unlocks(d)`), which the model prices at 70
+cycles on top of the 150 it already charges each locking access, "CAS lock +
+unlock". So the model favours deferral only where a lock is reused before
+its flush: not on `syncInc`, where every critical section takes the counter
+from another thread and nothing is reentrant — there the eager row models
+*cheaper* ({e10['syncInc'][1].split('/')[1]}% against
+{e10['syncInc'][0].split('/')[1]}%), and it pays the same atomics, a CAS per
+access plus a release store per write — and not on the profile workloads,
+where pessimistic traffic is a small share of accesses (validated reads,
+DESIGN.md §12, take most pessimistic reads out of the count) and the model
+gap is within a point. The wall column of these 20–50 ms, 8-thread runs on
+two cores is noise in both directions. The eager design additionally
+forfeits the hybrid *recorder* and the RS enforcer entirely (release-clock
+edges require flush points pinned to PSROs; two-phase locking holds locks to
+region ends), which is why both refuse it. Pessimistic tracking (`Pess`) is
+this eager design applied to every object from birth, and the shipped
+engine applies it to *racy* objects only (E5), where deferral has nothing to
+batch.
 
 ---
 
@@ -295,20 +354,20 @@ applies to *racy* objects only (E5), where deferral has nothing to batch.
 
 | Paper claim | Status |
 |---|---|
-| Hybrid consistently outperforms pessimistic tracking | ➖ on the model geomean (23% against 28%), not on the wall one (46% against 42%): the shipped flat engine validates its owner's reads (DESIGN.md §12), and pessimistic's wall cost is understated on two cores |
+| Hybrid consistently outperforms pessimistic tracking | ➖ hybrid {beats(hyb_model, pess_model)} on the model geomean ({hyb_model}% against {pess_model}%) and {beats(hyb_wall, pess_wall)} on the wall one ({hyb_wall}% against {pess_wall}%), but pessimistic tracking's wall is lower on {listed(pess_faster)}: it validates its owner's reads (DESIGN.md §12), and its wall cost is understated on two cores |
 | Hybrid ≫ optimistic for high-conflict programs (xalan6/9, pjbb2005) | ✅ 13–25× overhead reductions |
 | Hybrid ≈ optimistic for low-conflict programs | ✅ within noise |
 | Adaptive policy cuts conflicting transitions 43–98% on high-conflict programs | ✅ 94–99% here |
 | Per-object profiling catches most conflicts (Fig 6 limit study) | ✅ |
 | Policy insensitive to K_confl/Inertia; small Cutoff suffices | ✅ |
-| syncInc: hybrid ~15× cheaper than optimistic | ✅ (~25× in model overhead, ~70× in wall overhead here) |
+| syncInc: hybrid ~15× cheaper than optimistic | ✅ (~{sync_model}× in model overhead, ~{sync_wall}× in wall overhead here) |
 | racyInc: hybrid gains nothing (worst case) | ✅ on the paper's model (`PaperModel`: slowest row, 4.5 rounds per contended transition); ✎ the shipped engine stops deferring on racy objects and lands within 2× of pessimistic |
 | hsqldb6 barely helped (implicit coordination) | ❌ not here: our hsqldb6 resolves only 45% of its conflicts implicitly, and hybrid cuts its overhead tenfold |
 | Hybrid recorder cheaper than optimistic recorder; same dependences | ✅ + bit-identical replays on all 13 programs |
 | Hybrid replayer slightly slower than optimistic replayer | ➖ not reproduced (shared clock machinery; the hybrid replayer is faster) |
 | Hybrid RS enforcer cheaper than optimistic RS enforcer, same win pattern | ✅ |
 | WrExRLock omission harmless (§7.1) | ✅ harmless, though the full model is the more contended encoding here |
-| Deferred unlocking beats the initial eager design (§3.1) | ✅ structurally; model gap largest where pessimistic traffic is dense |
+| Deferred unlocking beats the initial eager design (§3.1) | ➖ only where locks are reused before a flush (reentrancy); on syncInc, with none, the eager row models cheaper, and on the profiles pessimistic traffic is too sparse to tell |
 | Pessimistic wall cost ≈ 340% | ❌ not reproducible on two cores (model: flat, conflict-insensitive — the qualitative property — is reproduced) |
 
 *Generated {datetime.date.today().isoformat()} from the committed `results/` run.*

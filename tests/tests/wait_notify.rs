@@ -96,9 +96,16 @@ fn producer_consumer_under_pessimistic_tracking() {
         .heap_objects(4)
         .monitors(1)
         .build()));
-    let engine = PessimisticEngine::new(rt);
+    let engine = EngineKind::Pessimistic.build(rt);
+    // Born before either thread runs, as pessimistic tracking births them:
+    // read-shared and pessimistic.
+    for o in [ObjId(0), ObjId(1)] {
+        engine.alloc_init_read_shared(o);
+    }
     let sum = run_producer_consumer(&engine, ITEMS);
     assert_eq!(sum, 7 * ITEMS * (ITEMS + 1) / 2);
+    // Blocked waiters hold no tracking locks, so nobody coordinates with them.
+    assert_eq!(engine.rt().stats().get(Event::CoordinationRoundtrip), 0);
 }
 
 #[test]
