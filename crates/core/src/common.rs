@@ -14,8 +14,10 @@
 //! * `poll` — the responding-safe-point fast path (a counter bump, a test for
 //!   schedule hooks and one relaxed load when no request is pending).
 //!
-//! Engines that have no pessimistic states (optimistic, pessimistic-alone)
-//! still share this code: their lock buffers are simply always empty.
+//! Two engines hold an [`EngineCommon`]:
+//! [`HybridEngine`](crate::engine::hybrid::HybridEngine), in every
+//! configuration, and [`IdealEngine`](crate::engine::ideal::IdealEngine),
+//! whose lock buffers are simply always empty.
 
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -351,7 +353,7 @@ impl<S: Support> EngineCommon<S> {
             }
             self.note(ts, Event::RespondedExplicit, reqs.len() as u64);
             ts.stats.add(Event::CoordBatchRequests, reqs.len() as u64);
-            self.support.on_responded(self.cx(ts), clock);
+            self.support.on_release(self.cx(ts));
             for req in reqs.drain(..) {
                 req.token.complete(clock);
             }
@@ -523,9 +525,9 @@ impl<S: Support> EngineCommon<S> {
     /// PSRO instrumentation: bump the release clock, flush, notify support.
     /// (Bump-before-flush: see [`EngineCommon::respond_pending`].)
     pub fn psro_flush(&self, ts: &mut ThreadState) {
-        let clock = self.rt.control(ts.tid).bump_release_clock();
+        self.rt.control(ts.tid).bump_release_clock();
         self.flush_lock_buffer(ts);
-        self.support.on_release(self.cx(ts), clock);
+        self.support.on_release(self.cx(ts));
     }
 
     // --- Monitor operations (program synchronization) ---
@@ -539,14 +541,12 @@ impl<S: Support> EngineCommon<S> {
         } else {
             Event::MonitorAcquireFast
         });
-        self.support
-            .on_monitor_acquire(self.cx(ts), m, info.prev_release);
+        self.support.on_monitor_acquire(self.cx(ts), info.prev_release);
         ts.op_index += 1;
     }
 
     /// Monitor release: a PSRO. Counts as one program operation.
     pub fn monitor_release(&self, ts: &mut ThreadState, m: MonitorId) {
-        self.support.on_monitor_release(self.cx(ts), m);
         self.rt.monitor_release(m, ts.tid, self);
         ts.stats.bump(Event::MonitorRelease);
         ts.op_index += 1;
@@ -556,8 +556,7 @@ impl<S: Support> EngineCommon<S> {
     pub fn monitor_wait(&self, ts: &mut ThreadState, m: MonitorId) {
         let info = self.rt.monitor_wait(m, ts.tid, self);
         ts.stats.bump(Event::MonitorAcquireBlocked);
-        self.support
-            .on_monitor_acquire(self.cx(ts), m, info.prev_release);
+        self.support.on_monitor_acquire(self.cx(ts), info.prev_release);
         ts.op_index += 1;
     }
 }
@@ -584,7 +583,7 @@ impl<S: Support> RtHooks for EngineCommon<S> {
                 pess_locked: &ts.lock_buffer,
             },
         );
-        let clock = self.rt.control(t).bump_release_clock();
+        self.rt.control(t).bump_release_clock();
         // Injected bug `skip-flush-before-block` (check-invariants builds
         // only): entering BLOCKED while still holding pessimistic object
         // locks. Implicit coordination then transfers states the blocked
@@ -607,7 +606,7 @@ impl<S: Support> RtHooks for EngineCommon<S> {
             "T{} about to publish BLOCKED while holding pessimistic locks",
             t.raw()
         );
-        self.support.on_release(self.cx(ts), clock);
+        self.support.on_release(self.cx(ts));
     }
 
     fn on_blocked_publish(&self, t: ThreadId) {
@@ -825,7 +824,7 @@ mod tests {
             &mut Vec::new(),
             &mut Vec::new(),
         );
-        assert_eq!(mode, Some(crate::support::CoordMode::Implicit));
+        assert_eq!(mode, Some(crate::coord::CoordMode::Implicit));
     }
 
     #[test]

@@ -49,7 +49,19 @@ use drink_runtime::{
     ThreadStatus,
 };
 
-use crate::support::{CoordMode, PrevHolders};
+use crate::support::PrevHolders;
+
+/// How a conflicting transition's coordination was resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CoordMode {
+    /// Roundtrip request/response through the remote thread's safe point.
+    Explicit,
+    /// Epoch CAS against a blocked remote thread.
+    Implicit,
+    /// Mixed (RdSh conflicts coordinate with every thread; some responded
+    /// explicitly, some were blocked).
+    Mixed,
+}
 
 /// One outstanding peer of an in-flight [`coordinate`] call: scratch state
 /// the caller provides (and reuses across conflicts) so a coordination

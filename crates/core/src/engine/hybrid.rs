@@ -46,14 +46,14 @@ use std::sync::Arc;
 use drink_runtime::{Event, MonitorId, ObjHeader, ObjId, Runtime, SchedPoint, ThreadId};
 
 use crate::common::EngineCommon;
-use crate::coord;
+use crate::coord::{self, CoordMode};
 use crate::engine::Tracker;
 use crate::policy::{AdaptivePolicy, PessVerdict, PolicyParams, Valve};
-use crate::support::{CoordMode, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
+use crate::support::{NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
 pub use crate::table::SelfReadMode;
 use crate::table::{transition, Access, Class, Departures, Ev, Install, Lock, Next, Row, Who};
 use crate::tstate::ThreadState;
-use crate::word::{Kind, LockMode, StateWord, MAX_READ_LOCKS};
+use crate::word::{LockMode, StateWord, MAX_READ_LOCKS};
 
 /// How the executor leaves the object for the program access that follows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -276,7 +276,7 @@ impl<S: Support> HybridEngine<S> {
         self.common.policy.in_pess(profile)
     }
 
-    fn finish_opt_conflict(&self, ts: &mut ThreadState, o: ObjId, mode: CoordMode, write: bool) {
+    fn finish_opt_conflict(&self, ts: &mut ThreadState, o: ObjId, mode: CoordMode) {
         let e = match mode {
             CoordMode::Explicit | CoordMode::Mixed => Event::OptConflictExplicit,
             CoordMode::Implicit => Event::OptConflictImplicit,
@@ -287,15 +287,9 @@ impl<S: Support> HybridEngine<S> {
             t: ts.tid,
             op: ts.op_index,
         };
-        self.common.support.on_transition(
-            cx,
-            o,
-            TransitionEv::Conflict {
-                mode,
-                sources: &ts.src_scratch,
-                write,
-            },
-        );
+        self.common
+            .support
+            .on_transition(cx, o, TransitionEv::Conflict { sources: &ts.src_scratch });
     }
 
     /// Does a conflicting read of `o` install its state unlocked (marked rows
@@ -341,10 +335,7 @@ impl<S: Support> HybridEngine<S> {
             Ev::Conflict => unreachable!("told by finish_opt_conflict, with the coordination's sources"),
             Ev::UpgradeOwn => TransitionEv::UpgradeOwn,
             Ev::PessLocalAcquire => TransitionEv::PessLocalAcquire,
-            Ev::PessConflictingAcquire => TransitionEv::PessConflictingAcquire {
-                prev: old.holders(),
-                write: step.access == Access::Write,
-            },
+            Ev::PessConflictingAcquire => TransitionEv::PessConflictingAcquire { prev: old.holders() },
             Ev::RdShCreate => {
                 ts.rd_sh_count = ts.rd_sh_count.max(c);
                 TransitionEv::RdShCreate { prev_owner: old.owner(), c, pess: new.is_pess() }
@@ -531,7 +522,7 @@ impl<S: Support> HybridEngine<S> {
                     let to_pess = self.conflict_to_pess(ts, o, mode);
                     // Support first, then publish (recorder entries must be
                     // visible before the new state is).
-                    self.finish_opt_conflict(ts, o, mode, access == Access::Write);
+                    self.finish_opt_conflict(ts, o, mode);
                     if to_pess {
                         state.store(pess.0, Ordering::Release);
                         self.common.note(ts, Event::OptToPess, o.0 as u64);
@@ -565,22 +556,12 @@ impl<S: Support> HybridEngine<S> {
         }
     }
 
-    /// Does a read by `ts` leave `cur` as it is? Exclusive owner, or
-    /// read-shared with a fresh rdShCount (Table 1's Same∗ row).
-    #[inline(always)]
-    fn read_is_same_state(ts: &ThreadState, cur: u64) -> bool {
-        let w = StateWord(cur);
-        cur == StateWord::wr_ex_opt(ts.tid).0
-            || cur == StateWord::rd_ex_opt(ts.tid).0
-            || (w.kind() == Kind::RdSh && !w.is_pess() && ts.rd_sh_count >= w.rdsh_count())
-    }
-
     /// Figure 10(a)'s out-of-line call: every read but the leaf's.
     #[inline(never)]
     fn read_rest(&self, ts: &mut ThreadState, obj: &ObjHeader, o: ObjId, cur: u64) -> u64 {
         let t = ts.tid;
         let w = StateWord(cur);
-        if Self::read_is_same_state(ts, cur) {
+        if ts.read_is_same_state(cur) {
             ts.stats.bump(Event::OptSameState);
         } else {
             // A read whose Table 3 row is non-conflicting, of a state nobody
@@ -629,6 +610,15 @@ impl<S: Support> HybridEngine<S> {
             return Some(prev);
         }
         self.write_rest(ts, o, cur, v, abortable)
+    }
+
+    /// Abortable tracked write, for the RS enforcer (§5): returns
+    /// `Some(previous payload)` if the write completed (the payload read
+    /// under ownership, for undo logging), or `None` if the support asked for
+    /// an abort mid-transition ([`Support::should_abort`]) — in which case
+    /// nothing was written and no state was claimed.
+    pub fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
+        self.write_impl(t, o, v, true)
     }
 
     /// Figure 10(a)'s out-of-line call: every write but the leaf's. (Six
@@ -763,7 +753,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
         let obj = self.common.rt.obj(o);
         let cur = obj.state().load(Ordering::Acquire);
         let quiet = !self.common.rt.tracing_enabled();
-        if quiet && Self::read_is_same_state(ts, cur) {
+        if quiet && ts.read_is_same_state(cur) {
             ts.stats.bump(Event::OptSameState);
             let v = obj.data_read();
             ts.op_index += 1;
@@ -779,10 +769,6 @@ impl<S: Support> Tracker for HybridEngine<S> {
     #[inline(always)]
     fn write(&self, t: ThreadId, o: ObjId, v: u64) {
         self.write_impl(t, o, v, false);
-    }
-
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
-        self.write_impl(t, o, v, true)
     }
 
     fn alloc_init(&self, o: ObjId, owner: ThreadId) {
@@ -803,6 +789,7 @@ mod tests {
     use super::*;
     use crate::policy::{Phase, Profile};
     use crate::support::PaperModel;
+    use crate::word::Kind;
     use drink_runtime::{RuntimeConfig, StatsReport};
 
     fn test_rt() -> Arc<Runtime> {

@@ -92,14 +92,7 @@ impl Tracker for IdealEngine {
         let ts = unsafe { self.common.ts(t) };
         ts.stats.bump(Event::Read);
         let obj = self.common.rt.obj(o);
-        let cur = obj.state().load(Ordering::Acquire);
-        let w = StateWord(cur);
-        // Fast path: exclusive owner, or read-shared with a fresh rdShCount
-        // (Table 1's Same∗ row) — loads and compares, no synchronization.
-        if cur == StateWord::wr_ex_opt(t).0
-            || cur == StateWord::rd_ex_opt(t).0
-            || (w.kind() == Kind::RdSh && !w.is_pess() && ts.rd_sh_count >= w.rdsh_count())
-        {
+        if ts.read_is_same_state(obj.state().load(Ordering::Acquire)) {
             ts.stats.bump(Event::OptSameState);
         } else {
             self.slow(ts, o, Access::Read);

@@ -280,7 +280,6 @@ impl Tracker for AnyEngine {
         fn read(&self, t: ThreadId, o: ObjId) -> u64;
         #[inline(always)]
         fn write(&self, t: ThreadId, o: ObjId, v: u64);
-        fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64>;
         fn alloc_init(&self, o: ObjId, owner: ThreadId);
         fn alloc_init_read_shared(&self, o: ObjId);
         #[inline(always)]
@@ -316,7 +315,7 @@ mod tests {
         s.synchronized(MonitorId(0), |s| s.write(ObjId(0), s.read(ObjId(0)) + 1));
         engine.alloc_init_read_shared(ObjId(1));
         assert_eq!(s.read(ObjId(1)), 0);
-        assert_eq!(engine.try_write(s.tid(), ObjId(2), 9), Some(0));
+        s.write(ObjId(2), 9);
         s.safepoint();
         drop(s);
         let heap = engine.rt().heap();

@@ -110,20 +110,6 @@ pub trait Tracker: Send + Sync {
     /// Tracked write of `o`'s payload.
     fn write(&self, t: ThreadId, o: ObjId, v: u64);
 
-    /// Abortable tracked write, for speculation-based runtime support (the
-    /// RS enforcer): returns `Some(previous payload)` if the write completed
-    /// (the payload read under ownership, for undo logging), or `None` if
-    /// the engine's support asked for an abort mid-transition — in which
-    /// case nothing was written and no state was claimed.
-    ///
-    /// The default implementation never aborts and reads the previous value
-    /// racily; engines that can yield ownership mid-write override it.
-    fn try_write(&self, t: ThreadId, o: ObjId, v: u64) -> Option<u64> {
-        let prev = self.rt().obj(o).data_read();
-        self.write(t, o, v);
-        Some(prev)
-    }
-
     /// Initialize `o` as freshly allocated by `owner` (each new object starts
     /// write-exclusive for its allocating thread, §6.2).
     fn alloc_init(&self, o: ObjId, owner: ThreadId);

@@ -31,19 +31,7 @@
 //!   its own (recorded) transition — see `drink-replay` for the full
 //!   argument.
 
-use drink_runtime::{MonitorId, ObjId, Runtime, ThreadId};
-
-/// How a conflicting transition's coordination was resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoordMode {
-    /// Roundtrip request/response through the remote thread's safe point.
-    Explicit,
-    /// Epoch CAS against a blocked remote thread.
-    Implicit,
-    /// Mixed (RdSh conflicts coordinate with every thread; some responded
-    /// explicitly, some were blocked).
-    Mixed,
-}
+use drink_runtime::{ObjId, Runtime, ThreadId};
 
 /// Whom a pessimistic conflicting acquire took the state from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,14 +72,9 @@ pub enum TransitionEv<'a> {
     },
     /// Conflicting transition resolved by coordination.
     Conflict {
-        /// Explicit, implicit, or mixed.
-        mode: CoordMode,
         /// `(thread, release clock)` pairs dominating each remote thread's
         /// last access.
         sources: &'a [(ThreadId, u64)],
-        /// Is the triggering access a write? (Race detectors need the access
-        /// kind: read→read transfers are not conflicts.)
-        write: bool,
     },
     /// Pessimistic uncontended transition involving conflicting states
     /// (e.g. `WrExPess(T1)` read by T2). The happens-before sources are the
@@ -101,8 +84,6 @@ pub enum TransitionEv<'a> {
     PessConflictingAcquire {
         /// The previous holder(s) of the state.
         prev: PrevHolders,
-        /// Is the triggering access a write?
-        write: bool,
     },
     /// This thread read-locked its *own* unlocked exclusive state
     /// (`WrExPess(T) → WrEx*Lock(T)` or `RdExPess(T) → RdExRLock(T)`). No
@@ -142,9 +123,13 @@ pub struct SupportCx<'a> {
 /// Observer interface for runtime support built on a tracking engine.
 ///
 /// All methods default to no-ops; [`NullSupport`] is the canonical "tracking
-/// alone" instantiation. Implementations must be cheap and reentrancy-free:
-/// they are called from instrumentation paths, sometimes while the calling
-/// thread holds pessimistic object locks.
+/// alone" instantiation. Each hook has one consumer: the recorder (§4) reads
+/// [`Support::on_transition`], [`Support::on_release`] and
+/// [`Support::on_monitor_acquire`]; the RS enforcer (§5) reads
+/// [`Support::before_yield`], [`Support::on_wake_after_implicit`] and
+/// [`Support::should_abort`]. Implementations must be cheap and
+/// reentrancy-free: they are called from instrumentation paths, sometimes
+/// while the calling thread holds pessimistic object locks.
 #[allow(unused_variables)]
 pub trait Support: Send + Sync + 'static {
     /// If true, engines *pre-publish* transitions: the state word is parked
@@ -183,20 +168,16 @@ pub trait Support: Send + Sync + 'static {
     /// Called with the final state already decided; if
     /// [`Support::PREPUBLISH`] is set, the state word still reads `Int(T)`
     /// while this runs. Always called *before* the program access is
-    /// performed.
+    /// performed. The recorder turns it into log edges.
     #[inline(always)]
     fn on_transition(&self, cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {}
 
-    /// Thread `cx.t` flushed its lock buffer at a PSRO; its release clock is
-    /// now `clock`.
+    /// Thread `cx.t` bumped its release clock and flushed its lock buffer,
+    /// at a PSRO, a blocking safe point or a responding safe point (there,
+    /// before the response tokens complete). The recorder mirrors the bump
+    /// into its log.
     #[inline(always)]
-    fn on_release(&self, cx: SupportCx<'_>, clock: u64) {}
-
-    /// Thread `cx.t` responded to explicit coordination request(s) at a safe
-    /// point; its release clock is now `clock`. Runs after the flush and
-    /// clock bump, before the response tokens complete.
-    #[inline(always)]
-    fn on_responded(&self, cx: SupportCx<'_>, clock: u64) {}
+    fn on_release(&self, cx: SupportCx<'_>) {}
 
     /// Thread `cx.t` is about to relinquish ownership of object states (it
     /// will flush and respond, or it is entering a blocking safe point). The
@@ -206,19 +187,15 @@ pub trait Support: Send + Sync + 'static {
     #[inline(always)]
     fn before_yield(&self, cx: SupportCx<'_>, info: YieldInfo<'_>) {}
 
-    /// Thread `cx.t` acquired monitor `m`; `prev` identifies the previous
-    /// release (thread and its release clock at release time), if any.
+    /// Thread `cx.t` acquired a monitor; `prev` identifies the previous
+    /// release (thread and its release clock at release time), if any. The
+    /// recorder logs it as a synchronization edge.
     #[inline(always)]
-    fn on_monitor_acquire(&self, cx: SupportCx<'_>, m: MonitorId, prev: Option<(ThreadId, u64)>) {}
-
-    /// Thread `cx.t` is about to release monitor `m` (before the release
-    /// becomes visible). Race detectors publish their sync vector clocks
-    /// here.
-    #[inline(always)]
-    fn on_monitor_release(&self, cx: SupportCx<'_>, m: MonitorId) {}
+    fn on_monitor_acquire(&self, cx: SupportCx<'_>, prev: Option<(ThreadId, u64)>) {}
 
     /// Thread `cx.t` woke from a blocking safe point and learned it had been
-    /// coordinated with implicitly.
+    /// coordinated with implicitly. The RS enforcer rolls its region back
+    /// defensively.
     #[inline(always)]
     fn on_wake_after_implicit(&self, cx: SupportCx<'_>) {}
 
@@ -264,16 +241,16 @@ mod tests {
     #[derive(Default)]
     struct Probe {
         transitions: std::sync::atomic::AtomicUsize,
-        /// Every `PessConflictingAcquire`, as `(object, holders named, write)`.
-        acquires: std::sync::Mutex<Vec<(ObjId, PrevHolders, bool)>>,
+        /// Every `PessConflictingAcquire`, as `(object, holders named)`.
+        acquires: std::sync::Mutex<Vec<(ObjId, PrevHolders)>>,
     }
 
     impl Support for Probe {
         fn on_transition(&self, _cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {
             self.transitions
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if let TransitionEv::PessConflictingAcquire { prev, write } = ev {
-                self.acquires.lock().unwrap().push((obj, prev, write));
+            if let TransitionEv::PessConflictingAcquire { prev } = ev {
+                self.acquires.lock().unwrap().push((obj, prev));
             }
         }
     }
@@ -293,7 +270,7 @@ mod tests {
             op: 7,
         };
         p.on_transition(cx, ObjId(1), TransitionEv::UpgradeOwn);
-        p.on_release(cx, 3); // default no-op
+        p.on_release(cx); // default no-op
         assert_eq!(p.transitions.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
@@ -330,10 +307,10 @@ mod tests {
         assert_eq!(
             *e.common().support.acquires.lock().unwrap(),
             [
-                (ObjId(0), PrevHolders::One(other), false),
-                (ObjId(1), PrevHolders::One(other), true),
-                (ObjId(2), PrevHolders::AllOthers, true),
-                (ObjId(3), PrevHolders::AllOthers, true),
+                (ObjId(0), PrevHolders::One(other)),
+                (ObjId(1), PrevHolders::One(other)),
+                (ObjId(2), PrevHolders::AllOthers),
+                (ObjId(3), PrevHolders::AllOthers),
             ]
         );
         e.detach(t);

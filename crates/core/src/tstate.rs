@@ -23,7 +23,7 @@ use std::ptr::NonNull;
 
 use drink_runtime::{LocalStats, ObjId, ThreadControl, ThreadId};
 
-use crate::word::LockMode;
+use crate::word::{Kind, LockMode, StateWord};
 
 /// A dense bitmap over `ObjId`s with an O(1) element count.
 ///
@@ -271,6 +271,17 @@ impl ThreadState {
         if lock == LockMode::Read {
             self.rd_set.insert(o.0);
         }
+    }
+
+    /// Does a read by this thread leave the state word `cur` as it is?
+    /// Exclusive owner, or read-shared with a fresh rdShCount (Table 1's
+    /// Same∗ row): loads and compares, no synchronization.
+    #[inline(always)]
+    pub fn read_is_same_state(&self, cur: u64) -> bool {
+        let w = StateWord(cur);
+        cur == StateWord::wr_ex_opt(self.tid).0
+            || cur == StateWord::rd_ex_opt(self.tid).0
+            || (w.kind() == Kind::RdSh && !w.is_pess() && self.rd_sh_count >= w.rdsh_count())
     }
 
     /// True if this thread holds no pessimistic locks (invariant at blocking

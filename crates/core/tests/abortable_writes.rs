@@ -1,4 +1,4 @@
-//! Directed tests of `Tracker::try_write`'s abort semantics: when a support
+//! Directed tests of `HybridEngine::try_write`'s abort semantics: when a support
 //! requests an abort after a mid-transition yield, the write must not
 //! complete, nothing may stay claimed, and the state word must be restored.
 
@@ -117,7 +117,7 @@ fn try_write_succeeds_when_not_doomed() {
     let t = Tracker::attach(&engine);
     Tracker::alloc_init(&engine, O, t);
     Tracker::write(&engine, t, O, 5);
-    let prev = Tracker::try_write(&engine, t, O, 6);
+    let prev = engine.try_write(t, O, 6);
     assert_eq!(prev, Some(5), "try_write returns the pre-write payload");
     assert_eq!(Tracker::rt(&engine).obj(O).data_read(), 6);
     Tracker::detach(&engine, t);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use drink_core::support::{PrevHolders, Support, SupportCx, TransitionEv};
-use drink_runtime::{MonitorId, ObjId, ThreadId};
+use drink_runtime::{ObjId, ThreadId};
 
 use crate::log::{RecordingLog, ThreadLog};
 
@@ -232,21 +232,12 @@ impl Support for Recorder {
         }
     }
 
-    fn on_release(&self, cx: SupportCx<'_>, _clock: u64) {
+    fn on_release(&self, cx: SupportCx<'_>) {
         // The engine already bumped the clock; mirror it into the log.
         self.inner.logs[cx.t.index()].lock().push_bump(cx.op);
     }
 
-    fn on_responded(&self, cx: SupportCx<'_>, _clock: u64) {
-        self.inner.logs[cx.t.index()].lock().push_bump(cx.op);
-    }
-
-    fn on_monitor_acquire(
-        &self,
-        cx: SupportCx<'_>,
-        _m: MonitorId,
-        prev: Option<(ThreadId, u64)>,
-    ) {
+    fn on_monitor_acquire(&self, cx: SupportCx<'_>, prev: Option<(ThreadId, u64)>) {
         if let Some((src, clock)) = prev {
             self.wait_for(&cx, src, clock);
         }
@@ -266,16 +257,20 @@ mod tests {
         }
     }
 
+    /// Every release-clock bump — a PSRO's, a blocking safe point's, a
+    /// response's — is one pre-wait bump, and bumps pinned at one operation
+    /// coalesce.
     #[test]
     fn release_and_respond_mirror_bumps_into_log() {
         let rt = Runtime::new(RuntimeConfig::default());
         let t = rt.register_thread();
         let rec = Recorder::new(4, 8, "test", 1);
         let cx = SupportCx { rt: &rt, t, op: 5 };
-        rec.on_release(cx, 1);
-        rec.on_responded(cx, 2);
+        rec.on_release(cx);
+        rec.on_release(cx);
+        rec.on_release(SupportCx { op: 6, ..cx });
         let log = rec.into_log();
-        assert_eq!(log.threads[t.index()].sources_pre, vec![(5, 2)]);
+        assert_eq!(log.threads[t.index()].sources_pre, vec![(5, 2), (6, 1)]);
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
         // the fabricated wait below is satisfiable).
         let cx0m = SupportCx { rt: &rt, t: t0, op: 0 };
         for _ in 0..7 {
-            rec.on_release(cx0m, 0);
+            rec.on_release(cx0m);
         }
 
         // t1 "transitions" o with an edge from t0 at clock 7.
@@ -298,11 +293,7 @@ mod tests {
         rec.on_transition(
             cx1,
             o,
-            TransitionEv::Conflict {
-                mode: drink_core::support::CoordMode::Explicit,
-                sources: &[(t0, 7)],
-                write: true,
-            },
+            TransitionEv::Conflict { sources: &[(t0, 7)] },
         );
         // A later RdShCreate by t0 must order after t1's transition.
         let cx0 = SupportCx { rt: &rt, t: t0, op: 9 };
@@ -337,7 +328,7 @@ mod tests {
         // mirrors the bump into the log); t0 then flushes once more.
         let psro = |t: ThreadId| {
             let clock = rt.control(t).bump_release_clock();
-            rec.on_release(SupportCx { rt: &rt, t, op: 0 }, clock);
+            rec.on_release(SupportCx { rt: &rt, t, op: 0 });
             clock
         };
         let (first, _) = (psro(t0), psro(t2));
@@ -346,7 +337,7 @@ mod tests {
 
         let acquire = |op, prev| {
             let cx1 = SupportCx { rt: &rt, t: t1, op };
-            let ev = TransitionEv::PessConflictingAcquire { prev, write: true };
+            let ev = TransitionEv::PessConflictingAcquire { prev };
             rec.on_transition(cx1, ObjId(op as u32), ev)
         };
         acquire(2, PrevHolders::One(t0));
@@ -425,11 +416,11 @@ mod tests {
         // Pretend t0 released at clock 3 — but a wait is only valid if t0's
         // log shows 3 bumps; mirror them first.
         let cx0 = SupportCx { rt: &rt, t: t0, op: 0 };
-        rec.on_release(cx0, 1);
-        rec.on_release(cx0, 2);
-        rec.on_release(cx0, 3);
+        for _ in 0..3 {
+            rec.on_release(cx0);
+        }
         let cx1 = SupportCx { rt: &rt, t: t1, op: 2 };
-        rec.on_monitor_acquire(cx1, MonitorId(0), Some((t0, 3)));
+        rec.on_monitor_acquire(cx1, Some((t0, 3)));
         let log = rec.into_log();
         assert_eq!(log.threads[t1.index()].sinks[0].waits, vec![(t0, 3)]);
         assert_eq!(log.validate(), Ok(()));

@@ -28,6 +28,7 @@ use drink_runtime::{Event, MonitorId, NoHooks, ObjId, Runtime, ThreadId};
 
 use crate::log::RecordingLog;
 
+#[derive(Default)]
 struct ReplayLocal {
     /// Deterministic op position (same counting rule as the engines).
     op: u64,
@@ -66,15 +67,7 @@ impl ReplayEngine {
             rt,
             log,
             per_thread: (0..n)
-                .map(|_| {
-                    OwnedByThread::new(ReplayLocal {
-                        op: 0,
-                        pre_idx: 0,
-                        post_idx: 0,
-                        sink_idx: 0,
-                        stats: drink_runtime::LocalStats::new(),
-                    })
-                })
+                .map(|_| OwnedByThread::new(ReplayLocal::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             elide_sync,
@@ -131,11 +124,6 @@ impl ReplayEngine {
             local.post_idx += 1;
         }
     }
-
-    /// Total replay waits that actually spun (diagnostic).
-    pub fn rt_handle(&self) -> &Arc<Runtime> {
-        &self.rt
-    }
 }
 
 impl Tracker for ReplayEngine {
@@ -160,13 +148,7 @@ impl Tracker for ReplayEngine {
         self.per_thread[t.index()].reset_owner();
         // SAFETY: we are the thread that just claimed this slot.
         unsafe {
-            *self.per_thread[t.index()].get() = ReplayLocal {
-                op: 0,
-                pre_idx: 0,
-                post_idx: 0,
-                sink_idx: 0,
-                stats: drink_runtime::LocalStats::new(),
-            };
+            *self.per_thread[t.index()].get() = ReplayLocal::default();
         }
         t
     }

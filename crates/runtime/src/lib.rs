@@ -88,7 +88,7 @@ pub enum SchedPoint {
     /// side). This is the widened blocked/running race window the batched
     /// protocol introduces.
     CoordFanoutPoll,
-    /// About to publish BLOCKED at a generic blocking safe point.
+    /// About to run a generic blocking operation (BLOCKED published).
     BlockedPublish,
     /// A validating reader has loaded the payload and is about to re-load
     /// the state word (DESIGN.md §12). This is the race window of the

@@ -44,13 +44,9 @@ struct MonState {
 pub struct AcquireInfo {
     /// Did the acquire block (making it a blocking safe point)?
     pub blocked: bool,
-    /// If it blocked: did implicit coordination happen while parked?
-    pub implicit_bumped: bool,
     /// The previous releaser and its release clock, if the monitor has ever
     /// been released. Recorders turn this into a sync happens-before edge.
     pub prev_release: Option<(ThreadId, u64)>,
-    /// True if this acquire was reentrant (the thread already held it).
-    pub reentrant: bool,
 }
 
 enum TryAcquire {
@@ -88,6 +84,29 @@ fn park_until(
     }
 }
 
+/// A blocking safe point around `park` (a monitor park, or any blocking
+/// operation): reach a consistent state ([`RtHooks::before_block`]), publish
+/// BLOCKED, answer the explicit requests that raced with the publication
+/// ([`RtHooks::on_blocked_publish`]), report `point`, run `park`, then return
+/// to RUNNING and tell [`RtHooks::after_unblock`] whether another thread
+/// coordinated implicitly meanwhile. Returns `park`'s result and that flag.
+pub(crate) fn blocking_safe_point<H: RtHooks, R>(
+    t: ThreadId,
+    control: &ThreadControl,
+    hooks: &H,
+    point: SchedPoint,
+    park: impl FnOnce() -> R,
+) -> (R, bool) {
+    hooks.before_block(t);
+    let block_epoch = control.publish_blocked();
+    hooks.on_blocked_publish(t);
+    hooks.sched_point(t, point);
+    let r = park();
+    let bumped = control.return_to_running(block_epoch);
+    hooks.after_unblock(t, bumped);
+    (r, bumped)
+}
+
 /// A reentrant program monitor with wait/notify.
 #[derive(Debug)]
 pub struct Monitor {
@@ -119,24 +138,11 @@ impl Monitor {
             None => {
                 st.held_by = Some(t);
                 st.recursion = 1;
-                TryAcquire::Taken(AcquireInfo {
-                    blocked: false,
-                    implicit_bumped: false,
-                    prev_release: st.last_release,
-                    reentrant: false,
-                })
             }
-            Some(holder) if holder == t => {
-                st.recursion += 1;
-                TryAcquire::Taken(AcquireInfo {
-                    blocked: false,
-                    implicit_bumped: false,
-                    prev_release: st.last_release,
-                    reentrant: true,
-                })
-            }
-            Some(_) => TryAcquire::Contended,
+            Some(holder) if holder == t => st.recursion += 1,
+            Some(_) => return TryAcquire::Contended,
         }
+        TryAcquire::Taken(AcquireInfo { blocked: false, prev_release: st.last_release })
     }
 
     /// Acquire the monitor for `t`. Uncontended acquires never touch the
@@ -173,35 +179,18 @@ impl Monitor {
             }
         }
 
-        // Contended: blocking safe point. Reach a consistent state, publish
-        // BLOCKED, then respond to any explicit requests that raced with the
-        // status change before parking.
-        hooks.before_block(t);
-        let block_epoch = control.publish_blocked();
-        hooks.on_blocked_publish(t);
-        hooks.sched_point(t, SchedPoint::MonitorPark);
-
-        let prev_release;
-        {
+        // Contended: park at a blocking safe point.
+        let (prev_release, _) = blocking_safe_point(t, control, hooks, SchedPoint::MonitorPark, || {
             let mut st = self.state.lock();
             park_until(&self.acquire_cv, &mut st, "contended monitor acquire", |s| {
                 s.held_by.is_none()
             });
             st.held_by = Some(t);
             st.recursion = 1;
-            prev_release = st.last_release;
-        }
-
-        let implicit_bumped = control.return_to_running(block_epoch);
-        hooks.after_unblock(t, implicit_bumped);
+            st.last_release
+        });
         hooks.sched_point(t, SchedPoint::MonitorUnpark);
-
-        AcquireInfo {
-            blocked: true,
-            implicit_bumped,
-            prev_release,
-            reentrant: false,
-        }
+        AcquireInfo { blocked: true, prev_release }
     }
 
     /// Release the monitor. The PSRO hook runs *before* the release becomes
@@ -235,13 +224,7 @@ impl Monitor {
         hooks.on_psro(t);
         let clock = control.release_clock();
 
-        hooks.before_block(t);
-        let block_epoch = control.publish_blocked();
-        hooks.on_blocked_publish(t);
-        hooks.sched_point(t, SchedPoint::MonitorWaitPark);
-
-        let prev_release;
-        {
+        let (prev_release, _) = blocking_safe_point(t, control, hooks, SchedPoint::MonitorWaitPark, || {
             let mut st = self.state.lock();
             assert_eq!(st.held_by, Some(t), "wait on monitor not held by {t}");
             let saved_recursion = st.recursion;
@@ -261,19 +244,10 @@ impl Monitor {
             });
             st.held_by = Some(t);
             st.recursion = saved_recursion;
-            prev_release = st.last_release;
-        }
-
-        let implicit_bumped = control.return_to_running(block_epoch);
-        hooks.after_unblock(t, implicit_bumped);
+            st.last_release
+        });
         hooks.sched_point(t, SchedPoint::MonitorUnpark);
-
-        AcquireInfo {
-            blocked: true,
-            implicit_bumped,
-            prev_release,
-            reentrant: false,
-        }
+        AcquireInfo { blocked: true, prev_release }
     }
 
     /// `Object.notifyAll()`: wake every waiter. The caller should hold the
@@ -315,7 +289,6 @@ mod tests {
         let c = controls(1);
         let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
         assert!(!info.blocked);
-        assert!(!info.reentrant);
         assert_eq!(info.prev_release, None);
         assert_eq!(m.holder(), Some(ThreadId(0)));
         m.release(ThreadId(0), &c[0], &NoHooks);
@@ -327,11 +300,14 @@ mod tests {
     fn reentrant_acquire_counts_recursion() {
         let m = Monitor::new();
         let c = controls(1);
-        m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
-        let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
-        assert!(info.reentrant);
-        m.release(ThreadId(0), &c[0], &NoHooks);
-        assert_eq!(m.holder(), Some(ThreadId(0)), "still held after inner release");
+        for _ in 0..3 {
+            let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
+            assert!(!info.blocked, "a reentrant acquire never blocks");
+        }
+        for _ in 0..2 {
+            m.release(ThreadId(0), &c[0], &NoHooks);
+            assert_eq!(m.holder(), Some(ThreadId(0)), "still held after an inner release");
+        }
         m.release(ThreadId(0), &c[0], &NoHooks);
         assert_eq!(m.holder(), None);
     }
@@ -428,16 +404,39 @@ mod tests {
         assert_eq!(m.holder(), None);
     }
 
+    /// Hooks that write down every call they receive, in order.
+    #[derive(Default)]
+    struct Probe(parking_lot::Mutex<Vec<String>>);
+
+    impl RtHooks for Probe {
+        fn poll(&self, _t: ThreadId) {}
+        fn before_block(&self, _t: ThreadId) {
+            self.0.lock().push("before_block".into());
+        }
+        fn on_blocked_publish(&self, _t: ThreadId) {
+            self.0.lock().push("on_blocked_publish".into());
+        }
+        fn after_unblock(&self, _t: ThreadId, epoch_bumped: bool) {
+            self.0.lock().push(format!("after_unblock({epoch_bumped})"));
+        }
+        fn on_psro(&self, _t: ThreadId) {}
+        fn sched_point(&self, _t: ThreadId, point: SchedPoint) {
+            self.0.lock().push(format!("{point:?}"));
+        }
+    }
+
     #[test]
     fn blocked_acquirer_can_be_implicitly_coordinated() {
         let m = Arc::new(Monitor::new());
         let c: Arc<Vec<ThreadControl>> = Arc::new(controls(2));
+        let probe = Probe::default();
         m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
 
         std::thread::scope(|s| {
             let m2 = m.clone();
             let c2 = c.clone();
-            let h = s.spawn(move || m2.acquire(ThreadId(1), &c2[1], &NoHooks, 0));
+            let probe = &probe;
+            let h = s.spawn(move || m2.acquire(ThreadId(1), &c2[1], probe, 0));
 
             // Wait until T1 publishes BLOCKED, then coordinate implicitly.
             let mut wait = crate::Wait::new("T1 to block on monitor");
@@ -452,7 +451,12 @@ mod tests {
             m.release(ThreadId(0), &c[0], &NoHooks);
             let info = h.join().unwrap();
             assert!(info.blocked);
-            assert!(info.implicit_bumped, "wake must report the implicit bump");
         });
+        // The blocking safe point's hooks, in protocol order; the wake
+        // reports the implicit bump.
+        assert_eq!(
+            *probe.0.lock(),
+            ["before_block", "on_blocked_publish", "MonitorPark", "after_unblock(true)", "MonitorUnpark"]
+        );
     }
 }

@@ -367,14 +367,7 @@ impl Runtime {
     /// raced requests → run `f` → return to RUNNING. Returns `f`'s result and
     /// whether implicit coordination occurred while blocked.
     pub fn blocking<H: RtHooks, R>(&self, t: ThreadId, hooks: &H, f: impl FnOnce() -> R) -> (R, bool) {
-        hooks.before_block(t);
-        hooks.sched_point(t, SchedPoint::BlockedPublish);
-        let epoch = self.control(t).publish_blocked();
-        hooks.on_blocked_publish(t);
-        let r = f();
-        let bumped = self.control(t).return_to_running(epoch);
-        hooks.after_unblock(t, bumped);
-        (r, bumped)
+        crate::monitor::blocking_safe_point(t, self.control(t), hooks, SchedPoint::BlockedPublish, f)
     }
 
     /// A [`Wait`] of thread `t` on another thread, `what` naming it in the

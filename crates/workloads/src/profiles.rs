@@ -47,11 +47,6 @@ impl PaperRef {
     pub fn conflict_rate(&self) -> f64 {
         self.opt_conflicting / self.total_accesses
     }
-
-    /// Reduction in conflicting transitions achieved by hybrid tracking.
-    pub fn conflict_reduction(&self) -> f64 {
-        1.0 - self.hybrid_conflicting / self.opt_conflicting
-    }
 }
 
 /// A named workload plus its paper reference.

@@ -22,10 +22,12 @@
 #          lost-wakeup race of DESIGN.md s8 — caught when a stranded
 #          requester trips its watchdog, or by the quiescence scan's
 #          stranded-request check).
-#      The harness must CATCH each (nonzero exit, artifact written), and
-#      `--reproduce` on the saved artifact must fail again — proving the
-#      seed+trace actually pins the failure. A canary that passes means
-#      the harness has gone blind, and the gate fails.
+#      The harness must CATCH each (nonzero exit, artifact written with
+#      event records), and `--reproduce` on the saved artifact must fail
+#      again — proving the seed+trace actually pins the failure. A canary
+#      that passes means the harness has gone blind, and the gate fails.
+#      One function, `canary`, runs these four checks for every canary leg,
+#      the stall catch leg of item 4 included.
 #   4. Stall-responder fault legs (DRINK_INJECT_FAULT=stall-responder:<ms>,
 #      DESIGN.md s13). Unlike an injected *bug*, the fault is a
 #      legal-but-hostile environment: a victim's responding-safe-point loop
@@ -37,14 +39,14 @@
 #          oracle still agrees. A hang or oracle
 #          failure here means the degradation ladder is broken.
 #        - Catch leg: a 4 s stall with a 3 s watchdog budget and no deadline
-#          relief on most workloads. The watchdog must CATCH the wedged
-#          roundtrip (nonzero exit, artifact), and `--reproduce` under the
-#          same fault must fail again.
+#          relief on most workloads, run as a canary. The watchdog must CATCH
+#          the wedged roundtrip (nonzero exit, artifact), and `--reproduce`
+#          under the same fault must fail again.
 #   5. Short flake hunt: the policy's tests (profile-word proptests, the
 #      valve's `adapt::tests`, the racy-object tests), the replay-elision
 #      oracle, the validated-read
-#      windows of DESIGN.md s12, the recording-log oracles and the race
-#      detector's report deduplication, ten times over; then the forced
+#      windows of DESIGN.md s12 and the recording-log oracles, ten times
+#      over; then the forced
 #      failed validation of an installed read ten times in the
 #      check-invariants build, where the store that releases a write lock
 #      is a swap asserting the word it replaced. Any red round fails the
@@ -76,65 +78,46 @@ cargo build --release -p drink-check --features check-invariants
 echo "=== check_gate: clean smoke matrix"
 "$SMOKE" --artifact-dir "$ARTIFACTS"
 
-echo "=== check_gate: injected-bug canary (skip-flush-before-block)"
-rm -rf "$ARTIFACTS/canary"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-flush-before-block \
-    "$SMOKE" --fail-fast --artifact-dir "$ARTIFACTS/canary"; then
-  echo "check_gate: FAIL — injected bug was NOT caught (harness is blind)" >&2
-  exit 1
-fi
+# canary WHAT DIR VAR=VALUE [MATRIX-ARG...]: run the matrix under VAR=VALUE
+# and a 3 s watchdog budget, stopping at the first caught cell. The run must
+# fail and leave an artifact in $ARTIFACTS/DIR whose event records reached
+# it (`"events"` alone would pass on empty timelines, `"events": []`; a
+# record's `"ts_ns"` field proves some thread's ring got there), and
+# `--reproduce` on that artifact under the same variables must fail again.
+canary() {
+  local what="$1" dir="$ARTIFACTS/$2" var="$3"
+  shift 3
+  echo "=== check_gate: canary ($what)"
+  rm -rf "$dir"
+  if env DRINK_SPIN_BUDGET_MS=3000 "$var" "$SMOKE" "$@" --fail-fast --artifact-dir "$dir"; then
+    echo "check_gate: FAIL — $what was NOT caught (harness is blind)" >&2
+    exit 1
+  fi
+  local artifact
+  artifact="$(ls "$dir"/*.json 2>/dev/null | head -n1 || true)"
+  if [ -z "$artifact" ]; then
+    echo "check_gate: FAIL — $what: the run failed but wrote no artifact" >&2
+    exit 1
+  fi
+  if ! grep -q '"ts_ns"' "$artifact"; then
+    echo "check_gate: FAIL — $what: the artifact has no embedded event records" >&2
+    exit 1
+  fi
+  echo "=== check_gate: reproduce $what ($artifact)"
+  if env DRINK_SPIN_BUDGET_MS=3000 "$var" "$SMOKE" --reproduce "$artifact"; then
+    echo "check_gate: FAIL — $what: the artifact did not reproduce" >&2
+    exit 1
+  fi
+}
 
-artifact="$(ls "$ARTIFACTS"/canary/*.json 2>/dev/null | head -n1 || true)"
-if [ -z "$artifact" ]; then
-  echo "check_gate: FAIL — canary failed but wrote no artifact" >&2
-  exit 1
-fi
-
-# `"events"` alone would pass on empty timelines (`"events": []`); a record's
-# `"ts_ns"` field proves some thread's ring reached the artifact.
-if ! grep -q '"ts_ns"' "$artifact"; then
-  echo "check_gate: FAIL — canary artifact has no embedded event records" >&2
-  exit 1
-fi
-
-echo "=== check_gate: injected-bug canary (late-has-requests-clear)"
-rm -rf "$ARTIFACTS/canary-inbox"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=late-has-requests-clear \
-    "$SMOKE" --fail-fast --artifact-dir "$ARTIFACTS/canary-inbox"; then
-  echo "check_gate: FAIL — late-has-requests-clear was NOT caught (lost wakeup invisible)" >&2
-  exit 1
-fi
-
-inbox_artifact="$(ls "$ARTIFACTS"/canary-inbox/*.json 2>/dev/null | head -n1 || true)"
-if [ -z "$inbox_artifact" ]; then
-  echo "check_gate: FAIL — inbox canary failed but wrote no artifact" >&2
-  exit 1
-fi
-
-if ! grep -q '"ts_ns"' "$inbox_artifact"; then
-  echo "check_gate: FAIL — inbox canary artifact has no embedded event records" >&2
-  exit 1
-fi
+canary "injected bug skip-flush-before-block" canary DRINK_INJECT_BUG=skip-flush-before-block
+canary "injected bug late-has-requests-clear" canary-inbox DRINK_INJECT_BUG=late-has-requests-clear
 
 echo "=== check_gate: trace export / ingest round trip"
 cargo build --release -p drink-bench --bin drink-bench
 TRACE_OUT="$ARTIFACTS/canary-trace.json"
 ./target/release/drink-bench trace --workload chaos_mix --seed 7 --out "$TRACE_OUT" >/dev/null
 ./target/release/drink-bench trace --check "$TRACE_OUT"
-
-echo "=== check_gate: reproduce canary artifact ($artifact)"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=skip-flush-before-block \
-    "$SMOKE" --reproduce "$artifact"; then
-  echo "check_gate: FAIL — canary artifact did not reproduce" >&2
-  exit 1
-fi
-
-echo "=== check_gate: reproduce inbox canary artifact ($inbox_artifact)"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_BUG=late-has-requests-clear \
-    "$SMOKE" --reproduce "$inbox_artifact"; then
-  echo "check_gate: FAIL — inbox canary artifact did not reproduce" >&2
-  exit 1
-fi
 
 echo "=== check_gate: stall-responder degradation leg (200ms stall, must pass)"
 if ! DRINK_INJECT_FAULT=stall-responder:200 \
@@ -144,34 +127,10 @@ if ! DRINK_INJECT_FAULT=stall-responder:200 \
   exit 1
 fi
 
-echo "=== check_gate: stall-responder catch leg (4s stall vs 3s budget, must be caught)"
-rm -rf "$ARTIFACTS/stall-canary"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
-    "$SMOKE" --seeds 0x1 --fail-fast --artifact-dir "$ARTIFACTS/stall-canary"; then
-  echo "check_gate: FAIL — 4s responder stall was NOT caught (watchdog blind)" >&2
-  exit 1
-fi
+canary "4s responder stall vs 3s budget" stall-canary DRINK_INJECT_FAULT=stall-responder:4000 --seeds 0x1
 
-stall_artifact="$(ls "$ARTIFACTS"/stall-canary/*.json 2>/dev/null | head -n1 || true)"
-if [ -z "$stall_artifact" ]; then
-  echo "check_gate: FAIL — stall canary failed but wrote no artifact" >&2
-  exit 1
-fi
-
-if ! grep -q '"ts_ns"' "$stall_artifact"; then
-  echo "check_gate: FAIL — stall canary artifact has no embedded event records" >&2
-  exit 1
-fi
-
-echo "=== check_gate: reproduce stall canary artifact ($stall_artifact)"
-if DRINK_SPIN_BUDGET_MS=3000 DRINK_INJECT_FAULT=stall-responder:4000 \
-    "$SMOKE" --reproduce "$stall_artifact"; then
-  echo "check_gate: FAIL — stall canary artifact did not reproduce" >&2
-  exit 1
-fi
-
-echo "=== check_gate: flake hunt (policy and its valve, racy objects, replay elision, validated reads, log persistence, race report dedup; 10 rounds)"
-scripts/flake_hunt.sh 10 racy_objects policy adapt::tests replay_elision validated_reads log_persistence reports_deduplicate
+echo "=== check_gate: flake hunt (policy and its valve, racy objects, replay elision, validated reads, log persistence; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects policy adapt::tests replay_elision validated_reads log_persistence
 
 echo "=== check_gate: flake hunt, check-invariants build (failed validation of an installed read; 10 rounds)"
 scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validation
