@@ -23,13 +23,14 @@
 //!   ([`Support::RELAXED_LOCKING`]) no lock on such a *racy* object outlives
 //!   the access that took it — the paper's pre-insight design, applied per
 //!   object (DESIGN.md §13): a write is claim, payload store, unlock
-//!   *store*; a conflicting read installs the unlocked word its lock would
-//!   have been released to and validates the payload against it (DESIGN.md
-//!   §12, "install, then validate");
+//!   *store*; a conflicting read installs an unlocked word — a fresh
+//!   read-shared one — and validates the payload against it (DESIGN.md §12,
+//!   "install, then validate");
 //! * pessimistic tracking (§2.1) is that design applied to every object from
 //!   birth ([`HybridConfig::pessimistic`]): no object ever meets the policy,
-//!   and a contended access waits for the holder's release, since no lock
-//!   outlives its access.
+//!   a contended access waits for the holder's release, since no lock
+//!   outlives its access, and the states left are §2.1's reader–writer lock
+//!   (`WrExPess`, `WrExWLock`, `RdShPess`).
 //!
 //! What each state does on each access is not written here: it is
 //! [`crate::table::transition`], Table 3 as a value. This file is its
@@ -142,6 +143,15 @@ impl HybridConfig {
     /// An owner's read of its `WrExPess` word takes the write lock, as §2.1's
     /// one critical section does: released by a store, where a read lock
     /// that a second reader may join needs a CAS (E1 prices the difference).
+    ///
+    /// Under a support with `RELAXED_LOCKING` the reachable states are
+    /// `WrExPess(T)`, `WrExWLock(T)` for the length of a write, and
+    /// `RdShPess(c)` — with `RdShRLock(n)(c)` only for a read whose
+    /// validation fell back: §2.1's reader–writer lock. A foreign read of a
+    /// written word installs a fresh `RdShPess(c)` in its one claim (Table
+    /// 3's marked row ②), so no RdEx word is ever reached, and every later
+    /// read of the object validates, the writer's own included, until the
+    /// next write. On `PaperModel` the rows stay Table 3's, RdEx included.
     pub fn pessimistic() -> Self {
         HybridConfig {
             policy: PolicyParams { cutoff_confl: 0, ..PolicyParams::default() },
@@ -701,9 +711,10 @@ impl<S: Support> HybridEngine<S> {
 
     /// Tail of a row *installed unlocked* (the table's marked rows ②; support
     /// hook run, state published) — *install, then validate* (DESIGN.md §12):
-    /// `installed` names this thread or carries a fresh epoch, so no foreign
-    /// writer reaches the payload without replacing it, and the same word
-    /// back after the payload load is what the row's read lock guaranteed.
+    /// `installed` is a read-shared word under an epoch drawn for this
+    /// install, so no writer reaches the payload without replacing it, and
+    /// the same word back after the payload load is what the row's read lock
+    /// guaranteed.
     /// The read is then counted once, as the transition: the unlock it
     /// stands for lies inside the access, as a released-at-once lock's does.
     ///

@@ -408,21 +408,23 @@ mod optimistic {
 }
 
 /// §2.1's protocol on [`hybrid::HybridConfig::pessimistic`]: states follow
-/// Table 1 in their pessimistic-unlocked encodings, every write and every
-/// read that transfers the state takes (and at once releases) a lock, and
-/// racy accesses complete. (The module path is the one these tests had when
-/// a separate engine type ran the protocol, so their ids carry over.)
+/// Table 1 in their pessimistic-unlocked encodings — but for a foreign read
+/// of a written word, which installs a fresh read-shared word at once — every
+/// write takes (and at once releases) a lock, every read that transfers the
+/// state claims it, and racy accesses complete. (The module path is the one
+/// these tests had when a separate engine type ran the protocol, so their ids
+/// carry over.)
 #[cfg(test)]
 mod pessimistic {
     mod tests {
         use std::sync::atomic::Ordering;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-        use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
+        use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId};
 
         use crate::engine::hybrid::{HybridConfig, HybridEngine};
         use crate::engine::Tracker;
-        use crate::support::NullSupport;
+        use crate::support::{NullSupport, PaperModel};
         use crate::word::{LockMode, StateWord};
 
         fn engine() -> HybridEngine {
@@ -470,23 +472,113 @@ mod pessimistic {
             let o = ObjId(1);
             e.alloc_init(o, t0);
             e.write(t0, o, 9);
+            let epoch = e.rt().current_rdsh_count();
 
-            std::thread::scope(|s| {
+            let w = std::thread::scope(|s| {
                 let er = &e;
                 s.spawn(move || {
                     let t1 = er.attach();
-                    assert_eq!(er.read(t1, o), 9); // WrExPess(t0) → RdExPess(t1)
-                    assert_eq!(state_of(er, o), StateWord::rd_ex_pess(t1, LockMode::Unlocked));
+                    assert_eq!(er.read(t1, o), 9); // WrExPess(t0) → RdShPess(c)
+                    let w = state_of(er, o);
+                    assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
+                    assert!(w.rdsh_count() > epoch, "a fresh epoch: {w:?}");
+                    // SAFETY: this is the OS thread attached as t1.
+                    assert!(unsafe { er.common().ts(t1) }.holds_no_locks());
                     er.detach(t1);
-                });
+                    w
+                })
+                .join()
+                .unwrap()
             });
 
-            assert_eq!(e.read(t0, o), 9); // RdExPess(t1) → RdShPess(c)
-            let w = state_of(&e, o);
-            assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
-            assert!(w.rdsh_count() >= 1);
+            assert_eq!(e.read(t0, o), 9, "the writer's read validates");
+            assert_eq!(state_of(&e, o), w);
             e.detach(t0);
-            assert_eq!(e.rt().stats().get(Event::PessUncontended), 3, "foreign reads lock");
+            // The write and the foreign read claim; nothing else does.
+            assert_eq!(e.rt().stats().get(Event::PessUncontended), 2);
+            assert_eq!(e.rt().stats().get(Event::PessOwnerChange), 1, "the w→r read");
+            assert_eq!(e.rt().stats().get(Event::SeqlockValidated), 1);
+        }
+
+        /// The script of one hot key after a PUT: T0 writes, T1 reads, T0
+        /// reads, T1 reads. One claim by the first foreign reader, one epoch,
+        /// and every later read validates, the writer's included. (Both
+        /// mutators are attached to this OS thread: no access of the script
+        /// ever waits for the other.)
+        #[test]
+        fn a_foreign_read_costs_one_claim_and_one_epoch() {
+            let e = engine();
+            let (t0, t1) = (e.attach(), e.attach());
+            let o = ObjId(3);
+            e.alloc_init(o, t0);
+            let epoch = e.rt().current_rdsh_count();
+            e.write(t0, o, 7);
+            for t in [t1, t0, t1] {
+                assert_eq!(e.read(t, o), 7);
+            }
+            let w = state_of(&e, o);
+            assert_eq!(w, StateWord::rd_sh_pess(epoch + 1, 0));
+            e.detach(t0);
+            e.detach(t1);
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::PessUncontended), 2, "T0's write and T1's first read");
+            assert_eq!(e.rt().current_rdsh_count() - epoch, 1, "one epoch drawn");
+            assert_eq!(r.get(Event::SeqlockValidated), 2, "T0's read and T1's second");
+            assert_eq!(r.accesses(), 4);
+        }
+
+        /// Records the state word each access finds at its locked window.
+        #[derive(Debug, Default)]
+        struct LockedWords {
+            rt: OnceLock<Weak<Runtime>>,
+            seen: Mutex<Vec<(ThreadId, StateWord)>>,
+        }
+
+        impl SchedHooks for LockedWords {
+            fn perturb(&self, t: ThreadId, point: SchedPoint) {
+                if point == SchedPoint::LockedAccess {
+                    let rt = self.rt.get().and_then(Weak::upgrade).expect("runtime registered");
+                    let w = StateWord(rt.obj(ObjId(3)).state().load(Ordering::SeqCst));
+                    self.seen.lock().unwrap().push((t, w));
+                }
+            }
+        }
+
+        /// The same script on the paper's model, which keeps Table 3 to the
+        /// letter: T1's read installs `RdExRLock(T1)`, and every access locks.
+        #[test]
+        fn the_paper_model_keeps_the_read_exclusive_row() {
+            let hook = Arc::new(LockedWords::default());
+            let mut rt = Runtime::new(RuntimeConfig::builder().max_threads(8).heap_objects(16).monitors(2).build());
+            rt.set_sched_hooks(hook.clone());
+            let rt = Arc::new(rt);
+            hook.rt.set(Arc::downgrade(&rt)).expect("set once");
+            let e = HybridEngine::with_config(rt, PaperModel, HybridConfig::pessimistic());
+            let (t0, t1) = (e.attach(), e.attach());
+            let o = ObjId(3);
+            e.alloc_init(o, t0);
+            let epoch = e.rt().current_rdsh_count();
+            e.write(t0, o, 7);
+            for t in [t1, t0, t1] {
+                assert_eq!(e.read(t, o), 7);
+            }
+            e.detach(t0);
+            e.detach(t1);
+            let seen = hook.seen.lock().unwrap().clone();
+            let c = epoch + 1;
+            assert_eq!(
+                seen,
+                [
+                    (t0, StateWord::wr_ex_pess(t0, LockMode::Write)),
+                    (t1, StateWord::rd_ex_pess(t1, LockMode::Read)),
+                    (t0, StateWord::rd_sh_pess(c, 1)),
+                    (t1, StateWord::rd_sh_pess(c, 1)),
+                ]
+            );
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::PessUncontended), 4);
+            assert_eq!(r.get(Event::SeqlockValidated), 0);
+            assert_eq!(e.rt().current_rdsh_count() - epoch, 1);
         }
 
         #[test]

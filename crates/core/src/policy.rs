@@ -37,9 +37,9 @@
 //! **racy** ([`PessVerdict::racy`], [`AdaptivePolicy::racy`]) and, where the
 //! support allows it, no lock on it outlives the access that took it until
 //! the object next leaves `Pess`: a write releases its write lock by a plain
-//! store right after the payload store, and a conflicting read installs the
-//! *unlocked* state its row's lock would have been released to and validates
-//! the payload against that word (DESIGN.md §12, §13). (§7.5 sketches
+//! store right after the payload store, and a conflicting read installs an
+//! *unlocked* read-shared state under a fresh epoch and validates the payload
+//! against that word (DESIGN.md §12, §13). (§7.5 sketches
 //! sending such objects back to optimistic states instead — the protocol
 //! where each of their accesses is a roundtrip.)
 //!

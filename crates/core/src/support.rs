@@ -54,7 +54,9 @@ pub enum TransitionEv<'a> {
     UpgradeOwn,
     /// A RdSh state was created with counter `c` by this thread reading an
     /// object last held by `prev_owner` (covers both `RdExOpt(T1) → RdShOpt`
-    /// and the pessimistic `RdEx*/WrExRLock(T1) → RdShRLock` rows).
+    /// and the pessimistic `RdEx*/WrExRLock(T1) → RdShRLock` rows, and, where
+    /// a read installs unlocked, `RdExPess/WrExPess(T1) → RdShPess`: the
+    /// latter is a conflicting, w→r, transition).
     RdShCreate {
         /// The previous exclusive holder.
         prev_owner: ThreadId,
@@ -153,8 +155,8 @@ pub trait Support: Send + Sync + 'static {
     /// * no lock on an object the policy found *racy* outlives the access
     ///   that took it (DESIGN.md §13), so no release-clock edge covers it: a
     ///   write releases right after the payload store, and a conflicting
-    ///   read installs the *unlocked* state its row's read lock would have
-    ///   been released to, then validates (DESIGN.md §12).
+    ///   read installs an *unlocked* read-shared state under a fresh epoch,
+    ///   then validates (DESIGN.md §12).
     ///
     /// Off by default because neither is sound for supports that consume
     /// those events: the recorder needs the `Fence` transition to order

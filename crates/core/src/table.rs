@@ -41,10 +41,16 @@
 //! a support with `RELAXED_LOCKING` (`NullSupport`), on an object no lock on
 //! which outlives its access — every object under eager unlocking
 //! (pessimistic tracking, the §3.1 ablation), one the policy has found racy
-//! otherwise (DESIGN.md §13). The row installs the word its read lock
-//! would have been *released* to — `RdExPess(T)`, `RdShPess(c')` — and takes
-//! no lock; the executor validates the payload against the installed word
-//! (DESIGN.md §12, "install, then validate").
+//! otherwise (DESIGN.md §13). The rows take no lock, and the executor
+//! validates the payload against the word they installed (DESIGN.md §12,
+//! "install, then validate"). `RdExPess(T1)` R installs the word its read
+//! lock would have been *released* to, `RdShPess(c')`. `WrExPess(T1)` R
+//! skips the `RdExPess(T)` that lock would leave and installs `RdShPess(c')`
+//! at once, telling the support `RdShCreate` (still `Pess*`, `prev_owner`
+//! `T1`): a pessimistic-unlocked word is written by one claim whatever its
+//! kind, and a RdSh word validates for every reader, so the middle state
+//! buys nothing but a second claim by the next reader. RdEx words are then
+//! unreachable under pessimistic tracking.
 //!
 //! A third departure is not a row: a read that leaves the same-state fast
 //! path is served by validation, no transition at all (DESIGN.md §12), iff
@@ -291,11 +297,12 @@ pub fn transition(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -
                 Row::pess(false, Next::Word(rdex_rlock), Claim, push_read, Ev::PessLocalAcquire)
             }
             (Read, RdSh) => Row::join(w, 1, who),
-            // ②: the word the read lock would have been released to.
+            // ②: a foreign write read — one claim straight to a fresh
+            // read-shared word, which every later reader validates against.
             (Read, WrEx) if dep.install_unlocked => {
-                let next = Next::Word(StateWord::rd_ex_pess(t, LockMode::Unlocked));
-                Row::pess(true, next, Claim, Lock::None, Ev::PessConflictingAcquire)
+                Row::pess(true, Next::FreshRdSh { pess: true, n: 0 }, Claim, Lock::None, Ev::RdShCreate)
             }
+            // ②: the word the read lock would have been released to.
             (Read, RdEx) if dep.install_unlocked => {
                 Row::pess(false, Next::FreshRdSh { pess: true, n: 0 }, Claim, Lock::None, Ev::RdShCreate)
             }

@@ -5,9 +5,9 @@
 //! contended `Cutoff_confl` times, no lock on it outlives the access that
 //! took it until the object next leaves the `Pess` phase: a write releases
 //! its write lock by a store right after the payload store — never before
-//! it — and a conflicting read installs the unlocked word its read lock
-//! would have been released to, then validates the payload against that word
-//! (DESIGN.md §12). Only under a support that can do without Table 3's lock
+//! it — and a conflicting read installs an unlocked read-shared word under a
+//! fresh epoch, then validates the payload against that word (DESIGN.md
+//! §12). Only under a support that can do without Table 3's lock
 //! discipline: on `PaperModel` nothing changes.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -19,7 +19,7 @@ use drink_core::prelude::*;
 use drink_core::support::{PrevHolders, SupportCx, TransitionEv};
 use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{
-    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, StatsReport, ThreadId,
+    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, StatsReport, ThreadId, Wait,
 };
 
 const O: ObjId = ObjId(0);
@@ -261,8 +261,9 @@ impl SchedHooks for WriteInWindow {
         assert_eq!(w, held, "the access runs locked");
         self.go.store(true, Ordering::Release);
         // T1 can only be backing off because it found the state locked.
+        let mut wait = Wait::new("T1 to back off from the write lock");
         while !self.waited.load(Ordering::Acquire) {
-            std::thread::yield_now();
+            let _ = wait.step();
         }
     }
 }
@@ -307,9 +308,11 @@ fn the_release_follows_the_access_it_guards() {
         let second = s.spawn(|| {
             let t1 = e.attach();
             assert_eq!(t1, T1);
-            // No schedule point here: T1's first backoff is the write's.
+            // No schedule point here (a bare `Wait` reports to no runtime):
+            // T1's first backoff is the write's.
+            let mut wait = Wait::new("T0 to take the write lock");
             while !hook.go.load(Ordering::Acquire) {
-                std::thread::yield_now();
+                let _ = wait.step();
             }
             let prev = e.try_write(t1, O, 2);
             // SAFETY: this is the OS thread attached as t1.
@@ -338,19 +341,25 @@ fn the_release_follows_the_access_it_guards() {
 
 // --- The racy rows, one by one ---
 
-/// Tracking alone that writes down every transition event it is shown, with
-/// (`Probe<true>`, like `NullSupport`) or without (`Probe<false>`, like
-/// `PaperModel`) leave to depart from Table 3's lock discipline.
+/// Tracking alone that writes down every transition event it is shown, and
+/// the previous holder the event names, with (`Probe<true>`, like
+/// `NullSupport`) or without (`Probe<false>`, like `PaperModel`) leave to
+/// depart from Table 3's lock discipline.
 #[derive(Default)]
 struct Probe<const RELAXED: bool> {
-    seen: Mutex<Vec<String>>,
+    seen: Mutex<Vec<(String, Option<PrevHolders>)>>,
 }
 
 impl<const RELAXED: bool> Support for Probe<RELAXED> {
     const RELAXED_LOCKING: bool = RELAXED;
 
     fn on_transition(&self, _cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {
-        self.seen.lock().unwrap().push(format!("{obj:?} {ev:?}"));
+        let named = match ev {
+            TransitionEv::RdShCreate { prev_owner, .. } => Some(PrevHolders::One(prev_owner)),
+            TransitionEv::PessConflictingAcquire { prev } => Some(prev),
+            _ => None,
+        };
+        self.seen.lock().unwrap().push((format!("{obj:?} {ev:?}"), named));
     }
 }
 
@@ -375,6 +384,8 @@ struct Row {
     rd_sh_count: u64,
     /// Every transition event the support saw.
     seen: Vec<String>,
+    /// The previous holder each of them named, if any.
+    named: Vec<Option<PrevHolders>>,
     /// The accessing thread's counters.
     uncontended: u64,
     owner_change: u64,
@@ -408,11 +419,13 @@ fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
     }
     // SAFETY: this is the OS thread attached as both mutators.
     let ts = unsafe { e.common().ts(t0) };
+    let seen = e.common().support.seen.lock().unwrap().clone();
     let row = Row {
         state: StateWord(e.rt().obj(O).state().load(Ordering::SeqCst)),
         holds_locks: !ts.holds_no_locks(),
         rd_sh_count: ts.rd_sh_count,
-        seen: e.common().support.seen.lock().unwrap().clone(),
+        seen: seen.iter().map(|(ev, _)| ev.clone()).collect(),
+        named: seen.iter().map(|&(_, named)| named).collect(),
         uncontended: ts.stats.get(Event::PessUncontended),
         owner_change: ts.stats.get(Event::PessOwnerChange),
         unlocked: ts.stats.get(Event::StateUnlocked),
@@ -427,13 +440,17 @@ fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
     row
 }
 
-/// The transition is the locked row's — same event to the support, same
-/// counts — and the lock it stands for is already released, inside the
-/// access: no flush unlock is counted for it.
+/// The transition is the locked row's — one event to the support, naming the
+/// same previous holder, and the same counts — and the lock it stands for is
+/// already released, inside the access: no flush unlock is counted for it.
+/// The event's kind may differ: a racy `WrExPess(T1)` R installs a read-shared
+/// word, so the support hears `RdShCreate { prev_owner: T1 }` where the
+/// locked row tells `PessConflictingAcquire { prev: One(T1) }`. Both name
+/// `T1`, which is what a support orders the read after.
 fn assert_departs_only_in_the_lock(racy: &Row, locked: &Row, label: &str) {
     assert!(!racy.holds_locks && locked.holds_locks, "{label}");
-    assert_eq!(racy.seen, locked.seen, "{label}");
-    assert_eq!(racy.seen.len(), 1, "{label}: {:?}", racy.seen);
+    assert_eq!(racy.named, locked.named, "{label}: {:?} vs {:?}", racy.seen, locked.seen);
+    assert_eq!(racy.named, [Some(PrevHolders::One(T1))], "{label}: {:?}", racy.seen);
     assert_eq!((racy.uncontended, racy.unlocked), (1, 0), "{label}");
     assert_eq!((locked.uncontended, locked.unlocked), (1, 0), "{label}");
     assert_eq!(racy.owner_change, locked.owner_change, "{label}");
@@ -442,10 +459,14 @@ fn assert_departs_only_in_the_lock(racy: &Row, locked: &Row, label: &str) {
 
 #[test]
 fn racy_conflicting_read_of_a_written_state_installs_it_unlocked() {
-    // WrExPess(T1) R by T0 → RdExRLock(T0); racy → RdExPess(T0).
+    // WrExPess(T1) R by T0 → RdExRLock(T0); racy → RdShPess(c), a fresh
+    // epoch, in the one claim.
     let old = StateWord::wr_ex_pess(T1, LockMode::Unlocked);
     let (racy, locked) = (row::<true>(old, false), row::<false>(old, false));
-    assert_eq!(racy.state, StateWord::rd_ex_pess(T0, LockMode::Unlocked));
+    let w = racy.state;
+    assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
+    assert!(w.rdsh_count() >= 2, "a fresh epoch from gRdShCount: {w:?}");
+    assert!(racy.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
     assert_eq!(locked.state, StateWord::rd_ex_pess(T0, LockMode::Read));
     assert_departs_only_in_the_lock(&racy, &locked, "WrExPess(T1) R by T0");
     assert_eq!(racy.owner_change, 1, "a conflicting (w→r) acquire");
@@ -463,6 +484,7 @@ fn racy_read_of_a_foreign_read_state_installs_a_fresh_unlocked_epoch() {
         assert!(r.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
     }
     assert_departs_only_in_the_lock(&racy, &locked, "RdExPess(T1) R by T0");
+    assert_eq!(racy.seen, locked.seen, "the same event, RdShCreate");
     assert_eq!(racy.owner_change, 0, "read after read: non-conflicting");
 }
 
@@ -536,8 +558,9 @@ impl SchedHooks for WriteInValidationWindow {
             && t == T0
             && self.phase.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed).is_ok()
         {
+            let mut wait = Wait::new("T1 to write inside the validation window");
             while self.phase.load(Ordering::Acquire) != 2 {
-                std::thread::yield_now();
+                let _ = wait.step();
             }
         }
     }
@@ -571,7 +594,7 @@ fn failed_validation_of_an_installed_read_goes_round_again() {
                 let _ = wait.step();
             }
             let found = StateWord(obj.state().load(Ordering::SeqCst));
-            assert_eq!(found, StateWord::rd_ex_pess(T0, LockMode::Unlocked), "installed, unlocked");
+            assert_eq!(found, StateWord::rd_sh_pess(found.rdsh_count(), 0), "installed, unlocked");
             e.write(t1, O, 99);
             let left = StateWord(obj.state().load(Ordering::SeqCst));
             assert_eq!(left, StateWord::wr_ex_pess(t1, LockMode::Unlocked), "released by its store");
@@ -581,9 +604,10 @@ fn failed_validation_of_an_installed_read_goes_round_again() {
         assert_eq!(e.read(t0, O), 99, "41 was read inside a window a write landed in");
     });
     assert_eq!(hook.phase.load(Ordering::Relaxed), 2, "the window was forced");
-    // The later of the two accesses names the state.
+    // The later of the two accesses made the state: the retry's own epoch.
     let w = StateWord(obj.state().load(Ordering::SeqCst));
-    assert_eq!(w, StateWord::rd_ex_pess(T0, LockMode::Unlocked));
+    assert_eq!(w, StateWord::rd_sh_pess(e.rt().current_rdsh_count(), 0));
+    assert!(w.rdsh_count() > 2, "the failed attempt's epoch is not reused: {w:?}");
     // SAFETY: this is the OS thread attached as t0.
     let ts = unsafe { e.common().ts(t0) };
     assert!(ts.holds_no_locks());

@@ -19,7 +19,7 @@ use drink_core::policy::{AdaptivePolicy, PolicyParams};
 use drink_core::prelude::*;
 use drink_core::support::PrevHolders;
 use drink_core::table::{transition, Access, Class, Departures, Lock, Next, Row, Who};
-use drink_core::word::{LockMode, StateWord};
+use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, ThreadId};
 
 const O: ObjId = ObjId(0);
@@ -236,7 +236,9 @@ fn racy_read_rows_install_unlocked_only_under_relaxed_locking() {
 /// pessimistic tracking (`HybridConfig::pessimistic()`), started from the
 /// word's pessimistic-unlocked counterpart (the only words it installs), ends
 /// in `to_pess_unlocked()` of the table's optimistic `next` — Table 3's
-/// pessimistic rows, released at the end of the access.
+/// pessimistic rows, released at the end of the access. One exception, the
+/// marked row ② of a foreign write read: where Table 1 leaves `RdEx(T)`,
+/// pessimistic tracking installs a fresh `RdShPess(c)`.
 #[test]
 fn pessimistic_engine_follows_the_optimistic_rows() {
     for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
@@ -247,7 +249,10 @@ fn pessimistic_engine_follows_the_optimistic_rows() {
                 let t = e.attach();
                 e.rt().obj(O).state().store(w.to_pess_unlocked().0, Ordering::SeqCst);
                 let who = Who { t, rd_sh_count: if synced { C } else { 0 }, in_rd_set: &|| false };
-                let row = transition(w, access, who, Departures::default());
+                let mut row = transition(w, access, who, Departures::default());
+                if access == Access::Read && w.kind() == Kind::WrEx && w.owner() != t {
+                    row.next = Next::FreshRdSh { pess: false, n: 0 };
+                }
                 let epoch_before = e.rt().current_rdsh_count();
                 match access {
                     Access::Read => drop(e.read(t, O)),

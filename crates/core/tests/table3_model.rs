@@ -21,7 +21,9 @@
 //! form of the two facts it rests on, so that no history has to ride in the
 //! state: a RdSh word standing after a payload write carries an epoch claimed
 //! after that write, and an exclusive word that `t` could validate against is
-//! only ever installed by a step of `t` itself.
+//! only ever installed by a step of `t` itself. Where reads install unlocked
+//! (marked rows ②), no read of a pessimistic word that names another thread,
+//! or no one, installs a RdEx word: pessimistic tracking never meets one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -234,7 +236,12 @@ impl Model {
         }
         let fresh = matches!(row.next, Next::FreshRdSh { .. });
         s.epoch += u64::from(fresh);
-        vec![self.installed(s, i, access, row.next.word(s.epoch), row.lock, row.event)]
+        let new = row.next.word(s.epoch);
+        let foreign = old.kind() == Kind::RdSh || old.owner() != tid(i);
+        if self.dep.install_unlocked && access == Access::Read && old.is_pess() && foreign && new.kind() == Kind::RdEx {
+            self.fail(&s, "installed unlocked: a foreign read of a pessimistic word installs no RdEx word");
+        }
+        vec![self.installed(s, i, access, new, row.lock, row.event)]
     }
 
     /// Thread `i` attempts `access`: the states that can follow. None if the
@@ -427,4 +434,22 @@ fn racy_read_reuses_an_epoch(w: StateWord, access: Access, who: Who<'_>, dep: De
 #[should_panic(expected = "no return: a RdSh word stands again after a payload write")]
 fn a_racy_read_reusing_an_epoch_is_caught() {
     exhaust(racy_read_reuses_an_epoch);
+}
+
+/// (iv) The ② `WrExPess(T1) R by T2` row installs `RdExPess(T2)`, the word
+/// its read lock would have been released to, as it did before it went
+/// straight to a fresh read-shared word.
+fn racy_read_installs_read_exclusive(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
+    let row = transition(w, access, who, dep);
+    if dep.install_unlocked && access == Access::Read && w.is_pess_unlocked() && w.kind() == Kind::WrEx && w.owner() != who.t {
+        let next = Next::Word(StateWord::rd_ex_pess(who.t, LockMode::Unlocked));
+        return Row { next, event: Ev::PessConflictingAcquire, ..row };
+    }
+    row
+}
+
+#[test]
+#[should_panic(expected = "a foreign read of a pessimistic word installs no RdEx word")]
+fn a_racy_read_installing_a_read_exclusive_word_is_caught() {
+    exhaust(racy_read_installs_read_exclusive);
 }

@@ -24,7 +24,7 @@ use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
 use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{
-    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId,
+    Event, MonitorId, ObjId, Runtime, RuntimeConfig, SchedHooks, SchedPoint, ThreadId, Wait,
 };
 
 const O: ObjId = ObjId(0);
@@ -397,8 +397,9 @@ impl SchedHooks for WriteCycleInWindow {
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         {
+            let mut wait = Wait::new("the write cycle in the window");
             while self.phase.load(Ordering::Acquire) != self.steps + 1 {
-                std::thread::yield_now();
+                let _ = wait.step();
             }
         }
     }
@@ -473,8 +474,8 @@ fn flat_engine_own_exclusive_reads_validate_without_the_lock() {
 /// load is never validated, at either attempt: the leaf's, replayed here
 /// with the word it loaded before the write, and the continuation's, with
 /// the write forced into its window through `SeqlockReadValidate`. The reader
-/// retries, takes its row (installed unlocked, then validated) and returns
-/// the new value.
+/// retries, takes its row (a fresh read-shared word installed unlocked, then
+/// validated) and returns the new value.
 #[test]
 fn flat_engine_foreign_write_in_the_window_is_never_validated() {
     // The leaf's attempt.
@@ -513,17 +514,22 @@ fn flat_engine_foreign_write_in_the_window_is_never_validated() {
         attached.wait();
         assert_eq!(e.read(t0, O), 99, "the window's 41 must not validate");
     });
-    assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Unlocked), "WrExPess(T1) R by T0");
+    let now = state(&e);
+    assert_eq!(now, StateWord::rd_sh_pess(now.rdsh_count(), 0), "WrExPess(T1) R by T0");
+    assert!(now.rdsh_count() > 1, "a fresh epoch: {now:?}");
     // SAFETY: as above.
     let ts = unsafe { e.common().ts(t0) };
     assert_eq!(ts.stats.get(Event::SeqlockRetry), 1);
     assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
     assert_eq!(ts.stats.get(Event::PessUncontended), 1, "the retry takes its row");
+    assert!(ts.holds_no_locks());
     e.detach(t0);
 }
 
 /// A word another thread owns never validates: the read creates a
-/// dependence, so it takes its Table 1 row, in pessimistic encodings.
+/// dependence, so it takes its row, which installs a fresh read-shared word
+/// in one claim — `RdExPess(T1)`'s Table 1 row, and for `WrExPess(T1)` the
+/// marked row ② that skips the `RdExPess(T0)` between.
 #[test]
 fn flat_engine_foreign_exclusive_words_never_validate() {
     for foreign in [
@@ -534,17 +540,18 @@ fn flat_engine_foreign_exclusive_words_never_validate() {
         let e = pessimistic_on(Arc::new(runtime()));
         let (t0, _t1) = (e.attach(), e.attach());
         inject(&e, foreign);
+        let epoch = e.rt().current_rdsh_count();
         let _ = e.read(t0, O);
         let now = state(&e);
-        let row = match foreign.kind() {
-            Kind::WrEx => StateWord::rd_ex_pess(t0, LockMode::Unlocked),
-            _ => StateWord::rd_sh_pess(now.rdsh_count(), 0),
-        };
-        assert_eq!(now, row, "{foreign:?}");
+        assert_eq!(now, StateWord::rd_sh_pess(now.rdsh_count(), 0), "{foreign:?}");
+        assert!(now.rdsh_count() > epoch, "{foreign:?}: a fresh epoch, {now:?}");
         // SAFETY: this is the OS thread attached as t0.
         let ts = unsafe { e.common().ts(t0) };
         assert_eq!(ts.stats.get(Event::SeqlockValidated), 0, "{foreign:?}");
         assert_eq!(ts.stats.get(Event::PessUncontended), 1, "{foreign:?}");
+        let w_to_r = foreign.kind() == Kind::WrEx;
+        assert_eq!(ts.stats.get(Event::PessOwnerChange), u64::from(w_to_r), "{foreign:?}");
+        assert!(ts.holds_no_locks(), "{foreign:?}");
         e.detach(t0);
     }
 }

@@ -442,8 +442,16 @@ impl ThreadControl {
     /// Owning thread: bump the release clock (at a PSRO or responding safe
     /// point). Release ordering: everything the thread did before the bump
     /// happens-before any observer that acquires the new value.
+    ///
+    /// Single writer: only the thread this block belongs to ever bumps its
+    /// clock — the engine's PSRO flush, request answering, blocking safe
+    /// point and detach, and the recorder and replayer on that same thread —
+    /// so no other store can land between the load and the store, and a
+    /// plain release store replaces the locked RMW every PSRO would pay.
     pub fn bump_release_clock(&self) -> u64 {
-        self.release_clock.fetch_add(1, Ordering::Release) + 1
+        let clock = self.release_clock.load(Ordering::Relaxed) + 1;
+        self.release_clock.store(clock, Ordering::Release);
+        clock
     }
 
     /// Any thread: read the release clock (acquire).

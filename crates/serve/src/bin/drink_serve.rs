@@ -3,8 +3,11 @@
 //! Two modes (capacity and latency per engine are measured by
 //! `benchmark/run.sh`, not here):
 //!
-//! * **default (CLI)** — one run with the flags below, printing throughput
-//!   and the service/sojourn percentile table;
+//! * **default (CLI)** — one run with the flags below, printing throughput,
+//!   the service/sojourn percentile table and what tracking cost per 1000
+//!   requests: pessimistic transitions (`PessUncontended`), the conflicting
+//!   ones among them (`PessOwnerChange`), validated reads
+//!   (`SeqlockValidated`) and RdSh epochs drawn from `gRdShCount`;
 //! * **`--smoke`** — a short fixed-rate run asserting nonzero throughput
 //!   and a clean quiescent store check. It takes no other arguments.
 //!
@@ -18,9 +21,11 @@
 //! ```
 
 use std::fmt::Display;
+use std::sync::Arc;
 
 use drink_core::EngineKind;
-use drink_serve::{run_serve, ServeConfig, ServeResult};
+use drink_runtime::{Event, Runtime};
+use drink_serve::{run_serve_on, ServeConfig, ServeResult};
 
 fn usage_error(msg: impl Display) -> ! {
     eprintln!("drink-serve: {msg}");
@@ -65,7 +70,15 @@ fn config_from_args(args: &[String]) -> ServeConfig {
     cfg
 }
 
-fn print_result(r: &ServeResult) {
+/// One run on a runtime of its own, and the RdSh epochs it drew (the
+/// counter starts at 1, the pre-run epoch).
+fn serve(cfg: &ServeConfig) -> (ServeResult, u64) {
+    let rt = Arc::new(Runtime::new(cfg.runtime_config()));
+    let r = run_serve_on(Arc::clone(&rt), cfg);
+    (r, rt.current_rdsh_count() - 1)
+}
+
+fn print_result(r: &ServeResult, epochs: u64) {
     println!(
         "{} × {} workers: {} completions in {:.1} ms — {:.0} req/s",
         r.engine,
@@ -86,6 +99,14 @@ fn print_result(r: &ServeResult) {
         r.sojourn_pct(90.0),
         r.sojourn_pct(99.0)
     );
+    let per_k = |n: u64| n as f64 * 1e3 / r.accounting.completions.max(1) as f64;
+    println!(
+        "  tracking per 1000 requests: PessUncontended={:.1} PessOwnerChange={:.1} SeqlockValidated={:.1} epochs={:.1}",
+        per_k(r.report.get(Event::PessUncontended)),
+        per_k(r.report.get(Event::PessOwnerChange)),
+        per_k(r.report.get(Event::SeqlockValidated)),
+        per_k(epochs)
+    );
 }
 
 fn smoke() {
@@ -98,8 +119,8 @@ fn smoke() {
         requests_per_worker: 100,
         ..ServeConfig::default()
     };
-    let r = run_serve(&cfg);
-    print_result(&r);
+    let (r, epochs) = serve(&cfg);
+    print_result(&r, epochs);
     if r.accounting.completions == 0 || r.throughput_rps <= 0.0 {
         eprintln!("drink-serve: smoke produced no throughput");
         std::process::exit(1);
@@ -118,8 +139,8 @@ fn main() {
         return;
     }
     let cfg = config_from_args(&args);
-    let r = run_serve(&cfg);
-    print_result(&r);
+    let (r, epochs) = serve(&cfg);
+    print_result(&r, epochs);
     if let Err(e) = r.check_quiescent() {
         eprintln!("drink-serve: store check failed: {e}");
         std::process::exit(1);

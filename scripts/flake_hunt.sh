@@ -16,8 +16,14 @@
 #
 # The first failing round's full output is kept under target/flake-hunt/
 # and the script exits non-zero; a clean hunt leaves nothing behind.
+#
+# Rounds run under DRINK_SPIN_BUDGET_MS=20000 unless the caller sets it: a
+# wedged wait then panics in 20 s, failing its round with the output kept,
+# instead of stalling the hunt for the 60 s default (or for good, where a
+# schedule hook waits on a thread that already failed).
 set -uo pipefail
 cd "$(dirname "$0")/.."
+export DRINK_SPIN_BUDGET_MS="${DRINK_SPIN_BUDGET_MS:-20000}"
 
 rounds=50
 if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
