@@ -2,8 +2,9 @@
 //! transition, by kind, measured on this substrate. Measurement strategies:
 //! * **pessimistic**: single-thread loop of tracked accesses minus the
 //!   untracked loop, under pessimistic tracking (`HybridConfig::pessimistic()`)
-//!   on `PaperModel`: every access pays the CAS-lock/unlock pair, as §2.1 has
-//!   it (under `NullSupport` the owner's reads validate);
+//!   on `EagerModel`: every access pays the CAS-lock/unlock pair inside
+//!   itself, as §2.1 has it (under `NullSupport` the owner's reads validate,
+//!   and on a deferring support they would turn reentrant);
 //! * **optimistic same-state**: same loop under the optimistic engine;
 //! * **conflicting (explicit)**: two threads ping-pong one object while the
 //!   non-accessing thread polls safe points — every access is an explicit
@@ -140,7 +141,7 @@ pub(crate) fn cost_table(ctx: &Ctx) -> Table {
     let iters = ((2_000_000.0 * ctx.scale) as u64).max(10_000);
     let single = || Arc::new(Runtime::new(RuntimeConfig::builder().max_threads(1).heap_objects(4).monitors(1).build()));
     let base = per_access_ns(&NoTracking::new(single()), iters);
-    let pess_engine = HybridEngine::with_config(single(), PaperModel, HybridConfig::pessimistic());
+    let pess_engine = HybridEngine::with_config(single(), EagerModel, HybridConfig::pessimistic());
     let pess = per_access_ns(&pess_engine, iters);
     let locked = pess_engine.rt().stats().get(Event::PessUncontended);
     assert_eq!(locked, iters, "§2.1: every access takes the lock");
@@ -161,7 +162,7 @@ pub(crate) fn cost_table(ctx: &Ctx) -> Table {
         t.lines.push(Line::Row(cells.to_vec()));
     }
     let tracked = lines[2..].iter().map(|l| l.0.to_string()).collect();
-    t.runs_on = vec![("none", vec![lines[0].0.into()]), ("PaperModel", vec![lines[1].0.into()]), ("NullSupport", tracked)];
+    t.runs_on = vec![("none", vec![lines[0].0.into()]), ("EagerModel", vec![lines[1].0.into()]), ("NullSupport", tracked)];
     t.notes = "Shape checks: same-state < pessimistic ≪ explicit; implicit between\n\
                pessimistic and explicit, much closer to pessimistic. The explicit /\n\
                same-state ratio should be 2–3 orders of magnitude (paper: ~196×).\n\

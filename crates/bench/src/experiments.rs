@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
-use drink_core::prelude::{HybridConfig, NullSupport, PaperModel, PolicyParams, SelfReadMode};
+use drink_core::prelude::{EagerModel, HybridConfig, NullSupport, PaperModel, PolicyParams, SelfReadMode};
 use drink_runtime::Event;
 use drink_workloads::{
     profiles, racy_inc, record, replay, rs_label, run_rs, sync_inc, EngineKind, PaperRef,
@@ -117,9 +117,11 @@ fn fig6(ctx: &Ctx) -> Table {
 
 /// E3: **Table 2** — state transitions for hybrid tracking, compared with
 /// optimistic tracking alone (parenthesized), with the paper's values for
-/// the modeled program under each row.
+/// the modeled program under each row. The hybrid row runs on `PaperModel`,
+/// whose locks are deferred as the paper's are: tracking alone releases each
+/// lock inside its access, so no access would be reentrant or contended.
 fn table2(ctx: &Ctx) -> Table {
-    let configs = [Config::kind(Optimistic), Config::kind(Hybrid)];
+    let configs = [Config::kind(Optimistic), Config::hybrid("Hybrid tracking", PaperModel, HybridConfig::default())];
     let header = ["program", "(opt same)", "hyb same", "(opt conf)", "hyb conf", "pess unc", "%re", "contend"];
     let mut t = Table::new(&[&header[..], &["opt→pess", "pess→opt"]].concat(), &configs);
     for p in profiles::scaled(ctx.scale) {
@@ -207,17 +209,17 @@ fn fig7(ctx: &Ctx) -> Table {
 /// increment a global counter with and without a global lock, hybrid
 /// tracking's best and worst case. The paper's racyInc shape is measured on
 /// `PaperModel`, where every lock is deferred as in Table 3. The shipped
-/// engine departs from it exactly here (DESIGN.md §13): once the counter has
-/// contended `Cutoff_confl` times it stops deferring, each access releases
-/// its lock right after itself, and the worst case turns into roughly
-/// pessimistic tracking — where §7.5 sketches sending such an object back to
-/// optimistic states, i.e. to a roundtrip per access.
+/// engine (`NullSupport`) releases every lock inside the access that took it
+/// (DESIGN.md §13), so a racing increment waits for a release instead of
+/// coordinating, and the worst case turns into roughly pessimistic tracking
+/// — where §7.5 sketches sending such an object back to optimistic states,
+/// i.e. to a roundtrip per access.
 fn fig8(ctx: &Ctx) -> Table {
     let (threads, iters, trials) = (8, ((40_000.0 * ctx.scale) as usize).max(500), ctx.trials(3));
     let sync = [Baseline, Pessimistic, Optimistic, Hybrid].map(Config::kind);
     let mut racy: Vec<_> = [Baseline, Pessimistic, Optimistic].map(Config::kind).into();
     racy.push(Config::hybrid("Hybrid tracking", PaperModel, HybridConfig::default()));
-    racy.push(Config { label: "Hybrid, racy → unlock now".into(), ..Config::kind(Hybrid) });
+    racy.push(Config { label: "Hybrid, shipped (eager)".into(), ..Config::kind(Hybrid) });
     let header = ["config", "wall %", "model %", "coord/1k acc", "rounds/cont", "own-chg %"];
     let mut t = Table::new(&header, &sync);
     t.runs(&racy);
@@ -247,7 +249,8 @@ fn fig8(ctx: &Ctx) -> Table {
     t.notes = "[paper] syncInc: Pess ≈ Opt ≈ 1200%, Hybrid 84%.\n\
                [paper] racyInc: Pess ≈ Opt ≈ 1200%, Hybrid 4300% (worst case).\n\
                racyInc's `Hybrid tracking` runs PaperModel (every lock deferred, as in\n\
-               Table 3); syncInc's runs the shipped engine (NullSupport).\n\
+               Table 3); syncInc's, and racyInc's `shipped (eager)`, run the shipped\n\
+               engine (NullSupport: every lock released inside its access).\n\
                Shape checks: syncInc — Hybrid ≪ Optimistic. racyInc — Hybrid (the paper's\n\
                model, every lock deferred) worst; the shipped engine within 2× of Pessimistic.";
     let slowest = paper >= pess.max(opt).max(shipped);
@@ -263,7 +266,7 @@ fn fig8(ctx: &Ctx) -> Table {
 /// soundness check at full scale. (The paper drops eclipse6 here; its
 /// replayer fails on it.)
 fn fig9a(ctx: &Ctx) -> Table {
-    let trials = ctx.trials(1);
+    let trials = ctx.trials(9);
     let recorded = &RefCell::new(None::<RecordOutcome>);
     let (edges, diverged) = (&Cell::new(0), &RefCell::new(Vec::new()));
     let rec = |kind: EngineKind| Config {
@@ -325,7 +328,7 @@ fn fig9b(ctx: &Ctx) -> Table {
     let mut t = Table::new(&["program", "opt-rs %", "hyb-rs %", "restarts(o)", "restarts(h)"], &configs);
     let mut cols = vec![Vec::new(); 2];
     for p in profiles::scaled(ctx.scale) {
-        let s = measure(&p.spec, &configs, ctx.trials(1));
+        let s = measure(&p.spec, &configs, ctx.trials(9));
         let mut cells = vec![p.spec.name.clone()];
         for (col, x) in cols.iter_mut().zip(&s[1..]) {
             col.push(x.wall_pct(&s[0]));
@@ -431,15 +434,15 @@ fn e9(ctx: &Ctx) -> Table {
 }
 
 /// E10: ablate **deferred unlocking**, the paper's central §3.1 insight:
-/// hybrid tracking with `eager_unlock` (the paper's initial design, which
-/// "added significant overhead") against the real thing, on the
-/// high-pessimistic-traffic programs plus syncInc.
+/// hybrid tracking on `EagerModel` (the paper's initial design, which "added
+/// significant overhead") against the real thing on `PaperModel`, on the
+/// high-pessimistic-traffic programs plus syncInc. Both run Table 3's rows;
+/// only the lock discipline differs.
 fn e10(ctx: &Ctx) -> Table {
-    let eager = HybridConfig { eager_unlock: true, ..HybridConfig::default() };
     let configs = [
         Config::kind(Baseline),
-        Config::hybrid("deferred", NullSupport, HybridConfig::default()),
-        Config::hybrid("eager", NullSupport, eager),
+        Config::hybrid("deferred", PaperModel, HybridConfig::default()),
+        Config::hybrid("eager", EagerModel, HybridConfig::default()),
     ];
     let mut t = Table::new(&["program", "deferred", "eager", "reentrant(d)", "unlocks(d)", "locked(e)"], &configs);
     t.caption = fixed(&[

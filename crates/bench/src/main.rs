@@ -148,7 +148,7 @@ fn trace(mut args: Vec<String>) {
     }
     let engine = take_flag(&mut args, "--engine").unwrap_or_else(|| "hybrid".into());
     let engine = EngineKind::parse(&engine).unwrap_or_else(|| fail(format!("unknown engine {engine:?}")));
-    let seed: u64 = take_flag(&mut args, "--seed").map(parse).unwrap_or(0xD21_4B);
+    let seed: u64 = take_flag(&mut args, "--seed").map(parse).unwrap_or(0x000D_214B);
     let spec = match take_flag(&mut args, "--workload").as_deref().unwrap_or("chaos_mix") {
         "chaos_mix" => chaos_mix(seed),
         "chaos_disjoint" => chaos_disjoint(seed),

@@ -35,7 +35,7 @@ use drink_workloads::{
     chaos_wide, WorkloadSpec,
 };
 
-const DEFAULT_SEEDS: [u64; 4] = [0x1, 0x2, 0xC0FFEE, 0xDECAF_BAD];
+const DEFAULT_SEEDS: [u64; 4] = [0x1, 0x2, 0xC0FFEE, 0xDECA_FBAD];
 const SHRINK_ATTEMPTS: usize = 24;
 
 struct Args {
@@ -124,7 +124,7 @@ fn main() -> ExitCode {
                 ),
                 Err(artifact) => {
                     failures += 1;
-                    report_failure(artifact, &args.artifact_dir);
+                    report_failure(*artifact, &args.artifact_dir);
                     if args.fail_fast {
                         eprintln!("chaos_smoke: stopping at first failure (--fail-fast)");
                         return ExitCode::FAILURE;
@@ -157,15 +157,20 @@ fn checks(seed: u64) -> Vec<(Check, WorkloadSpec)> {
             checks.push((Check::Cell(Subject::Engine(kind)), spec.clone()));
         }
     }
+    // The RS cells run under the chaos scheduler, and their artifacts carry
+    // event timelines; the replay oracle records unperturbed, and its
+    // artifacts carry none. A bug only a deferring support can meet (the
+    // matrix engines release every lock inside its access) is reported by
+    // the first of the two under `--fail-fast`, so the RS oracle goes first.
     let oracles = [
         (Oracle::Differential, chaos_disjoint(seed)),
         (Oracle::SeqlockRead, chaos_read_mostly(seed)),
         (Oracle::Ladder, chaos_adapt(seed)),
         (Oracle::Serve, serve_spec(seed)),
-        (Oracle::Replay, chaos_disjoint(seed)),
-        (Oracle::Replay, chaos_mix(seed)),
         (Oracle::Rs, chaos_disjoint(seed)),
         (Oracle::Rs, chaos_mix(seed)),
+        (Oracle::Replay, chaos_disjoint(seed)),
+        (Oracle::Replay, chaos_mix(seed)),
     ];
     checks.extend(oracles.map(|(oracle, spec)| (Check::Oracle(oracle), spec)));
     checks

@@ -124,7 +124,7 @@ impl Check {
     }
 
     /// Run the check on `spec` under chaos seed `seed`.
-    pub fn run(self, spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    pub fn run(self, spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
         match self {
             Check::Cell(subject) => run_cell(subject, spec, seed).map(drop),
             Check::Oracle(oracle) => oracle.check(spec, seed),
@@ -268,7 +268,7 @@ pub fn run_cell(
     subject: Subject,
     spec: &WorkloadSpec,
     seed: u64,
-) -> Result<CellRun, FailureArtifact> {
+) -> Result<CellRun, Box<FailureArtifact>> {
     let chaos = Arc::new(ChaosSched::new(seed, spec.threads));
     let (outcome, events) = run_chaos(subject, spec, chaos.clone());
     let traces = chaos.take_traces();
@@ -279,14 +279,14 @@ pub fn run_cell(
             traces,
             events,
         }),
-        Err(failure) => Err(FailureArtifact {
+        Err(failure) => Err(Box::new(FailureArtifact {
             seed,
             engine: subject.label(),
             spec: spec.clone(),
             failure,
             traces,
             events,
-        }),
+        })),
     }
 }
 

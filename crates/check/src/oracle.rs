@@ -119,21 +119,21 @@ impl Oracle {
     }
 
     /// Check `spec` under chaos seed `seed`.
-    pub fn check(self, spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+    pub fn check(self, spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
         match self {
             Oracle::Differential => differential_check(spec, seed),
             Oracle::SeqlockRead => read_mostly_check(spec, seed),
             Oracle::Ladder => adapt_check(spec, seed),
             Oracle::Serve => serve_check(spec, seed),
             Oracle::Rs => rs_check(spec, seed),
-            Oracle::Replay => replay_check(spec).map_err(|failure| FailureArtifact {
+            Oracle::Replay => replay_check(spec).map_err(|failure| Box::new(FailureArtifact {
                 seed,
                 engine: self.label().into(),
                 spec: spec.clone(),
                 failure,
                 traces: Vec::new(),
                 events: Vec::new(),
-            }),
+            })),
         }
     }
 
@@ -152,7 +152,7 @@ impl Oracle {
         subjects: impl IntoIterator<Item = Subject>,
         baseline: Option<&[u64]>,
         per_cell: impl Fn(Subject, &StatsReport) -> Result<(), String>,
-    ) -> Result<(), FailureArtifact> {
+    ) -> Result<(), Box<FailureArtifact>> {
         let mut first: Option<(Subject, u64)> = None;
         for subject in subjects {
             let cell = harness::run_cell(subject, spec, seed)?;
@@ -173,14 +173,14 @@ impl Oracle {
                 _ => per_cell(subject, &cell.report),
             };
             first.get_or_insert((subject, a));
-            verdict.map_err(|failure| FailureArtifact {
+            verdict.map_err(|failure| Box::new(FailureArtifact {
                 seed,
                 engine: self.label().into(),
                 spec: spec.clone(),
                 failure,
                 traces: cell.traces,
                 events: cell.events,
-            })?;
+            }))?;
         }
         Ok(())
     }
@@ -199,7 +199,7 @@ fn engines(kinds: &[EngineKind]) -> impl Iterator<Item = Subject> + '_ {
 /// The engine matrix on `spec` under chaos seed `seed`: access counts
 /// agree, and a schedule-independent spec ends with the untracked
 /// baseline's heap after zero conflicting transitions.
-fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
     let baseline = baseline_heap(spec);
     let per_cell = |subject: Subject, r: &StatsReport| {
         let conflicts = r.opt_conflicting() + r.get(Event::PessContended);
@@ -233,7 +233,7 @@ fn differential_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtif
 ///   run with fallbacks, the mean fan-out width stays what the all-peer
 ///   protocol dictates (≥ 1 peer, ≤ threads − 1), unchanged by how many
 ///   reads arrived via the fallback arm rather than directly.
-fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
     let per_cell = |subject: Subject, r: &StatsReport| {
         let label = subject.label();
         if r.validated_reads() == 0 {
@@ -295,7 +295,7 @@ fn read_mostly_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifa
 /// * **deadline discipline** — any `coord.deadline_exceeded` events are
 ///   recoverable by construction (the run completed, so none escalated to
 ///   a watchdog panic); they are reported for visibility.
-fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
     let per_cell = |subject: Subject, r: &StatsReport| {
         if subject == Subject::Engine(EngineKind::Adaptive) && r.get(Event::AdaptDemotion) == 0 {
             return Err(format!(
@@ -330,7 +330,7 @@ fn adapt_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
 ///   with the final key values of an unperturbed untracked run; a
 ///   divergence means a tracking engine lost or reordered a synchronized
 ///   RMW.
-fn serve_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+fn serve_check(spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
     let cfg = ServeConfig {
         engine: EngineKind::Baseline,
         ..chaos_serve(spec.seed)
@@ -344,7 +344,7 @@ fn serve_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
 /// The region-serializability oracle: both RS enforcers complete `spec`
 /// under perturbation, never livelock (`execs > restarts`), end quiescent,
 /// and preserve schedule-independent semantics.
-fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), FailureArtifact> {
+fn rs_check(spec: &WorkloadSpec, seed: u64) -> Result<(), Box<FailureArtifact>> {
     let baseline = baseline_heap(spec);
     let per_cell = |subject: Subject, r: &StatsReport| {
         let (execs, restarts) = (r.get(Event::RegionExec), r.get(Event::RegionRestart));

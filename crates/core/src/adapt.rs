@@ -32,7 +32,7 @@ mod tests {
     /// Non-conflicting pessimistic samples until one promotes; how many it
     /// took.
     fn clean_samples_to_promotion(p: &AdaptivePolicy, w: &AtomicU64) -> u64 {
-        (1..).find(|_| p.on_pess_transition(w, false, false).promoted).unwrap()
+        (1..).find(|_| p.on_pess_transition(w, false)).unwrap()
     }
 
     #[test]
@@ -69,7 +69,7 @@ mod tests {
         // Ownership keeps bouncing: conflicting samples never satisfy (5),
         // however many arrive (the counters saturate, they do not wrap).
         for _ in 0..100_000 {
-            assert!(!p.on_pess_transition(&w, true, false).promoted);
+            assert!(!p.on_pess_transition(&w, true));
         }
         assert_eq!(phase(&w), Phase::Pess);
     }
@@ -104,7 +104,7 @@ mod tests {
         assert_eq!(phase(&w), Phase::Pess);
         assert_eq!(AdaptivePolicy::profile(&w).num_conflicts, 0);
         // Idempotent: a second expiry reports false and restarts nothing.
-        assert!(!p.on_pess_transition(&w, false, false).promoted);
+        assert!(!p.on_pess_transition(&w, false));
         assert!(!p.force_pess(&w));
         assert_eq!(AdaptivePolicy::profile(&w).pess_non_confl, 1);
         // Promotion afterwards still needs the full inertia.
@@ -140,7 +140,7 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Sample {
         ExplicitConflict,
-        Pess { conflicting: bool, contended: bool },
+        Pess { conflicting: bool },
         DeadlineExpiry,
     }
 
@@ -154,16 +154,16 @@ mod tests {
     /// Feed `samples` to `p` on a fresh word, checking after every sample
     /// that the phase moved only by a step the valve allows and that every
     /// phase change restarted the counters. Returns the steps taken.
-    fn replay(p: &AdaptivePolicy, samples: &[(u8, u8, bool)]) -> Vec<Step> {
+    fn replay(p: &AdaptivePolicy, samples: &[(u8, u8)]) -> Vec<Step> {
         let w = AtomicU64::new(0);
         let mut steps = Vec::new();
-        for (i, &(kind, die, contended)) in samples.iter().enumerate() {
+        for (i, &(kind, die)) in samples.iter().enumerate() {
             let at = i + 1;
             // One pessimistic sample in 16 conflicts: inequality (5) drifts
             // towards promotion, and is set back often enough to matter.
             let sample = match kind {
                 0..=2 => Sample::ExplicitConflict,
-                3..=6 => Sample::Pess { conflicting: die == 0, contended },
+                3..=6 => Sample::Pess { conflicting: die == 0 },
                 _ => Sample::DeadlineExpiry,
             };
             let before = AdaptivePolicy::profile(&w);
@@ -179,10 +179,9 @@ mod tests {
                     assert_eq!(w.load(Ordering::Relaxed), after);
                     moved.then_some(Step::Demoted { at, forced: true })
                 }
-                Sample::Pess { conflicting, contended } => p
-                    .on_pess_transition(&w, conflicting, contended)
-                    .promoted
-                    .then_some(Step::Promoted { at }),
+                Sample::Pess { conflicting } => {
+                    p.on_pess_transition(&w, conflicting).then_some(Step::Promoted { at })
+                }
             };
             let after = AdaptivePolicy::profile(&w);
             match step {
@@ -196,8 +195,8 @@ mod tests {
                         p.valve
                     );
                     assert_eq!(
-                        (after.num_conflicts, after.pess_non_confl, after.pess_confl, after.pess_contended),
-                        (0, 0, 0, 0),
+                        (after.num_conflicts, after.pess_non_confl, after.pess_confl),
+                        (0, 0, 0),
                         "counters survived {step:?}"
                     );
                     assert_eq!(
@@ -215,8 +214,8 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn samples() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
-            proptest::collection::vec((0u8..8, 0u8..16, any::<bool>()), 0..768)
+        fn samples() -> impl Strategy<Value = Vec<(u8, u8)>> {
+            proptest::collection::vec((0u8..8, 0u8..16), 0..768)
         }
 
         proptest! {
@@ -268,7 +267,7 @@ mod tests {
                 let mut samples = samples;
                 for at in expiries {
                     let at = at.min(samples.len());
-                    samples.insert(at, (7, 0, false));
+                    samples.insert(at, (7, 0));
                 }
                 let steps = replay(&policy(Valve::Reopening), &samples);
                 let mut promotions = 0u32;

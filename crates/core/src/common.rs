@@ -27,7 +27,7 @@ use drink_runtime::{
 };
 
 use crate::policy::AdaptivePolicy;
-use crate::support::{Support, SupportCx};
+use crate::support::{Locking, Support, SupportCx};
 use crate::table::Next;
 use crate::tstate::{OwnedByThread, ThreadState};
 use crate::word::{LockMode, StateWord};
@@ -478,7 +478,7 @@ impl<S: Support> EngineCommon<S> {
     /// the leaf's continuation.
     #[inline(always)]
     pub fn validated_read_leaf(&self, ts: &mut ThreadState, obj: &ObjHeader, cur: u64) -> Option<u64> {
-        if !S::RELAXED_LOCKING
+        if !matches!(S::LOCKING, Locking::Relaxed)
             || self.rt.tracing_enabled()
             || self.rt.perturbing()
             || !StateWord(cur).validated_read_ok(ts.tid)
@@ -721,7 +721,7 @@ mod tests {
             .store(StateWord::wr_ex_pess(t, LockMode::Write).0, Ordering::SeqCst);
         // Drive the profile to OptFinal.
         e.policy.on_explicit_conflict(obj.profile());
-        e.policy.on_pess_transition(obj.profile(), false, false);
+        e.policy.on_pess_transition(obj.profile(), false);
         assert_eq!(AdaptivePolicy::profile(obj.profile()).phase, Phase::OptFinal);
 
         ts.push_lock(o, LockMode::Write);

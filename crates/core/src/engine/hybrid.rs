@@ -1,36 +1,35 @@
 //! Hybrid tracking (§3): the paper's contribution.
 //!
 //! Objects move between **optimistic** states (handled exactly like the
-//! Octet engine) and **pessimistic** states with *deferred unlocking*
-//! (§3.1):
+//! Octet engine) and **pessimistic** states, which an access CAS-locks
+//! (reader–writer locking). How long such a lock lives is not this engine's
+//! call but the support's lock discipline ([`Support::LOCKING`]), fixed by
+//! its type and folded at compile time:
 //!
-//! * an access to an unlocked pessimistic state CAS-locks it (reader–writer
-//!   locking) and records the object in the thread's lock buffer;
-//! * locks are released only at PSROs and responding safe points, which flush
-//!   the whole buffer (see [`EngineCommon::flush_lock_buffer`]);
-//! * repeated accesses to states this thread already holds are **reentrant**
-//!   — no atomic operation;
-//! * an access that conflicts with a *locked* state is **contended**: the
-//!   thread falls back to coordination, which makes the holder flush at its
-//!   next responding safe point, then retries. Contention implies an
-//!   object-level data race (§3.1, Figure 2(b));
+//! * under [`Locking::Deferred`] — §3.1's insight, which the recorder and
+//!   the RS enforcer need — a lock is recorded in the thread's lock buffer
+//!   and released only at PSROs and responding safe points, which flush the
+//!   whole buffer (see [`EngineCommon::flush_lock_buffer`]). Repeated
+//!   accesses to states this thread already holds are **reentrant** — no
+//!   atomic operation — and an access that conflicts with a *locked* state
+//!   is **contended**: the thread falls back to coordination, which makes
+//!   the holder flush at its next responding safe point, then retries.
+//!   Contention implies an object-level data race (§3.1, Figure 2(b));
+//! * under [`Locking::Eager`] and [`Locking::Relaxed`] — §3.1's initial
+//!   design, all that tracking alone needs — no lock outlives the access
+//!   that took it: a write is claim, payload store, unlock *store*; no
+//!   access is reentrant, and a contended one waits for the holder's
+//!   release instead of coordinating. Under `Relaxed` a conflicting read
+//!   installs an unlocked word — a fresh read-shared one — and validates the
+//!   payload against it (DESIGN.md §12, "install, then validate");
 //! * the adaptive policy (§6) decides, at optimistic conflicts, whether an
 //!   object moves to pessimistic states, and at unlocks, whether it moves
 //!   back (Figure 3's two diamonds);
-//! * an object whose accesses keep contending is not object-level race free,
-//!   so deferring its unlocks only manufactures more contention: under a
-//!   support that does not need Table 3's lock discipline
-//!   ([`Support::RELAXED_LOCKING`]) no lock on such a *racy* object outlives
-//!   the access that took it — the paper's pre-insight design, applied per
-//!   object (DESIGN.md §13): a write is claim, payload store, unlock
-//!   *store*; a conflicting read installs an unlocked word — a fresh
-//!   read-shared one — and validates the payload against it (DESIGN.md §12,
-//!   "install, then validate");
-//! * pessimistic tracking (§2.1) is that design applied to every object from
-//!   birth ([`HybridConfig::pessimistic`]): no object ever meets the policy,
-//!   a contended access waits for the holder's release, since no lock
-//!   outlives its access, and the states left are §2.1's reader–writer lock
-//!   (`WrExPess`, `WrExWLock`, `RdShPess`).
+//! * pessimistic tracking (§2.1) is `Cutoff_confl = 0`
+//!   ([`HybridConfig::pessimistic`]): every object is pessimistic from birth,
+//!   so none ever meets the policy, and on a support that unlocks eagerly the
+//!   states left are §2.1's reader–writer lock (`WrExPess`, `WrExWLock`,
+//!   `RdShPess`).
 //!
 //! What each state does on each access is not written here: it is
 //! [`crate::table::transition`], Table 3 as a value. This file is its
@@ -49,8 +48,8 @@ use drink_runtime::{Event, MonitorId, ObjHeader, ObjId, Runtime, SchedPoint, Thr
 use crate::common::EngineCommon;
 use crate::coord::{self, CoordMode};
 use crate::engine::Tracker;
-use crate::policy::{AdaptivePolicy, PessVerdict, PolicyParams, Valve};
-use crate::support::{NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
+use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
+use crate::support::{Locking, NullSupport, PrevHolders, Support, SupportCx, TransitionEv};
 pub use crate::table::SelfReadMode;
 use crate::table::{transition, Access, Class, Departures, Ev, Install, Lock, Next, Row, Who};
 use crate::tstate::ThreadState;
@@ -95,16 +94,6 @@ pub struct HybridConfig {
     pub valve: Valve,
     /// Self-read behaviour on `WrExPess` (see [`SelfReadMode`]).
     pub self_read: SelfReadMode,
-    /// §3.1 ablation: the paper's *initial, pre-insight design* — unlock
-    /// pessimistic states eagerly after every access, on every object,
-    /// instead of deferring to PSROs. No lock then outlives the access that
-    /// took it: no transition is ever reentrant, a conflicting read installs
-    /// its state unlocked where the support allows, a contended access waits
-    /// for the holder's release instead of coordinating, and the recorder's
-    /// release-clock edges are unavailable (tracking-only configurations may
-    /// use this; the runtime supports refuse it). The paper reports this
-    /// design "added significant overhead"; `drink-bench E10` quantifies it.
-    pub eager_unlock: bool,
 }
 
 impl HybridConfig {
@@ -134,17 +123,19 @@ impl HybridConfig {
         }
     }
 
-    /// Pessimistic tracking (§2.1): `Cutoff_confl = 0` with eager unlocking.
-    /// An object is pessimistic from its 0th conflict — from birth — so no
-    /// access ever meets an optimistic state to conflict on, and the policy
-    /// never samples (its profile stays `OptInitial`, so no profile word is
-    /// ever written); each lock goes back at the end of the access that took
-    /// it, as §2.1's critical section does, so no access ever coordinates.
+    /// Pessimistic tracking (§2.1): `Cutoff_confl = 0`. An object is
+    /// pessimistic from its 0th conflict — from birth — so no access ever
+    /// meets an optimistic state to conflict on, and the policy never samples
+    /// (its profile stays `OptInitial`, so no profile word is ever written).
     /// An owner's read of its `WrExPess` word takes the write lock, as §2.1's
     /// one critical section does: released by a store, where a read lock
     /// that a second reader may join needs a CAS (E1 prices the difference).
+    /// How long each lock lives is the support's discipline: on one that
+    /// unlocks eagerly it goes back at the end of the access, as §2.1's
+    /// critical section does, so no access ever coordinates; on a deferring
+    /// one (the recorder, the RS enforcer) this is Table 3 at cutoff 0.
     ///
-    /// Under a support with `RELAXED_LOCKING` the reachable states are
+    /// Under [`Locking::Relaxed`] (`NullSupport`) the reachable states are
     /// `WrExPess(T)`, `WrExWLock(T)` for the length of a write, and
     /// `RdShPess(c)` — with `RdShRLock(n)(c)` only for a read whose
     /// validation fell back: §2.1's reader–writer lock. A foreign read of a
@@ -156,7 +147,6 @@ impl HybridConfig {
         HybridConfig {
             policy: PolicyParams { cutoff_confl: 0, ..PolicyParams::default() },
             self_read: SelfReadMode::WrExWLock,
-            eager_unlock: true,
             ..HybridConfig::default()
         }
     }
@@ -302,17 +292,6 @@ impl<S: Support> HybridEngine<S> {
             .on_transition(cx, o, TransitionEv::Conflict { sources: &ts.src_scratch });
     }
 
-    /// Does a conflicting read of `o` install its state unlocked (marked rows
-    /// ②)? Only under a support that can do without Table 3's lock
-    /// discipline, and where no lock on `o` outlives its access anyway: on
-    /// every object under eager unlocking, on one the policy calls racy
-    /// otherwise (DESIGN.md §13).
-    #[inline(always)]
-    fn departs(&self, o: ObjId) -> bool {
-        S::RELAXED_LOCKING
-            && (self.cfg.eager_unlock || self.common.policy.racy(self.common.rt.obj(o).profile()))
-    }
-
     /// The table's row for `access` by `ts` to `o`, whose state word reads
     /// `cur`.
     #[inline(always)]
@@ -322,14 +301,14 @@ impl<S: Support> HybridEngine<S> {
         transition(StateWord(cur), access, who, dep)
     }
 
-    /// Look `cur` up in the table. Whether a conflicting read installs its
-    /// state unlocked is decided here, before any claim, because it picks the
-    /// word the claim installs; no write row asks.
+    /// Look `cur` up in the table. A conflicting read installs its state
+    /// unlocked (marked rows ②) under [`Locking::Relaxed`] alone; no write
+    /// row asks.
     #[inline(always)]
     fn lookup(&self, ts: &ThreadState, o: ObjId, cur: u64, access: Access) -> Step {
         let dep = Departures {
             self_read: self.cfg.self_read,
-            install_unlocked: access == Access::Read && self.departs(o),
+            install_unlocked: access == Access::Read && matches!(S::LOCKING, Locking::Relaxed),
         };
         Step { cur, access, dep, row: Self::table_row(ts, o, cur, access, dep) }
     }
@@ -360,18 +339,18 @@ impl<S: Support> HybridEngine<S> {
         self.common.support.on_transition(cx, o, ev);
     }
 
-    /// A transition just took `lock` on `o`. Under the §3.1 ablation, and on
-    /// an object the policy found `racy` if the support can do without Table
-    /// 3's lock discipline, the lock goes back right after the program access
-    /// and never enters the lock buffer; otherwise it is deferred to the next
-    /// flush.
+    /// A transition just took `lock` on `o`: deferred to the next flush, or
+    /// released right after the program access, never entering the lock
+    /// buffer — as the support's discipline says.
     #[inline]
-    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, racy: bool) -> Outcome {
-        if self.cfg.eager_unlock || (S::RELAXED_LOCKING && racy) {
-            return Outcome::ThenRelease;
+    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode) -> Outcome {
+        match S::LOCKING {
+            Locking::Deferred => {
+                ts.push_lock(o, lock);
+                Outcome::Proceed
+            }
+            Locking::Eager | Locking::Relaxed => Outcome::ThenRelease,
         }
-        ts.push_lock(o, lock);
-        Outcome::Proceed
     }
 
     /// The state an object is born in: `w`, or — at `Cutoff_confl = 0`,
@@ -393,15 +372,10 @@ impl<S: Support> HybridEngine<S> {
     }
 
     /// Give the policy the sample of one pessimistic transition on `o`.
-    fn sample_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool, contended: bool) -> PessVerdict {
-        let verdict = self
-            .common
-            .policy
-            .on_pess_transition(self.common.rt.obj(o).profile(), conflicting, contended);
-        if verdict.promoted {
+    fn sample_pess(&self, ts: &mut ThreadState, o: ObjId, conflicting: bool) {
+        if self.common.policy.on_pess_transition(self.common.rt.obj(o).profile(), conflicting) {
             self.note_phase_change(ts, o, false);
         }
-        verdict
     }
 
     // --- The executor (Figure 10(a)–(b), over the whole of Table 3) ---
@@ -409,17 +383,15 @@ impl<S: Support> HybridEngine<S> {
     /// Execute an installing row on the word it was looked up for: claim (and
     /// epoch), support hook, publish, count and sample, hold — in that order.
     /// The support must have recorded the transition before any thread can
-    /// see its state, and the policy's sample comes before `hold` because it
-    /// says how long the lock stays; `prepublish_flush.rs` and
-    /// `racy_objects.rs` pin both. `None` to look the word up again: the
-    /// claim lost a race, or an installed-then-validated read has to go round
-    /// ([`HybridEngine::finish_read_acquire`]).
+    /// see its state (`prepublish_flush.rs` pins it). `None` to look the word
+    /// up again: the claim lost a race, or an installed-then-validated read
+    /// has to go round ([`HybridEngine::finish_read_acquire`]).
     ///
     /// Inlined into the two continuations as well as the slow loop: with
     /// the row a constant of the branch it was looked up on, the matches
     /// below fold and each of the eight unlocked rows is straight-line.
     #[inline(always)]
-    fn install(&self, ts: &mut ThreadState, o: ObjId, step: Step, contended: &mut bool) -> Option<Outcome> {
+    fn install(&self, ts: &mut ThreadState, o: ObjId, step: Step) -> Option<Outcome> {
         let Step { cur, row, .. } = step;
         let obj = self.common.rt.obj(o);
         let fresh = matches!(row.next, Next::FreshRdSh { .. });
@@ -445,18 +417,15 @@ impl<S: Support> HybridEngine<S> {
                 self.common.note(ts, Event::OptUpgrading, o.0 as u64);
                 Some(Outcome::Proceed)
             }
-            (Class::Pess { conflicting }, Lock::None) => {
-                self.finish_read_acquire(ts, o, next, conflicting, contended)
-            }
+            (Class::Pess { conflicting }, Lock::None) => self.finish_read_acquire(ts, o, next, conflicting),
             (Class::Pess { conflicting }, lock) => {
                 self.count_pess(ts, o, conflicting);
-                let racy = self.sample_pess(ts, o, conflicting, *contended).racy;
+                self.sample_pess(ts, o, conflicting);
                 Some(match lock {
-                    Lock::Push(mode) => self.hold(ts, o, mode, racy),
+                    Lock::Push(mode) => self.hold(ts, o, mode),
                     // The read lock being upgraded is already in the lock
-                    // buffer, and stays deferred even if the object has
-                    // turned racy since: the next flush releases it like any
-                    // other, and no access defers another after.
+                    // buffer (so the discipline defers): the next flush
+                    // releases it as the write lock it has become.
                     _ => {
                         ts.rd_set.remove(o.0);
                         Outcome::Proceed
@@ -495,11 +464,11 @@ impl<S: Support> HybridEngine<S> {
                 }
                 Class::Reentrant => {
                     ts.stats.bump(Event::PessReentrant);
-                    self.sample_pess(ts, o, false, false);
+                    self.sample_pess(ts, o, false);
                     return Outcome::Proceed;
                 }
                 Class::Upgrade | Class::Pess { .. } => {
-                    if let Some(outcome) = self.install(ts, o, step, &mut contended) {
+                    if let Some(outcome) = self.install(ts, o, step) {
                         return outcome;
                     }
                     continue;
@@ -536,25 +505,26 @@ impl<S: Support> HybridEngine<S> {
                     if to_pess {
                         state.store(pess.0, Ordering::Release);
                         self.common.note(ts, Event::OptToPess, o.0 as u64);
-                        return self.hold(ts, o, lock, false);
+                        return self.hold(ts, o, lock);
                     }
                     state.store(opt.0, Ordering::Release);
                     return Outcome::Proceed;
                 }
-                Class::Contended if self.cfg.eager_unlock => {
+                Class::Contended => match S::LOCKING {
+                    Locking::Deferred => {
+                        if !contended {
+                            contended = true;
+                            self.common.note(ts, Event::PessContended, o.0 as u64);
+                        }
+                        // The holder(s) flush at their responding safe points.
+                        self.coordinate(ts, o, w);
+                    }
                     // No lock outlives the access that took it: the holder
                     // releases without being asked, so wait on the word as
                     // §2.1's critical section is waited on — no request, no
                     // coordination, not a contended transition.
-                }
-                Class::Contended => {
-                    if !contended {
-                        contended = true;
-                        self.common.note(ts, Event::PessContended, o.0 as u64);
-                    }
-                    // The holder(s) flush at their responding safe points.
-                    self.coordinate(ts, o, w);
-                }
+                    Locking::Eager | Locking::Relaxed => {}
+                },
                 Class::Wait => self.common.respond_pending(ts),
             }
             if abortable && self.common.support.should_abort(t) {
@@ -579,7 +549,7 @@ impl<S: Support> HybridEngine<S> {
             // the state word just loaded instead of taking the row's read lock
             // (DESIGN.md §12). On repeated invalidation it falls through to
             // the slow path, which takes that lock.
-            let acquired = if S::RELAXED_LOCKING && w.validated_read_ok(t) {
+            let acquired = if matches!(S::LOCKING, Locking::Relaxed) && w.validated_read_ok(t) {
                 if let Some(v) = self.common.seqlock_read(ts, o, w) {
                     self.common.rt.trace(t, Event::Read, o.0 as u64);
                     ts.op_index += 1;
@@ -590,7 +560,7 @@ impl<S: Support> HybridEngine<S> {
                 // Nearly every other pessimistic read: those five rows are
                 // tried here, before the cold path.
                 let step = self.lookup(ts, o, cur, Access::Read);
-                self.install(ts, o, step, &mut false)
+                self.install(ts, o, step)
             } else {
                 None
             };
@@ -644,7 +614,7 @@ impl<S: Support> HybridEngine<S> {
             // three rows are tried here, before the cold path.
             let acquired = if w.is_pess_unlocked() {
                 let step = self.lookup(ts, o, cur, Access::Write);
-                self.install(ts, o, step, &mut false)
+                self.install(ts, o, step)
             } else {
                 None
             };
@@ -686,9 +656,8 @@ impl<S: Support> HybridEngine<S> {
 
     /// The program write inside the critical section of a lock that is not
     /// deferred: the release comes *after* the payload access it guards.
-    /// Inlined into the write continuation: it is how every write under
-    /// eager unlocking — pessimistic tracking's every write — ends, and every
-    /// write to a racy object.
+    /// Inlined into the write continuation: it is how every pessimistic
+    /// write ends on a support that unlocks eagerly.
     #[inline(always)]
     fn write_then_release(&self, ts: &mut ThreadState, o: ObjId, v: u64) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
@@ -699,8 +668,8 @@ impl<S: Support> HybridEngine<S> {
     }
 
     /// [`HybridEngine::write_then_release`]'s read twin: how a read lock
-    /// ends under eager unlocking where no read is installed unlocked (the
-    /// paper's model, E1).
+    /// ends under [`Locking::Eager`], where no read is installed unlocked
+    /// (E1, E10).
     #[inline(always)]
     fn read_then_release(&self, ts: &mut ThreadState, o: ObjId) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
@@ -720,20 +689,11 @@ impl<S: Support> HybridEngine<S> {
     ///
     /// `None` sends the read round again, nothing counted: the transition
     /// stands (a recorded read by this thread, conservative), but a foreign
-    /// install landed in the window — or this very sample promoted the object
-    /// while nobody holds a lock whose release would carry it across the
-    /// valve, so the retry takes one. The sample spent `contended`.
-    fn finish_read_acquire(
-        &self,
-        ts: &mut ThreadState,
-        o: ObjId,
-        installed: StateWord,
-        conflicting: bool,
-        contended: &mut bool,
-    ) -> Option<Outcome> {
-        if self.sample_pess(ts, o, conflicting, std::mem::take(contended)).promoted {
-            return None;
-        }
+    /// install landed in the window. A sample that promotes the object moves
+    /// no word: the object crosses the valve at the next release of a lock
+    /// on it, a write's.
+    fn finish_read_acquire(&self, ts: &mut ThreadState, o: ObjId, installed: StateWord, conflicting: bool) -> Option<Outcome> {
+        self.sample_pess(ts, o, conflicting);
         let obj = self.common.rt.obj(o);
         let v = obj.data_read();
         self.common.rt.sched_point(ts.tid, SchedPoint::SeqlockReadValidate);
@@ -799,7 +759,7 @@ impl<S: Support> Tracker for HybridEngine<S> {
 mod tests {
     use super::*;
     use crate::policy::{Phase, Profile};
-    use crate::support::PaperModel;
+    use crate::support::{EagerModel, PaperModel};
     use crate::word::Kind;
     use drink_runtime::{RuntimeConfig, StatsReport};
 
@@ -824,8 +784,9 @@ mod tests {
         )
     }
 
-    /// The engine on the paper's own model (no validated reads), for the
-    /// tests that pin which lock a Table 3 read row takes.
+    /// The engine on the paper's own model (deferred unlocking, no validated
+    /// reads), for the tests that pin which lock a Table 3 row takes and how
+    /// long it is held.
     fn paper_engine(cfg: HybridConfig) -> HybridEngine<PaperModel> {
         HybridEngine::with_config(test_rt(), PaperModel, cfg)
     }
@@ -899,7 +860,7 @@ mod tests {
 
     #[test]
     fn explicit_conflicts_move_object_to_pessimistic() {
-        let e = engine_with(eager_pess());
+        let e = paper_engine(HybridConfig { policy: eager_pess(), ..HybridConfig::default() });
         let t0 = e.attach();
         let o = ObjId(1);
         e.alloc_init(o, t0);
@@ -952,7 +913,7 @@ mod tests {
     fn deferred_unlocking_until_psro() {
         // Figure 2(a): well-synchronized accesses encounter no contention
         // because the PSRO flush releases the pessimistic lock.
-        let e = engine_with(eager_pess());
+        let e = paper_engine(HybridConfig { policy: eager_pess(), ..HybridConfig::default() });
         let t0 = e.attach();
         let o = ObjId(3);
         let m = MonitorId(0);
@@ -985,7 +946,7 @@ mod tests {
     fn object_level_race_triggers_contended_transition() {
         // Figure 2(b): an access racing with a locked state falls back to
         // coordination.
-        let e = engine_with(eager_pess());
+        let e = paper_engine(HybridConfig { policy: eager_pess(), ..HybridConfig::default() });
         let t0 = e.attach();
         let o = ObjId(4);
         e.alloc_init(o, t0);
@@ -1088,10 +1049,13 @@ mod tests {
     fn policy_returns_object_to_optimistic() {
         // K_confl=1, Inertia=2: two non-conflicting pessimistic transitions
         // flip the object back at its next unlock.
-        let e = engine_with(PolicyParams {
-            cutoff_confl: 1,
-            k_confl: 1,
-            inertia: 2,
+        let e = paper_engine(HybridConfig {
+            policy: PolicyParams {
+                cutoff_confl: 1,
+                k_confl: 1,
+                inertia: 2,
+            },
+            ..HybridConfig::default()
         });
         let t0 = e.attach();
         let o = ObjId(7);
@@ -1144,9 +1108,10 @@ mod tests {
         // The syncInc microbenchmark shape (Figure 8(a)): well-synchronized
         // counter increments. Under hybrid tracking the counter object goes
         // pessimistic after Cutoff_confl conflicts and thereafter transfers
-        // by CAS, not by roundtrip coordination.
+        // by CAS, not by roundtrip coordination, and its deferred locks never
+        // contend.
         const ITERS: u64 = 2_000;
-        let e = engine(); // paper defaults: cutoff 4
+        let e = paper_engine(HybridConfig::default()); // cutoff 4
         let counter = ObjId(9);
         let m = MonitorId(2);
         let barrier = std::sync::Barrier::new(4);
@@ -1187,53 +1152,37 @@ mod tests {
 
     /// One run of the racyInc microbenchmark shape (Figure 8(b)): four
     /// threads, `iters` unsynchronised read-then-write increments each of one
-    /// counter. Hybrid tracking's worst case — contended transitions trigger
-    /// coordination repeatedly, until the counter has contended
-    /// `Cutoff_confl` times and stops deferring its unlocks. Two runs of it
+    /// counter, on `support`. Under deferred unlocking it is hybrid
+    /// tracking's worst case — contended transitions trigger coordination
+    /// again and again; under a discipline that unlocks eagerly no access
+    /// leaves a lock behind, which this checks after every access. Two runs
     /// schedule differently, so this asserts only what holds under *every*
     /// schedule, and returns the report and the counter's final profile for
-    /// policy-specific checks of the same kind.
-    fn racy_inc_run(params: PolicyParams, iters: u64, counter: ObjId) -> (StatsReport, Profile) {
+    /// checks of the same kind.
+    fn racy_inc_run<S: Support>(support: S, params: PolicyParams, iters: u64, counter: ObjId) -> (StatsReport, Profile) {
         const THREADS: u64 = 4;
-        let e = engine_with(params);
+        let e = HybridEngine::with_config(test_rt(), support, HybridConfig { policy: params, ..HybridConfig::default() });
         let barrier = std::sync::Barrier::new(THREADS as usize);
-        let racy = || {
-            let p = AdaptivePolicy::profile(e.rt().obj(counter).profile());
-            p.phase == Phase::Pess && p.pess_contended >= params.cutoff_confl
-        };
         let last_writes: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    let (er, barrier, racy) = (&e, &barrier, &racy);
+                    let (er, barrier) = (&e, &barrier);
                     s.spawn(move || {
                         let t = er.attach();
                         barrier.wait();
                         let mut last = 0;
                         for _ in 0..iters {
                             for write in [false, true] {
-                                // SAFETY: this is the OS thread attached as t.
-                                let held_before =
-                                    unsafe { er.common().ts(t) }.lock_buffer.contains(&counter);
-                                let racy_before = racy();
                                 if write {
                                     er.write(t, counter, last);
                                 } else {
                                     last = er.read(t, counter) + 1;
                                 }
-                                // No access defers a lock on a racy object.
-                                // (Under the one-way valve, racy before and
-                                // after is racy throughout.) One deferred
-                                // before the counter turned racy — by the
-                                // read whose own sample tipped the count, say
-                                // — stays, upgrades included, until the next
-                                // flush; none joins it.
-                                // SAFETY: as above.
+                                // SAFETY: this is the OS thread attached as t.
                                 let ts = unsafe { er.common().ts(t) };
                                 assert!(
-                                    !(racy_before && racy())
-                                        || held_before
-                                        || !ts.lock_buffer.contains(&counter),
-                                    "deferred a lock on a racy object: {:?}",
+                                    matches!(S::LOCKING, Locking::Deferred) || ts.holds_no_locks(),
+                                    "a lock outlived its access: {:?}",
                                     ts.lock_buffer
                                 );
                             }
@@ -1282,7 +1231,7 @@ mod tests {
 
     #[test]
     fn racy_inc_pattern_completes_and_counts_contention() {
-        let (r, _) = racy_inc_run(PolicyParams::default(), 2_000, ObjId(10));
+        let (r, _) = racy_inc_run(PaperModel, PolicyParams::default(), 2_000, ObjId(10));
         // A contended transition is the only pessimistic path to a roundtrip.
         if r.pess_contended() > 0 {
             let coordinated =
@@ -1296,15 +1245,10 @@ mod tests {
         // §3.1's strawman: states unlock after every access. Reentrancy
         // disappears, the lock buffer stays empty, and tracking stays sound.
         let e = HybridEngine::with_config(
-            Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(8)
-        .heap_objects(32)
-        .monitors(4)
-        .build())),
-            NullSupport,
+            test_rt(),
+            EagerModel,
             HybridConfig {
                 policy: eager_pess(),
-                eager_unlock: true,
                 ..HybridConfig::default()
             },
         );
@@ -1330,23 +1274,19 @@ mod tests {
     }
 
     #[test]
-    fn contended_cutoff_extension_rescues_racy_objects() {
-        // §7.5: "Hybrid tracking could alleviate this deficiency by modifying
-        // the adaptive policy ... if accesses to it trigger coordination
-        // frequently." What the policy does about such an object is stop
-        // deferring its unlocks (DESIGN.md §13); with the cutoff at 1 the
-        // counter is racy from its first contended transition on, so nearly
-        // the whole run exercises `racy_inc_run`'s per-access check that no
-        // access defers a lock on it. How much contention
-        // the run sees is up to the scheduler; what the profile must show
-        // under every schedule is that contention was only ever counted
-        // during a stay in `Pess`, and no more of it than the run had.
+    fn racy_inc_on_a_relaxed_support_holds_no_lock_past_its_access() {
+        // Tracking alone unlocks every lock inside its access, so the
+        // racyInc counter never contends, whatever the schedule: a thread
+        // that meets another's lock waits for its release. With the cutoff
+        // at 1 the counter turns pessimistic early, so nearly the whole run
+        // exercises `racy_inc_run`'s per-access check that no lock outlives
+        // its access.
         let params = PolicyParams {
             cutoff_confl: 1,
             ..PolicyParams::default()
         };
-        let (r, profile) = racy_inc_run(params, 400, ObjId(11));
-        assert!(u64::from(profile.pess_contended) <= r.pess_contended(), "{profile:?}");
-        assert!(profile.phase == Phase::Pess || profile.pess_contended == 0, "{profile:?}");
+        let (r, profile) = racy_inc_run(NullSupport, params, 400, ObjId(11));
+        assert_eq!((r.pess_contended(), r.get(Event::PessReentrant)), (0, 0), "{profile:?}");
+        assert_eq!(r.get(Event::StateUnlocked), 0, "no flush ever found a lock to release");
     }
 }

@@ -31,12 +31,15 @@ pub type DynTracker = dyn Tracker;
 /// The engine configurations of Figure 7, plus the adaptive one. The four
 /// tracked kinds built on the hybrid engine are set by two values —
 /// `Cutoff_confl` (0, 4 or ∞) and the [`Valve`](crate::policy::Valve)
-/// (one-way or re-opening) — and at 0 by eager unlocking (with write-locked
-/// self-reads, [`HybridConfig::pessimistic`]):
+/// (one-way or re-opening) — and at 0 by write-locked self-reads
+/// ([`HybridConfig::pessimistic`]). How long a lock lives is none of these:
+/// it is the support's discipline ([`Locking`](crate::support::Locking)), so
+/// each kind unlocks eagerly on `NullSupport` and defers on the recorder and
+/// the RS enforcer:
 ///
 /// | | one-way | re-opening |
 /// |---|---|---|
-/// | 0, eager unlock | [`Pessimistic`](EngineKind::Pessimistic) | — |
+/// | 0 | [`Pessimistic`](EngineKind::Pessimistic) | — |
 /// | 4 | [`Hybrid`](EngineKind::Hybrid) | [`Adaptive`](EngineKind::Adaptive) |
 /// | ∞ | — | [`Optimistic`](EngineKind::Optimistic) |
 ///

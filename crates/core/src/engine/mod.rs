@@ -5,7 +5,7 @@
 //! | engine type | what it is |
 //! |---|---|
 //! | [`NoTracking`](none::NoTracking) | unmodified JVM (the overhead baseline) |
-//! | [`HybridEngine`](hybrid::HybridEngine) | the hybrid state word (§3), driven by the optimistic protocol (§2.2), the pessimistic one (§2.1, with deferred unlocking §3.1) and the policy that picks between them per object (§6) |
+//! | [`HybridEngine`](hybrid::HybridEngine) | the hybrid state word (§3), driven by the optimistic protocol (§2.2), the pessimistic one (§2.1, its locks deferred (§3.1) or not as the support's discipline says) and the policy that picks between them per object (§6) |
 //! | [`IdealEngine`](ideal::IdealEngine) | the unsound "Ideal" estimate of Figure 7 |
 //!
 //! [`EngineKind`] names the configurations that get built and measured: one
@@ -14,7 +14,7 @@
 //!
 //! | [`EngineKind`] | [`HybridConfig`](hybrid::HybridConfig) | paper configuration |
 //! |---|---|---|
-//! | `Pessimistic` | `pessimistic()`: `Cutoff_confl = 0`, eager unlock, write-locked self-reads | "Pessimistic tracking" (§2.1): every object pessimistic from birth, each lock released at the end of its access |
+//! | `Pessimistic` | `pessimistic()`: `Cutoff_confl = 0`, write-locked self-reads | "Pessimistic tracking" (§2.1): every object pessimistic from birth, each lock released at the end of its access on `NullSupport` |
 //! | `Optimistic` | `optimistic()`: `Cutoff_confl = ∞`, re-opening valve | "Optimistic tracking" (§2.2, Octet), and "Hybrid tracking w/ infinite cutoff", which runs the same protocol here |
 //! | `Hybrid` | `default()`: `Cutoff_confl = 4`, one-way valve | "Hybrid tracking" (§3) |
 //! | `Adaptive` | `adaptive()`: `Cutoff_confl = 4`, re-opening valve | — (DESIGN.md §13) |
@@ -424,7 +424,7 @@ mod pessimistic {
 
         use crate::engine::hybrid::{HybridConfig, HybridEngine};
         use crate::engine::Tracker;
-        use crate::support::{NullSupport, PaperModel};
+        use crate::support::{EagerModel, NullSupport};
         use crate::word::{LockMode, StateWord};
 
         fn engine() -> HybridEngine {
@@ -544,8 +544,10 @@ mod pessimistic {
             }
         }
 
-        /// The same script on the paper's model, which keeps Table 3 to the
-        /// letter: T1's read installs `RdExRLock(T1)`, and every access locks.
+        /// The same script on the paper's model, which keeps Table 3's rows to
+        /// the letter — here with each lock released inside its access, as
+        /// §2.1 has it (`EagerModel`): T1's read installs `RdExRLock(T1)`,
+        /// and every access locks.
         #[test]
         fn the_paper_model_keeps_the_read_exclusive_row() {
             let hook = Arc::new(LockedWords::default());
@@ -553,7 +555,7 @@ mod pessimistic {
             rt.set_sched_hooks(hook.clone());
             let rt = Arc::new(rt);
             hook.rt.set(Arc::downgrade(&rt)).expect("set once");
-            let e = HybridEngine::with_config(rt, PaperModel, HybridConfig::pessimistic());
+            let e = HybridEngine::with_config(rt, EagerModel, HybridConfig::pessimistic());
             let (t0, t1) = (e.attach(), e.attach());
             let o = ObjId(3);
             e.alloc_init(o, t0);

@@ -13,14 +13,15 @@
 //!   Table 3) as one pure function;
 //! * three [`engine`] types — untracked baseline, hybrid (§3), the unsound
 //!   "Ideal" estimate (§7.5) — and [`EngineKind`]'s table of their
-//!   configurations (pessimistic tracking, §2.1, is hybrid at cutoff 0 with
-//!   eager unlocking; Octet, §2.2, is hybrid at cutoff ∞);
+//!   configurations (pessimistic tracking, §2.1, is hybrid at cutoff 0;
+//!   Octet, §2.2, is hybrid at cutoff ∞);
 //! * the profile-guided [`policy::AdaptivePolicy`] (§6) over one profile
 //!   word per object, and the [`policy::Valve`] that says whether its
 //!   decisions are final (the paper's) or re-open (DESIGN.md §13);
 //! * the [`support::Support`] observer interface that the dependence
 //!   recorder (`drink-replay`) and the region-serializability enforcer
-//!   (`drink-rs`) build on;
+//!   (`drink-rs`) build on, whose [`support::Locking`] says how long a lock
+//!   lives;
 //! * the [`session::Session`] façade workloads drive everything through.
 //!
 //! ## Quick example
@@ -71,7 +72,7 @@ pub mod prelude {
     pub use crate::engine::{AnyEngine, DynTracker, EngineKind, Tracker};
     pub use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
     pub use crate::session::Session;
-    pub use crate::support::{NullSupport, PaperModel, Support};
+    pub use crate::support::{EagerModel, Locking, NullSupport, PaperModel, Support};
 }
 
 pub use engine::{AnyEngine, DynTracker, EngineKind, Tracker};

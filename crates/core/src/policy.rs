@@ -28,20 +28,13 @@
 //!   optimistic states doubles (up to [`MAX_INERTIA_DOUBLINGS`] times) the
 //!   `Inertia` the object's next return must meet.
 //!
-//! Two samples bypass the counting. A coordination deadline that expires on
+//! One sample bypasses the counting: a coordination deadline that expires on
 //! an object ([`AdaptivePolicy::force_pess`]) is direct evidence that its
-//! roundtrips are not being answered, and enters `Pess` at once. And the
-//! §3.1 insight that makes pessimistic states cheap — *deferred* unlocking —
-//! rests on object-level data-race freedom, which `pessContended` counts the
-//! violations of: once that count reaches `Cutoff_confl` too, the object is
-//! **racy** ([`PessVerdict::racy`], [`AdaptivePolicy::racy`]) and, where the
-//! support allows it, no lock on it outlives the access that took it until
-//! the object next leaves `Pess`: a write releases its write lock by a plain
-//! store right after the payload store, and a conflicting read installs an
-//! *unlocked* read-shared state under a fresh epoch and validates the payload
-//! against that word (DESIGN.md §12, §13). (§7.5 sketches
-//! sending such objects back to optimistic states instead — the protocol
-//! where each of their accesses is a roundtrip.)
+//! roundtrips are not being answered, and enters `Pess` at once.
+//!
+//! The policy decides which protocol an object runs, never how long a lock
+//! lives: that is the support's lock discipline
+//! ([`Locking`](crate::support::Locking)).
 //!
 //! Profile word layout (LSB first):
 //!
@@ -50,7 +43,7 @@
 //! bits 16..=35  pessNonConfl        (saturating)
 //! bits 36..=49  pessConfl           (saturating)
 //! bits 50..=53  promotions          (returns to optimistic so far, saturating)
-//! bits 54..=61  pessContended       (saturating)
+//! bits 54..=61  unused
 //! bits 62..=63  phase               0 OptInitial, 1 Pess, 2 OptFinal
 //! ```
 //!
@@ -109,9 +102,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyParams {
     /// Explicit conflicts before an optimistic object moves to pessimistic
-    /// states, and contended transitions before a pessimistic object stops
-    /// deferring its unlocks. `u32::MAX` means never (the paper's "hybrid
-    /// tracking w/ infinite cutoff" configuration).
+    /// states. `u32::MAX` means never (the paper's "hybrid tracking w/
+    /// infinite cutoff" configuration), 0 from birth (pessimistic tracking).
     pub cutoff_confl: u32,
     /// The cost-ratio constant of inequality (5).
     pub k_confl: u32,
@@ -195,8 +187,6 @@ const PCON_SHIFT: u32 = 36;
 const PCON_MASK: u64 = 0x3FFF;
 const PROMO_SHIFT: u32 = 50;
 const PROMO_MASK: u64 = 0xF;
-const PCONT_SHIFT: u32 = 54;
-const PCONT_MASK: u64 = 0xFF;
 const PHASE_SHIFT: u32 = 62;
 const PHASE_MASK: u64 = 0b11;
 
@@ -209,8 +199,6 @@ pub struct Profile {
     pub pess_non_confl: u32,
     /// Conflicting pessimistic transitions since it last entered `Pess`.
     pub pess_confl: u32,
-    /// Contended pessimistic transitions since it last entered `Pess`.
-    pub pess_contended: u32,
     /// Times the object has returned from `Pess` to optimistic states.
     pub promotions: u32,
     /// Current phase.
@@ -225,7 +213,6 @@ impl Profile {
             num_conflicts: 0,
             pess_non_confl: 0,
             pess_confl: 0,
-            pess_contended: 0,
             promotions: self.promotions + u32::from(self.phase == Phase::Pess),
             phase: to,
         }
@@ -238,7 +225,6 @@ fn decode(w: u64) -> Profile {
         num_conflicts: ((w >> NC_SHIFT) & NC_MASK) as u32,
         pess_non_confl: ((w >> PNON_SHIFT) & PNON_MASK) as u32,
         pess_confl: ((w >> PCON_SHIFT) & PCON_MASK) as u32,
-        pess_contended: ((w >> PCONT_SHIFT) & PCONT_MASK) as u32,
         promotions: ((w >> PROMO_SHIFT) & PROMO_MASK) as u32,
         phase: match (w >> PHASE_SHIFT) & PHASE_MASK {
             0 => Phase::OptInitial,
@@ -254,7 +240,6 @@ fn encode(p: Profile) -> u64 {
         | ((p.pess_non_confl as u64).min(PNON_MASK) << PNON_SHIFT)
         | ((p.pess_confl as u64).min(PCON_MASK) << PCON_SHIFT)
         | ((p.promotions as u64).min(PROMO_MASK) << PROMO_SHIFT)
-        | ((p.pess_contended as u64).min(PCONT_MASK) << PCONT_SHIFT)
         | ((p.phase as u64) << PHASE_SHIFT)
 }
 
@@ -277,22 +262,6 @@ fn sat_inc(v: u32, mask: u64) -> u32 {
     } else {
         v
     }
-}
-
-/// What one pessimistic transition's sample decided
-/// ([`AdaptivePolicy::on_pess_transition`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PessVerdict {
-    /// This sample satisfied inequality (5): the object left `Pess` just now
-    /// and transfers to optimistic states at its next unlock.
-    pub promoted: bool,
-    /// The object is in `Pess` with `pessContended ≥ Cutoff_confl`: its
-    /// accesses keep racing with each other's deferred locks, so the lock
-    /// this access took is released right after the program access instead
-    /// of entering the lock buffer. (A conflicting read has to know before
-    /// it claims — the answer picks the word it installs — and asks
-    /// [`AdaptivePolicy::racy`].)
-    pub racy: bool,
 }
 
 /// The adaptive policy: a stateless decision procedure over per-object
@@ -398,55 +367,38 @@ impl AdaptivePolicy {
     }
 
     /// Record a pessimistic transition on `word`. `conflicting` categorizes
-    /// the transition per the cost–benefit model; `contended` marks
-    /// transitions that fell back to coordination.
+    /// the transition per the cost–benefit model. Returns true iff this
+    /// sample promoted the object: it left `Pess` just now and transfers to
+    /// optimistic states at its next unlock.
     ///
     /// The object is promoted when the samples since it entered `Pess`
     /// satisfy the paper's inequality (5),
     /// `N_nonConfl ≥ K_confl × N_confl + Inertia`, with `Inertia` doubled
     /// once per earlier promotion (at most [`MAX_INERTIA_DOUBLINGS`] times).
     /// Outside `Pess` nothing is counted.
-    pub fn on_pess_transition(
-        &self,
-        word: &AtomicU64,
-        conflicting: bool,
-        contended: bool,
-    ) -> PessVerdict {
+    pub fn on_pess_transition(&self, word: &AtomicU64, conflicting: bool) -> bool {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
             let mut p = decode(cur);
             if p.phase != Phase::Pess {
-                return PessVerdict::default();
+                return false;
             }
             if conflicting {
                 p.pess_confl = sat_inc(p.pess_confl, PCON_MASK);
             } else {
                 p.pess_non_confl = sat_inc(p.pess_non_confl, PNON_MASK);
             }
-            if contended {
-                p.pess_contended = sat_inc(p.pess_contended, PCONT_MASK);
-            }
             let inertia = (self.params.inertia as u64) << p.promotions.min(MAX_INERTIA_DOUBLINGS);
             let promoted = p.pess_non_confl as u64
                 >= (self.params.k_confl as u64) * (p.pess_confl as u64) + inertia;
-            let racy = !promoted && p.pess_contended >= self.params.cutoff_confl;
             if promoted {
                 p = p.enter(Phase::OptFinal);
             }
             match self.publish(word, cur, p) {
-                Ok(()) => return PessVerdict { promoted, racy },
+                Ok(()) => return promoted,
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    /// Is the object racy right now — what [`PessVerdict::racy`] of its next
-    /// sample will say, unless that sample promotes it or another thread's
-    /// gets in first? Either answer is sound (see "Memory ordering").
-    #[inline]
-    pub fn racy(&self, word: &AtomicU64) -> bool {
-        let p = decode(word.load(Ordering::Relaxed));
-        p.phase == Phase::Pess && p.pess_contended >= self.params.cutoff_confl
     }
 
     /// Is the object in its pessimistic phase — should a conflicting
@@ -513,9 +465,9 @@ mod tests {
         }
     }
 
-    /// One non-contended pessimistic sample; true iff it promoted the object.
+    /// One pessimistic sample; true iff it promoted the object.
     fn pess_sample(policy: &AdaptivePolicy, w: &AtomicU64, conflicting: bool) -> bool {
-        policy.on_pess_transition(w, conflicting, false).promoted
+        policy.on_pess_transition(w, conflicting)
     }
 
     #[test]
@@ -560,33 +512,8 @@ mod tests {
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
         // Pessimistic transitions in OptFinal decide nothing; the unlock
         // keeps sending the object to optimistic states.
-        assert_eq!(policy.on_pess_transition(&w, false, false), PessVerdict::default());
+        assert!(!policy.on_pess_transition(&w, false));
         assert!(policy.unlock_to_optimistic(&w));
-    }
-
-    #[test]
-    fn contended_cutoff_marks_racy_objects_until_they_leave_pess() {
-        let policy = AdaptivePolicy::new(PolicyParams {
-            cutoff_confl: 3,
-            k_confl: 1,
-            inertia: 4,
-        });
-        let w = word();
-        drive_to_pess(&policy, &w);
-        assert!(!policy.on_pess_transition(&w, true, true).racy); // contended 1
-        assert!(!policy.on_pess_transition(&w, true, true).racy); // contended 2
-        assert!(policy.on_pess_transition(&w, true, true).racy); // contended 3 → racy
-        // Racy sticks to every later sample of this stay in Pess, contended
-        // or not, and moves the phase nowhere...
-        for _ in 0..6 {
-            let v = policy.on_pess_transition(&w, false, false);
-            assert_eq!(v, PessVerdict { promoted: false, racy: true });
-        }
-        // ...until inequality (5) — 3 conflicting + 4 inertia = 7 — promotes
-        // the object: the count restarts, so the next stay starts deferring.
-        let v = policy.on_pess_transition(&w, false, false);
-        assert_eq!(v, PessVerdict { promoted: true, racy: false });
-        assert_eq!(AdaptivePolicy::profile(&w).pess_contended, 0);
     }
 
     #[test]
@@ -639,12 +566,12 @@ mod tests {
         let w = word();
         drive_to_pess(&policy, &w);
         for _ in 0..100 {
-            policy.on_pess_transition(&w, false, false);
+            policy.on_pess_transition(&w, false);
         }
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
         for _ in 0..1_000 {
             assert!(!policy.on_explicit_conflict(&w));
-            assert_eq!(policy.on_pess_transition(&w, true, true), PessVerdict::default());
+            assert!(!policy.on_pess_transition(&w, true));
             assert!(policy.unlock_to_optimistic(&w), "OptFinal keeps unlocking to optimistic");
         }
         assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::OptFinal);
@@ -695,17 +622,15 @@ mod tests {
             num_conflicts: 0,
             pess_non_confl: 0,
             pess_confl: 0,
-            pess_contended: 0,
             promotions: PROMO_MASK as u32,
             phase: Phase::Pess,
         };
         w.store(encode(start), Ordering::Relaxed);
         for _ in 0..2_000_000 {
-            policy.on_pess_transition(&w, false, true);
+            policy.on_pess_transition(&w, false);
         }
         let p = AdaptivePolicy::profile(&w);
         assert_eq!(p.pess_non_confl as u64, PNON_MASK);
-        assert_eq!(p.pess_contended as u64, PCONT_MASK);
         assert_eq!(p.pess_confl, 0);
         assert_eq!(p.promotions as u64, PROMO_MASK);
         assert_eq!(p.phase, Phase::Pess);

@@ -122,6 +122,42 @@ pub struct SupportCx<'a> {
     pub op: u64,
 }
 
+/// A support's lock discipline: the one place lock lifetime is decided.
+/// Every discipline runs Table 3's rows; they differ in when a lock goes
+/// back, and in whether a read may be served without one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Locking {
+    /// §3.1's deferred unlocking, Table 3 to the letter: every lock is held
+    /// until the next PSRO or responding safe point flushes the lock
+    /// buffer; an access to a state its thread holds is reentrant, and one
+    /// that meets another thread's lock coordinates so that the holder
+    /// flushes. The recorder needs it for its release-clock edges (§4.2), the
+    /// RS enforcer to hold each lock to the end of its region (§5).
+    Deferred,
+    /// §3.1's initial design: the same rows, but every lock goes back inside
+    /// the access that took it — after the payload access, by a store for a
+    /// write lock and as one flush step for a read lock. No access is ever
+    /// reentrant, and one that meets a lock waits for its release instead of
+    /// coordinating.
+    Eager,
+    /// [`Locking::Eager`] plus the departures tracking alone allows, since no
+    /// support consumes the events they skip:
+    ///
+    /// * a read whose state word says
+    ///   [`validated_read_ok`](crate::word::StateWord::validated_read_ok) is
+    ///   served by seqlock validation (DESIGN.md §12), which performs **no
+    ///   state transition and therefore fires no support hook**;
+    /// * a conflicting read installs an *unlocked* read-shared state under a
+    ///   fresh epoch, then validates the payload against it (Table 3's
+    ///   marked rows ②, DESIGN.md §12).
+    ///
+    /// Neither is sound for a support that reads those events: the recorder
+    /// needs the `Fence` transition to order replayed RdSh reads, and the RS
+    /// enforcer needs reads to take read locks for its two-phase-locking
+    /// argument.
+    Relaxed,
+}
+
 /// Observer interface for runtime support built on a tracking engine.
 ///
 /// All methods default to no-ops; [`NullSupport`] is the canonical "tracking
@@ -143,28 +179,11 @@ pub trait Support: Send + Sync + 'static {
     /// per-object recorder state.
     const PREPUBLISH: bool = false;
 
-    /// If true, the support does not depend on Table 3's lock discipline —
-    /// every pessimistic access locks, every lock is held until the next
-    /// PSRO — and engines may depart from it where tracking alone stays
-    /// sound:
-    ///
-    /// * a read whose state word says
-    ///   [`validated_read_ok`](crate::word::StateWord::validated_read_ok) is
-    ///   served by seqlock validation (DESIGN.md §12), which performs **no
-    ///   state transition and therefore fires no support hook**;
-    /// * no lock on an object the policy found *racy* outlives the access
-    ///   that took it (DESIGN.md §13), so no release-clock edge covers it: a
-    ///   write releases right after the payload store, and a conflicting
-    ///   read installs an *unlocked* read-shared state under a fresh epoch,
-    ///   then validates (DESIGN.md §12).
-    ///
-    /// Off by default because neither is sound for supports that consume
-    /// those events: the recorder needs the `Fence` transition to order
-    /// replayed RdSh reads and deferred unlocking's release-clock edges, and
-    /// the RS enforcer needs reads to take read locks, and keep them, for its
-    /// two-phase-locking argument. Tracking-only ([`NullSupport`]) turns it
-    /// on.
-    const RELAXED_LOCKING: bool = false;
+    /// How long a lock lives, and whether an access may do without one (see
+    /// [`Locking`]). Table 3 to the letter unless a support says otherwise:
+    /// the supports built on tracking need every lock held until the next
+    /// flush.
+    const LOCKING: Locking = Locking::Deferred;
 
     /// A non-same-state transition of `obj` completed on thread `cx.t`.
     /// Called with the final state already decided; if
@@ -215,24 +234,36 @@ pub trait Support: Send + Sync + 'static {
     }
 }
 
-/// Tracking alone: every hook is a no-op.
+/// Tracking alone: every hook is a no-op, and the discipline is
+/// [`Locking::Relaxed`] — no lock outlives its access, and reads validate
+/// where they may.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSupport;
 
 impl Support for NullSupport {
-    const RELAXED_LOCKING: bool = true;
+    const LOCKING: Locking = Locking::Relaxed;
 }
 
 /// Tracking alone on the paper's own model: every hook is a no-op, as with
-/// [`NullSupport`], but no read is served by validation and every lock is
-/// deferred, so every access takes exactly the transition its Table 3 row
-/// prescribes. The tests that pin those rows, and the experiments that
-/// reproduce the paper's shape (E9's self-read modes, Figure 8's racyInc
-/// worst case), run on this.
+/// [`NullSupport`], but the discipline is [`Locking::Deferred`], so every
+/// access takes exactly the transition its Table 3 row prescribes. The tests
+/// that pin those rows, and the experiments that reproduce the paper's shape
+/// (Table 2's reentrant and contended counts, E9's self-read modes, Figure
+/// 8's racyInc worst case), run on this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PaperModel;
 
 impl Support for PaperModel {}
+
+/// [`PaperModel`] under [`Locking::Eager`]: Table 3's rows, every lock
+/// released inside its access. E10 prices it against `PaperModel`, and E1
+/// prices §2.1's pessimistic CAS pair on it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EagerModel;
+
+impl Support for EagerModel {
+    const LOCKING: Locking = Locking::Eager;
+}
 
 #[cfg(test)]
 mod tests {

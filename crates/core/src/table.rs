@@ -38,10 +38,9 @@
 //! its unsound alternate `RdExRLock(T)`; both exist for the E9 ablation.
 //!
 //! ② *Installed unlocked* ([`Departures::install_unlocked`]): seen only under
-//! a support with `RELAXED_LOCKING` (`NullSupport`), on an object no lock on
-//! which outlives its access — every object under eager unlocking
-//! (pessimistic tracking, the §3.1 ablation), one the policy has found racy
-//! otherwise (DESIGN.md §13). The rows take no lock, and the executor
+//! a support whose discipline is
+//! [`Locking::Relaxed`](crate::support::Locking::Relaxed) (`NullSupport`), where
+//! no lock outlives its access anyway. The rows take no lock, and the executor
 //! validates the payload against the word they installed (DESIGN.md §12,
 //! "install, then validate"). `RdExPess(T1)` R installs the word its read
 //! lock would have been *released* to, `RdShPess(c')`. `WrExPess(T1)` R
@@ -103,8 +102,8 @@ pub struct Who<'a> {
 pub struct Departures {
     /// Marked row ①.
     pub self_read: SelfReadMode,
-    /// Marked rows ②: the support allows it, and no lock on the object
-    /// outlives its access (eager unlocking, or the policy calls it racy).
+    /// Marked rows ②: the support's discipline is
+    /// [`Locking::Relaxed`](crate::support::Locking::Relaxed).
     pub install_unlocked: bool,
 }
 
@@ -184,7 +183,7 @@ pub enum Lock {
     /// No lock. On a [`Class::Pess`] row: *installed unlocked* (②).
     None,
     /// Takes this lock, deferred in the lock buffer or released right after
-    /// the access (the §3.1 ablation; a racy object, DESIGN.md §13).
+    /// the access, as the support's discipline says.
     Push(LockMode),
     /// Upgrades a read lock already in the lock buffer: drop `o` from
     /// `T.rdSet`, push nothing.

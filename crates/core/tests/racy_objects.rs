@@ -1,20 +1,17 @@
-//! Objects that prove racy stop deferring their unlocks (DESIGN.md §13).
-//!
-//! Deferred unlocking (§3.1) assumes object-level data-race freedom; the
-//! profile word counts the violations (`pessContended`). Once an object has
-//! contended `Cutoff_confl` times, no lock on it outlives the access that
-//! took it until the object next leaves the `Pess` phase: a write releases
-//! its write lock by a store right after the payload store — never before
-//! it — and a conflicting read installs an unlocked read-shared word under a
-//! fresh epoch, then validates the payload against that word (DESIGN.md
-//! §12). Only under a support that can do without Table 3's lock
-//! discipline: on `PaperModel` nothing changes.
+//! Racy objects under tracking alone, whose discipline is `Locking::Relaxed`
+//! (DESIGN.md §13): no lock outlives the access that took it. A write
+//! releases its write lock by a store right after the payload store — never
+//! before it — and a conflicting read installs an unlocked read-shared word
+//! under a fresh epoch, then validates the payload against that word
+//! (DESIGN.md §12). So a racing access waits for a release instead of
+//! contending. On `PaperModel` (`Locking::Deferred`) Table 3 stays exact.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine};
-use drink_core::policy::{AdaptivePolicy, Phase, PolicyParams};
+use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
 use drink_core::support::{PrevHolders, SupportCx, TransitionEv};
 use drink_core::word::{Kind, LockMode, StateWord};
@@ -37,11 +34,6 @@ fn runtime() -> Runtime {
     )
 }
 
-fn racy<S: Support>(e: &HybridEngine<S>) -> bool {
-    let p = AdaptivePolicy::profile(e.rt().obj(O).profile());
-    p.phase == Phase::Pess && p.pess_contended >= e.config().policy.cutoff_confl
-}
-
 /// Every access was classified exactly once.
 fn assert_partition(r: &StatsReport) {
     let classified = r.opt_same_state()
@@ -56,8 +48,8 @@ fn assert_partition(r: &StatsReport) {
 /// What one access to `O` did to the thread that made it.
 #[derive(Clone, Copy, Debug)]
 struct Obs {
-    /// The object was racy when the access began.
-    racy_before: bool,
+    /// The object's state was pessimistic when the access began.
+    pess_before: bool,
     /// Contended transitions and coordination roundtrips it cost.
     contended: u64,
     roundtrips: u64,
@@ -75,12 +67,12 @@ fn observe<S: Support>(e: &HybridEngine<S>, t: ThreadId, access: impl FnOnce()) 
             !ts.lock_buffer.is_empty(),
         )
     };
-    let racy_before = racy(e);
+    let pess_before = StateWord(e.rt().obj(O).state().load(Ordering::SeqCst)).is_pess();
     let before = counters();
     access();
     let after = counters();
     Obs {
-        racy_before,
+        pess_before,
         contended: after.0 - before.0,
         roundtrips: after.1 - before.1,
         locked_after: after.2,
@@ -153,49 +145,62 @@ fn get_put_shape_stops_contending_past_the_cutoff() {
     let cutoff = u64::from(e.config().policy.cutoff_confl);
     let (gets, puts, r) = get_put_rounds(&e, ROUNDS);
 
-    // Each round's deferred GET lock costs the PUT that follows a contended
-    // transition and a fan-out — until the key has contended `cutoff` times.
-    let first_racy = gets.iter().position(|o| o.racy_before).expect("the key never turned racy");
-    assert!(first_racy < ROUNDS / 2, "turned racy only at round {first_racy}");
-    // From then on no access to it contends, coordinates, or leaves a lock
-    // behind — so both counters stop where they stood.
-    for o in gets.iter().chain(&puts).filter(|o| o.racy_before) {
-        assert_eq!((o.contended, o.roundtrips, o.locked_after), (0, 0, false), "{o:?}");
+    // The key's first `cutoff` explicit conflicts send it to pessimistic
+    // states. From then on no access contends, coordinates, or leaves a lock
+    // behind: each lock goes back inside the access that took it.
+    assert_eq!(r.opt_to_pess(), 1);
+    for o in gets.iter().chain(&puts) {
+        assert_eq!((o.contended, o.locked_after), (0, false), "{o:?}");
     }
-    assert!(gets[first_racy..].iter().all(|o| o.racy_before), "racy until it leaves Pess");
-    assert_eq!(r.pess_contended(), cutoff);
-    assert!(racy(&e));
+    let coordinating = gets.iter().chain(&puts).filter(|o| o.roundtrips > 0).count();
+    assert_eq!(coordinating as u64, cutoff, "the optimistic conflicts, and nothing after");
+    for o in gets.iter().chain(&puts).filter(|o| o.pess_before) {
+        assert_eq!(o.roundtrips, 0, "{o:?}");
+    }
+    assert_eq!(r.pess_contended(), 0);
 }
 
 #[test]
 fn paper_model_keeps_every_lock_deferred() {
     let e = HybridEngine::with_config(Arc::new(runtime()), PaperModel, HybridConfig::default());
-    let cutoff = u64::from(e.config().policy.cutoff_confl);
     let (gets, puts, r) = get_put_rounds(&e, ROUNDS);
 
-    // The policy reaches the same verdict...
-    assert!(racy(&e));
-    let racy_gets: Vec<_> = gets.iter().filter(|o| o.racy_before).collect();
-    assert!(!racy_gets.is_empty());
-    // ...and Table 3 stays exact all the same: the GET's read lock is
-    // deferred, and every PUT write contends with it once and coordinates.
-    assert!(racy_gets.iter().all(|o| o.locked_after), "{racy_gets:?}");
-    let racy_puts: Vec<_> = puts.chunks(2).filter(|put| put[0].racy_before).collect();
-    for put in &racy_puts {
+    // The key goes pessimistic as it does under tracking alone...
+    assert_eq!(r.opt_to_pess(), 1);
+    let pess_gets: Vec<_> = gets.iter().filter(|o| o.pess_before).collect();
+    assert!(!pess_gets.is_empty());
+    // ...and Table 3 stays exact: the GET's read lock is deferred, and every
+    // PUT write contends with it once and coordinates.
+    assert!(pess_gets.iter().all(|o| o.locked_after), "{pess_gets:?}");
+    let pess_puts: Vec<_> = puts.chunks(2).filter(|put| put[0].pess_before).collect();
+    for put in &pess_puts {
         assert_eq!((put[1].contended, put[1].locked_after), (1, true), "{put:?}");
         assert!(put[1].roundtrips >= 1, "{put:?}");
     }
-    // Contention keeps being counted, one per PUT, long past the cutoff.
-    assert!(racy_puts.len() > ROUNDS / 2);
-    assert_eq!(r.pess_contended(), cutoff + racy_puts.len() as u64);
+    // Contention is counted once per PUT, for the whole run.
+    assert!(pess_puts.len() > ROUNDS / 2);
+    assert_eq!(r.pess_contended(), pess_puts.len() as u64);
 }
 
-/// Two `synchronized` writers and a racy reader, free-running: whatever the
-/// schedule and whichever accesses released early, no PUT is lost.
+/// Two `synchronized` writers and a racy reader, free-running, under every
+/// tracked kind on `NullSupport`: whatever the schedule, no PUT is lost, and
+/// no access leaves its thread holding a lock.
 #[test]
 fn free_running_readers_and_writers_lose_no_update() {
+    for kind in EngineKind::ALL {
+        if let Some(cfg) = kind.hybrid_config() {
+            free_running(HybridEngine::with_config(Arc::new(runtime()), NullSupport, cfg));
+        }
+    }
+}
+
+fn free_running(e: HybridEngine) {
     const PUTS: u64 = 3_000;
-    let e = HybridEngine::new(Arc::new(runtime()));
+    // SAFETY (both uses): called on the OS thread attached as `t`.
+    let no_locks = |t: ThreadId| {
+        let ts = unsafe { e.common().ts(t) };
+        assert!(ts.holds_no_locks(), "{}: a lock outlived its access: {:?}", e.name(), ts.lock_buffer);
+    };
     e.alloc_init_read_shared(O);
     let writers_left = AtomicUsize::new(2);
     std::thread::scope(|s| {
@@ -205,7 +210,9 @@ fn free_running_readers_and_writers_lose_no_update() {
                 for _ in 0..PUTS {
                     e.lock(t, M);
                     let seq = e.read(t, O);
+                    no_locks(t);
                     e.write(t, O, seq + 1);
+                    no_locks(t);
                     e.unlock(t, M);
                     e.safepoint(t);
                 }
@@ -218,6 +225,7 @@ fn free_running_readers_and_writers_lose_no_update() {
             let mut last = 0;
             while writers_left.load(Ordering::Acquire) > 0 {
                 let seq = e.read(t, O);
+                no_locks(t);
                 assert!(seq >= last, "GET went back in time: {seq} after {last}");
                 last = seq;
                 e.safepoint(t);
@@ -283,7 +291,7 @@ fn the_release_follows_the_access_it_guards() {
     rt.set_sched_hooks(hook.clone());
     let rt = Arc::new(rt);
     hook.rt.set(Arc::downgrade(&rt)).expect("set once");
-    // The §3.1 ablation releases after every access, so the very first
+    // Tracking alone releases after every access, so the very first
     // locking access goes through the window; no policy move needed.
     let e = HybridEngine::with_config(
         rt,
@@ -294,7 +302,6 @@ fn the_release_follows_the_access_it_guards() {
                 k_confl: u32::MAX,
                 inertia: u32::MAX,
             },
-            eager_unlock: true,
             ..HybridConfig::default()
         },
     );
@@ -339,19 +346,24 @@ fn the_release_follows_the_access_it_guards() {
     e.detach(t0);
 }
 
-// --- The racy rows, one by one ---
+// --- The rows that depart, one by one ---
 
 /// Tracking alone that writes down every transition event it is shown, and
-/// the previous holder the event names, with (`Probe<true>`, like
-/// `NullSupport`) or without (`Probe<false>`, like `PaperModel`) leave to
-/// depart from Table 3's lock discipline.
-#[derive(Default)]
-struct Probe<const RELAXED: bool> {
+/// the previous holder the event names, under the lock discipline of `S`:
+/// `Probe<NullSupport>` is relaxed, `Probe<PaperModel>` deferred.
+struct Probe<S> {
     seen: Mutex<Vec<(String, Option<PrevHolders>)>>,
+    discipline: PhantomData<S>,
 }
 
-impl<const RELAXED: bool> Support for Probe<RELAXED> {
-    const RELAXED_LOCKING: bool = RELAXED;
+impl<S: Support> Default for Probe<S> {
+    fn default() -> Self {
+        Probe { seen: Mutex::default(), discipline: PhantomData }
+    }
+}
+
+impl<S: Support> Support for Probe<S> {
+    const LOCKING: Locking = S::LOCKING;
 
     fn on_transition(&self, _cx: SupportCx<'_>, obj: ObjId, ev: TransitionEv<'_>) {
         let named = match ev {
@@ -361,17 +373,6 @@ impl<const RELAXED: bool> Support for Probe<RELAXED> {
         };
         self.seen.lock().unwrap().push((format!("{obj:?} {ev:?}"), named));
     }
-}
-
-/// Enter `Pess` and contend `Cutoff_confl` times: `O` is racy from here on.
-/// (No sample of these tests can promote it: see [`row`]'s policy.)
-fn drive_racy<S: Support>(e: &HybridEngine<S>) {
-    let (policy, profile) = (&e.common().policy, e.rt().obj(O).profile());
-    assert!(policy.force_pess(profile));
-    for _ in 0..policy.params.cutoff_confl {
-        policy.on_pess_transition(profile, true, true);
-    }
-    assert!(racy(e));
 }
 
 /// What one row left behind.
@@ -393,11 +394,12 @@ struct Row {
     seqlock_events: u64,
 }
 
-/// T0 accesses racy `O` in state `old` (T1 is the "other" thread of the row).
-fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
+/// T0 accesses `O` in state `old` (T1 is the "other" thread of the row)
+/// under `S`'s discipline.
+fn row<S: Support>(old: StateWord, write: bool) -> Row {
     let e = HybridEngine::with_config(
         Arc::new(runtime()),
-        Probe::<RELAXED>::default(),
+        Probe::<S>::default(),
         HybridConfig {
             policy: PolicyParams {
                 k_confl: u32::MAX,
@@ -411,7 +413,6 @@ fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
     assert_eq!((t0, t1), (T0, T1));
     e.rt().obj(O).data_write(41);
     e.rt().obj(O).state().store(old.0, Ordering::SeqCst);
-    drive_racy(&e);
     if write {
         e.write(t0, O, 42);
     } else {
@@ -440,52 +441,52 @@ fn row<const RELAXED: bool>(old: StateWord, write: bool) -> Row {
     row
 }
 
-/// The transition is the locked row's — one event to the support, naming the
-/// same previous holder, and the same counts — and the lock it stands for is
-/// already released, inside the access: no flush unlock is counted for it.
-/// The event's kind may differ: a racy `WrExPess(T1)` R installs a read-shared
-/// word, so the support hears `RdShCreate { prev_owner: T1 }` where the
-/// locked row tells `PessConflictingAcquire { prev: One(T1) }`. Both name
-/// `T1`, which is what a support orders the read after.
-fn assert_departs_only_in_the_lock(racy: &Row, locked: &Row, label: &str) {
-    assert!(!racy.holds_locks && locked.holds_locks, "{label}");
-    assert_eq!(racy.named, locked.named, "{label}: {:?} vs {:?}", racy.seen, locked.seen);
-    assert_eq!(racy.named, [Some(PrevHolders::One(T1))], "{label}: {:?}", racy.seen);
-    assert_eq!((racy.uncontended, racy.unlocked), (1, 0), "{label}");
-    assert_eq!((locked.uncontended, locked.unlocked), (1, 0), "{label}");
-    assert_eq!(racy.owner_change, locked.owner_change, "{label}");
-    assert_eq!(racy.seqlock_events, 0, "{label}: counted as the transition it is");
+/// The transition is the deferred row's — one event to the support, naming
+/// the same previous holder, and the same counts — and the lock it stands
+/// for is already released, inside the access: no flush unlock is counted
+/// for it. The event's kind may differ: a relaxed `WrExPess(T1)` R installs a
+/// read-shared word, so the support hears `RdShCreate { prev_owner: T1 }`
+/// where the deferred row tells `PessConflictingAcquire { prev: One(T1) }`.
+/// Both name `T1`, which is what a support orders the read after.
+fn assert_departs_only_in_the_lock(relaxed: &Row, deferred: &Row, label: &str) {
+    assert!(!relaxed.holds_locks && deferred.holds_locks, "{label}");
+    assert_eq!(relaxed.named, deferred.named, "{label}: {:?} vs {:?}", relaxed.seen, deferred.seen);
+    assert_eq!(relaxed.named, [Some(PrevHolders::One(T1))], "{label}: {:?}", relaxed.seen);
+    assert_eq!((relaxed.uncontended, relaxed.unlocked), (1, 0), "{label}");
+    assert_eq!((deferred.uncontended, deferred.unlocked), (1, 0), "{label}");
+    assert_eq!(relaxed.owner_change, deferred.owner_change, "{label}");
+    assert_eq!(relaxed.seqlock_events, 0, "{label}: counted as the transition it is");
 }
 
 #[test]
 fn racy_conflicting_read_of_a_written_state_installs_it_unlocked() {
-    // WrExPess(T1) R by T0 → RdExRLock(T0); racy → RdShPess(c), a fresh
+    // WrExPess(T1) R by T0 → RdExRLock(T0); relaxed: RdShPess(c), a fresh
     // epoch, in the one claim.
     let old = StateWord::wr_ex_pess(T1, LockMode::Unlocked);
-    let (racy, locked) = (row::<true>(old, false), row::<false>(old, false));
-    let w = racy.state;
+    let (relaxed, deferred) = (row::<NullSupport>(old, false), row::<PaperModel>(old, false));
+    let w = relaxed.state;
     assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
     assert!(w.rdsh_count() >= 2, "a fresh epoch from gRdShCount: {w:?}");
-    assert!(racy.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
-    assert_eq!(locked.state, StateWord::rd_ex_pess(T0, LockMode::Read));
-    assert_departs_only_in_the_lock(&racy, &locked, "WrExPess(T1) R by T0");
-    assert_eq!(racy.owner_change, 1, "a conflicting (w→r) acquire");
+    assert!(relaxed.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
+    assert_eq!(deferred.state, StateWord::rd_ex_pess(T0, LockMode::Read));
+    assert_departs_only_in_the_lock(&relaxed, &deferred, "WrExPess(T1) R by T0");
+    assert_eq!(relaxed.owner_change, 1, "a conflicting (w→r) acquire");
 }
 
 #[test]
 fn racy_read_of_a_foreign_read_state_installs_a_fresh_unlocked_epoch() {
-    // RdExPess(T1) R by T0 → RdShRLock(1)(c); racy → RdShPess(c).
+    // RdExPess(T1) R by T0 → RdShRLock(1)(c); relaxed: RdShPess(c).
     let old = StateWord::rd_ex_pess(T1, LockMode::Unlocked);
-    let (racy, locked) = (row::<true>(old, false), row::<false>(old, false));
-    for (r, n) in [(&racy, 0), (&locked, 1)] {
+    let (relaxed, deferred) = (row::<NullSupport>(old, false), row::<PaperModel>(old, false));
+    for (r, n) in [(&relaxed, 0), (&deferred, 1)] {
         let w = r.state;
         assert_eq!((w.kind(), w.is_pess(), w.read_locks()), (Kind::RdSh, true, n), "{w:?}");
         assert!(w.rdsh_count() >= 2, "a fresh epoch from gRdShCount: {w:?}");
         assert!(r.rd_sh_count >= w.rdsh_count(), "the creator has fenced against its own epoch");
     }
-    assert_departs_only_in_the_lock(&racy, &locked, "RdExPess(T1) R by T0");
-    assert_eq!(racy.seen, locked.seen, "the same event, RdShCreate");
-    assert_eq!(racy.owner_change, 0, "read after read: non-conflicting");
+    assert_departs_only_in_the_lock(&relaxed, &deferred, "RdExPess(T1) R by T0");
+    assert_eq!(relaxed.seen, deferred.seen, "the same event, RdShCreate");
+    assert_eq!(relaxed.owner_change, 0, "read after read: non-conflicting");
 }
 
 #[test]
@@ -497,16 +498,16 @@ fn racy_writes_release_by_a_store_and_leave_the_state_unlocked() {
         StateWord::rd_ex_pess(T1, LockMode::Unlocked),
         StateWord::rd_sh_pess(3, 0),
     ] {
-        let (racy, locked) = (row::<true>(old, true), row::<false>(old, true));
-        assert_eq!(racy.state, StateWord::wr_ex_pess(T0, LockMode::Unlocked), "{old:?}");
-        assert_eq!(locked.state, StateWord::wr_ex_pess(T0, LockMode::Write), "{old:?}");
-        assert!(!racy.holds_locks && locked.holds_locks, "{old:?}");
-        assert_eq!(racy.seen, locked.seen, "{old:?}");
+        let (relaxed, deferred) = (row::<NullSupport>(old, true), row::<PaperModel>(old, true));
+        assert_eq!(relaxed.state, StateWord::wr_ex_pess(T0, LockMode::Unlocked), "{old:?}");
+        assert_eq!(deferred.state, StateWord::wr_ex_pess(T0, LockMode::Write), "{old:?}");
+        assert!(!relaxed.holds_locks && deferred.holds_locks, "{old:?}");
+        assert_eq!(relaxed.seen, deferred.seen, "{old:?}");
         let foreign = old.holders() != PrevHolders::One(T0);
-        assert_eq!(racy.seen.len(), usize::from(foreign), "{old:?}: {:?}", racy.seen);
-        assert_eq!((racy.uncontended, racy.unlocked), (1, 0), "{old:?}");
-        assert_eq!((locked.uncontended, locked.unlocked), (1, 0), "{old:?}");
-        assert_eq!(racy.owner_change, u64::from(foreign), "{old:?}");
+        assert_eq!(relaxed.seen.len(), usize::from(foreign), "{old:?}: {:?}", relaxed.seen);
+        assert_eq!((relaxed.uncontended, relaxed.unlocked), (1, 0), "{old:?}");
+        assert_eq!((deferred.uncontended, deferred.unlocked), (1, 0), "{old:?}");
+        assert_eq!(relaxed.owner_change, u64::from(foreign), "{old:?}");
     }
 }
 
@@ -523,7 +524,6 @@ fn a_store_release_crosses_the_valve_when_the_profile_says_so() {
                 k_confl: 1,
                 inertia: 1,
             },
-            eager_unlock: true,
             ..HybridConfig::default()
         },
     );
@@ -531,7 +531,7 @@ fn a_store_release_crosses_the_valve_when_the_profile_says_so() {
     e.rt().obj(O).state().store(StateWord::wr_ex_pess(t0, LockMode::Unlocked).0, Ordering::SeqCst);
     let (policy, profile) = (&e.common().policy, e.rt().obj(O).profile());
     assert!(policy.force_pess(profile));
-    assert!(policy.on_pess_transition(profile, false, false).promoted);
+    assert!(policy.on_pess_transition(profile, false));
     e.write(t0, O, 1);
     assert_eq!(StateWord(e.rt().obj(O).state().load(Ordering::SeqCst)), StateWord::wr_ex_opt(t0));
     // SAFETY: this is the OS thread attached as t0.
@@ -581,9 +581,8 @@ fn failed_validation_of_an_installed_read_goes_round_again() {
     assert_eq!(t0, T0);
     let obj = e.rt().obj(O);
     obj.data_write(41);
-    // T1 wrote O last, and O is racy.
+    // T1 wrote O last.
     obj.state().store(StateWord::wr_ex_pess(T1, LockMode::Unlocked).0, Ordering::SeqCst);
-    drive_racy(&e);
 
     std::thread::scope(|s| {
         s.spawn(|| {

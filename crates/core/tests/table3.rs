@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drink_core::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
-use drink_core::policy::{AdaptivePolicy, PolicyParams};
+use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
 use drink_core::support::PrevHolders;
 use drink_core::table::{transition, Access, Class, Departures, Lock, Next, Row, Who};
@@ -129,7 +129,7 @@ fn check_row<S: Support>(e: HybridEngine<S>, w: StateWord, access: Access, held:
     }
     let dep = Departures {
         self_read: e.config().self_read,
-        install_unlocked: S::RELAXED_LOCKING && e.common().policy.racy(e.rt().obj(O).profile()),
+        install_unlocked: S::LOCKING == Locking::Relaxed,
     };
     let who = Who { t, rd_sh_count: ts.rd_sh_count, in_rd_set: &|| held == Some(LockMode::Read) };
     let row = transition(w, access, who, dep);
@@ -205,29 +205,17 @@ fn every_row_executes_as_the_table_says() {
     assert_eq!(rows, 3 * (20 + 2) * 2 * 2, "20 words, RdShRLock(1) and (2) held or not");
 }
 
-/// An engine on whose object `O` the policy has counted enough contention
-/// to call it racy (DESIGN.md §13).
-fn racy_engine<S: Support>(support: S) -> HybridEngine<S> {
-    let policy = PolicyParams { cutoff_confl: 1, ..inert_policy() };
-    let e = engine_with(support, policy, SelfReadMode::WrExRLock);
-    let profile = e.rt().obj(O).profile();
-    assert!(e.common().policy.force_pess(profile));
-    e.common().policy.on_pess_transition(profile, true, true);
-    assert!(e.common().policy.racy(profile), "{:?}", AdaptivePolicy::profile(profile));
-    e
-}
-
-/// The two marked rows: installed unlocked under a support that allows it,
-/// the paper's rows under one that does not.
+/// The two marked rows: installed unlocked under [`Locking::Relaxed`], the
+/// paper's rows under a discipline that keeps them.
 #[test]
 fn racy_read_rows_install_unlocked_only_under_relaxed_locking() {
     for (w, conflicting) in [
         (StateWord::wr_ex_pess(T1, LockMode::Unlocked), true),
         (StateWord::rd_ex_pess(T1, LockMode::Unlocked), false),
     ] {
-        let row = check_row(racy_engine(NullSupport), w, Access::Read, None, true);
+        let row = check_row(engine_with(NullSupport, inert_policy(), FULL), w, Access::Read, None, true);
         assert_eq!((row.class, row.lock), (Class::Pess { conflicting }, Lock::None), "{w:?}");
-        let row = check_row(racy_engine(PaperModel), w, Access::Read, None, true);
+        let row = check_row(engine_with(PaperModel, inert_policy(), FULL), w, Access::Read, None, true);
         assert_eq!((row.class, row.lock), (Class::Pess { conflicting }, Lock::Push(LockMode::Read)), "{w:?}");
     }
 }

@@ -420,7 +420,7 @@ fn a_reader_joining_a_write_lock_is_caught() {
     exhaust(reader_joins_a_write_lock);
 }
 
-/// (iii) The racy `RdExPess(T1) R by T2` row reuses an old epoch instead of
+/// (iii) The installed-unlocked `RdExPess(T1) R by T2` row reuses an old epoch instead of
 /// claiming a fresh one.
 fn racy_read_reuses_an_epoch(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
     let row = transition(w, access, who, dep);

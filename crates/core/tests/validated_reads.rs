@@ -11,10 +11,11 @@
 //! word the reader started from once a foreign write has happened; the
 //! window tests force both sides of that through `SeqlockReadValidate`.
 //!
-//! Pessimistic tracking (`HybridConfig::pessimistic()`, §2.1) runs on
-//! pessimistic words alone and releases each lock at the end of its access,
-//! so the same predicate serves its reads of objects it owns; its cases close
-//! the file.
+//! Every lock goes back inside the access that took it under `NullSupport`,
+//! so a read that falls back to its row's lock holds it no longer than the
+//! read. Pessimistic tracking (`HybridConfig::pessimistic()`, §2.1) runs on
+//! pessimistic words alone, so the same predicate serves its reads of
+//! objects it owns; its cases close the file.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -93,7 +94,8 @@ fn read_then_foreign_write(old: StateWord) -> drink_runtime::StatsReport {
             let t1 = e.attach();
             assert_eq!(t1, T1);
             e.write(t1, O, 42);
-            assert_eq!(state(&e), StateWord::wr_ex_pess(t1, LockMode::Write));
+            // Its write lock went back inside the write.
+            assert_eq!(state(&e), StateWord::wr_ex_pess(t1, LockMode::Unlocked));
             e.detach(t1);
         });
     });
@@ -169,29 +171,24 @@ fn writer_after_foreign_read_lock_is_released_never_coordinates() {
 /// mid-transition, never validate: the read takes its Table 3 row.
 #[test]
 fn ineligible_states_take_their_table_3_row() {
-    // WrExPess(T1) R by T0 → RdExRLock(T0): a conflicting (w→r) acquire.
+    // WrExPess(T1) R by T0 → RdExRLock(T0), a conflicting (w→r) acquire —
+    // here marked row ②: a fresh RdShPess(c), installed unlocked.
     let e = engine_on(Arc::new(runtime()));
     let (t0, _t1) = (e.attach(), e.attach());
     inject(&e, StateWord::wr_ex_pess(T1, LockMode::Unlocked));
     let _ = e.read(t0, O);
-    assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Read));
+    let w = state(&e);
+    assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
     // SAFETY: this is the OS thread attached as t0.
     let ts = unsafe { e.common().ts(t0) };
     assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
     assert_eq!(ts.stats.get(Event::PessUncontended), 1);
+    assert_eq!(ts.stats.get(Event::PessOwnerChange), 1);
     e.detach(t0);
 
-    // WrExWLock(T0) R by T0 → same (reentrant), not validated.
-    let e = engine_on(Arc::new(runtime()));
-    let t0 = e.attach();
-    inject(&e, StateWord::wr_ex_pess(t0, LockMode::Unlocked));
-    e.write(t0, O, 1); // really hold the write lock
-    let _ = e.read(t0, O);
-    // SAFETY: as above.
-    let ts = unsafe { e.common().ts(t0) };
-    assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
-    assert_eq!(ts.stats.get(Event::PessReentrant), 1);
-    e.detach(t0);
+    // WrExWLock(T0), which T0 holds for the length of its own write, does
+    // not validate for T0 either.
+    assert!(!StateWord::wr_ex_pess(T0, LockMode::Write).validated_read_ok(T0));
 }
 
 /// WrExWLock(T1) and Int(T1), read by T0: the read waits for the holder
@@ -205,36 +202,33 @@ fn write_locked_and_in_flight_states_never_validate() {
         assert!(!held.validated_read_ok(T0), "{held:?}");
     }
 
-    // Live: T1 really holds WrExWLock(T1) and keeps polling; T0's read
-    // contends, T1 flushes at its safe point, T0 read-locks.
+    // Live: T1 stands inside a write — WrExWLock(T1) installed, its payload
+    // store still to come — while T0 reads. T0 waits for the release the
+    // write ends with, then takes its row: it reads T1's value, never the
+    // one the lock was guarding, and neither contends nor coordinates.
     let e = engine_on(Arc::new(runtime()));
     let t0 = e.attach();
-    let (ready, done) = (
-        std::sync::Barrier::new(2),
-        std::sync::atomic::AtomicBool::new(false),
-    );
+    let ready = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
         s.spawn(|| {
             let t1 = e.attach();
-            inject(&e, StateWord::wr_ex_pess(t1, LockMode::Unlocked));
-            e.write(t1, O, 5);
+            e.rt().obj(O).data_write(4);
+            inject(&e, StateWord::wr_ex_pess(t1, LockMode::Write));
             ready.wait();
-            let mut wait = e.rt().wait(t1, "reader to finish");
-            while !done.load(Ordering::Acquire) {
-                e.safepoint(t1);
-                let _ = wait.step();
-            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            e.rt().obj(O).data_write(5);
+            inject(&e, StateWord::wr_ex_pess(t1, LockMode::Unlocked));
             e.detach(t1);
         });
         ready.wait();
         assert_eq!(e.read(t0, O), 5, "reader must observe the holder's write");
-        assert_eq!(state(&e), StateWord::rd_ex_pess(t0, LockMode::Read));
-        done.store(true, Ordering::Release);
+        let w = state(&e);
+        assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
     });
     e.detach(t0);
     let r = e.rt().stats().report();
     assert_eq!(r.get(Event::SeqlockValidated), 0);
-    assert_eq!(r.pess_contended(), 1);
+    assert_eq!((r.pess_contended(), r.get(Event::CoordinationRoundtrip)), (0, 0));
 }
 
 /// Lands an install inside the first `left` validation windows: a foreign
@@ -315,7 +309,8 @@ fn invalidated_window_retries_then_falls_back_to_the_read_lock() {
 
     // An install in every window: the read gives up after the retry budget
     // and takes the lock its Table 3 row prescribes — RdShRLock(n) R by T →
-    // RdShRLock(n+1) — by CAS. It never coordinates.
+    // RdShRLock(n+1) — by CAS, and releases it inside the read. It never
+    // coordinates.
     let e = engine_with_installs_in_window(u32::MAX, false);
     let t0 = e.attach();
     inject(&e, StateWord::rd_sh_pess(3, 0));
@@ -326,12 +321,8 @@ fn invalidated_window_retries_then_falls_back_to_the_read_lock() {
     let retries = ts.stats.get(Event::SeqlockRetry);
     assert_eq!(ts.stats.get(Event::SeqlockFallback), 1);
     assert_eq!(ts.stats.get(Event::SeqlockValidated), 0);
-    assert_eq!(
-        w,
-        StateWord::rd_sh_pess(3, retries + 1),
-        "the hook's joins plus T0's own"
-    );
-    assert!(ts.rd_set.contains(O.0) && ts.lock_buffer == [O]);
+    assert_eq!(w, StateWord::rd_sh_pess(3, retries), "the hook's joins; T0's own went back");
+    assert!(ts.holds_no_locks());
     assert_eq!(ts.stats.get(Event::PessUncontended), 1);
     assert_eq!(ts.stats.get(Event::PessContended), 0);
     assert_eq!(ts.stats.get(Event::CoordinationRoundtrip), 0);

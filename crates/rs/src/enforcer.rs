@@ -43,14 +43,14 @@ pub struct RsEnforcer {
 
 impl RsEnforcer {
     /// Build the enforcer on `kind`'s tracking configuration over `rt`.
-    /// Panics if `kind` is not a configuration of the hybrid engine, or is
-    /// one that does not defer its unlocks ([`EngineKind::Pessimistic`]).
+    /// Panics if `kind` is not a configuration of the hybrid engine. Its
+    /// locks are deferred whatever the kind: [`RsSupport`]'s discipline is
+    /// `Locking::Deferred`, which two-phase locking needs to hold each lock
+    /// to the end of its region (§5).
     pub fn new(rt: Arc<Runtime>, kind: EngineKind) -> Self {
         let Some(cfg) = kind.hybrid_config() else {
             panic!("the RS enforcer runs on the hybrid engine, which {kind:?} does not configure");
         };
-        // Two-phase locking holds each lock to the end of its region (§5).
-        assert!(!cfg.eager_unlock, "the RS enforcer needs deferred unlocking, which {kind:?} does not do");
         let table = RegionTable::new(rt.clone());
         let engine = HybridEngine::with_config(rt, RsSupport::new(table.clone()), cfg);
         RsEnforcer { engine, table }

@@ -54,8 +54,8 @@ pub struct CostModel {
     /// between pessimistic and optimistic states (a CAS plus profiling).
     pub policy_move: f64,
     /// Releasing one deferred pessimistic state at a flush (a CAS). A lock
-    /// released at the end of the access that took it — §3.1's eager-unlock
-    /// ablation, pessimistic tracking, a racy object — is part of that
+    /// released at the end of the access that took it — on every support
+    /// that does not defer, tracking alone included — is part of that
     /// access's `pessimistic` cost.
     pub state_unlock: f64,
 }

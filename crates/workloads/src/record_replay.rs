@@ -18,14 +18,15 @@ pub struct RecordOutcome {
 /// Record one execution of `spec` with the recorder on `kind`'s tracking
 /// configuration: §4.1's on [`EngineKind::Optimistic`], §4.2's on
 /// [`EngineKind::Hybrid`]. The log and the run are named after `kind`.
-/// Panics if `kind` is not a configuration of the hybrid engine, or is one
-/// that does not defer its unlocks ([`EngineKind::Pessimistic`]).
+/// Panics if `kind` is not a configuration of the hybrid engine. Its locks
+/// are deferred whatever the kind — the [`Recorder`]'s discipline is
+/// `Locking::Deferred`, since its release-clock edges are the unlocks a
+/// flush makes (§4.2) — so [`EngineKind::Pessimistic`] records Table 3 at
+/// `Cutoff_confl = 0`.
 pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
     let Some(cfg) = kind.hybrid_config() else {
         panic!("the recorder runs on the hybrid engine, which {kind:?} does not configure");
     };
-    // Its release-clock edges are the unlocks a flush makes (§4.2).
-    assert!(!cfg.eager_unlock, "the recorder needs deferred unlocking, which {kind:?} does not do");
     let rt = runtime_for(spec);
     let recorder = Recorder::for_runtime(&rt, kind.name());
     let engine = HybridEngine::with_config(rt, recorder.clone(), cfg);
@@ -84,13 +85,7 @@ mod tests {
     fn supports_refuse_kinds_outside_the_hybrid_engine() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let spec = sync_inc(2, 10);
-        // `Pessimistic` is a hybrid-engine configuration, but an eagerly
-        // unlocking one: both supports rely on deferred unlocking.
-        for kind in [
-            EngineKind::Baseline,
-            EngineKind::Pessimistic,
-            EngineKind::Ideal,
-        ] {
+        for kind in [EngineKind::Baseline, EngineKind::Ideal] {
             let recorder = || drop(record(kind, &spec));
             let enforcer = || drop(run_rs(kind, &spec));
             for run in [&recorder as &dyn Fn(), &enforcer] {
@@ -100,14 +95,6 @@ mod tests {
                 assert!(msg.contains(&format!("{kind:?}")), "{msg}");
             }
         }
-    }
-
-    /// `Pessimistic` configures the hybrid engine, so it gets past the
-    /// engine check; the recorder refuses it for its eager unlocking.
-    #[test]
-    #[should_panic(expected = "the recorder needs deferred unlocking, which Pessimistic does not do")]
-    fn eager_unlock_is_refused_by_the_recorder() {
-        record(EngineKind::Pessimistic, &sync_inc(2, 10));
     }
 
     #[test]
@@ -180,6 +167,9 @@ mod tests {
         let spec = racy_inc(4, 800);
         assert_replay_reproduces(EngineKind::Optimistic, &spec);
         assert_replay_reproduces(EngineKind::Hybrid, &spec);
+        // Table 3 at `Cutoff_confl = 0`, every lock deferred: each access
+        // acquires pessimistically, and contends where the increments race.
+        assert_replay_reproduces(EngineKind::Pessimistic, &spec);
     }
 
     #[test]

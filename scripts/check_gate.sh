@@ -3,7 +3,7 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Eight legs, all required:
+# Nine legs, all required:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
@@ -43,7 +43,9 @@
 #          the wedged roundtrip (nonzero exit, artifact), and `--reproduce`
 #          under the same fault must fail again.
 #   5. Short flake hunt: the policy's tests (profile-word proptests, the
-#      valve's `adapt::tests`, the racy-object tests), the replay-elision
+#      valve's `adapt::tests`), the racy-object tests and the racyInc runs
+#      (each lock released inside its access under tracking alone, every
+#      lock deferred on the paper's model), the replay-elision
 #      oracle, the validated-read
 #      windows of DESIGN.md s12 and the recording-log oracles, ten times
 #      over; then the forced
@@ -62,6 +64,8 @@
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
 #      the first `ret` of the hybrid read, write and safe point, no indirect
 #      call behind `AnyEngine`.
+#   9. Lint: `cargo clippy --workspace --release -- -D warnings`, so that no
+#      warning lands unseen.
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -129,8 +133,8 @@ fi
 
 canary "4s responder stall vs 3s budget" stall-canary DRINK_INJECT_FAULT=stall-responder:4000 --seeds 0x1
 
-echo "=== check_gate: flake hunt (policy and its valve, racy objects, replay elision, validated reads, log persistence; 10 rounds)"
-scripts/flake_hunt.sh 10 racy_objects policy adapt::tests replay_elision validated_reads log_persistence
+echo "=== check_gate: flake hunt (policy and its valve, racy objects, racyInc, replay elision, validated reads, log persistence; 10 rounds)"
+scripts/flake_hunt.sh 10 racy_objects racy_inc policy adapt::tests replay_elision validated_reads log_persistence
 
 echo "=== check_gate: flake hunt, check-invariants build (failed validation of an installed read; 10 rounds)"
 scripts/flake_hunt.sh 10 --features drink-core/check-invariants failed_validation
@@ -144,5 +148,8 @@ cargo build --release -p drink-serve
 
 echo "=== check_gate: the same-state access is a leaf (release build, no check-invariants)"
 scripts/fastpath_asm.sh
+
+echo "=== check_gate: clippy, warnings denied"
+cargo clippy --workspace --release -- -D warnings
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

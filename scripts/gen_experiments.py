@@ -45,6 +45,13 @@ for l in lines('fig8_microbench'):
 ratio = lambda i: round(sync_rows['Optimistic tracking'][i] / max(sync_rows['Hybrid tracking'][i], 1))
 sync_wall, sync_model = ratio(0), ratio(1)
 e5_ratio = next(l for l in lines('fig8_microbench') if 'shipped hybrid =' in l).split('= ')[1].split(' ')[0]
+# racyInc's rows: label → (wall %, model %, coord/1k acc, rounds/cont, own-chg %).
+racy_rows = {}
+for l in lines('fig8_microbench')[next(i for i, l in enumerate(lines('fig8_microbench')) if l.startswith('--- racyInc')):]:
+    r = l.rsplit(None, 5)
+    if len(r) == 6 and not l.startswith(('---', 'config')):
+        racy_rows[r[0].strip()] = r[1:]
+e5_rounds = racy_rows['Hybrid tracking'][3]
 # E10: program → (deferred cell, eager cell).
 e10 = {r[0]: (r[1], r[2]) for r in (l.split() for l in lines('e10_deferred_unlock_ablation'))
        if len(r) == 6 and '/' in r[1]}
@@ -55,6 +62,10 @@ adapt_detail = adapt_check.split(': ', 2)[2].removesuffix(': VIOLATED')
 headline = [fig7[p] for p in ('xalan6', 'xalan9', 'pjbb2005')]
 opt_range = f"{min(r['Opt'][0] for r in headline)}–{max(r['Opt'][0] for r in headline)}"
 hyb_range = f"{min(r['Hybrid'][0] for r in headline)}–{max(r['Hybrid'][0] for r in headline)}"
+cuts = [round(r['Opt'][0] / max(r['Hybrid'][0], 1)) for r in headline]
+cut_range = f"{min(cuts)}–{max(cuts)}"
+wall = lambda cell: int(cell.split('/')[0])
+eager_faster = [p for p, (d, e) in e10.items() if wall(e) < wall(d)]
 
 
 def beats(hyb, pess):
@@ -92,9 +103,12 @@ Two consequences run through everything below:
 
 **Support.** Each table's `(support …)` lines name the runtime support each
 configuration ran on. `NullSupport` is the engine as shipped, including the
-validated reads (DESIGN.md §12) and the racy-object unlock (§13) the paper's
-engine does not have; `PaperModel` is the paper's Table 3 with every lock
-deferred (E5's racyInc `Hybrid tracking` row and all of E9); `Recorder`,
+validated reads (DESIGN.md §12) and the release of every lock inside the
+access that took it (§13), which the paper's engine does not have;
+`PaperModel` is the paper's Table 3 with every lock deferred (E3's hybrid
+row, E5's racyInc `Hybrid tracking` row, E10's deferred row and all of E9);
+`EagerModel` is the same rows with every lock released inside its access
+(E1's pessimistic row, E10's eager row); `Recorder`,
 `ReplayEngine` and `RsEnforcer` are the §4/§5 runtime-support clients;
 `none` is the untracked baseline. Where a table takes a median, its caption
 says over how many trials; trials run interleaved, configuration by
@@ -118,8 +132,8 @@ everything (here far more than the paper's ~196×, because a roundtrip waits
 out the polling peer's yields, a scheduler trip, rather than a cache-line
 trip). This gap is the entire premise of the adaptive policy. The pessimistic
 row is pessimistic tracking (`HybridConfig::pessimistic()`: `Cutoff_confl =
-0`, eager unlocking) on `PaperModel`, so every access pays §2.1's
-CAS-lock/unlock pair — the runner asserts that its `PessUncontended` count
+0`) on `EagerModel`, so every access pays §2.1's CAS-lock/unlock pair inside
+itself — the runner asserts that its `PessUncontended` count
 equals its access count; under `NullSupport` pessimistic tracking's reads of
 objects its thread owns validate instead (DESIGN.md §12) and cost what a
 hybrid one does.
@@ -158,7 +172,7 @@ workloads are scaled; compare *ratios*):
 
 * the adaptive policy's primary goal — cutting conflicting transitions —
   lands at the top of the paper's 43–98% band for the high-conflict
-  programs (−94% avrora9, −95% hsqldb6 and xalan6/9), and pjbb2005 just
+  programs (−94% avrora9 and hsqldb6, −95% xalan6/9), and pjbb2005 just
   above it (−99%);
 * low-conflict programs (jython9, luindex9, lusearch6/9) are untouched, with
   zero pessimistic transitions — the policy never bothers them;
@@ -166,6 +180,10 @@ workloads are scaled; compare *ratios*):
   share of pessimistic transitions is reentrant (atomic-op-free);
 * contended transitions occur only in the racy programs (avrora9,
   pjbb2005), exactly the paper's object-level-data-race attribution.
+
+The hybrid row runs on `PaperModel`, whose locks are deferred as the
+paper's are: the shipped engine releases every lock inside its access, so
+there it would read 0% reentrant and no contention.
 
 Divergences: our %reentrant is generally below the paper's (our scaled
 workloads revisit locked objects fewer times per flush window), and
@@ -207,7 +225,7 @@ roundtrips and its per-transition bookkeeping. Its model column (≈ flat
 28–30%; jython9 37%, sunflow9 14%) shows what its locked accesses would cost
 at the paper's prices; the *insensitivity* of pessimistic tracking to
 conflict rates — the property the paper emphasizes — is visible either way.
-`drink-bench E1`'s pessimistic row runs on `PaperModel` and prices §2.1's
+`drink-bench E1`'s pessimistic row runs on `EagerModel` and prices §2.1's
 every-access lock.
 hsqldb6 is *not* the exception here that the paper
 reports (§7.5: hybrid barely helps it, since its conflicts resolve
@@ -231,7 +249,7 @@ ROADMAP item 4. Adapt's geomean still sits with hybrid's.
 ```
 
 **Agreement**: `syncInc` is the paper's showcase and reproduces sharply —
-optimistic tracking collapses (≈900% wall; the paper says ≈1 200%) because
+optimistic tracking collapses (≈{sync_rows['Optimistic tracking'][0]:.0f}% wall; the paper says ≈1 200%) because
 every increment is a conflicting transition with roundtrip coordination,
 while hybrid moves the counter to pessimistic states and transfers ownership
 by CAS: single-digit wall %, model ≈ the paper's 84%. Pessimistic tracking's
@@ -240,21 +258,21 @@ matches the paper's story that it behaves like hybrid here.
 
 `racyInc` is hybrid's worst case, and the paper's shape is there: on
 `PaperModel` — every lock deferred, as Table 3 has it — hybrid is the slowest
-row by a wide margin (≈17 000% wall against optimistic's ≈2 400%; the paper:
-4 300% against 1 200%), because a contended transition re-coordinates 4.8
-times on average before it gets the state ("most of these accesses trigger
+row by a wide margin ({racy_rows['Hybrid tracking'][0]}% wall against optimistic's
+{racy_rows['Optimistic tracking'][0]}%; the paper: 4 300% against 1 200%), because a contended
+transition re-coordinates {e5_rounds} times on average before it gets the state ("most of these accesses trigger
 coordination more than once", §7.5).
 
 **Deviation (✎)**: the last row is the engine as shipped. §7.5 sketches
 sending such an object back to optimistic states; that is the protocol where
-each of its accesses is a roundtrip. Instead, once the counter has contended
-`Cutoff_confl` = 4 times it stops deferring its unlocks: each access that
-locks it releases the lock right after the program access (DESIGN.md §13),
-which is the paper's own pre-insight design applied to the one object whose
-races void the insight's premise. The worst case becomes roughly
-pessimistic tracking — {e5_ratio} its wall clock here (the check: within 2×),
-14 roundtrips per 1 000 accesses instead of 1 319, and the contended
-transitions that remain resolve in one round.
+each of its accesses is a roundtrip. Instead, tracking alone never defers a
+lock: its support, `NullSupport`, releases each one right after the program
+access that took it (DESIGN.md §13) — the paper's own pre-insight design,
+which gives up only reentrancy, of which a racing counter has none. So a
+racing increment waits for the holder's release instead of contending, and
+the worst case becomes roughly pessimistic tracking — {e5_ratio} its wall
+clock here (the check: within 2×), at {racy_rows['Hybrid, shipped (eager)'][2]}
+roundtrips per 1 000 accesses instead of {racy_rows['Hybrid tracking'][2]}.
 
 ## E6 — Figure 9(a), dependence recorders and replayers
 
@@ -269,7 +287,8 @@ Our gap is larger than the paper's because our explicit roundtrips are
 relatively costlier (E1). The hybrid replayer is *faster* than the
 optimistic one here (paper: 24 vs. 20); both of our replayers use the same
 clock machinery. Every replay
-reproduced its recorded heap bit for bit (the check: 26 of 26), so the table
+reproduced its recorded heap bit for bit (the check: 234 of 234, 9 trials
+of each of 26 recordings), so the table
 doubles as a full-scale soundness check. (The paper's replayer fails on 2 of
 13 programs; ours replays all 13.)
 
@@ -280,14 +299,14 @@ doubles as a full-scale soundness check. (The paper's replayer fails on 2 of
 ```
 
 **Agreement**: hybrid ≤ optimistic overall, with the big wins again on
-xalan6, xalan9 and pjbb2005 (each cut five- to eightfold) and hsqldb6 — the
+xalan6, xalan9 and pjbb2005 (each cut about five- to sixfold) and hsqldb6 — the
 paper's ordering (39 vs. 34, biggest wins on the same programs). Restarts
 concentrate in the racy and high-conflict programs, mirroring the paper's
 contended-transition analysis. Absolute overheads are several × the paper's:
 our regions are driven through a closure-based API with per-region
 undo/access bookkeeping, where the paper's enforcer compiles specialized code
-into each region; the low-conflict rows are single-trial noise in both
-directions.
+into each region; the low-conflict rows, medians of 9 trials, still differ
+by tens of points in both directions.
 
 ## E8 — §7.3 adaptive-policy sensitivity
 
@@ -311,9 +330,9 @@ The paper's prototype omits `WrExRLock` (self-reads write-lock) and
 validates the omission with an unsound diagnostic that downgrades instead;
 it found no significant spurious contention. **Here the omission is harmless
 too, but not for the reason the shape note expects**: the full model shows
-*more* contended transitions and coordination than the prototype encoding,
-and the unsound downgrade fewer still; the previously committed run also
-had the full model most contended (92 against 37 and 37). Why the full
+*more* contended transitions and coordination than either the prototype
+encoding or the unsound downgrade, as every committed run so far has had it
+(an earlier one read 92 against 37 and 37). Why the full
 model contends more on this workload is not established. The wall column
 is one trial per mode and moves by whole multiples between runs; read the
 counts.
@@ -331,22 +350,24 @@ every access the deferred row served reentrantly (`reentrant(d)`) becomes a
 locking one (`locked(e)`), its release inside it. What deferral pays instead
 is one flush unlock per lock (`unlocks(d)`), which the model prices at 70
 cycles on top of the 150 it already charges each locking access, "CAS lock +
-unlock". So the model favours deferral only where a lock is reused before
-its flush: not on `syncInc`, where every critical section takes the counter
-from another thread and nothing is reentrant — there the eager row models
-*cheaper* ({e10['syncInc'][1].split('/')[1]}% against
+unlock". Both rows run Table 3's rows on a support with no hooks
+(`PaperModel` and `EagerModel`); only the lock discipline differs. So the
+model favours deferral only where a lock is reused before its flush: not on
+`syncInc`, where every critical section takes the counter from another
+thread and nothing is reentrant — there the eager row models *cheaper*
+({e10['syncInc'][1].split('/')[1]}% against
 {e10['syncInc'][0].split('/')[1]}%), and it pays the same atomics, a CAS per
 access plus a release store per write — and not on the profile workloads,
-where pessimistic traffic is a small share of accesses (validated reads,
-DESIGN.md §12, take most pessimistic reads out of the count) and the model
-gap is within a point. The wall column of these 20–50 ms, 8-thread runs on
-two cores is noise in both directions. The eager design additionally
+where pessimistic traffic is a small share of accesses and the model gap is
+within a point. The wall column has the eager row faster on
+{listed(eager_faster)}; these are 20–50 ms, 8-thread runs on two cores, a
+lead and not a result. The eager design additionally
 forfeits the hybrid *recorder* and the RS enforcer entirely (release-clock
 edges require flush points pinned to PSROs; two-phase locking holds locks to
-region ends), which is why both refuse it. Pessimistic tracking (`Pess`) is
-this eager design applied to every object from birth, and the shipped
-engine applies it to *racy* objects only (E5), where deferral has nothing to
-batch.
+region ends), which is why both supports defer by type
+(`Locking::Deferred`). Tracking alone needs neither, so the shipped engine
+(`NullSupport`) runs the eager design on every object, pessimistic tracking
+included, and adds validated reads to it (DESIGN.md §12, §13).
 
 ---
 
@@ -355,19 +376,19 @@ batch.
 | Paper claim | Status |
 |---|---|
 | Hybrid consistently outperforms pessimistic tracking | ➖ hybrid {beats(hyb_model, pess_model)} on the model geomean ({hyb_model}% against {pess_model}%) and {beats(hyb_wall, pess_wall)} on the wall one ({hyb_wall}% against {pess_wall}%), but pessimistic tracking's wall is lower on {listed(pess_faster)}: it validates its owner's reads (DESIGN.md §12), and its wall cost is understated on two cores |
-| Hybrid ≫ optimistic for high-conflict programs (xalan6/9, pjbb2005) | ✅ 13–25× overhead reductions |
+| Hybrid ≫ optimistic for high-conflict programs (xalan6/9, pjbb2005) | ✅ {cut_range}× overhead reductions |
 | Hybrid ≈ optimistic for low-conflict programs | ✅ within noise |
 | Adaptive policy cuts conflicting transitions 43–98% on high-conflict programs | ✅ 94–99% here |
 | Per-object profiling catches most conflicts (Fig 6 limit study) | ✅ |
 | Policy insensitive to K_confl/Inertia; small Cutoff suffices | ✅ |
 | syncInc: hybrid ~15× cheaper than optimistic | ✅ (~{sync_model}× in model overhead, ~{sync_wall}× in wall overhead here) |
-| racyInc: hybrid gains nothing (worst case) | ✅ on the paper's model (`PaperModel`: slowest row, 4.5 rounds per contended transition); ✎ the shipped engine stops deferring on racy objects and lands within 2× of pessimistic |
+| racyInc: hybrid gains nothing (worst case) | ✅ on the paper's model (`PaperModel`: slowest row, {e5_rounds} rounds per contended transition); ✎ the shipped engine releases every lock inside its access, so nothing contends, and lands at {e5_ratio} pessimistic |
 | hsqldb6 barely helped (implicit coordination) | ❌ not here: our hsqldb6 resolves only 45% of its conflicts implicitly, and hybrid cuts its overhead tenfold |
 | Hybrid recorder cheaper than optimistic recorder; same dependences | ✅ + bit-identical replays on all 13 programs |
 | Hybrid replayer slightly slower than optimistic replayer | ➖ not reproduced (shared clock machinery; the hybrid replayer is faster) |
 | Hybrid RS enforcer cheaper than optimistic RS enforcer, same win pattern | ✅ |
 | WrExRLock omission harmless (§7.1) | ✅ harmless, though the full model is the more contended encoding here |
-| Deferred unlocking beats the initial eager design (§3.1) | ➖ only where locks are reused before a flush (reentrancy); on syncInc, with none, the eager row models cheaper, and on the profiles pessimistic traffic is too sparse to tell |
+| Deferred unlocking beats the initial eager design (§3.1) | ➖ for the runtime supports, which need it (both defer by type); for tracking alone only where locks are reused before a flush (reentrancy): on syncInc, with none, the eager row models cheaper, and on the profiles pessimistic traffic is too sparse to tell — so the shipped engine unlocks eagerly |
 | Pessimistic wall cost ≈ 340% | ❌ not reproducible on two cores (model: flat, conflict-insensitive — the qualitative property — is reproduced) |
 
 *Generated {datetime.date.today().isoformat()} from the committed `results/` run.*
