@@ -157,11 +157,11 @@ fn checks(seed: u64) -> Vec<(Check, WorkloadSpec)> {
             checks.push((Check::Cell(Subject::Engine(kind)), spec.clone()));
         }
     }
-    // The RS cells run under the chaos scheduler, and their artifacts carry
-    // event timelines; the replay oracle records unperturbed, and its
-    // artifacts carry none. A bug only a deferring support can meet (the
-    // matrix engines release every lock inside its access) is reported by
-    // the first of the two under `--fail-fast`, so the RS oracle goes first.
+    // A bug only a deferring support can meet (the matrix engines release
+    // every lock inside its access) is caught by the RS or the replay
+    // oracle, whichever runs first under `--fail-fast`; either's artifact
+    // carries event timelines (the replay oracle's, the failing
+    // recording's).
     let oracles = [
         (Oracle::Differential, chaos_disjoint(seed)),
         (Oracle::SeqlockRead, chaos_read_mostly(seed)),

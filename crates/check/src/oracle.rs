@@ -29,11 +29,12 @@
 //! `Oracle::matrix`; quiescence is the cell runner's own check.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use drink_core::word::StateWord;
-use drink_runtime::{Event, Runtime, StatsReport};
+use drink_runtime::{Event, Runtime, RuntimeConfig, SchedHooks, StatsReport, ThreadTrace};
 use drink_serve::{chaos_serve, run_serve, ServeConfig};
-use drink_workloads::{record, replay, run_kind, EngineKind, WorkloadSpec};
+use drink_workloads::{record_on, replay, run_kind, runtime_config_for, EngineKind, WorkloadSpec};
 
 use crate::artifact::FailureArtifact;
 use crate::harness::{self, Subject, MATRIX_ENGINES, RS_ENGINES};
@@ -91,7 +92,8 @@ pub enum Oracle {
     Serve,
     /// Both RS enforcers commit every region and preserve semantics.
     Rs,
-    /// [`replay_check`]: unperturbed, so its artifacts carry no traces.
+    /// [`replay_check`]: unperturbed, so its artifacts carry no decision
+    /// traces, only the failing recording's event timelines.
     Replay,
 }
 
@@ -126,13 +128,13 @@ impl Oracle {
             Oracle::Ladder => adapt_check(spec, seed),
             Oracle::Serve => serve_check(spec, seed),
             Oracle::Rs => rs_check(spec, seed),
-            Oracle::Replay => replay_check(spec).map_err(|failure| Box::new(FailureArtifact {
+            Oracle::Replay => replay_check(spec, None).map_err(|(failure, events)| Box::new(FailureArtifact {
                 seed,
                 engine: self.label().into(),
                 spec: spec.clone(),
                 failure,
                 traces: Vec::new(),
-                events: Vec::new(),
+                events,
             })),
         }
     }
@@ -371,15 +373,25 @@ fn first_heap_divergence(a: &[u64], b: &[u64]) -> String {
 }
 
 /// Record `spec` under both recorder kinds and verify replay reproduces the
-/// recorded heap exactly. (Recording runs unperturbed: the recorder owns
-/// its runtime; what is under test is the log's completeness, which the
-/// differential/chaos cells already stress from the engine side.)
-pub fn replay_check(spec: &WorkloadSpec) -> Result<(), String> {
+/// recorded heap exactly. (Recording runs unperturbed unless `sched` is
+/// given: what is under test is the log's completeness, which the
+/// differential/chaos cells already stress from the engine side.) A failure
+/// comes with the event timelines of the recording it failed on, whose
+/// runtime has trace rings for that.
+pub fn replay_check(spec: &WorkloadSpec, sched: Option<Arc<dyn SchedHooks>>) -> Result<(), (String, Vec<ThreadTrace>)> {
     for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
+        let mut rt = Runtime::new(RuntimeConfig {
+            trace_capacity: harness::CHAOS_TRACE_CAPACITY,
+            ..runtime_config_for(spec)
+        });
+        if let Some(sched) = &sched {
+            rt.set_sched_hooks(Arc::clone(sched));
+        }
+        let rt = Arc::new(rt);
         // Wrapped: a protocol panic inside the recorder (e.g. an injected
         // bug tripping the invariant layer) must report, not abort the suite.
         harness::catch(|| {
-            let out = record(kind, spec);
+            let out = record_on(kind, Arc::clone(&rt), spec);
             let rep = replay(spec, out.log.clone());
             if rep.heap != out.run.heap {
                 return Err(format!(
@@ -389,7 +401,10 @@ pub fn replay_check(spec: &WorkloadSpec) -> Result<(), String> {
             }
             Ok(())
         })
-        .map_err(|e| format!("{} record/replay: {e}", kind.name()))?;
+        .map_err(|e| {
+            let events = rt.trace_rings().expect("built with trace rings").snapshot().threads;
+            (format!("{} record/replay: {e}", kind.name()), events)
+        })?;
     }
     Ok(())
 }
@@ -501,8 +516,8 @@ mod tests {
 
     #[test]
     fn replay_reproduces_chaos_specs() {
-        replay_check(&chaos_mix(34)).unwrap();
-        replay_check(&chaos_disjoint(35)).unwrap();
+        replay_check(&chaos_mix(34), None).map_err(|(failure, _)| failure).unwrap();
+        replay_check(&chaos_disjoint(35), None).map_err(|(failure, _)| failure).unwrap();
     }
 
     #[test]

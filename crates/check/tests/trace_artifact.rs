@@ -4,12 +4,14 @@
 //! perturbation point after a fixed number of visits) on a conflict-free
 //! workload — no thread is ever blocked waiting on a panicked peer, so the
 //! cell tears down promptly — and asserts the resulting artifact carries
-//! non-empty event timelines that survive the JSON round trip.
+//! non-empty event timelines that survive the JSON round trip. The replay
+//! oracle's catches, which build no cell, carry the failing recording's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drink_check::harness::run_chaos;
+use drink_check::oracle::replay_check;
 use drink_check::{FailureArtifact, Subject};
 use drink_runtime::{Event, SchedHooks, SchedPoint, ThreadId};
 use drink_workloads::{chaos_disjoint, EngineKind};
@@ -65,4 +67,20 @@ fn failure_artifact_embeds_per_thread_event_timelines() {
     let back = FailureArtifact::from_json(&json).expect("artifact parses");
     assert_eq!(back.events, artifact.events);
     assert!(!back.events.iter().all(|t| t.events.is_empty()));
+}
+
+/// A failure only the record/replay oracle sees — here a panic injected into
+/// the recording — carries the recording's event timelines on its own, so no
+/// other oracle has to run first for an artifact to show what happened.
+#[test]
+fn a_replay_only_failure_carries_the_recordings_event_timelines() {
+    let spec = chaos_disjoint(0xA11_FA12);
+    let hooks = Arc::new(PanicAfter {
+        seen: AtomicUsize::new(0),
+        threshold: 40,
+    });
+    let (failure, events) = replay_check(&spec, Some(hooks)).expect_err("the recording must fail");
+    assert!(failure.contains("record/replay"), "{failure}");
+    assert_eq!(events.len(), spec.threads);
+    assert!(events.iter().flat_map(|t| &t.events).any(|e| matches!(e.kind, Event::Read | Event::Write)));
 }

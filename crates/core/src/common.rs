@@ -26,9 +26,9 @@ use drink_runtime::{
     Event, LatencyKind, MonitorId, ObjHeader, ObjId, RtHooks, Runtime, SchedPoint, ThreadId,
 };
 
-use crate::policy::AdaptivePolicy;
+use crate::policy::{AdaptivePolicy, Phase};
 use crate::support::{Locking, Support, SupportCx};
-use crate::table::Next;
+use crate::table::{version_after, Next};
 use crate::tstate::{OwnedByThread, ThreadState};
 use crate::word::{LockMode, StateWord};
 
@@ -183,7 +183,7 @@ impl<S: Support> EngineCommon<S> {
         let state = obj.state();
         let mut cur = state.load(Ordering::Acquire);
         if cur == StateWord::wr_ex_pess(ts.tid, LockMode::Write).0 {
-            return self.unlock_write_lock(ts, o);
+            return self.unlock_write_lock(ts, o, None);
         }
         let mut wait = None;
         loop {
@@ -206,10 +206,12 @@ impl<S: Support> EngineCommon<S> {
             #[cfg(feature = "check-invariants")]
             w.validate()
                 .unwrap_or_else(|e| panic!("ill-formed state word on {o:?}: {w:?} — {e}"));
-            let to_opt = self.policy.unlock_to_optimistic(obj.profile());
             let unlocked = w.unlock_one();
             // An exclusive state (or the last RdSh share) may transfer to
-            // optimistic states at unlock time (Figure 3's upper diamond).
+            // optimistic states at unlock time (Figure 3's upper diamond) —
+            // but for a version word, whose count is no epoch (Table 3's
+            // marked row ③): the object crosses at its next write's release.
+            let to_opt = !unlocked.is_version() && self.policy.unlock_to_optimistic(obj.profile());
             let new = if unlocked.is_pess_unlocked() && to_opt {
                 unlocked.to_optimistic()
             } else {
@@ -234,15 +236,22 @@ impl<S: Support> EngineCommon<S> {
     /// reader upgrades only *read*-locked exclusive words. So there is no
     /// concurrent change for a CAS to lose to; `check-invariants` builds swap
     /// instead of storing and assert that.
+    ///
+    /// `written` is the word the lock's claim replaced, if the lock guarded
+    /// a payload write released right after it: on a settled object under
+    /// [`Locking::Relaxed`] that release publishes Table 3's version word
+    /// (marked row ③), counted as [`Event::VersionPublished`].
     #[inline]
-    pub(crate) fn unlock_write_lock(&self, ts: &mut ThreadState, o: ObjId) {
+    pub(crate) fn unlock_write_lock(&self, ts: &mut ThreadState, o: ObjId, written: Option<StateWord>) {
         let obj = self.rt.obj(o);
+        let t = ts.tid;
         // The valve, as at any unlock (Figure 3's upper diamond).
-        let to_opt = self.policy.unlock_to_optimistic(obj.profile());
-        let new = if to_opt {
-            StateWord::wr_ex_opt(ts.tid)
-        } else {
-            StateWord::wr_ex_pess(ts.tid, LockMode::Unlocked)
+        let (new, e) = match (self.policy.phase(obj.profile()), written) {
+            (Phase::OptFinal, _) => (StateWord::wr_ex_opt(t), Event::PessToOpt),
+            (Phase::Settled, Some(replaced)) if matches!(S::LOCKING, Locking::Relaxed) => {
+                (version_after(t, replaced), Event::VersionPublished)
+            }
+            _ => (StateWord::wr_ex_pess(t, LockMode::Unlocked), Event::ValveKeptPess),
         };
         if cfg!(feature = "check-invariants") {
             let old = StateWord(obj.state().swap(new.0, Ordering::AcqRel));
@@ -251,7 +260,7 @@ impl<S: Support> EngineCommon<S> {
         } else {
             obj.state().store(new.0, Ordering::Release);
         }
-        self.note_unlocked(ts, o, Some(to_opt));
+        self.note(ts, e, o.0 as u64);
     }
 
     /// Stats and trace of one unlock; `valve` is the policy's decision if the

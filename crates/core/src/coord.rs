@@ -736,7 +736,7 @@ mod tests {
                         CoordMode::Explicit | CoordMode::Implicit | CoordMode::Mixed
                     ));
                     assert!(sources.len() >= seen - 1, "at least the pre-snapshot peers");
-                    assert!(sources.len() <= rt.registered_threads() - 1);
+                    assert!(sources.len() < rt.registered_threads());
                     let mut tids: Vec<_> = sources.iter().map(|&(t, _)| t).collect();
                     tids.sort();
                     tids.dedup();

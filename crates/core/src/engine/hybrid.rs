@@ -21,7 +21,10 @@
 //!   access is reentrant, and a contended one waits for the holder's
 //!   release instead of coordinating. Under `Relaxed` a conflicting read
 //!   installs an unlocked word — a fresh read-shared one — and validates the
-//!   payload against it (DESIGN.md §12, "install, then validate");
+//!   payload against it (DESIGN.md §12, "install, then validate"), and a
+//!   write's release on a settled object publishes a read-shared *version
+//!   word* that every later read validates against (Table 3's marked row
+//!   ③);
 //! * the adaptive policy (§6) decides, at optimistic conflicts, whether an
 //!   object moves to pessimistic states, and at unlocks, whether it moves
 //!   back (Figure 3's two diamonds);
@@ -67,7 +70,9 @@ enum Outcome {
     /// Perform the access, then release the lock taken for it, which is in
     /// no buffer: by a store after a write
     /// ([`EngineCommon::unlock_write_lock`]), as one flush step after a read.
-    ThenRelease,
+    /// Carries the word the lock's claim replaced, whose count a write's
+    /// release on a settled object advances (Table 3's marked row ③).
+    ThenRelease(StateWord),
     /// The read is done — installed, then validated — and this is its value.
     Read(u64),
 }
@@ -125,8 +130,9 @@ impl HybridConfig {
 
     /// Pessimistic tracking (§2.1): `Cutoff_confl = 0`. An object is
     /// pessimistic from its 0th conflict — from birth — so no access ever
-    /// meets an optimistic state to conflict on, and the policy never samples
-    /// (its profile stays `OptInitial`, so no profile word is ever written).
+    /// meets an optimistic state to conflict on, and every object is
+    /// [settled](crate::policy::Phase::Settled) from birth: the policy never
+    /// samples, and no profile word is ever written.
     /// An owner's read of its `WrExPess` word takes the write lock, as §2.1's
     /// one critical section does: released by a store, where a read lock
     /// that a second reader may join needs a CAS (E1 prices the difference).
@@ -136,13 +142,15 @@ impl HybridConfig {
     /// one (the recorder, the RS enforcer) this is Table 3 at cutoff 0.
     ///
     /// Under [`Locking::Relaxed`] (`NullSupport`) the reachable states are
-    /// `WrExPess(T)`, `WrExWLock(T)` for the length of a write, and
-    /// `RdShPess(c)` — with `RdShRLock(n)(c)` only for a read whose
-    /// validation fell back: §2.1's reader–writer lock. A foreign read of a
-    /// written word installs a fresh `RdShPess(c)` in its one claim (Table
-    /// 3's marked row ②), so no RdEx word is ever reached, and every later
-    /// read of the object validates, the writer's own included, until the
-    /// next write. On `PaperModel` the rows stay Table 3's, RdEx included.
+    /// the birth word (`WrExPess(T)`, or `RdShPess(c)` for a read-shared
+    /// one), `WrExWLock(T)` for the length of a write, and the version word
+    /// `RdShPess[T,v=k]` every write's release publishes (Table 3's marked
+    /// row ③) — with `RdShRLock(n)` only for a read whose validation fell
+    /// back: §2.1's reader–writer lock. Every read of a written object
+    /// validates, the writer's own included, and writes nothing; a foreign
+    /// read of a birth word installs a fresh `RdShPess(c)` in its one claim
+    /// (marked row ②), so no RdEx word is ever reached. On `PaperModel` the
+    /// rows stay Table 3's, RdEx included.
     pub fn pessimistic() -> Self {
         HybridConfig {
             policy: PolicyParams { cutoff_confl: 0, ..PolicyParams::default() },
@@ -339,17 +347,18 @@ impl<S: Support> HybridEngine<S> {
         self.common.support.on_transition(cx, o, ev);
     }
 
-    /// A transition just took `lock` on `o`: deferred to the next flush, or
-    /// released right after the program access, never entering the lock
-    /// buffer — as the support's discipline says.
+    /// A transition just took `lock` on `o`, whose claim replaced the word
+    /// `replaced`: deferred to the next flush, or released right after the
+    /// program access, never entering the lock buffer — as the support's
+    /// discipline says.
     #[inline]
-    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode) -> Outcome {
+    fn hold(&self, ts: &mut ThreadState, o: ObjId, lock: LockMode, replaced: StateWord) -> Outcome {
         match S::LOCKING {
             Locking::Deferred => {
                 ts.push_lock(o, lock);
                 Outcome::Proceed
             }
-            Locking::Eager | Locking::Relaxed => Outcome::ThenRelease,
+            Locking::Eager | Locking::Relaxed => Outcome::ThenRelease(replaced),
         }
     }
 
@@ -422,7 +431,7 @@ impl<S: Support> HybridEngine<S> {
                 self.count_pess(ts, o, conflicting);
                 self.sample_pess(ts, o, conflicting);
                 Some(match lock {
-                    Lock::Push(mode) => self.hold(ts, o, mode),
+                    Lock::Push(mode) => self.hold(ts, o, mode, StateWord(cur)),
                     // The read lock being upgraded is already in the lock
                     // buffer (so the discipline defers): the next flush
                     // releases it as the write lock it has become.
@@ -505,7 +514,7 @@ impl<S: Support> HybridEngine<S> {
                     if to_pess {
                         state.store(pess.0, Ordering::Release);
                         self.common.note(ts, Event::OptToPess, o.0 as u64);
-                        return self.hold(ts, o, lock);
+                        return self.hold(ts, o, lock, w);
                     }
                     state.store(opt.0, Ordering::Release);
                     return Outcome::Proceed;
@@ -565,7 +574,7 @@ impl<S: Support> HybridEngine<S> {
                 None
             };
             match acquired.unwrap_or_else(|| self.slow(ts, o, Access::Read, false)) {
-                Outcome::ThenRelease => return self.read_then_release(ts, o),
+                Outcome::ThenRelease(_) => return self.read_then_release(ts, o),
                 Outcome::Read(v) => return v,
                 _ => {}
             }
@@ -627,8 +636,8 @@ impl<S: Support> HybridEngine<S> {
             // reader that sees the store sees the install at its re-load.
             // Same-state writes need none — their install is behind them.
             fence(Ordering::Release);
-            if outcome == Outcome::ThenRelease {
-                return Some(self.write_then_release(ts, o, v));
+            if let Outcome::ThenRelease(replaced) = outcome {
+                return Some(self.write_then_release(ts, o, v, replaced));
             }
         }
         Some(self.program_write(ts, obj, o, v))
@@ -657,13 +666,14 @@ impl<S: Support> HybridEngine<S> {
     /// The program write inside the critical section of a lock that is not
     /// deferred: the release comes *after* the payload access it guards.
     /// Inlined into the write continuation: it is how every pessimistic
-    /// write ends on a support that unlocks eagerly.
+    /// write ends on a support that unlocks eagerly. `replaced` is the word
+    /// the write's claim replaced.
     #[inline(always)]
-    fn write_then_release(&self, ts: &mut ThreadState, o: ObjId, v: u64) -> u64 {
+    fn write_then_release(&self, ts: &mut ThreadState, o: ObjId, v: u64, replaced: StateWord) -> u64 {
         self.common.rt.sched_point(ts.tid, SchedPoint::LockedAccess);
         let prev = self.program_write(ts, self.common.rt.obj(o), o, v);
         // Every write is made under WrExWLock(T): a store releases it.
-        self.common.unlock_write_lock(ts, o);
+        self.common.unlock_write_lock(ts, o, Some(replaced));
         prev
     }
 
@@ -1223,7 +1233,8 @@ mod tests {
         let w = state_of(&e, counter);
         let profile = AdaptivePolicy::profile(e.rt().obj(counter).profile());
         assert!(!w.is_int() && !w.is_pess_locked(), "quiescent state: {w:?}");
-        assert_eq!(w.is_pess(), profile.phase == Phase::Pess, "{w:?} in {profile:?}");
+        let pess_phase = matches!(profile.phase, Phase::Pess | Phase::Settled);
+        assert_eq!(w.is_pess(), pess_phase, "{w:?} in {profile:?}");
         assert_eq!(r.opt_to_pess(), u64::from(profile.phase != Phase::OptInitial));
         assert_eq!(r.pess_to_opt(), u64::from(profile.phase == Phase::OptFinal));
         (r, profile)

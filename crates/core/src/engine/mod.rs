@@ -407,11 +407,11 @@ mod optimistic {
     }
 }
 
-/// §2.1's protocol on [`hybrid::HybridConfig::pessimistic`]: states follow
-/// Table 1 in their pessimistic-unlocked encodings — but for a foreign read
-/// of a written word, which installs a fresh read-shared word at once — every
-/// write takes (and at once releases) a lock, every read that transfers the
-/// state claims it, and racy accesses complete. (The module path is the one
+/// §2.1's protocol on [`hybrid::HybridConfig::pessimistic`]: every object is
+/// settled from birth, so every write takes a lock and releases it by
+/// publishing a read-shared version word (Table 3's marked row ③), every
+/// read of a written object validates against that word and writes nothing,
+/// and racy accesses complete. (The module path is the one
 /// these tests had when a separate engine type ran the protocol, so their ids
 /// carry over.)
 #[cfg(test)]
@@ -452,13 +452,11 @@ mod pessimistic {
             assert_eq!(state_of(&e, o), StateWord::wr_ex_pess(t, LockMode::Unlocked));
 
             e.write(t, o, 5);
-            assert_eq!(state_of(&e, o), StateWord::wr_ex_pess(t, LockMode::Unlocked));
+            // The write's release publishes the version word: one past the
+            // birth word's count.
+            assert_eq!(state_of(&e, o), StateWord::version(t, 1));
             assert_eq!(e.read(t, o), 5);
-            assert_eq!(
-                state_of(&e, o),
-                StateWord::wr_ex_pess(t, LockMode::Unlocked),
-                "read by the writer keeps WrEx"
-            );
+            assert_eq!(state_of(&e, o), StateWord::version(t, 1), "the writer's read writes nothing");
             e.detach(t);
             // The write locks; the owner's read validates.
             assert_eq!(e.rt().stats().get(Event::PessUncontended), 1);
@@ -478,10 +476,10 @@ mod pessimistic {
                 let er = &e;
                 s.spawn(move || {
                     let t1 = er.attach();
-                    assert_eq!(er.read(t1, o), 9); // WrExPess(t0) → RdShPess(c)
+                    assert_eq!(er.read(t1, o), 9); // validated against RdShPess[t0,v=1]
                     let w = state_of(er, o);
-                    assert_eq!(w, StateWord::rd_sh_pess(w.rdsh_count(), 0));
-                    assert!(w.rdsh_count() > epoch, "a fresh epoch: {w:?}");
+                    assert_eq!(w, StateWord::version(t0, 1));
+                    assert_eq!(er.rt().current_rdsh_count(), epoch, "a version is no epoch");
                     // SAFETY: this is the OS thread attached as t1.
                     assert!(unsafe { er.common().ts(t1) }.holds_no_locks());
                     er.detach(t1);
@@ -494,17 +492,18 @@ mod pessimistic {
             assert_eq!(e.read(t0, o), 9, "the writer's read validates");
             assert_eq!(state_of(&e, o), w);
             e.detach(t0);
-            // The write and the foreign read claim; nothing else does.
-            assert_eq!(e.rt().stats().get(Event::PessUncontended), 2);
-            assert_eq!(e.rt().stats().get(Event::PessOwnerChange), 1, "the w→r read");
-            assert_eq!(e.rt().stats().get(Event::SeqlockValidated), 1);
+            // The write claims; both reads validate.
+            assert_eq!(e.rt().stats().get(Event::PessUncontended), 1);
+            assert_eq!(e.rt().stats().get(Event::PessOwnerChange), 0, "the w→r read writes nothing");
+            assert_eq!(e.rt().stats().get(Event::SeqlockValidated), 2);
         }
 
         /// The script of one hot key after a PUT: T0 writes, T1 reads, T0
-        /// reads, T1 reads. One claim by the first foreign reader, one epoch,
-        /// and every later read validates, the writer's included. (Both
-        /// mutators are attached to this OS thread: no access of the script
-        /// ever waits for the other.)
+        /// reads, T1 reads. The write's release publishes the version word,
+        /// so the foreign read costs no claim and no epoch any more: every
+        /// read validates, the writer's included. (Both mutators are
+        /// attached to this OS thread: no access of the script ever waits
+        /// for the other.)
         #[test]
         fn a_foreign_read_costs_one_claim_and_one_epoch() {
             let e = engine();
@@ -517,14 +516,46 @@ mod pessimistic {
                 assert_eq!(e.read(t, o), 7);
             }
             let w = state_of(&e, o);
-            assert_eq!(w, StateWord::rd_sh_pess(epoch + 1, 0));
+            assert_eq!(w, StateWord::version(t0, 1));
             e.detach(t0);
             e.detach(t1);
             let r = e.rt().stats().report();
-            assert_eq!(r.get(Event::PessUncontended), 2, "T0's write and T1's first read");
-            assert_eq!(e.rt().current_rdsh_count() - epoch, 1, "one epoch drawn");
-            assert_eq!(r.get(Event::SeqlockValidated), 2, "T0's read and T1's second");
+            assert_eq!(r.get(Event::PessUncontended), 1, "T0's write");
+            assert_eq!(e.rt().current_rdsh_count() - epoch, 0, "no epoch drawn");
+            assert_eq!(r.get(Event::SeqlockValidated), 3, "every read");
+            assert_eq!(r.get(Event::VersionPublished), 1);
             assert_eq!(r.accesses(), 4);
+        }
+
+        /// A settled object's reads make no store to its state word: across
+        /// T0's write, T1's reads, T0's read and T1's write, the word changes
+        /// only at the two writes' releases, and the second write is the one
+        /// owner change.
+        #[test]
+        fn a_settled_object_is_read_without_a_store() {
+            const K: u64 = 5;
+            let e = engine();
+            let (t0, t1) = (e.attach(), e.attach());
+            let o = ObjId(4);
+            e.alloc_init(o, t0);
+            let epoch = e.rt().current_rdsh_count();
+            e.write(t0, o, 1);
+            let published = state_of(&e, o);
+            assert_eq!(published, StateWord::version(t0, 1));
+            for t in std::iter::repeat_n(t1, K as usize).chain([t0]) {
+                assert_eq!(e.read(t, o), 1);
+                assert_eq!(state_of(&e, o), published, "a read stored to the state word");
+            }
+            e.write(t1, o, 2);
+            assert_eq!(state_of(&e, o), StateWord::version(t1, 2));
+            e.detach(t0);
+            e.detach(t1);
+            let r = e.rt().stats().report();
+            assert_eq!(r.get(Event::PessUncontended), 2, "the two writes, no read");
+            assert_eq!(r.get(Event::SeqlockValidated), K + 1);
+            assert_eq!(r.get(Event::PessOwnerChange), 1, "T1's write");
+            assert_eq!(r.get(Event::VersionPublished), 2);
+            assert_eq!(e.rt().current_rdsh_count(), epoch, "no epoch drawn");
         }
 
         /// Records the state word each access finds at its locked window.

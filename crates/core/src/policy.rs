@@ -19,6 +19,11 @@
 //!   conflicting or non-conflicting. Once
 //!   `N_nonConfl ≥ K_confl × N_confl + Inertia` (5) the object moves back to
 //!   optimistic states at its next unlock (phase `OptFinal`);
+//! * once inequality (5) can never hold again — its right-hand side has
+//!   passed `pessNonConfl`'s saturation value — the object is **settled**
+//!   (phase `Settled`): pessimistic for good, under either valve, and it
+//!   takes no more samples. At `Cutoff_confl = 0` every object is settled
+//!   from birth;
 //! * every counter restarts at every phase change, so each inequality reads
 //!   the samples since the object last changed sides;
 //! * "checks and balances": which phase steps are legal is the
@@ -44,7 +49,7 @@
 //! bits 36..=49  pessConfl           (saturating)
 //! bits 50..=53  promotions          (returns to optimistic so far, saturating)
 //! bits 54..=61  unused
-//! bits 62..=63  phase               0 OptInitial, 1 Pess, 2 OptFinal
+//! bits 62..=63  phase               0 OptInitial, 1 Pess, 2 OptFinal, 3 Settled
 //! ```
 //!
 //! ## The valve (DESIGN.md §13)
@@ -147,13 +152,20 @@ pub enum Phase {
     /// Optimistic again after a stay in `Pess`: for good under the one-way
     /// valve, counting explicit conflicts anew under the re-opening one.
     OptFinal = 2,
+    /// Pessimistic for good: entered from `Pess` at the sample after which
+    /// inequality (5) can never hold again, and absorbing under either
+    /// valve. A settled object takes no samples. Every object is settled
+    /// from birth at `Cutoff_confl = 0`, whose profile words are never
+    /// written.
+    Settled = 3,
 }
 
 /// Which phase steps the adaptive policy may publish.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Valve {
     /// The paper's "checks and balances" (§6.2): `OptInitial → Pess` and
-    /// `Pess → OptFinal`, after which the object stays optimistic.
+    /// `Pess → OptFinal`, after which the object stays optimistic (and
+    /// `Pess → Settled`, after which it stays pessimistic).
     #[default]
     OneWay,
     /// Additionally `OptFinal → Pess`: an object that turns hot again is
@@ -166,7 +178,7 @@ impl Valve {
     #[inline]
     pub fn allows(self, from: Phase, to: Phase) -> bool {
         match (from, to) {
-            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal) => true,
+            (Phase::OptInitial, Phase::Pess) | (Phase::Pess, Phase::OptFinal | Phase::Settled) => true,
             (Phase::OptFinal, Phase::Pess) => self == Valve::Reopening,
             _ => false,
         }
@@ -175,8 +187,12 @@ impl Valve {
 
 /// Returns to optimistic states after which an object's `Inertia` stops
 /// doubling (×1024: with the paper's `Inertia = 100` that is 102 400
-/// non-conflicting transitions, still within `pessNonConfl`'s range, so the
-/// valve never welds shut).
+/// non-conflicting transitions, within `pessNonConfl`'s range of 2²⁰ − 1).
+/// Conflicting samples can still weld the valve shut: once
+/// `K_confl × pessConfl + Inertia × 2^min(promotions, 10)` exceeds that range
+/// — with the paper's parameters, at the 5243rd conflicting sample of a stay
+/// in `Pess` — inequality (5) can never hold again, and the object is
+/// [`Phase::Settled`].
 pub const MAX_INERTIA_DOUBLINGS: u32 = 10;
 
 const NC_SHIFT: u32 = 0;
@@ -206,14 +222,14 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// This profile after a step to `to`: every counter restarts, and a step
-    /// out of `Pess` is one more promotion.
+    /// This profile after a step to `to`: every counter restarts, and a
+    /// return to optimistic states is one more promotion.
     fn enter(self, to: Phase) -> Profile {
         Profile {
             num_conflicts: 0,
             pess_non_confl: 0,
             pess_confl: 0,
-            promotions: self.promotions + u32::from(self.phase == Phase::Pess),
+            promotions: self.promotions + u32::from(to == Phase::OptFinal),
             phase: to,
         }
     }
@@ -229,7 +245,8 @@ fn decode(w: u64) -> Profile {
         phase: match (w >> PHASE_SHIFT) & PHASE_MASK {
             0 => Phase::OptInitial,
             1 => Phase::Pess,
-            _ => Phase::OptFinal,
+            2 => Phase::OptFinal,
+            _ => Phase::Settled,
         },
     }
 }
@@ -245,7 +262,7 @@ fn encode(p: Profile) -> u64 {
 
 /// The valve (`check-invariants` builds): the only phase changes the policy
 /// may ever publish are the ones its [`Valve`] allows — under the one-way
-/// valve, `OptInitial → Pess` and `Pess → OptFinal`.
+/// valve, `OptInitial → Pess`, `Pess → OptFinal` and `Pess → Settled`.
 #[cfg(feature = "check-invariants")]
 #[inline]
 fn assert_legal_phase_step(valve: Valve, from: Phase, to: Phase) {
@@ -307,6 +324,24 @@ impl AdaptivePolicy {
         decode(word.load(Ordering::Relaxed))
     }
 
+    /// The profile word `cur` as this policy reads it: at
+    /// `Cutoff_confl = 0` every object is settled from birth, whatever its
+    /// (never written) word says.
+    #[inline(always)]
+    fn read(&self, cur: u64) -> Profile {
+        let mut p = decode(cur);
+        if self.params.cutoff_confl == 0 {
+            p.phase = Phase::Settled;
+        }
+        p
+    }
+
+    /// The phase of the object whose profile word is `word`.
+    #[inline]
+    pub fn phase(&self, word: &AtomicU64) -> Phase {
+        self.read(word.load(Ordering::Relaxed)).phase
+    }
+
     /// Publish `cur → next` on `word`; on a lost race, hand back the word to
     /// re-decide from. A sample that changes nothing — every counter it
     /// would bump has saturated, as a hot object's do within seconds — has
@@ -331,9 +366,10 @@ impl AdaptivePolicy {
     pub fn on_explicit_conflict(&self, word: &AtomicU64) -> bool {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
-            let mut p = decode(cur);
+            let mut p = self.read(cur);
             if !self.valve.allows(p.phase, Phase::Pess) {
-                // Already `Pess`, or the valve is shut: stop counting.
+                // Already `Pess` or settled, or the valve is shut: stop
+                // counting.
                 return false;
             }
             p.num_conflicts = sat_inc(p.num_conflicts, NC_MASK);
@@ -355,7 +391,7 @@ impl AdaptivePolicy {
     pub fn force_pess(&self, word: &AtomicU64) -> bool {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
-            let p = decode(cur);
+            let p = self.read(cur);
             if !self.valve.allows(p.phase, Phase::Pess) {
                 return false;
             }
@@ -375,11 +411,14 @@ impl AdaptivePolicy {
     /// satisfy the paper's inequality (5),
     /// `N_nonConfl ≥ K_confl × N_confl + Inertia`, with `Inertia` doubled
     /// once per earlier promotion (at most [`MAX_INERTIA_DOUBLINGS`] times).
-    /// Outside `Pess` nothing is counted.
+    /// It is settled instead when the right-hand side has passed what
+    /// `N_nonConfl` can count: `N_confl` never falls during a stay in
+    /// `Pess`, so (5) can never hold again. Outside `Pess` nothing is
+    /// counted.
     pub fn on_pess_transition(&self, word: &AtomicU64, conflicting: bool) -> bool {
         let mut cur = word.load(Ordering::Relaxed);
         loop {
-            let mut p = decode(cur);
+            let mut p = self.read(cur);
             if p.phase != Phase::Pess {
                 return false;
             }
@@ -389,10 +428,12 @@ impl AdaptivePolicy {
                 p.pess_non_confl = sat_inc(p.pess_non_confl, PNON_MASK);
             }
             let inertia = (self.params.inertia as u64) << p.promotions.min(MAX_INERTIA_DOUBLINGS);
-            let promoted = p.pess_non_confl as u64
-                >= (self.params.k_confl as u64) * (p.pess_confl as u64) + inertia;
+            let bar = (self.params.k_confl as u64) * (p.pess_confl as u64) + inertia;
+            let promoted = p.pess_non_confl as u64 >= bar;
             if promoted {
                 p = p.enter(Phase::OptFinal);
+            } else if bar > PNON_MASK {
+                p = p.enter(Phase::Settled);
             }
             match self.publish(word, cur, p) {
                 Ok(()) => return promoted,
@@ -401,18 +442,19 @@ impl AdaptivePolicy {
         }
     }
 
-    /// Is the object in its pessimistic phase — should a conflicting
-    /// transition install a pessimistic state? (Figure 3's lower diamond.)
+    /// Is the object in a pessimistic phase, `Pess` or `Settled` — should a
+    /// conflicting transition install a pessimistic state? (Figure 3's lower
+    /// diamond.)
     #[inline]
     pub fn in_pess(&self, word: &AtomicU64) -> bool {
-        decode(word.load(Ordering::Relaxed)).phase == Phase::Pess
+        matches!(self.phase(word), Phase::Pess | Phase::Settled)
     }
 
     /// Should an unlock (lock-buffer flush) move this object to optimistic
     /// states? (Figure 10(c): `AdaptivePolicy.toOpt(o)`.)
     #[inline]
     pub fn unlock_to_optimistic(&self, word: &AtomicU64) -> bool {
-        decode(word.load(Ordering::Relaxed)).phase == Phase::OptFinal
+        self.phase(word) == Phase::OptFinal
     }
 }
 
@@ -609,15 +651,70 @@ mod tests {
     }
 
     #[test]
+    fn paper_defaults_settle_at_the_5243rd_conflicting_sample() {
+        // 200 × 5242 + 100 = 1 048 500 ≤ 2²⁰ − 1 < 200 × 5243 + 100.
+        let policy = AdaptivePolicy::default();
+        let w = word();
+        drive_to_pess(&policy, &w);
+        for i in 1..5243 {
+            assert!(!pess_sample(&policy, &w, true));
+            assert_eq!(AdaptivePolicy::profile(&w).phase, Phase::Pess, "settled early at #{i}");
+        }
+        assert!(!pess_sample(&policy, &w, true), "settling is no promotion");
+        let p = AdaptivePolicy::profile(&w);
+        assert_eq!((p.phase, p.promotions, p.pess_confl), (Phase::Settled, 0, 0));
+        assert!(policy.in_pess(&w));
+        assert!(!policy.unlock_to_optimistic(&w));
+    }
+
+    #[test]
+    fn settled_is_absorbing_under_either_valve() {
+        for valve in [Valve::OneWay, Valve::Reopening] {
+            let policy = AdaptivePolicy::with_valve(
+                PolicyParams { cutoff_confl: 1, k_confl: 1 << 20, inertia: 1 },
+                valve,
+            );
+            let w = word();
+            drive_to_pess(&policy, &w);
+            assert!(!pess_sample(&policy, &w, true));
+            assert_eq!(policy.phase(&w), Phase::Settled, "{valve:?}");
+            let settled = w.load(Ordering::Relaxed);
+            for _ in 0..1_000 {
+                assert!(!policy.on_explicit_conflict(&w));
+                assert!(!policy.force_pess(&w), "force_pess is idempotent on Settled");
+                assert!(!pess_sample(&policy, &w, false));
+                assert!(!pess_sample(&policy, &w, true));
+            }
+            assert_eq!(w.load(Ordering::Relaxed), settled, "{valve:?}: a settled profile is never written");
+            assert!(policy.in_pess(&w) && !policy.unlock_to_optimistic(&w));
+        }
+    }
+
+    #[test]
+    fn cutoff_zero_objects_are_settled_from_birth() {
+        let policy = AdaptivePolicy::new(PolicyParams { cutoff_confl: 0, ..PolicyParams::default() });
+        let w = word();
+        assert_eq!(policy.phase(&w), Phase::Settled);
+        assert!(policy.in_pess(&w) && !policy.unlock_to_optimistic(&w));
+        assert!(!policy.on_explicit_conflict(&w));
+        assert!(!policy.force_pess(&w));
+        assert!(!pess_sample(&policy, &w, false));
+        assert!(!pess_sample(&policy, &w, true));
+        assert_eq!(w.load(Ordering::Relaxed), 0, "its profile word is never written");
+    }
+
+    #[test]
     fn saturating_counters_never_wrap_into_other_fields() {
+        // `K_confl = 0` and `Inertia × 2^10` just inside `pessNonConfl`'s
+        // range: conflicting samples neither promote nor settle the object,
+        // so they run its conflict count to saturation, with the promotion
+        // count already at its mask.
         let policy = AdaptivePolicy::new(PolicyParams {
             cutoff_confl: u32::MAX,
-            k_confl: u32::MAX,
-            inertia: u32::MAX,
+            k_confl: 0,
+            inertia: (PNON_MASK >> MAX_INERTIA_DOUBLINGS) as u32,
         });
         let w = word();
-        // Drive to Pess manually to exercise pessimistic counters, with the
-        // promotion count already at its mask.
         let start = Profile {
             num_conflicts: 0,
             pess_non_confl: 0,
@@ -627,14 +724,84 @@ mod tests {
         };
         w.store(encode(start), Ordering::Relaxed);
         for _ in 0..2_000_000 {
-            policy.on_pess_transition(&w, false);
+            policy.on_pess_transition(&w, true);
         }
         let p = AdaptivePolicy::profile(&w);
-        assert_eq!(p.pess_non_confl as u64, PNON_MASK);
-        assert_eq!(p.pess_confl, 0);
+        assert_eq!(p.pess_confl as u64, PCON_MASK);
+        assert_eq!(p.pess_non_confl, 0);
         assert_eq!(p.promotions as u64, PROMO_MASK);
         assert_eq!(p.phase, Phase::Pess);
+        // A non-conflicting count past its field saturates there: no sample
+        // sequence can reach it in `Pess` any more, since the sample that
+        // would is one that promotes.
+        let over = decode(encode(Profile { pess_non_confl: u32::MAX, ..p }));
+        assert_eq!(over, Profile { pess_non_confl: PNON_MASK as u32, ..p });
         // One more promotion keeps the saturated count and touches nothing else.
         assert_eq!(decode(encode(p.enter(Phase::OptFinal))).promotions as u64, PROMO_MASK);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A `K_confl` at which the 16th conflicting sample of a stay in `Pess`
+    /// settles the object, so that random sequences reach `Settled` often.
+    const K: u32 = 1 << 16;
+    const INERTIA: u32 = 8;
+
+    /// Inequality (5)'s right-hand side over `p`'s counters.
+    fn bar(p: Profile) -> u64 {
+        K as u64 * p.pess_confl as u64 + ((INERTIA as u64) << p.promotions.min(MAX_INERTIA_DOUBLINGS))
+    }
+
+    proptest! {
+        /// Over arbitrary sample sequences, under either valve: an object
+        /// enters `Settled` exactly at the sample after which inequality (5)
+        /// can no longer hold, an object in `Pess` can still satisfy it, and
+        /// no sample — a deadline expiry included, which is idempotent —
+        /// moves a settled object or writes its profile word.
+        #[test]
+        fn settled_is_entered_exactly_when_inequality_5_becomes_unsatisfiable(
+            samples in proptest::collection::vec((0u8..4, 0u8..4), 0..512),
+            reopening in any::<bool>(),
+        ) {
+            let valve = if reopening { Valve::Reopening } else { Valve::OneWay };
+            let policy = AdaptivePolicy::with_valve(PolicyParams { cutoff_confl: 2, k_confl: K, inertia: INERTIA }, valve);
+            let w = AtomicU64::new(0);
+            for (kind, die) in samples {
+                let (raw, before) = (w.load(Ordering::Relaxed), AdaptivePolicy::profile(&w));
+                let conflicting = die != 0;
+                match kind {
+                    0 => drop(policy.on_explicit_conflict(&w)),
+                    1 => {
+                        let moved = policy.force_pess(&w);
+                        let after = w.load(Ordering::Relaxed);
+                        prop_assert!(!policy.force_pess(&w));
+                        prop_assert_eq!(w.load(Ordering::Relaxed), after);
+                        prop_assert!(!(moved && before.phase == Phase::Settled));
+                    }
+                    _ => drop(policy.on_pess_transition(&w, conflicting)),
+                }
+                let after = AdaptivePolicy::profile(&w);
+                if before.phase == Phase::Settled {
+                    prop_assert_eq!(w.load(Ordering::Relaxed), raw, "a sample wrote a settled profile");
+                    continue;
+                }
+                if after.phase == Phase::Settled {
+                    // Only a pessimistic sample settles, the one that carried
+                    // the right-hand side past what `pessNonConfl` counts.
+                    prop_assert!(kind >= 2 && before.phase == Phase::Pess, "{:?} → {:?}", before, after);
+                    let counted = Profile { pess_confl: before.pess_confl + u32::from(conflicting), ..before };
+                    prop_assert!(bar(counted) > PNON_MASK, "settled while (5) could hold: {:?}", counted);
+                    let sampled = before.pess_confl + before.pess_non_confl > 0;
+                    prop_assert!(!sampled || bar(before) <= PNON_MASK, "settled late: {:?}", before);
+                }
+                if after.phase == Phase::Pess {
+                    prop_assert!(bar(after) <= PNON_MASK, "(5) unsatisfiable in Pess: {:?}", after);
+                }
+            }
+        }
     }
 }

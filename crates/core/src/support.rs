@@ -149,9 +149,12 @@ pub enum Locking {
     ///   state transition and therefore fires no support hook**;
     /// * a conflicting read installs an *unlocked* read-shared state under a
     ///   fresh epoch, then validates the payload against it (Table 3's
-    ///   marked rows ②, DESIGN.md §12).
+    ///   marked rows ②, DESIGN.md §12);
+    /// * on an object the policy has settled, a write's release publishes a
+    ///   read-shared version word that every later read validates against
+    ///   (marked row ③).
     ///
-    /// Neither is sound for a support that reads those events: the recorder
+    /// None is sound for a support that reads those events: the recorder
     /// needs the `Fence` transition to order replayed RdSh reads, and the RS
     /// enforcer needs reads to take read locks for its two-phase-locking
     /// argument.

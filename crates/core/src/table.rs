@@ -18,13 +18,13 @@
 //! | `RdExOpt(T1)` | R | `Upgrade` | `RdShOpt(c')` | | `RdShCreate` |
 //! | `WrExOpt(T1)` | R | `Conflict` | `RdExOpt(T)` or `RdExRLock(T)` | read, if pess | `Conflict` |
 //! | `WrExOpt(T1)`, `RdExOpt(T1)`, `RdShOpt(c)` | W | `Conflict` | `WrExOpt(T)` or `WrExWLock(T)` | write, if pess | `Conflict` |
-//! | `WrExPess(T)`, `RdExPess(T)` | W | `Pess` | `WrExWLock(T)` | write | |
-//! | `WrExPess(T1)`, `RdExPess(T1)`, `RdShPess(c)` | W | `Pess*` | `WrExWLock(T)` | write | `PessConflictingAcquire` |
+//! | `WrExPess(T)`, `RdExPess(T)`, `RdShPess[T,v=k]` ③ | W | `Pess` | `WrExWLock(T)` | write | |
+//! | `WrExPess(T1)`, `RdExPess(T1)`, `RdShPess(c)`, `RdShPess[T1,v=k]` ③ | W | `Pess*` | `WrExWLock(T)` | write | `PessConflictingAcquire` |
 //! | `WrExPess(T)` | R | `Pess` | `WrExRLock(T)` ① | read | `PessLocalAcquire` |
 //! | `RdExPess(T)` | R | `Pess` | `RdExRLock(T)` | read | `PessLocalAcquire` |
 //! | `WrExPess(T1)` | R | `Pess*` | `RdExRLock(T)` ② | read | `PessConflictingAcquire` |
 //! | `RdExPess(T1)` | R | `Pess` | `RdShRLock(1)(c')` ② | read | `RdShCreate` |
-//! | `RdShPess(c)`; `RdShRLock(n)(c)`, `o ∉ T.rdSet` | R | `Pess` | `RdShRLock(n+1)(c)`, CAS | read | `Fence` if `T.rdShCount < c` |
+//! | `RdShPess(c)`; `RdShRLock(n)(c)`, `o ∉ T.rdSet` | R | `Pess` | `RdShRLock(n+1)(c)`, CAS | read | `Fence` if `T.rdShCount < c`, `c` an epoch |
 //! | `WrExWLock(T)`; `WrExRLock(T)`, `RdExRLock(T)` R; `RdShRLock(n)`, `o ∈ T.rdSet` R | | `Reentrant` | | | |
 //! | `WrExRLock(T)`, `RdExRLock(T)` | W | `Pess` | `WrExWLock(T)`, CAS | in place | |
 //! | `RdShRLock(1)(c)`, `o ∈ T.rdSet` | W | `Pess*` | `WrExWLock(T)` | in place | `PessConflictingAcquire` |
@@ -51,7 +51,23 @@
 //! buys nothing but a second claim by the next reader. RdEx words are then
 //! unreachable under pessimistic tracking.
 //!
-//! A third departure is not a row: a read that leaves the same-state fast
+//! ③ *Version words* ([`version_after`]): seen only where ② is, and only on
+//! an object the policy has settled
+//! ([`Phase::Settled`](crate::policy::Phase::Settled): every object at
+//! `Cutoff_confl = 0`). The release of `T`'s write lock publishes
+//! `RdShPess[T,v=k+1]` instead of `WrExPess(T)`: a `RdShPess` word with the
+//! version flag set, whose owner field names the writer and whose count `k`
+//! is the count of the word the write's claim replaced. Every later read,
+//! the writer's own included, validates against it and writes nothing — the
+//! locked read of Table 3 with its lock released at once (DESIGN.md §12). A
+//! write's claim from it is `Pess` for `T` and `Pess*` for any other thread,
+//! as from `WrExPess`. A version is not an epoch: the join row keeps the
+//! word's flag, owner and count bit for bit and tells of no `Fence`, so a
+//! version never raises `T.rdShCount`, and an unlock never sends a version
+//! word to optimistic states (the object crosses the valve at its next
+//! write's release).
+//!
+//! A departure that is not a row: a read that leaves the same-state fast
 //! path is served by validation, no transition at all (DESIGN.md §12), iff
 //! [`StateWord::validated_read_ok`] — which `word.rs`'s tests pin to this
 //! table: its row tells the support of no cross-thread event, and no
@@ -59,7 +75,7 @@
 
 use drink_runtime::ThreadId;
 
-use crate::word::{Kind, LockMode, StateWord, MAX_READ_LOCKS};
+use crate::word::{Kind, LockMode, StateWord, MAX_RDSH_COUNT};
 
 /// The program access a row is looked up for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -245,14 +261,25 @@ impl Row {
 
     /// A read joins the standing pessimistic epoch of `w` as its `n`-th
     /// read-locker (Table 3 footnote *: a fence only if the thread has not
-    /// yet synchronized with the epoch).
+    /// yet synchronized with the epoch; a version word's count is none, ③).
     #[inline(always)]
     fn join(w: StateWord, n: u64, who: Who<'_>) -> Row {
-        debug_assert!(n <= MAX_READ_LOCKS, "read-lock count overflow");
-        let event = if who.rd_sh_count < w.rdsh_count() { Ev::Fence } else { Ev::None };
-        let next = Next::Word(StateWord::rd_sh_pess(w.rdsh_count(), n));
+        let stale = !w.is_version() && who.rd_sh_count < w.rdsh_count();
+        let event = if stale { Ev::Fence } else { Ev::None };
+        let next = Next::Word(w.with_read_locks(n));
         Row::pess(false, next, Install::Cas, Lock::Push(LockMode::Read), event)
     }
+}
+
+/// Marked row ③: the version word the release of `t`'s write lock
+/// publishes on a settled object under
+/// [`Locking::Relaxed`](crate::support::Locking::Relaxed), given the word the
+/// write's claim replaced — one version past that word's count, so that no
+/// word a reader validated against before the payload store stands after it
+/// (DESIGN.md §12). The count wraps only after 2³² writes to one object.
+#[inline(always)]
+pub fn version_after(t: ThreadId, replaced: StateWord) -> StateWord {
+    StateWord::version(t, (replaced.rdsh_count() + 1) & MAX_RDSH_COUNT)
 }
 
 /// Table 3: the row for `access` by `who` to an object whose state word
@@ -260,22 +287,23 @@ impl Row {
 ///
 /// Domain: every well-formed word ([`StateWord::validate`]), and
 /// `RdShRLock(n)` with `n` below
-/// [`MAX_READ_LOCKS`] where a reader joins — `HybridEngine::with_config`
+/// [`MAX_READ_LOCKS`](crate::word::MAX_READ_LOCKS) where a reader joins — `HybridEngine::with_config`
 /// bounds the thread count so that it is.
 ///
 /// The pessimistic-unlocked rows come first, on a branch of their own: they
 /// are nearly all the traffic that leaves the same-state fast path, and a
 /// caller that has already tested [`StateWord::is_pess_unlocked`] inlines
 /// just those eight.
-#[inline]
+#[inline(always)]
 pub fn transition(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
     use {Access::*, Install::*, Kind::*};
     let t = who.t;
     let wlock = StateWord::wr_ex_pess(t, LockMode::Write);
     let rdex_rlock = StateWord::rd_ex_pess(t, LockMode::Read);
     let push_read = Lock::Push(LockMode::Read);
-    // An exclusive word naming `t`. (A RdSh word names no one.)
-    let mine = w.kind() != RdSh && w.owner() == t;
+    // An exclusive word naming `t`, or a version word `t` wrote (③). (Any
+    // other RdSh word names no one.)
+    let mine = (w.kind() != RdSh || w.is_version()) && w.owner() == t;
     if w.is_pess_unlocked() {
         return match (access, w.kind()) {
             (_, Int) => unreachable!("Int is never pessimistic"),

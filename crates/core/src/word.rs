@@ -7,7 +7,10 @@
 //!   `RdShRLock(n)(c)` (read-locked by `n` threads);
 //! * **optimistic**: `WrExOpt(T)`, `RdExOpt(T)`, `RdShOpt(c)`;
 //! * plus Octet's intermediate state `Int(T)` used while a thread coordinates
-//!   for an optimistic conflicting transition (§2.2, Figure 1 line 8).
+//!   for an optimistic conflicting transition (§2.2, Figure 1 line 8);
+//! * plus the *version word* `RdShPess[T,v=k]` of Table 3's marked row ③: a
+//!   `RdShPess` word whose version flag is set, whose owner field names the
+//!   last writer and whose count is a per-object version, not an epoch.
 //!
 //! The paper's IA-32 prototype packs all of this into one 32-bit word, which
 //! costs it the `WrExRLock` state ("Extraneous contention", §7.1). We use a
@@ -20,9 +23,11 @@
 //! bits  0..=1   kind        0 = WrEx, 1 = RdEx, 2 = RdSh, 3 = Int
 //! bit   2       pessimistic flag
 //! bits  3..=4   lock mode   0 = unlocked, 1 = read-locked, 2 = write-locked
-//! bits  8..=23  owner thread id (WrEx*/RdEx*/Int)
+//! bit   5       version flag (pessimistic RdSh only)
+//! bits  8..=23  owner thread id (WrEx*/RdEx*/Int; the writer of a version word)
 //! bits 24..=31  read-lock count n (RdSh, pessimistic locked)
-//! bits 32..=63  RdSh counter c (from the global gRdShCount)
+//! bits 32..=63  RdSh counter c (from the global gRdShCount; a version word's
+//!               version k)
 //! ```
 
 use std::fmt;
@@ -62,6 +67,7 @@ const KIND_MASK: u64 = 0b11;
 const PESS_BIT: u64 = 1 << 2;
 const LOCK_SHIFT: u32 = 3;
 const LOCK_MASK: u64 = 0b11;
+const VERSION_BIT: u64 = 1 << 5;
 const OWNER_SHIFT: u32 = 8;
 const OWNER_MASK: u64 = 0xFFFF;
 const N_SHIFT: u32 = 24;
@@ -174,6 +180,27 @@ impl StateWord {
         )
     }
 
+    /// The version word `RdShPess[T,v=k]` (marked row ③): what the release
+    /// of `t`'s write lock on a settled object publishes under
+    /// [`Locking::Relaxed`](crate::support::Locking::Relaxed). Every read
+    /// validates against it; `k` is a per-object version, never an epoch.
+    #[inline(always)]
+    pub fn version(t: ThreadId, k: u64) -> Self {
+        StateWord(StateWord::rd_sh_pess(k, 0).0 | VERSION_BIT | ((t.raw() as u64) << OWNER_SHIFT))
+    }
+
+    /// This pessimistic RdSh word with `n` read locks: flag, owner and count
+    /// kept bit for bit, so that a version word read-locked by a fallback
+    /// read unlocks to itself.
+    #[inline(always)]
+    pub fn with_read_locks(self, n: u64) -> Self {
+        debug_assert!(self.is_pess() && self.kind() == Kind::RdSh);
+        debug_assert!(n <= MAX_READ_LOCKS, "read-lock count overflow");
+        let lock = if n > 0 { LockMode::Read } else { LockMode::Unlocked };
+        let cleared = self.0 & !((LOCK_MASK << LOCK_SHIFT) | (N_MASK << N_SHIFT));
+        StateWord(cleared | ((lock as u64) << LOCK_SHIFT) | (n << N_SHIFT))
+    }
+
     // --- Accessors ---
 
     /// State kind.
@@ -209,6 +236,12 @@ impl StateWord {
         ThreadId::from_raw(((self.0 >> OWNER_SHIFT) & OWNER_MASK) as u16)
     }
 
+    /// Is this a version word (marked row ③), read-locked or not?
+    #[inline(always)]
+    pub fn is_version(self) -> bool {
+        self.0 & VERSION_BIT != 0
+    }
+
     /// Whom the state names as holding it: the owner of an exclusive state,
     /// or — a read-shared state names no one — every other thread. This is
     /// whom a conflicting access coordinates with, and whom a pessimistic
@@ -228,7 +261,8 @@ impl StateWord {
         (self.0 >> N_SHIFT) & N_MASK
     }
 
-    /// RdSh counter `c` (meaningful for RdSh states).
+    /// RdSh counter `c` (meaningful for RdSh states; a version word's
+    /// version).
     #[inline(always)]
     pub fn rdsh_count(self) -> u64 {
         (self.0 >> C_SHIFT) & C_MASK
@@ -259,7 +293,7 @@ impl StateWord {
     /// dependence and every foreign writer must install a different state
     /// word before it touches the payload — one the object never leaves for
     /// this word again: any RdSh state (a later RdSh word carries a fresh
-    /// epoch), and the pessimistic exclusive states owned by `t` that nobody
+    /// epoch, a later version word a later version), and the pessimistic exclusive states owned by `t` that nobody
     /// holds write-locked (only `t` installs a word naming `t`).
     /// `WrExOpt(T)` and `WrExWLock(T)` are excluded because their owner
     /// writes the payload with no install; `Int` because a transition is in
@@ -288,7 +322,7 @@ impl StateWord {
             Kind::RdSh => {
                 let n = self.read_locks();
                 debug_assert!(n >= 1);
-                StateWord::rd_sh_pess(self.rdsh_count(), n - 1)
+                self.with_read_locks(n - 1)
             }
             Kind::Int => unreachable!("Int states are never pessimistic-locked"),
         }
@@ -299,6 +333,7 @@ impl StateWord {
     /// optimistic states at unlock time).
     pub fn to_optimistic(self) -> StateWord {
         debug_assert!(self.is_pess());
+        debug_assert!(!self.is_version(), "a version never becomes an epoch");
         match self.kind() {
             Kind::WrEx => StateWord::wr_ex_opt(self.owner()),
             Kind::RdEx => StateWord::rd_ex_opt(self.owner()),
@@ -329,6 +364,7 @@ impl StateWord {
         const KNOWN_BITS: u64 = KIND_MASK
             | PESS_BIT
             | (LOCK_MASK << LOCK_SHIFT)
+            | VERSION_BIT
             | (OWNER_MASK << OWNER_SHIFT)
             | (N_MASK << N_SHIFT)
             | (C_MASK << C_SHIFT);
@@ -341,9 +377,12 @@ impl StateWord {
         if !self.is_pess() && self.lock_mode() != LockMode::Unlocked {
             return Err("optimistic state carries a lock");
         }
+        if self.is_version() && !(self.is_pess() && self.kind() == Kind::RdSh) {
+            return Err("version flag on a word that is not RdShPess");
+        }
         match self.kind() {
             Kind::RdSh => {
-                if (self.0 >> OWNER_SHIFT) & OWNER_MASK != 0 {
+                if !self.is_version() && (self.0 >> OWNER_SHIFT) & OWNER_MASK != 0 {
                     return Err("RdSh state carries an owner tid");
                 }
                 if !self.is_pess() && self.read_locks() != 0 {
@@ -393,6 +432,13 @@ impl fmt::Debug for StateWord {
         match self.kind() {
             Kind::WrEx => write!(f, "WrEx{pess}[{}{lock}]", self.owner()),
             Kind::RdEx => write!(f, "RdEx{pess}[{}{lock}]", self.owner()),
+            Kind::RdSh if self.is_version() => {
+                let (t, k) = (self.owner(), self.rdsh_count());
+                match self.read_locks() {
+                    0 => write!(f, "RdShPess[{t},v={k}]"),
+                    n => write!(f, "RdShRLock({n})[{t},v={k}]"),
+                }
+            }
             Kind::RdSh => {
                 if self.is_pess() && self.read_locks() > 0 {
                     write!(
@@ -517,6 +563,8 @@ mod tests {
         ];
         for owner in [me, other] {
             words.extend([
+                StateWord::version(owner, 3),
+                StateWord::version(owner, 3).with_read_locks(2),
                 StateWord::wr_ex_opt(owner),
                 StateWord::rd_ex_opt(owner),
                 StateWord::int(owner),
@@ -532,9 +580,9 @@ mod tests {
             assert!(agrees_with_table(w, me, &[me, other]), "{w:?} read by {me}");
             eligible += usize::from(w.validated_read_ok(me));
         }
-        // Any RdSh word; the four pessimistic exclusive words `me` owns and
-        // has not write-locked.
-        assert_eq!(eligible, 3 + 4);
+        // Any RdSh word, version words included; the four pessimistic
+        // exclusive words `me` owns and has not write-locked.
+        assert_eq!(eligible, 3 + 4 + 4);
     }
 
     #[test]
@@ -545,6 +593,25 @@ mod tests {
         let s0 = s1.unlock_one();
         assert_eq!(s0, StateWord::rd_sh_pess(4, 0));
         assert!(s0.is_pess_unlocked());
+    }
+
+    /// A version word keeps its flag, owner and count through a fallback
+    /// read's lock and unlock, and is told apart from the epoch word of the
+    /// same count and from every exclusive word of its owner.
+    #[test]
+    fn version_words_keep_flag_owner_and_count_bit_for_bit() {
+        let v = StateWord::version(t(3), 9);
+        assert_eq!((v.kind(), v.is_pess(), v.is_version()), (Kind::RdSh, true, true));
+        assert_eq!((v.owner(), v.rdsh_count(), v.read_locks()), (t(3), 9, 0));
+        assert!(v.is_pess_unlocked() && v.validated_read_ok(t(3)) && v.validated_read_ok(t(4)));
+        let locked = v.with_read_locks(2);
+        assert!(locked.is_pess_locked() && locked.is_version());
+        assert_eq!(locked.unlock_one().unlock_one(), v);
+        assert_ne!(v, StateWord::rd_sh_pess(9, 0));
+        assert_ne!(StateWord::version(t(0), 9), StateWord::rd_sh_pess(9, 0));
+        assert!(!StateWord::rd_sh_pess(9, 0).is_version());
+        assert_eq!(v.validate(), Ok(()));
+        assert_eq!(locked.validate(), Ok(()));
     }
 
     #[test]
@@ -582,6 +649,8 @@ mod tests {
         assert_eq!(format!("{:?}", StateWord::rd_sh_pess(3, 2)), "RdShRLock(2)[c=3]");
         assert_eq!(format!("{:?}", StateWord::rd_sh_opt(5)), "RdShOpt[c=5]");
         assert_eq!(format!("{:?}", StateWord::int(t(9))), "Int[T9]");
+        assert_eq!(format!("{:?}", StateWord::version(t(2), 7)), "RdShPess[T2,v=7]");
+        assert_eq!(format!("{:?}", StateWord::version(t(2), 7).with_read_locks(1)), "RdShRLock(1)[T2,v=7]");
     }
 
     #[test]
@@ -592,8 +661,8 @@ mod tests {
         // Optimistic word with a lock bit.
         let opt_locked = StateWord(StateWord::wr_ex_opt(t(1)).0 | (1 << 3));
         assert_eq!(opt_locked.validate(), Err("optimistic state carries a lock"));
-        // Reserved low bits (5..=7).
-        assert_eq!(StateWord(1 << 5).validate(), Err("reserved bits set"));
+        // Reserved low bits (6..=7).
+        assert_eq!(StateWord(1 << 6).validate(), Err("reserved bits set"));
         // Lock-mode field at its unencodable value.
         let lock3 = StateWord(StateWord::wr_ex_pess(t(1), LockMode::Write).0 | (0b11 << 3));
         assert_eq!(lock3.validate(), Err("lock mode 3 is not encodable"));
@@ -608,6 +677,10 @@ mod tests {
         // Int with a pess bit.
         let int_pess = StateWord(StateWord::int(t(2)).0 | (1 << 2));
         assert_eq!(int_pess.validate(), Err("Int state carries pess/lock/count bits"));
+        // The version flag on anything but a pessimistic RdSh word.
+        for w in [StateWord::rd_sh_opt(3), StateWord::wr_ex_pess(t(1), LockMode::Unlocked)] {
+            assert_eq!(StateWord(w.0 | VERSION_BIT).validate(), Err("version flag on a word that is not RdShPess"));
+        }
     }
 
     #[test]
@@ -722,6 +795,7 @@ mod proptests {
                 StateWord::rd_ex_pess(tid, LockMode::Read),
                 StateWord::rd_ex_pess(tid, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
+                StateWord::version(tid, c).with_read_locks(n),
             ] {
                 prop_assert!(!w.is_int(), "{w:?}");
             }
@@ -743,11 +817,14 @@ mod proptests {
                 StateWord::rd_ex_pess(tid, LockMode::Read),
                 StateWord::rd_ex_pess(tid, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
+                StateWord::version(tid, c).with_read_locks(n),
             ] {
                 prop_assert_eq!(w.validate(), Ok(()), "{:?}", w);
             }
             let locked = StateWord::rd_sh_pess(c, n.max(1));
             prop_assert_eq!(locked.unlock_one().validate(), Ok(()));
+            let version = StateWord::version(tid, c);
+            prop_assert_eq!(version.with_read_locks(n.max(1)).unlock_one().validate(), Ok(()));
             prop_assert_eq!(StateWord::rd_sh_pess(c, 0).to_optimistic().validate(), Ok(()));
             prop_assert_eq!(StateWord::wr_ex_opt(tid).to_pess_unlocked().validate(), Ok(()));
         }
@@ -767,6 +844,7 @@ mod proptests {
                 StateWord::rd_ex_pess(owner, LockMode::Read),
                 StateWord::rd_ex_pess(owner, LockMode::Unlocked),
                 StateWord::rd_sh_pess(c, n),
+                StateWord::version(owner, c).with_read_locks(n),
             ] {
                 for t in [reader, owner] {
                     prop_assert!(super::tests::agrees_with_table(w, t, &[reader, owner]), "{:?} read by {}", w, t);
@@ -787,6 +865,9 @@ mod proptests {
                     (Kind::Int, _) => StateWord::int(w.owner()),
                     (Kind::WrEx, true) => StateWord::wr_ex_pess(w.owner(), w.lock_mode()),
                     (Kind::RdEx, true) => StateWord::rd_ex_pess(w.owner(), w.lock_mode()),
+                    (Kind::RdSh, true) if w.is_version() => {
+                        StateWord::version(w.owner(), w.rdsh_count()).with_read_locks(w.read_locks())
+                    }
                     (Kind::RdSh, true) => StateWord::rd_sh_pess(w.rdsh_count(), w.read_locks()),
                 };
                 prop_assert_eq!(rebuilt.0, raw, "{:?}", w);
@@ -805,6 +886,10 @@ mod proptests {
         ) {
             prop_assert_eq!(StateWord::rd_sh_opt(c1) == StateWord::rd_sh_opt(c2), c1 == c2);
             prop_assert_eq!(StateWord::rd_sh_pess(c1, n) == StateWord::rd_sh_pess(c2, n), c1 == c2);
+            // Versions are as injective, and never equal an epoch word.
+            let v = |c| StateWord::version(ThreadId(1), c).with_read_locks(n);
+            prop_assert_eq!(v(c1) == v(c2), c1 == c2);
+            prop_assert_ne!(v(c1), StateWord::rd_sh_pess(c1, n));
             // The edges of the range, against an arbitrary epoch.
             for edge in [0, MAX_RDSH_COUNT] {
                 prop_assert_eq!(StateWord::rd_sh_opt(edge) == StateWord::rd_sh_opt(c1), edge == c1);

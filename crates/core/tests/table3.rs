@@ -18,7 +18,7 @@ use drink_core::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
 use drink_core::policy::PolicyParams;
 use drink_core::prelude::*;
 use drink_core::support::PrevHolders;
-use drink_core::table::{transition, Access, Class, Departures, Lock, Next, Row, Who};
+use drink_core::table::{transition, version_after, Access, Class, Departures, Lock, Next, Row, Who};
 use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig, ThreadId};
 
@@ -75,11 +75,13 @@ fn admits(next: Next, old: StateWord, new: StateWord) -> bool {
     }
 }
 
-/// Every well-formed state word of a two-thread universe.
+/// Every well-formed state word of a two-thread universe, the version words
+/// of marked row ③ included.
 fn words() -> Vec<StateWord> {
     let mut all = vec![StateWord::rd_sh_opt(C)];
     all.extend((0..=2).map(|n| StateWord::rd_sh_pess(C, n)));
     for t in [T, T1] {
+        all.extend((0..=2).map(|n| StateWord::version(t, C).with_read_locks(n)));
         all.extend([StateWord::wr_ex_opt(t), StateWord::rd_ex_opt(t), StateWord::int(t)]);
         all.extend([LockMode::Unlocked, LockMode::Read, LockMode::Write].map(|l| StateWord::wr_ex_pess(t, l)));
         all.extend([LockMode::Unlocked, LockMode::Read].map(|l| StateWord::rd_ex_pess(t, l)));
@@ -202,7 +204,7 @@ fn every_row_executes_as_the_table_says() {
             }
         }
     }
-    assert_eq!(rows, 3 * (20 + 2) * 2 * 2, "20 words, RdShRLock(1) and (2) held or not");
+    assert_eq!(rows, 3 * (26 + 6) * 2 * 2, "26 words, the six RdShRLock(1) and (2) words held or not");
 }
 
 /// The two marked rows: installed unlocked under [`Locking::Relaxed`], the
@@ -224,9 +226,12 @@ fn racy_read_rows_install_unlocked_only_under_relaxed_locking() {
 /// pessimistic tracking (`HybridConfig::pessimistic()`), started from the
 /// word's pessimistic-unlocked counterpart (the only words it installs), ends
 /// in `to_pess_unlocked()` of the table's optimistic `next` — Table 3's
-/// pessimistic rows, released at the end of the access. One exception, the
-/// marked row ② of a foreign write read: where Table 1 leaves `RdEx(T)`,
-/// pessimistic tracking installs a fresh `RdShPess(c)`.
+/// pessimistic rows, released at the end of the access. Two exceptions, the
+/// marked rows: where Table 1 leaves `RdEx(T)` after a foreign write read,
+/// pessimistic tracking installs a fresh `RdShPess(c)` (②); and where it
+/// leaves `WrEx(T)` after a write, the write's release publishes the version
+/// word one past the count of the word its claim replaced (③), since every
+/// object is settled from birth.
 #[test]
 fn pessimistic_engine_follows_the_optimistic_rows() {
     for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
@@ -252,7 +257,11 @@ fn pessimistic_engine_follows_the_optimistic_rows() {
                     Next::Stay => w,
                     next => next.word(now.rdsh_count()),
                 };
-                assert_eq!(now, opt.to_pess_unlocked(), "{w:?} {access:?}: {:?}", row.next);
+                let released = match access {
+                    Access::Read => opt.to_pess_unlocked(),
+                    Access::Write => version_after(t, w.to_pess_unlocked()),
+                };
+                assert_eq!(now, released, "{w:?} {access:?}: {:?}", row.next);
                 let fresh = matches!(row.next, Next::FreshRdSh { .. });
                 assert_eq!(e.rt().current_rdsh_count() > epoch_before, fresh, "{w:?} {access:?}");
                 assert!(!fresh || now.rdsh_count() > epoch_before, "{w:?} {access:?}: {now:?}");

@@ -10,20 +10,31 @@
 //! install into park-at-`Int` and publish, which makes the `Wait` row and
 //! the unlock's `Int` spin reachable.
 //!
+//! Where reads install unlocked (marked rows ②) the discipline is the one
+//! `NullSupport` has, [`Locking::Relaxed`](drink_core::support::Locking):
+//! every lock a step takes goes back inside that step, right after its
+//! access — a write lock's release on a settled object publishes the version
+//! word of marked row ③ ([`version_after`]), any other release that leaves
+//! the word unlocked goes both ways at the valve, as a flush does — and no
+//! lock outlives its access: between steps nobody holds one, and no access
+//! ever meets a lock.
+//!
 //! Every interleaving of every script is enumerated at once: each thread has
 //! a budget of operations and picks any of read, write, PSRO for its next
 //! one, so the scripts share their common states and the whole universe is a
 //! few thousand of them. After every step the invariants of [`check`] hold,
-//! a payload write happens only under `WrExOpt(T)` / `WrExWLock(T)`, and
+//! a payload write happens only under `WrExOpt(T)` / `WrExWLock(T)`, a
+//! thread's `rdShCount` names an epoch `gRdShCount` has handed out, and
 //! DESIGN.md §12's no-return property holds — a word that was
 //! `validated_read_ok(t)` before a foreign payload write never stands again
 //! after it while `t` could still be inside the read that loaded it — in the
-//! form of the two facts it rests on, so that no history has to ride in the
+//! form of the three facts it rests on, so that no history has to ride in the
 //! state: a RdSh word standing after a payload write carries an epoch claimed
-//! after that write, and an exclusive word that `t` could validate against is
-//! only ever installed by a step of `t` itself. Where reads install unlocked
-//! (marked rows ②), no read of a pessimistic word that names another thread,
-//! or no one, installs a RdEx word: pessimistic tracking never meets one.
+//! after that write, a version word one above every version that stood
+//! before it, and an exclusive word that `t` could validate against is only
+//! ever installed by a step of `t` itself. Where reads install unlocked, no
+//! read of a pessimistic word that names another thread, or no one, installs
+//! a RdEx word: pessimistic tracking never meets one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -31,12 +42,15 @@ use std::time::Instant;
 
 use drink_core::support::PrevHolders;
 use drink_core::table::{
-    transition, Access, Class, Departures, Ev, Install, Lock, Next, Row, SelfReadMode, Who,
+    transition, version_after, Access, Class, Departures, Ev, Install, Lock, Next, Row, SelfReadMode, Who,
 };
 use drink_core::word::{Kind, LockMode, StateWord};
 use drink_runtime::ThreadId;
 
 type Table = fn(StateWord, Access, Who<'_>, Departures) -> Row;
+/// Marked row ③: the word a write lock's release publishes on a settled
+/// object, given the word the write's claim replaced.
+type Version = fn(ThreadId, StateWord) -> StateWord;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Thread {
@@ -59,6 +73,10 @@ struct State {
     epoch: u64,
     /// `gRdShCount` at the last payload write; 0 before the first.
     written: u64,
+    /// The highest version that has stood on the word, and its value at the
+    /// last payload write; `None` before any.
+    versioned: Option<u64>,
+    version_written: Option<u64>,
     /// The universe's threads; a two-thread universe leaves the last slot
     /// with no operations.
     threads: [Thread; 3],
@@ -89,11 +107,17 @@ fn tid(i: usize) -> ThreadId {
 
 /// The ⇔s between the word and who holds what. A word parked at `Int` is
 /// exempt from them: its holders keep their holds through the window.
-fn check(s: &State) -> Result<(), String> {
+fn check(s: &State, relaxed: bool) -> Result<(), String> {
     let w = s.word;
     w.validate().map_err(|e| format!("the word validates: {e}"))?;
     if s.threads.iter().any(|t| t.in_rd_set && t.held != Some(LockMode::Read)) {
         return Err("in_rd_set ⇒ held == Read".into());
+    }
+    if relaxed && s.threads.iter().any(|t| t.held.is_some()) {
+        return Err(NO_LOCK_OUTLIVES.into());
+    }
+    if s.threads.iter().any(|t| t.rd_sh_count > s.epoch) {
+        return Err("T.rdShCount ≤ gRdShCount: a thread synchronizes only with epochs handed out".into());
     }
     if w.is_int() {
         return Ok(());
@@ -120,9 +144,17 @@ fn check(s: &State) -> Result<(), String> {
     .map_err(String::from)
 }
 
+const NO_LOCK_OUTLIVES: &str = "Relaxed: no lock outlives its access";
+
 struct Model {
     table: Table,
+    version: Version,
+    /// `install_unlocked` also says the discipline is the relaxed one.
     dep: Departures,
+    /// The object is settled: pessimistic for good, so no unlock crosses the
+    /// valve, no conflict resolves optimistic, and under the relaxed
+    /// discipline a write's release publishes a version word.
+    settled: bool,
     /// Split every claimed install into park-at-`Int` and publish.
     split: bool,
     /// Complete interleavings from each state visited.
@@ -145,7 +177,12 @@ impl Model {
     /// changes the object's word to `w`.
     fn set_word(&self, s: &mut State, i: usize, w: StateWord) {
         s.word = w;
-        if w.kind() == Kind::RdSh && w.rdsh_count() <= s.written {
+        if w.is_version() {
+            if Some(w.rdsh_count()) <= s.version_written {
+                self.fail(s, "no return: a version word stands again after a payload write");
+            }
+            s.versioned = s.versioned.max(Some(w.rdsh_count()));
+        } else if w.kind() == Kind::RdSh && w.rdsh_count() <= s.written {
             self.fail(s, "no return: a RdSh word stands again after a payload write");
         }
         let for_another = (0..s.threads.len()).any(|j| j != i && w.validated_read_ok(tid(j)));
@@ -164,7 +201,7 @@ impl Model {
         if s.word != StateWord::wr_ex_opt(t) && s.word != StateWord::wr_ex_pess(t, LockMode::Write) {
             self.fail(s, "a payload write happens only under WrExOpt(T) / WrExWLock(T)");
         }
-        s.written = s.epoch;
+        (s.written, s.version_written) = (s.epoch, s.versioned);
     }
 
     /// Thread `i` flushes at a PSRO or a responding safe point; a flush that
@@ -180,11 +217,28 @@ impl Model {
         let unlocked = s.word.unlock_one();
         let mut to_opt = s;
         self.set_word(&mut s, i, unlocked);
-        if !unlocked.is_pess_unlocked() {
+        // A version word never crosses the valve (③).
+        if !unlocked.is_pess_unlocked() || self.settled || unlocked.is_version() {
             return vec![s];
         }
         self.set_word(&mut to_opt, i, unlocked.to_optimistic());
         vec![s, to_opt]
+    }
+
+    /// Under the relaxed discipline, thread `i` releases the lock its access
+    /// just took, on a word its claim made from `replaced`: a write's on a
+    /// settled object by publishing the version word, any other as a flush
+    /// step.
+    fn release(&self, mut s: State, i: usize, access: Access, replaced: StateWord) -> Vec<State> {
+        if !self.dep.install_unlocked {
+            return vec![s];
+        }
+        if self.settled && access == Access::Write && s.threads[i].held == Some(LockMode::Write) {
+            s.threads[i].held = None;
+            self.set_word(&mut s, i, (self.version)(tid(i), replaced));
+            return vec![s];
+        }
+        self.flush(s, i)
     }
 
     /// Everyone `w` names but `me` responds at a safe point.
@@ -203,9 +257,15 @@ impl Model {
         (self.table)(w, access, who, self.dep)
     }
 
-    /// Thread `i` installs `new` — for an access whose row books `lock` and
-    /// tells of `event` — and performs the access.
-    fn installed(&self, mut s: State, i: usize, access: Access, new: StateWord, lock: Lock, event: Ev) -> State {
+    /// Thread `i` installs `new` in place of `old` — for an access whose row
+    /// books `lock` and tells of `event` — performs the access and, under the
+    /// relaxed discipline, releases the lock.
+    fn installed(&self, s: State, i: usize, access: Access, (old, new): (StateWord, StateWord), lock: Lock, event: Ev) -> Vec<State> {
+        let s = self.accessed(s, i, access, new, lock, event);
+        self.release(s, i, access, old)
+    }
+
+    fn accessed(&self, mut s: State, i: usize, access: Access, new: StateWord, lock: Lock, event: Ev) -> State {
         self.set_word(&mut s, i, new);
         let t = &mut s.threads[i];
         match lock {
@@ -230,7 +290,11 @@ impl Model {
     fn install(&self, mut s: State, i: usize, old: StateWord, access: Access, row: Row) -> Vec<State> {
         if let Next::Either { opt, pess } = row.next {
             let resolved = |s| {
-                [self.installed(s, i, access, opt, Lock::None, row.event), self.installed(s, i, access, pess, row.lock, row.event)]
+                let mut both = self.installed(s, i, access, (old, pess), row.lock, row.event);
+                if !self.settled {
+                    both.extend(self.installed(s, i, access, (old, opt), Lock::None, row.event));
+                }
+                both
             };
             return self.holders_flush(s, old, i).into_iter().flat_map(resolved).collect();
         }
@@ -241,7 +305,7 @@ impl Model {
         if self.dep.install_unlocked && access == Access::Read && old.is_pess() && foreign && new.kind() == Kind::RdEx {
             self.fail(&s, "installed unlocked: a foreign read of a pessimistic word installs no RdEx word");
         }
-        vec![self.installed(s, i, access, new, row.lock, row.event)]
+        self.installed(s, i, access, (old, new), row.lock, row.event)
     }
 
     /// Thread `i` attempts `access`: the states that can follow. None if the
@@ -261,6 +325,7 @@ impl Model {
                 self.access(&mut s, i, access);
                 vec![s]
             }
+            Class::Contended if self.dep.install_unlocked => self.fail(&s, NO_LOCK_OUTLIVES),
             Class::Contended => {
                 s.threads[i].retry = Some(access);
                 self.holders_flush(s, w, i)
@@ -313,7 +378,7 @@ impl Model {
         if let Some(&n) = self.paths.get(&s) {
             return n;
         }
-        if let Err(what) = check(&s) {
+        if let Err(what) = check(&s, self.dep.install_unlocked) {
             self.fail(&s, &what);
         }
         let mut n = 0;
@@ -336,11 +401,13 @@ impl Model {
     }
 }
 
-/// Exhaust the stated universe under `table`: 2 threads × every script of
-/// ≤ 3 operations and 3 threads × ≤ 2, from five starting states, with
-/// `install_unlocked` off and on, two self-read modes, claims atomic and
-/// split. Returns (states, interleavings, waits, unlock spins).
-fn exhaust(table: Table) -> (usize, u128, u64, u64) {
+/// Exhaust the stated universe under `table` and `version`: 2 threads ×
+/// every script of ≤ 3 operations and 3 threads × ≤ 2, from five starting
+/// states, two self-read modes, claims atomic and split, under the paper's
+/// deferred discipline and under the relaxed one, the latter on an object
+/// that may cross the valve and on a settled one. Returns (states,
+/// interleavings, waits, unlock spins).
+fn exhaust(table: Table, version: Version) -> (usize, u128, u64, u64) {
     let t0 = tid(0);
     let starts = [
         StateWord::wr_ex_opt(t0),
@@ -352,11 +419,14 @@ fn exhaust(table: Table) -> (usize, u128, u64, u64) {
     let mut total = (0, 0, 0, 0);
     for (threads, ops) in [(2, 3), (3, 2)] {
         for self_read in [SelfReadMode::WrExRLock, SelfReadMode::WrExWLock] {
-            for (install_unlocked, split) in [(false, false), (false, true), (true, false), (true, true)] {
-                let dep = Departures { self_read, install_unlocked };
+            let configs = [(false, false), (true, false), (true, true)];
+            for ((relaxed, settled), split) in configs.into_iter().flat_map(|c| [(c, false), (c, true)]) {
+                let dep = Departures { self_read, install_unlocked: relaxed };
                 let mut m = Model {
                     table,
+                    version,
                     dep,
+                    settled,
                     split,
                     paths: HashMap::default(),
                     start: String::new(),
@@ -368,8 +438,8 @@ fn exhaust(table: Table) -> (usize, u128, u64, u64) {
                     let idle = Thread { held: None, in_rd_set: false, rd_sh_count: 0, left: 0, retry: None, parked: None };
                     let budget = |i| if i < threads { ops } else { 0 };
                     let scripted = std::array::from_fn(|i| Thread { left: budget(i), ..idle });
-                    let start = State { word, epoch: 1, written: 0, threads: scripted };
-                    m.start = format!("{threads} threads × {ops} ops from {word:?}, {dep:?}, split={split}");
+                    let start = State { word, epoch: 1, written: 0, versioned: None, version_written: None, threads: scripted };
+                    m.start = format!("{threads} threads × {ops} ops from {word:?}, {dep:?}, settled={settled}, split={split}");
                     total.1 += m.explore(start);
                 }
                 total = (total.0 + m.paths.len(), total.1, total.2 + m.waits, total.3 + m.unlock_spins);
@@ -382,7 +452,7 @@ fn exhaust(table: Table) -> (usize, u128, u64, u64) {
 #[test]
 fn the_shipped_table_keeps_every_invariant_under_every_interleaving() {
     let started = Instant::now();
-    let (states, interleavings, waits, unlock_spins) = exhaust(transition);
+    let (states, interleavings, waits, unlock_spins) = exhaust(transition, version_after);
     let took = started.elapsed();
     println!("table3 model: {states} states, {interleavings} interleavings, {waits} waits at Int, {unlock_spins} unlocks waiting for a publish, {took:?}");
     assert!(waits > 0 && unlock_spins > 0, "the split configuration reaches the Int window");
@@ -402,7 +472,7 @@ fn holder_upgrades_among_many(w: StateWord, access: Access, who: Who<'_>, dep: D
 #[test]
 #[should_panic(expected = "WrExWLock(T) ⇔ exactly T holds Write")]
 fn a_holder_upgrading_among_other_read_lockers_is_caught() {
-    exhaust(holder_upgrades_among_many);
+    exhaust(holder_upgrades_among_many, version_after);
 }
 
 /// (ii) `WrExWLock(T1) R by T2` joins as `RdShRLock(2)`, as if `T1` held a
@@ -417,7 +487,7 @@ fn reader_joins_a_write_lock(w: StateWord, access: Access, who: Who<'_>, dep: De
 #[test]
 #[should_panic(expected = "RdShRLock(n) ⇔ exactly n threads hold Read")]
 fn a_reader_joining_a_write_lock_is_caught() {
-    exhaust(reader_joins_a_write_lock);
+    exhaust(reader_joins_a_write_lock, version_after);
 }
 
 /// (iii) The installed-unlocked `RdExPess(T1) R by T2` row reuses an old epoch instead of
@@ -433,7 +503,7 @@ fn racy_read_reuses_an_epoch(w: StateWord, access: Access, who: Who<'_>, dep: De
 #[test]
 #[should_panic(expected = "no return: a RdSh word stands again after a payload write")]
 fn a_racy_read_reusing_an_epoch_is_caught() {
-    exhaust(racy_read_reuses_an_epoch);
+    exhaust(racy_read_reuses_an_epoch, version_after);
 }
 
 /// (iv) The ② `WrExPess(T1) R by T2` row installs `RdExPess(T2)`, the word
@@ -451,5 +521,52 @@ fn racy_read_installs_read_exclusive(w: StateWord, access: Access, who: Who<'_>,
 #[test]
 #[should_panic(expected = "a foreign read of a pessimistic word installs no RdEx word")]
 fn a_racy_read_installing_a_read_exclusive_word_is_caught() {
-    exhaust(racy_read_installs_read_exclusive);
+    exhaust(racy_read_installs_read_exclusive, version_after);
+}
+
+/// (v) A write's release on a settled object reuses the replaced word's
+/// version instead of advancing it: the word a reader validated against
+/// before the payload store stands again after it.
+fn release_reuses_the_version(t: ThreadId, replaced: StateWord) -> StateWord {
+    StateWord::version(t, replaced.rdsh_count())
+}
+
+#[test]
+#[should_panic(expected = "no return: a version word stands again after a payload write")]
+fn a_release_reusing_the_replaced_version_is_caught() {
+    exhaust(transition, release_reuses_the_version);
+}
+
+/// (vi) A read joining a version word tells of a `Fence` as if its count
+/// were an epoch, and so raises `T.rdShCount` to it.
+fn version_raises_rd_sh_count(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
+    let row = transition(w, access, who, dep);
+    if w.is_version() && access == Access::Read && who.rd_sh_count < w.rdsh_count() {
+        return Row { event: Ev::Fence, ..row };
+    }
+    row
+}
+
+#[test]
+#[should_panic(expected = "T.rdShCount ≤ gRdShCount")]
+fn a_version_raising_rd_sh_count_is_caught() {
+    exhaust(version_raises_rd_sh_count, version_after);
+}
+
+/// (vii) A read joining a version word drops its flag: the version's count
+/// stands as an epoch nobody claimed.
+fn join_drops_the_version_flag(w: StateWord, access: Access, who: Who<'_>, dep: Departures) -> Row {
+    let row = transition(w, access, who, dep);
+    match row.next {
+        Next::Word(next) if w.is_version() && access == Access::Read => {
+            Row { next: Next::Word(StateWord::rd_sh_pess(next.rdsh_count(), next.read_locks())), ..row }
+        }
+        _ => row,
+    }
+}
+
+#[test]
+#[should_panic(expected = "no return: a RdSh word stands again after a payload write")]
+fn a_join_dropping_the_version_flag_is_caught() {
+    exhaust(join_drops_the_version_flag, version_after);
 }

@@ -69,8 +69,14 @@ pub enum Event {
     /// An object moved from pessimistic back to optimistic states.
     PessToOpt,
     /// The policy's valve held an object pessimistic at an unlock that left
-    /// it fully unlocked, instead of releasing it to optimistic states.
+    /// it fully unlocked, instead of releasing it to optimistic states. (A
+    /// write's release that publishes a version word counts as
+    /// [`Event::VersionPublished`] instead.)
     ValveKeptPess,
+    /// The release of a write lock on a settled object published a version
+    /// word (Table 3's marked row ③), which every later read validates
+    /// against without a store.
+    VersionPublished,
 
     // --- Deferred unlocking ---
     /// A lock-buffer flush (at a PSRO or responding safe point); traced with
@@ -204,6 +210,7 @@ impl Event {
         Event::OptToPess,
         Event::PessToOpt,
         Event::ValveKeptPess,
+        Event::VersionPublished,
         Event::LockBufferFlush,
         Event::StateUnlocked,
         Event::RespondedExplicit,
@@ -255,6 +262,7 @@ impl Event {
             Event::OptToPess => "hybrid.opt_to_pess",
             Event::PessToOpt => "hybrid.pess_to_opt",
             Event::ValveKeptPess => "hybrid.valve_kept_pess",
+            Event::VersionPublished => "pess.version_published",
             Event::LockBufferFlush => "hybrid.lock_buffer_flush",
             Event::StateUnlocked => "hybrid.state_unlocked",
             Event::RespondedExplicit => "coord.responded_explicit",

@@ -7,7 +7,8 @@
 //!   the service/sojourn percentile table and what tracking cost per 1000
 //!   requests: pessimistic transitions (`PessUncontended`), the conflicting
 //!   ones among them (`PessOwnerChange`), validated reads
-//!   (`SeqlockValidated`) and RdSh epochs drawn from `gRdShCount`;
+//!   (`SeqlockValidated`), RdSh epochs drawn from `gRdShCount` and version
+//!   words published by writes' releases (`VersionPublished`);
 //! * **`--smoke`** — a short fixed-rate run asserting nonzero throughput
 //!   and a clean quiescent store check. It takes no other arguments.
 //!
@@ -101,11 +102,12 @@ fn print_result(r: &ServeResult, epochs: u64) {
     );
     let per_k = |n: u64| n as f64 * 1e3 / r.accounting.completions.max(1) as f64;
     println!(
-        "  tracking per 1000 requests: PessUncontended={:.1} PessOwnerChange={:.1} SeqlockValidated={:.1} epochs={:.1}",
+        "  tracking per 1000 requests: PessUncontended={:.1} PessOwnerChange={:.1} SeqlockValidated={:.1} epochs={:.1} versions={:.1}",
         per_k(r.report.get(Event::PessUncontended)),
         per_k(r.report.get(Event::PessOwnerChange)),
         per_k(r.report.get(Event::SeqlockValidated)),
-        per_k(epochs)
+        per_k(epochs),
+        per_k(r.report.get(Event::VersionPublished))
     );
 }
 

@@ -479,14 +479,11 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut cfg = ServeConfig::default();
-        cfg.workers = 0;
+        let cfg = ServeConfig { workers: 0, ..ServeConfig::default() };
         assert!(cfg.validate().is_err());
-        let mut cfg = ServeConfig::default();
-        cfg.read_frac = 1.5;
+        let cfg = ServeConfig { read_frac: 1.5, ..ServeConfig::default() };
         assert!(cfg.validate().is_err());
-        let mut cfg = ServeConfig::default();
-        cfg.offered_rate = 0.0;
+        let cfg = ServeConfig { offered_rate: 0.0, ..ServeConfig::default() };
         assert!(cfg.validate().is_err());
     }
 

@@ -22,7 +22,7 @@ pub use driver::{
     run_kind, run_kind_on, run_workload, runtime_config_for, runtime_for, EngineKind, RunResult,
 };
 pub use profiles::{all as all_profiles, by_name, scaled, PaperRef, Profile};
-pub use record_replay::{record, replay, replay_with, RecordOutcome};
+pub use record_replay::{record, record_on, replay, replay_with, RecordOutcome};
 pub use rs_driver::{rs_label, run_rs, run_rs_on};
 pub use spec::{
     chaos_adapt, chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,

@@ -1,7 +1,10 @@
 //! Record & replay drivers over workload specs (Figure 9(a)'s harness).
 
+use std::sync::Arc;
+
 use drink_core::prelude::*;
 use drink_replay::{Recorder, RecordingLog, ReplayEngine};
+use drink_runtime::Runtime;
 
 use crate::driver::{drive, execute_ops, run_workload, runtime_for, RunResult};
 use crate::spec::WorkloadSpec;
@@ -24,10 +27,15 @@ pub struct RecordOutcome {
 /// flush makes (§4.2) — so [`EngineKind::Pessimistic`] records Table 3 at
 /// `Cutoff_confl = 0`.
 pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
+    record_on(kind, runtime_for(spec), spec)
+}
+
+/// [`record`] on a runtime the caller built for `spec` — one with trace
+/// rings, say, whose timelines outlive a failing recording.
+pub fn record_on(kind: EngineKind, rt: Arc<Runtime>, spec: &WorkloadSpec) -> RecordOutcome {
     let Some(cfg) = kind.hybrid_config() else {
         panic!("the recorder runs on the hybrid engine, which {kind:?} does not configure");
     };
-    let rt = runtime_for(spec);
     let recorder = Recorder::for_runtime(&rt, kind.name());
     let engine = HybridEngine::with_config(rt, recorder.clone(), cfg);
     let run = drive(&engine, kind.name(), spec, execute_ops);

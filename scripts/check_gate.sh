@@ -64,7 +64,8 @@
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
 #      the first `ret` of the hybrid read, write and safe point, no indirect
 #      call behind `AnyEngine`.
-#   9. Lint: `cargo clippy --workspace --release -- -D warnings`, so that no
+#   9. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
+#      (tests, benches and examples included), so that no
 #      warning lands unseen.
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
@@ -150,6 +151,6 @@ echo "=== check_gate: the same-state access is a leaf (release build, no check-i
 scripts/fastpath_asm.sh
 
 echo "=== check_gate: clippy, warnings denied"
-cargo clippy --workspace --release -- -D warnings
+cargo clippy --workspace --release --all-targets -- -D warnings
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

@@ -56,7 +56,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8,
         max_shrink_iters: 16,
-        .. ProptestConfig::default()
     })]
 
     /// Replay of any recorded execution reproduces its heap, for both

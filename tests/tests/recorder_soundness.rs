@@ -169,7 +169,6 @@ mod prop {
         #![proptest_config(ProptestConfig {
             cases: 6,
             max_shrink_iters: 8,
-            .. ProptestConfig::default()
         })]
 
         /// For ANY racy workload shape, both recorders' logs order every
@@ -179,7 +178,7 @@ mod prop {
         fn prop_recorders_order_all_conflicts(spec in arb_racy_spec(), hybrid in any::<bool>()) {
             let kind = if hybrid { EngineKind::Hybrid } else { EngineKind::Optimistic };
             let outcome = record(kind, &spec);
-            outcome.log.validate().map_err(|e| TestCaseError::fail(e))?;
+            outcome.log.validate().map_err(TestCaseError::fail)?;
             let hb = HbClocks::build(&spec, &outcome.log);
             let accesses = accesses_of(&spec);
             let mut by_obj: std::collections::HashMap<u32, Vec<usize>> = Default::default();
