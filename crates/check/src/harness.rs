@@ -449,4 +449,50 @@ mod tests {
         };
         assert!(reproduce(&unknown).is_err());
     }
+
+    /// Panics with its tag once the run's perturbation count passes a
+    /// threshold — after every worker has passed the start barrier.
+    #[derive(Debug)]
+    struct PanicWith {
+        tag: &'static str,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SchedHooks for PanicWith {
+        fn perturb(&self, t: drink_runtime::ThreadId, _point: drink_runtime::SchedPoint) {
+            if self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 40 {
+                panic!("{} at T{}", self.tag, t.raw());
+            }
+        }
+    }
+
+    /// Two runs that fail at once, each on its own workers' panic: each
+    /// `catch` reports its own run's message, not the scope's "a scoped
+    /// thread panicked" and not the other run's. (Disjoint objects: no worker
+    /// waits on a peer that panicked.)
+    #[test]
+    fn concurrent_catches_each_report_their_own_workers_panic() {
+        let spec = chaos_disjoint(0xCA7C);
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let runs: Vec<_> = ["first run's invariant", "second run's invariant"]
+                .map(|tag| {
+                    let spec = &spec;
+                    s.spawn(move || {
+                        let mut rt = Runtime::new(runtime_config_for(spec));
+                        rt.set_sched_hooks(Arc::new(PanicWith { tag, seen: Default::default() }));
+                        let rt = Arc::new(rt);
+                        catch(|| Ok(run_kind_on(EngineKind::Hybrid, rt, spec))).map(drop).expect_err(tag)
+                    })
+                })
+                .into_iter()
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for (failure, (mine, other)) in
+            failures.iter().zip([("first", "second"), ("second", "first")])
+        {
+            assert!(failure.starts_with(&format!("{mine} run's invariant at T")), "{failure}");
+            assert!(!failure.contains(other), "{failure}");
+        }
+    }
 }

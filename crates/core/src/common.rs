@@ -253,14 +253,21 @@ impl<S: Support> EngineCommon<S> {
             }
             _ => (StateWord::wr_ex_pess(t, LockMode::Unlocked), Event::ValveKeptPess),
         };
+        Self::release_write_lock(obj, o, t, new);
+        self.note(ts, e, o.0 as u64);
+    }
+
+    /// The release store of [`EngineCommon::unlock_write_lock`]: `t`'s
+    /// `WrExWLock(T)` on `o` becomes `new`. (`check-invariants` builds swap
+    /// and assert that the word was the lock.)
+    #[inline(always)]
+    pub(crate) fn release_write_lock(obj: &ObjHeader, o: ObjId, t: ThreadId, new: StateWord) {
         if cfg!(feature = "check-invariants") {
             let old = StateWord(obj.state().swap(new.0, Ordering::AcqRel));
-            let held = StateWord::wr_ex_pess(ts.tid, LockMode::Write);
-            assert_eq!(old, held, "{o:?}: write lock changed under its holder");
+            assert_eq!(old, StateWord::wr_ex_pess(t, LockMode::Write), "{o:?}: write lock changed under its holder");
         } else {
             obj.state().store(new.0, Ordering::Release);
         }
-        self.note(ts, e, o.0 as u64);
     }
 
     /// Stats and trace of one unlock; `valve` is the policy's decision if the

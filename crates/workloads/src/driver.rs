@@ -180,17 +180,28 @@ where
     let barrier = Barrier::new(spec.threads);
 
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..spec.threads {
-            let (engine, barrier, all_ops, body) = (&engine, &barrier, &all_ops, &body);
-            s.spawn(move || {
-                let sess = Session::attach(*engine);
-                let ops = &all_ops[sess.tid().index()];
-                barrier.wait();
-                body(&sess, ops);
-            });
-        }
+    // A worker's panic leaves with its own payload, not the scope's "a scoped
+    // thread panicked": whoever catches it learns what fired, without a
+    // process-global panic hook that two concurrent runs would share.
+    let panicked = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..spec.threads)
+            .map(|_| {
+                let (engine, barrier, all_ops, body) = (&engine, &barrier, &all_ops, &body);
+                s.spawn(move || {
+                    let sess = Session::attach(*engine);
+                    let ops = &all_ops[sess.tid().index()];
+                    barrier.wait();
+                    body(&sess, ops);
+                })
+            })
+            .collect();
+        // Join every worker (one left to the scope would panic it), keep the
+        // first payload.
+        workers.into_iter().fold(None, |first, w| first.or(w.join().err()))
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     let wall = start.elapsed();
 
     let heap = rt.heap().snapshot_data();
