@@ -11,7 +11,7 @@ use drink_workloads::{
 };
 use EngineKind::{Adaptive, Baseline, Hybrid, Ideal, Optimistic, Pessimistic};
 
-use crate::{cost, geomean_overhead, measure, sci, Config, Ctx, Experiment, Line, Samples, Table};
+use crate::{cost, geomean_overhead, measure, overhead_pct, sci, Config, Ctx, Experiment, Line, Samples, Table};
 
 /// The experiment index (DESIGN.md §4).
 #[rustfmt::skip]
@@ -50,6 +50,38 @@ fn ratio(num: u64, den: u64, scale: f64, digits: usize) -> String {
 /// The geomean of each column, as whole percent.
 fn geomeans(cols: &[Vec<f64>]) -> Vec<String> {
     cols.iter().map(|c| format!("{:.0}", geomean_overhead(c))).collect()
+}
+
+/// Each config's wall overhead in `s[1..]` over the baseline `s[0]`, trial
+/// by trial: `measure` interleaves a trial's configs, so each run is paired
+/// with its own trial's baseline. Indexed `[config][trial]`.
+fn trial_overheads(s: &[Samples]) -> Vec<Vec<f64>> {
+    let base = &s[0].walls;
+    s[1..].iter().map(|x| x.walls.iter().zip(base).map(|(&w, &b)| overhead_pct(w, b)).collect()).collect()
+}
+
+/// Each column's spread over trials: the geomean over programs of one
+/// trial's overheads, as `min–max` over the trials. `by_program` holds each
+/// program's [`trial_overheads`].
+fn trial_spreads(by_program: &[Vec<Vec<f64>>]) -> Vec<String> {
+    let (cols, trials) = (by_program[0].len(), by_program[0][0].len());
+    let trial_geomean = |c: usize, i: usize| geomean_overhead(&by_program.iter().map(|p| p[c][i]).collect::<Vec<_>>());
+    (0..cols)
+        .map(|c| {
+            let g = (0..trials).map(|i| trial_geomean(c, i));
+            let (lo, hi) = g.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| (lo.min(x), hi.max(x)));
+            format!("{lo:.0}–{hi:.0}")
+        })
+        .collect()
+}
+
+/// The caption of a table whose geomean line is followed by
+/// [`trial_spreads`].
+fn spread_caption(trials: usize) -> Vec<String> {
+    vec![
+        format!("(each cell: wall% of the median of {trials} interleaved trials;"),
+        "trial range: min–max over the trials of each trial's geomean over programs)".into(),
+    ]
 }
 
 /// A line of fixed text cells.
@@ -292,10 +324,12 @@ fn fig9a(ctx: &Ctx) -> Table {
     let configs = [Config::kind(Baseline), rec(Optimistic), rep(Optimistic), rec(Hybrid), rep(Hybrid)];
     let header = ["program", "opt-rec %", "opt-rep %", "hyb-rec %", "hyb-rep %", "edges"];
     let mut t = Table::new(&header, &configs);
-    let mut cols = vec![Vec::new(); 4];
+    t.caption = spread_caption(trials);
+    let (mut cols, mut by_trial) = (vec![Vec::new(); 4], Vec::new());
     let profiles = profiles::scaled(ctx.scale);
     for p in &profiles {
         let s = measure(&p.spec, &configs, trials);
+        by_trial.push(trial_overheads(&s));
         let mut cells = vec![p.spec.name.clone()];
         for (col, x) in cols.iter_mut().zip(&s[1..]) {
             col.push(x.wall_pct(&s[0]));
@@ -306,6 +340,7 @@ fn fig9a(ctx: &Ctx) -> Table {
     }
     t.lines.push(Line::Text(String::new()));
     t.lines.push(Line::Total([fixed(&["geomean"]), geomeans(&cols), fixed(&["-"])].concat()));
+    t.lines.push(Line::Total([fixed(&["trial range"]), trial_spreads(&by_trial), fixed(&["-"])].concat()));
     t.lines.push(Line::Total(fixed(&["[paper]", "46", "20", "41", "24", "-"])));
     t.notes = "Shape checks: hybrid recorder < optimistic recorder on high-conflict\n\
                programs (xalan6/9, pjbb2005); hybrid replayer ≥ optimistic replayer\n\
@@ -325,10 +360,13 @@ fn fig9b(ctx: &Ctx) -> Table {
         run: Box::new(move |spec| run_rs(kind, spec)),
     };
     let configs = [Config::kind(Baseline), enforcer(Optimistic), enforcer(Hybrid)];
+    let trials = ctx.trials(9);
     let mut t = Table::new(&["program", "opt-rs %", "hyb-rs %", "restarts(o)", "restarts(h)"], &configs);
-    let mut cols = vec![Vec::new(); 2];
+    t.caption = spread_caption(trials);
+    let (mut cols, mut by_trial) = (vec![Vec::new(); 2], Vec::new());
     for p in profiles::scaled(ctx.scale) {
-        let s = measure(&p.spec, &configs, ctx.trials(9));
+        let s = measure(&p.spec, &configs, trials);
+        by_trial.push(trial_overheads(&s));
         let mut cells = vec![p.spec.name.clone()];
         for (col, x) in cols.iter_mut().zip(&s[1..]) {
             col.push(x.wall_pct(&s[0]));
@@ -339,6 +377,7 @@ fn fig9b(ctx: &Ctx) -> Table {
     }
     t.lines.push(Line::Text(String::new()));
     t.lines.push(Line::Total([fixed(&["geomean"]), geomeans(&cols), fixed(&["-", "-"])].concat()));
+    t.lines.push(Line::Total([fixed(&["trial range"]), trial_spreads(&by_trial), fixed(&["-", "-"])].concat()));
     t.lines.push(Line::Total(fixed(&["[paper]", "39", "34", "-", "-"])));
     t.notes = "Shape checks: hybrid enforcer ≤ optimistic enforcer overall, with the\n\
                largest improvements on xalan6/xalan9/pjbb2005 — mirroring tracking\n\
@@ -468,4 +507,18 @@ fn e10(ctx: &Ctx) -> Table {
                per-access cost. The paper's account is that its initial design\n\
                added \"significant overhead\" (§3.1).";
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The range runs over trials of the geomean over programs: trial 0
+    /// reads 0 % on both programs, trial 1 reads 300 % and 0 %, a geomean of
+    /// 100 %.
+    #[test]
+    fn trial_spreads_range_over_each_trials_geomean() {
+        let by_program = [vec![vec![0.0, 300.0]], vec![vec![0.0, 0.0]]];
+        assert_eq!(trial_spreads(&by_program), ["0–100"]);
+    }
 }

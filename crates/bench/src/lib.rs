@@ -84,7 +84,11 @@ impl Config<'_> {
     pub fn kind(kind: EngineKind) -> Config<'static> {
         Config {
             label: kind.label().into(),
-            support: if kind == EngineKind::Baseline { "none" } else { "NullSupport" },
+            support: match kind {
+                EngineKind::Baseline => "none",
+                EngineKind::Ideal => "IdealModel",
+                _ => "NullSupport",
+            },
             run: Box::new(move |spec| run_kind(kind, spec)),
         }
     }

@@ -14,10 +14,9 @@
 //! * `poll` — the responding-safe-point fast path (a counter bump, a test for
 //!   schedule hooks and one relaxed load when no request is pending).
 //!
-//! Two engines hold an [`EngineCommon`]:
+//! One engine holds an [`EngineCommon`]:
 //! [`HybridEngine`](crate::engine::hybrid::HybridEngine), in every
-//! configuration, and [`IdealEngine`](crate::engine::ideal::IdealEngine),
-//! whose lock buffers are simply always empty.
+//! configuration and on every support.
 
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;

@@ -32,7 +32,11 @@
 //!   ([`HybridConfig::pessimistic`]): every object is pessimistic from birth,
 //!   so none ever meets the policy, and on a support that unlocks eagerly the
 //!   states left are §2.1's reader–writer lock (`WrExPess`, `WrExWLock`,
-//!   `RdShPess`).
+//!   `RdShPess`);
+//! * Figure 7's unsound "Ideal" estimate (§7.5) is
+//!   [`HybridConfig::optimistic`] on [`IdealModel`](crate::support::IdealModel),
+//!   a support that does not coordinate ([`Support::COORDINATE`]): a
+//!   `Conflict` row installs its optimistic word by one CAS.
 //!
 //! What each state does on each access is not written here: it is
 //! [`crate::table::transition`], Table 3 as a value. This file is its
@@ -492,6 +496,18 @@ impl<S: Support> HybridEngine<S> {
                     else {
                         unreachable!("a conflict row names two words and a lock")
                     };
+                    if !S::COORDINATE {
+                        // Figure 7's "Ideal": the optimistic word by one CAS,
+                        // priced as a pessimistic transition.
+                        if state
+                            .compare_exchange(cur, opt.0, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok()
+                        {
+                            self.common.note(ts, Event::PessUncontended, o.0 as u64);
+                            return Outcome::Proceed;
+                        }
+                        continue;
+                    }
                     if state
                         .compare_exchange(cur, StateWord::int(t).0, Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
@@ -782,10 +798,46 @@ impl<S: Support> HybridEngine<S> {
 }
 
 impl<S: Support> Tracker for HybridEngine<S> {
-    tracker_via_common!();
+    fn rt(&self) -> &Arc<Runtime> {
+        &self.common.rt
+    }
 
     fn name(&self) -> &'static str {
         "hybrid"
+    }
+
+    fn attach(&self) -> ThreadId {
+        self.common.attach()
+    }
+
+    fn detach(&self, t: ThreadId) {
+        // SAFETY: called from the attached thread (Tracker contract).
+        unsafe { self.common.detach(t) }
+    }
+
+    #[inline(always)]
+    fn safepoint(&self, t: ThreadId) {
+        // SAFETY: attached thread.
+        self.common.poll(unsafe { self.common.ts(t) });
+    }
+
+    fn lock(&self, t: ThreadId, m: MonitorId) {
+        // SAFETY: attached thread.
+        self.common.monitor_acquire(unsafe { self.common.ts(t) }, m);
+    }
+
+    fn unlock(&self, t: ThreadId, m: MonitorId) {
+        // SAFETY: attached thread.
+        self.common.monitor_release(unsafe { self.common.ts(t) }, m);
+    }
+
+    fn wait(&self, t: ThreadId, m: MonitorId) {
+        // SAFETY: attached thread.
+        self.common.monitor_wait(unsafe { self.common.ts(t) }, m);
+    }
+
+    fn notify_all(&self, t: ThreadId, m: MonitorId) {
+        self.common.rt.monitor_notify_all_from(m, t);
     }
 
     /// A read's leaf: Figure 10(a)'s compares, call-free, rings permitting.

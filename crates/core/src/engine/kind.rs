@@ -6,12 +6,12 @@
 //! A server-shaped consumer (`drink-serve`) holds *one* engine chosen at
 //! startup and must route every tracked access through it with zero
 //! per-engine code. [`EngineKind::build`] returns an [`AnyEngine`] — an enum
-//! over the three engine types, plus the kind that built it — which itself
-//! implements [`Tracker`], so `Session<'_, AnyEngine>` works unchanged. An
-//! enum and not a box: Figure 10(a)'s same-state check is inlined at every
-//! access, which a pointer forbids. [`Tracker`] stays object-safe, and
-//! [`EngineKind::build_boxed`] is the concrete engine behind a plain box —
-//! what the enum's delegation is tested against.
+//! over the three engines a kind builds, plus the kind that built it — which
+//! itself implements [`Tracker`], so `Session<'_, AnyEngine>` works
+//! unchanged. An enum and not a box: Figure 10(a)'s same-state check is
+//! inlined at every access, which a pointer forbids. [`Tracker`] stays
+//! object-safe, and [`EngineKind::build_boxed`] is the concrete engine behind
+//! a plain box — what the enum's delegation is tested against.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -19,10 +19,9 @@ use std::sync::Arc;
 use drink_runtime::{MonitorId, ObjId, Runtime, RuntimeConfig, ThreadId};
 
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
-use crate::engine::ideal::IdealEngine;
 use crate::engine::none::NoTracking;
 use crate::engine::Tracker;
-use crate::support::NullSupport;
+use crate::support::{IdealModel, NullSupport};
 
 /// The type-erased tracker: [`Tracker`] is object-safe by design, so the
 /// erased form is just the trait object.
@@ -69,11 +68,13 @@ pub enum EngineKind {
     Ideal,
 }
 
-/// Which engine type a kind builds (see the [module table](crate::engine)).
+/// What a kind builds (see the [module table](crate::engine)).
 enum Engine {
     NoTracking,
     /// [`HybridEngine`] under the configuration the constructor returns.
     Hybrid(fn() -> HybridConfig),
+    /// [`HybridEngine`] on [`IdealModel`], under
+    /// [`HybridConfig::optimistic`]. No support is built on it.
     Ideal,
 }
 
@@ -169,9 +170,10 @@ impl EngineKind {
     }
 
     /// The [`HybridEngine`] configuration this kind is, or `None` for a kind
-    /// built on another engine type. Runtime supports (the recorder, the RS
-    /// enforcer) build their engines from it, and refuse one that does not
-    /// defer its unlocks.
+    /// no runtime support may be built on: one built on another engine type,
+    /// or on [`IdealModel`], which is unsound. Runtime supports (the
+    /// recorder, the RS enforcer) build their engines from it, and refuse one
+    /// that does not defer its unlocks.
     pub fn hybrid_config(self) -> Option<HybridConfig> {
         match self.row().engine {
             Engine::Hybrid(cfg) => Some(cfg()),
@@ -192,7 +194,7 @@ impl EngineKind {
         match self.row().engine {
             Engine::NoTracking => Box::new(NoTracking::new(rt)),
             Engine::Hybrid(cfg) => Box::new(HybridEngine::with_config(rt, NullSupport, cfg())),
-            Engine::Ideal => Box::new(IdealEngine::new(rt)),
+            Engine::Ideal => Box::new(HybridEngine::with_config(rt, IdealModel, HybridConfig::optimistic())),
         }
     }
 
@@ -204,7 +206,7 @@ impl EngineKind {
         let inner = match self.row().engine {
             Engine::NoTracking => Inner::NoTracking(NoTracking::new(rt)),
             Engine::Hybrid(cfg) => Inner::Hybrid(HybridEngine::with_config(rt, NullSupport, cfg())),
-            Engine::Ideal => Inner::Ideal(IdealEngine::new(rt)),
+            Engine::Ideal => Inner::Ideal(HybridEngine::with_config(rt, IdealModel, HybridConfig::optimistic())),
         };
         AnyEngine { kind: self, inner }
     }
@@ -224,10 +226,11 @@ impl FromStr for EngineKind {
     }
 }
 
-/// A tracking engine selected at runtime: one of the three engine types, by
-/// value, plus the [`EngineKind`] that built it. Implements [`Tracker`] by
-/// delegation, so every generic consumer (`Session`, the workload driver, the
-/// serve store) accepts it unchanged. The cost of erasure is a branch on the
+/// A tracking engine selected at runtime: the baseline, or the hybrid engine
+/// on `NullSupport` or on [`IdealModel`], by value, plus the [`EngineKind`]
+/// that built it. Implements [`Tracker`] by delegation, so every generic
+/// consumer (`Session`, the workload driver, the serve store) accepts it
+/// unchanged. The cost of erasure is a branch on the
 /// variant: `read` / `write` / `safepoint` inline the engine's own leaf.
 pub struct AnyEngine {
     kind: EngineKind,
@@ -237,7 +240,7 @@ pub struct AnyEngine {
 enum Inner {
     NoTracking(NoTracking),
     Hybrid(HybridEngine<NullSupport>),
-    Ideal(IdealEngine),
+    Ideal(HybridEngine<IdealModel>),
 }
 
 impl AnyEngine {

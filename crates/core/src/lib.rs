@@ -11,10 +11,11 @@
 //! * the per-object [`word::StateWord`] encoding every state of the hybrid
 //!   model (§3.2), and [`table::transition`], its transitions (Appendix B's
 //!   Table 3) as one pure function;
-//! * three [`engine`] types — untracked baseline, hybrid (§3), the unsound
-//!   "Ideal" estimate (§7.5) — and [`EngineKind`]'s table of their
-//!   configurations (pessimistic tracking, §2.1, is hybrid at cutoff 0;
-//!   Octet, §2.2, is hybrid at cutoff ∞);
+//! * two [`engine`] types — untracked baseline and hybrid (§3) — and
+//!   [`EngineKind`]'s table of their configurations (pessimistic tracking,
+//!   §2.1, is hybrid at cutoff 0; Octet, §2.2, is hybrid at cutoff ∞; the
+//!   unsound "Ideal" estimate, §7.5, is Octet on a support that does not
+//!   coordinate);
 //! * the profile-guided [`policy::AdaptivePolicy`] (§6) over one profile
 //!   word per object, and the [`policy::Valve`] that says whether its
 //!   decisions are final (the paper's) or re-open (DESIGN.md §13);
@@ -67,12 +68,11 @@ pub mod word;
 /// The names most users need.
 pub mod prelude {
     pub use crate::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
-    pub use crate::engine::ideal::IdealEngine;
     pub use crate::engine::none::NoTracking;
     pub use crate::engine::{AnyEngine, DynTracker, EngineKind, Tracker};
     pub use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
     pub use crate::session::Session;
-    pub use crate::support::{EagerModel, Locking, NullSupport, PaperModel, Support};
+    pub use crate::support::{EagerModel, IdealModel, Locking, NullSupport, PaperModel, Support};
 }
 
 pub use engine::{AnyEngine, DynTracker, EngineKind, Tracker};

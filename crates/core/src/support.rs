@@ -188,6 +188,12 @@ pub trait Support: Send + Sync + 'static {
     /// flush.
     const LOCKING: Locking = Locking::Deferred;
 
+    /// Whether a `Conflict` row of Table 3 coordinates with the state's
+    /// holder(s) (Figure 10(b) line 43), as every sound tracking must. Only
+    /// [`IdealModel`] says no: its conflicts install the row's optimistic word
+    /// with one CAS and are priced as pessimistic transitions.
+    const COORDINATE: bool = true;
+
     /// A non-same-state transition of `obj` completed on thread `cx.t`.
     /// Called with the final state already decided; if
     /// [`Support::PREPUBLISH`] is set, the state word still reads `Int(T)`
@@ -266,6 +272,28 @@ pub struct EagerModel;
 
 impl Support for EagerModel {
     const LOCKING: Locking = Locking::Eager;
+}
+
+/// Figure 7's "Ideal" estimate (§7.5), run on
+/// [`HybridConfig::optimistic`](crate::engine::hybrid::HybridConfig::optimistic):
+///
+/// > "This unsound configuration estimates the cost of all conflicting
+/// > transitions becoming pessimistic and all same-state transitions
+/// > remaining optimistic."
+///
+/// Every hook is a no-op and the discipline is [`Locking::Deferred`], so no
+/// read is served by validation and every access takes its row of Table 1.
+/// A `Conflict` row coordinates with no one ([`Support::COORDINATE`]): its
+/// optimistic word is installed by one CAS and counted as
+/// [`Event::PessUncontended`](drink_runtime::Event::PessUncontended), so the
+/// cost model prices it at the pessimistic rate and no thread ever waits for
+/// another. **Unsound**: it can miss dependences and break
+/// instrumentation–access atomicity, so no support is ever built on it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdealModel;
+
+impl Support for IdealModel {
+    const COORDINATE: bool = false;
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Table 3 (Appendix B; Table 1 is its optimistic half) as a value: one pure
 //! function from *(state word, access, who is asking)* to the [`Row`] that
 //! says what happens. The protocol's one home: `HybridEngine`'s slow path
-//! executes rows, `IdealEngine` executes the optimistic ones with a bare CAS
-//! for `Conflict`, `tests/table3.rs` iterates them against the engines,
+//! executes rows (on `IdealModel`, a `Conflict` by one bare CAS),
+//! `tests/table3.rs` iterates them against the engine,
 //! `tests/table3_model.rs` exhausts them as an abstract model, and
 //! `check-invariants` builds assert each published word against them.
 //!

@@ -318,6 +318,69 @@ fn pessimistic_engine_follows_the_optimistic_rows() {
     }
 }
 
+/// Figure 7's "Ideal" is Table 1 with no coordination: for every optimistic
+/// word × access, [`EngineKind::Ideal`] leaves exactly the word the row
+/// names — a `Conflict` row's optimistic side — and counts the row's event
+/// at the estimate's price, a conflict as an uncontended pessimistic
+/// transition. No `Int` word is published: no access coordinates, so `T1`,
+/// attached on this thread and never polling, is never asked.
+#[test]
+fn ideal_executes_the_optimistic_rows_without_coordinating() {
+    for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
+        for access in [Access::Read, Access::Write] {
+            for synced in [false, true] {
+                let what = format!("{w:?} {access:?}, synced={synced}");
+                let rt = RuntimeConfig::builder().max_threads(2).heap_objects(2).build();
+                let e = EngineKind::Ideal.build_config(rt);
+                assert_eq!((e.attach(), e.attach()), (T, T1));
+                let word = || StateWord(e.rt().obj(O).state().load(Ordering::SeqCst));
+                let inject = |w: StateWord| e.rt().obj(O).state().store(w.0, Ordering::SeqCst);
+                if synced {
+                    // A first read of epoch C brings `T.rdShCount` up to it.
+                    inject(StateWord::rd_sh_opt(C));
+                    e.read(T, O);
+                }
+                inject(w);
+                let who = Who { t: T, rd_sh_count: if synced { C } else { 0 }, in_rd_set: &|| false };
+                let row = transition(w, access, who, Departures::default());
+                let epoch_before = e.rt().current_rdsh_count();
+                match access {
+                    Access::Read => drop(e.read(T, O)),
+                    Access::Write => e.write(T, O, 1),
+                }
+                let now = word();
+                let (expected, event) = match (row.class, row.next) {
+                    (Class::Same, _) => (w, Event::OptSameState),
+                    (Class::Fence, _) => (w, Event::OptFence),
+                    (Class::Upgrade, next) => (next.word(now.rdsh_count()), Event::OptUpgrading),
+                    (Class::Conflict, Next::Either { opt, .. }) => (opt, Event::PessUncontended),
+                    _ => unreachable!("{what}: {row:?} is no optimistic row"),
+                };
+                assert_eq!(now, expected, "{what}: {row:?}");
+                let fresh = matches!(row.next, Next::FreshRdSh { .. });
+                assert_eq!(e.rt().current_rdsh_count() > epoch_before, fresh, "{what}");
+                e.detach(T);
+                e.detach(T1);
+                let r = e.rt().stats().report();
+                for counted in [
+                    Event::OptSameState,
+                    Event::OptFence,
+                    Event::OptUpgrading,
+                    Event::PessUncontended,
+                    Event::PessOwnerChange,
+                    Event::OptConflictExplicit,
+                    Event::OptConflictImplicit,
+                    Event::CoordinationRoundtrip,
+                    Event::SeqlockValidated,
+                ] {
+                    let warmup = u64::from(synced && counted == Event::OptFence);
+                    assert_eq!(r.get(counted), u64::from(counted == event) + warmup, "{what}: {counted:?}");
+                }
+            }
+        }
+    }
+}
+
 // --- Single rows, pinned to what their names say ---
 
 /// The table's row for `access` by `T` (holding `held`) on `w` is of `class`

@@ -62,7 +62,7 @@ pub use trace::{ThreadTrace, TraceRecord, TraceRings, TraceSnapshot};
 pub enum SchedPoint {
     /// A non-blocking safe point poll (loop back edge).
     SafepointPoll,
-    /// One backoff step of a [`Wait`]: every waiting loop reports here.
+    /// One backoff step of a [`Wait`]: every `Wait` reports here.
     SpinBackoff,
     /// One iteration of a contended monitor acquire's spin phase.
     MonitorAcquireSpin,

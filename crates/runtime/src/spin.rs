@@ -9,6 +9,15 @@
 //! politely, reports every step to the runtime's schedule hooks as
 //! [`SchedPoint::SpinBackoff`] (a waiting thread is a scheduling point), and
 //! panics with a descriptive message if the watchdog budget passes.
+//!
+//! Two loops in `monitor.rs` are not a `Wait`:
+//!
+//! * `Monitor::acquire`'s spin phase, a fixed count of polls that reports
+//!   [`SchedPoint::MonitorAcquireSpin`] and then parks: bounded by its count,
+//!   not by the watchdog;
+//! * `park_until`, the condition-variable park behind a contended acquire and
+//!   `Object.wait()`, which a `Wait` cannot cover: it applies the same
+//!   watchdog budget itself.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
