@@ -461,7 +461,7 @@ impl<S: Support> EngineCommon<S> {
             let w1 = StateWord(obj.state().load(Ordering::Relaxed));
             if w1 == w0 {
                 if retries > 0 {
-                    self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
+                    self.rt.stats().record_latency(ts.tid, LatencyKind::SeqlockRetries, retries);
                 }
                 self.note(ts, Event::SeqlockValidated, o.0 as u64);
                 return Some(value);
@@ -475,7 +475,7 @@ impl<S: Support> EngineCommon<S> {
                 if give_up {
                     self.note(ts, Event::SeqlockFallback, o.0 as u64);
                 }
-                self.rt.stats().record_latency(LatencyKind::SeqlockRetries, retries);
+                self.rt.stats().record_latency(ts.tid, LatencyKind::SeqlockRetries, retries);
                 return None;
             }
             // The re-load was relaxed; order the next payload load after the

@@ -193,8 +193,11 @@ pub fn coordinate(
                 if fanout {
                     rt.trace(me, Event::CoordFanoutPeerDone, p.remote.raw() as u64);
                 } else if mode == CoordMode::Explicit {
-                    rt.stats()
-                        .record_latency(LatencyKind::CoordRoundtrip, t0.elapsed().as_nanos() as u64);
+                    rt.stats().record_latency(
+                        me,
+                        LatencyKind::CoordRoundtrip,
+                        t0.elapsed().as_nanos() as u64,
+                    );
                 } else {
                     rt.trace(me, Event::CoordPeerImplicit, p.remote.raw() as u64);
                 }
@@ -225,7 +228,7 @@ pub fn coordinate(
         }
     }
     if fanout {
-        rt.stats().record_latency(LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
+        rt.stats().record_latency(me, LatencyKind::FanoutComplete, t0.elapsed().as_nanos() as u64);
     }
     // `Explicit` iff every resolved peer was explicit, `Implicit` if every
     // peer was implicit *or there were no peers* (vacuous), `Mixed` otherwise.

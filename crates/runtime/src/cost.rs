@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn cycles_weight_each_transition_kind() {
-        let g = GlobalStats::new();
+        let g = GlobalStats::new(1);
         let mut l = LocalStats::new();
         l.add(Event::OptSameState, 100);
         l.add(Event::OptConflictExplicit, 1);
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn overhead_scales_with_work_per_access() {
-        let g = GlobalStats::new();
+        let g = GlobalStats::new(1);
         let mut l = LocalStats::new();
         l.add(Event::Read, 100);
         l.add(Event::OptSameState, 100);
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn zero_accesses_give_zero_overhead() {
-        let r = GlobalStats::new().report();
+        let r = GlobalStats::new(1).report();
         assert_eq!(CostModel::paper().model_overhead(&r, 100.0), 0.0);
     }
 }

@@ -165,12 +165,12 @@ impl Runtime {
             next_tid: AtomicU16::new(0),
             monitors: (0..config.monitors).map(|_| Monitor::new()).collect(),
             heap: Heap::new(config.heap_objects),
-            config,
             // Start at 1 so that counter value 0 can mean "no RdSh epoch".
             g_rdsh_count: CachePadded::new(AtomicU64::new(1)),
-            stats: GlobalStats::new(),
+            stats: GlobalStats::new(config.max_threads),
             sched: None,
             rings,
+            config,
         }
     }
 
@@ -316,15 +316,15 @@ impl Runtime {
     /// the acquire-latency histogram and the event trace. The histogram is
     /// always on, so every acquire — the uncontended one included, under
     /// every engine, `NoTracking` too — pays two clock reads and two RMWs on
-    /// the process-global `MonitorAcquire` histogram (DESIGN.md §8 has the
-    /// figure).
+    /// `t`'s own `MonitorAcquire` shard, a line no other thread writes
+    /// (DESIGN.md §8 has the figure).
     pub fn monitor_acquire<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
         let t0 = Instant::now();
         let info = self
             .monitor(m)
             .acquire(t, self.control(t), hooks, self.config.monitor_spin_iters);
         self.stats
-            .record_latency(LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
+            .record_latency(t, LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
         let e = if info.blocked {
             Event::MonitorAcquireBlocked
         } else {
@@ -494,6 +494,25 @@ mod tests {
             .map(|e| e.kind)
             .collect();
         assert_eq!(events, vec![Event::MonitorAcquireFast, Event::MonitorRelease]);
+    }
+
+    #[test]
+    fn acquires_on_two_threads_all_reach_the_report() {
+        const N: u64 = 1_000;
+        let rt = Runtime::new(RuntimeConfig::builder().max_threads(2).monitors(2).build());
+        std::thread::scope(|s| {
+            for m in 0..2 {
+                let rt = &rt;
+                s.spawn(move || {
+                    let t = rt.register_thread();
+                    for _ in 0..N {
+                        rt.monitor_acquire(MonitorId(m), t, &NoHooks);
+                        rt.monitor_release(MonitorId(m), t, &NoHooks);
+                    }
+                });
+            }
+        });
+        assert_eq!(rt.stats().report().latency(LatencyKind::MonitorAcquire).count(), 2 * N);
     }
 
     #[test]

@@ -11,6 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use crate::ids::ThreadId;
+use crate::pad::CachePadded;
+
 /// Every event in the substrate and the tracking engines: what the counters
 /// count and what the trace rings ([`crate::trace`]) record, under one name.
 ///
@@ -360,9 +363,11 @@ impl LocalStats {
 }
 
 /// The latency distributions the runtime measures, alongside the counters.
-/// Recording happens on slow paths only (an explicit roundtrip, a fan-out, a
-/// monitor acquire), straight into [`GlobalStats`] — [`LocalStats`] carries
-/// no histograms.
+/// Coordination and seqlock kinds record on slow paths only (an explicit
+/// roundtrip, a fan-out, a contested validated read); `MonitorAcquire`
+/// records on every acquire and the two serve kinds on every request. Each
+/// sample goes straight into the recording thread's shard of
+/// [`GlobalStats`] — [`LocalStats`] carries no histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(usize)]
 pub enum LatencyKind {
@@ -419,9 +424,11 @@ impl LatencyKind {
 /// beyond any sane roundtrip; the spin watchdog fires first).
 pub const LATENCY_BUCKETS: usize = 32;
 
-/// Shared-write HDR-style histogram: log2 buckets plus an exact maximum.
-/// All operations are relaxed atomics — totals are exact, cross-bucket
-/// ordering is not needed.
+/// HDR-style histogram: log2 buckets plus an exact maximum. One thread
+/// writes it (its shard in [`GlobalStats`]) while a reporter may read it, so
+/// all operations are relaxed atomics — totals are exact, cross-bucket
+/// ordering is not needed, and the writer's RMWs stay on a line no other
+/// thread writes.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -512,27 +519,36 @@ impl HistogramSnapshot {
     pub fn max(&self) -> u64 {
         self.max_ns
     }
-}
 
-/// Process-wide aggregate of all mutators' counters.
-#[derive(Debug)]
-pub struct GlobalStats {
-    counts: [AtomicU64; Event::COUNT],
-    hists: [LatencyHistogram; LatencyKind::COUNT],
-}
-
-impl Default for GlobalStats {
-    fn default() -> Self {
-        Self::new()
+    /// Fold `other`'s samples into this snapshot.
+    fn add(&mut self, other: &HistogramSnapshot) {
+        for (b, o) in self.buckets.iter_mut().zip(other.buckets) {
+            *b += o;
+        }
+        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
+/// One thread's latency histograms, padded so that no two threads' shards
+/// share a cache line.
+type LatencyShard = CachePadded<[LatencyHistogram; LatencyKind::COUNT]>;
+
+/// Process-wide aggregate of all mutators' counters and latency histograms.
+/// Counters are merged in on detach; histograms are kept one shard per
+/// thread slot and summed by [`GlobalStats::report`].
+#[derive(Debug)]
+pub struct GlobalStats {
+    counts: [AtomicU64; Event::COUNT],
+    shards: Box<[LatencyShard]>,
+}
+
 impl GlobalStats {
-    /// Fresh zeroed aggregate.
-    pub fn new() -> Self {
+    /// Fresh zeroed aggregate with one histogram shard per thread slot
+    /// (`threads`, the runtime's `max_threads`).
+    pub fn new(threads: usize) -> Self {
         GlobalStats {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: Default::default(),
+            shards: (0..threads).map(|_| LatencyShard::default()).collect(),
         }
     }
 
@@ -541,35 +557,36 @@ impl GlobalStats {
         self.counts[e as usize].load(Ordering::Relaxed)
     }
 
-    /// Record one latency sample (slow paths only; see [`LatencyKind`]).
-    pub fn record_latency(&self, kind: LatencyKind, ns: u64) {
-        self.hists[kind as usize].record(ns);
+    /// Record one latency sample into thread `t`'s shard; `t` must be the
+    /// calling thread, so the sample's RMWs land on a line only it writes.
+    #[inline]
+    pub fn record_latency(&self, t: ThreadId, kind: LatencyKind, ns: u64) {
+        self.shards[t.index()][kind as usize].record(ns);
     }
 
-    /// The live histogram for `kind`.
-    pub fn latency(&self, kind: LatencyKind) -> &LatencyHistogram {
-        &self.hists[kind as usize]
-    }
-
-    /// Snapshot every counter and histogram into a serializable report.
+    /// Snapshot every counter, and every histogram summed over the shards,
+    /// into a serializable report.
     pub fn report(&self) -> StatsReport {
         let mut counts = [0u64; Event::COUNT];
         for (i, c) in self.counts.iter().enumerate() {
             counts[i] = c.load(Ordering::Relaxed);
         }
         let mut hists = [HistogramSnapshot::default(); LatencyKind::COUNT];
-        for (i, h) in self.hists.iter().enumerate() {
-            hists[i] = h.snapshot();
+        for shard in self.shards.iter() {
+            for (sum, h) in hists.iter_mut().zip(shard.iter()) {
+                sum.add(&h.snapshot());
+            }
         }
         StatsReport { counts, hists }
     }
 
-    /// Reset all counters and histograms to zero (between benchmark phases).
+    /// Reset all counters and every shard's histograms to zero (between
+    /// benchmark phases).
     pub fn reset(&self) {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
         }
-        for h in &self.hists {
+        for h in self.shards.iter().flat_map(|shard| shard.iter()) {
             h.reset();
         }
     }
@@ -705,7 +722,7 @@ mod tests {
 
     #[test]
     fn local_merge_accumulates() {
-        let global = GlobalStats::new();
+        let global = GlobalStats::new(1);
         let mut a = LocalStats::new();
         let mut b = LocalStats::new();
         a.bump(Event::Read);
@@ -723,7 +740,7 @@ mod tests {
 
     #[test]
     fn report_derives_table2_columns() {
-        let global = GlobalStats::new();
+        let global = GlobalStats::new(1);
         let mut l = LocalStats::new();
         l.add(Event::Read, 60);
         l.add(Event::Write, 40);
@@ -742,7 +759,7 @@ mod tests {
 
     #[test]
     fn report_derives_coordination_batch_columns() {
-        let global = GlobalStats::new();
+        let global = GlobalStats::new(1);
         let mut l = LocalStats::new();
         // 4 responding safe points answered 10 requests total.
         l.add(Event::RespondedExplicit, 4);
@@ -758,7 +775,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_counters() {
-        let global = GlobalStats::new();
+        let global = GlobalStats::new(1);
         let mut l = LocalStats::new();
         l.bump(Event::RegionRestart);
         l.merge_into(&global);
@@ -769,7 +786,7 @@ mod tests {
 
     #[test]
     fn empty_report_rates_are_zero() {
-        let r = GlobalStats::new().report();
+        let r = GlobalStats::new(1).report();
         assert_eq!(r.pess_reentrant_pct(), 0.0);
         assert_eq!(r.explicit_conflict_rate(), 0.0);
         assert_eq!(r.batch_occupancy(), 0.0);
@@ -862,9 +879,9 @@ mod tests {
 
     #[test]
     fn report_carries_histograms_and_reset_clears_them() {
-        let g = GlobalStats::new();
-        g.record_latency(LatencyKind::FanoutComplete, 512);
-        g.record_latency(LatencyKind::FanoutComplete, 2048);
+        let g = GlobalStats::new(1);
+        g.record_latency(ThreadId(0), LatencyKind::FanoutComplete, 512);
+        g.record_latency(ThreadId(0), LatencyKind::FanoutComplete, 2048);
         let r = g.report();
         assert_eq!(r.latency(LatencyKind::FanoutComplete).count(), 2);
         assert_eq!(r.latency(LatencyKind::FanoutComplete).p50(), 1023);
@@ -872,6 +889,58 @@ mod tests {
         assert_eq!(r.latency(LatencyKind::CoordRoundtrip).count(), 0);
         g.reset();
         assert_eq!(g.report().latency(LatencyKind::FanoutComplete).count(), 0);
+    }
+
+    #[test]
+    fn shards_sum_into_one_report_and_reset_clears_every_shard() {
+        const THREADS: usize = 4;
+        const SAMPLES: u64 = 10_000;
+        let g = GlobalStats::new(THREADS);
+        // Thread `t` records `t * SAMPLES + i`, so the samples are distinct
+        // across shards and the largest lands in the last one.
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let g = &g;
+                s.spawn(move || {
+                    for i in 0..SAMPLES {
+                        let ns = t as u64 * SAMPLES + i;
+                        g.record_latency(ThreadId(t as u16), LatencyKind::MonitorAcquire, ns);
+                    }
+                });
+            }
+        });
+        let reference = LatencyHistogram::default();
+        for ns in 0..THREADS as u64 * SAMPLES {
+            reference.record(ns);
+        }
+        let snap = *g.report().latency(LatencyKind::MonitorAcquire);
+        assert_eq!(snap.count(), THREADS as u64 * SAMPLES);
+        assert_eq!(snap.max(), THREADS as u64 * SAMPLES - 1);
+        assert_eq!(snap, reference.snapshot(), "summed buckets");
+        for t in 0..THREADS {
+            let own = g.shards[t][LatencyKind::MonitorAcquire as usize].snapshot();
+            assert_eq!(own.count(), SAMPLES, "thread {t} wrote only its own shard");
+        }
+
+        g.reset();
+        assert_eq!(*g.report().latency(LatencyKind::MonitorAcquire), HistogramSnapshot::default());
+        for h in g.shards.iter().flat_map(|shard| shard.iter()) {
+            assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        }
+    }
+
+    #[test]
+    fn no_two_latency_shards_share_a_cache_line() {
+        let line = std::mem::align_of::<LatencyShard>();
+        assert!(line >= 64);
+        let g = GlobalStats::new(3);
+        for pair in g.shards.windows(2) {
+            let a = &pair[0] as *const LatencyShard as usize;
+            let end = a + std::mem::size_of::<[LatencyHistogram; LatencyKind::COUNT]>();
+            let b = &pair[1] as *const LatencyShard as usize;
+            assert_eq!(a % line, 0, "a shard starts on a line");
+            assert!(end <= b && b % line == 0, "the next shard starts on a later line");
+        }
     }
 
     #[test]

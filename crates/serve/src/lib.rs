@@ -314,6 +314,7 @@ fn serve_worker(
 ) -> WorkerOutcome {
     let sess = Session::attach(engine);
     let stats = engine.rt().stats();
+    let tid = sess.tid();
     // Worker streams: one for the arrival clock, one for request content,
     // decorrelated from each other and from every other worker.
     let mut clock_rng = SplitMix64::new(cfg.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9));
@@ -358,10 +359,11 @@ fn serve_worker(
 
         let done = start.elapsed().as_nanos() as u64;
         stats.record_latency(
+            tid,
             LatencyKind::ServeService,
             service_start.elapsed().as_nanos() as u64,
         );
-        stats.record_latency(LatencyKind::ServeSojourn, done.saturating_sub(arrival_ns));
+        stats.record_latency(tid, LatencyKind::ServeSojourn, done.saturating_sub(arrival_ns));
         acct.complete();
     }
     drop(sess); // detach: the final flush makes the worker's writes visible
