@@ -15,13 +15,20 @@
 //! and deposits `(thread, new clock)` in the object's side table, pinned at
 //! the thread's current operation — that is what makes the side-table and
 //! epoch entries usable as replayable sources.
+//!
+//! Each thread's log is written only by that thread (every [`Support`]
+//! callback runs on the mutator it names): an [`OwnedByThread`] slot, so a
+//! wait or a bump is logged without a lock. RdSh epochs are dense counters
+//! deposited in counter order, so their creating entries are one table
+//! indexed by `c − first_epoch`, whose last entry heads the creation chain.
+//! Only the depositor the `next_epoch` gate admits appends (the `RwLock`'s
+//! write half); a `Fence` reads under the shared half.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, RwLock};
 
 use drink_core::support::{PrevHolders, Support, SupportCx, TransitionEv};
+use drink_core::tstate::OwnedByThread;
 use drink_runtime::{ObjId, ThreadId};
 
 use crate::log::{RecordingLog, ThreadLog};
@@ -32,40 +39,30 @@ const CLOCK_BITS: u32 = 47;
 const CLOCK_MASK: u64 = (1 << CLOCK_BITS) - 1;
 
 #[inline]
-fn pack(t: ThreadId, clock: u64) -> u64 {
+pub(crate) fn pack(t: ThreadId, clock: u64) -> u64 {
     debug_assert!(clock <= CLOCK_MASK, "release clock overflow");
     ((t.raw() as u64 + 1) << CLOCK_BITS) | clock
 }
 
 #[inline]
-fn unpack(word: u64) -> Option<(ThreadId, u64)> {
-    if word == 0 {
-        None
-    } else {
-        Some((
-            ThreadId::from_raw(((word >> CLOCK_BITS) - 1) as u16),
-            word & CLOCK_MASK,
-        ))
-    }
+pub(crate) fn unpack(word: u64) -> Option<(ThreadId, u64)> {
+    (word != 0).then(|| (ThreadId::from_raw(((word >> CLOCK_BITS) - 1) as u16), word & CLOCK_MASK))
 }
 
 struct RecorderShared {
-    /// Per-thread logs. Mutex-protected but effectively thread-private
-    /// (contended only at final collection).
-    logs: Box<[Mutex<ThreadLog>]>,
+    /// Per-thread logs, each written only by its own mutator.
+    logs: Box<[OwnedByThread<ThreadLog>]>,
     /// Per-object last-transition entry.
     side_table: Box<[AtomicU64]>,
-    /// Last RdSh creation globally (the explicit form of Octet's
-    /// monotonic-counter fence argument).
-    rdsh_last: AtomicU64,
-    /// RdSh epoch `c` → creating entry. Indexed sparsely; epochs are claimed
-    /// from the global counter so a map is the simple, correct structure
-    /// (creations are rare).
-    rdsh_epochs: Mutex<std::collections::HashMap<u64, (ThreadId, u64)>>,
+    /// Packed creating entry of RdSh epoch `first_epoch + i` at index `i`.
+    /// Its last entry is the last creation, the chain head (the explicit
+    /// form of Octet's monotonic-counter fence argument).
+    epochs: RwLock<Vec<u64>>,
+    first_epoch: u64,
     /// The next epoch value allowed to deposit. Creations deposit in strict
     /// counter order (see `Support::PREPUBLISH`: epochs are claimed inside
     /// the Int window, so every claimed epoch is deposited and the order is
-    /// total). This makes `rdsh_last` a counter-ordered chain, which is what
+    /// total). This makes `epochs` a counter-ordered chain, which is what
     /// lets a no-fence read (rdShCount ≥ c) rely on
     /// creation(c) → creation(c') → reader transitivity during replay.
     next_epoch: AtomicU64,
@@ -87,16 +84,10 @@ impl Recorder {
     pub fn new(threads: usize, objects: usize, name: &'static str, first_epoch: u64) -> Self {
         Recorder {
             inner: Arc::new(RecorderShared {
-                logs: (0..threads)
-                    .map(|_| Mutex::new(ThreadLog::default()))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                side_table: (0..objects)
-                    .map(|_| AtomicU64::new(0))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                rdsh_last: AtomicU64::new(0),
-                rdsh_epochs: Mutex::new(std::collections::HashMap::new()),
+                logs: (0..threads).map(|_| OwnedByThread::new(ThreadLog::default())).collect(),
+                side_table: (0..objects).map(|_| AtomicU64::new(0)).collect(),
+                epochs: RwLock::new(Vec::new()),
+                first_epoch,
                 next_epoch: AtomicU64::new(first_epoch),
                 name,
             }),
@@ -105,47 +96,49 @@ impl Recorder {
 
     /// A recorder sized for `rt`.
     pub fn for_runtime(rt: &drink_runtime::Runtime, name: &'static str) -> Self {
-        Recorder::new(
-            rt.config().max_threads,
-            rt.heap().len(),
-            name,
-            rt.current_rdsh_count() + 1,
-        )
+        Recorder::new(rt.config().max_threads, rt.heap().len(), name, rt.current_rdsh_count() + 1)
     }
 
-    /// Extract the recording. Call only after every mutator detached.
+    /// Extract the recording. Call only after every mutator detached: the
+    /// calling thread then takes each log over from its finished owner.
     pub fn into_log(self) -> RecordingLog {
-        let inner = self.inner;
+        let threads = self.inner.logs.iter().map(|slot| {
+            slot.reset_owner();
+            // SAFETY: every mutator detached, so no other thread accesses
+            // the slot, and the reset made the caller its owner.
+            std::mem::take(unsafe { slot.get() })
+        });
         RecordingLog {
-            threads: inner.logs.iter().map(|m| m.lock().clone()).collect(),
-            recorder: inner.name.to_string(),
+            threads: threads.collect(),
+            recorder: self.inner.name.to_string(),
         }
     }
 
-    /// Bump `cx.t`'s release clock for a recorded *transition*, logging it in
-    /// the post-wait stream (the transition is ordered after its own
-    /// sources; see `log` module docs), and return the new clock value.
-    fn bump_here(&self, cx: &SupportCx<'_>) -> u64 {
+    /// `cx.t`'s own log.
+    #[allow(clippy::mut_from_ref)]
+    fn log(&self, cx: &SupportCx<'_>) -> &mut ThreadLog {
+        // SAFETY: every `Support` callback runs on the mutator `cx.t`, the
+        // slot's only writer; callers never keep the reference.
+        unsafe { self.inner.logs[cx.t.index()].get() }
+    }
+
+    /// Bump `cx.t`'s release clock for a recorded *transition* of `obj`,
+    /// logging it in the post-wait stream (the transition is ordered after
+    /// its own sources; see `log` module docs), and return the new clock
+    /// value. The `(thread, clock)` entry becomes the object's side-table
+    /// entry by a release store, so a later `RdShCreate` that loads it
+    /// (acquire) also sees the transition's bump.
+    fn bump_here(&self, cx: &SupportCx<'_>, obj: ObjId) -> u64 {
         let clock = cx.rt.control(cx.t).bump_release_clock();
-        self.inner.logs[cx.t.index()]
-            .lock()
-            .push_transition_bump(cx.op);
+        self.log(cx).push_transition_bump(cx.op);
+        self.inner.side_table[obj.index()].store(pack(cx.t, clock), Ordering::Release);
         clock
     }
 
     fn wait_for(&self, cx: &SupportCx<'_>, src: ThreadId, clock: u64) {
         if src != cx.t && clock > 0 {
-            self.inner.logs[cx.t.index()]
-                .lock()
-                .push_wait(cx.op, src, clock);
+            self.log(cx).push_wait(cx.op, src, clock);
         }
-    }
-
-    /// Record this transition in the object's side table (and return the
-    /// previous entry for edge generation).
-    fn update_side_table(&self, cx: &SupportCx<'_>, obj: ObjId, clock: u64) -> Option<(ThreadId, u64)> {
-        let prev = self.inner.side_table[obj.index()].swap(pack(cx.t, clock), Ordering::AcqRel);
-        unpack(prev)
     }
 }
 
@@ -164,11 +157,15 @@ impl Support for Recorder {
             TransitionEv::PessLocalAcquire => {
                 // Own-state read-lock: refresh the side table so a future
                 // RdShCreate from this state orders after our writes.
-                let clock = self.bump_here(&cx);
-                self.update_side_table(&cx, obj, clock);
+                self.bump_here(&cx, obj);
             }
             TransitionEv::Fence { c } => {
-                if let Some(&(src, clock)) = self.inner.rdsh_epochs.lock().get(&c) {
+                // An epoch below `first_epoch` was created before the run:
+                // it has no entry and orders nothing.
+                let entry = c.checked_sub(self.inner.first_epoch).and_then(|i| {
+                    self.inner.epochs.read().unwrap().get(i as usize).copied()
+                });
+                if let Some((src, clock)) = entry.and_then(unpack) {
                     self.wait_for(&cx, src, clock);
                 }
             }
@@ -194,25 +191,23 @@ impl Support for Recorder {
                     let clock = cx.rt.control(prev_owner).release_clock();
                     self.wait_for(&cx, prev_owner, clock);
                 }
-                // ...and the previous RdSh creation (the counter chain; now
-                // guaranteed to be creation(c − 1)).
-                let prev_chain = self.inner.rdsh_last.load(Ordering::Acquire);
-                if let Some((src, clock)) = unpack(prev_chain) {
+                // ...and the previous RdSh creation (the counter chain: the
+                // table's last entry, now guaranteed to be creation(c − 1)).
+                let mut epochs = self.inner.epochs.write().unwrap();
+                debug_assert_eq!(self.inner.first_epoch + epochs.len() as u64, c);
+                if let Some((src, clock)) = epochs.last().copied().and_then(unpack) {
                     self.wait_for(&cx, src, clock);
                 }
                 // Source side: register this creation.
-                let clock = self.bump_here(&cx);
-                self.update_side_table(&cx, obj, clock);
-                self.inner.rdsh_epochs.lock().insert(c, (cx.t, clock));
-                self.inner.rdsh_last.store(pack(cx.t, clock), Ordering::Release);
+                let clock = self.bump_here(&cx, obj);
+                epochs.push(pack(cx.t, clock));
                 self.inner.next_epoch.store(c + 1, Ordering::Release);
             }
             TransitionEv::Conflict { sources, .. } => {
                 for &(src, clock) in sources {
                     self.wait_for(&cx, src, clock);
                 }
-                let clock = self.bump_here(&cx);
-                self.update_side_table(&cx, obj, clock);
+                self.bump_here(&cx, obj);
             }
             TransitionEv::PessConflictingAcquire { prev, .. } => {
                 // The state is claimed (parked at Int) and not yet published:
@@ -226,15 +221,14 @@ impl Support for Recorder {
                         .map(|i| ThreadId(i as u16))
                         .for_each(edge_from),
                 }
-                let clock = self.bump_here(&cx);
-                self.update_side_table(&cx, obj, clock);
+                self.bump_here(&cx, obj);
             }
         }
     }
 
     fn on_release(&self, cx: SupportCx<'_>) {
         // The engine already bumped the clock; mirror it into the log.
-        self.inner.logs[cx.t.index()].lock().push_bump(cx.op);
+        self.log(&cx).push_bump(cx.op);
     }
 
     fn on_monitor_acquire(&self, cx: SupportCx<'_>, prev: Option<(ThreadId, u64)>) {
@@ -405,6 +399,76 @@ mod tests {
             .waits
             .contains(&(t0, 1)));
         assert_eq!(log.validate(), Ok(()));
+    }
+
+    /// A creation by `t` at epoch `c` whose object has no side-table entry
+    /// and whose previous owner is `t` itself, so the only wait it can log
+    /// is the chain's.
+    fn create(rec: &Recorder, rt: &Runtime, t: ThreadId, op: u64, c: u64) {
+        let ev = TransitionEv::RdShCreate { prev_owner: t, c, pess: false };
+        rec.on_transition(SupportCx { rt, t, op }, ObjId(c as u32), ev);
+    }
+
+    #[test]
+    fn fence_below_first_epoch_logs_no_wait() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let (t0, t1) = (rt.register_thread(), rt.register_thread());
+        // Epoch 1 was created before the run; the run's first is 2.
+        let rec = Recorder::new(4, 8, "test", 2);
+        create(&rec, &rt, t0, 0, 2);
+        rec.on_transition(SupportCx { rt: &rt, t: t1, op: 1 }, ObjId(0), TransitionEv::Fence { c: 1 });
+        let log = rec.into_log();
+        assert!(log.threads[t1.index()].sinks.is_empty());
+        assert_eq!(log.validate(), Ok(()));
+    }
+
+    #[test]
+    fn epoch_table_chains_creations_and_serves_fences() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let (t0, t1, t2) = (rt.register_thread(), rt.register_thread(), rt.register_thread());
+        let c = 5;
+        let rec = Recorder::new(4, 8, "test", c);
+        // Alternating creators: t0 @ c (clock 1), t1 @ c+1 (clock 1),
+        // t0 @ c+2 (clock 2).
+        create(&rec, &rt, t0, 0, c);
+        create(&rec, &rt, t1, 1, c + 1);
+        create(&rec, &rt, t0, 2, c + 2);
+        // A fence on the middle epoch waits on the middle creation.
+        rec.on_transition(SupportCx { rt: &rt, t: t2, op: 3 }, ObjId(0), TransitionEv::Fence { c: c + 1 });
+
+        let log = rec.into_log();
+        let waits = |t: ThreadId| -> Vec<_> {
+            log.threads[t.index()].sinks.iter().map(|s| (s.op, s.waits.clone())).collect()
+        };
+        // Each creation waits on its predecessor's creator; the first on none.
+        assert_eq!(waits(t1), vec![(1, vec![(t0, 1)])]);
+        assert_eq!(waits(t0), vec![(2, vec![(t1, 1)])]);
+        assert_eq!(waits(t2), vec![(3, vec![(t1, 1)])]);
+        assert_eq!(log.validate(), Ok(()));
+    }
+
+    /// Each mutator writes its own log slot; the collector takes them all
+    /// over once they finish (in a debug build the owner check is armed).
+    #[test]
+    fn into_log_collects_logs_written_by_other_threads() {
+        let rt = Runtime::new(RuntimeConfig::default());
+        let rec = Recorder::new(4, 8, "test", 1);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let t = rt.register_thread();
+                    for op in 0..=t.index() as u64 {
+                        rec.on_release(SupportCx { rt: &rt, t, op });
+                    }
+                });
+            }
+        });
+        let log = rec.into_log();
+        for i in 0..3 {
+            let pins: Vec<_> = (0..=i as u64).map(|op| (op, 1)).collect();
+            assert_eq!(log.threads[i].sources_pre, pins);
+        }
+        assert_eq!(log.threads[3], ThreadLog::default());
     }
 
     #[test]

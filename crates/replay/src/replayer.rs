@@ -6,8 +6,9 @@
 //! every operation:
 //!
 //! 1. applies the **clock bumps** the log pins before this operation,
-//! 2. performs the **sink waits** pinned at this operation (spinning until
-//!    each source thread's replay clock reaches the recorded value),
+//! 2. performs the **sink waits** pinned at this operation (parking until
+//!    each source thread's replay clock reaches the recorded value; the
+//!    source's bump wakes the sink),
 //! 3. executes the access.
 //!
 //! Program synchronization is **elided** by default — monitor operations
@@ -20,13 +21,16 @@
 //!
 //! Replay clocks reuse [`drink_runtime::ThreadControl`]'s release clock.
 
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use drink_core::engine::Tracker;
 use drink_core::tstate::OwnedByThread;
 use drink_runtime::{Event, MonitorId, NoHooks, ObjId, Runtime, ThreadId};
 
 use crate::log::RecordingLog;
+use crate::recorder::{pack, unpack};
 
 #[derive(Default)]
 struct ReplayLocal {
@@ -46,6 +50,9 @@ pub struct ReplayEngine {
     rt: Arc<Runtime>,
     log: RecordingLog,
     per_thread: Box<[OwnedByThread<ReplayLocal>]>,
+    /// Per thread: the packed `(source, clock)` its sink is parked on, or
+    /// 0, so that a source wakes only the sinks its bumps satisfy.
+    awaiting: Box<[AtomicU64]>,
     elide_sync: bool,
 }
 
@@ -59,17 +66,12 @@ impl ReplayEngine {
     pub fn with_options(rt: Arc<Runtime>, log: RecordingLog, elide_sync: bool) -> Self {
         log.validate().expect("recording log is malformed");
         let n = rt.config().max_threads;
-        assert!(
-            log.threads.len() <= n,
-            "log has more threads than the runtime"
-        );
+        assert!(log.threads.len() <= n, "log has more threads than the runtime");
         ReplayEngine {
             rt,
             log,
-            per_thread: (0..n)
-                .map(|_| OwnedByThread::new(ReplayLocal::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            per_thread: (0..n).map(|_| OwnedByThread::new(ReplayLocal::default())).collect(),
+            awaiting: (0..n).map(|_| AtomicU64::new(0)).collect(),
             elide_sync,
         }
     }
@@ -87,41 +89,60 @@ impl ReplayEngine {
     fn sync_at_position(&self, t: ThreadId, local: &mut ReplayLocal) {
         let tl = &self.log.threads[t.index()];
         // 1. Pre-wait bumps pinned at or before the current op.
-        while let Some(&(op, n)) = tl.sources_pre.get(local.pre_idx) {
-            if op > local.op {
-                break;
-            }
-            for _ in 0..n {
-                self.rt.control(t).bump_release_clock();
-            }
-            local.pre_idx += 1;
-        }
+        self.apply_bumps(t, &tl.sources_pre, &mut local.pre_idx, local.op);
         // 2. Waits pinned at the current op.
-        while let Some(entry) = tl.sinks.get(local.sink_idx) {
-            if entry.op > local.op {
-                break;
-            }
+        while let Some(entry) = tl.sinks.get(local.sink_idx).filter(|e| e.op <= local.op) {
             for &(src, clock) in &entry.waits {
-                let ctl = self.rt.control(src);
-                if ctl.release_clock() < clock {
+                if self.rt.control(src).release_clock() < clock {
                     local.stats.bump(Event::ReplayWait);
-                    let mut wait = self.rt.wait(t, "replay source clock");
-                    while ctl.release_clock() < clock {
-                        let _ = wait.step();
-                    }
+                    self.await_clock(t, src, clock);
                 }
             }
             local.sink_idx += 1;
         }
         // 3. Post-wait (transition) bumps pinned at or before the current op.
-        while let Some(&(op, n)) = tl.sources_post.get(local.post_idx) {
-            if op > local.op {
-                break;
-            }
+        self.apply_bumps(t, &tl.sources_post, &mut local.post_idx, local.op);
+    }
+
+    /// Park `t` on its waker until `src`'s replay clock reaches `clock`.
+    /// Every such hand-off costs a wake-up, but a sink that spun first would
+    /// take the core from the source on a host with fewer cores than
+    /// threads. The park is bounded, so a lost wake-up costs one interval;
+    /// the [`drink_runtime::Wait`] keeps the watchdog.
+    fn await_clock(&self, t: ThreadId, src: ThreadId, clock: u64) {
+        let ctl = self.rt.control(src);
+        self.awaiting[t.index()].store(pack(src, clock), Ordering::Relaxed);
+        // Pairs with `apply_bumps`' fence: either the source sees this entry
+        // or the check below sees its bump.
+        fence(Ordering::SeqCst);
+        let mut wait = self.rt.wait(t, "replay source clock");
+        while ctl.release_clock() < clock {
+            self.rt.control(t).waker().park(Duration::from_micros(500));
+            let _ = wait.step();
+        }
+        self.awaiting[t.index()].store(0, Ordering::Relaxed);
+    }
+
+    /// Apply `t`'s bumps in `stream` from `*idx` on that are pinned at or
+    /// before `upto`, advancing `*idx` past them, and wake the sinks they
+    /// satisfy: one load per thread when none is parked.
+    fn apply_bumps(&self, t: ThreadId, stream: &[(u64, u32)], idx: &mut usize, upto: u64) {
+        let start = *idx;
+        while let Some(&(_, n)) = stream.get(*idx).filter(|&&(op, _)| op <= upto) {
             for _ in 0..n {
                 self.rt.control(t).bump_release_clock();
             }
-            local.post_idx += 1;
+            *idx += 1;
+        }
+        if *idx > start {
+            fence(Ordering::SeqCst);
+            let clock = self.rt.control(t).release_clock();
+            for (awaiting, ctl) in self.awaiting.iter().zip(self.rt.controls()) {
+                let entry = unpack(awaiting.load(Ordering::Relaxed));
+                if entry.is_some_and(|(src, c)| src == t && c <= clock) {
+                    ctl.waker().notify();
+                }
+            }
         }
     }
 }
@@ -132,19 +153,12 @@ impl Tracker for ReplayEngine {
     }
 
     fn name(&self) -> &'static str {
-        if self.elide_sync {
-            "replay"
-        } else {
-            "replay+sync"
-        }
+        if self.elide_sync { "replay" } else { "replay+sync" }
     }
 
     fn attach(&self) -> ThreadId {
         let t = self.rt.register_thread();
-        assert!(
-            t.index() < self.log.threads.len(),
-            "more replay threads than recorded threads"
-        );
+        assert!(t.index() < self.log.threads.len(), "more replay threads than recorded threads");
         self.per_thread[t.index()].reset_owner();
         // SAFETY: we are the thread that just claimed this slot.
         unsafe {
@@ -159,18 +173,8 @@ impl Tracker for ReplayEngine {
         // Apply trailing bumps (sources pinned at the final position, e.g.
         // the recorded run's detach flush).
         let tl = &self.log.threads[t.index()];
-        while let Some(&(_, n)) = tl.sources_pre.get(local.pre_idx) {
-            for _ in 0..n {
-                self.rt.control(t).bump_release_clock();
-            }
-            local.pre_idx += 1;
-        }
-        while let Some(&(_, n)) = tl.sources_post.get(local.post_idx) {
-            for _ in 0..n {
-                self.rt.control(t).bump_release_clock();
-            }
-            local.post_idx += 1;
-        }
+        self.apply_bumps(t, &tl.sources_pre, &mut local.pre_idx, u64::MAX);
+        self.apply_bumps(t, &tl.sources_post, &mut local.post_idx, u64::MAX);
         assert_eq!(
             local.sink_idx,
             tl.sinks.len(),

@@ -60,8 +60,9 @@ impl Waker {
     /// parked.
     pub fn notify(&self) {
         if self.parked.load(Ordering::SeqCst) {
-            let mut pending = self.state.lock();
-            *pending = true;
+            // Released before the notify, so the woken parker does not
+            // block on it at once.
+            *self.state.lock() = true;
             self.cv.notify_all();
         }
     }

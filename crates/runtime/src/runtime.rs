@@ -349,11 +349,6 @@ impl Runtime {
         info
     }
 
-    /// Notify all waiters of monitor `m`.
-    pub fn monitor_notify_all(&self, m: MonitorId) {
-        self.monitor(m).notify_all()
-    }
-
     /// Notify all waiters of monitor `m`, attributing the notify to thread
     /// `t` so a perturbation layer can delay it inside the notify window
     /// (the classic lost-wakeup race is notify-before-park).

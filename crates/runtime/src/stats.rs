@@ -147,7 +147,7 @@ pub enum Event {
     SafepointPoll,
 
     // --- Runtime support ---
-    /// Replayer: a sink had to spin-wait for its source clock.
+    /// Replayer: a sink had to wait for its source clock.
     ReplayWait,
     /// RS enforcer: a region started (or restarted) execution. Traced with
     /// the attempt number (0 for the first).

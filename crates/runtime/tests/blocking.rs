@@ -83,7 +83,7 @@ fn notify_all_wakes_a_herd_of_waiters() {
         std::thread::sleep(Duration::from_millis(30));
         rt.monitor_acquire(m, t, &NoHooks);
         flag.store(1, Ordering::Relaxed);
-        rt.monitor_notify_all(m);
+        rt.monitor_notify_all_from(m, t);
         rt.monitor_release(m, t, &NoHooks);
     });
     assert_eq!(woke.load(Ordering::Relaxed), WAITERS as u64);
@@ -149,7 +149,7 @@ fn reentrant_wait_preserves_recursion_depth() {
         std::thread::sleep(Duration::from_millis(20));
         rt.monitor_acquire(m, t, &NoHooks);
         flag.store(1, Ordering::Relaxed);
-        rt.monitor_notify_all(m);
+        rt.monitor_notify_all_from(m, t);
         rt.monitor_release(m, t, &NoHooks);
         h.join().unwrap();
     });

@@ -3,7 +3,7 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Nine legs, all required:
+# Ten legs, all required:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
@@ -42,7 +42,12 @@
 #          relief on most workloads, run as a canary. The watchdog must CATCH
 #          the wedged roundtrip (nonzero exit, artifact), and `--reproduce`
 #          under the same fault must fail again.
-#   5. Short flake hunt: the policy's tests (profile-word proptests, the
+#   5. E6's count check in the plain release build: `drink-bench --scale
+#      0.1 --trials 1 fig9a_record_replay` must exit 0 and print
+#      `check: replays that reproduced the recorded heap: N/N: ok`, i.e.
+#      every recording of the 13 programs, optimistic and hybrid, replays
+#      to its recorded heap (its wall-clock columns are not gated).
+#   6. Short flake hunt: the policy's tests (profile-word proptests, the
 #      valve's `adapt::tests`), the racy-object tests and the racyInc runs
 #      (each lock released inside its access under tracking alone, every
 #      lock deferred on the paper's model), the replay-elision
@@ -54,17 +59,17 @@
 #      is a swap asserting the word it replaced. Any red round fails the
 #      gate and keeps its output under target/flake-hunt/
 #      (`scripts/flake_hunt.sh 50 ...` is the long form).
-#   6. Table 3 in the check-invariants build: the row tests and the abstract
+#   7. Table 3 in the check-invariants build: the row tests and the abstract
 #      model, so that every row the engine executes passes through
 #      `EngineCommon::publish`'s step assert.
-#   7. The open-loop KV-store server's smoke in the plain release build
+#   8. The open-loop KV-store server's smoke in the plain release build
 #      (`drink-serve --smoke`, DESIGN.md s14): a rate-limited hybrid run with
 #      nonzero throughput and a clean quiescent store check.
-#   8. The same-state leaf in the plain release build
+#   9. The same-state leaf in the plain release build
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
 #      the first `ret` of the hybrid read, write and safe point, no indirect
 #      call behind `AnyEngine`.
-#   9. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
+#  10. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
 #      (tests, benches and examples included), so that no
 #      warning lands unseen.
 #
@@ -123,6 +128,14 @@ cargo build --release -p drink-bench --bin drink-bench
 TRACE_OUT="$ARTIFACTS/canary-trace.json"
 ./target/release/drink-bench trace --workload chaos_mix --seed 7 --out "$TRACE_OUT" >/dev/null
 ./target/release/drink-bench trace --check "$TRACE_OUT"
+
+echo "=== check_gate: E6's count check (every replay reproduces its recorded heap)"
+if ! E6_OUT="$(./target/release/drink-bench --scale 0.1 --trials 1 fig9a_record_replay)" ||
+    ! grep -q '^check: replays that reproduced the recorded heap: .*: ok$' <<<"$E6_OUT"; then
+  printf '%s\n' "$E6_OUT" >&2
+  echo "check_gate: FAIL — E6: a replay did not reproduce its recorded heap" >&2
+  exit 1
+fi
 
 echo "=== check_gate: stall-responder degradation leg (200ms stall, must pass)"
 if ! DRINK_INJECT_FAULT=stall-responder:200 \
