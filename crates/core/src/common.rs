@@ -551,11 +551,7 @@ impl<S: Support> EngineCommon<S> {
     /// program operation for the deterministic op index.
     pub fn monitor_acquire(&self, ts: &mut ThreadState, m: MonitorId) {
         let info = self.rt.monitor_acquire(m, ts.tid, self);
-        ts.stats.bump(if info.blocked {
-            Event::MonitorAcquireBlocked
-        } else {
-            Event::MonitorAcquireFast
-        });
+        ts.stats.bump(info.event());
         self.support.on_monitor_acquire(self.cx(ts), info.prev_release);
         ts.op_index += 1;
     }

@@ -214,7 +214,8 @@ impl Tracker for ReplayEngine {
         let local = unsafe { self.per_thread[t.index()].get() };
         self.sync_at_position(t, local);
         if !self.elide_sync {
-            self.rt.monitor_acquire(m, t, &NoHooks);
+            let info = self.rt.monitor_acquire(m, t, &NoHooks);
+            local.stats.bump(info.event());
         }
         local.op += 1;
     }
@@ -237,7 +238,8 @@ impl Tracker for ReplayEngine {
         if !self.elide_sync {
             // A real wait would need its notify replayed too; recorded edges
             // already order us after the notifier, so a re-acquire suffices.
-            self.rt.monitor_acquire(m, t, &NoHooks);
+            let info = self.rt.monitor_acquire(m, t, &NoHooks);
+            local.stats.bump(info.event());
             self.rt.monitor_release(m, t, &NoHooks);
         }
         local.op += 1;

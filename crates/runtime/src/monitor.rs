@@ -18,12 +18,13 @@
 //! exclusion (§7.6: "the replayer elides program synchronization operations
 //! and replays only the recorded dependences").
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::control::ThreadControl;
 use crate::ids::ThreadId;
+use crate::stats::Event;
 use crate::{RtHooks, SchedPoint};
 
 #[derive(Debug, Default)]
@@ -47,6 +48,24 @@ pub struct AcquireInfo {
     /// The previous releaser and its release clock, if the monitor has ever
     /// been released. Recorders turn this into a sync happens-before edge.
     pub prev_release: Option<(ThreadId, u64)>,
+    /// How long [`Monitor::acquire`] spun and parked after its first attempt
+    /// found the monitor held by another thread; `None` when that attempt
+    /// took it (uncontended or reentrant), so no clock was read. `wait`
+    /// leaves it `None`: its park waits for a notify, not for the monitor.
+    pub waited: Option<Duration>,
+}
+
+impl AcquireInfo {
+    /// The event that counts this acquire: [`Event::MonitorAcquireBlocked`]
+    /// if it parked, else [`Event::MonitorAcquireFast`].
+    #[inline]
+    pub fn event(&self) -> Event {
+        if self.blocked {
+            Event::MonitorAcquireBlocked
+        } else {
+            Event::MonitorAcquireFast
+        }
+    }
 }
 
 enum TryAcquire {
@@ -142,11 +161,12 @@ impl Monitor {
             Some(holder) if holder == t => st.recursion += 1,
             Some(_) => return TryAcquire::Contended,
         }
-        TryAcquire::Taken(AcquireInfo { blocked: false, prev_release: st.last_release })
+        TryAcquire::Taken(AcquireInfo { blocked: false, prev_release: st.last_release, waited: None })
     }
 
     /// Acquire the monitor for `t`. Uncontended acquires never touch the
-    /// thread status word. Contended acquires first *spin* for up to
+    /// thread status word and read no clock. Contended acquires time their
+    /// wait ([`AcquireInfo::waited`]) and first *spin* for up to
     /// `spin_iters` iterations — remaining a RUNNING thread and polling safe
     /// points, like a JVM thin lock — and only then run the full
     /// blocking-safe-point protocol around parking. (The spin phase matters
@@ -163,6 +183,7 @@ impl Monitor {
             TryAcquire::Taken(info) => return info,
             TryAcquire::Contended => {}
         }
+        let t0 = Instant::now();
 
         // Spin phase: keep responding to coordination while waiting. Yield
         // periodically so the holder can run on oversubscribed machines.
@@ -175,7 +196,7 @@ impl Monitor {
                 core::hint::spin_loop();
             }
             if let TryAcquire::Taken(info) = self.try_acquire(t) {
-                return info;
+                return AcquireInfo { waited: Some(t0.elapsed()), ..info };
             }
         }
 
@@ -190,7 +211,7 @@ impl Monitor {
             st.last_release
         });
         hooks.sched_point(t, SchedPoint::MonitorUnpark);
-        AcquireInfo { blocked: true, prev_release }
+        AcquireInfo { blocked: true, prev_release, waited: Some(t0.elapsed()) }
     }
 
     /// Release the monitor. The PSRO hook runs *before* the release becomes
@@ -247,7 +268,7 @@ impl Monitor {
             st.last_release
         });
         hooks.sched_point(t, SchedPoint::MonitorUnpark);
-        AcquireInfo { blocked: true, prev_release }
+        AcquireInfo { blocked: true, prev_release, waited: None }
     }
 
     /// `Object.notifyAll()`: wake every waiter. The caller should hold the
@@ -342,6 +363,64 @@ mod tests {
             assert_eq!(info.prev_release, Some((t0, 1)));
             m.release(t1, &c[1], &NoHooks);
         });
+    }
+
+    /// Hooks that note whether a contended acquire reached its spin phase.
+    #[derive(Default)]
+    struct SpinSeen(std::sync::atomic::AtomicBool);
+
+    impl RtHooks for SpinSeen {
+        fn poll(&self, _t: ThreadId) {}
+        fn before_block(&self, _t: ThreadId) {}
+        fn on_blocked_publish(&self, _t: ThreadId) {}
+        fn after_unblock(&self, _t: ThreadId, _epoch_bumped: bool) {}
+        fn on_psro(&self, _t: ThreadId) {}
+        fn sched_point(&self, _t: ThreadId, point: SchedPoint) {
+            if point == SchedPoint::MonitorAcquireSpin {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_acquire_that_waits_is_timed() {
+        const HOLD: Duration = Duration::from_millis(1);
+        let m = Monitor::new();
+        let c = controls(2);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        assert_eq!(m.acquire(t0, &c[0], &NoHooks, 0).waited, None, "uncontended");
+        assert_eq!(m.acquire(t0, &c[0], &NoHooks, 0).waited, None, "reentrant");
+        m.release(t0, &c[0], &NoHooks);
+
+        // T0 still holds the monitor: T1 takes it while spinning.
+        let seen = SpinSeen::default();
+        let info = std::thread::scope(|s| {
+            let h = s.spawn(|| m.acquire(t1, &c[1], &seen, u32::MAX));
+            let mut wait = crate::Wait::new("T1 to spin on the monitor");
+            while !seen.0.load(Ordering::Acquire) {
+                let _ = wait.step();
+            }
+            std::thread::sleep(HOLD);
+            m.release(t0, &c[0], &NoHooks);
+            h.join().unwrap()
+        });
+        assert!(!info.blocked, "taken in the spin phase");
+        assert!(info.waited.is_some_and(|w| w >= HOLD), "{:?}", info.waited);
+
+        // T1 holds it now: T0, with no spin budget, parks.
+        let info = std::thread::scope(|s| {
+            let h = s.spawn(|| m.acquire(t0, &c[0], &NoHooks, 0));
+            let mut wait = crate::Wait::new("T0 to park on the monitor");
+            while !matches!(c[0].status(), crate::control::ThreadStatus::Blocked { .. }) {
+                let _ = wait.step();
+            }
+            std::thread::sleep(HOLD);
+            m.release(t1, &c[1], &NoHooks);
+            h.join().unwrap()
+        });
+        assert!(info.blocked);
+        assert!(info.waited.is_some_and(|w| w >= HOLD), "{:?}", info.waited);
+        m.release(t0, &c[0], &NoHooks);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The runtime registry: threads, heap, monitors, global counters.
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use std::sync::Arc;
 
@@ -313,24 +313,21 @@ impl Runtime {
     // --- Monitor convenience wrappers ---
 
     /// Acquire monitor `m` for thread `t` (see [`Monitor::acquire`]). Feeds
-    /// the acquire-latency histogram and the event trace. The histogram is
-    /// always on, so every acquire — the uncontended one included, under
-    /// every engine, `NoTracking` too — pays two clock reads and two RMWs on
-    /// `t`'s own `MonitorAcquire` shard, a line no other thread writes
-    /// (DESIGN.md §8 has the figure).
+    /// the event trace, and the acquire-latency histogram with the time an
+    /// acquire that found `m` held by another thread spent spinning and
+    /// parking ([`AcquireInfo::waited`]), into `t`'s own `MonitorAcquire`
+    /// shard. An uncontended or reentrant acquire records no sample and
+    /// reads no clock, under every engine, `NoTracking` too (DESIGN.md §8
+    /// has the figure).
     pub fn monitor_acquire<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
-        let t0 = Instant::now();
         let info = self
             .monitor(m)
             .acquire(t, self.control(t), hooks, self.config.monitor_spin_iters);
-        self.stats
-            .record_latency(t, LatencyKind::MonitorAcquire, t0.elapsed().as_nanos() as u64);
-        let e = if info.blocked {
-            Event::MonitorAcquireBlocked
-        } else {
-            Event::MonitorAcquireFast
-        };
-        self.trace(t, e, m.index() as u64);
+        if let Some(waited) = info.waited {
+            self.stats
+                .record_latency(t, LatencyKind::MonitorAcquire, waited.as_nanos() as u64);
+        }
+        self.trace(t, info.event(), m.index() as u64);
         info
     }
 
@@ -472,42 +469,98 @@ mod tests {
         assert_eq!(snap.threads[t.index()].events[0].arg, 42);
     }
 
+    /// `holder` takes `m`; `waiter`, on another OS thread, tries to take it.
+    /// Once `waiter` has parked (BLOCKED), `holder` keeps `m` for `hold`
+    /// more and releases it. Returns `waiter`'s acquire, which leaves it
+    /// holding `m`. Needs `monitor_spin_iters(0)`, so the waiter parks at
+    /// once.
+    fn acquire_behind_a_hold(
+        rt: &Runtime,
+        m: MonitorId,
+        holder: ThreadId,
+        waiter: ThreadId,
+        hold: Duration,
+    ) -> AcquireInfo {
+        rt.monitor_acquire(m, holder, &NoHooks);
+        std::thread::scope(|s| {
+            let h = s.spawn(|| rt.monitor_acquire(m, waiter, &NoHooks));
+            let mut wait = Wait::new("the waiter to park");
+            while !matches!(rt.control(waiter).status(), crate::control::ThreadStatus::Blocked { .. }) {
+                let _ = wait.step();
+            }
+            std::thread::sleep(hold);
+            rt.monitor_release(m, holder, &NoHooks);
+            h.join().unwrap()
+        })
+    }
+
+    const HOLD: Duration = Duration::from_millis(2);
+
     #[test]
     fn monitor_acquire_records_latency_and_trace() {
         let rt = Runtime::new(
-            RuntimeConfig::builder().max_threads(2).monitors(1).trace_capacity(16).build(),
+            RuntimeConfig::builder()
+                .max_threads(2)
+                .monitors(1)
+                .monitor_spin_iters(0)
+                .trace_capacity(16)
+                .build(),
         );
-        let t = rt.register_thread();
-        rt.monitor_acquire(MonitorId(0), t, &NoHooks);
-        rt.monitor_release(MonitorId(0), t, &NoHooks);
-        let report = rt.stats().report();
-        assert_eq!(report.latency(LatencyKind::MonitorAcquire).count(), 1);
-        assert!(report.latency(LatencyKind::MonitorAcquire).max() > 0);
+        let (t, holder) = (rt.register_thread(), rt.register_thread());
+        let m = MonitorId(0);
+        let samples = || *rt.stats().report().latency(LatencyKind::MonitorAcquire);
+
+        // Uncontended, then reentrant: traced as fast, never timed.
+        rt.monitor_acquire(m, t, &NoHooks);
+        rt.monitor_acquire(m, t, &NoHooks);
+        assert_eq!(samples().count(), 0, "an acquire that does not wait records no sample");
+        rt.monitor_release(m, t, &NoHooks);
+        rt.monitor_release(m, t, &NoHooks);
+
+        // Held by another thread: one sample, no shorter than the hold.
+        let info = acquire_behind_a_hold(&rt, m, holder, t, HOLD);
+        assert!(info.blocked);
+        rt.monitor_release(m, t, &NoHooks);
+        assert_eq!(samples().count(), 1);
+        assert!(samples().max() >= HOLD.as_nanos() as u64, "{} ns", samples().max());
+
         let events: Vec<Event> = rt.trace_rings().unwrap().snapshot().threads[t.index()]
             .events
             .iter()
             .map(|e| e.kind)
             .collect();
-        assert_eq!(events, vec![Event::MonitorAcquireFast, Event::MonitorRelease]);
+        assert_eq!(
+            events,
+            vec![
+                Event::MonitorAcquireFast,
+                Event::MonitorAcquireFast,
+                Event::MonitorRelease,
+                Event::MonitorRelease,
+                Event::MonitorAcquireBlocked,
+                Event::MonitorRelease,
+            ]
+        );
     }
 
     #[test]
     fn acquires_on_two_threads_all_reach_the_report() {
-        const N: u64 = 1_000;
-        let rt = Runtime::new(RuntimeConfig::builder().max_threads(2).monitors(2).build());
-        std::thread::scope(|s| {
-            for m in 0..2 {
-                let rt = &rt;
-                s.spawn(move || {
-                    let t = rt.register_thread();
-                    for _ in 0..N {
-                        rt.monitor_acquire(MonitorId(m), t, &NoHooks);
-                        rt.monitor_release(MonitorId(m), t, &NoHooks);
-                    }
-                });
-            }
-        });
-        assert_eq!(rt.stats().report().latency(LatencyKind::MonitorAcquire).count(), 2 * N);
+        // The two threads take turns waiting on each other, so each one's
+        // shard holds half of the samples and each holder's acquire none.
+        const ROUNDS: u64 = 4;
+        let rt = Runtime::new(
+            RuntimeConfig::builder().max_threads(2).monitors(1).monitor_spin_iters(0).build(),
+        );
+        let (a, b) = (rt.register_thread(), rt.register_thread());
+        let m = MonitorId(0);
+        for r in 0..ROUNDS {
+            let (holder, waiter) = if r % 2 == 0 { (a, b) } else { (b, a) };
+            let info = acquire_behind_a_hold(&rt, m, holder, waiter, HOLD);
+            assert!(info.waited.is_some_and(|w| w >= HOLD), "{:?}", info.waited);
+            rt.monitor_release(m, waiter, &NoHooks);
+        }
+        let snap = *rt.stats().report().latency(LatencyKind::MonitorAcquire);
+        assert_eq!(snap.count(), ROUNDS);
+        assert!(snap.max() >= HOLD.as_nanos() as u64);
     }
 
     #[test]

@@ -363,9 +363,9 @@ impl LocalStats {
 }
 
 /// The latency distributions the runtime measures, alongside the counters.
-/// Coordination and seqlock kinds record on slow paths only (an explicit
-/// roundtrip, a fan-out, a contested validated read); `MonitorAcquire`
-/// records on every acquire and the two serve kinds on every request. Each
+/// Coordination, seqlock and monitor kinds record on slow paths only (an
+/// explicit roundtrip, a fan-out, a contested validated read, an acquire
+/// that waited); the two serve kinds record on every request. Each
 /// sample goes straight into the recording thread's shard of
 /// [`GlobalStats`] — [`LocalStats`] carries no histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -376,7 +376,9 @@ pub enum LatencyKind {
     CoordRoundtrip,
     /// A whole RdSh fan-out: entry to last peer resolved.
     FanoutComplete,
-    /// Monitor acquire, fast or blocked.
+    /// The wait of a monitor acquire that found the monitor held by another
+    /// thread: first failed attempt → taken, spin and park included. An
+    /// uncontended or reentrant acquire records nothing.
     MonitorAcquire,
     /// Validation retries a seqlock read needed before it succeeded or fell
     /// back (recorded as a *count*, not nanoseconds — the log2 buckets work

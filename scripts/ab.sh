@@ -28,7 +28,11 @@
 #       directory-sensitive  the two directories of one side disagree by more
 #                            than the bound, so the medians say as much about
 #                            layout as about the change
-#     and the failed and attempted requests of each side;
+#     with ", denominator" appended on a `capacity_rel.<engine>` row whose
+#     median fell while that engine's own absolute `capacity_rps` rose in at
+#     least half the pairs: the `baseline` denominator, not the engine, moved
+#     (ROADMAP item 19, step 3). The flag changes no verdict or exit code.
+#     Then the failed and attempted requests of each side;
 #   * under each workload's table, one row per engine gives both sides'
 #     median absolute `capacity_rps` (the `# absolute:` lines of each run),
 #     the pairs in which the change was higher and the parent's
@@ -73,7 +77,12 @@ export_tree() {
     if [ -n "$2" ]; then
         git archive "$2" | tar -x -C "$dir"
     else
+        # A tracked file deleted but not staged is still listed: skip it,
+        # so the tree is exported as it stands.
         git ls-files -z --cached --others --exclude-standard |
+            while IFS= read -r -d '' f; do
+                if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+            done |
             tar --null -T - -cf - | tar -xf - -C "$dir"
     fi
 }
@@ -143,6 +152,8 @@ for workload in sorted({w for w, _ in results}):
     print(f"\n### {workload} ({len(p)} pairs)\n")
     print("| metric | parent → change (change %) | runs, pair order (parent vs change) | directory medians p1/p2 vs c1/c2 | change better in pairs, parent IQR | verdict |")
     print("|---|---|---|---|---|---|")
+    engines = ("baseline", "pess", "hybrid", "adapt")
+    abs_wins = {e: pair_wins(p, c, lambda r: r[2]["absolute"][e], -1.0) for e in engines}
     for name, decl in declared.items():
         vals = {s: [r[2]["metrics"][name]["value"] for r in rs] for s, rs in (("p", p), ("c", c))}
         med = {s: statistics.median(v) for s, v in vals.items()}
@@ -162,6 +173,9 @@ for workload in sorted({w for w, _ in results}):
             verdict = "directory-sensitive"
         else:
             verdict = "ok"
+        engine = name.removeprefix("capacity_rel.")
+        if engine in abs_wins and med["c"] < med["p"] and 2 * abs_wins[engine][0] >= abs_wins[engine][1]:
+            verdict += ", denominator"
         change_pct = (med["c"] - med["p"]) / med["p"] * 100 if med["p"] else float("inf")
         runs_cell = "/".join(f"{v:.2f}" for v in vals["p"]) + " vs " + "/".join(f"{v:.2f}" for v in vals["c"])
         dirs = " vs ".join("/".join(f"{by_dir[d]:.3f}" for d in sorted(by_dir) if d[0] == s) for s in "pc")
@@ -173,10 +187,10 @@ for workload in sorted({w for w, _ in results}):
     print(f"| failed / attempted requests | {failed['p']}/{attempted['p']} → {failed['c']}/{attempted['c']} | | | | {'ok' if correct else 'INCORRECT'} |")
     print("\n| engine | median `capacity_rps`, parent → change (change %) | change higher in pairs | parent IQR |")
     print("|---|---|---|---|")
-    for engine in ("baseline", "pess", "hybrid", "adapt"):
+    for engine in engines:
         vals = {s: [r[2]["absolute"][engine] for r in rs] for s, rs in (("p", p), ("c", c))}
         med = {s: statistics.median(v) for s, v in vals.items()}
-        wins, n = pair_wins(p, c, lambda r: r[2]["absolute"][engine], -1.0)
+        wins, n = abs_wins[engine]
         print(f"| {engine} | {med['p'] / 1e6:.3f} → {med['c'] / 1e6:.3f} M/s ({(med['c'] - med['p']) / med['p'] * 100:+.1f} %) | {wins}/{n} | {iqr(vals['p']) / 1e6:.3f} M/s |")
 sys.exit(1 if worse else 0)
 EOF

@@ -4,7 +4,7 @@
 //! coarse-grained, overly conservative synchronization" (the paper's
 //! pjbb2005 observation).
 
-use drink_runtime::LatencyKind;
+use drink_runtime::Event;
 use drink_workloads::{
     record, replay_with, run_kind, EngineKind, Op, RunResult, WorkloadSpec,
 };
@@ -40,10 +40,10 @@ fn elided_replay_reproduces_and_skips_lock_parking() {
         .map(|t| spec.ops(t).iter().filter(|op| matches!(op, Op::Lock(_))).count())
         .sum();
     assert!(program_acquires >= spec.threads * spec.steps_per_thread);
-    // The runtime times every monitor acquire it performs, so the
-    // histogram's sample count is the number of acquires.
-    let monitor_acquires =
-        |r: &RunResult| r.report.latency(LatencyKind::MonitorAcquire).count();
+    // Every monitor acquire counts one event, fast or blocked.
+    let monitor_acquires = |r: &RunResult| {
+        r.report.get(Event::MonitorAcquireFast) + r.report.get(Event::MonitorAcquireBlocked)
+    };
 
     // Elision means: not one monitor is acquired, so nothing can park on
     // one — and the recorded dependences alone still reproduce the heap.
