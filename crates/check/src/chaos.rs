@@ -84,7 +84,8 @@ pub struct TraceStep {
 }
 
 /// Per-thread trace length cap: beyond this the stream keeps perturbing but
-/// stops recording (artifacts stay bounded; the overflow is counted).
+/// stops recording (artifacts stay bounded). A replay past the end of a
+/// capped script applies [`Decision::Run`].
 const TRACE_CAP: usize = 100_000;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -122,8 +123,6 @@ struct ThreadSlot {
     cursor: AtomicUsize,
     /// Decisions taken so far (generate mode only).
     trace: Mutex<Vec<TraceStep>>,
-    /// Steps not recorded because the trace hit [`TRACE_CAP`].
-    overflow: AtomicUsize,
 }
 
 impl ThreadSlot {
@@ -132,7 +131,6 @@ impl ThreadSlot {
             state: Mutex::new(seed),
             cursor: AtomicUsize::new(0),
             trace: Mutex::new(Vec::new()),
-            overflow: AtomicUsize::new(0),
         }
     }
 }
@@ -193,14 +191,6 @@ impl ChaosSched {
             .map(|slot| std::mem::take(&mut *slot.trace.lock().unwrap()))
             .collect()
     }
-
-    /// Total decisions that fell past the per-thread trace cap.
-    pub fn trace_overflow(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.overflow.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 impl SchedHooks for ChaosSched {
@@ -214,8 +204,6 @@ impl SchedHooks for ChaosSched {
                 let mut trace = slot.trace.lock().unwrap();
                 if trace.len() < TRACE_CAP {
                     trace.push(TraceStep { point, decision: d });
-                } else {
-                    slot.overflow.fetch_add(1, Ordering::Relaxed);
                 }
                 d
             }

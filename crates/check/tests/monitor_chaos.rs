@@ -9,30 +9,16 @@
 //! monitor but before it parked is still observed — if it is ever lost,
 //! the waiters hang and a watchdog aborts the test with a diagnosis instead
 //! of wedging the suite.
+//!
+//! No tracking engine runs here: the threads pass `NoHooks`, and the monitor
+//! reports its windows to the runtime's chaos layer itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use drink_check::ChaosSched;
-use drink_runtime::{MonitorId, RtHooks, Runtime, RuntimeConfig, SchedPoint, ThreadId};
-
-/// Bare-substrate hooks that only forward schedule points to the runtime's
-/// registered chaos layer (no tracking engine in this test — the monitor
-/// protocol itself is under test).
-#[derive(Debug)]
-struct Forward<'a>(&'a Runtime);
-
-impl RtHooks for Forward<'_> {
-    fn poll(&self, _t: ThreadId) {}
-    fn before_block(&self, _t: ThreadId) {}
-    fn on_blocked_publish(&self, _t: ThreadId) {}
-    fn after_unblock(&self, _t: ThreadId, _epoch_bumped: bool) {}
-    fn on_psro(&self, _t: ThreadId) {}
-    fn sched_point(&self, t: ThreadId, point: SchedPoint) {
-        self.0.sched_point(t, point);
-    }
-}
+use drink_runtime::{MonitorId, NoHooks, Runtime, RuntimeConfig};
 
 /// Abort (with a diagnosis) if the run wedges: a lost wakeup manifests as
 /// waiters parked forever, which would otherwise hang the whole suite.
@@ -85,13 +71,12 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
             let (tickets, consumed, producing_done) = (&tickets, &consumed, &producing_done);
             s.spawn(move || {
                 let t = rt.register_thread();
-                let hooks = Forward(rt);
                 loop {
-                    rt.monitor_acquire(m, t, &hooks);
+                    rt.monitor_acquire(m, t, &NoHooks);
                     while tickets.load(Ordering::Relaxed) == 0
                         && !producing_done.load(Ordering::Relaxed)
                     {
-                        rt.monitor_wait(m, t, &hooks);
+                        rt.monitor_wait(m, t, &NoHooks);
                     }
                     let got = tickets.load(Ordering::Relaxed) > 0;
                     if got {
@@ -100,7 +85,7 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
                     }
                     let drained =
                         producing_done.load(Ordering::Relaxed) && tickets.load(Ordering::Relaxed) == 0;
-                    rt.monitor_release(m, t, &hooks);
+                    rt.monitor_release(m, t, &NoHooks);
                     if drained {
                         return;
                     }
@@ -114,14 +99,13 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
                 let tickets = &tickets;
                 s.spawn(move || {
                     let t = rt.register_thread();
-                    let hooks = Forward(rt);
                     for _ in 0..tickets_each {
-                        rt.monitor_acquire(m, t, &hooks);
+                        rt.monitor_acquire(m, t, &NoHooks);
                         tickets.fetch_add(1, Ordering::Relaxed);
                         // Notify while holding, as Java does; the chaos layer
                         // perturbs inside notify and before the wait-park.
                         rt.monitor_notify_all_from(m, t);
-                        rt.monitor_release(m, t, &hooks);
+                        rt.monitor_release(m, t, &NoHooks);
                     }
                 })
             })
@@ -138,11 +122,10 @@ fn run_ticket_exchange(seed: u64, waiters: usize, notifiers: usize, tickets_each
         // protocol is not required to survive).
         s.spawn(|| {
             let t = rt.register_thread();
-            let hooks = Forward(&rt);
-            rt.monitor_acquire(m, t, &hooks);
+            rt.monitor_acquire(m, t, &NoHooks);
             producing_done.store(true, Ordering::Relaxed);
             rt.monitor_notify_all_from(m, t);
-            rt.monitor_release(m, t, &hooks);
+            rt.monitor_release(m, t, &NoHooks);
         });
     });
 

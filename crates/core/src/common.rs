@@ -438,7 +438,7 @@ impl<S: Support> EngineCommon<S> {
     ///    so the payload is exactly what the read's Table 3 row would have
     ///    returned under its lock. A different word that is still eligible
     ///    (a reader joined or left the read lock) retries from it; anything
-    ///    else, or [`SEQLOCK_MAX_RETRIES`] failures, falls back to the
+    ///    else, or `SEQLOCK_MAX_RETRIES` (2) failures, falls back to the
     ///    engine's ordinary read path (`None`).
     ///
     /// The fence pairs, through the payload word, with the release fence
@@ -566,7 +566,7 @@ impl<S: Support> EngineCommon<S> {
     /// Monitor wait: PSRO + blocking safe point + re-acquire.
     pub fn monitor_wait(&self, ts: &mut ThreadState, m: MonitorId) {
         let info = self.rt.monitor_wait(m, ts.tid, self);
-        ts.stats.bump(Event::MonitorAcquireBlocked);
+        ts.stats.bump(info.event());
         self.support.on_monitor_acquire(self.cx(ts), info.prev_release);
         ts.op_index += 1;
     }
@@ -645,11 +645,6 @@ impl<S: Support> RtHooks for EngineCommon<S> {
         // SAFETY: as above.
         let ts = unsafe { self.ts(t) };
         self.psro_flush(ts);
-    }
-
-    #[inline]
-    fn sched_point(&self, t: ThreadId, point: SchedPoint) {
-        self.rt.sched_point(t, point);
     }
 }
 

@@ -202,6 +202,12 @@ impl<S: Support> HybridEngine<S> {
         &self.common
     }
 
+    /// Give up the engine for the runtime support it owns: the recorder's
+    /// log comes back this way once every mutator has detached.
+    pub fn into_support(self) -> S {
+        self.common.support
+    }
+
     /// This engine's configuration.
     pub fn config(&self) -> &HybridConfig {
         &self.cfg

@@ -21,7 +21,7 @@ use drink_runtime::{MonitorId, ObjId, Runtime, RuntimeConfig, ThreadId};
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
 use crate::engine::none::NoTracking;
 use crate::engine::Tracker;
-use crate::support::{IdealModel, NullSupport};
+use crate::support::{IdealModel, NullSupport, Support};
 
 /// The type-erased tracker: [`Tracker`] is object-safe by design, so the
 /// erased form is just the trait object.
@@ -171,14 +171,24 @@ impl EngineKind {
 
     /// The [`HybridEngine`] configuration this kind is, or `None` for a kind
     /// no runtime support may be built on: one built on another engine type,
-    /// or on [`IdealModel`], which is unsound. Runtime supports (the
-    /// recorder, the RS enforcer) build their engines from it, and refuse one
-    /// that does not defer its unlocks.
+    /// or on [`IdealModel`], which is unsound.
     pub fn hybrid_config(self) -> Option<HybridConfig> {
         match self.row().engine {
             Engine::Hybrid(cfg) => Some(cfg()),
             _ => None,
         }
+    }
+
+    /// The hybrid engine in this kind's configuration, owning runtime support
+    /// `support` (the recorder, the RS enforcer), which
+    /// [`HybridEngine::into_support`] hands back. The one place a kind is
+    /// refused for a support: panics, naming the kind, if
+    /// [`EngineKind::hybrid_config`] has none for it.
+    pub fn with_support<S: Support>(self, rt: Arc<Runtime>, support: S) -> HybridEngine<S> {
+        let Some(cfg) = self.hybrid_config() else {
+            panic!("runtime support runs on the hybrid engine, which {self:?} does not configure");
+        };
+        HybridEngine::with_config(rt, support, cfg)
     }
 
     /// Parse a CLI engine name. This is the *only* string-to-engine mapping

@@ -72,7 +72,8 @@ impl Tracker for NoTracking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drink_runtime::RuntimeConfig;
+    use crate::engine::EngineKind;
+    use drink_runtime::{RuntimeConfig, SchedHooks, SchedPoint, ThreadStatus};
 
     #[test]
     fn baseline_reads_writes_data_directly() {
@@ -102,5 +103,48 @@ mod tests {
         assert_eq!(e.rt().monitor(MonitorId(0)).holder(), Some(t));
         e.unlock(t, MonitorId(0));
         assert_eq!(e.rt().monitor(MonitorId(0)).holder(), None);
+    }
+
+    /// Schedule hooks that write down every point reported to them.
+    #[derive(Debug, Default)]
+    struct Points(std::sync::Mutex<Vec<SchedPoint>>);
+
+    impl SchedHooks for Points {
+        fn perturb(&self, _t: ThreadId, point: SchedPoint) {
+            self.0.lock().unwrap().push(point);
+        }
+    }
+
+    /// The baseline runs its monitors with no hooks, yet a contended
+    /// acquire's park and the holder's release still reach the schedule
+    /// hooks registered on the runtime.
+    #[test]
+    fn baseline_monitor_windows_reach_the_schedule_hooks() {
+        let points = Arc::new(Points::default());
+        let mut rt = Runtime::new(
+            RuntimeConfig::builder().max_threads(2).heap_objects(1).monitors(1).monitor_spin_iters(0).build(),
+        );
+        rt.set_sched_hooks(points.clone());
+        let e = EngineKind::Baseline.build(Arc::new(rt));
+        let m = MonitorId(0);
+        let holder = e.attach();
+        e.lock(holder, m);
+        std::thread::scope(|s| {
+            let h = s.spawn(|| {
+                let t = e.attach();
+                e.lock(t, m);
+                e.unlock(t, m);
+            });
+            let mut wait = e.rt().wait(holder, "the contender to park");
+            while !matches!(e.rt().control(ThreadId(1)).status(), ThreadStatus::Blocked { .. }) {
+                let _ = wait.step();
+            }
+            e.unlock(holder, m);
+            h.join().unwrap();
+        });
+        let count = |p| points.0.lock().unwrap().iter().filter(|&&q| q == p).count();
+        assert_eq!(count(SchedPoint::MonitorPark), 1);
+        assert_eq!(count(SchedPoint::MonitorUnpark), 1);
+        assert_eq!(count(SchedPoint::MonitorRelease), 2);
     }
 }

@@ -179,6 +179,12 @@ impl<T> OwnedByThread<T> {
         unsafe { &mut *self.inner.get() }
     }
 
+    /// Unwrap the value: owning the slot, the caller is the only thread
+    /// that can reach it.
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner()
+    }
+
     /// Reset the debug-mode owner (used when a slot is re-used by a new
     /// mutator in a subsequent run on the same engine).
     pub fn reset_owner(&self) {

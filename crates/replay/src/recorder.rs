@@ -25,7 +25,7 @@
 //! write half); a `Fence` reads under the shared half.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 use drink_core::support::{PrevHolders, Support, SupportCx, TransitionEv};
 use drink_core::tstate::OwnedByThread;
@@ -49,7 +49,10 @@ pub(crate) fn unpack(word: u64) -> Option<(ThreadId, u64)> {
     (word != 0).then(|| (ThreadId::from_raw(((word >> CLOCK_BITS) - 1) as u16), word & CLOCK_MASK))
 }
 
-struct RecorderShared {
+/// The recorder. The engine it records owns it, and hands it back by
+/// [`HybridEngine::into_support`](drink_core::prelude::HybridEngine::into_support)
+/// once the run is over, for [`Recorder::into_log`].
+pub struct Recorder {
     /// Per-thread logs, each written only by its own mutator.
     logs: Box<[OwnedByThread<ThreadLog>]>,
     /// Per-object last-transition entry.
@@ -69,13 +72,6 @@ struct RecorderShared {
     name: &'static str,
 }
 
-/// The recorder. Cheap to clone (shared interior); pass one clone to the
-/// engine as its `Support` and keep one to extract the log afterwards.
-#[derive(Clone)]
-pub struct Recorder {
-    inner: Arc<RecorderShared>,
-}
-
 impl Recorder {
     /// A recorder for a runtime with `threads` thread slots and `objects`
     /// heap objects. `name` labels the configuration ("optimistic"/"hybrid");
@@ -83,14 +79,12 @@ impl Recorder {
     /// (`rt.current_rdsh_count() + 1` on a fresh runtime).
     pub fn new(threads: usize, objects: usize, name: &'static str, first_epoch: u64) -> Self {
         Recorder {
-            inner: Arc::new(RecorderShared {
-                logs: (0..threads).map(|_| OwnedByThread::new(ThreadLog::default())).collect(),
-                side_table: (0..objects).map(|_| AtomicU64::new(0)).collect(),
-                epochs: RwLock::new(Vec::new()),
-                first_epoch,
-                next_epoch: AtomicU64::new(first_epoch),
-                name,
-            }),
+            logs: (0..threads).map(|_| OwnedByThread::new(ThreadLog::default())).collect(),
+            side_table: (0..objects).map(|_| AtomicU64::new(0)).collect(),
+            epochs: RwLock::new(Vec::new()),
+            first_epoch,
+            next_epoch: AtomicU64::new(first_epoch),
+            name,
         }
     }
 
@@ -99,18 +93,11 @@ impl Recorder {
         Recorder::new(rt.config().max_threads, rt.heap().len(), name, rt.current_rdsh_count() + 1)
     }
 
-    /// Extract the recording. Call only after every mutator detached: the
-    /// calling thread then takes each log over from its finished owner.
+    /// The recording: every thread's log, taken over from its writer.
     pub fn into_log(self) -> RecordingLog {
-        let threads = self.inner.logs.iter().map(|slot| {
-            slot.reset_owner();
-            // SAFETY: every mutator detached, so no other thread accesses
-            // the slot, and the reset made the caller its owner.
-            std::mem::take(unsafe { slot.get() })
-        });
         RecordingLog {
-            threads: threads.collect(),
-            recorder: self.inner.name.to_string(),
+            threads: self.logs.into_vec().into_iter().map(OwnedByThread::into_inner).collect(),
+            recorder: self.name.to_string(),
         }
     }
 
@@ -119,7 +106,7 @@ impl Recorder {
     fn log(&self, cx: &SupportCx<'_>) -> &mut ThreadLog {
         // SAFETY: every `Support` callback runs on the mutator `cx.t`, the
         // slot's only writer; callers never keep the reference.
-        unsafe { self.inner.logs[cx.t.index()].get() }
+        unsafe { self.logs[cx.t.index()].get() }
     }
 
     /// Bump `cx.t`'s release clock for a recorded *transition* of `obj`,
@@ -131,7 +118,7 @@ impl Recorder {
     fn bump_here(&self, cx: &SupportCx<'_>, obj: ObjId) -> u64 {
         let clock = cx.rt.control(cx.t).bump_release_clock();
         self.log(cx).push_transition_bump(cx.op);
-        self.inner.side_table[obj.index()].store(pack(cx.t, clock), Ordering::Release);
+        self.side_table[obj.index()].store(pack(cx.t, clock), Ordering::Release);
         clock
     }
 
@@ -162,8 +149,8 @@ impl Support for Recorder {
             TransitionEv::Fence { c } => {
                 // An epoch below `first_epoch` was created before the run:
                 // it has no entry and orders nothing.
-                let entry = c.checked_sub(self.inner.first_epoch).and_then(|i| {
-                    self.inner.epochs.read().unwrap().get(i as usize).copied()
+                let entry = c.checked_sub(self.first_epoch).and_then(|i| {
+                    self.epochs.read().unwrap().get(i as usize).copied()
                 });
                 if let Some((src, clock)) = entry.and_then(unpack) {
                     self.wait_for(&cx, src, clock);
@@ -175,13 +162,13 @@ impl Support for Recorder {
                 // is either already deposited or about to be, with nothing
                 // blocking its depositor).
                 let mut wait = cx.rt.wait(cx.t, "rdsh epoch chain order");
-                while self.inner.next_epoch.load(Ordering::Acquire) != c {
+                while self.next_epoch.load(Ordering::Acquire) != c {
                     let _ = wait.step();
                 }
                 // Sink edges: the object's last transition (dominates the
                 // previous exclusive holder's writes)...
                 if let Some((src, clock)) = unpack(
-                    self.inner.side_table[obj.index()].load(Ordering::Acquire),
+                    self.side_table[obj.index()].load(Ordering::Acquire),
                 ) {
                     self.wait_for(&cx, src, clock);
                 } else {
@@ -193,15 +180,15 @@ impl Support for Recorder {
                 }
                 // ...and the previous RdSh creation (the counter chain: the
                 // table's last entry, now guaranteed to be creation(c − 1)).
-                let mut epochs = self.inner.epochs.write().unwrap();
-                debug_assert_eq!(self.inner.first_epoch + epochs.len() as u64, c);
+                let mut epochs = self.epochs.write().unwrap();
+                debug_assert_eq!(self.first_epoch + epochs.len() as u64, c);
                 if let Some((src, clock)) = epochs.last().copied().and_then(unpack) {
                     self.wait_for(&cx, src, clock);
                 }
                 // Source side: register this creation.
                 let clock = self.bump_here(&cx, obj);
                 epochs.push(pack(cx.t, clock));
-                self.inner.next_epoch.store(c + 1, Ordering::Release);
+                self.next_epoch.store(c + 1, Ordering::Release);
             }
             TransitionEv::Conflict { sources, .. } => {
                 for &(src, clock) in sources {
@@ -241,7 +228,7 @@ impl Support for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drink_runtime::{Runtime, RuntimeConfig};
+    use drink_runtime::{MonitorId, Runtime, RuntimeConfig};
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -447,28 +434,39 @@ mod tests {
         assert_eq!(log.validate(), Ok(()));
     }
 
-    /// Each mutator writes its own log slot; the collector takes them all
-    /// over once they finish (in a debug build the owner check is armed).
+    /// Each mutator writes its own log slot, through the engine that owns
+    /// the recorder; the log comes back through that engine once they
+    /// finish.
     #[test]
     fn into_log_collects_logs_written_by_other_threads() {
-        let rt = Runtime::new(RuntimeConfig::default());
-        let rec = Recorder::new(4, 8, "test", 1);
+        use drink_core::prelude::*;
+        let rt = Runtime::new(RuntimeConfig::builder().max_threads(4).heap_objects(8).monitors(3).build());
+        let rt = std::sync::Arc::new(rt);
+        let recorder = Recorder::for_runtime(&rt, "test");
+        let engine = EngineKind::Hybrid.with_support(rt, recorder);
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    let t = rt.register_thread();
-                    for op in 0..=t.index() as u64 {
-                        rec.on_release(SupportCx { rt: &rt, t, op });
+                    // Thread i releases its own monitor i + 1 times, then
+                    // detaches: i + 2 PSROs, each pinned at its own op.
+                    let t = engine.attach();
+                    let m = MonitorId(t.raw() as u32);
+                    for _ in 0..=t.index() {
+                        engine.lock(t, m);
+                        engine.unlock(t, m);
                     }
+                    engine.detach(t);
                 });
             }
         });
-        let log = rec.into_log();
-        for i in 0..3 {
-            let pins: Vec<_> = (0..=i as u64).map(|op| (op, 1)).collect();
-            assert_eq!(log.threads[i].sources_pre, pins);
+        let log = engine.into_support().into_log();
+        for i in 0..3u64 {
+            let pins: Vec<_> = (0..=i).map(|k| (2 * k + 1, 1)).chain([(2 * i + 2, 1)]).collect();
+            assert_eq!(log.threads[i as usize].sources_pre, pins);
         }
         assert_eq!(log.threads[3], ThreadLog::default());
+        assert_eq!(log.recorder, "test");
+        assert_eq!(log.validate(), Ok(()));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use drink_core::engine::hybrid::HybridEngine;
 use drink_core::engine::{EngineKind, Tracker};
 use drink_runtime::{Event, ObjId, Runtime, ThreadId};
 
-use crate::support::{RegionTable, RsSupport};
+use crate::support::{RegionState, RsSupport};
 
 /// Marker error: the current region was rolled back and must restart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,28 +38,36 @@ pub struct Restart;
 /// the enforcers on [`EngineKind::Optimistic`] and [`EngineKind::Hybrid`].
 pub struct RsEnforcer {
     engine: HybridEngine<RsSupport>,
-    table: Arc<RegionTable>,
 }
 
 impl RsEnforcer {
     /// Build the enforcer on `kind`'s tracking configuration over `rt`.
-    /// Panics if `kind` is not a configuration of the hybrid engine. Its
-    /// locks are deferred whatever the kind: [`RsSupport`]'s discipline is
-    /// `Locking::Deferred`, which two-phase locking needs to hold each lock
-    /// to the end of its region (§5).
+    /// Panics if `kind` is not a configuration of the hybrid engine
+    /// ([`EngineKind::with_support`]). Its locks are deferred whatever the
+    /// kind: [`RsSupport`]'s discipline is `Locking::Deferred`, which
+    /// two-phase locking needs to hold each lock to the end of its region
+    /// (§5).
     pub fn new(rt: Arc<Runtime>, kind: EngineKind) -> Self {
-        let Some(cfg) = kind.hybrid_config() else {
-            panic!("the RS enforcer runs on the hybrid engine, which {kind:?} does not configure");
-        };
-        let table = RegionTable::new(rt.clone());
-        let engine = HybridEngine::with_config(rt, RsSupport::new(table.clone()), cfg);
-        RsEnforcer { engine, table }
+        let support = RsSupport::for_runtime(&rt);
+        RsEnforcer { engine: kind.with_support(rt, support) }
     }
 
     /// The tracking engine: attach sessions to it, and drive it between
     /// regions like any engine.
     pub fn engine(&self) -> &HybridEngine<RsSupport> {
         &self.engine
+    }
+
+    /// Thread `t`'s region state, in the support the engine owns.
+    ///
+    /// # Safety
+    ///
+    /// Caller must be mutator `t`, and must not hold the reference across
+    /// an engine access, which may roll the region back.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, t: ThreadId) -> &mut RegionState {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.engine.common().support.slot(t) }
     }
 
     /// Execute `body` as an atomic region on mutator `t`, retrying on
@@ -79,7 +87,7 @@ impl RsEnforcer {
                 // SAFETY: region() is called from the attached mutator
                 // thread; the borrow is scoped so it never overlaps the
                 // body's own slot accesses.
-                let slot = unsafe { self.table.slot(t) };
+                let slot = unsafe { self.slot(t) };
                 slot.in_region = true;
                 slot.must_restart = false;
                 slot.undo.clear();
@@ -92,7 +100,7 @@ impl RsEnforcer {
 
             let doomed = {
                 // SAFETY: as above.
-                let slot = unsafe { self.table.slot(t) };
+                let slot = unsafe { self.slot(t) };
                 let doomed = slot.must_restart;
                 slot.in_region = false;
                 if !doomed {
@@ -144,14 +152,14 @@ impl RegionCx<'_> {
     /// Tracked read within the region.
     pub fn read(&self, o: ObjId) -> Result<u64, Restart> {
         // SAFETY: acting thread.
-        let slot = unsafe { self.enforcer.table.slot(self.t) };
+        let slot = unsafe { self.enforcer.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
         let v = self.enforcer.engine.read(self.t, o);
         // The read may have yielded (and rolled back) while acquiring
         // ownership; its value is then from a doomed schedule.
-        let slot = unsafe { self.enforcer.table.slot(self.t) };
+        let slot = unsafe { self.enforcer.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
@@ -164,14 +172,14 @@ impl RegionCx<'_> {
     /// Tracked write within the region (undo-logged).
     pub fn write(&self, o: ObjId, v: u64) -> Result<(), Restart> {
         // SAFETY: acting thread.
-        let slot = unsafe { self.enforcer.table.slot(self.t) };
+        let slot = unsafe { self.enforcer.slot(self.t) };
         if slot.must_restart {
             return Err(Restart);
         }
         let Some(old) = self.enforcer.engine.try_write(self.t, o, v) else {
             return Err(Restart);
         };
-        let slot = unsafe { self.enforcer.table.slot(self.t) };
+        let slot = unsafe { self.enforcer.slot(self.t) };
         slot.undo.push((o, old));
         if !slot.accessed.contains(&o.0) {
             slot.accessed.push(o.0);

@@ -47,4 +47,4 @@ pub mod enforcer;
 pub mod support;
 
 pub use enforcer::{RegionCx, Restart, RsEnforcer};
-pub use support::{RegionState, RegionTable, RsSupport};
+pub use support::RsSupport;

@@ -12,15 +12,13 @@
 //! a write slow path, so a write belonging to a rolled-back region is never
 //! performed.
 
-use std::sync::Arc;
-
 use drink_core::support::{Support, SupportCx, YieldInfo};
 use drink_core::tstate::OwnedByThread;
 use drink_runtime::{ObjId, Runtime, ThreadId};
 
 /// Per-thread speculation state.
 #[derive(Default)]
-pub struct RegionState {
+pub(crate) struct RegionState {
     /// Is a region currently executing on this thread?
     pub in_region: bool,
     /// Has the current region been rolled back (must restart)?
@@ -36,24 +34,18 @@ pub struct RegionState {
     pub accessed: Vec<u32>,
 }
 
-/// Shared table of per-thread region states. The enforcer façade and the
-/// engine-side support hooks both hold an `Arc` of it.
-pub struct RegionTable {
-    rt: Arc<Runtime>,
+/// The enforcer's engine-side hooks, over its one table of per-thread region
+/// states. The engine owns it; the enforcer façade reaches it through
+/// `engine.common().support`.
+pub struct RsSupport {
     slots: Box<[OwnedByThread<RegionState>]>,
 }
 
-impl RegionTable {
+impl RsSupport {
     /// A table sized for `rt`'s thread slots.
-    pub fn new(rt: Arc<Runtime>) -> Arc<Self> {
+    pub fn for_runtime(rt: &Runtime) -> Self {
         let n = rt.config().max_threads;
-        Arc::new(RegionTable {
-            rt,
-            slots: (0..n)
-                .map(|_| OwnedByThread::new(RegionState::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        })
+        RsSupport { slots: (0..n).map(|_| OwnedByThread::new(RegionState::default())).collect() }
     }
 
     /// Thread `t`'s region state.
@@ -64,40 +56,27 @@ impl RegionTable {
     /// and region operations run on the owning thread).
     #[allow(clippy::mut_from_ref)]
     #[inline(always)]
-    pub unsafe fn slot(&self, t: ThreadId) -> &mut RegionState {
+    pub(crate) unsafe fn slot(&self, t: ThreadId) -> &mut RegionState {
         // SAFETY: forwarded to the caller.
         unsafe { self.slots[t.index()].get() }
     }
 
-    /// Roll back thread `t`'s in-flight region, if any: restore payloads in
-    /// reverse write order and mark the region for restart.
+    /// Roll back thread `t`'s in-flight region, if any: restore payloads of
+    /// `rt`'s heap in reverse write order and mark the region for restart.
     ///
     /// # Safety
     ///
     /// Caller must be thread `t`.
-    pub unsafe fn rollback(&self, t: ThreadId) {
+    pub(crate) unsafe fn rollback(&self, rt: &Runtime, t: ThreadId) {
         // SAFETY: caller contract.
         let slot = unsafe { self.slot(t) };
         if !slot.in_region {
             return;
         }
         for (o, old) in slot.undo.drain(..).rev() {
-            self.rt.obj(o).data_write(old);
+            rt.obj(o).data_write(old);
         }
         slot.must_restart = true;
-    }
-}
-
-/// The enforcer's engine-side hooks.
-#[derive(Clone)]
-pub struct RsSupport {
-    table: Arc<RegionTable>,
-}
-
-impl RsSupport {
-    /// Hooks over a shared region table.
-    pub fn new(table: Arc<RegionTable>) -> Self {
-        RsSupport { table }
     }
 }
 
@@ -114,7 +93,7 @@ impl Support for RsSupport {
         // incoming request for a long-held object would nuke the current
         // region).
         // SAFETY: support hooks run on the mutator thread.
-        let slot = unsafe { self.table.slot(cx.t) };
+        let slot = unsafe { self.slot(cx.t) };
         if !slot.in_region {
             return;
         }
@@ -125,14 +104,14 @@ impl Support for RsSupport {
             .any(|o| slot.accessed.contains(&o.0));
         if disturbed {
             // SAFETY: as above.
-            unsafe { self.table.rollback(cx.t) }
+            unsafe { self.rollback(cx.rt, cx.t) }
         }
     }
 
     #[inline]
     fn should_abort(&self, t: ThreadId) -> bool {
         // SAFETY: engines call this from the acting thread.
-        let slot = unsafe { self.table.slot(t) };
+        let slot = unsafe { self.slot(t) };
         slot.in_region && slot.must_restart
     }
 
@@ -141,7 +120,7 @@ impl Support for RsSupport {
         // region can never be implicitly coordinated with. Defensive anyway:
         // treat it like a yield.
         // SAFETY: as above.
-        unsafe { self.table.rollback(cx.t) }
+        unsafe { self.rollback(cx.rt, cx.t) }
     }
 }
 
@@ -150,18 +129,18 @@ mod tests {
     use super::*;
     use drink_runtime::RuntimeConfig;
 
+    fn runtime() -> Runtime {
+        Runtime::new(RuntimeConfig::builder().max_threads(2).heap_objects(4).monitors(1).build())
+    }
+
     #[test]
     fn rollback_restores_in_reverse_order() {
-        let rt = Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(2)
-        .heap_objects(4)
-        .monitors(1)
-        .build()));
-        let table = RegionTable::new(rt.clone());
+        let rt = runtime();
+        let sup = RsSupport::for_runtime(&rt);
         let t = ThreadId(0);
         rt.obj(ObjId(0)).data_write(100);
 
-        let slot = unsafe { table.slot(t) };
+        let slot = unsafe { sup.slot(t) };
         slot.in_region = true;
         // Two writes to the same object: undo must land on the oldest value.
         slot.undo.push((ObjId(0), 100));
@@ -169,41 +148,32 @@ mod tests {
         slot.undo.push((ObjId(0), 1));
         rt.obj(ObjId(0)).data_write(2);
 
-        unsafe { table.rollback(t) };
+        unsafe { sup.rollback(&rt, t) };
         assert_eq!(rt.obj(ObjId(0)).data_read(), 100);
-        let slot = unsafe { table.slot(t) };
+        let slot = unsafe { sup.slot(t) };
         assert!(slot.must_restart);
         assert!(slot.undo.is_empty());
     }
 
     #[test]
     fn rollback_outside_region_is_noop() {
-        let rt = Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(2)
-        .heap_objects(4)
-        .monitors(1)
-        .build()));
-        let table = RegionTable::new(rt.clone());
+        let rt = runtime();
+        let sup = RsSupport::for_runtime(&rt);
         rt.obj(ObjId(1)).data_write(7);
-        unsafe { table.rollback(ThreadId(0)) };
+        unsafe { sup.rollback(&rt, ThreadId(0)) };
         assert_eq!(rt.obj(ObjId(1)).data_read(), 7);
-        assert!(!unsafe { table.slot(ThreadId(0)) }.must_restart);
+        assert!(!unsafe { sup.slot(ThreadId(0)) }.must_restart);
     }
 
     #[test]
     fn should_abort_only_in_rolled_back_region() {
-        let rt = Arc::new(Runtime::new(RuntimeConfig::builder()
-        .max_threads(2)
-        .heap_objects(4)
-        .monitors(1)
-        .build()));
-        let table = RegionTable::new(rt);
-        let sup = RsSupport::new(table.clone());
+        let rt = runtime();
+        let sup = RsSupport::for_runtime(&rt);
         let t = ThreadId(0);
         assert!(!sup.should_abort(t));
-        unsafe { table.slot(t) }.in_region = true;
+        unsafe { sup.slot(t) }.in_region = true;
         assert!(!sup.should_abort(t));
-        unsafe { table.rollback(t) };
+        unsafe { sup.rollback(&rt, t) };
         assert!(sup.should_abort(t));
     }
 }

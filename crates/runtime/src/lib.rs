@@ -174,15 +174,6 @@ pub trait RtHooks {
     /// Program synchronization release operation: monitor release, monitor
     /// wait (which releases the monitor), thread fork, thread exit.
     fn on_psro(&self, t: ThreadId);
-
-    /// A schedule-relevant point was reached by thread `t`. The substrate
-    /// calls this inside monitor spin/park/notify windows; engines forward
-    /// it to the runtime's registered [`SchedHooks`] layer (if any). The
-    /// default is a no-op, so only perturbed runs pay anything.
-    #[inline]
-    fn sched_point(&self, t: ThreadId, point: SchedPoint) {
-        let _ = (t, point);
-    }
 }
 
 /// A no-op hook implementation, useful for untracked baseline runs and tests

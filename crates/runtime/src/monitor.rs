@@ -17,13 +17,18 @@
 //! replayer elide monitor operations entirely and still preserve mutual
 //! exclusion (§7.6: "the replayer elides program synchronization operations
 //! and replays only the recorded dependences").
+//!
+//! [`Runtime::monitor_acquire`] and its siblings are the one monitor API: the
+//! protocol methods here take the [`Runtime`], from which they read the
+//! thread's control block and the spin budget, and to which they report
+//! their [`SchedPoint`]s, whatever hooks the engine passes.
 
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::control::ThreadControl;
 use crate::ids::ThreadId;
+use crate::runtime::Runtime;
 use crate::stats::Event;
 use crate::{RtHooks, SchedPoint};
 
@@ -48,7 +53,7 @@ pub struct AcquireInfo {
     /// The previous releaser and its release clock, if the monitor has ever
     /// been released. Recorders turn this into a sync happens-before edge.
     pub prev_release: Option<(ThreadId, u64)>,
-    /// How long [`Monitor::acquire`] spun and parked after its first attempt
+    /// How long the acquire spun and parked after its first attempt
     /// found the monitor held by another thread; `None` when that attempt
     /// took it (uncontended or reentrant), so no clock was read. `wait`
     /// leaves it `None`: its park waits for a notify, not for the monitor.
@@ -106,20 +111,22 @@ fn park_until(
 /// A blocking safe point around `park` (a monitor park, or any blocking
 /// operation): reach a consistent state ([`RtHooks::before_block`]), publish
 /// BLOCKED, answer the explicit requests that raced with the publication
-/// ([`RtHooks::on_blocked_publish`]), report `point`, run `park`, then return
-/// to RUNNING and tell [`RtHooks::after_unblock`] whether another thread
-/// coordinated implicitly meanwhile. Returns `park`'s result and that flag.
+/// ([`RtHooks::on_blocked_publish`]), report `point` to `rt`, run `park`,
+/// then return to RUNNING and tell [`RtHooks::after_unblock`] whether another
+/// thread coordinated implicitly meanwhile. Returns `park`'s result and that
+/// flag.
 pub(crate) fn blocking_safe_point<H: RtHooks, R>(
+    rt: &Runtime,
     t: ThreadId,
-    control: &ThreadControl,
     hooks: &H,
     point: SchedPoint,
     park: impl FnOnce() -> R,
 ) -> (R, bool) {
+    let control = rt.control(t);
     hooks.before_block(t);
     let block_epoch = control.publish_blocked();
     hooks.on_blocked_publish(t);
-    hooks.sched_point(t, point);
+    rt.sched_point(t, point);
     let r = park();
     let bumped = control.return_to_running(block_epoch);
     hooks.after_unblock(t, bumped);
@@ -166,19 +173,13 @@ impl Monitor {
 
     /// Acquire the monitor for `t`. Uncontended acquires never touch the
     /// thread status word and read no clock. Contended acquires time their
-    /// wait ([`AcquireInfo::waited`]) and first *spin* for up to
-    /// `spin_iters` iterations — remaining a RUNNING thread and polling safe
-    /// points, like a JVM thin lock — and only then run the full
-    /// blocking-safe-point protocol around parking. (The spin phase matters
+    /// wait ([`AcquireInfo::waited`]) and first *spin* for up to `rt`'s
+    /// `monitor_spin_iters` iterations — remaining a RUNNING thread and
+    /// polling safe points, like a JVM thin lock — and only then run the
+    /// full blocking-safe-point protocol around parking. (The spin phase matters
     /// to the tracking protocols: a spinning waiter answers coordination
     /// requests *explicitly*, a parked one is coordinated with *implicitly*.)
-    pub fn acquire<H: RtHooks>(
-        &self,
-        t: ThreadId,
-        control: &ThreadControl,
-        hooks: &H,
-        spin_iters: u32,
-    ) -> AcquireInfo {
+    pub(crate) fn acquire<H: RtHooks>(&self, rt: &Runtime, t: ThreadId, hooks: &H) -> AcquireInfo {
         match self.try_acquire(t) {
             TryAcquire::Taken(info) => return info,
             TryAcquire::Contended => {}
@@ -187,9 +188,9 @@ impl Monitor {
 
         // Spin phase: keep responding to coordination while waiting. Yield
         // periodically so the holder can run on oversubscribed machines.
-        for i in 0..spin_iters {
+        for i in 0..rt.config().monitor_spin_iters {
             hooks.poll(t);
-            hooks.sched_point(t, SchedPoint::MonitorAcquireSpin);
+            rt.sched_point(t, SchedPoint::MonitorAcquireSpin);
             if i % 8 == 7 {
                 std::thread::yield_now();
             } else {
@@ -201,7 +202,7 @@ impl Monitor {
         }
 
         // Contended: park at a blocking safe point.
-        let (prev_release, _) = blocking_safe_point(t, control, hooks, SchedPoint::MonitorPark, || {
+        let (prev_release, _) = blocking_safe_point(rt, t, hooks, SchedPoint::MonitorPark, || {
             let mut st = self.state.lock();
             park_until(&self.acquire_cv, &mut st, "contended monitor acquire", |s| {
                 s.held_by.is_none()
@@ -210,7 +211,7 @@ impl Monitor {
             st.recursion = 1;
             st.last_release
         });
-        hooks.sched_point(t, SchedPoint::MonitorUnpark);
+        rt.sched_point(t, SchedPoint::MonitorUnpark);
         AcquireInfo { blocked: true, prev_release, waited: Some(t0.elapsed()) }
     }
 
@@ -219,11 +220,11 @@ impl Monitor {
     /// buffer is flushed, then the program lock is released.
     ///
     /// Panics if `t` does not hold the monitor (a workload bug).
-    pub fn release<H: RtHooks>(&self, t: ThreadId, control: &ThreadControl, hooks: &H) {
+    pub(crate) fn release<H: RtHooks>(&self, rt: &Runtime, t: ThreadId, hooks: &H) {
         // PSRO instrumentation first: flush pessimistic states, bump clock.
         hooks.on_psro(t);
-        let clock = control.release_clock();
-        hooks.sched_point(t, SchedPoint::MonitorRelease);
+        let clock = rt.control(t).release_clock();
+        rt.sched_point(t, SchedPoint::MonitorRelease);
         let mut st = self.state.lock();
         assert_eq!(st.held_by, Some(t), "release of monitor not held by {t}");
         st.recursion -= 1;
@@ -241,11 +242,11 @@ impl Monitor {
     /// their condition, as in Java).
     ///
     /// Panics if `t` does not hold the monitor.
-    pub fn wait<H: RtHooks>(&self, t: ThreadId, control: &ThreadControl, hooks: &H) -> AcquireInfo {
+    pub(crate) fn wait<H: RtHooks>(&self, rt: &Runtime, t: ThreadId, hooks: &H) -> AcquireInfo {
         hooks.on_psro(t);
-        let clock = control.release_clock();
+        let clock = rt.control(t).release_clock();
 
-        let (prev_release, _) = blocking_safe_point(t, control, hooks, SchedPoint::MonitorWaitPark, || {
+        let (prev_release, _) = blocking_safe_point(rt, t, hooks, SchedPoint::MonitorWaitPark, || {
             let mut st = self.state.lock();
             assert_eq!(st.held_by, Some(t), "wait on monitor not held by {t}");
             let saved_recursion = st.recursion;
@@ -267,14 +268,14 @@ impl Monitor {
             st.recursion = saved_recursion;
             st.last_release
         });
-        hooks.sched_point(t, SchedPoint::MonitorUnpark);
+        rt.sched_point(t, SchedPoint::MonitorUnpark);
         AcquireInfo { blocked: true, prev_release, waited: None }
     }
 
     /// `Object.notifyAll()`: wake every waiter. The caller should hold the
     /// monitor (as in Java), but this is not enforced — some lock-free
     /// shutdown patterns notify without holding.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         let mut st = self.state.lock();
         st.wait_generation += 1;
         drop(st);
@@ -285,97 +286,100 @@ impl Monitor {
     pub fn holder(&self) -> Option<ThreadId> {
         self.state.lock().held_by
     }
-
-    /// Last releaser and its clock (diagnostic / recorder use outside the
-    /// acquire path).
-    pub fn last_release(&self) -> Option<(ThreadId, u64)> {
-        self.state.lock().last_release
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoHooks;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::{NoHooks, RuntimeConfig, SchedHooks};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn controls(n: usize) -> Vec<ThreadControl> {
-        (0..n).map(|_| ThreadControl::new()).collect()
+    /// A runtime of `n` thread slots whose contended acquires spin
+    /// `spin_iters` times before they park. The monitors under test are built
+    /// apart from it.
+    fn runtime(n: usize, spin_iters: u32) -> Runtime {
+        Runtime::new(RuntimeConfig::builder().max_threads(n).monitor_spin_iters(spin_iters).build())
+    }
+
+    /// Step a [`crate::Wait`] until thread `t` of `rt` has published BLOCKED,
+    /// and return its block epoch.
+    fn await_blocked(rt: &Runtime, t: ThreadId) -> u64 {
+        let mut wait = crate::Wait::new("the contender to park on the monitor");
+        loop {
+            if let crate::control::ThreadStatus::Blocked { epoch } = rt.control(t).status() {
+                return epoch;
+            }
+            let _ = wait.step();
+        }
     }
 
     #[test]
     fn uncontended_acquire_release() {
         let m = Monitor::new();
-        let c = controls(1);
-        let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
+        let rt = runtime(1, 0);
+        let t = ThreadId(0);
+        let info = m.acquire(&rt, t, &NoHooks);
         assert!(!info.blocked);
         assert_eq!(info.prev_release, None);
-        assert_eq!(m.holder(), Some(ThreadId(0)));
-        m.release(ThreadId(0), &c[0], &NoHooks);
+        assert_eq!(m.holder(), Some(t));
+        m.release(&rt, t, &NoHooks);
         assert_eq!(m.holder(), None);
-        assert_eq!(m.last_release(), Some((ThreadId(0), 0)));
+        // The next acquire names the release it follows.
+        assert_eq!(m.acquire(&rt, t, &NoHooks).prev_release, Some((t, 0)));
     }
 
     #[test]
     fn reentrant_acquire_counts_recursion() {
         let m = Monitor::new();
-        let c = controls(1);
+        let rt = runtime(1, 0);
+        let t = ThreadId(0);
         for _ in 0..3 {
-            let info = m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
+            let info = m.acquire(&rt, t, &NoHooks);
             assert!(!info.blocked, "a reentrant acquire never blocks");
         }
         for _ in 0..2 {
-            m.release(ThreadId(0), &c[0], &NoHooks);
-            assert_eq!(m.holder(), Some(ThreadId(0)), "still held after an inner release");
+            m.release(&rt, t, &NoHooks);
+            assert_eq!(m.holder(), Some(t), "still held after an inner release");
         }
-        m.release(ThreadId(0), &c[0], &NoHooks);
+        m.release(&rt, t, &NoHooks);
         assert_eq!(m.holder(), None);
     }
 
     #[test]
     #[should_panic(expected = "release of monitor not held")]
     fn release_without_hold_panics() {
-        let m = Monitor::new();
-        let c = controls(1);
-        m.release(ThreadId(0), &c[0], &NoHooks);
+        Monitor::new().release(&runtime(1, 0), ThreadId(0), &NoHooks);
     }
 
     #[test]
     fn contended_acquire_blocks_and_records_prev_release() {
-        let m = Arc::new(Monitor::new());
-        let c: Arc<Vec<ThreadControl>> = Arc::new(controls(2));
-        let t0 = ThreadId(0);
-        let t1 = ThreadId(1);
+        let m = Monitor::new();
+        let rt = runtime(2, 0);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
 
-        m.acquire(t0, &c[0], &NoHooks, 0);
-        c[0].bump_release_clock(); // pretend a PSRO bump happened earlier
+        m.acquire(&rt, t0, &NoHooks);
+        rt.control(t0).bump_release_clock(); // pretend a PSRO bump happened earlier
 
         std::thread::scope(|s| {
-            let m2 = m.clone();
-            let c2 = c.clone();
-            let h = s.spawn(move || m2.acquire(t1, &c2[1], &NoHooks, 0));
+            let h = s.spawn(|| m.acquire(&rt, t1, &NoHooks));
             // Give the contender time to park, then release.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            m.release(t0, &c[0], &NoHooks);
+            std::thread::sleep(Duration::from_millis(1));
+            m.release(&rt, t0, &NoHooks);
             let info = h.join().unwrap();
             assert!(info.blocked);
             assert_eq!(info.prev_release, Some((t0, 1)));
-            m.release(t1, &c[1], &NoHooks);
+            m.release(&rt, t1, &NoHooks);
         });
     }
 
-    /// Hooks that note whether a contended acquire reached its spin phase.
-    #[derive(Default)]
-    struct SpinSeen(std::sync::atomic::AtomicBool);
+    /// Schedule hooks that note whether a contended acquire reached its spin
+    /// phase.
+    #[derive(Debug, Default)]
+    struct SpinSeen(AtomicBool);
 
-    impl RtHooks for SpinSeen {
-        fn poll(&self, _t: ThreadId) {}
-        fn before_block(&self, _t: ThreadId) {}
-        fn on_blocked_publish(&self, _t: ThreadId) {}
-        fn after_unblock(&self, _t: ThreadId, _epoch_bumped: bool) {}
-        fn on_psro(&self, _t: ThreadId) {}
-        fn sched_point(&self, _t: ThreadId, point: SchedPoint) {
+    impl SchedHooks for SpinSeen {
+        fn perturb(&self, _t: ThreadId, point: SchedPoint) {
             if point == SchedPoint::MonitorAcquireSpin {
                 self.0.store(true, Ordering::Release);
             }
@@ -386,65 +390,63 @@ mod tests {
     fn only_an_acquire_that_waits_is_timed() {
         const HOLD: Duration = Duration::from_millis(1);
         let m = Monitor::new();
-        let c = controls(2);
         let (t0, t1) = (ThreadId(0), ThreadId(1));
-        assert_eq!(m.acquire(t0, &c[0], &NoHooks, 0).waited, None, "uncontended");
-        assert_eq!(m.acquire(t0, &c[0], &NoHooks, 0).waited, None, "reentrant");
-        m.release(t0, &c[0], &NoHooks);
+        // On `spinning`, a contended acquire never parks.
+        let seen = Arc::new(SpinSeen::default());
+        let mut spinning = runtime(2, u32::MAX);
+        spinning.set_sched_hooks(seen.clone());
+        assert_eq!(m.acquire(&spinning, t0, &NoHooks).waited, None, "uncontended");
+        assert_eq!(m.acquire(&spinning, t0, &NoHooks).waited, None, "reentrant");
+        m.release(&spinning, t0, &NoHooks);
 
         // T0 still holds the monitor: T1 takes it while spinning.
-        let seen = SpinSeen::default();
         let info = std::thread::scope(|s| {
-            let h = s.spawn(|| m.acquire(t1, &c[1], &seen, u32::MAX));
+            let h = s.spawn(|| m.acquire(&spinning, t1, &NoHooks));
             let mut wait = crate::Wait::new("T1 to spin on the monitor");
             while !seen.0.load(Ordering::Acquire) {
                 let _ = wait.step();
             }
             std::thread::sleep(HOLD);
-            m.release(t0, &c[0], &NoHooks);
+            m.release(&spinning, t0, &NoHooks);
             h.join().unwrap()
         });
         assert!(!info.blocked, "taken in the spin phase");
         assert!(info.waited.is_some_and(|w| w >= HOLD), "{:?}", info.waited);
 
-        // T1 holds it now: T0, with no spin budget, parks.
+        // T1 holds it now: T0, on a runtime with no spin budget, parks.
+        let parking = runtime(2, 0);
         let info = std::thread::scope(|s| {
-            let h = s.spawn(|| m.acquire(t0, &c[0], &NoHooks, 0));
-            let mut wait = crate::Wait::new("T0 to park on the monitor");
-            while !matches!(c[0].status(), crate::control::ThreadStatus::Blocked { .. }) {
-                let _ = wait.step();
-            }
+            let h = s.spawn(|| m.acquire(&parking, t0, &NoHooks));
+            await_blocked(&parking, t0);
             std::thread::sleep(HOLD);
-            m.release(t1, &c[1], &NoHooks);
+            m.release(&parking, t1, &NoHooks);
             h.join().unwrap()
         });
         assert!(info.blocked);
         assert!(info.waited.is_some_and(|w| w >= HOLD), "{:?}", info.waited);
-        m.release(t0, &c[0], &NoHooks);
+        m.release(&parking, t0, &NoHooks);
     }
 
     #[test]
     fn mutual_exclusion_under_contention() {
         const THREADS: usize = 8;
         const ITERS: usize = 2_000;
-        let m = Arc::new(Monitor::new());
-        let c: Arc<Vec<ThreadControl>> = Arc::new(controls(THREADS));
-        let counter = Arc::new(AtomicU64::new(0));
+        let m = Monitor::new();
+        let rt = runtime(THREADS, 64);
+        let counter = AtomicU64::new(0);
 
         std::thread::scope(|s| {
             for i in 0..THREADS {
-                let m = m.clone();
-                let c = c.clone();
-                let counter = counter.clone();
+                let (m, rt, counter) = (&m, &rt, &counter);
                 s.spawn(move || {
                     let t = ThreadId(i as u16);
                     for _ in 0..ITERS {
-                        m.acquire(t, &c[i], &NoHooks, 64);
+                        m.acquire(rt, t, &NoHooks);
                         // Non-atomic-looking increment under the monitor: only
                         // correct if mutual exclusion holds.
                         let v = counter.load(Ordering::Relaxed);
                         counter.store(v + 1, Ordering::Relaxed);
-                        m.release(t, &c[i], &NoHooks);
+                        m.release(rt, t, &NoHooks);
                     }
                 });
             }
@@ -454,87 +456,92 @@ mod tests {
 
     #[test]
     fn wait_notify_roundtrip() {
-        let m = Arc::new(Monitor::new());
-        let c: Arc<Vec<ThreadControl>> = Arc::new(controls(2));
-        let flag = Arc::new(AtomicU64::new(0));
+        let m = Monitor::new();
+        let rt = runtime(2, 0);
+        let flag = AtomicU64::new(0);
 
         std::thread::scope(|s| {
-            let m2 = m.clone();
-            let c2 = c.clone();
-            let flag2 = flag.clone();
-            let waiter = s.spawn(move || {
+            let waiter = s.spawn(|| {
                 let t = ThreadId(0);
-                m2.acquire(t, &c2[0], &NoHooks, 0);
-                while flag2.load(Ordering::Relaxed) == 0 {
-                    m2.wait(t, &c2[0], &NoHooks);
+                m.acquire(&rt, t, &NoHooks);
+                while flag.load(Ordering::Relaxed) == 0 {
+                    m.wait(&rt, t, &NoHooks);
                 }
-                m2.release(t, &c2[0], &NoHooks);
+                m.release(&rt, t, &NoHooks);
             });
 
             let t = ThreadId(1);
             // Let the waiter park first (best-effort).
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            m.acquire(t, &c[1], &NoHooks, 0);
+            std::thread::sleep(Duration::from_millis(10));
+            m.acquire(&rt, t, &NoHooks);
             flag.store(1, Ordering::Relaxed);
             m.notify_all();
-            m.release(t, &c[1], &NoHooks);
+            m.release(&rt, t, &NoHooks);
             waiter.join().unwrap();
         });
         assert_eq!(m.holder(), None);
     }
 
-    /// Hooks that write down every call they receive, in order.
-    #[derive(Default)]
-    struct Probe(parking_lot::Mutex<Vec<String>>);
+    /// Hooks, and schedule hooks, that write down every call thread `of`
+    /// makes to either, in one order.
+    #[derive(Debug)]
+    struct Probe {
+        of: ThreadId,
+        log: parking_lot::Mutex<Vec<String>>,
+    }
+
+    impl Probe {
+        fn note(&self, t: ThreadId, entry: String) {
+            if t == self.of {
+                self.log.lock().push(entry);
+            }
+        }
+    }
 
     impl RtHooks for Probe {
         fn poll(&self, _t: ThreadId) {}
-        fn before_block(&self, _t: ThreadId) {
-            self.0.lock().push("before_block".into());
+        fn before_block(&self, t: ThreadId) {
+            self.note(t, "before_block".into());
         }
-        fn on_blocked_publish(&self, _t: ThreadId) {
-            self.0.lock().push("on_blocked_publish".into());
+        fn on_blocked_publish(&self, t: ThreadId) {
+            self.note(t, "on_blocked_publish".into());
         }
-        fn after_unblock(&self, _t: ThreadId, epoch_bumped: bool) {
-            self.0.lock().push(format!("after_unblock({epoch_bumped})"));
+        fn after_unblock(&self, t: ThreadId, epoch_bumped: bool) {
+            self.note(t, format!("after_unblock({epoch_bumped})"));
         }
         fn on_psro(&self, _t: ThreadId) {}
-        fn sched_point(&self, _t: ThreadId, point: SchedPoint) {
-            self.0.lock().push(format!("{point:?}"));
+    }
+
+    impl SchedHooks for Probe {
+        fn perturb(&self, t: ThreadId, point: SchedPoint) {
+            self.note(t, format!("{point:?}"));
         }
     }
 
     #[test]
     fn blocked_acquirer_can_be_implicitly_coordinated() {
-        let m = Arc::new(Monitor::new());
-        let c: Arc<Vec<ThreadControl>> = Arc::new(controls(2));
-        let probe = Probe::default();
-        m.acquire(ThreadId(0), &c[0], &NoHooks, 0);
+        let m = Monitor::new();
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        let probe = Arc::new(Probe { of: t1, log: Default::default() });
+        let mut rt = runtime(2, 0);
+        rt.set_sched_hooks(probe.clone());
+        m.acquire(&rt, t0, &NoHooks);
 
         std::thread::scope(|s| {
-            let m2 = m.clone();
-            let c2 = c.clone();
-            let probe = &probe;
-            let h = s.spawn(move || m2.acquire(ThreadId(1), &c2[1], probe, 0));
+            let h = s.spawn(|| m.acquire(&rt, t1, &*probe));
 
             // Wait until T1 publishes BLOCKED, then coordinate implicitly.
-            let mut wait = crate::Wait::new("T1 to block on monitor");
-            let epoch = loop {
-                if let crate::control::ThreadStatus::Blocked { epoch } = c[1].status() {
-                    break epoch;
-                }
-                let _ = wait.step();
-            };
-            assert!(c[1].try_implicit(epoch));
+            let epoch = await_blocked(&rt, t1);
+            assert!(rt.control(t1).try_implicit(epoch));
 
-            m.release(ThreadId(0), &c[0], &NoHooks);
+            m.release(&rt, t0, &NoHooks);
             let info = h.join().unwrap();
             assert!(info.blocked);
         });
-        // The blocking safe point's hooks, in protocol order; the wake
-        // reports the implicit bump.
+        // The blocking safe point's hooks and schedule points, in protocol
+        // order; the wake reports the implicit bump.
         assert_eq!(
-            *probe.0.lock(),
+            *probe.log.lock(),
             ["before_block", "on_blocked_publish", "MonitorPark", "after_unblock(true)", "MonitorUnpark"]
         );
     }

@@ -310,19 +310,18 @@ impl Runtime {
         self.g_rdsh_count.load(Ordering::Relaxed)
     }
 
-    // --- Monitor convenience wrappers ---
+    // --- Monitors: the one monitor API ---
 
-    /// Acquire monitor `m` for thread `t` (see [`Monitor::acquire`]). Feeds
-    /// the event trace, and the acquire-latency histogram with the time an
-    /// acquire that found `m` held by another thread spent spinning and
-    /// parking ([`AcquireInfo::waited`]), into `t`'s own `MonitorAcquire`
-    /// shard. An uncontended or reentrant acquire records no sample and
+    /// Acquire monitor `m` for thread `t`: uncontended, take it; contended,
+    /// spin `monitor_spin_iters` times polling `hooks`, then park at a
+    /// blocking safe point. Feeds the event trace, and the acquire-latency
+    /// histogram with the time an acquire that found `m` held by another
+    /// thread spent spinning and parking ([`AcquireInfo::waited`]), into
+    /// `t`'s own `MonitorAcquire` shard. An uncontended or reentrant acquire records no sample and
     /// reads no clock, under every engine, `NoTracking` too (DESIGN.md §8
     /// has the figure).
     pub fn monitor_acquire<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
-        let info = self
-            .monitor(m)
-            .acquire(t, self.control(t), hooks, self.config.monitor_spin_iters);
+        let info = self.monitor(m).acquire(self, t, hooks);
         if let Some(waited) = info.waited {
             self.stats
                 .record_latency(t, LatencyKind::MonitorAcquire, waited.as_nanos() as u64);
@@ -331,17 +330,20 @@ impl Runtime {
         info
     }
 
-    /// Release monitor `m` (see [`Monitor::release`]).
+    /// Release monitor `m`, a PSRO: `hooks.on_psro` runs before the release
+    /// becomes visible. Panics if `t` does not hold `m`.
     pub fn monitor_release<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) {
         self.trace(t, Event::MonitorRelease, m.index() as u64);
-        self.monitor(m).release(t, self.control(t), hooks)
+        self.monitor(m).release(self, t, hooks)
     }
 
-    /// Wait on monitor `m` (see [`Monitor::wait`]). The reacquire is traced
-    /// as a blocked acquire, which is how engines count it.
+    /// `Object.wait()` on monitor `m`: release it (a PSRO), park at a
+    /// blocking safe point until notified, then reacquire it. Spurious
+    /// wakeups are possible. The reacquire is traced as a blocked acquire,
+    /// which is how engines count it.
     pub fn monitor_wait<H: RtHooks>(&self, m: MonitorId, t: ThreadId, hooks: &H) -> AcquireInfo {
         self.trace(t, Event::MonitorWait, m.index() as u64);
-        let info = self.monitor(m).wait(t, self.control(t), hooks);
+        let info = self.monitor(m).wait(self, t, hooks);
         self.trace(t, Event::MonitorAcquireBlocked, m.index() as u64);
         info
     }
@@ -359,7 +361,7 @@ impl Runtime {
     /// raced requests → run `f` → return to RUNNING. Returns `f`'s result and
     /// whether implicit coordination occurred while blocked.
     pub fn blocking<H: RtHooks, R>(&self, t: ThreadId, hooks: &H, f: impl FnOnce() -> R) -> (R, bool) {
-        crate::monitor::blocking_safe_point(t, self.control(t), hooks, SchedPoint::BlockedPublish, f)
+        crate::monitor::blocking_safe_point(self, t, hooks, SchedPoint::BlockedPublish, f)
     }
 
     /// A [`Wait`] of thread `t` on another thread, `what` naming it in the

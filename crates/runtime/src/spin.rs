@@ -12,9 +12,10 @@
 //!
 //! Two loops in `monitor.rs` are not a `Wait`:
 //!
-//! * `Monitor::acquire`'s spin phase, a fixed count of polls that reports
-//!   [`SchedPoint::MonitorAcquireSpin`] and then parks: bounded by its count,
-//!   not by the watchdog;
+//! * a contended [`Runtime::monitor_acquire`]'s spin phase, the runtime's
+//!   `monitor_spin_iters` polls, each reported to the runtime as
+//!   [`SchedPoint::MonitorAcquireSpin`], and then a park: bounded by its
+//!   count, not by the watchdog;
 //! * `park_until`, the condition-variable park behind a contended acquire and
 //!   `Object.wait()`, which a `Wait` cannot cover: it applies the same
 //!   watchdog budget itself.
@@ -85,7 +86,7 @@ pub struct Expired;
 ///    starve exactly the thread being waited for on oversubscribed machines.
 ///    The clock is read every 32nd step only, to arm and check the watchdog;
 /// 4. coordination waits only ([`Wait::coordination`]): after
-///    [`PARK_AFTER_STEPS`] steps without [`Wait::progressed`], each step
+///    `PARK_AFTER_STEPS` (192) steps without [`Wait::progressed`], each step
 ///    first parks on the thread's [`Waker`], 50 µs doubling to 1 ms.
 ///
 /// The escalation to yielding happens even with the watchdog disabled (zero

@@ -44,8 +44,8 @@ pub use gen::{exp_interarrival_ns, LoadAccounting, SplitMix64, Zipf};
 pub use store::{GetOutcome, KvStore};
 
 /// Everything a serve run needs to know. Construct with
-/// [`ServeConfig::default`] and override fields; [`validate`]
-/// (ServeConfig::validate) is called by the drivers.
+/// [`ServeConfig::default`] and override fields; [`run_serve`] and
+/// [`run_serve_on`] call [`ServeConfig::validate`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Which tracking engine serves the store.

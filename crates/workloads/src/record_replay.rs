@@ -21,11 +21,11 @@ pub struct RecordOutcome {
 /// Record one execution of `spec` with the recorder on `kind`'s tracking
 /// configuration: §4.1's on [`EngineKind::Optimistic`], §4.2's on
 /// [`EngineKind::Hybrid`]. The log and the run are named after `kind`.
-/// Panics if `kind` is not a configuration of the hybrid engine. Its locks
-/// are deferred whatever the kind — the [`Recorder`]'s discipline is
-/// `Locking::Deferred`, since its release-clock edges are the unlocks a
-/// flush makes (§4.2) — so [`EngineKind::Pessimistic`] records Table 3 at
-/// `Cutoff_confl = 0`.
+/// Panics if `kind` is not a configuration of the hybrid engine
+/// ([`EngineKind::with_support`]). Its locks are deferred whatever the kind
+/// — the [`Recorder`]'s discipline is `Locking::Deferred`, since its
+/// release-clock edges are the unlocks a flush makes (§4.2) — so
+/// [`EngineKind::Pessimistic`] records Table 3 at `Cutoff_confl = 0`.
 pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
     record_on(kind, runtime_for(spec), spec)
 }
@@ -33,13 +33,10 @@ pub fn record(kind: EngineKind, spec: &WorkloadSpec) -> RecordOutcome {
 /// [`record`] on a runtime the caller built for `spec` — one with trace
 /// rings, say, whose timelines outlive a failing recording.
 pub fn record_on(kind: EngineKind, rt: Arc<Runtime>, spec: &WorkloadSpec) -> RecordOutcome {
-    let Some(cfg) = kind.hybrid_config() else {
-        panic!("the recorder runs on the hybrid engine, which {kind:?} does not configure");
-    };
     let recorder = Recorder::for_runtime(&rt, kind.name());
-    let engine = HybridEngine::with_config(rt, recorder.clone(), cfg);
+    let engine = kind.with_support(rt, recorder);
     let run = drive(&engine, kind.name(), spec, execute_ops);
-    let log = recorder.into_log();
+    let log = engine.into_support().into_log();
     log.validate().expect("recorder produced a malformed log");
     RecordOutcome { run, log }
 }

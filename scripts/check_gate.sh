@@ -3,7 +3,7 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Ten legs, all required:
+# Eleven legs, all required:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
@@ -72,6 +72,9 @@
 #  10. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
 #      (tests, benches and examples included), so that no
 #      warning lands unseen.
+#  11. Rustdoc: `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+#      --offline`, so that a moved or deleted item leaves no dangling doc
+#      link, and no public doc links to a private item.
 #
 # The canary leg tightens DRINK_SPIN_BUDGET_MS so deliberate protocol
 # wedges fail in seconds; `--fail-fast` stops at the first caught cell
@@ -165,5 +168,8 @@ scripts/fastpath_asm.sh
 
 echo "=== check_gate: clippy, warnings denied"
 cargo clippy --workspace --release --all-targets -- -D warnings
+
+echo "=== check_gate: rustdoc, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "=== check_gate: OK (bugs and stall caught, artifacts reproduce, ladder degrades gracefully, no flake)"

@@ -121,14 +121,10 @@ fn recorded_waits_replay_via_sync_edges() {
         .monitors(1)
         .build()));
     let recorder = Recorder::for_runtime(&rt, "hybrid");
-    let engine = HybridEngine::with_config(
-        rt,
-        recorder.clone(),
-        drink_core::engine::hybrid::HybridConfig::default(),
-    );
+    let engine = EngineKind::Hybrid.with_support(rt, recorder);
     let sum = run_producer_consumer(&engine, ITEMS);
     let recorded_heap = engine.rt().heap().snapshot_data();
-    let log = recorder.into_log();
+    let log = engine.into_support().into_log();
     log.validate().unwrap();
 
     let rt2 = Arc::new(Runtime::new(RuntimeConfig::builder()
