@@ -9,9 +9,9 @@ use drink_workloads::{
     profiles, racy_inc, record, replay, rs_label, run_rs, sync_inc, EngineKind, PaperRef,
     RecordOutcome, WorkloadSpec,
 };
-use EngineKind::{Adaptive, Baseline, Hybrid, Ideal, Optimistic, Pessimistic};
+use EngineKind::{Adaptive, Baseline, Hybrid, Optimistic, Pessimistic};
 
-use crate::{cost, geomean_overhead, measure, overhead_pct, sci, Config, Ctx, Experiment, Line, Samples, Table};
+use crate::{cost, figure7, geomean_overhead, measure, overhead_pct, sci, Config, Ctx, Experiment, Line, Samples, Table};
 
 /// The experiment index (DESIGN.md §4).
 #[rustfmt::skip]
@@ -196,8 +196,8 @@ fn fig7(ctx: &Ctx) -> Table {
     const TOLERANCE: f64 = 0.05;
     const SLACK: Duration = Duration::from_millis(2);
     let trials = ctx.trials(15);
-    let kinds = [Baseline, Pessimistic, Optimistic, Hybrid, Ideal, Adaptive];
-    let configs = kinds.map(Config::kind);
+    let [pess, opt, hybrid, ideal] = figure7();
+    let configs = [Config::kind(Baseline), pess, opt, hybrid, ideal, Config::kind(Adaptive)];
     let mut t = Table::new(&["program", "Pess", "Opt", "Hybrid", "Ideal", "Adapt"], &configs);
     t.caption = vec![format!("(each cell: wall% / model%; wall = median of {trials} interleaved trials)")];
     let (mut wall, mut model) = (vec![Vec::new(); 5], vec![Vec::new(); 5]);

@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use drink_core::prelude::{HybridConfig, HybridEngine, Support};
+use drink_core::prelude::{HybridConfig, HybridEngine, IdealModel, Support};
 use drink_runtime::CostModel;
 use drink_workloads::{run_kind, run_workload, runtime_for, EngineKind, RunResult, WorkloadSpec};
 
@@ -84,11 +84,7 @@ impl Config<'_> {
     pub fn kind(kind: EngineKind) -> Config<'static> {
         Config {
             label: kind.label().into(),
-            support: match kind {
-                EngineKind::Baseline => "none",
-                EngineKind::Ideal => "IdealModel",
-                _ => "NullSupport",
-            },
+            support: if kind == EngineKind::Baseline { "none" } else { "NullSupport" },
             run: Box::new(move |spec| run_kind(kind, spec)),
         }
     }
@@ -103,6 +99,19 @@ impl Config<'_> {
             }),
         }
     }
+}
+
+/// Figure 7's configurations in its legend order, the baseline excluded:
+/// three kinds, and the unsound "Ideal" estimate (§7.5), which no kind names —
+/// the optimistic configuration on [`IdealModel`], whose conflicts coordinate
+/// with no one.
+pub fn figure7() -> [Config<'static>; 4] {
+    [
+        Config::kind(EngineKind::Pessimistic),
+        Config::kind(EngineKind::Optimistic),
+        Config::kind(EngineKind::Hybrid),
+        Config::hybrid("Ideal", IdealModel, HybridConfig::optimistic()),
+    ]
 }
 
 /// One configuration's runs of one spec: every wall time, and the last run.

@@ -7,7 +7,7 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use drink_bench::{banner, find, measure, Config, Ctx, Line, Table, EXPERIMENTS};
+use drink_bench::{banner, figure7, find, measure, Config, Ctx, Line, Table, EXPERIMENTS};
 use drink_runtime::trace::validate_chrome_json;
 use drink_runtime::Runtime;
 use drink_workloads::{
@@ -108,13 +108,12 @@ fn custom(ctx: &Ctx, args: &[String]) {
     let spec: WorkloadSpec = serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("invalid spec: {e}")));
     // Deserialized specs bypass the builder, so re-validate before running.
     spec.validate().unwrap_or_else(|e| fail(e));
-    let mut kinds = vec![EngineKind::Baseline];
+    let mut configs = vec![Config::kind(EngineKind::Baseline)];
     match engine.map(|name| EngineKind::parse(name).unwrap_or_else(|| fail(format!("unknown engine: {name}")))) {
-        None => kinds.extend(EngineKind::FIGURE7),
+        None => configs.extend(figure7()),
         Some(EngineKind::Baseline) => {}
-        Some(kind) => kinds.push(kind),
+        Some(kind) => configs.push(Config::kind(kind)),
     }
-    let configs: Vec<Config> = kinds.into_iter().map(Config::kind).collect();
 
     let header = ["engine", "wall ms", "wall %", "model %", "conflicting", "pess unc", "contended"];
     let mut t = Table::new(&header, &configs);

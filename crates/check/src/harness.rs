@@ -31,8 +31,7 @@ use crate::chaos::{ChaosSched, TraceStep};
 use crate::oracle::{self, Oracle};
 
 /// The engines the chaos matrix exercises (tracking engines only: baseline
-/// does not participate in the protocols, and Ideal, whose conflicts
-/// coordinate with no one, is deliberately unsound).
+/// does not participate in the protocols).
 pub const MATRIX_ENGINES: [EngineKind; 3] = [
     EngineKind::Pessimistic,
     EngineKind::Optimistic,

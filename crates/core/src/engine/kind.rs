@@ -6,8 +6,8 @@
 //! A server-shaped consumer (`drink-serve`) holds *one* engine chosen at
 //! startup and must route every tracked access through it with zero
 //! per-engine code. [`EngineKind::build`] returns an [`AnyEngine`] — an enum
-//! over the three engines a kind builds, plus the kind that built it — which
-//! itself implements [`Tracker`], so `Session<'_, AnyEngine>` works
+//! over the two engine types a kind builds, plus the kind that built it —
+//! which itself implements [`Tracker`], so `Session<'_, AnyEngine>` works
 //! unchanged. An enum and not a box: Figure 10(a)'s same-state check is
 //! inlined at every access, which a pointer forbids. [`Tracker`] stays
 //! object-safe, and [`EngineKind::build_boxed`] is the concrete engine behind
@@ -21,15 +21,11 @@ use drink_runtime::{MonitorId, ObjId, Runtime, RuntimeConfig, ThreadId};
 use crate::engine::hybrid::{HybridConfig, HybridEngine};
 use crate::engine::none::NoTracking;
 use crate::engine::Tracker;
-use crate::support::{IdealModel, NullSupport, Support};
+use crate::support::{NullSupport, Support};
 
-/// The type-erased tracker: [`Tracker`] is object-safe by design, so the
-/// erased form is just the trait object.
-pub type DynTracker = dyn Tracker;
-
-/// The engine configurations of Figure 7, plus the adaptive one. The four
-/// tracked kinds built on the hybrid engine are set by two values —
-/// `Cutoff_confl` (0, 4 or ∞) and the [`Valve`](crate::policy::Valve)
+/// The engine configurations a program selects at run time: the baseline,
+/// and four of the hybrid engine on `NullSupport`. Those four are set by two
+/// values — `Cutoff_confl` (0, 4 or ∞) and the [`Valve`](crate::policy::Valve)
 /// (one-way or re-opening) — and at 0 by write-locked self-reads
 /// ([`HybridConfig::pessimistic`]). How long a lock lives is none of these:
 /// it is the support's discipline ([`Locking`](crate::support::Locking)), so
@@ -48,6 +44,9 @@ pub type DynTracker = dyn Tracker;
 /// Figure 7's "Hybrid tracking w/ infinite cutoff" is `Optimistic` here: with
 /// `Cutoff_confl = ∞` the valve only matters after a coordination deadline
 /// expires, so the one-way ∞ cell would measure the same protocol again.
+/// Figure 7's unsound "Ideal" (§7.5) is no kind: it is `Optimistic`'s
+/// configuration on [`IdealModel`](crate::support::IdealModel), which only
+/// the Figure 7 runner builds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Unmodified runtime (overhead baseline).
@@ -64,18 +63,6 @@ pub enum EngineKind {
     /// when it collects `Cutoff_confl` more explicit conflicts, and each
     /// return doubles the `Inertia` its next one must meet.
     Adaptive,
-    /// The unsound "Ideal" upper-bound estimate (§7.5).
-    Ideal,
-}
-
-/// What a kind builds (see the [module table](crate::engine)).
-enum Engine {
-    NoTracking,
-    /// [`HybridEngine`] under the configuration the constructor returns.
-    Hybrid(fn() -> HybridConfig),
-    /// [`HybridEngine`] on [`IdealModel`], under
-    /// [`HybridConfig::optimistic`]. No support is built on it.
-    Ideal,
 }
 
 /// One row of [`KINDS`]: everything that distinguishes a kind.
@@ -90,32 +77,34 @@ struct KindRow {
     label: &'static str,
     /// The name results report under ([`Tracker::name`] of the built engine).
     name: &'static str,
-    engine: Engine,
+    /// What the kind builds (see the [module table](crate::engine)):
+    /// [`HybridEngine`] under the configuration the constructor returns, or
+    /// `None` for [`NoTracking`].
+    config: Option<fn() -> HybridConfig>,
 }
 
 /// The engine table, in [`EngineKind`]'s declaration order (checked below).
 #[rustfmt::skip]
-const KINDS: [KindRow; 6] = {
-    use {Engine as E, EngineKind as K, HybridConfig as H};
+const KINDS: [KindRow; 5] = {
+    use {EngineKind as K, HybridConfig as H};
     const fn row(
         kind: K, short: &'static str, aliases: &'static [&'static str],
-        label: &'static str, name: &'static str, engine: E,
+        label: &'static str, name: &'static str, config: Option<fn() -> HybridConfig>,
     ) -> KindRow {
-        KindRow { kind, short, aliases, label, name, engine }
+        KindRow { kind, short, aliases, label, name, config }
     }
     [
-        row(K::Baseline, "baseline", &["none"], "Baseline", "baseline", E::NoTracking),
-        row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", E::Hybrid(H::pessimistic)),
-        row(K::Optimistic, "opt", &["optimistic"], "Optimistic tracking", "optimistic", E::Hybrid(H::optimistic)),
-        row(K::Hybrid, "hybrid", &[], "Hybrid tracking", "hybrid", E::Hybrid(H::default)),
-        row(K::Adaptive, "adapt", &["adaptive"], "Adaptive (online demotion)", "adaptive", E::Hybrid(H::adaptive)),
-        row(K::Ideal, "ideal", &[], "Ideal", "ideal", E::Ideal),
+        row(K::Baseline, "baseline", &["none"], "Baseline", "baseline", None),
+        row(K::Pessimistic, "pess", &["pessimistic"], "Pessimistic tracking", "pessimistic", Some(H::pessimistic)),
+        row(K::Optimistic, "opt", &["optimistic"], "Optimistic tracking", "optimistic", Some(H::optimistic)),
+        row(K::Hybrid, "hybrid", &[], "Hybrid tracking", "hybrid", Some(H::default)),
+        row(K::Adaptive, "adapt", &["adaptive"], "Adaptive (online demotion)", "adaptive", Some(H::adaptive)),
     ]
 };
 
 // `EngineKind::row` indexes the table by discriminant.
 const _: () = {
-    assert!(KINDS.len() == EngineKind::Ideal as usize + 1, "a kind has no row");
+    assert!(KINDS.len() == EngineKind::Adaptive as usize + 1, "a kind has no row");
     let mut i = 0;
     while i < KINDS.len() {
         assert!(KINDS[i].kind as usize == i, "KINDS is not in EngineKind's declaration order");
@@ -124,14 +113,6 @@ const _: () = {
 };
 
 impl EngineKind {
-    /// All configurations, in Figure 7's legend order (baseline excluded).
-    pub const FIGURE7: [EngineKind; 4] = [
-        EngineKind::Pessimistic,
-        EngineKind::Optimistic,
-        EngineKind::Hybrid,
-        EngineKind::Ideal,
-    ];
-
     /// Every kind, for parsers and exhaustive sweeps.
     pub const ALL: [EngineKind; KINDS.len()] = {
         let mut all = [EngineKind::Baseline; KINDS.len()];
@@ -146,7 +127,7 @@ impl EngineKind {
     /// The CLI spellings [`EngineKind::parse`] accepts, for usage strings
     /// (`a[b]` stands for both `a` and `ab`).
     pub const CLI_NAMES: &'static str =
-        "baseline|none|pess[imistic]|opt[imistic]|hybrid|adapt[ive]|ideal";
+        "baseline|none|pess[imistic]|opt[imistic]|hybrid|adapt[ive]";
 
     fn row(self) -> &'static KindRow {
         &KINDS[self as usize]
@@ -169,14 +150,10 @@ impl EngineKind {
         self.row().name
     }
 
-    /// The [`HybridEngine`] configuration this kind is, or `None` for a kind
-    /// no runtime support may be built on: one built on another engine type,
-    /// or on [`IdealModel`], which is unsound.
+    /// The [`HybridEngine`] configuration this kind is, or `None` for the
+    /// baseline, which no runtime support may be built on.
     pub fn hybrid_config(self) -> Option<HybridConfig> {
-        match self.row().engine {
-            Engine::Hybrid(cfg) => Some(cfg()),
-            _ => None,
-        }
+        self.row().config.map(|cfg| cfg())
     }
 
     /// The hybrid engine in this kind's configuration, owning runtime support
@@ -200,11 +177,10 @@ impl EngineKind {
 
     /// Construct the engine behind an object-safe box: the concrete engine
     /// type, with no [`AnyEngine`] in between (the tests compare the two).
-    pub fn build_boxed(self, rt: Arc<Runtime>) -> Box<DynTracker> {
-        match self.row().engine {
-            Engine::NoTracking => Box::new(NoTracking::new(rt)),
-            Engine::Hybrid(cfg) => Box::new(HybridEngine::with_config(rt, NullSupport, cfg())),
-            Engine::Ideal => Box::new(HybridEngine::with_config(rt, IdealModel, HybridConfig::optimistic())),
+    pub fn build_boxed(self, rt: Arc<Runtime>) -> Box<dyn Tracker> {
+        match self.hybrid_config() {
+            None => Box::new(NoTracking::new(rt)),
+            Some(cfg) => Box::new(HybridEngine::with_config(rt, NullSupport, cfg)),
         }
     }
 
@@ -213,10 +189,9 @@ impl EngineKind {
     /// pre-registered hooks (the chaos harness) or a caller-tuned config; it
     /// must be sized for the workload that will run.
     pub fn build(self, rt: Arc<Runtime>) -> AnyEngine {
-        let inner = match self.row().engine {
-            Engine::NoTracking => Inner::NoTracking(NoTracking::new(rt)),
-            Engine::Hybrid(cfg) => Inner::Hybrid(HybridEngine::with_config(rt, NullSupport, cfg())),
-            Engine::Ideal => Inner::Ideal(HybridEngine::with_config(rt, IdealModel, HybridConfig::optimistic())),
+        let inner = match self.hybrid_config() {
+            None => Inner::NoTracking(NoTracking::new(rt)),
+            Some(cfg) => Inner::Hybrid(HybridEngine::with_config(rt, NullSupport, cfg)),
         };
         AnyEngine { kind: self, inner }
     }
@@ -236,8 +211,8 @@ impl FromStr for EngineKind {
     }
 }
 
-/// A tracking engine selected at runtime: the baseline, or the hybrid engine
-/// on `NullSupport` or on [`IdealModel`], by value, plus the [`EngineKind`]
+/// A tracking engine selected at runtime: the baseline or the hybrid engine
+/// on `NullSupport`, by value, plus the [`EngineKind`]
 /// that built it. Implements [`Tracker`] by delegation, so every generic
 /// consumer (`Session`, the workload driver, the serve store) accepts it
 /// unchanged. The cost of erasure is a branch on the
@@ -250,7 +225,6 @@ pub struct AnyEngine {
 enum Inner {
     NoTracking(NoTracking),
     Hybrid(HybridEngine<NullSupport>),
-    Ideal(HybridEngine<IdealModel>),
 }
 
 impl AnyEngine {
@@ -274,7 +248,6 @@ macro_rules! delegate {
             match &self.inner {
                 Inner::NoTracking(e) => e.$name($($arg),*),
                 Inner::Hybrid(e) => e.$name($($arg),*),
-                Inner::Ideal(e) => e.$name($($arg),*),
             }
         }
     )*};
@@ -351,7 +324,7 @@ mod tests {
             let engine = kind.build(tiny_rt());
             assert_eq!(engine.kind(), kind);
             let by_enum = script(&engine);
-            let by_box = script::<DynTracker>(&*kind.build_boxed(tiny_rt()));
+            let by_box = script::<dyn Tracker>(&*kind.build_boxed(tiny_rt()));
             assert_eq!(by_enum, by_box, "{kind:?}");
             let accesses = engine.rt().stats().report().accesses();
             assert_eq!(accesses, if kind == EngineKind::Baseline { 0 } else { 6 }, "{kind:?}");
@@ -363,11 +336,20 @@ mod tests {
     fn sessions_work_against_the_bare_trait_object() {
         // `Session<dyn Tracker>`: the erasure needs no wrapper at all when
         // the caller already holds a box.
-        let boxed: Box<DynTracker> = EngineKind::Hybrid.build_boxed(tiny_rt());
-        let s: Session<'_, DynTracker> = Session::attach(&*boxed);
+        let boxed: Box<dyn Tracker> = EngineKind::Hybrid.build_boxed(tiny_rt());
+        let s: Session<'_, dyn Tracker> = Session::attach(&*boxed);
         s.alloc(ObjId(1));
         s.write(ObjId(1), 7);
         assert_eq!(s.read(ObjId(1)), 7);
+    }
+
+    /// Every kind but the baseline is a hybrid configuration, so any of them
+    /// can carry runtime support.
+    #[test]
+    fn every_kind_but_baseline_has_a_hybrid_config() {
+        for kind in EngineKind::ALL {
+            assert_eq!(kind.hybrid_config().is_some(), kind != EngineKind::Baseline, "{kind:?}");
+        }
     }
 
     #[test]
@@ -394,6 +376,7 @@ mod tests {
         }
         assert_eq!(EngineKind::ALL.len(), KINDS.len());
         assert_eq!(EngineKind::parse("nonsense"), None);
+        assert_eq!(EngineKind::parse("ideal"), None, "Figure 7's Ideal is no kind");
         assert!("nope".parse::<EngineKind>().unwrap_err().contains("unknown engine"));
     }
 

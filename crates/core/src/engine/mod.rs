@@ -7,9 +7,11 @@
 //! | [`NoTracking`](none::NoTracking) | unmodified JVM (the overhead baseline) |
 //! | [`HybridEngine`](hybrid::HybridEngine) | the hybrid state word (§3), driven by the optimistic protocol (§2.2), the pessimistic one (§2.1, its locks deferred (§3.1) or not as the support's discipline says) and the policy that picks between them per object (§6) |
 //!
-//! [`EngineKind`] names the configurations that get built and measured: one
-//! for the first type, and five that are a
-//! [`HybridConfig`](hybrid::HybridConfig) of the second on a support:
+//! [`EngineKind`] names the configurations a program selects at run time:
+//! one for the first type, and four that are a
+//! [`HybridConfig`](hybrid::HybridConfig) of the second on `NullSupport`.
+//! Figure 7's "Ideal" is a fifth configuration of the second type, which only
+//! its runner builds:
 //!
 //! | [`EngineKind`] | [`HybridConfig`](hybrid::HybridConfig) | paper configuration |
 //! |---|---|---|
@@ -17,7 +19,7 @@
 //! | `Optimistic` | `optimistic()`: `Cutoff_confl = ∞`, re-opening valve | "Optimistic tracking" (§2.2, Octet), and "Hybrid tracking w/ infinite cutoff", which runs the same protocol here |
 //! | `Hybrid` | `default()`: `Cutoff_confl = 4`, one-way valve | "Hybrid tracking" (§3) |
 //! | `Adaptive` | `adaptive()`: `Cutoff_confl = 4`, re-opening valve | — (DESIGN.md §13) |
-//! | `Ideal` | `optimistic()`, on [`IdealModel`](crate::support::IdealModel) instead of `NullSupport` | "Ideal" (§7.5): each conflict one CAS, priced as a pessimistic transition — unsound, so no support is built on it |
+//! | — | `optimistic()`, on [`IdealModel`](crate::support::IdealModel) instead of `NullSupport` | "Ideal" (§7.5): each conflict one CAS, priced as a pessimistic transition — unsound, so no support is built on it |
 //!
 //! `NoTracking` has no state word to drive.
 //!
@@ -29,7 +31,7 @@ pub mod hybrid;
 pub mod kind;
 pub mod none;
 
-pub use kind::{AnyEngine, DynTracker, EngineKind};
+pub use kind::{AnyEngine, EngineKind};
 
 use std::sync::Arc;
 
@@ -606,7 +608,7 @@ mod pessimistic {
     }
 }
 
-/// Figure 7's "Ideal" estimate, as [`EngineKind::Ideal`] builds it: the
+/// Figure 7's "Ideal" estimate, as the Figure 7 runner builds it: the
 /// optimistic configuration on [`IdealModel`](crate::support::IdealModel),
 /// whose conflicts coordinate with no one. (The module path is the one these
 /// tests had when a separate engine type ran the estimate, so their ids
@@ -614,13 +616,17 @@ mod pessimistic {
 #[cfg(test)]
 mod ideal {
     mod tests {
-        use drink_runtime::{Event, ObjId, RuntimeConfig};
+        use std::sync::Arc;
 
-        use crate::engine::{AnyEngine, EngineKind, Tracker};
+        use drink_runtime::{Event, ObjId, Runtime, RuntimeConfig};
 
-        fn engine(threads: usize, objects: usize) -> AnyEngine {
+        use crate::engine::hybrid::{HybridConfig, HybridEngine};
+        use crate::engine::Tracker;
+        use crate::support::IdealModel;
+
+        fn engine(threads: usize, objects: usize) -> HybridEngine<IdealModel> {
             let cfg = RuntimeConfig::builder().max_threads(threads).heap_objects(objects).monitors(1).build();
-            EngineKind::Ideal.build_config(cfg)
+            HybridEngine::with_config(Arc::new(Runtime::new(cfg)), IdealModel, HybridConfig::optimistic())
         }
 
         #[test]

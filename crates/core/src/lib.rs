@@ -13,9 +13,9 @@
 //!   Table 3) as one pure function;
 //! * two [`engine`] types — untracked baseline and hybrid (§3) — and
 //!   [`EngineKind`]'s table of their configurations (pessimistic tracking,
-//!   §2.1, is hybrid at cutoff 0; Octet, §2.2, is hybrid at cutoff ∞; the
+//!   §2.1, is hybrid at cutoff 0; Octet, §2.2, is hybrid at cutoff ∞). The
 //!   unsound "Ideal" estimate, §7.5, is Octet on a support that does not
-//!   coordinate);
+//!   coordinate, built by the Figure 7 runner alone;
 //! * the profile-guided [`policy::AdaptivePolicy`] (§6) over one profile
 //!   word per object, and the [`policy::Valve`] that says whether its
 //!   decisions are final (the paper's) or re-open (DESIGN.md §13);
@@ -69,13 +69,13 @@ pub mod word;
 pub mod prelude {
     pub use crate::engine::hybrid::{HybridConfig, HybridEngine, SelfReadMode};
     pub use crate::engine::none::NoTracking;
-    pub use crate::engine::{AnyEngine, DynTracker, EngineKind, Tracker};
+    pub use crate::engine::{AnyEngine, EngineKind, Tracker};
     pub use crate::policy::{AdaptivePolicy, PolicyParams, Valve};
     pub use crate::session::Session;
     pub use crate::support::{EagerModel, IdealModel, Locking, NullSupport, PaperModel, Support};
 }
 
-pub use engine::{AnyEngine, DynTracker, EngineKind, Tracker};
+pub use engine::{AnyEngine, EngineKind, Tracker};
 pub use session::Session;
 
 /// The valve's tests, under the module path their ids were recorded under.

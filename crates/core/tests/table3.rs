@@ -319,11 +319,12 @@ fn pessimistic_engine_follows_the_optimistic_rows() {
 }
 
 /// Figure 7's "Ideal" is Table 1 with no coordination: for every optimistic
-/// word × access, [`EngineKind::Ideal`] leaves exactly the word the row
-/// names — a `Conflict` row's optimistic side — and counts the row's event
-/// at the estimate's price, a conflict as an uncontended pessimistic
-/// transition. No `Int` word is published: no access coordinates, so `T1`,
-/// attached on this thread and never polling, is never asked.
+/// word × access, the optimistic configuration on [`IdealModel`] leaves
+/// exactly the word the row names — a `Conflict` row's optimistic side — and
+/// counts the row's event at the estimate's price, a conflict as an
+/// uncontended pessimistic transition. No `Int` word is published: no access
+/// coordinates, so `T1`, attached on this thread and never polling, is never
+/// asked.
 #[test]
 fn ideal_executes_the_optimistic_rows_without_coordinating() {
     for w in words().into_iter().filter(|w| !w.is_pess() && !w.is_int()) {
@@ -331,7 +332,7 @@ fn ideal_executes_the_optimistic_rows_without_coordinating() {
             for synced in [false, true] {
                 let what = format!("{w:?} {access:?}, synced={synced}");
                 let rt = RuntimeConfig::builder().max_threads(2).heap_objects(2).build();
-                let e = EngineKind::Ideal.build_config(rt);
+                let e = HybridEngine::with_config(Arc::new(Runtime::new(rt)), IdealModel, HybridConfig::optimistic());
                 assert_eq!((e.attach(), e.attach()), (T, T1));
                 let word = || StateWord(e.rt().obj(O).state().load(Ordering::SeqCst));
                 let inject = |w: StateWord| e.rt().obj(O).state().store(w.0, Ordering::SeqCst);

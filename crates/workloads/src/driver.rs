@@ -245,6 +245,16 @@ mod tests {
     use drink_runtime::{Event, ObjId};
     use std::sync::atomic::Ordering;
 
+    /// `spec` under each of Figure 7's configurations, labelled: three kinds,
+    /// and the Ideal estimate, which no kind names.
+    fn figure7_runs(spec: &WorkloadSpec) -> Vec<(&'static str, RunResult)> {
+        let kinds = [EngineKind::Pessimistic, EngineKind::Optimistic, EngineKind::Hybrid];
+        let mut runs: Vec<_> = kinds.map(|k| (k.name(), run_kind(k, spec))).into();
+        let ideal = HybridEngine::with_config(runtime_for(spec), IdealModel, HybridConfig::optimistic());
+        runs.push(("ideal", run_workload(&ideal, spec)));
+        runs
+    }
+
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec::builder().steps_per_thread(2_000).build().unwrap()
     }
@@ -282,9 +292,8 @@ mod tests {
             .build()
             .unwrap();
         let base = run_kind(EngineKind::Baseline, &spec);
-        for kind in EngineKind::FIGURE7 {
-            let r = run_kind(kind, &spec);
-            assert_eq!(r.heap, base.heap, "{:?} diverged from baseline", kind);
+        for (name, r) in figure7_runs(&spec) {
+            assert_eq!(r.heap, base.heap, "{name} diverged from baseline");
         }
     }
 
@@ -313,10 +322,9 @@ mod tests {
     #[test]
     fn racy_inc_completes_under_every_engine() {
         let spec = racy_inc(4, 1_000);
-        for kind in EngineKind::FIGURE7 {
-            let r = run_kind(kind, &spec);
-            assert_eq!(r.workload, "racyInc");
-            assert!(r.wall > Duration::ZERO);
+        for (name, r) in figure7_runs(&spec) {
+            assert_eq!(r.workload, "racyInc", "{name}");
+            assert!(r.wall > Duration::ZERO, "{name}");
         }
     }
 

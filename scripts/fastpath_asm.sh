@@ -1,7 +1,8 @@
 #!/bin/bash
 # Is the same-state access still a leaf? Builds crates/bench's
 # `fastpath_probes`, disassembles each probe and counts, from its entry to
-# its first `ret`, the instructions, the `push`es and the `call`s.
+# its first `ret`, the instructions, the `push`es and the `call`s; `whole`
+# counts the instructions of the whole function, slow-path arms included.
 #
 #   scripts/fastpath_asm.sh [path/to/fastpath_probes]
 #
@@ -26,9 +27,9 @@ fi
 "$bin" # the probes return what they should
 
 status=0
-printf '%-24s %6s %6s %12s %6s %9s\n' probe insns pushes callee-saved calls indirect
+printf '%-24s %6s %6s %6s %12s %6s %9s\n' probe insns whole pushes callee-saved calls indirect
 for probe in probe_hybrid_read probe_hybrid_write probe_hybrid_safepoint probe_any_read; do
-    read -r insns pushes saved calls indirect returns < <(
+    read -r insns whole pushes saved calls indirect returns < <(
         objdump -d --no-show-raw-insn -M intel --disassemble="$probe" "$bin" | awk '
             /^ +[0-9a-f]+:\t/ {
                 sub(/^ +[0-9a-f]+:\t/, "")
@@ -36,15 +37,16 @@ for probe in probe_hybrid_read probe_hybrid_write probe_hybrid_safepoint probe_a
                 if ($1 == "jmp" && $0 ~ /PTR \[/ && $0 !~ /\[rip[+-]/) indirect++
                 if ($1 == "jmp" && loaded[$2]) indirect++
                 split($2, dst, ","); loaded[dst[1]] = ($1 == "mov" && $0 ~ /,[A-Z]+ PTR \[/)
+                whole++
                 if (done) next
                 insns++
                 if ($1 == "push") { pushes++; if ($2 ~ /^(rbx|rbp|r1[2-5])$/) saved++ }
                 if ($1 == "call") calls++
                 if ($1 == "ret") done = 1
             }
-            END { print insns + 0, pushes + 0, saved + 0, calls + 0, indirect + 0, done + 0 }'
+            END { print insns + 0, whole + 0, pushes + 0, saved + 0, calls + 0, indirect + 0, done + 0 }'
     )
-    printf '%-24s %6d %6d %12d %6d %9d\n' "$probe" "$insns" "$pushes" "$saved" "$calls" "$indirect"
+    printf '%-24s %6d %6d %6d %12d %6d %9d\n' "$probe" "$insns" "$whole" "$pushes" "$saved" "$calls" "$indirect"
     if [ "$insns" -eq 0 ]; then
         echo "FAIL: $probe not found in $bin" >&2
         status=1

@@ -6,10 +6,11 @@
 //! protocol bugs actually surface.
 
 use drink_check::{run_cell, Oracle, Subject, MATRIX_ENGINES};
-use drink_core::prelude::Tracker;
+use drink_core::prelude::{HybridConfig, HybridEngine, IdealModel, Tracker};
 use drink_core::word::{Kind, StateWord};
 use drink_workloads::{
-    chaos_disjoint, chaos_handoff, chaos_mix, run_kind, run_rs, EngineKind, WorkloadSpec,
+    chaos_disjoint, chaos_handoff, chaos_mix, run_kind, run_rs, run_workload, runtime_for,
+    EngineKind, WorkloadSpec,
 };
 
 /// A workload whose final heap is schedule-independent: threads touch only
@@ -30,10 +31,13 @@ fn disjoint_spec() -> WorkloadSpec {
 fn disjoint_workload_heap_identical_across_all_engines() {
     let spec = disjoint_spec();
     let base = run_kind(EngineKind::Baseline, &spec);
-    for kind in EngineKind::FIGURE7 {
+    for kind in [EngineKind::Pessimistic, EngineKind::Optimistic, EngineKind::Hybrid] {
         let r = run_kind(kind, &spec);
         assert_eq!(r.heap, base.heap, "{kind:?} changed program semantics");
     }
+    // Figure 7's Ideal, which no kind names.
+    let ideal = HybridEngine::with_config(runtime_for(&spec), IdealModel, HybridConfig::optimistic());
+    assert_eq!(run_workload(&ideal, &spec).heap, base.heap, "Ideal changed program semantics");
     // The enforcers run the same regions; region boundaries don't change
     // values for a schedule-independent program.
     for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
@@ -45,8 +49,8 @@ fn disjoint_workload_heap_identical_across_all_engines() {
 /// After any run, every state word must be quiescent: no Int, no pessimistic
 /// locks — instrumentation never leaks a critical section.
 fn assert_quiescent(kind: EngineKind, spec: &WorkloadSpec) {
-    let engine = kind.build(drink_workloads::runtime_for(spec));
-    drink_workloads::run_workload(&engine, spec);
+    let engine = kind.build(runtime_for(spec));
+    run_workload(&engine, spec);
     for (id, obj) in engine.rt().heap().iter() {
         let w = StateWord(obj.state().load(std::sync::atomic::Ordering::SeqCst));
         assert!(!w.is_int(), "{kind:?}: {id} left Int: {w:?}");
