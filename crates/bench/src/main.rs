@@ -95,7 +95,7 @@ fn main() {
 /// the 13 profiles — under the baseline and every Figure 7 engine, or one.
 fn custom(ctx: &Ctx, args: &[String]) {
     if args.iter().any(|a| a == "--template") {
-        let template = WorkloadSpec::builder().name("custom").build().expect("template spec is valid");
+        let template = WorkloadSpec { name: "custom".into(), ..WorkloadSpec::default() };
         println!("{}", serde_json::to_string_pretty(&template).expect("a spec serializes"));
         return;
     }
@@ -106,7 +106,7 @@ fn custom(ctx: &Ctx, args: &[String]) {
     };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
     let spec: WorkloadSpec = serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("invalid spec: {e}")));
-    // Deserialized specs bypass the builder, so re-validate before running.
+    // Reject a bad spec with its reason before any engine is built.
     spec.validate().unwrap_or_else(|e| fail(e));
     let mut configs = vec![Config::kind(EngineKind::Baseline)];
     match engine.map(|name| EngineKind::parse(name).unwrap_or_else(|| fail(format!("unknown engine: {name}")))) {

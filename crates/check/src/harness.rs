@@ -72,19 +72,19 @@ impl Subject {
 /// [`Subject::Serve`] cells derive the configuration from.
 pub fn serve_spec(seed: u64) -> WorkloadSpec {
     let cfg = chaos_serve(seed);
-    WorkloadSpec::builder()
-        .name("chaosServe")
-        .threads(cfg.workers)
-        .steps_per_thread(cfg.requests_per_worker as usize)
-        .shared_objects(cfg.keys)
-        .hot_objects(cfg.keys.min(8))
-        .monitors(cfg.monitors)
-        .locked_frac(1.0 - cfg.read_frac)
-        .racy_frac(cfg.read_frac)
-        .shared_read_frac(0.0)
-        .seed(seed)
-        .build()
-        .expect("serve geometry maps to a valid spec")
+    WorkloadSpec {
+        name: "chaosServe".into(),
+        threads: cfg.workers,
+        steps_per_thread: cfg.requests_per_worker as usize,
+        shared_objects: cfg.keys,
+        hot_objects: cfg.keys.min(8),
+        monitors: cfg.monitors,
+        locked_frac: 1.0 - cfg.read_frac,
+        racy_frac: cfg.read_frac,
+        shared_read_frac: 0.0,
+        seed,
+        ..WorkloadSpec::default()
+    }
 }
 
 /// What a failure artifact names, and what [`reproduce`] re-runs for it:
@@ -414,6 +414,13 @@ mod tests {
         ] {
             let rs_cell = Check::Cell(Subject::Rs(kind));
             assert_eq!(Check::from_label(label), Some(rs_cell));
+        }
+    }
+
+    #[test]
+    fn serve_spec_validates() {
+        for seed in [0, 1, 0xA3, 0x5EED, u64::MAX] {
+            serve_spec(seed).validate().unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
         }
     }
 

@@ -5,20 +5,28 @@
 //! pessimistic transition waits until the remote thread flushes its lock
 //! buffer, and a replayed sink waits on a source thread's clock. A protocol
 //! bug in any of these would hang the process silently, so every waiting loop
-//! in the workspace is a [`Wait`], built by [`Runtime::wait`]: it backs off
-//! politely, reports every step to the runtime's schedule hooks as
+//! in the workspace but three is a [`Wait`], built by [`Runtime::wait`]: it
+//! backs off politely, reports every step to the runtime's schedule hooks as
 //! [`SchedPoint::SpinBackoff`] (a waiting thread is a scheduling point), and
 //! panics with a descriptive message if the watchdog budget passes.
 //!
-//! Two loops in `monitor.rs` are not a `Wait`:
+//! The three loops that are not a `Wait`, and why each stays:
 //!
-//! * a contended [`Runtime::monitor_acquire`]'s spin phase, the runtime's
-//!   `monitor_spin_iters` polls, each reported to the runtime as
-//!   [`SchedPoint::MonitorAcquireSpin`], and then a park: bounded by its
-//!   count, not by the watchdog;
-//! * `park_until`, the condition-variable park behind a contended acquire and
-//!   `Object.wait()`, which a `Wait` cannot cover: it applies the same
-//!   watchdog budget itself.
+//! * a contended [`Runtime::monitor_acquire`]'s spin phase (`monitor.rs`):
+//!   the runtime's `monitor_spin_iters` polls, each reported to the runtime
+//!   as [`SchedPoint::MonitorAcquireSpin`] and every eighth one a yield, then
+//!   a park; bounded by its count, not by the watchdog. Run as 127
+//!   [`Wait::step`]s instead, whose rungs never yield before the park, it
+//!   parked the waiters of the 8-thread profiles sooner on a 2-core host,
+//!   and E2's implicit share of xalan6 and xalan9 rose from 5–10 % to
+//!   41–47 % (ROADMAP item 3);
+//! * `park_until` (`monitor.rs`), the condition-variable park behind a
+//!   contended acquire and `Object.wait()`, which a `Wait` cannot cover: it
+//!   applies the same watchdog budget itself;
+//! * `drink_rs::RsEnforcer::region`'s restart backoff: after a rolled-back
+//!   region, up to 16 rounds of a safe point and a yield, bounded by its
+//!   count. It goes when bounded region restarts replace it (ROADMAP item
+//!   18).
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

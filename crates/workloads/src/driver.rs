@@ -149,9 +149,9 @@ where
     T: Tracker + ?Sized,
     F: Fn(&Session<'_, T>, &[Op]) -> u64 + Sync,
 {
-    // Specs built through `WorkloadSpec::builder()` are already validated;
-    // this re-check catches struct-literal and deserialized specs before the
-    // op expansion can hit a modulo-by-zero or an oversized hot set.
+    // The one check of a spec, whether it came from a constructor, a struct
+    // literal or JSON: before the op expansion can hit a modulo-by-zero or
+    // an oversized hot set.
     if let Err(e) = spec.validate() {
         panic!("{e}");
     }
@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn small_spec() -> WorkloadSpec {
-        WorkloadSpec::builder().steps_per_thread(2_000).build().unwrap()
+        WorkloadSpec { steps_per_thread: 2_000, ..WorkloadSpec::default() }
     }
 
     #[test]
@@ -286,11 +286,7 @@ mod tests {
     fn single_threaded_runs_are_heap_deterministic_across_engines() {
         // With one thread there are no cross-thread dependences: every engine
         // must produce the identical final heap.
-        let spec = WorkloadSpec::builder()
-            .threads(1)
-            .steps_per_thread(3_000)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec { threads: 1, steps_per_thread: 3_000, ..WorkloadSpec::default() };
         let base = run_kind(EngineKind::Baseline, &spec);
         for (name, r) in figure7_runs(&spec) {
             assert_eq!(r.heap, base.heap, "{name} diverged from baseline");
@@ -330,11 +326,7 @@ mod tests {
 
     #[test]
     fn conflict_cdf_is_monotone_and_bounded() {
-        let spec = WorkloadSpec::builder()
-            .racy_frac(0.05)
-            .steps_per_thread(4_000)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec { racy_frac: 0.05, steps_per_thread: 4_000, ..WorkloadSpec::default() };
         let r = run_kind(EngineKind::Optimistic, &spec);
         let mut prev = 0.0;
         for x in [1, 2, 4, 8, 16, 64, 1024, u32::MAX] {
@@ -354,14 +346,14 @@ mod tests {
         // The core claim of the paper, at workload scale: hybrid tracking
         // converts repeated conflicts on hot objects into pessimistic
         // transitions.
-        let spec = WorkloadSpec::builder()
-            .name("hot-racy")
-            .racy_frac(0.30)
-            .hot_objects(4)
-            .local_work(6)
-            .steps_per_thread(8_000)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec {
+            name: "hot-racy".into(),
+            racy_frac: 0.30,
+            hot_objects: 4,
+            local_work: 6,
+            steps_per_thread: 8_000,
+            ..WorkloadSpec::default()
+        };
         // The comparison is against Octet (∞ cutoff; no deadline is
         // configured, so nothing ever turns pessimistic).
         let opt = run_kind(EngineKind::Optimistic, &spec);
@@ -378,14 +370,14 @@ mod tests {
 
     #[test]
     fn drf_workload_has_no_contended_transitions() {
-        let spec = WorkloadSpec::builder()
-            .name("drf")
-            .racy_frac(0.0)
-            .shared_read_frac(0.0)
-            .locked_frac(0.10)
-            .steps_per_thread(5_000)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec {
+            name: "drf".into(),
+            racy_frac: 0.0,
+            shared_read_frac: 0.0,
+            locked_frac: 0.10,
+            steps_per_thread: 5_000,
+            ..WorkloadSpec::default()
+        };
         let hyb = run_kind(EngineKind::Hybrid, &spec);
         assert_eq!(
             hyb.report.get(Event::PessContended),

@@ -26,5 +26,5 @@ pub use record_replay::{record, record_on, replay, replay_with, RecordOutcome};
 pub use rs_driver::{rs_label, run_rs, run_rs_on};
 pub use spec::{
     chaos_adapt, chaos_disjoint, chaos_handoff, chaos_mix, chaos_rdsh, chaos_read_mostly,
-    chaos_wide, racy_inc, sync_inc, Op, SpecError, WorkloadSpec, WorkloadSpecBuilder,
+    chaos_wide, racy_inc, sync_inc, Op, SpecError, WorkloadSpec,
 };

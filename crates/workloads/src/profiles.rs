@@ -410,8 +410,9 @@ mod tests {
 
     #[test]
     fn every_profile_spec_validates() {
-        // The profile table is built from struct literals (update syntax over
-        // `base()`), so the builder's invariants are re-checked here.
+        // The profile table is calibration data over `base()`, not over
+        // `WorkloadSpec::default()`: every profile must pass `validate()`,
+        // the check each run applies.
         for p in all() {
             p.spec
                 .validate()

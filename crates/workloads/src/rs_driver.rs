@@ -118,14 +118,14 @@ mod tests {
 
     #[test]
     fn both_enforcers_complete_a_locked_workload() {
-        let spec = WorkloadSpec::builder()
-            .name("rs-locked")
-            .threads(4)
-            .steps_per_thread(800)
-            .locked_frac(0.15)
-            .shared_read_frac(0.05)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec {
+            name: "rs-locked".into(),
+            threads: 4,
+            steps_per_thread: 800,
+            locked_frac: 0.15,
+            shared_read_frac: 0.05,
+            ..WorkloadSpec::default()
+        };
         for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
             let r = run_rs(kind, &spec);
             let execs = r.report.get(Event::RegionExec);
@@ -140,14 +140,14 @@ mod tests {
 
     #[test]
     fn racy_workload_restarts_but_completes() {
-        let spec = WorkloadSpec::builder()
-            .name("rs-racy")
-            .threads(4)
-            .steps_per_thread(800)
-            .racy_frac(0.3)
-            .hot_objects(4)
-            .build()
-            .unwrap();
+        let spec = WorkloadSpec {
+            name: "rs-racy".into(),
+            threads: 4,
+            steps_per_thread: 800,
+            racy_frac: 0.3,
+            hot_objects: 4,
+            ..WorkloadSpec::default()
+        };
         for kind in [EngineKind::Optimistic, EngineKind::Hybrid] {
             let r = run_rs(kind, &spec);
             assert!(

@@ -3,7 +3,7 @@
 #
 #   scripts/check_gate.sh [artifact-dir]
 #
-# Eleven legs, all required:
+# Thirteen legs, all required, in the order they run:
 #
 #   1. Build the harness with the invariant layer compiled in
 #      (`check-invariants` is a non-default feature: the plain workspace
@@ -27,8 +27,23 @@
 #      again — proving the seed+trace actually pins the failure. A canary
 #      that passes means the harness has gone blind, and the gate fails.
 #      One function, `canary`, runs these four checks for every canary leg,
-#      the stall catch leg of item 4 included.
-#   4. Stall-responder fault legs (DRINK_INJECT_FAULT=stall-responder:<ms>,
+#      the stall catch leg of item 7 included.
+#   4. Trace export / ingest round trip in the plain release build:
+#      `drink-bench trace` exports a chaos_mix run as Chrome trace JSON, and
+#      `drink-bench trace --check` must ingest it back.
+#   5. E6's count check in the plain release build: `drink-bench --scale
+#      0.1 --trials 1 fig9a_record_replay` must exit 0 and print
+#      `check: replays that reproduced the recorded heap: N/N: ok`, i.e.
+#      every recording of the 13 programs, optimistic and hybrid, replays
+#      to its recorded heap (its wall-clock columns are not gated).
+#   6. E2's §7.5 reading in the plain release build: `drink-bench --scale
+#      0.1 fig6_conflict_cdf` must exit 0 and print `check: hsqldb6
+#      resolves a larger share of its conflicts implicitly than xalan6 and
+#      xalan9: ok`. The reading is a count: hsqldb6's waiters park, so its
+#      conflicts resolve implicitly, while xalan's spinning waiters answer
+#      explicitly. A monitor spin phase that yields the core less before it
+#      parks flips it (ROADMAP item 3).
+#   7. Stall-responder fault legs (DRINK_INJECT_FAULT=stall-responder:<ms>,
 #      DESIGN.md s13). Unlike an injected *bug*, the fault is a
 #      legal-but-hostile environment: a victim's responding-safe-point loop
 #      freezes for <ms> whenever it has pending coordination requests.
@@ -42,12 +57,7 @@
 #          relief on most workloads, run as a canary. The watchdog must CATCH
 #          the wedged roundtrip (nonzero exit, artifact), and `--reproduce`
 #          under the same fault must fail again.
-#   5. E6's count check in the plain release build: `drink-bench --scale
-#      0.1 --trials 1 fig9a_record_replay` must exit 0 and print
-#      `check: replays that reproduced the recorded heap: N/N: ok`, i.e.
-#      every recording of the 13 programs, optimistic and hybrid, replays
-#      to its recorded heap (its wall-clock columns are not gated).
-#   6. Short flake hunt: the policy's tests (profile-word proptests, the
+#   8. Short flake hunt: the policy's tests (profile-word proptests, the
 #      valve's `adapt::tests`), the racy-object tests and the racyInc runs
 #      (each lock released inside its access under tracking alone, every
 #      lock deferred on the paper's model), the replay-elision
@@ -59,20 +69,20 @@
 #      is a swap asserting the word it replaced. Any red round fails the
 #      gate and keeps its output under target/flake-hunt/
 #      (`scripts/flake_hunt.sh 50 ...` is the long form).
-#   7. Table 3 in the check-invariants build: the row tests and the abstract
+#   9. Table 3 in the check-invariants build: the row tests and the abstract
 #      model, so that every row the engine executes passes through
 #      `EngineCommon::publish`'s step assert.
-#   8. The open-loop KV-store server's smoke in the plain release build
+#  10. The open-loop KV-store server's smoke in the plain release build
 #      (`drink-serve --smoke`, DESIGN.md s14): a rate-limited hybrid run with
 #      nonzero throughput and a clean quiescent store check.
-#   9. The same-state leaf in the plain release build
+#  11. The same-state leaf in the plain release build
 #      (`scripts/fastpath_asm.sh`, DESIGN.md s8): no call and no frame before
 #      the first `ret` of the hybrid read, write and safe point, no indirect
 #      call behind `AnyEngine`.
-#  10. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
+#  12. Lint: `cargo clippy --workspace --release --all-targets -- -D warnings`
 #      (tests, benches and examples included), so that no
 #      warning lands unseen.
-#  11. Rustdoc: `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+#  13. Rustdoc: `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #      --offline`, so that a moved or deleted item leaves no dangling doc
 #      link, and no public doc links to a private item.
 #
@@ -137,6 +147,14 @@ if ! E6_OUT="$(./target/release/drink-bench --scale 0.1 --trials 1 fig9a_record_
     ! grep -q '^check: replays that reproduced the recorded heap: .*: ok$' <<<"$E6_OUT"; then
   printf '%s\n' "$E6_OUT" >&2
   echo "check_gate: FAIL — E6: a replay did not reproduce its recorded heap" >&2
+  exit 1
+fi
+
+echo "=== check_gate: E2's check (hsqldb6 resolves more of its conflicts implicitly than xalan6/9)"
+if ! E2_OUT="$(./target/release/drink-bench --scale 0.1 fig6_conflict_cdf)" ||
+    ! grep -q '^check: hsqldb6 resolves a larger share of its conflicts implicitly than xalan6 and xalan9: ok$' <<<"$E2_OUT"; then
+  printf '%s\n' "$E2_OUT" >&2
+  echo "check_gate: FAIL — E2: hsqldb6's implicit share is not above xalan6's and xalan9's" >&2
   exit 1
 fi
 
